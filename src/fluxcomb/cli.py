@@ -17,14 +17,13 @@ import importlib.resources
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import budget, io, line, nonmarkov, transmon
 from .backend import BACKEND
-from .errors import ConfigError, NumericalError, SimulationError
+from .errors import ConfigError, NumericalError
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,38 +185,19 @@ def run_flux_sweep(config: dict, out_dir: Path):
                                           ec=float(config["ec_hz"]))
     dc_grid = _grid(config["phi_dc"], "phi_dc")
     rf_grid = _grid(config["phi_rf"], "phi_rf")
-    n_workers = int(config["n_workers"])
-    if n_workers < 1:
-        raise ConfigError("n_workers must be >= 1")
+    amap = transmon.addressing_map(array, dc_grid, rf_grid, qubits=qubits)
+    failed = ~np.isfinite(amap.score).all(axis=(1, 2))
+    for k in np.flatnonzero(failed):
+        print(f"warning: phi_dc = {dc_grid[k]:.4f} failed: "
+              f"non-finite score at phi_dc index {k}", file=sys.stderr)
 
-    def point(k):
-        amap = transmon.addressing_map(array, dc_grid[k:k + 1], rf_grid,
-                                       qubits=qubits)
-        if not np.all(np.isfinite(amap.score)):
-            raise NumericalError(f"non-finite score at phi_dc index {k}")
-        return amap.score[0]
-
-    results = {}
-    failures = 0
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = {pool.submit(point, k): k for k in range(dc_grid.size)}
-        for fut, k in futures.items():
-            try:
-                results[k] = fut.result()
-            except SimulationError as exc:
-                failures += 1
-                print(f"warning: phi_dc = {dc_grid[k]:.4f} failed: {exc}",
-                      file=sys.stderr)
-
-    rows = []
-    for k in sorted(results):
-        score = results[k]
-        for j, rf in enumerate(rf_grid):
-            for q in range(len(idx)):
-                rows.append((dc_grid[k], rf, q, score[j, q]))
+    rows = ((dc, rf, q, s)
+            for dc, score in zip(dc_grid[~failed], amap.score[~failed])
+            for rf, per_qubit in zip(rf_grid, score)
+            for q, s in enumerate(per_qubit))
     files = [io.write_csv(out_dir / "addressing_map.csv",
                           "phi_dc,phi_rf,qubit_index,score", rows)]
-    return files, failures
+    return files, int(failed.sum())
 
 
 def run_addressing(config: dict, out_dir: Path):

@@ -20,5 +20,5 @@ class NumericalError(SimulationError):
 
 
 class ConvergenceError(NumericalError):
-    """Iterative method exhausted its budget (eigensolver sweeps, basis
-    truncation growth, fit iterations)."""
+    """Iterative method exhausted its budget or failed to converge (a LAPACK
+    eigensolve failure, basis truncation growth, fit iterations)."""

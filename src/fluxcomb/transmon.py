@@ -14,11 +14,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import j0
 
 from .errors import ConfigError, ConvergenceError
-from .tridiag import eigvals_tridiag
 
 # default Gaussian resonance width for addressing scores, rad/s
 SIGMA_RES = 2.0 * math.pi * 50e6
@@ -88,8 +88,14 @@ def _charge_levels(ec: float, ej: float, ng: float, cut: int, n_levels: int
     n = np.arange(-cut, cut + 1, dtype=np.float64)
     diag = 4.0 * ec * (n - ng) ** 2
     off = np.full(2 * cut, -0.5 * ej)
-    vals = eigvals_tridiag(diag, off)
-    return vals[:n_levels] - vals[0]
+    # non-finite input is left to LAPACK, which then fails to converge
+    try:
+        vals = eigvalsh_tridiagonal(diag, off, select="i",
+                                    select_range=(0, n_levels - 1),
+                                    check_finite=False)
+    except LinAlgError as exc:
+        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
+    return vals - vals[0]
 
 
 def _converged_levels(spec: TransmonSpec, ej: float, n_levels: int

@@ -226,6 +226,12 @@ class TestExitCodes:
                          "--set", "array.n_qubits=0"])
         assert code == 2
 
+    def test_negative_rf_grid_is_2(self, tmp_path, capsys):
+        code = cli.main(["flux-sweep", "--out", str(tmp_path),
+                         "--set", "phi_rf.start=-0.1"])
+        assert code == 2
+        assert "phi_rf" in capsys.readouterr().err
+
     def test_blowup_is_3(self, tmp_path):
         code = cli.main(["line-sim", "--out", str(tmp_path),
                          "--set", "run.blowup_factor=1e-12",
@@ -267,14 +273,12 @@ class TestFluxSweepOutput:
             "--set", "phi_dc.start=0.6", "--set", "phi_dc.stop=1.0",
             "--set", "phi_dc.n=3",
             "--set", "phi_rf.start=0.0", "--set", "phi_rf.stop=0.4",
-            "--set", "phi_rf.n=2",
-            "--set", "n_workers=2"])
+            "--set", "phi_rf.n=2"])
         assert code == 0
         header, rows = read_rows(tmp_path / "addressing_map.csv")
         assert header == "phi_dc,phi_rf,qubit_index,score"
         assert len(rows) == 3 * 2 * 2
         scores = np.array([float(r[3]) for r in rows])
         assert np.all((scores >= 0.0) & (scores <= 1.0))
-        # phi_dc output is ordered even though execution is concurrent
         dcs = [float(r[0]) for r in rows]
         assert dcs == sorted(dcs)

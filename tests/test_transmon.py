@@ -2,8 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from scipy.special import mathieu_a, mathieu_b
 
 from fluxcomb.errors import ConfigError, ConvergenceError
 from fluxcomb.transmon import (
@@ -19,46 +18,8 @@ from fluxcomb.transmon import (
     flux_curve,
     resonance_bias,
 )
-from fluxcomb.tridiag import eigvals_tridiag
 
 OMEGA_M = 2.0 * math.pi * 3e9
-
-
-# ---------------------------------------------------------------- tridiag
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 24), st.integers(0, 2**31 - 1))
-def test_ql_matches_lapack(n, seed):
-    rng = np.random.default_rng(seed)
-    d = rng.normal(scale=10.0, size=n)
-    e = rng.normal(scale=10.0, size=n - 1)
-    mine = eigvals_tridiag(d, e)
-    full = np.diag(d)
-    if n > 1:
-        full += np.diag(e, 1) + np.diag(e, -1)
-    ref = np.linalg.eigvalsh(full)
-    np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-11 * max(1.0, np.abs(ref).max()))
-
-
-def test_ql_diagonal_matrix():
-    d = np.array([3.0, -1.0, 2.0, 0.5])
-    np.testing.assert_allclose(eigvals_tridiag(d, np.zeros(3)), np.sort(d))
-
-
-def test_ql_clustered_spectrum():
-    # near-degenerate pairs stress the shift logic
-    d = np.repeat(np.arange(5.0), 2)
-    e = np.full(9, 1e-8)
-    full = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    np.testing.assert_allclose(eigvals_tridiag(d, e), np.linalg.eigvalsh(full),
-                               atol=1e-12)
-
-
-def test_ql_input_validation():
-    with pytest.raises(ValueError):
-        eigvals_tridiag(np.array([]), np.array([]))
-    with pytest.raises(ValueError):
-        eigvals_tridiag(np.ones(3), np.ones(3))
 
 
 # ----------------------------------------------------------- flux tuning
@@ -95,6 +56,27 @@ def test_charging_parabola_at_zero_ej():
     # levels are 4*EC*n^2, degenerate +-n pairs at ng = 0
     expect = np.array([0.0, 4 * 0.3e9, 4 * 0.3e9, 16 * 0.3e9, 16 * 0.3e9])
     np.testing.assert_allclose(s.levels, expect, rtol=1e-12)
+
+
+# SciPy's Mathieu characteristic values lose accuracy by ej/ec = 1.5e4,
+# so the oracle stops at 1e4
+@pytest.mark.parametrize("ej_over_ec", [10, 50, 200, 2000, 1e4])
+def test_levels_match_mathieu_characteristic_values(ej_over_ec):
+    # at ng = 0 the charge-basis levels are E_C*{a0, b2, a2, b4, ...}(q)
+    # with q = E_J/(2 E_C) (Koch et al., PRA 76, 042319, 2007)
+    ec = 0.25e9
+    ej = ej_over_ec * ec
+    q = ej / (2.0 * ec)
+    s = diagonalize(TransmonSpec(ec=ec, ej_max=ej), ej)
+    expect = ec * np.array([mathieu_b(2, q), mathieu_a(2, q),
+                            mathieu_b(4, q)]) - ec * mathieu_a(0, q)
+    np.testing.assert_allclose(s.levels[1:4], expect, rtol=1e-12)
+
+
+def test_nonfinite_ej_is_convergence_error():
+    spec = TransmonSpec(ec=0.25e9, ej_max=10e9)
+    with pytest.raises(ConvergenceError):
+        diagonalize(spec, math.nan)
 
 
 def test_charge_periodicity():
