@@ -14,14 +14,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import constants
 
 from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
-
-# superconducting resistance quantum hbar/(2e)^2 [ohm]
-R_Q = constants.hbar / (2.0 * constants.e) ** 2
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,6 @@ class BusIsolationModel:
     gain_peak: float = 2.0
     gain_center: float = None            # default omega_res
     gain_width: float = None             # [rad/s], default 8/13 of omega_res
-    z_base_slope: float = 1.0            # impedance dispersivity scale
     purcell_bw: float = None             # Lorentzian width [rad/s]; None ->
                                          # the bare bus linewidth kappa
 
@@ -167,27 +162,6 @@ def purcell_rate(array: QubitArraySpec, model: BusIsolationModel,
     g_eff_sq = array.g_coupling ** 2 / gain(model, omega_i)
     lor = (w / 2.0) ** 2 / ((omega_i - model.omega_res) ** 2 + (w / 2.0) ** 2)
     return g_eff_sq / array.kappa_bus * lor * model.c_purcell
-
-
-def purcell_rate_impedance(omega_q: float, re_z_env: float,
-                           c_ratio: float) -> float:
-    """Golden-rule decay into an environment of impedance Re[Z_env] seen
-    through a coupling capacitance fraction c_ratio = Cc/Csigma."""
-    if re_z_env < 0.0:
-        raise ConfigError("re_z_env must be nonnegative")
-    if not 0.0 < c_ratio < 1.0:
-        raise ConfigError("c_ratio must be in (0, 1)")
-    return 0.5 * omega_q * (re_z_env / R_Q) * c_ratio ** 2
-
-
-def environment_impedance(model: BusIsolationModel, omega: float,
-                          omega_m: float, z_line: float = 50.0) -> float:
-    """Effective Re[Z_env] for the impedance-form decay rate: dispersive
-    base impedance divided by the gain, scaled by the isolation constant."""
-    if omega <= 0 or omega_m <= 0:
-        raise ConfigError("omega and omega_m must be positive")
-    z_base = z_line * model.z_base_slope * omega / omega_m
-    return z_base / gain(model, omega) * model.c_purcell
 
 
 def t1_effective(array: QubitArraySpec, model: BusIsolationModel,

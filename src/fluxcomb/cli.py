@@ -5,8 +5,9 @@
 
 Every scenario starts from the packaged defaults (data/defaults.json),
 deep-merges the user config over them (unknown keys are rejected, with
-their dotted path), applies --set overrides, and writes CSV tables plus
-a manifest.json with sha256 checksums into --out.
+their dotted path), applies --set overrides, checks every value against
+the type of its default, and writes CSV tables plus a manifest.json with
+sha256 checksums into --out.
 
 Exit codes: 0 success, 1 at least one sweep point failed, 2 bad
 configuration, 3 numerical failure, 4 filesystem trouble.
@@ -68,21 +69,53 @@ def apply_override(config: dict, assignment: str):
         raise ConfigError(f"unknown config key {dotted!r}")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:
         value = raw
     if isinstance(node[leaf], dict):
         raise ConfigError(f"{dotted!r} is an object; set its fields")
     node[leaf] = value
 
 
+_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+          str: "a string", list: "a list"}
+
+
+def _typed(value, default, where: str):
+    want = type(default)
+    if want is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{where!r} is out of float range") from None
+    if type(value) is not want:
+        raise ConfigError(f"{where!r} must be {_KINDS[want]}, got {value!r}")
+    if want is list:
+        item = default[0] if default else 0.0
+        return [_typed(v, item, f"{where}[{k}]") for k, v in enumerate(value)]
+    return value
+
+
+def check_types(config: dict, defaults: dict, path: str = ""):
+    """Check every leaf of `config`, in place, against the type of the same
+    leaf in `defaults`: a bool takes true/false, an int a JSON integer, a
+    float any number (stored as a float), a string a string, and a list a
+    list whose items match the default's first item (numbers when the
+    default list is empty)."""
+    for key, default in defaults.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(default, dict):
+            check_types(config[key], default, here)
+        else:
+            config[key] = _typed(config[key], default, here)
+
+
 def resolve_config(scenario: str, config_path, overrides, seed) -> dict:
-    defaults = load_defaults()
-    config = defaults[scenario]
+    config = load_defaults()[scenario]
     if config_path is not None:
         try:
             with open(config_path) as fh:
                 user = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
@@ -91,51 +124,56 @@ def resolve_config(scenario: str, config_path, overrides, seed) -> dict:
         apply_override(config, assignment)
     if seed is not None:
         config["seed"] = seed
+    # apply_override writes into the loaded defaults, so the types come
+    # from a fresh copy
+    check_types(config, load_defaults()[scenario])
     return config
 
 
 def _grid(spec: dict, what: str) -> np.ndarray:
-    n = int(spec["n"])
-    if n < 1:
+    if spec["n"] < 1:
         raise ConfigError(f"{what} grid needs n >= 1")
-    return np.linspace(float(spec["start"]), float(spec["stop"]), n)
+    return np.linspace(spec["start"], spec["stop"], spec["n"])
 
 
 # ------------------------------------------------------------- scenarios
 
 def run_line_sim(config: dict, out_dir: Path):
+    gcfg = config["geometry"]
     geom = line.LineGeometry(
-        n_cells=int(config["geometry"]["n_cells"]),
-        dz=float(config["geometry"]["dz_m"]),
-        c_per_length=float(config["geometry"]["c_per_length_f_per_m"]),
-        i0=float(config["geometry"]["i0_amps"]))
+        n_cells=gcfg["n_cells"],
+        dz=gcfg["dz_m"],
+        c_per_length=gcfg["c_per_length_f_per_m"],
+        i0=gcfg["i0_amps"])
     dcfg = config["drive"]
     drive = line.FluxDrive(
-        phi_dc_tilde=float(dcfg["phi_dc"]),
-        phi_rf_tilde=float(dcfg["phi_rf"]),
-        kappa_s=TWO_PI * float(dcfg["spatial_periods"]) / geom.length,
-        omega_s=TWO_PI * float(dcfg["modulation_freq_hz"]),
-        phase=float(dcfg["phase_rad"]))
+        phi_dc_tilde=dcfg["phi_dc"],
+        phi_rf_tilde=dcfg["phi_rf"],
+        kappa_s=TWO_PI * dcfg["spatial_periods"] / geom.length,
+        omega_s=TWO_PI * dcfg["modulation_freq_hz"],
+        phase=dcfg["phase_rad"])
     scfg = config["source"]
     source = line.SourceSpec(
         kind=scfg["kind"],
-        omega=TWO_PI * float(scfg["freq_hz"]),
-        amplitude=float(scfg["amplitude_amps"]),
-        t_center=float(scfg["t_center_s"]),
-        t_width=float(scfg["t_width_s"]),
+        omega=TWO_PI * scfg["freq_hz"],
+        amplitude=scfg["amplitude_volts"],
+        t_center=scfg["t_center_s"],
+        t_width=scfg["t_width_s"],
         port=scfg["port"],
-        ramp_periods=float(scfg["ramp_periods"]))
+        ramp_periods=scfg["ramp_periods"])
     rcfg = config["run"]
     sim = line.build_line(geom, drive, source,
-                          cfl_safety=float(rcfg["cfl_safety"]),
-                          blowup_factor=float(rcfg["blowup_factor"]))
+                          cfl_safety=rcfg["cfl_safety"],
+                          blowup_factor=rcfg["blowup_factor"])
 
     spectrum_mode = rcfg["spectrum"]
     if spectrum_mode not in ("spatial", "temporal", "none"):
         raise ConfigError(f"unknown spectrum mode {spectrum_mode!r}")
-    snap_times = [float(t) for t in rcfg["snapshot_times_s"]]
-    t_end = float(rcfg["t_end_s"])
-    states = sim.run_until(t_end, snap_times)
+    if spectrum_mode == "temporal" and \
+            rcfg["window_start_s"] < rcfg["t_end_s"]:
+        raise ConfigError("temporal mode needs 'run.window_start_s' at or "
+                          "after 'run.t_end_s'")
+    states = sim.run_until(rcfg["t_end_s"], rcfg["snapshot_times_s"])
     final = sim.state()
 
     files = []
@@ -146,16 +184,15 @@ def run_line_sim(config: dict, out_dir: Path):
         files.append(io.write_csv(out_dir / f"snapshot_{k:03d}.csv",
                                   "z_m,v_volts,i_amps", rows))
 
-    n_max = int(rcfg["n_harmonics"])
+    n_max = rcfg["n_harmonics"]
     f_src = source.omega / TWO_PI
     if spectrum_mode == "spatial":
         report = line.spatial_harmonics(final, geom, drive, source.omega,
                                         n_max=n_max)
     elif spectrum_mode == "temporal":
         report = line.harmonic_spectrum(
-            sim, float(rcfg["probe_m"]),
-            (float(rcfg["window_start_s"]), float(rcfg["window_end_s"])),
-            n_max=n_max)
+            sim, rcfg["probe_m"],
+            (rcfg["window_start_s"], rcfg["window_end_s"]), n_max=n_max)
     if spectrum_mode != "none":
         rows = ((n, n * f_src, dbc, pw) for n, dbc, pw in
                 zip(report.harmonic_index, report.power_dbc,
@@ -177,12 +214,11 @@ def run_line_sim(config: dict, out_dir: Path):
 
 
 def run_flux_sweep(config: dict, out_dir: Path):
-    omega_m = TWO_PI * float(config["modulation_freq_hz"])
-    idx = tuple(int(n) for n in config["harmonic_indices"])
+    omega_m = TWO_PI * config["modulation_freq_hz"]
+    idx = tuple(config["harmonic_indices"])
     array = budget.QubitArraySpec(n_qubits=len(idx), omega_m=omega_m,
                                   harmonic_indices=idx)
-    qubits = transmon.default_comb_qubits(omega_m, idx,
-                                          ec=float(config["ec_hz"]))
+    qubits = transmon.default_comb_qubits(omega_m, idx, ec=config["ec_hz"])
     dc_grid = _grid(config["phi_dc"], "phi_dc")
     rf_grid = _grid(config["phi_rf"], "phi_rf")
     amap = transmon.addressing_map(array, dc_grid, rf_grid, qubits=qubits)
@@ -201,15 +237,13 @@ def run_flux_sweep(config: dict, out_dir: Path):
 
 
 def run_addressing(config: dict, out_dir: Path):
-    omega_m = TWO_PI * float(config["modulation_freq_hz"])
-    bias = float(config["bias_phi_dc"])
+    omega_m = TWO_PI * config["modulation_freq_hz"]
+    bias = config["bias_phi_dc"]
     spec = transmon.default_comb_qubits(
-        omega_m, (int(config["harmonic_index"]),),
-        ec=float(config["ec_hz"]), bias_targets=[bias])[0]
-    ej = transmon.ej_time_averaged(spec.ej_max, bias,
-                                   float(config["phi_rf"]))
-    spectrum = transmon.diagonalize(spec, ej,
-                                    n_levels=int(config["n_levels"]))
+        omega_m, (config["harmonic_index"],),
+        ec=config["ec_hz"], bias_targets=[bias])[0]
+    ej = transmon.ej_time_averaged(spec.ej_max, bias, config["phi_rf"])
+    spectrum = transmon.diagonalize(spec, ej, n_levels=config["n_levels"])
     rows = ((k, f) for k, f in enumerate(spectrum.levels))
     files = [io.write_csv(out_dir / "levels.csv", "level,freq_hz", rows)]
     return files, 0
@@ -217,14 +251,14 @@ def run_addressing(config: dict, out_dir: Path):
 
 def _array_from_config(acfg: dict) -> budget.QubitArraySpec:
     return budget.QubitArraySpec(
-        n_qubits=int(acfg["n_qubits"]),
-        omega_m=TWO_PI * float(acfg["modulation_freq_hz"]),
-        t1_intrinsic=float(acfg["t1_intrinsic_s"]),
-        t2_intrinsic=float(acfg["t2_intrinsic_s"]),
-        g_coupling=TWO_PI * float(acfg["g_coupling_hz"]),
-        kappa_bus=TWO_PI * float(acfg["kappa_bus_hz"]),
-        t_gate=float(acfg["t_gate_s"]),
-        lambda_c=float(acfg["lambda_c_m"]))
+        n_qubits=acfg["n_qubits"],
+        omega_m=TWO_PI * acfg["modulation_freq_hz"],
+        t1_intrinsic=acfg["t1_intrinsic_s"],
+        t2_intrinsic=acfg["t2_intrinsic_s"],
+        g_coupling=TWO_PI * acfg["g_coupling_hz"],
+        kappa_bus=TWO_PI * acfg["kappa_bus_hz"],
+        t_gate=acfg["t_gate_s"],
+        lambda_c=acfg["lambda_c_m"])
 
 
 def _bus_model(kind: str, omega_m: float) -> budget.BusIsolationModel:
@@ -252,7 +286,7 @@ def run_error_budget(config: dict, out_dir: Path):
 
 def run_scalability(config: dict, out_dir: Path):
     array = _array_from_config(config["array"])
-    n_min, n_max = int(config["n_min"]), int(config["n_max"])
+    n_min, n_max = config["n_min"], config["n_max"]
     if not 1 <= n_min <= n_max:
         raise ConfigError("need 1 <= n_min <= n_max")
     n_range = range(n_min, n_max + 1)
@@ -268,16 +302,14 @@ def run_scalability(config: dict, out_dir: Path):
 
 def run_nonmarkov(config: dict, out_dir: Path):
     kcfg = config["kernel"]
-    gm = TWO_PI * float(kcfg["gamma_memory_hz"])
-    ratio = float(kcfg["amplitude_over_gamma_sq"])
-    markov_ratio = float(kcfg["markovian_ratio"])
+    gm = TWO_PI * kcfg["gamma_memory_hz"]
     kernel = nonmarkov.KernelSpec(
-        kind="exponential-kernel", amplitude_a=ratio * gm * gm,
-        gamma_memory=gm, markovian_gamma=markov_ratio * gm)
-    n_points = int(config["n_points"])
-    if n_points < 5:
+        kind="exponential-kernel",
+        amplitude_a=kcfg["amplitude_over_gamma_sq"] * gm * gm,
+        gamma_memory=gm, markovian_gamma=kcfg["markovian_ratio"] * gm)
+    if config["n_points"] < 5:
         raise ConfigError("n_points must be >= 5")
-    t = np.linspace(0.0, float(config["t_end_s"]), n_points)
+    t = np.linspace(0.0, config["t_end_s"], config["n_points"])
     state = nonmarkov.excited_state()
     p = nonmarkov.evolve_kernel(state, kernel, t)
     files = [io.write_csv(out_dir / "population.csv", "t_s,rho00",
@@ -286,7 +318,7 @@ def run_nonmarkov(config: dict, out_dir: Path):
         p_m = nonmarkov.evolve_markovian(state, kernel.markovian_gamma, t)
         files.append(io.write_csv(out_dir / "population_markovian.csv",
                                   "t_s,rho00", zip(t, p_m)))
-    window = int(config["smoothing_window"]) or None
+    window = config["smoothing_window"] or None
     g = nonmarkov.gamma_eff(t, np.maximum(p, 1e-300),
                             smoothing_window=window)
     files.append(io.write_csv(out_dir / "gamma_eff.csv",
@@ -295,25 +327,24 @@ def run_nonmarkov(config: dict, out_dir: Path):
 
 
 def _noise_model(kind: str, cfg: dict) -> nonmarkov.NoiseModel:
-    common = dict(amplitude=float(cfg["amplitude_rad2_per_s2"]),
-                  f_min=float(cfg["f_min_hz"]),
-                  f_max=float(cfg["f_max_hz"]),
-                  n_components=int(cfg["n_components"]))
+    common = dict(amplitude=cfg["amplitude_rad2_per_s2"],
+                  f_min=cfg["f_min_hz"], f_max=cfg["f_max_hz"],
+                  n_components=cfg["n_components"])
     if kind == "filtered":
-        common.update(filter_center=float(cfg["filter_center_hz"]),
-                      filter_depth=float(cfg["filter_depth_db"]))
+        common.update(filter_center=cfg["filter_center_hz"],
+                      filter_depth=cfg["filter_depth_db"])
     return nonmarkov.NoiseModel(kind=kind, **common)
 
 
 def run_spectroscopy(config: dict, out_dir: Path):
-    seed = int(config["seed"])
-    n_real = int(config["n_realizations"])
-    tcfg = config["tau"]
-    n_tau = int(tcfg["n"])
-    if n_tau < 2:
+    seed = config["seed"]
+    n_real = config["n_realizations"]
+    tcfg, pcfg = config["tau"], config["spectrum"]
+    if tcfg["n"] < 2:
         raise ConfigError("tau grid needs n >= 2")
-    tau = np.geomspace(float(tcfg["start_s"]), float(tcfg["stop_s"]),
-                       n_tau)
+    if pcfg["n_avg"] < 1:
+        raise ConfigError("'spectrum.n_avg' must be >= 1")
+    tau = np.geomspace(tcfg["start_s"], tcfg["stop_s"], tcfg["n"])
     m_1f = _noise_model("one-over-f", config["one_over_f"])
     m_filt = _noise_model("filtered", config["filtered"])
 
@@ -328,15 +359,14 @@ def run_spectroscopy(config: dict, out_dir: Path):
                                                   seed))),
     ]
 
-    pcfg = config["spectrum"]
-    dt, dur = float(pcfg["dt_s"]), float(pcfg["duration_s"])
+    dt, dur = pcfg["dt_s"], pcfg["duration_s"]
     psa = None
-    for k in range(int(pcfg["n_avg"])):
+    for k in range(pcfg["n_avg"]):
         x = nonmarkov.synthesize_noise(m_1f, dur, dt, seed=seed + k)
         f = np.fft.rfftfreq(x.size, dt)
         pw = np.abs(np.fft.rfft(x - x.mean())) ** 2 * dt / x.size
         psa = pw if psa is None else psa + pw
-    psa /= int(pcfg["n_avg"])
+    psa /= pcfg["n_avg"]
     files.append(io.write_csv(out_dir / "spectrum.csv", "f_hz,s_omega",
                               zip(f[1:], psa[1:])))
     return files, 0

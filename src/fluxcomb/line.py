@@ -138,6 +138,13 @@ def inductance_at(drive: FluxDrive, geom: LineGeometry, z: float,
     return geom.l0 / math.cos(arg)
 
 
+def _dc_line(geom: LineGeometry, drive: FluxDrive) -> tuple[float, float]:
+    """Inductance per length [H/m] and phase velocity [m/s] at the dc
+    operating point (rf off)."""
+    l_dc_per_len = geom.l0 / math.cos(drive.phi_dc_tilde) / geom.dz
+    return l_dc_per_len, 1.0 / math.sqrt(l_dc_per_len * geom.c_per_length)
+
+
 def default_drive(phi_dc: float, phi_rf: float,
                   geom: LineGeometry | None = None,
                   omega_m: float = 2.0 * math.pi * 3e9,
@@ -171,9 +178,8 @@ class Simulator:
         self._mod_phase = drive.kappa_s * z_branch + drive.phase
 
         # matched termination at the dc operating point (rf off)
-        l_dc_per_len = geom.l0 / math.cos(drive.phi_dc_tilde) / geom.dz
+        l_dc_per_len, self.v_dc = _dc_line(geom, drive)
         self.z_term = math.sqrt(l_dc_per_len / geom.c_per_length)
-        self.v_dc = 1.0 / math.sqrt(l_dc_per_len * geom.c_per_length)
 
         c_end = 0.5 * geom.c_cell
         self._a_end = dt / (c_end * self.z_term)
@@ -346,28 +352,36 @@ def harmonic_spectrum(sim: Simulator, probe: float, window,
         probe_position=(b + 0.5) * sim.geom.dz)
 
 
-def spatial_harmonics(state: LineState, geom: LineGeometry, drive: FluxDrive,
-                      source_omega: float, n_max: int = 6) -> SpectrumReport:
-    """Spatial-spectrum analogue of harmonic_spectrum, for one snapshot.
-
-    The fundamental wavenumber is predicted from the dc phase velocity,
-    kappa_1 = omega / v_dc, and each harmonic bin takes the strongest bin
-    within +-2 of the prediction (dispersion and the modulation shift the
-    peaks slightly off the rigid comb)."""
+def _spatial_bands(state: LineState, geom: LineGeometry, drive: FluxDrive,
+                   source_omega: float, harmonics,
+                   half_width: int) -> list[np.ndarray]:
+    """Hann-tapered spatial |DFT|^2 of the branch current in the bins
+    within half_width of each harmonic of kappa_1 = omega / v_dc, the
+    fundamental wavenumber predicted from the dc phase velocity; the zero
+    bin is never included."""
     n = geom.n_cells
     w = np.hanning(n)
     spec = np.fft.rfft(state.i * w)
     kappas = 2.0 * math.pi * np.fft.rfftfreq(n, geom.dz)
-    l_dc_per_len = geom.l0 / math.cos(drive.phi_dc_tilde) / geom.dz
-    v_dc = 1.0 / math.sqrt(l_dc_per_len * geom.c_per_length)
-    k1 = source_omega / v_dc
+    k1 = source_omega / _dc_line(geom, drive)[1]
     scale = 2.0 / np.sum(w)
-    powers = []
-    for h in range(1, n_max + 1):
+    bands = []
+    for h in harmonics:
         b = int(np.argmin(np.abs(kappas - h * k1)))
-        lo, hi = max(b - 2, 1), min(b + 2, spec.size - 1)
-        band = 0.5 * np.abs(spec[lo:hi + 1] * scale) ** 2
-        powers.append(float(np.max(band)))
+        lo, hi = max(b - half_width, 1), min(b + half_width, spec.size - 1)
+        bands.append(np.abs(spec[lo:hi + 1] * scale) ** 2)
+    return bands
+
+
+def spatial_harmonics(state: LineState, geom: LineGeometry, drive: FluxDrive,
+                      source_omega: float, n_max: int = 6) -> SpectrumReport:
+    """Spatial-spectrum analogue of harmonic_spectrum, for one snapshot.
+
+    Each harmonic takes the strongest bin within +-2 of its predicted
+    wavenumber (dispersion and the modulation shift the peaks slightly off
+    the rigid comb)."""
+    powers = [float(np.max(0.5 * band)) for band in _spatial_bands(
+        state, geom, drive, source_omega, range(1, n_max + 1), 2)]
     p1 = powers[0]
     if p1 <= 0.0:
         raise NumericalError("no spatial power at the fundamental")
@@ -393,19 +407,10 @@ def harmonic_band_power(state: LineState, geom: LineGeometry,
 
     Band sums (not per-band maxima) so the value tracks converted energy
     smoothly in time; used for development-rate comparisons."""
-    n = geom.n_cells
-    w = np.hanning(n)
-    spec = np.fft.rfft(state.i * w)
-    kappas = 2.0 * math.pi * np.fft.rfftfreq(n, geom.dz)
-    l_dc_per_len = geom.l0 / math.cos(drive.phi_dc_tilde) / geom.dz
-    v_dc = 1.0 / math.sqrt(l_dc_per_len * geom.c_per_length)
-    k1 = source_omega / v_dc
-    scale = 2.0 / np.sum(w)
     total = 0.0
-    for h in range(2, n_max + 1):
-        b = int(np.argmin(np.abs(kappas - h * k1)))
-        lo, hi = max(b - half_width, 1), min(b + half_width, spec.size - 1)
-        total += 0.5 * float(np.sum(np.abs(spec[lo:hi + 1] * scale) ** 2))
+    for band in _spatial_bands(state, geom, drive, source_omega,
+                               range(2, n_max + 1), half_width):
+        total += 0.5 * float(np.sum(band))
     return total
 
 

@@ -86,39 +86,14 @@ def _check_grid(t_grid) -> np.ndarray:
     return t
 
 
-def evolve_markovian(state: TwoLevelState, gamma: float, t_grid,
-                     method: str = "exact") -> np.ndarray:
+def evolve_markovian(state: TwoLevelState, gamma: float,
+                     t_grid) -> np.ndarray:
     """Population trace under plain relaxation at rate gamma (H = 0,
-    collapse operator sigma-minus). "exact" evaluates the closed form;
-    "rk4" integrates the Bloch components and exists as a cross-check."""
+    collapse operator sigma-minus), in closed form."""
     t = _check_grid(t_grid)
     if gamma < 0.0:
         raise ConfigError("gamma must be nonnegative")
-    p0 = state.population
-    if method == "exact":
-        return p0 * np.exp(-gamma * t)
-    if method != "rk4":
-        raise ConfigError(f"unknown method {method!r}")
-
-    # Bloch z with z = 2p - 1; relaxation pulls z toward -1 at rate gamma
-    def deriv(y):
-        x, yy, z = y
-        return np.array([-0.5 * gamma * x, -0.5 * gamma * yy,
-                         -gamma * (z + 1.0)])
-
-    y = np.array([2.0 * state.rho[0, 1].real, -2.0 * state.rho[0, 1].imag,
-                  2.0 * p0 - 1.0])
-    out = np.empty(t.size)
-    out[0] = p0
-    for k in range(t.size - 1):
-        h = t[k + 1] - t[k]
-        k1 = deriv(y)
-        k2 = deriv(y + 0.5 * h * k1)
-        k3 = deriv(y + 0.5 * h * k2)
-        k4 = deriv(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = 0.5 * (1.0 + y[2])
-    return out
+    return state.population * np.exp(-gamma * t)
 
 
 def evolve_kernel(state: TwoLevelState, kernel: KernelSpec,

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import constants
 
 from fluxcomb import budget
 from fluxcomb.errors import ConfigError
@@ -91,25 +90,6 @@ class TestPurcell:
         r1 = budget.purcell_rate(a, uniform_model(c_purcell=1.0), 12)
         r2 = budget.purcell_rate(a, uniform_model(c_purcell=0.25), 12)
         assert r2 == pytest.approx(0.25 * r1, rel=1e-12)
-
-    def test_impedance_form(self):
-        assert budget.purcell_rate_impedance(TWO_PI * 36e9, 0.0, 0.05) == 0.0
-        g1 = budget.purcell_rate_impedance(TWO_PI * 36e9, 25.0, 0.05)
-        g2 = budget.purcell_rate_impedance(TWO_PI * 36e9, 50.0, 0.05)
-        assert g2 == pytest.approx(2.0 * g1, rel=1e-12)
-        # direct evaluation against independently assembled constants
-        r_q = constants.hbar / (2.0 * constants.e) ** 2
-        assert r_q == pytest.approx(1027.07, abs=0.02)
-        expect = 0.5 * TWO_PI * 36e9 * (50.0 / r_q) * 0.05 ** 2
-        assert g2 == pytest.approx(expect, rel=1e-12)
-
-    def test_environment_impedance_shape(self):
-        m = budget.nonreciprocal_bus()
-        z12 = budget.environment_impedance(m, 12 * OMEGA_M, OMEGA_M)
-        z13 = budget.environment_impedance(m, 13 * OMEGA_M, OMEGA_M)
-        assert z12 > 0 and z13 > 0
-        # gain peak at 13 screens harder than the 12/13 frequency ratio
-        assert z13 / z12 < 13.0 / 12.0
 
 
 class TestLifetimes:

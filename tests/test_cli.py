@@ -217,9 +217,54 @@ class TestExitCodes:
 
     def test_malformed_json_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert cli.main(["error-budget", "--config", str(bad),
-                         "--out", str(tmp_path)]) == 2
+        for raw in (b"{not json", b"\xff\xfe{"):   # the second is not UTF-8
+            bad.write_bytes(raw)
+            assert cli.main(["error-budget", "--config", str(bad),
+                             "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("scenario,assignment,key", [
+        ("line-sim", "geometry.n_cells=abc", "geometry.n_cells"),
+        ("line-sim", "run.snapshot_times_s=5", "run.snapshot_times_s"),
+        ("line-sim", 'run.snapshot_times_s=["1e-9"]',
+         "run.snapshot_times_s[0]"),
+        ("nonmarkov", "kernel.gamma_memory_hz=null",
+         "kernel.gamma_memory_hz"),
+        ("error-budget", "array.n_qubits=2.5", "array.n_qubits"),
+        pytest.param("error-budget", "array.lambda_c_m=1" + "0" * 400,
+                     "array.lambda_c_m", id="error-budget-float-overflow"),
+        ("flux-sweep", "phi_dc.n=3.7", "phi_dc.n"),
+        ("nonmarkov", "compare_markovian=0", "compare_markovian"),
+        ("scalability", "models=reciprocal", "models"),
+        ("spectroscopy", "spectrum.n_avg=0", "spectrum.n_avg"),
+        ("line-sim", "run.spectrum=temporal", "run.window_start_s"),
+    ])
+    def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
+                               assignment, key):
+        code = cli.main([scenario, "--out", str(tmp_path),
+                         "--set", assignment])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_bad_config_file_value_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"array": {"n_qubits": "25"}}')
+        code = cli.main(["error-budget", "--config", str(bad),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "'array.n_qubits' must be an integer, got '25'" \
+            in capsys.readouterr().err
+
+    def test_int_for_float_is_stored_as_float(self, tmp_path):
+        code = cli.main(["line-sim", "--out", str(tmp_path),
+                         "--set", "drive.phi_rf=0",
+                         "--set", "run.t_end_s=1e-10",
+                         "--set", "run.spectrum=none"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        phi_rf = manifest["config"]["drive"]["phi_rf"]
+        assert phi_rf == 0.0 and isinstance(phi_rf, float)
 
     def test_semantic_config_error_is_2(self, tmp_path):
         code = cli.main(["error-budget", "--out", str(tmp_path),

@@ -86,8 +86,6 @@ class TestStatesAndSpecs:
             nm.evolve_markovian(st, 1e6, [0.0])
         with pytest.raises(ConfigError):
             nm.evolve_markovian(st, -1e6, [0.0, 1e-9])
-        with pytest.raises(ConfigError):
-            nm.evolve_markovian(st, 1e6, [0.0, 1e-9], method="euler")
 
 
 class TestMarkovianEvolution:
@@ -95,14 +93,6 @@ class TestMarkovianEvolution:
         t = np.linspace(0.0, 4e-6, 101)
         p = nm.evolve_markovian(nm.excited_state(0.8), 1e6, t)
         np.testing.assert_allclose(p, 0.8 * np.exp(-1e6 * t), rtol=1e-14)
-
-    def test_rk4_matches_exact(self):
-        gamma = TWO_PI * 1e6
-        t = np.linspace(0.0, 3.0 / gamma, 3001)
-        st = nm.excited_state()
-        p_ex = nm.evolve_markovian(st, gamma, t)
-        p_rk = nm.evolve_markovian(st, gamma, t, method="rk4")
-        assert np.abs(p_rk - p_ex).max() < 1e-8
 
 
 class TestKernelEvolution:
