@@ -41,6 +41,7 @@ from .budget import (  # noqa: F401
 from .nonmarkov import (  # noqa: F401
     KernelSpec,
     NoiseModel,
+    averaged_periodogram,
     default_kernel,
     evolve_kernel,
     evolve_markovian,

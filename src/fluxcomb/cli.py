@@ -169,6 +169,8 @@ def run_line_sim(config: dict, out_dir: Path):
     spectrum_mode = rcfg["spectrum"]
     if spectrum_mode not in ("spatial", "temporal", "none"):
         raise ConfigError(f"unknown spectrum mode {spectrum_mode!r}")
+    if rcfg["n_harmonics"] < 1:
+        raise ConfigError("'run.n_harmonics' must be >= 1")
     if spectrum_mode == "temporal" and \
             rcfg["window_start_s"] < rcfg["t_end_s"]:
         raise ConfigError("temporal mode needs 'run.window_start_s' at or "
@@ -289,6 +291,8 @@ def run_scalability(config: dict, out_dir: Path):
     n_min, n_max = config["n_min"], config["n_max"]
     if not 1 <= n_min <= n_max:
         raise ConfigError("need 1 <= n_min <= n_max")
+    if not config["models"]:
+        raise ConfigError("'models' must name at least one bus model")
     n_range = range(n_min, n_max + 1)
     rows = []
     for kind in config["models"]:
@@ -359,14 +363,9 @@ def run_spectroscopy(config: dict, out_dir: Path):
                                                   seed))),
     ]
 
-    dt, dur = pcfg["dt_s"], pcfg["duration_s"]
-    psa = None
-    for k in range(pcfg["n_avg"]):
-        x = nonmarkov.synthesize_noise(m_1f, dur, dt, seed=seed + k)
-        f = np.fft.rfftfreq(x.size, dt)
-        pw = np.abs(np.fft.rfft(x - x.mean())) ** 2 * dt / x.size
-        psa = pw if psa is None else psa + pw
-    psa /= pcfg["n_avg"]
+    f, psa = nonmarkov.averaged_periodogram(
+        m_1f, pcfg["duration_s"], pcfg["dt_s"],
+        [seed + k for k in range(pcfg["n_avg"])])
     files.append(io.write_csv(out_dir / "spectrum.csv", "f_hz,s_omega",
                               zip(f[1:], psa[1:])))
     return files, 0

@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import savgol_filter
 
-from .errors import ConfigError, ConvergenceError, NumericalError
+from .errors import ConfigError, ConvergenceError
 
 TWO_PI = 2.0 * math.pi
+NOISE_BLOCK = 256       # time samples per block of the noise synthesis
 
 
 @dataclass
@@ -102,38 +102,42 @@ def evolve_kernel(state: TwoLevelState, kernel: KernelSpec,
     K(t - tau) = A exp(-Gamma (t - tau)).
 
     Solved at the amplitude level: the excited amplitude c obeys
-    c'(t) = -integral K(t-tau)/2 c(tau) dtau, embedded exactly as
-        c' = -w,   w' = -Gamma w + (A/2) c,
+    c'(t) = -integral K(t-tau)/2 c(tau) dtau, i.e.
+        c'' + Gamma c' + (A/2) c = 0,   c(0) = sqrt(p0),   c'(0) = 0,
     and p = c^2. This keeps the state physical through the backflow
     regime (a population-level embedding of the same kernel swings
     negative once A/Gamma^2 is of order 1, which no valid density matrix
     can do); the memoryless limit recovers the rate gamma = A/Gamma.
+    The closed form is
+        c(t) = c(0) exp(-Gamma t/2) [cosh(q t) + (Gamma/2) sinh(q t)/q]
+    with q = sqrt(Gamma^2/4 - A/2), imaginary when underdamped.
     """
     if kernel.kind != "exponential-kernel":
         raise ConfigError("evolve_kernel needs an exponential-kernel spec")
     t = _check_grid(t_grid)
-    a_half = 0.5 * kernel.amplitude_a
     gm = kernel.gamma_memory
-    c = math.sqrt(state.population)
-    w = 0.0
-    out = np.empty(t.size)
-    out[0] = c * c
-    for k in range(t.size - 1):
-        h = t[k + 1] - t[k]
-        # RK4 on the linear pair (c, w)
-        k1c, k1w = -w, -gm * w + a_half * c
-        c2, w2 = c + 0.5 * h * k1c, w + 0.5 * h * k1w
-        k2c, k2w = -w2, -gm * w2 + a_half * c2
-        c3, w3 = c + 0.5 * h * k2c, w + 0.5 * h * k2w
-        k3c, k3w = -w3, -gm * w3 + a_half * c3
-        c4, w4 = c + h * k3c, w + h * k3w
-        k4c, k4w = -w4, -gm * w4 + a_half * c4
-        c += (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        w += (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        out[k + 1] = c * c
-    if out.max() > 1.0 + 1e-6 or out.min() < -1e-6:
-        raise NumericalError(
-            "population left [0, 1]; decrease the grid spacing")
+    q = np.sqrt(complex(0.25 * gm * gm - 0.5 * kernel.amplitude_a))
+    # written with exponentials that never grow (Re q <= Gamma/2), so long
+    # overdamped traces do not overflow; sinh(q t)/q -> t at q = 0
+    z = -2.0 * q * t
+    sinhc = -np.expm1(z) / (2.0 * q) if q != 0.0 else t
+    c = math.sqrt(state.population) * (np.exp((q - 0.5 * gm) * t) * (
+        0.5 * (1.0 + np.exp(z)) + 0.5 * gm * sinhc)).real
+    return c * c
+
+
+def _savgol_quadratic(y: np.ndarray, window: int) -> np.ndarray:
+    """Least-squares quadratic over a sliding odd window, evaluated at its
+    centre; the first and last window//2 samples take the quadratic fitted
+    to the first and last `window` samples (SciPy's savgol_filter with
+    mode="interp")."""
+    m = window // 2
+    vander = np.vander(np.arange(-m, m + 1.0), 3)
+    hat = vander @ np.linalg.pinv(vander)     # window values -> fitted
+    out = np.empty_like(y)
+    out[m:y.size - m] = np.convolve(y, hat[m][::-1], mode="valid")
+    out[:m] = hat[:m] @ y[:window]
+    out[y.size - m:] = hat[m + 1:] @ y[y.size - window:]
     return out
 
 
@@ -163,7 +167,10 @@ def gamma_eff(t_grid, trace, smoothing_window: int | None = None
     if smoothing_window is not None:
         if smoothing_window < 5 or smoothing_window % 2 == 0:
             raise ConfigError("smoothing_window must be odd and >= 5")
-        g = savgol_filter(g, smoothing_window, 2)
+        if smoothing_window > g.size:
+            raise ConfigError(f"smoothing_window ({smoothing_window}) must "
+                              f"not exceed the {g.size} grid points")
+        g = _savgol_quadratic(g, smoothing_window)
     return g
 
 
@@ -203,36 +210,70 @@ def spectral_density(model: NoiseModel, f) -> np.ndarray:
     return s
 
 
-def _components(model: NoiseModel, rng):
-    """Log-spaced tones with variances integrating S(f) per bin, and
-    uniform random phases: the trajectory is
-    sum_k sqrt(2 var_k) cos(2 pi f_k t + phi_k)."""
+def _tones(model: NoiseModel):
+    """Log-spaced tone frequencies f_k [Hz] and amplitudes sqrt(2 var_k),
+    with var_k integrating S(f) over each bin. A trajectory is
+    sum_k sqrt(2 var_k) cos(2 pi f_k t + phi_k); only the phases phi_k
+    depend on the seed."""
     edges = np.geomspace(model.f_min, model.f_max, model.n_components + 1)
     f_k = np.sqrt(edges[:-1] * edges[1:])
     var_k = spectral_density(model, f_k) * np.diff(edges)
-    phi_k = rng.uniform(0.0, TWO_PI, size=model.n_components)
-    return f_k, np.sqrt(2.0 * var_k), phi_k
+    return f_k, np.sqrt(2.0 * var_k)
+
+
+def _phases(model: NoiseModel, seeds) -> np.ndarray:
+    """Uniform tone phases, one row per seed, each row drawn from its own
+    default_rng(seed) stream."""
+    rows = [np.random.default_rng(s).uniform(0.0, TWO_PI,
+                                             size=model.n_components)
+            for s in seeds]
+    if not rows:
+        raise ConfigError("need at least one seed")
+    return np.array(rows)
 
 
 def synthesize_noise(model: NoiseModel, duration: float, dt: float,
-                     seed: int) -> np.ndarray:
-    """One realization of the frequency-noise trajectory delta-omega(t)
-    [rad/s] on a uniform grid; deterministic under seed."""
+                     seed) -> np.ndarray:
+    """Realizations of the frequency-noise trajectory delta-omega(t)
+    [rad/s] on a uniform grid, deterministic under seed: a 1-D trace for
+    an int seed, or one row per seed for a sequence of ints (row k equals
+    the trace for seed[k] alone)."""
     if duration <= 0.0 or dt <= 0.0 or dt >= duration:
         raise ConfigError("need 0 < dt < duration")
-    f_k, amp_k, phi_k = _components(model, np.random.default_rng(seed))
-    t = np.arange(0.0, duration, dt)
-    return (amp_k[:, None] * np.cos(
-        TWO_PI * f_k[:, None] * t[None, :] + phi_k[:, None])).sum(axis=0)
-
-
-def _phase_integral(f_k, amp_k, phi_k, tau):
-    """Exact integral of the tone sum from 0 to each tau: accumulated
-    dephasing phase Phi(tau) [rad]."""
+    single = np.ndim(seed) == 0
+    f_k, amp_k = _tones(model)
+    phi = _phases(model, [seed] if single else seed)
+    a_cos, a_sin = amp_k * np.cos(phi), amp_k * np.sin(phi)
     w = TWO_PI * f_k
-    return ((amp_k / w)[None, :] * (
-        np.sin(np.outer(tau, w) + phi_k[None, :])
-        - np.sin(phi_k)[None, :])).sum(axis=1)
+    t = np.arange(0.0, duration, dt)
+    x = np.empty((phi.shape[0], t.size))
+    # cos(w t + phi) = cos(w t) cos(phi) - sin(w t) sin(phi); blocks of
+    # NOISE_BLOCK samples bound the tables of w t
+    for start in range(0, t.size, NOISE_BLOCK):
+        wt = np.outer(w, t[start:start + NOISE_BLOCK])
+        x[:, start:start + NOISE_BLOCK] = a_cos @ np.cos(wt) \
+            - a_sin @ np.sin(wt)
+    return x[0] if single else x
+
+
+def averaged_periodogram(model: NoiseModel, duration: float, dt: float,
+                         seeds):
+    """One-sided periodogram of the mean-removed trajectory, averaged over
+    one realization per seed: (f [Hz], S [(rad/s)^2/Hz])."""
+    x = synthesize_noise(model, duration, dt, list(seeds))
+    n_t = x.shape[1]
+    pw = np.abs(np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1)) \
+        ** 2 * dt / n_t
+    return np.fft.rfftfreq(n_t, dt), pw.mean(axis=0)
+
+
+def _phase_integral(w, a_cos, a_sin, tau):
+    """Exact integral of the tone sum from 0 to each tau, for every
+    realization at once: Phi[tau, r] [rad]. Column r of a_cos (a_sin)
+    holds amp_k/w_k cos(phi_k) (sin(phi_k)) of realization r, so
+    sin(w tau + phi) - sin(phi) becomes two matrix products."""
+    wt = np.outer(tau, w)
+    return np.sin(wt) @ a_cos + (np.cos(wt) - 1.0) @ a_sin
 
 
 def _ensemble(model, tau_grid, n_realizations, seed, echo):
@@ -241,17 +282,17 @@ def _ensemble(model, tau_grid, n_realizations, seed, echo):
         raise ConfigError("tau grid must be nonnegative")
     if n_realizations < 200:
         raise ConfigError("need at least 200 realizations")
-    acc = np.zeros(tau.size, dtype=complex)
-    for r in range(n_realizations):
-        f_k, amp_k, phi_k = _components(
-            model, np.random.default_rng((seed, r)))
-        if echo:
-            phase = 2.0 * _phase_integral(f_k, amp_k, phi_k, 0.5 * tau) \
-                - _phase_integral(f_k, amp_k, phi_k, tau)
-        else:
-            phase = _phase_integral(f_k, amp_k, phi_k, tau)
-        acc += np.exp(1j * phase)
-    return np.abs(acc) / n_realizations
+    f_k, amp_k = _tones(model)
+    w = TWO_PI * f_k
+    phi = _phases(model, ((seed, r) for r in range(n_realizations))).T
+    a_k = (amp_k / w)[:, None]
+    a_cos, a_sin = a_k * np.cos(phi), a_k * np.sin(phi)
+    if echo:
+        phase = 2.0 * _phase_integral(w, a_cos, a_sin, 0.5 * tau) \
+            - _phase_integral(w, a_cos, a_sin, tau)
+    else:
+        phase = _phase_integral(w, a_cos, a_sin, tau)
+    return np.abs(np.exp(1j * phase).sum(axis=1)) / n_realizations
 
 
 def ramsey(model: NoiseModel, tau_grid, n_realizations: int,

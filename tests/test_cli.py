@@ -2,10 +2,16 @@
 and byte-level determinism of the outputs."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fluxcomb
 from fluxcomb import cli, io
 from fluxcomb.errors import ConfigError
 
@@ -237,6 +243,9 @@ class TestExitCodes:
         ("scalability", "models=reciprocal", "models"),
         ("spectroscopy", "spectrum.n_avg=0", "spectrum.n_avg"),
         ("line-sim", "run.spectrum=temporal", "run.window_start_s"),
+        ("line-sim", "run.n_harmonics=0", "run.n_harmonics"),
+        ("scalability", "models=[]", "models"),
+        ("nonmarkov", "smoothing_window=5001", "smoothing_window"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
                                assignment, key):
@@ -327,3 +336,12 @@ class TestFluxSweepOutput:
         assert np.all((scores >= 0.0) & (scores <= 1.0))
         dcs = [float(r[0]) for r in rows]
         assert dcs == sorted(dcs)
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal costs most of a second to import; nothing needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(fluxcomb.__file__).parents[1]))
+    probe = "import sys, fluxcomb.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

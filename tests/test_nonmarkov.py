@@ -3,15 +3,17 @@
 The kernel solver is checked against an independent quadrature of the
 integro-differential form (written before the solver, different scheme,
 different state variables), the Markov limit, and the analytic backflow
-geometry of the underdamped regime.
+geometry of the underdamped regime. The batched ensembles and noise
+synthesis are checked against the per-realization loops they replaced.
 """
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.signal import savgol_filter
 
 from fluxcomb import nonmarkov as nm
-from fluxcomb.errors import ConfigError, ConvergenceError, NumericalError
+from fluxcomb.errors import ConfigError, ConvergenceError
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,6 +41,48 @@ def quadrature_population(kernel, t_grid):
         c = c_new
         out[k + 1] = c * c
     return out
+
+
+def loop_tones(model):
+    edges = np.geomspace(model.f_min, model.f_max, model.n_components + 1)
+    f_k = np.sqrt(edges[:-1] * edges[1:])
+    amp_k = np.sqrt(2.0 * nm.spectral_density(model, f_k) * np.diff(edges))
+    return f_k, amp_k
+
+
+def loop_phases(model, seed):
+    return np.random.default_rng(seed).uniform(0.0, TWO_PI,
+                                               size=model.n_components)
+
+
+def loop_noise(model, duration, dt, seed):
+    """The cos-sum noise synthesis, one realization at a time."""
+    f_k, amp_k = loop_tones(model)
+    phi_k = loop_phases(model, seed)
+    t = np.arange(0.0, duration, dt)
+    return (amp_k[:, None] * np.cos(
+        TWO_PI * f_k[:, None] * t[None, :] + phi_k[:, None])).sum(axis=0)
+
+
+def loop_ensemble(model, tau, n_realizations, seed, echo):
+    """The per-realization Ramsey / echo loop the matrix form replaced."""
+    f_k, amp_k = loop_tones(model)
+    w = TWO_PI * f_k
+
+    def phase(phi_k, tau):
+        return ((amp_k / w)[None, :] * (
+            np.sin(np.outer(tau, w) + phi_k[None, :])
+            - np.sin(phi_k)[None, :])).sum(axis=1)
+
+    acc = np.zeros(tau.size, dtype=complex)
+    for r in range(n_realizations):
+        phi_k = loop_phases(model, (seed, r))
+        if echo:
+            acc += np.exp(1j * (2.0 * phase(phi_k, 0.5 * tau)
+                                - phase(phi_k, tau)))
+        else:
+            acc += np.exp(1j * phase(phi_k, tau))
+    return np.abs(acc) / n_realizations
 
 
 class TestStatesAndSpecs:
@@ -123,10 +167,46 @@ class TestKernelEvolution:
         p = nm.evolve_kernel(nm.excited_state(), nm.default_kernel(), t)
         assert p.min() >= -1e-6 and p.max() <= 1.0 + 1e-6
 
-    def test_coarse_grid_raises(self):
-        t = np.linspace(0.0, 400e-9, 5)
-        with pytest.raises(NumericalError):
-            nm.evolve_kernel(nm.excited_state(), nm.default_kernel(), t)
+    def test_coarse_grid_matches_fine_grid(self):
+        # the closed form has no step size: a 5-point grid gives the
+        # values of the fine grid, and of the quadrature, at its times
+        kernel = nm.default_kernel()
+        t = np.linspace(0.0, 400e-9, 4001)
+        p = nm.evolve_kernel(nm.excited_state(), kernel, t)
+        p5 = nm.evolve_kernel(nm.excited_state(), kernel, t[::1000])
+        np.testing.assert_allclose(p5, p[::1000], rtol=0.0, atol=1e-14)
+        t_fine = np.linspace(0.0, 400e-9, 16001)
+        p_ref = quadrature_population(kernel, t_fine)[::4000]
+        assert np.abs(p5 - p_ref).max() < 1e-6
+
+    def test_critical_damping(self):
+        # q = 0 exactly: c = exp(-Gamma t/2) (1 + Gamma t/2), and a kernel
+        # a hair either side of it gives the same trace
+        gm = TWO_PI * 5e6
+        t = np.linspace(0.0, 400e-9, 401)
+        exact = (np.exp(-0.5 * gm * t) * (1.0 + 0.5 * gm * t)) ** 2
+        for factor in (1.0, 1.0 - 1e-10, 1.0 + 1e-10):
+            kernel = nm.KernelSpec(kind="exponential-kernel",
+                                   amplitude_a=0.5 * gm * gm * factor,
+                                   gamma_memory=gm)
+            p = nm.evolve_kernel(nm.excited_state(), kernel, t)
+            np.testing.assert_allclose(p, exact, rtol=1e-8, atol=1e-15)
+
+    def test_long_overdamped_trace_stays_finite(self):
+        # exp(-Gamma t/2) cosh(q t) overflows once q t passes ~710; the
+        # trace must still decay at the slow root's rate 2 (Gamma/2 - q)
+        gamma = TWO_PI * 5e4
+        kernel = nm.KernelSpec(kind="exponential-kernel",
+                               amplitude_a=gamma * (100.0 * gamma),
+                               gamma_memory=100.0 * gamma)
+        t = np.linspace(0.0, 20.0 / gamma, 2001)
+        p = nm.evolve_kernel(nm.excited_state(), kernel, t)
+        assert np.all(np.isfinite(p)) and p[-1] > 0.0
+        gm = kernel.gamma_memory
+        slow = 2.0 * (0.5 * gm - np.sqrt(0.25 * gm * gm
+                                         - 0.5 * kernel.amplitude_a))
+        np.testing.assert_allclose(nm.gamma_eff(t, p)[-100:], slow,
+                                   rtol=1e-6)
 
     def test_markovian_kind_rejected(self):
         k = nm.KernelSpec(kind="markovian", markovian_gamma=1e4)
@@ -191,6 +271,8 @@ class TestEffectiveRate:
             nm.gamma_eff(t, p, smoothing_window=4)
         with pytest.raises(ConfigError):
             nm.gamma_eff(t, p, smoothing_window=3)
+        with pytest.raises(ConfigError, match="smoothing_window"):
+            nm.gamma_eff(t, p, smoothing_window=103)
 
     def test_smoothing_preserves_shape(self):
         t = np.linspace(0.0, 1e-6, 201)
@@ -198,6 +280,22 @@ class TestEffectiveRate:
         g = nm.gamma_eff(t, p, smoothing_window=11)
         assert g.shape == t.shape
         assert np.abs(g - 2e5).max() / 2e5 < 1e-6
+
+    @pytest.mark.parametrize("window", [5, 7, 9, 41, 101])
+    def test_smoothing_matches_savgol_filter(self, window):
+        kernel = nm.default_kernel()
+        t = np.linspace(0.0, 400e-9, 4001)
+        p = np.maximum(nm.evolve_kernel(nm.excited_state(), kernel, t),
+                       1e-300)
+        g = nm.gamma_eff(t, p)
+        ref = savgol_filter(g, window, 2)
+        got = nm.gamma_eff(t, p, smoothing_window=window)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        # a window spanning the whole grid is one quadratic fit
+        np.testing.assert_allclose(
+            nm._savgol_quadratic(g[:window], window),
+            savgol_filter(g[:window], window, 2),
+            rtol=0.0, atol=1e-12 * np.abs(g[:window]).max())
 
 
 class TestNoiseSynthesis:
@@ -241,36 +339,70 @@ class TestNoiseSynthesis:
         np.testing.assert_allclose(nm.ramsey(m, tau, 200, 0), 1.0,
                                    atol=1e-12)
 
+    def test_batched_noise_matches_single_seeds_and_cos_sum(self):
+        m = nm.NoiseModel(kind="one-over-f", amplitude=5.4e11,
+                          n_components=256)
+        # 700 samples: two full NOISE_BLOCKs and a partial one
+        x = nm.synthesize_noise(m, 7e-4, 1e-6, [11, 12, 13])
+        assert x.shape == (3, 700)
+        for row, seed in zip(x, (11, 12, 13)):
+            one = nm.synthesize_noise(m, 7e-4, 1e-6, seed)
+            ref = loop_noise(m, 7e-4, 1e-6, seed)
+            scale = np.abs(ref).max()
+            assert np.abs(one - row).max() <= 1e-12 * scale
+            assert np.abs(one - ref).max() <= 1e-9 * scale
+        with pytest.raises(ConfigError):
+            nm.synthesize_noise(m, 7e-4, 1e-6, [])
+
     def test_phase_integral_matches_trapezoid(self):
         m = nm.NoiseModel(kind="one-over-f", amplitude=1e9, f_max=1e5,
                           n_components=128)
-        f_k, amp_k, phi_k = nm._components(m, np.random.default_rng(3))
+        f_k, amp_k = loop_tones(m)
+        phi_k = loop_phases(m, 3)
         dt = 2e-8
         t = np.arange(0.0, 20e-6 + dt, dt)
         x = (amp_k[:, None] * np.cos(
             TWO_PI * f_k[:, None] * t[None, :]
             + phi_k[:, None])).sum(axis=0)
         acc = cumulative_trapezoid(x, t, initial=0.0)
+        w = TWO_PI * f_k
+        a_k = (amp_k / w)[:, None]
         for tau in (5e-6, 1e-5, 2e-5):
             idx = int(round(tau / dt))
-            exact = nm._phase_integral(f_k, amp_k, phi_k,
-                                       np.array([tau]))[0]
+            exact = nm._phase_integral(
+                w, a_k * np.cos(phi_k)[:, None],
+                a_k * np.sin(phi_k)[:, None], np.array([tau]))[0, 0]
             assert abs(acc[idx] - exact) < 1e-3 * max(1.0, abs(exact))
 
     def test_spectrum_slope(self):
         m = nm.NoiseModel(kind="one-over-f", amplitude=5.4e11,
                           n_components=1024)
-        dt, dur = 1e-6, 2e-3
-        psa = None
-        for k in range(10):
-            x = nm.synthesize_noise(m, dur, dt, seed=400 + k)
-            f = np.fft.rfftfreq(x.size, dt)
-            p = np.abs(np.fft.rfft(x - x.mean())) ** 2 * dt / x.size
-            psa = p if psa is None else psa + p
+        f, psa = nm.averaged_periodogram(m, 2e-3, 1e-6,
+                                         range(400, 410))
         band = (f > 3e3) & (f < 1e5)
-        slope = np.polyfit(np.log10(f[band]),
-                           np.log10(psa[band] / 10.0), 1)[0]
+        slope = np.polyfit(np.log10(f[band]), np.log10(psa[band]), 1)[0]
         assert abs(slope + 1.0) < 0.25
+
+    def test_periodogram_averages_single_traces(self):
+        m = nm.NoiseModel(kind="one-over-f", amplitude=1e10)
+        dt, dur = 1e-6, 5e-4
+        f, psa = nm.averaged_periodogram(m, dur, dt, [7, 8])
+        pws = []
+        for seed in (7, 8):
+            x = loop_noise(m, dur, dt, seed)
+            pws.append(np.abs(np.fft.rfft(x - x.mean())) ** 2 * dt / x.size)
+        np.testing.assert_allclose(f, np.fft.rfftfreq(x.size, dt))
+        np.testing.assert_allclose(psa, 0.5 * (pws[0] + pws[1]),
+                                   rtol=1e-9, atol=1e-12 * psa.max())
+
+    @pytest.mark.parametrize("kind", ["one-over-f", "filtered"])
+    def test_ensembles_match_per_realization_loop(self, kind):
+        m = nm.NoiseModel(kind=kind, amplitude=5.4e11, n_components=128)
+        tau = np.geomspace(0.3e-6, 12e-6, 12)
+        for fn, echo in ((nm.ramsey, False), (nm.hahn_echo, True)):
+            got = fn(m, tau, 200, 42)
+            ref = loop_ensemble(m, tau, 200, 42, echo)
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
 
     def test_ensemble_validation(self):
         m = nm.NoiseModel(kind="one-over-f", amplitude=1e10)
