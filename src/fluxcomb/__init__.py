@@ -3,13 +3,16 @@ frequency-comb qubit error model."""
 
 __version__ = "0.1.0"
 
+# the line has one stepper, in NumPy (_step_numpy); BACKEND names it for
+# tools that record the run environment
+BACKEND = "python"
+
 from .errors import (  # noqa: F401
     ConfigError,
     ConvergenceError,
     NumericalError,
     SimulationError,
 )
-from .backend import BACKEND  # noqa: F401
 from .line import (  # noqa: F401
     FluxDrive,
     LineGeometry,

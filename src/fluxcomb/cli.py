@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import budget, io, line, nonmarkov, transmon
-from .backend import BACKEND
 from .errors import ConfigError, NumericalError
 
 TWO_PI = 2.0 * math.pi
@@ -162,9 +161,13 @@ def run_line_sim(config: dict, out_dir: Path):
         port=scfg["port"],
         ramp_periods=scfg["ramp_periods"])
     rcfg = config["run"]
-    sim = line.build_line(geom, drive, source,
-                          cfl_safety=rcfg["cfl_safety"],
-                          blowup_factor=rcfg["blowup_factor"])
+    try:
+        sim = line.build_line(geom, drive, source,
+                              cfl_safety=rcfg["cfl_safety"],
+                              blowup_factor=rcfg["blowup_factor"])
+    except ConfigError as exc:
+        # build_line rejects only these two run.* values, each named first
+        raise ConfigError(f"run.{exc}") from None
 
     spectrum_mode = rcfg["spectrum"]
     if spectrum_mode not in ("spatial", "temporal", "none"):
@@ -348,6 +351,9 @@ def run_spectroscopy(config: dict, out_dir: Path):
         raise ConfigError("tau grid needs n >= 2")
     if pcfg["n_avg"] < 1:
         raise ConfigError("'spectrum.n_avg' must be >= 1")
+    for key in ("start_s", "stop_s"):
+        if not tcfg[key] > 0.0:
+            raise ConfigError(f"'tau.{key}' must be > 0")
     tau = np.geomspace(tcfg["start_s"], tcfg["stop_s"], tcfg["n"])
     m_1f = _noise_model("one-over-f", config["one_over_f"])
     m_filt = _noise_model("filtered", config["filtered"])
@@ -412,7 +418,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         files, failures = SCENARIOS[args.scenario](config, out_dir)
         manifest = io.write_manifest(out_dir, args.scenario, config,
-                                     config.get("seed"), files, BACKEND)
+                                     config.get("seed"), files)
         for path in [*files, manifest]:
             print(f"wrote {path}")
         if failures:

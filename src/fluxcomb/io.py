@@ -25,12 +25,36 @@ def format_cell(value) -> str:
     return FLOAT_FMT.format(float(value))
 
 
+# %-format of each cell type whose rendering matches format_cell
+_CELL_FORMATS = {str: "%s", int: "%d", np.int64: "%d",
+                 float: "%.12e", np.float64: "%.12e"}
+
+
+def _row_format(types: tuple):
+    """One %-format for a whole row of these cell types, or None when a
+    type needs format_cell."""
+    if all(t in _CELL_FORMATS for t in types):
+        return ",".join(_CELL_FORMATS[t] for t in types) + "\n"
+    return None
+
+
 def write_csv(path: Path, header: str, rows) -> Path:
+    """Stream rows to path, each formatted by one % operation; the format
+    is built once per distinct tuple of cell types."""
     path = Path(path)
+    formats = {}
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(format_cell(v) for v in row) + "\n")
+            row = tuple(row)
+            types = tuple(map(type, row))
+            if types not in formats:
+                formats[types] = _row_format(types)
+            fmt = formats[types]
+            if fmt is None:
+                fh.write(",".join(format_cell(v) for v in row) + "\n")
+            else:
+                fh.write(fmt % row)
     return path
 
 
@@ -52,7 +76,7 @@ def file_entry(out_dir: Path, path: Path) -> dict:
 
 
 def write_manifest(out_dir: Path, scenario: str, config: dict, seed,
-                   files, backend: str) -> Path:
+                   files) -> Path:
     """files: paths inside out_dir; entries are sorted by path so the
     manifest itself is reproducible."""
     entries = sorted((file_entry(out_dir, p) for p in files),
@@ -61,7 +85,6 @@ def write_manifest(out_dir: Path, scenario: str, config: dict, seed,
         "scenario": scenario,
         "config": config,
         "seed": seed,
-        "backend": backend,
         "versions": {
             "python": ".".join(str(v) for v in sys.version_info[:3]),
             "numpy": np.__version__,

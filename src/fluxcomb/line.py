@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import backend
+from . import _step_numpy
 from .errors import ConfigError, NumericalError
 
 # magnetic flux quantum [Wb]
@@ -176,6 +176,8 @@ class Simulator:
 
         z_branch = (np.arange(n) + 0.5) * geom.dz
         self._mod_phase = drive.kappa_s * z_branch + drive.phase
+        self._sin_mp = np.sin(self._mod_phase)
+        self._cos_mp = np.cos(self._mod_phase)
 
         # matched termination at the dc operating point (rf off)
         l_dc_per_len, self.v_dc = _dc_line(geom, drive)
@@ -188,11 +190,10 @@ class Simulator:
         self._inv_l0 = 1.0 / geom.l0
         self.ceiling = blowup_factor * source.amplitude
 
-        self._src_kind = backend.SRC_CW if source.kind == "continuous-wave" \
-            else backend.SRC_PULSE
-        self._src_port = backend.PORT_LEFT if source.port == "left" \
-            else backend.PORT_RIGHT
-        self._src_ramp = source.ramp_periods * 2.0 * math.pi / source.omega
+        self._source_row = (
+            source.port == "left", source.kind, source.amplitude,
+            source.omega, source.t_center, source.t_width,
+            source.ramp_periods * 2.0 * math.pi / source.omega)
 
     @property
     def t(self) -> float:
@@ -203,30 +204,9 @@ class Simulator:
                          i=self._i.copy(), step_index=self.t_index)
 
     def _advance(self, n_steps: int, probe_idx=None):
-        if n_steps <= 0:
-            return None
-        rec = None
-        if probe_idx is not None:
-            probe_idx = np.asarray(probe_idx, dtype=np.int64)
-            rec = np.empty((n_steps, probe_idx.size))
-        src = self.source
-        bad = backend.step_block(
-            self.v, self.flux, self._i, self._mod_phase,
-            self.drive.phi_dc_tilde, self.drive.phi_rf_tilde,
-            self.drive.omega_s, self.dt,
-            self._inv_l0, self._dt_over_c, self._dt_over_cend,
-            self._a_end, self._a_end,
-            self._src_kind, self._src_port, src.amplitude, src.omega,
-            src.t_center, src.t_width, self._src_ramp,
-            self.ceiling, self.t_index, n_steps,
-            probe_idx, rec)
-        if bad >= 0:
-            self.t_index = bad + 1
-            raise NumericalError(
-                f"field blowup at step {bad} (t = {bad * self.dt:.3e} s): "
-                f"|v| exceeded {self.ceiling:.3e} V")
-        self.t_index += n_steps
-        return rec
+        recs = _step_runs([self], n_steps,
+                          None if probe_idx is None else [probe_idx])
+        return None if recs is None else recs[0]
 
     def step(self) -> LineState:
         self._advance(1)
@@ -273,6 +253,47 @@ class Simulator:
         return e_cap + e_ind
 
 
+def _step_runs(sims: list[Simulator], n_steps: int, probes=None):
+    """Advance runs that share geometry, drive, dt, ceiling and time by
+    n_steps as one batch. probes: None, or one list of branch indices per
+    run; each run then gets its (n_steps, n_probes) record. On a blowup
+    every run is left at the failed step."""
+    if n_steps <= 0:
+        return None
+    head = sims[0]
+    shared = (head.geom, head.drive, head.dt, head.ceiling, head.t_index)
+    if any((s.geom, s.drive, s.dt, s.ceiling, s.t_index) != shared
+           for s in sims[1:]):
+        raise ValueError("batched runs must share geometry, drive, dt, "
+                         "ceiling and time")
+    v = np.stack([s.v for s in sims])
+    flux = np.stack([s.flux for s in sims])
+    cur = np.stack([s._i for s in sims])
+    flat = rec = None
+    if probes is not None:
+        n = head.geom.n_cells
+        cols = [np.asarray(p, dtype=np.int64) for p in probes]
+        flat = np.concatenate([r * n + c for r, c in enumerate(cols)])
+        rec = np.empty((n_steps, flat.size))
+    drive = head.drive
+    bad = _step_numpy.step_block(
+        v, flux, cur, head._sin_mp, head._cos_mp,
+        drive.phi_dc_tilde, drive.phi_rf_tilde, drive.omega_s, head.dt,
+        head._inv_l0, head._dt_over_c, head._dt_over_cend, head._a_end,
+        [s._source_row for s in sims], head.ceiling, head.t_index,
+        n_steps, flat, rec)
+    for r, s in enumerate(sims):
+        s.v[:], s.flux[:], s._i[:] = v[r], flux[r], cur[r]
+        s.t_index = bad + 1 if bad >= 0 else s.t_index + n_steps
+    if bad >= 0:
+        raise NumericalError(
+            f"field blowup at step {bad} (t = {bad * head.dt:.3e} s): "
+            f"|v| exceeded {head.ceiling:.3e} V")
+    if rec is None:
+        return None
+    return np.split(rec, np.cumsum([c.size for c in cols])[:-1], axis=1)
+
+
 def cfl_bound(geom: LineGeometry, drive: FluxDrive) -> float:
     """Largest stable dt: dz * sqrt(L'_min * C') with L' at the secant
     minimum over the drive's reachable arguments."""
@@ -286,6 +307,10 @@ def build_line(geom: LineGeometry, drive: FluxDrive, source: SourceSpec,
                blowup_factor: float = 1e6) -> Simulator:
     """Initialized simulator with zeroed fields; dt defaults to cfl_safety
     times the CFL bound, an explicit dt beyond the bound is rejected."""
+    if not 0.0 < cfl_safety <= 1.0:
+        raise ConfigError(f"cfl_safety must be in (0, 1], got {cfl_safety}")
+    if not blowup_factor > 0.0:
+        raise ConfigError(f"blowup_factor must be > 0, got {blowup_factor}")
     bound = cfl_bound(geom, drive)
     if dt is None:
         dt = cfl_safety * bound
@@ -420,8 +445,9 @@ def isolation_report(geom: LineGeometry, drive: FluxDrive,
                      probe_offset: int = 8) -> dict[int, float]:
     """Forward/backward transmission asymmetry per harmonic, in dB.
 
-    Two runs: source at the left port with a probe near the right end, then
-    the mirror image. Positive values mean forward-favoring nonreciprocity.
+    Two runs, stepped together as one batch: source at the left port with a
+    probe near the right end, and the mirror image. Positive values mean
+    forward-favoring nonreciprocity.
     The window is placed after the slower of (transit + ramp) so both runs
     are compared in steady state; band power sums 3 bins around each
     harmonic.
@@ -429,27 +455,25 @@ def isolation_report(geom: LineGeometry, drive: FluxDrive,
     if amplitude <= 0.0:
         raise ConfigError("isolation needs a nonzero source amplitude")
     period = 2.0 * math.pi / source_omega
-    powers = {}
     n = geom.n_cells
-    for tag, port in (("fwd", "left"), ("bwd", "right")):
-        src = SourceSpec(kind="continuous-wave", omega=source_omega,
-                         amplitude=amplitude, port=port)
-        sim = build_line(geom, drive, src)
-        transit = geom.length / sim.v_dc
-        t0 = 1.5 * transit + 3.0 * period
-        t1 = t0 + n_periods_window * period
-        far = n - probe_offset if port == "left" else probe_offset - 1
-        sim._advance(int(round(t0 / sim.dt)))
-        n_rec = int(round(t1 / sim.dt)) - sim.t_index
-        rec = sim.record_probe([far], n_rec)[:, 0]
-        f_targets = [h * source_omega / (2.0 * math.pi) for h in harmonics]
-        powers[tag] = _binned_power(rec, sim.dt, f_targets, half_width=1)
+    sims = [build_line(geom, drive, SourceSpec(
+        kind="continuous-wave", omega=source_omega, amplitude=amplitude,
+        port=port)) for port in ("left", "right")]
+    dt = sims[0].dt
+    transit = geom.length / sims[0].v_dc
+    t0 = 1.5 * transit + 3.0 * period
+    t1 = t0 + n_periods_window * period
+    _step_runs(sims, int(round(t0 / dt)))
+    n_rec = int(round(t1 / dt)) - sims[0].t_index
+    recs = _step_runs(sims, n_rec, [[n - probe_offset], [probe_offset - 1]])
+    f_targets = [h * source_omega / (2.0 * math.pi) for h in harmonics]
+    pf, pb = [_binned_power(rec[:, 0], dt, f_targets, half_width=1)
+              for rec in recs]
     out = {}
-    for k, h in enumerate(harmonics):
-        pf, pb = powers["fwd"][k], powers["bwd"][k]
-        if pf <= 0.0 or pb <= 0.0:
+    for h, p_fwd, p_bwd in zip(harmonics, pf, pb):
+        if p_fwd <= 0.0 or p_bwd <= 0.0:
             raise NumericalError(f"no band power at harmonic {h}")
-        out[h] = 10.0 * math.log10(pf / pb)
+        out[h] = 10.0 * math.log10(p_fwd / p_bwd)
     return out
 
 

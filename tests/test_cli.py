@@ -96,6 +96,18 @@ class TestScenarioOutputs:
         assert raw == json.dumps(json.loads(raw), indent=2,
                                  sort_keys=True) + "\n"
 
+    def test_csv_rows_render_as_format_cell(self, tmp_path):
+        """Rows written by one %-format each read exactly as format_cell
+        renders their cells, and so do rows of types only format_cell
+        handles."""
+        rows = [(1, 2.5, "a"), (np.int64(-3), np.float64(1e-300), "b"),
+                (0, float("nan"), "c"), (-0.0, float("inf"), 7),
+                (True, np.float32(0.1), np.int32(4)), (2, 3.0, "d")]
+        path = io.write_csv(tmp_path / "t.csv", "x,y,z", iter(rows))
+        want = "x,y,z\n" + "".join(
+            ",".join(io.format_cell(c) for c in row) + "\n" for row in rows)
+        assert path.read_bytes() == want.encode()
+
     def test_nonmarkov_files(self, tmp_path):
         code = cli.main(["nonmarkov", "--out", str(tmp_path),
                          "--set", "n_points=801"])
@@ -246,6 +258,12 @@ class TestExitCodes:
         ("line-sim", "run.n_harmonics=0", "run.n_harmonics"),
         ("scalability", "models=[]", "models"),
         ("nonmarkov", "smoothing_window=5001", "smoothing_window"),
+        ("line-sim", "run.cfl_safety=0", "run.cfl_safety"),
+        ("line-sim", "run.cfl_safety=1.5", "run.cfl_safety"),
+        ("line-sim", "run.cfl_safety=-1", "run.cfl_safety"),
+        ("line-sim", "run.blowup_factor=0", "run.blowup_factor"),
+        ("spectroscopy", "tau.start_s=0", "tau.start_s"),
+        ("spectroscopy", "tau.stop_s=-1e-6", "tau.stop_s"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
                                assignment, key):
