@@ -9,8 +9,8 @@ their dotted path), applies --set overrides, checks every value against
 the type of its default, and writes CSV tables plus a manifest.json with
 sha256 checksums into --out.
 
-Exit codes: 0 success, 1 at least one sweep point failed, 2 bad
-configuration, 3 numerical failure, 4 filesystem trouble.
+Exit codes: 0 success, 2 bad configuration, 3 numerical failure, 4
+filesystem trouble.
 """
 
 import argparse
@@ -88,6 +88,8 @@ def _typed(value, default, where: str):
             raise ConfigError(f"{where!r} is out of float range") from None
     if type(value) is not want:
         raise ConfigError(f"{where!r} must be {_KINDS[want]}, got {value!r}")
+    if want is float and not math.isfinite(value):
+        raise ConfigError(f"{where!r} must be finite, got {value!r}")
     if want is list:
         item = default[0] if default else 0.0
         return [_typed(v, item, f"{where}[{k}]") for k, v in enumerate(value)]
@@ -97,9 +99,9 @@ def _typed(value, default, where: str):
 def check_types(config: dict, defaults: dict, path: str = ""):
     """Check every leaf of `config`, in place, against the type of the same
     leaf in `defaults`: a bool takes true/false, an int a JSON integer, a
-    float any number (stored as a float), a string a string, and a list a
-    list whose items match the default's first item (numbers when the
-    default list is empty)."""
+    float any finite number (stored as a float; JSON's NaN and Infinity
+    are rejected), a string a string, and a list a list whose items match
+    the default's first item (numbers when the default list is empty)."""
     for key, default in defaults.items():
         here = f"{path}.{key}" if path else key
         if isinstance(default, dict):
@@ -215,7 +217,7 @@ def run_line_sim(config: dict, out_dir: Path):
             out_dir / "wavepacket.csv",
             "t_s,centroid_m,rms_width_m,spectral_centroid_radpm,"
             "peak_velocity_mps", rows))
-    return files, 0
+    return files
 
 
 def run_flux_sweep(config: dict, out_dir: Path):
@@ -227,18 +229,12 @@ def run_flux_sweep(config: dict, out_dir: Path):
     dc_grid = _grid(config["phi_dc"], "phi_dc")
     rf_grid = _grid(config["phi_rf"], "phi_rf")
     amap = transmon.addressing_map(array, dc_grid, rf_grid, qubits=qubits)
-    failed = ~np.isfinite(amap.score).all(axis=(1, 2))
-    for k in np.flatnonzero(failed):
-        print(f"warning: phi_dc = {dc_grid[k]:.4f} failed: "
-              f"non-finite score at phi_dc index {k}", file=sys.stderr)
-
     rows = ((dc, rf, q, s)
-            for dc, score in zip(dc_grid[~failed], amap.score[~failed])
+            for dc, score in zip(dc_grid, amap.score)
             for rf, per_qubit in zip(rf_grid, score)
             for q, s in enumerate(per_qubit))
-    files = [io.write_csv(out_dir / "addressing_map.csv",
-                          "phi_dc,phi_rf,qubit_index,score", rows)]
-    return files, int(failed.sum())
+    return [io.write_csv(out_dir / "addressing_map.csv",
+                         "phi_dc,phi_rf,qubit_index,score", rows)]
 
 
 def run_addressing(config: dict, out_dir: Path):
@@ -251,7 +247,7 @@ def run_addressing(config: dict, out_dir: Path):
     spectrum = transmon.diagonalize(spec, ej, n_levels=config["n_levels"])
     rows = ((k, f) for k, f in enumerate(spectrum.levels))
     files = [io.write_csv(out_dir / "levels.csv", "level,freq_hz", rows)]
-    return files, 0
+    return files
 
 
 def _array_from_config(acfg: dict) -> budget.QubitArraySpec:
@@ -286,7 +282,7 @@ def run_error_budget(config: dict, out_dir: Path):
         out_dir / "budget.csv",
         "qubit,omega_over_omega_m,t1_s,t2_s,e_relax,e_dephase,"
         "e_crosstalk,e_total", rows)]
-    return files, 0
+    return files
 
 
 def run_scalability(config: dict, out_dir: Path):
@@ -304,7 +300,7 @@ def run_scalability(config: dict, out_dir: Path):
         rows.extend((n, w, kind) for n, w in zip(n_range, worst))
     files = [io.write_csv(out_dir / "scalability.csv",
                           "n,worst_case_error,model", rows)]
-    return files, 0
+    return files
 
 
 def run_nonmarkov(config: dict, out_dir: Path):
@@ -330,7 +326,7 @@ def run_nonmarkov(config: dict, out_dir: Path):
                             smoothing_window=window)
     files.append(io.write_csv(out_dir / "gamma_eff.csv",
                               "t_s,gamma_eff_hz", zip(t, g)))
-    return files, 0
+    return files
 
 
 def _noise_model(kind: str, cfg: dict) -> nonmarkov.NoiseModel:
@@ -374,7 +370,7 @@ def run_spectroscopy(config: dict, out_dir: Path):
         [seed + k for k in range(pcfg["n_avg"])])
     files.append(io.write_csv(out_dir / "spectrum.csv", "f_hz,s_omega",
                               zip(f[1:], psa[1:])))
-    return files, 0
+    return files
 
 
 SCENARIOS = {
@@ -416,15 +412,11 @@ def main(argv=None) -> int:
                                 args.overrides, args.seed)
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
-        files, failures = SCENARIOS[args.scenario](config, out_dir)
+        files = SCENARIOS[args.scenario](config, out_dir)
         manifest = io.write_manifest(out_dir, args.scenario, config,
                                      config.get("seed"), files)
         for path in [*files, manifest]:
             print(f"wrote {path}")
-        if failures:
-            print(f"warning: {failures} sweep point(s) failed",
-                  file=sys.stderr)
-            return 1
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

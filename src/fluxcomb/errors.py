@@ -21,4 +21,5 @@ class NumericalError(SimulationError):
 
 class ConvergenceError(NumericalError):
     """Iterative method exhausted its budget or failed to converge (a LAPACK
-    eigensolve failure, basis truncation growth, fit iterations)."""
+    eigensolve failure, basis truncation growth, calibration or fit
+    iterations)."""

@@ -10,7 +10,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 
@@ -88,7 +87,6 @@ def write_manifest(out_dir: Path, scenario: str, config: dict, seed,
         "versions": {
             "python": ".".join(str(v) for v in sys.version_info[:3]),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "fluxcomb": __version__,
         },
         "files": entries,

@@ -9,14 +9,13 @@ boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
-from scipy.optimize import brentq
-from scipy.special import j0
+from numpy.polynomial import chebyshev
 
 from .errors import ConfigError, ConvergenceError
 
@@ -24,6 +23,14 @@ from .errors import ConfigError, ConvergenceError
 SIGMA_RES = 2.0 * math.pi * 50e6
 
 _MAX_CHARGE_CUT = 200
+
+# J0 quadrature: midpoints of 32 equal steps over half a drive period
+_J0_SIN = np.sin((np.arange(32) + 0.5) * (math.pi / 32))
+
+# calibration: exact Newton steps allowed, and the relative residual after
+# which one more step leaves only the eigensolver's rounding (~1e-13)
+_CAL_STEPS = 8
+_CAL_RTOL = 1e-12
 
 
 @dataclass
@@ -72,6 +79,17 @@ def ej_of_flux(ej_max: float, phi_over_phi0: float) -> float:
     return 2.0 * ej_max * abs(math.cos(math.pi * phi_over_phi0))
 
 
+def j0(x):
+    """Bessel J0 as the average of cos(x sin theta) over one drive period.
+
+    The integrand has period pi in theta, so a 32-node midpoint rule is
+    exact up to a J_64(x) aliasing term: within 1e-15 of J0 for |x| <= 30.
+    Accepts scalars or arrays.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.cos(np.multiply.outer(x, _J0_SIN)).mean(axis=-1)[()]
+
+
 def ej_time_averaged(ej_max: float, phi_dc: float, phi_rf: float) -> float:
     """Cycle-averaged E_J under flux phi(t) = phi_dc + phi_rf*sin(omega t),
     both in line-flux units (2*pi*Phi/Phi0, radians).
@@ -86,15 +104,14 @@ def ej_time_averaged(ej_max: float, phi_dc: float, phi_rf: float) -> float:
 def _charge_levels(ec: float, ej: float, ng: float, cut: int, n_levels: int
                    ) -> np.ndarray:
     n = np.arange(-cut, cut + 1, dtype=np.float64)
-    diag = 4.0 * ec * (n - ng) ** 2
-    off = np.full(2 * cut, -0.5 * ej)
-    # non-finite input is left to LAPACK, which then fails to converge
+    ham = np.diag(4.0 * ec * (n - ng) ** 2)
+    off = np.arange(2 * cut)
+    ham[off, off + 1] = ham[off + 1, off] = -0.5 * ej
     try:
-        vals = eigvalsh_tridiagonal(diag, off, select="i",
-                                    select_range=(0, n_levels - 1),
-                                    check_finite=False)
-    except LinAlgError as exc:
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
+        vals = np.linalg.eigvalsh(ham)[:n_levels]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"charge-basis eigensolve failed: {exc}") \
+            from exc
     return vals - vals[0]
 
 
@@ -153,67 +170,79 @@ def chi_dispersive(spec: TransmonSpec, ej: float, readout: ReadoutSpec
 
 
 class FluxCurve:
-    """omega_q as a function of effective E_J at fixed E_C, tabulated once and
-    interpolated in ln(E_J).
+    """omega_q as a function of effective E_J at fixed E_C: a Chebyshev
+    interpolant in ln(E_J) on 48 nodes over ej/ec in [8, 2.2e4].
 
-    240 points over ej/ec in [8, 2.2e4] keep the interpolation error below a
-    few MHz, far under the addressing resonance width. Exact solves go through
-    diagonalize(); this class only serves map evaluation and root bracketing.
+    It matches exact solves to about 1e-12 relative over that range (the
+    dense eigensolver's own rounding at the low end), and E_J outside the
+    range is clipped to its ends. Exact solves go through diagonalize();
+    this class serves map evaluation and calibration start points and
+    slopes.
     """
 
     def __init__(self, ec: float, ej_over_ec_min: float = 8.0,
-                 ej_over_ec_max: float = 2.2e4, n_points: int = 240):
+                 ej_over_ec_max: float = 2.2e4, n_nodes: int = 48):
         self.ec = ec
         spec = TransmonSpec(ec=ec, ej_max=ec * ej_over_ec_max)
         # one converged solve at the widest wavefunction fixes the cut
         _, cut = _converged_levels(spec, ec * ej_over_ec_max, 3)
-        self._ln_ej = np.linspace(
-            math.log(ec * ej_over_ec_min), math.log(ec * ej_over_ec_max),
-            n_points)
-        wq = np.empty(n_points)
-        for k, le in enumerate(self._ln_ej):
-            lv = _charge_levels(ec, math.exp(le), 0.0, cut, 3)
-            wq[k] = lv[1]
-        self._wq = wq
+        self._ej_lo, self._ej_hi = ec * ej_over_ec_min, ec * ej_over_ec_max
+        lo, hi = math.log(self._ej_lo), math.log(self._ej_hi)
+        t = chebyshev.chebpts1(n_nodes)
+        self._ln_ej = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+        self._wq = np.array([_charge_levels(ec, math.exp(le), 0.0, cut, 3)[1]
+                             for le in self._ln_ej])
+        # interpolating coefficients from the discrete orthogonality of
+        # T_k on the first-kind nodes
+        coef = chebyshev.chebvander(t, n_nodes - 1).T @ self._wq
+        coef *= 2.0 / n_nodes
+        coef[0] *= 0.5
+        self._series = chebyshev.Chebyshev(coef, domain=[lo, hi])
+        self._slope = self._series.deriv()
 
     def omega_q(self, ej):
         """Interpolated qubit frequency [Hz]; accepts scalars or arrays."""
-        le = np.log(np.clip(ej, math.exp(self._ln_ej[0]),
-                            math.exp(self._ln_ej[-1])))
-        return np.interp(le, self._ln_ej, self._wq)
+        return self._series(np.log(np.clip(ej, self._ej_lo, self._ej_hi)))
 
-    def ej_from_omega(self, omega_q_hz: float) -> float:
-        # omega_q is strictly increasing in ej, so the inverse interp is safe
-        return float(np.exp(np.interp(omega_q_hz, self._wq, self._ln_ej)))
+    def slope(self, ln_ej: float) -> float:
+        """d omega_q / d ln(E_J) [Hz] of the interpolant."""
+        return float(self._slope(ln_ej))
+
+    def ln_ej_from_omega(self, omega_q_hz: float) -> float:
+        """ln(E_J) at which the interpolant equals omega_q_hz: Newton on
+        the series, from linear interpolation between the nodes."""
+        w_lo, w_hi = self._series(self._series.domain)
+        if not w_lo <= omega_q_hz <= w_hi:
+            raise ConfigError(
+                f"qubit frequency {omega_q_hz / 1e9:.3f} GHz outside the "
+                f"flux curve's {w_lo / 1e9:.3f}-{w_hi / 1e9:.3f} GHz")
+        # omega_q is strictly increasing in ej, so the nodes are sorted
+        ln_ej = float(np.interp(omega_q_hz, self._wq, self._ln_ej))
+        for _ in range(50):
+            step = (float(self._series(ln_ej)) - omega_q_hz) \
+                / self.slope(ln_ej)
+            ln_ej -= step
+            if abs(step) <= 1e-15 * abs(ln_ej):
+                break
+        return ln_ej
 
 
-_CURVE_CACHE: dict[float, FluxCurve] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def flux_curve(ec: float) -> FluxCurve:
-    if ec not in _CURVE_CACHE:
-        _CURVE_CACHE[ec] = FluxCurve(ec)
-    return _CURVE_CACHE[ec]
+    return FluxCurve(ec)
 
 
 def resonance_bias(spec: TransmonSpec, target_hz: float,
                    phi_rf: float = 0.0) -> float:
     """DC flux bias (line units, radians) putting the cycle-averaged qubit
-    frequency on target; bisection on the monotone flux curve."""
-    curve = flux_curve(spec.ec)
-
-    def f(phi_dc):
-        return curve.omega_q(ej_time_averaged(spec.ej_max, phi_dc, phi_rf)) \
-            - target_hz
-
-    lo, hi = 1e-9, math.pi - 1e-6
-    if f(lo) < 0.0:
+    frequency on target, in closed form on the flux curve:
+    phi_dc = 2 arccos(E_J,needed / (2 E_Jmax |J0(phi_rf/2)|))."""
+    ej_needed = math.exp(flux_curve(spec.ec).ln_ej_from_omega(target_hz))
+    ratio = ej_needed / (2.0 * spec.ej_max * abs(j0(0.5 * phi_rf)))
+    if ratio > 1.0:
         raise ConfigError(
             f"target {target_hz / 1e9:.3f} GHz above the zero-bias frequency")
-    if f(hi) > 0.0:
-        raise ConfigError(
-            f"target {target_hz / 1e9:.3f} GHz below the flux-curve floor")
-    return float(brentq(f, lo, hi, xtol=1e-10))
+    return 2.0 * math.acos(ratio)
 
 
 def default_comb_qubits(omega_m: float,
@@ -223,6 +252,9 @@ def default_comb_qubits(omega_m: float,
     """Calibrated qubit set: qubit i is sized so its cycle-averaged frequency
     sits on harmonic n_i of the comb (omega_m in rad/s) at a staggered DC
     bias, giving well-separated addressing peaks.
+
+    Calibration is Newton in ln(E_J): each residual is an exact solve, each
+    slope the flux curve's, and the start the flux curve's own root.
     """
     idx = list(harmonic_indices)
     if bias_targets is None:
@@ -237,15 +269,22 @@ def default_comb_qubits(omega_m: float,
     out = []
     for n_i, bias in zip(idx, bias_targets):
         target_hz = n_i * omega_m / (2.0 * math.pi)
-        guess = curve.ej_from_omega(target_hz)
-
-        def f(ln_ej):
-            lv = _converged_levels(template, math.exp(ln_ej), 3)[0]
-            return lv[1] - target_hz
-
-        ln_lo, ln_hi = math.log(guess) - 0.1, math.log(guess) + 0.1
-        ej_needed = math.exp(brentq(f, ln_lo, ln_hi, xtol=1e-12))
-        ej_max = ej_needed / (2.0 * math.cos(0.5 * bias))
+        try:
+            ln_ej = curve.ln_ej_from_omega(target_hz)
+        except ConfigError as exc:
+            raise ConfigError(f"harmonic {n_i} at ec = {ec:.4g} Hz: {exc}") \
+                from None
+        for _ in range(_CAL_STEPS):
+            residual = _converged_levels(template, math.exp(ln_ej), 3)[0][1] \
+                - target_hz
+            ln_ej -= residual / curve.slope(ln_ej)
+            if abs(residual) <= _CAL_RTOL * target_hz:
+                break
+        else:
+            raise ConvergenceError(
+                f"calibration to harmonic {n_i} not converged in "
+                f"{_CAL_STEPS} steps")
+        ej_max = math.exp(ln_ej) / (2.0 * math.cos(0.5 * bias))
         out.append(TransmonSpec(ec=ec, ej_max=ej_max))
     return out
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j0 as scipy_j0
 from scipy.special import mathieu_a, mathieu_b
 
 from fluxcomb.errors import ConfigError, ConvergenceError
@@ -16,6 +17,7 @@ from fluxcomb.transmon import (
     ej_of_flux,
     ej_time_averaged,
     flux_curve,
+    j0,
     resonance_bias,
 )
 
@@ -39,6 +41,13 @@ def test_ej_time_averaged_reduces_to_dc():
     for phi_dc in (0.0, 0.4, 1.1):
         assert ej_time_averaged(5e9, phi_dc, 0.0) == pytest.approx(
             2 * 5e9 * abs(math.cos(phi_dc / 2)))
+
+
+def test_j0_matches_scipy():
+    x = np.linspace(0.0, 3.0, 3001)
+    np.testing.assert_allclose(j0(x), scipy_j0(x), rtol=0, atol=1e-15)
+    assert abs(j0(0.7) - scipy_j0(0.7)) <= 1e-15
+    assert np.ndim(j0(0.7)) == 0
 
 
 def test_ej_time_averaged_bessel_suppression():
@@ -220,30 +229,70 @@ class _ArrayStub:
 
 
 def test_flux_curve_accuracy():
+    # random points across the curve's range, at three E_C values
+    rng = np.random.default_rng(3)
+    for ec in (0.22e9, 0.25e9, 0.28e9):
+        curve = flux_curve(ec)
+        spec = TransmonSpec(ec=ec, ej_max=1e12)
+        ln_ej = rng.uniform(math.log(8 * ec), math.log(2.2e4 * ec), 60)
+        exact = np.array([diagonalize(spec, math.exp(le)).omega_q
+                          for le in ln_ej])
+        got = curve.omega_q(np.exp(ln_ej))
+        np.testing.assert_allclose(got, exact, rtol=1e-10, atol=0)
+        # the inverse lands on the series' own value
+        for le, w in zip(ln_ej[:10], got[:10]):
+            assert curve.ln_ej_from_omega(w) == pytest.approx(le, rel=1e-13)
+
+
+def test_flux_curve_clips_and_rejects_out_of_range():
     curve = flux_curve(0.25e9)
-    spec = TransmonSpec(ec=0.25e9, ej_max=1e12)
-    for ej in (5e9, 40e9, 300e9, 2e12):
-        exact = diagonalize(spec, ej).omega_q
-        assert abs(curve.omega_q(ej) - exact) < 5e6
+    lo, hi = curve.omega_q(np.array([8 * 0.25e9, 2.2e4 * 0.25e9]))
+    assert curve.omega_q(1.0) == lo
+    assert curve.omega_q(1e20) == hi
+    for w in (0.5 * lo, 2.0 * hi):
+        with pytest.raises(ConfigError, match="outside the flux curve"):
+            curve.ln_ej_from_omega(w)
 
 
 def test_resonance_bias_round_trip():
     spec = TransmonSpec(ec=0.25e9, ej_max=600e9)
     target = 15 * OMEGA_M / (2 * math.pi)
-    bias = resonance_bias(spec, target)
-    got = flux_curve(spec.ec).omega_q(ej_time_averaged(spec.ej_max, bias, 0.0))
-    assert abs(got - target) < 1e4
+    for phi_rf in (0.0, 0.6):
+        bias = resonance_bias(spec, target, phi_rf)
+        got = flux_curve(spec.ec).omega_q(
+            ej_time_averaged(spec.ej_max, bias, phi_rf))
+        assert abs(got - target) < 1e4
     with pytest.raises(ConfigError):
-        resonance_bias(spec, 1e3)      # below the tabulated curve floor
+        resonance_bias(spec, 1e3)      # below the curve's floor
+    # a target just above what the junction reaches at zero bias
+    ej_needed = math.exp(flux_curve(0.25e9).ln_ej_from_omega(target))
+    with pytest.raises(ConfigError, match="zero-bias"):
+        resonance_bias(TransmonSpec(ec=0.25e9, ej_max=0.49 * ej_needed),
+                       target)
 
 
 def test_default_comb_sits_on_harmonics():
-    qubits = default_comb_qubits(OMEGA_M)
     biases = np.linspace(0.7, 1.2, 5)
-    for spec, n_i, bias in zip(qubits, (5, 10, 15, 20, 25), biases):
-        ej = ej_time_averaged(spec.ej_max, bias, 0.0)
-        wq = diagonalize(spec, ej).omega_q
-        assert abs(2 * math.pi * wq - n_i * OMEGA_M) / (n_i * OMEGA_M) < 1e-6
+    for ec in (0.22e9, 0.25e9, 0.28e9):
+        qubits = default_comb_qubits(OMEGA_M, ec=ec)
+        for spec, n_i, bias in zip(qubits, (5, 10, 15, 20, 25), biases):
+            ej = ej_time_averaged(spec.ej_max, bias, 0.0)
+            wq = diagonalize(spec, ej).omega_q
+            assert abs(2 * math.pi * wq - n_i * OMEGA_M) \
+                <= 1e-12 * n_i * OMEGA_M
+
+
+def test_calibration_converges_from_a_poor_start(monkeypatch):
+    # the exact Newton steps, not the curve's start point, pin the qubits
+    curve = flux_curve(0.25e9)
+    start = curve.ln_ej_from_omega
+    monkeypatch.setattr(curve, "ln_ej_from_omega", lambda w: start(w) + 0.05)
+    qubits = default_comb_qubits(OMEGA_M, (5, 25), bias_targets=[0.0, 0.0])
+    for spec, n_i in zip(qubits, (5, 25)):
+        # at zero bias the SQUID's E_J is 2 ej_max
+        wq = diagonalize(spec, 2.0 * spec.ej_max).omega_q
+        assert abs(2 * math.pi * wq - n_i * OMEGA_M) \
+            <= 1e-12 * n_i * OMEGA_M
 
 
 def test_addressing_dc_sweep_peaks_separate():
