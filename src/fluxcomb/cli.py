@@ -180,6 +180,10 @@ def run_line_sim(config: dict, out_dir: Path):
             rcfg["window_start_s"] < rcfg["t_end_s"]:
         raise ConfigError("temporal mode needs 'run.window_start_s' at or "
                           "after 'run.t_end_s'")
+    if not rcfg["t_end_s"] > 0.0:
+        raise ConfigError("'run.t_end_s' must be > 0")
+    if rcfg["wavepacket"] and len(rcfg["snapshot_times_s"]) < 2:
+        raise ConfigError("wavepacket needs >= 2 'run.snapshot_times_s'")
     states = sim.run_until(rcfg["t_end_s"], rcfg["snapshot_times_s"])
     final = sim.state()
 
@@ -187,9 +191,8 @@ def run_line_sim(config: dict, out_dir: Path):
     z_mid = (np.arange(geom.n_cells) + 0.5) * geom.dz
     for k, st in enumerate(states):
         v_mid = 0.5 * (st.v[:-1] + st.v[1:])
-        rows = zip(z_mid, v_mid, st.i)
         files.append(io.write_csv(out_dir / f"snapshot_{k:03d}.csv",
-                                  "z_m,v_volts,i_amps", rows))
+                                  "z_m,v_volts,i_amps", [z_mid, v_mid, st.i]))
 
     n_max = rcfg["n_harmonics"]
     f_src = source.omega / TWO_PI
@@ -201,40 +204,41 @@ def run_line_sim(config: dict, out_dir: Path):
             sim, rcfg["probe_m"],
             (rcfg["window_start_s"], rcfg["window_end_s"]), n_max=n_max)
     if spectrum_mode != "none":
-        rows = ((n, n * f_src, dbc, pw) for n, dbc, pw in
-                zip(report.harmonic_index, report.power_dbc,
-                    report.absolute_power))
-        files.append(io.write_csv(out_dir / "spectrum.csv",
-                                  "n,freq_hz,power_dbc,power_abs", rows))
+        n = np.asarray(report.harmonic_index)
+        files.append(io.write_csv(
+            out_dir / "spectrum.csv", "n,freq_hz,power_dbc,power_abs",
+            [n, n * f_src, report.power_dbc, report.absolute_power]))
 
     if rcfg["wavepacket"]:
-        if len(states) < 2:
-            raise ConfigError("wavepacket metrics need >= 2 snapshots")
-        metrics = line.wavepacket_metrics(states, geom)
-        rows = ((m.t, m.centroid, m.rms_width, m.spectral_centroid,
-                 m.peak_velocity) for m in metrics[1:])
+        metrics = line.wavepacket_metrics(states, geom)[1:]
+        if any(m.peak_velocity is None for m in metrics):
+            raise ConfigError("two 'run.snapshot_times_s' share a time step")
+        table = np.array([(m.t, m.centroid, m.rms_width, m.spectral_centroid,
+                           m.peak_velocity) for m in metrics])
         files.append(io.write_csv(
             out_dir / "wavepacket.csv",
             "t_s,centroid_m,rms_width_m,spectral_centroid_radpm,"
-            "peak_velocity_mps", rows))
+            "peak_velocity_mps", table.T))
     return files
 
 
 def run_flux_sweep(config: dict, out_dir: Path):
     omega_m = TWO_PI * config["modulation_freq_hz"]
     idx = tuple(config["harmonic_indices"])
+    if not idx:
+        raise ConfigError("'harmonic_indices' must name at least one harmonic")
     array = budget.QubitArraySpec(n_qubits=len(idx), omega_m=omega_m,
                                   harmonic_indices=idx)
     qubits = transmon.default_comb_qubits(omega_m, idx, ec=config["ec_hz"])
     dc_grid = _grid(config["phi_dc"], "phi_dc")
     rf_grid = _grid(config["phi_rf"], "phi_rf")
     amap = transmon.addressing_map(array, dc_grid, rf_grid, qubits=qubits)
-    rows = ((dc, rf, q, s)
-            for dc, score in zip(dc_grid, amap.score)
-            for rf, per_qubit in zip(rf_grid, score)
-            for q, s in enumerate(per_qubit))
+    n_dc, n_rf, n_q = amap.score.shape
+    columns = [np.repeat(dc_grid, n_rf * n_q),
+               np.tile(np.repeat(rf_grid, n_q), n_dc),
+               np.tile(np.arange(n_q), n_dc * n_rf), amap.score.ravel()]
     return [io.write_csv(out_dir / "addressing_map.csv",
-                         "phi_dc,phi_rf,qubit_index,score", rows)]
+                         "phi_dc,phi_rf,qubit_index,score", columns)]
 
 
 def run_addressing(config: dict, out_dir: Path):
@@ -245,12 +249,13 @@ def run_addressing(config: dict, out_dir: Path):
         ec=config["ec_hz"], bias_targets=[bias])[0]
     ej = transmon.ej_time_averaged(spec.ej_max, bias, config["phi_rf"])
     spectrum = transmon.diagonalize(spec, ej, n_levels=config["n_levels"])
-    rows = ((k, f) for k, f in enumerate(spectrum.levels))
-    files = [io.write_csv(out_dir / "levels.csv", "level,freq_hz", rows)]
-    return files
+    return [io.write_csv(out_dir / "levels.csv", "level,freq_hz",
+                         [np.arange(len(spectrum.levels)), spectrum.levels])]
 
 
 def _array_from_config(acfg: dict) -> budget.QubitArraySpec:
+    if acfg["n_qubits"] < 1:
+        raise ConfigError("'array.n_qubits' must be >= 1")
     return budget.QubitArraySpec(
         n_qubits=acfg["n_qubits"],
         omega_m=TWO_PI * acfg["modulation_freq_hz"],
@@ -274,15 +279,13 @@ def run_error_budget(config: dict, out_dir: Path):
     array = _array_from_config(config["array"])
     model = _bus_model(config["bus"], array.omega_m)
     result = budget.full_budget(array, model)
-    rows = ((q, result.omega[q] / array.omega_m, result.t1_eff[q],
-             result.t2_eff[q], result.e_relax[q], result.e_dephase[q],
-             result.e_crosstalk[q], result.e_total[q])
-            for q in range(array.n_qubits))
-    files = [io.write_csv(
+    return [io.write_csv(
         out_dir / "budget.csv",
         "qubit,omega_over_omega_m,t1_s,t2_s,e_relax,e_dephase,"
-        "e_crosstalk,e_total", rows)]
-    return files
+        "e_crosstalk,e_total",
+        [np.arange(array.n_qubits), result.omega / array.omega_m,
+         result.t1_eff, result.t2_eff, result.e_relax, result.e_dephase,
+         result.e_crosstalk, result.e_total])]
 
 
 def run_scalability(config: dict, out_dir: Path):
@@ -293,14 +296,12 @@ def run_scalability(config: dict, out_dir: Path):
     if not config["models"]:
         raise ConfigError("'models' must name at least one bus model")
     n_range = range(n_min, n_max + 1)
-    rows = []
-    for kind in config["models"]:
-        model = _bus_model(kind, array.omega_m)
-        worst = budget.scalability_sweep(array, model, n_range)
-        rows.extend((n, w, kind) for n, w in zip(n_range, worst))
-    files = [io.write_csv(out_dir / "scalability.csv",
-                          "n,worst_case_error,model", rows)]
-    return files
+    worst = [budget.scalability_sweep(array, _bus_model(kind, array.omega_m),
+                                      n_range) for kind in config["models"]]
+    return [io.write_csv(out_dir / "scalability.csv",
+                         "n,worst_case_error,model",
+                         [np.tile(n_range, len(worst)), np.concatenate(worst),
+                          np.repeat(config["models"], len(n_range))])]
 
 
 def run_nonmarkov(config: dict, out_dir: Path):
@@ -312,20 +313,21 @@ def run_nonmarkov(config: dict, out_dir: Path):
         gamma_memory=gm, markovian_gamma=kcfg["markovian_ratio"] * gm)
     if config["n_points"] < 5:
         raise ConfigError("n_points must be >= 5")
+    if not config["t_end_s"] > 0.0:
+        raise ConfigError("'t_end_s' must be > 0")
     t = np.linspace(0.0, config["t_end_s"], config["n_points"])
     state = nonmarkov.excited_state()
     p = nonmarkov.evolve_kernel(state, kernel, t)
-    files = [io.write_csv(out_dir / "population.csv", "t_s,rho00",
-                          zip(t, p))]
+    files = [io.write_csv(out_dir / "population.csv", "t_s,rho00", [t, p])]
     if config["compare_markovian"]:
         p_m = nonmarkov.evolve_markovian(state, kernel.markovian_gamma, t)
         files.append(io.write_csv(out_dir / "population_markovian.csv",
-                                  "t_s,rho00", zip(t, p_m)))
+                                  "t_s,rho00", [t, p_m]))
     window = config["smoothing_window"] or None
     g = nonmarkov.gamma_eff(t, np.maximum(p, 1e-300),
                             smoothing_window=window)
     files.append(io.write_csv(out_dir / "gamma_eff.csv",
-                              "t_s,gamma_eff_hz", zip(t, g)))
+                              "t_s,gamma_eff_hz", [t, g]))
     return files
 
 
@@ -350,26 +352,26 @@ def run_spectroscopy(config: dict, out_dir: Path):
     for key in ("start_s", "stop_s"):
         if not tcfg[key] > 0.0:
             raise ConfigError(f"'tau.{key}' must be > 0")
+    if not 0.0 < pcfg["dt_s"] < pcfg["duration_s"]:
+        raise ConfigError("need 0 < 'spectrum.dt_s' < 'spectrum.duration_s'")
     tau = np.geomspace(tcfg["start_s"], tcfg["stop_s"], tcfg["n"])
     m_1f = _noise_model("one-over-f", config["one_over_f"])
     m_filt = _noise_model("filtered", config["filtered"])
 
     files = [
         io.write_csv(out_dir / "ramsey.csv", "tau_s,contrast",
-                     zip(tau, nonmarkov.ramsey(m_1f, tau, n_real, seed))),
+                     [tau, nonmarkov.ramsey(m_1f, tau, n_real, seed)]),
         io.write_csv(out_dir / "echo_one_over_f.csv", "tau_s,echo",
-                     zip(tau, nonmarkov.hahn_echo(m_1f, tau, n_real,
-                                                  seed))),
+                     [tau, nonmarkov.hahn_echo(m_1f, tau, n_real, seed)]),
         io.write_csv(out_dir / "echo_filtered.csv", "tau_s,echo",
-                     zip(tau, nonmarkov.hahn_echo(m_filt, tau, n_real,
-                                                  seed))),
+                     [tau, nonmarkov.hahn_echo(m_filt, tau, n_real, seed)]),
     ]
 
     f, psa = nonmarkov.averaged_periodogram(
         m_1f, pcfg["duration_s"], pcfg["dt_s"],
         [seed + k for k in range(pcfg["n_avg"])])
     files.append(io.write_csv(out_dir / "spectrum.csv", "f_hz,s_omega",
-                              zip(f[1:], psa[1:])))
+                              [f[1:], psa[1:]]))
     return files
 
 

@@ -1,7 +1,8 @@
 """Deterministic run output: CSV tables and a manifest.
 
-Floats are rendered as {:.12e} with LF line endings so identical
-configurations produce byte-identical files on every platform.
+A table is written from equal-length columns in blocks of CSV_BLOCK rows:
+a float cell as %.12e, an integer cell as %d and a str cell as is, with LF
+line endings, so identical configurations give byte-identical files.
 """
 
 import hashlib
@@ -13,48 +14,44 @@ import numpy as np
 
 from . import __version__
 
-FLOAT_FMT = "{:.12e}"
+CSV_BLOCK = 8192
 
 
-def format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return FLOAT_FMT.format(float(value))
+def _cells(block: np.ndarray) -> list:
+    """The rendered cells of one block of a column. Each distinct value is
+    formatted once, all by a single %, and gathered back into row order;
+    floats are told apart by their bits, so -0.0 keeps its sign."""
+    if block.dtype.kind == "U":
+        return block.tolist()
+    is_float = block.dtype.kind == "f"
+    keys = block.view(np.int64) if is_float else block
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    values = uniq.view(block.dtype).tolist()
+    fmt = "%.12e" if is_float else "%d"
+    text = ("\n".join([fmt] * len(values)) % tuple(values)).split("\n")
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
-# %-format of each cell type whose rendering matches format_cell
-_CELL_FORMATS = {str: "%s", int: "%d", np.int64: "%d",
-                 float: "%.12e", np.float64: "%.12e"}
-
-
-def _row_format(types: tuple):
-    """One %-format for a whole row of these cell types, or None when a
-    type needs format_cell."""
-    if all(t in _CELL_FORMATS for t in types):
-        return ",".join(_CELL_FORMATS[t] for t in types) + "\n"
-    return None
-
-
-def write_csv(path: Path, header: str, rows) -> Path:
-    """Stream rows to path, each formatted by one % operation; the format
-    is built once per distinct tuple of cell types."""
-    path = Path(path)
-    formats = {}
+def write_csv(path: Path, header: str, columns) -> Path:
+    """Write `columns` under `header`. A column is a float array (each cell
+    rendered %.12e), an integer array (%d) or a sequence of str (written as
+    is); all have the same length. Rows go out in blocks of CSV_BLOCK, each
+    line ending in LF."""
+    columns = [np.asarray(c) for c in columns]
+    columns = [c.astype(np.float64, copy=False) if c.dtype.kind == "f"
+               else c for c in columns]
+    for c in columns:
+        if c.ndim != 1 or c.dtype.kind not in "fiuU":
+            raise TypeError(f"not a float, integer or str column: {c.dtype}")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("columns differ in length")
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            row = tuple(row)
-            types = tuple(map(type, row))
-            if types not in formats:
-                formats[types] = _row_format(types)
-            fmt = formats[types]
-            if fmt is None:
-                fh.write(",".join(format_cell(v) for v in row) + "\n")
-            else:
-                fh.write(fmt % row)
-    return path
+        for lo in range(0, len(columns[0]), CSV_BLOCK):
+            cells = [_cells(c[lo:lo + CSV_BLOCK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            del cells   # free this block before the next is built
+    return Path(path)
 
 
 def sha256_of(path: Path) -> str:

@@ -23,6 +23,15 @@ def read_rows(path):
     return lines[0], [ln.split(",") for ln in lines[1:]]
 
 
+def format_cell(value) -> str:
+    """The per-cell rendering io.write_csv must reproduce byte for byte."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "{:.12e}".format(float(value))
+
+
 class TestConfigResolution:
     def test_defaults_cover_all_scenarios(self):
         defaults = cli.load_defaults()
@@ -95,17 +104,37 @@ class TestScenarioOutputs:
         assert raw == json.dumps(json.loads(raw), indent=2,
                                  sort_keys=True) + "\n"
 
-    def test_csv_rows_render_as_format_cell(self, tmp_path):
-        """Rows written by one %-format each read exactly as format_cell
-        renders their cells, and so do rows of types only format_cell
-        handles."""
-        rows = [(1, 2.5, "a"), (np.int64(-3), np.float64(1e-300), "b"),
-                (0, float("nan"), "c"), (-0.0, float("inf"), 7),
-                (True, np.float32(0.1), np.int32(4)), (2, 3.0, "d")]
-        path = io.write_csv(tmp_path / "t.csv", "x,y,z", iter(rows))
-        want = "x,y,z\n" + "".join(
-            ",".join(io.format_cell(c) for c in row) + "\n" for row in rows)
+    def test_csv_columns_render_as_format_cell(self, tmp_path):
+        """Columns written block by block, each distinct value formatted
+        once, read exactly as format_cell renders every cell on its own,
+        across both block boundaries."""
+        n = 2 * io.CSV_BLOCK + 1
+        rng = np.random.default_rng(0)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        special = [0.0, -0.0, float("nan"), float("inf"), -float("inf"),
+                   1e-300, -1e-300, -float("nan")]
+        floats[:len(special)] = special
+        floats[io.CSV_BLOCK - 1:io.CSV_BLOCK + 1] = [-0.0, 0.0]
+        floats[-1] = -0.0
+        repeats = np.resize([0.5, -0.0, 0.0, 2.0, -0.0, 1e-300], n)
+        columns = [floats, repeats, rng.integers(-2**62, 2**62, n),
+                   [k % 7 - 3 for k in range(n)],
+                   [f"s{k % 3}" for k in range(n)],
+                   np.float32(0.1) * np.arange(n, dtype=np.float32)]
+        path = io.write_csv(tmp_path / "t.csv", "a,b,c,d,e,f", columns)
+        want = "a,b,c,d,e,f\n" + "".join(
+            ",".join(map(format_cell, row)) + "\n" for row in zip(*columns))
         assert path.read_bytes() == want.encode()
+        # the oracle itself keeps the sign of -0.0
+        assert "\n-0.000000000000e+00,-0.000000000000e+00," in want
+
+    def test_csv_rejects_bad_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            io.write_csv(path, "a,b", [np.zeros(3), np.zeros(4)])
+        for bad in ([True, False], np.zeros((2, 2)), [1.0, None]):
+            with pytest.raises(TypeError):
+                io.write_csv(path, "a", [bad])
 
     def test_nonmarkov_files(self, tmp_path):
         code = cli.main(["nonmarkov", "--out", str(tmp_path),
@@ -269,11 +298,29 @@ class TestExitCodes:
         ("addressing", "bias_phi_dc=NaN", "bias_phi_dc"),
         ("error-budget", "array.t_gate_s=Infinity", "array.t_gate_s"),
         ("flux-sweep", "harmonic_indices=[0]", "harmonic 0"),
+        ("flux-sweep", "harmonic_indices=[]", "harmonic_indices"),
+        ("error-budget", "array.n_qubits=0", "array.n_qubits"),
+        ("spectroscopy", "spectrum.dt_s=0", "spectrum.dt_s"),
+        ("nonmarkov", "t_end_s=0", "t_end_s"),
+        ("line-sim", "run.t_end_s=0", "run.t_end_s"),
+        pytest.param("line-sim", "run.wavepacket=true",
+                     "run.snapshot_times_s", id="line-sim-wavepacket-one"),
+        pytest.param(
+            "line-sim", ["run.wavepacket=true", "run.t_end_s=3e-8",
+                         "geometry.n_cells=1024"],
+            "run.snapshot_times_s", id="line-sim-wavepacket-before-blowup"),
+        pytest.param(
+            "line-sim", ["run.wavepacket=true", "run.spectrum=none",
+                         "run.t_end_s=1e-9",
+                         "run.snapshot_times_s=[5e-10,5.00001e-10]"],
+            "run.snapshot_times_s", id="line-sim-wavepacket-same-step"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
                                assignment, key):
+        assignments = [assignment] if isinstance(assignment, str) \
+            else assignment
         code = cli.main([scenario, "--out", str(tmp_path),
-                         "--set", assignment])
+                         *(a for x in assignments for a in ("--set", x))])
         err = capsys.readouterr().err
         assert code == 2
         assert key in err
