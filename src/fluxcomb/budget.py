@@ -38,14 +38,12 @@ class QubitArraySpec:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ConfigError("n_qubits must be >= 1")
-        if self.omega_m <= 0 or self.t_gate <= 0:
-            raise ConfigError("omega_m and t_gate must be positive")
-        if self.t1_intrinsic <= 0 or self.t2_intrinsic <= 0:
-            raise ConfigError("intrinsic times must be positive")
+        for name in ("omega_m", "t_gate", "t1_intrinsic", "t2_intrinsic",
+                     "lambda_c"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
         if self.t2_intrinsic > 2.0 * self.t1_intrinsic:
             raise ConfigError("t2_intrinsic cannot exceed 2 * t1_intrinsic")
-        if self.lambda_c <= 0:
-            raise ConfigError("lambda_c must be positive")
         if self.harmonic_indices is None:
             object.__setattr__(self, "harmonic_indices",
                                tuple(range(1, self.n_qubits + 1)))
@@ -53,7 +51,7 @@ class QubitArraySpec:
         if len(hi) != self.n_qubits:
             raise ConfigError("harmonic_indices length must match n_qubits")
         if any(b <= a for a, b in zip(hi, hi[1:])):
-            raise ConfigError("harmonic indices must be strictly increasing")
+            raise ConfigError("harmonic_indices must be strictly increasing")
         if self.positions is None:
             object.__setattr__(self, "positions",
                                tuple(float(i) for i in range(1,

@@ -14,6 +14,7 @@ filesystem trouble.
 """
 
 import argparse
+import contextlib
 import importlib.resources
 import json
 import math
@@ -131,6 +132,20 @@ def resolve_config(scenario: str, config_path, overrides, seed) -> dict:
     return config
 
 
+@contextlib.contextmanager
+def _keys(**fields):
+    """Name the config key of a ConfigError raised by the library, whose
+    messages start with the library's own field name: `fields` maps that
+    name to the dotted key. Other ConfigErrors pass through unchanged."""
+    try:
+        yield
+    except ConfigError as exc:
+        key = fields.get(str(exc).split(" ", 1)[0])
+        if key is None:
+            raise
+        raise ConfigError(f"'{key}': {exc}") from None
+
+
 def _grid(spec: dict, what: str) -> np.ndarray:
     if spec["n"] < 1:
         raise ConfigError(f"{what} grid needs n >= 1")
@@ -163,13 +178,11 @@ def run_line_sim(config: dict, out_dir: Path):
         port=scfg["port"],
         ramp_periods=scfg["ramp_periods"])
     rcfg = config["run"]
-    try:
+    with _keys(cfl_safety="run.cfl_safety",
+               blowup_factor="run.blowup_factor"):
         sim = line.build_line(geom, drive, source,
                               cfl_safety=rcfg["cfl_safety"],
                               blowup_factor=rcfg["blowup_factor"])
-    except ConfigError as exc:
-        # build_line rejects only these two run.* values, each named first
-        raise ConfigError(f"run.{exc}") from None
 
     spectrum_mode = rcfg["spectrum"]
     if spectrum_mode not in ("spatial", "temporal", "none"):
@@ -180,11 +193,10 @@ def run_line_sim(config: dict, out_dir: Path):
             rcfg["window_start_s"] < rcfg["t_end_s"]:
         raise ConfigError("temporal mode needs 'run.window_start_s' at or "
                           "after 'run.t_end_s'")
-    if not rcfg["t_end_s"] > 0.0:
-        raise ConfigError("'run.t_end_s' must be > 0")
     if rcfg["wavepacket"] and len(rcfg["snapshot_times_s"]) < 2:
         raise ConfigError("wavepacket needs >= 2 'run.snapshot_times_s'")
-    states = sim.run_until(rcfg["t_end_s"], rcfg["snapshot_times_s"])
+    with _keys(t_end="run.t_end_s", snapshot_times="run.snapshot_times_s"):
+        states = sim.run_until(rcfg["t_end_s"], rcfg["snapshot_times_s"])
     final = sim.state()
 
     files = []
@@ -227,9 +239,12 @@ def run_flux_sweep(config: dict, out_dir: Path):
     idx = tuple(config["harmonic_indices"])
     if not idx:
         raise ConfigError("'harmonic_indices' must name at least one harmonic")
-    array = budget.QubitArraySpec(n_qubits=len(idx), omega_m=omega_m,
-                                  harmonic_indices=idx)
-    qubits = transmon.default_comb_qubits(omega_m, idx, ec=config["ec_hz"])
+    with _keys(harmonic_indices="harmonic_indices",
+               omega_m="modulation_freq_hz", ec="ec_hz"):
+        array = budget.QubitArraySpec(n_qubits=len(idx), omega_m=omega_m,
+                                      harmonic_indices=idx)
+        qubits = transmon.default_comb_qubits(omega_m, idx,
+                                              ec=config["ec_hz"])
     dc_grid = _grid(config["phi_dc"], "phi_dc")
     rf_grid = _grid(config["phi_rf"], "phi_rf")
     amap = transmon.addressing_map(array, dc_grid, rf_grid, qubits=qubits)
@@ -244,27 +259,31 @@ def run_flux_sweep(config: dict, out_dir: Path):
 def run_addressing(config: dict, out_dir: Path):
     omega_m = TWO_PI * config["modulation_freq_hz"]
     bias = config["bias_phi_dc"]
-    spec = transmon.default_comb_qubits(
-        omega_m, (config["harmonic_index"],),
-        ec=config["ec_hz"], bias_targets=[bias])[0]
-    ej = transmon.ej_time_averaged(spec.ej_max, bias, config["phi_rf"])
-    spectrum = transmon.diagonalize(spec, ej, n_levels=config["n_levels"])
+    with _keys(ec="ec_hz", n_levels="n_levels"):
+        spec = transmon.default_comb_qubits(
+            omega_m, (config["harmonic_index"],),
+            ec=config["ec_hz"], bias_targets=[bias])[0]
+        ej = transmon.ej_time_averaged(spec.ej_max, bias, config["phi_rf"])
+        spectrum = transmon.diagonalize(spec, ej,
+                                        n_levels=config["n_levels"])
     return [io.write_csv(out_dir / "levels.csv", "level,freq_hz",
                          [np.arange(len(spectrum.levels)), spectrum.levels])]
 
 
 def _array_from_config(acfg: dict) -> budget.QubitArraySpec:
-    if acfg["n_qubits"] < 1:
-        raise ConfigError("'array.n_qubits' must be >= 1")
-    return budget.QubitArraySpec(
-        n_qubits=acfg["n_qubits"],
-        omega_m=TWO_PI * acfg["modulation_freq_hz"],
-        t1_intrinsic=acfg["t1_intrinsic_s"],
-        t2_intrinsic=acfg["t2_intrinsic_s"],
-        g_coupling=TWO_PI * acfg["g_coupling_hz"],
-        kappa_bus=TWO_PI * acfg["kappa_bus_hz"],
-        t_gate=acfg["t_gate_s"],
-        lambda_c=acfg["lambda_c_m"])
+    with _keys(n_qubits="array.n_qubits", omega_m="array.modulation_freq_hz",
+               t1_intrinsic="array.t1_intrinsic_s",
+               t2_intrinsic="array.t2_intrinsic_s",
+               t_gate="array.t_gate_s", lambda_c="array.lambda_c_m"):
+        return budget.QubitArraySpec(
+            n_qubits=acfg["n_qubits"],
+            omega_m=TWO_PI * acfg["modulation_freq_hz"],
+            t1_intrinsic=acfg["t1_intrinsic_s"],
+            t2_intrinsic=acfg["t2_intrinsic_s"],
+            g_coupling=TWO_PI * acfg["g_coupling_hz"],
+            kappa_bus=TWO_PI * acfg["kappa_bus_hz"],
+            t_gate=acfg["t_gate_s"],
+            lambda_c=acfg["lambda_c_m"])
 
 
 def _bus_model(kind: str, omega_m: float) -> budget.BusIsolationModel:
@@ -307,10 +326,13 @@ def run_scalability(config: dict, out_dir: Path):
 def run_nonmarkov(config: dict, out_dir: Path):
     kcfg = config["kernel"]
     gm = TWO_PI * kcfg["gamma_memory_hz"]
-    kernel = nonmarkov.KernelSpec(
-        kind="exponential-kernel",
-        amplitude_a=kcfg["amplitude_over_gamma_sq"] * gm * gm,
-        gamma_memory=gm, markovian_gamma=kcfg["markovian_ratio"] * gm)
+    with _keys(amplitude_a="kernel.amplitude_over_gamma_sq",
+               gamma_memory="kernel.gamma_memory_hz",
+               markovian_gamma="kernel.markovian_ratio"):
+        kernel = nonmarkov.KernelSpec(
+            kind="exponential-kernel",
+            amplitude_a=kcfg["amplitude_over_gamma_sq"] * gm * gm,
+            gamma_memory=gm, markovian_gamma=kcfg["markovian_ratio"] * gm)
     if config["n_points"] < 5:
         raise ConfigError("n_points must be >= 5")
     if not config["t_end_s"] > 0.0:
@@ -331,14 +353,16 @@ def run_nonmarkov(config: dict, out_dir: Path):
     return files
 
 
-def _noise_model(kind: str, cfg: dict) -> nonmarkov.NoiseModel:
+def _noise_model(kind: str, section: str, cfg: dict) -> nonmarkov.NoiseModel:
     common = dict(amplitude=cfg["amplitude_rad2_per_s2"],
                   f_min=cfg["f_min_hz"], f_max=cfg["f_max_hz"],
                   n_components=cfg["n_components"])
     if kind == "filtered":
         common.update(filter_center=cfg["filter_center_hz"],
                       filter_depth=cfg["filter_depth_db"])
-    return nonmarkov.NoiseModel(kind=kind, **common)
+    with _keys(amplitude=f"{section}.amplitude_rad2_per_s2",
+               n_components=f"{section}.n_components"):
+        return nonmarkov.NoiseModel(kind=kind, **common)
 
 
 def run_spectroscopy(config: dict, out_dir: Path):
@@ -355,12 +379,14 @@ def run_spectroscopy(config: dict, out_dir: Path):
     if not 0.0 < pcfg["dt_s"] < pcfg["duration_s"]:
         raise ConfigError("need 0 < 'spectrum.dt_s' < 'spectrum.duration_s'")
     tau = np.geomspace(tcfg["start_s"], tcfg["stop_s"], tcfg["n"])
-    m_1f = _noise_model("one-over-f", config["one_over_f"])
-    m_filt = _noise_model("filtered", config["filtered"])
+    m_1f = _noise_model("one-over-f", "one_over_f", config["one_over_f"])
+    m_filt = _noise_model("filtered", "filtered", config["filtered"])
 
+    # the first ensemble rejects a bad n_realizations for all three
+    with _keys(n_realizations="n_realizations"):
+        ramsey = nonmarkov.ramsey(m_1f, tau, n_real, seed)
     files = [
-        io.write_csv(out_dir / "ramsey.csv", "tau_s,contrast",
-                     [tau, nonmarkov.ramsey(m_1f, tau, n_real, seed)]),
+        io.write_csv(out_dir / "ramsey.csv", "tau_s,contrast", [tau, ramsey]),
         io.write_csv(out_dir / "echo_one_over_f.csv", "tau_s,echo",
                      [tau, nonmarkov.hahn_echo(m_1f, tau, n_real, seed)]),
         io.write_csv(out_dir / "echo_filtered.csv", "tau_s,echo",

@@ -185,9 +185,7 @@ class Simulator:
 
         c_end = 0.5 * geom.c_cell
         self._a_end = dt / (c_end * self.z_term)
-        self._dt_over_cend = dt / c_end
-        self._dt_over_c = dt / geom.c_cell
-        self._inv_l0 = 1.0 / geom.l0
+        self._tab_scale = dt * dt / (geom.c_cell * geom.l0)
         self.ceiling = blowup_factor * source.amplitude
 
         self._source_row = (
@@ -215,17 +213,19 @@ class Simulator:
     def run_until(self, t_end: float, snapshot_times=()) -> list[LineState]:
         """Advance to t_end, returning states at the steps nearest the
         requested snapshot times (actual time recorded in each state)."""
-        if t_end <= self.t:
-            raise ConfigError("t_end must be ahead of the current time")
+        end_step = int(round(t_end / self.dt))
+        if end_step <= self.t_index:
+            raise ConfigError(
+                f"t_end = {t_end:.3e} s does not pass the current step "
+                f"{self.t_index} (dt = {self.dt:.3e} s)")
         times = list(snapshot_times)
         if any(times[k] > times[k + 1] for k in range(len(times) - 1)):
-            raise ConfigError("snapshot times must be sorted")
-        end_step = int(round(t_end / self.dt))
+            raise ConfigError("snapshot_times must be sorted")
         steps = []
         for ts in times:
             if not (self.t < ts <= t_end):
                 raise ConfigError(
-                    f"snapshot time {ts} outside (t_now, t_end]")
+                    f"snapshot_times entry {ts} outside (t_now, t_end]")
             steps.append(min(max(int(round(ts / self.dt)), self.t_index + 1),
                              end_step))
         out = []
@@ -266,24 +266,30 @@ def _step_runs(sims: list[Simulator], n_steps: int, probes=None):
            for s in sims[1:]):
         raise ValueError("batched runs must share geometry, drive, dt, "
                          "ceiling and time")
-    v = np.stack([s.v for s in sims])
-    flux = np.stack([s.flux for s in sims])
-    cur = np.stack([s._i for s in sims])
+    # one flat vector per field, scaled; see _step_numpy for the layout
+    n, dt = head.geom.n_cells, head.dt
+    v = np.concatenate([s.v for s in sims])
+    psi, j = np.zeros(v.size + 1), np.zeros(v.size + 1)
+    psi_cells, j_cells = (a[1:].reshape(len(sims), n + 1)[:, :n]
+                          for a in (psi, j))
+    psi_cells[:] = [s.flux / dt for s in sims]
     flat = rec = None
     if probes is not None:
-        n = head.geom.n_cells
         cols = [np.asarray(p, dtype=np.int64) for p in probes]
-        flat = np.concatenate([r * n + c for r, c in enumerate(cols)])
+        flat = np.concatenate([r * (n + 1) + 1 + c
+                               for r, c in enumerate(cols)])
         rec = np.empty((n_steps, flat.size))
     drive = head.drive
     bad = _step_numpy.step_block(
-        v, flux, cur, head._sin_mp, head._cos_mp,
-        drive.phi_dc_tilde, drive.phi_rf_tilde, drive.omega_s, head.dt,
-        head._inv_l0, head._dt_over_c, head._dt_over_cend, head._a_end,
+        v, psi, j, head._sin_mp, head._cos_mp,
+        drive.phi_dc_tilde, drive.phi_rf_tilde, drive.omega_s, dt,
+        head._tab_scale, head._a_end,
         [s._source_row for s in sims], head.ceiling, head.t_index,
         n_steps, flat, rec)
-    for r, s in enumerate(sims):
-        s.v[:], s.flux[:], s._i[:] = v[r], flux[r], cur[r]
+    i_scale = head.geom.c_cell / dt
+    for s, v_r, psi_r, j_r in zip(sims, v.reshape(len(sims), n + 1),
+                                  psi_cells, j_cells):
+        s.v[:], s.flux[:], s._i[:] = v_r, psi_r * dt, j_r * i_scale
         s.t_index = bad + 1 if bad >= 0 else s.t_index + n_steps
     if bad >= 0:
         raise NumericalError(
@@ -291,6 +297,7 @@ def _step_runs(sims: list[Simulator], n_steps: int, probes=None):
             f"|v| exceeded {head.ceiling:.3e} V")
     if rec is None:
         return None
+    rec *= i_scale
     return np.split(rec, np.cumsum([c.size for c in cols])[:-1], axis=1)
 
 

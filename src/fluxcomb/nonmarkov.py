@@ -58,11 +58,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("markovian", "exponential-kernel"):
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if min(self.amplitude_a, self.gamma_memory,
-               self.markovian_gamma) < 0.0:
-            raise ConfigError("rates must be nonnegative")
+        for name in ("amplitude_a", "gamma_memory", "markovian_gamma"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} must be nonnegative")
         if self.kind == "exponential-kernel" and self.gamma_memory <= 0.0:
-            raise ConfigError("exponential kernel needs gamma_memory > 0")
+            raise ConfigError("gamma_memory must be > 0 for an exponential "
+                              "kernel")
 
 
 def default_kernel() -> KernelSpec:
@@ -281,7 +282,7 @@ def _ensemble(model, tau_grid, n_realizations, seed, echo):
     if np.any(tau < 0.0):
         raise ConfigError("tau grid must be nonnegative")
     if n_realizations < 200:
-        raise ConfigError("need at least 200 realizations")
+        raise ConfigError("n_realizations must be >= 200")
     f_k, amp_k = _tones(model)
     w = TWO_PI * f_k
     phi = _phases(model, ((seed, r) for r in range(n_realizations))).T

@@ -41,8 +41,9 @@ class TransmonSpec:
     n_charge_cut: int = 31    # charge basis spans -cut..+cut
 
     def __post_init__(self):
-        if self.ec <= 0 or self.ej_max <= 0:
-            raise ConfigError("ec and ej_max must be positive")
+        for name in ("ec", "ej_max"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
         if self.n_charge_cut < 10:
             raise ConfigError("n_charge_cut must be >= 10")
         if self.ej_max / self.ec < 10:
@@ -145,7 +146,7 @@ def diagonalize(spec: TransmonSpec, ej: float, n_levels: int = 5
     if ej < 0:
         raise ConfigError("ej must be nonnegative (take the magnitude)")
     if n_levels < 3:
-        raise ConfigError("need at least 3 levels for omega_q and alpha")
+        raise ConfigError("n_levels must be >= 3 for omega_q and alpha")
     levels, _ = _converged_levels(spec, ej, n_levels)
     return QubitSpectrum(
         levels=levels,

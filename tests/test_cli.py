@@ -314,6 +314,19 @@ class TestExitCodes:
                          "run.t_end_s=1e-9",
                          "run.snapshot_times_s=[5e-10,5.00001e-10]"],
             "run.snapshot_times_s", id="line-sim-wavepacket-same-step"),
+        pytest.param("line-sim", "run.t_end_s=1e-15", "'run.t_end_s'",
+                     id="line-sim-t_end-under-one-step"),
+        # range errors raised inside the library, named by their key
+        ("flux-sweep", "harmonic_indices=[3,2]", "'harmonic_indices'"),
+        ("error-budget", "array.t_gate_s=0", "'array.t_gate_s'"),
+        ("error-budget", "array.t2_intrinsic_s=1", "'array.t2_intrinsic_s'"),
+        ("error-budget", "array.lambda_c_m=0", "'array.lambda_c_m'"),
+        ("spectroscopy", "one_over_f.n_components=10",
+         "'one_over_f.n_components'"),
+        ("spectroscopy", "n_realizations=0", "'n_realizations'"),
+        ("nonmarkov", "kernel.gamma_memory_hz=0", "'kernel.gamma_memory_hz'"),
+        ("addressing", "n_levels=0", "'n_levels'"),
+        ("addressing", "ec_hz=0", "'ec_hz'"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
                                assignment, key):

@@ -3,6 +3,7 @@ trajectories to roundoff, same probe records, same blowup step and state,
 and a batch of runs equal to the same runs stepped one at a time."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ def reference_advance(sim, n_steps, probe_idx=()):
     v, flux, i_work = sim.v.copy(), sim.flux.copy(), sim._i.copy()
     d, src, dt = sim.drive, sim.source, sim.dt
     ramp = src.ramp_periods * 2.0 * math.pi / src.omega
+    dt_over_c = dt / sim.geom.c_cell
+    dt_over_cend = dt / (0.5 * sim.geom.c_cell)
     rec = np.empty((n_steps, len(probe_idx)))
     for s in range(n_steps):
         k = sim.t_index + s
@@ -37,16 +40,16 @@ def reference_advance(sim, n_steps, probe_idx=()):
         arg = d.phi_dc_tilde + d.phi_rf_tilde * np.sin(
             sim._mod_phase - d.omega_s * th)
         np.multiply(flux, np.cos(arg), out=i_work)
-        i_work *= sim._inv_l0
+        i_work *= 1.0 / sim.geom.l0
         for p, b in enumerate(probe_idx):
             rec[s, p] = i_work[b]
-        v[1:-1] += sim._dt_over_c * (i_work[:-1] - i_work[1:])
+        v[1:-1] += dt_over_c * (i_work[:-1] - i_work[1:])
         vs = _source_value(src.kind, th, src.amplitude, src.omega,
                            src.t_center, src.t_width, ramp)
         vs_l, vs_r = (vs, 0.0) if src.port == "left" else (0.0, vs)
         a = sim._a_end
-        v[0] = (v[0] + a * vs_l - sim._dt_over_cend * i_work[0]) / (1.0 + a)
-        v[-1] = (v[-1] + a * vs_r + sim._dt_over_cend * i_work[-1]) \
+        v[0] = (v[0] + a * vs_l - dt_over_cend * i_work[0]) / (1.0 + a)
+        v[-1] = (v[-1] + a * vs_r + dt_over_cend * i_work[-1]) \
             / (1.0 + a)
         if not float(np.max(np.abs(v))) <= sim.ceiling:
             return k, v, flux, i_work, rec
@@ -160,6 +163,13 @@ def test_nan_trip_matches_reference():
         assert_close(got[ok], want[ok])
 
 
+def assert_same_state(a, b):
+    assert a.t_index == b.t_index
+    np.testing.assert_array_equal(a.v, b.v)
+    np.testing.assert_array_equal(a.flux, b.flux)
+    np.testing.assert_array_equal(a._i, b._i)
+
+
 def test_batch_equals_single_runs():
     """Rows of a batch share the modulation table and step with the same
     elementwise arithmetic, so each row is bit-identical to its own run."""
@@ -173,10 +183,62 @@ def test_batch_equals_single_runs():
         sim._advance(90)
         np.testing.assert_array_equal(sim.record_probe(probes, 130), rec)
     for a, b in zip(pair, single):
-        assert a.t_index == b.t_index == 220
-        np.testing.assert_array_equal(a.v, b.v)
-        np.testing.assert_array_equal(a.flux, b.flux)
-        np.testing.assert_array_equal(a._i, b._i)
+        assert a.t_index == 220
+        assert_same_state(a, b)
+
+
+def test_three_row_batch_isolates_its_seams():
+    """The middle row of three has a seam on each side. Each row equals its
+    own run bit for bit, and when row 0 leaves the ceiling partway through
+    a call, every row is left at that step and still equals its own run
+    there: the ghost slots pass nothing across."""
+    rows = [("continuous-wave", "left", 1), ("gaussian-pulse", "right", 2),
+            ("continuous-wave", "right", 3)]
+    probes = [[0], [N_CELLS - 1, 5], [31]]
+    trio = [make_sim(kind, port, seed=seed) for kind, port, seed in rows]
+    single = [make_sim(kind, port, seed=seed) for kind, port, seed in rows]
+    recs = line._step_runs(trio, 150, probes)
+    for a, b, p, rec in zip(trio, single, probes, recs):
+        np.testing.assert_array_equal(b.record_probe(p, 150), rec)
+        assert_same_state(a, b)
+
+    # row 0 rescaled to 0.9 of the ceiling: it leaves it after a step
+    for sim in (trio[0], single[0]):
+        scale = 0.9 * sim.ceiling / np.max(np.abs(sim.v))
+        sim.v *= scale
+        sim.flux *= scale
+    with pytest.raises(NumericalError) as failed:
+        line._step_runs(trio, 100)
+    bad = int(re.search(r"at step (\d+) ", str(failed.value)).group(1))
+    assert 150 < bad < 249
+    with pytest.raises(NumericalError, match=f"at step {bad} "):
+        single[0]._advance(100)
+    for sim in single[1:]:
+        sim._advance(bad + 1 - 150)
+    for a, b in zip(trio, single):
+        assert a.t_index == bad + 1
+        assert_same_state(a, b)
+
+
+def test_mirrored_pair_is_exact_at_kappa_s_zero():
+    """With kappa_s = 0 the line is uniform, so the right-port run is the
+    left-port run reflected. Differences and end updates are exactly
+    antisymmetric, so the batch keeps the mirror bit for bit and the
+    isolation is exactly 0 dB."""
+    geom = line.LineGeometry(n_cells=N_CELLS)
+    omega = 2.0 * math.pi * 3e9
+    drive = line.FluxDrive(phi_dc_tilde=0.6, phi_rf_tilde=0.6,
+                           kappa_s=0.0, omega_s=omega)
+    left, right = [line.build_line(geom, drive, line.SourceSpec(
+        kind="continuous-wave", omega=omega, amplitude=1e-6, port=port,
+        ramp_periods=0.5)) for port in ("left", "right")]
+    line._step_runs([left, right], 300)
+    assert np.max(np.abs(left.v)) > 1e-8
+    np.testing.assert_array_equal(right.v, left.v[::-1])
+    np.testing.assert_array_equal(right.flux, -left.flux[::-1])
+    np.testing.assert_array_equal(right._i, -left._i[::-1])
+    assert line.isolation_report(geom, drive, omega) == \
+        {1: 0.0, 2: 0.0, 3: 0.0}
 
 
 def test_batch_rejects_mismatched_runs():
