@@ -23,6 +23,7 @@ from .line import (  # noqa: F401
     harmonic_spectrum,
     isolation_report,
     spatial_harmonics,
+    temporal_harmonics,
     wavepacket_metrics,
 )
 from .transmon import (  # noqa: F401

@@ -156,27 +156,34 @@ def _grid(spec: dict, what: str) -> np.ndarray:
 
 def run_line_sim(config: dict, out_dir: Path):
     gcfg = config["geometry"]
-    geom = line.LineGeometry(
-        n_cells=gcfg["n_cells"],
-        dz=gcfg["dz_m"],
-        c_per_length=gcfg["c_per_length_f_per_m"],
-        i0=gcfg["i0_amps"])
+    with _keys(n_cells="geometry.n_cells", dz="geometry.dz_m",
+               c_per_length="geometry.c_per_length_f_per_m",
+               i0="geometry.i0_amps"):
+        geom = line.LineGeometry(
+            n_cells=gcfg["n_cells"],
+            dz=gcfg["dz_m"],
+            c_per_length=gcfg["c_per_length_f_per_m"],
+            i0=gcfg["i0_amps"])
     dcfg = config["drive"]
-    drive = line.FluxDrive(
-        phi_dc_tilde=dcfg["phi_dc"],
-        phi_rf_tilde=dcfg["phi_rf"],
-        kappa_s=TWO_PI * dcfg["spatial_periods"] / geom.length,
-        omega_s=TWO_PI * dcfg["modulation_freq_hz"],
-        phase=dcfg["phase_rad"])
+    with _keys(phi_dc_tilde="drive.phi_dc", phi_rf_tilde="drive.phi_rf"):
+        drive = line.FluxDrive(
+            phi_dc_tilde=dcfg["phi_dc"],
+            phi_rf_tilde=dcfg["phi_rf"],
+            kappa_s=TWO_PI * dcfg["spatial_periods"] / geom.length,
+            omega_s=TWO_PI * dcfg["modulation_freq_hz"],
+            phase=dcfg["phase_rad"])
     scfg = config["source"]
-    source = line.SourceSpec(
-        kind=scfg["kind"],
-        omega=TWO_PI * scfg["freq_hz"],
-        amplitude=scfg["amplitude_volts"],
-        t_center=scfg["t_center_s"],
-        t_width=scfg["t_width_s"],
-        port=scfg["port"],
-        ramp_periods=scfg["ramp_periods"])
+    with _keys(kind="source.kind", port="source.port",
+               amplitude="source.amplitude_volts", omega="source.freq_hz",
+               t_width="source.t_width_s"):
+        source = line.SourceSpec(
+            kind=scfg["kind"],
+            omega=TWO_PI * scfg["freq_hz"],
+            amplitude=scfg["amplitude_volts"],
+            t_center=scfg["t_center_s"],
+            t_width=scfg["t_width_s"],
+            port=scfg["port"],
+            ramp_periods=scfg["ramp_periods"])
     rcfg = config["run"]
     with _keys(cfl_safety="run.cfl_safety",
                blowup_factor="run.blowup_factor"):
@@ -189,15 +196,23 @@ def run_line_sim(config: dict, out_dir: Path):
         raise ConfigError(f"unknown spectrum mode {spectrum_mode!r}")
     if rcfg["n_harmonics"] < 1:
         raise ConfigError("'run.n_harmonics' must be >= 1")
-    if spectrum_mode == "temporal" and \
-            rcfg["window_start_s"] < rcfg["t_end_s"]:
-        raise ConfigError("temporal mode needs 'run.window_start_s' at or "
-                          "after 'run.t_end_s'")
     if rcfg["wavepacket"] and len(rcfg["snapshot_times_s"]) < 2:
         raise ConfigError("wavepacket needs >= 2 'run.snapshot_times_s'")
-    with _keys(t_end="run.t_end_s", snapshot_times="run.snapshot_times_s"):
-        states = sim.run_until(rcfg["t_end_s"], rcfg["snapshot_times_s"])
-    final = sim.state()
+    n_max = rcfg["n_harmonics"]
+    with _keys(t_end="run.t_end_s", snapshot_times="run.snapshot_times_s",
+               probe="run.probe_m", window_start="run.window_start_s",
+               window_end="run.window_end_s"):
+        if spectrum_mode == "temporal":
+            # the probe is recorded in the same pass as the snapshots,
+            # past t_end when the window ends later
+            states, record = sim.run_until(
+                rcfg["t_end_s"], rcfg["snapshot_times_s"],
+                probe=rcfg["probe_m"],
+                window=(rcfg["window_start_s"], rcfg["window_end_s"]))
+            report = line.temporal_harmonics(record, sim, rcfg["probe_m"],
+                                             n_max)
+        else:
+            states = sim.run_until(rcfg["t_end_s"], rcfg["snapshot_times_s"])
 
     files = []
     z_mid = (np.arange(geom.n_cells) + 0.5) * geom.dz
@@ -206,15 +221,10 @@ def run_line_sim(config: dict, out_dir: Path):
         files.append(io.write_csv(out_dir / f"snapshot_{k:03d}.csv",
                                   "z_m,v_volts,i_amps", [z_mid, v_mid, st.i]))
 
-    n_max = rcfg["n_harmonics"]
     f_src = source.omega / TWO_PI
     if spectrum_mode == "spatial":
-        report = line.spatial_harmonics(final, geom, drive, source.omega,
-                                        n_max=n_max)
-    elif spectrum_mode == "temporal":
-        report = line.harmonic_spectrum(
-            sim, rcfg["probe_m"],
-            (rcfg["window_start_s"], rcfg["window_end_s"]), n_max=n_max)
+        report = line.spatial_harmonics(sim.state(), geom, drive,
+                                        source.omega, n_max=n_max)
     if spectrum_mode != "none":
         n = np.asarray(report.harmonic_index)
         files.append(io.write_csv(
@@ -361,7 +371,8 @@ def _noise_model(kind: str, section: str, cfg: dict) -> nonmarkov.NoiseModel:
         common.update(filter_center=cfg["filter_center_hz"],
                       filter_depth=cfg["filter_depth_db"])
     with _keys(amplitude=f"{section}.amplitude_rad2_per_s2",
-               n_components=f"{section}.n_components"):
+               n_components=f"{section}.n_components",
+               f_min=f"{section}.f_min_hz", f_max=f"{section}.f_max_hz"):
         return nonmarkov.NoiseModel(kind=kind, **common)
 
 

@@ -37,15 +37,21 @@ class FluxDrive:
     margin: float = 0.05         # keep-out from the secant singularity [rad]
 
     def __post_init__(self):
-        if self.phi_rf_tilde < 0.0:
-            raise ConfigError("phi_rf_tilde must be nonnegative")
         if self.margin <= 0.0:
             raise ConfigError("margin must be positive")
-        reach = abs(self.phi_dc_tilde) + self.phi_rf_tilde
-        if reach >= HALF_PI - self.margin:
+        limit = HALF_PI - self.margin
+        if abs(self.phi_dc_tilde) >= limit:
             raise ConfigError(
-                f"flux excursion {reach:.4f} rad reaches within {self.margin} "
-                "of the secant singularity at pi/2")
+                f"phi_dc_tilde = {self.phi_dc_tilde:.4f} rad lies within "
+                f"{self.margin} of the secant singularity at pi/2")
+        if self.phi_rf_tilde < 0.0:
+            raise ConfigError("phi_rf_tilde must be nonnegative")
+        reach = abs(self.phi_dc_tilde) + self.phi_rf_tilde
+        if reach >= limit:
+            raise ConfigError(
+                f"phi_rf_tilde = {self.phi_rf_tilde:.4f} rad takes the flux "
+                f"excursion to {reach:.4f} rad, within {self.margin} of the "
+                "secant singularity at pi/2")
 
 
 @dataclass(frozen=True)
@@ -59,8 +65,9 @@ class LineGeometry:
     def __post_init__(self):
         if self.n_cells < 16:
             raise ConfigError("n_cells must be >= 16")
-        if self.dz <= 0 or self.c_per_length <= 0 or self.i0 <= 0:
-            raise ConfigError("dz, c_per_length, i0 must be positive")
+        for name in ("dz", "c_per_length", "i0"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be positive")
 
     @property
     def length(self) -> float:
@@ -88,15 +95,15 @@ class SourceSpec:
 
     def __post_init__(self):
         if self.kind not in ("continuous-wave", "gaussian-pulse"):
-            raise ConfigError(f"unknown source kind {self.kind!r}")
+            raise ConfigError(f"kind {self.kind!r} is not a source kind")
         if self.port not in ("left", "right"):
-            raise ConfigError(f"unknown port {self.port!r}")
+            raise ConfigError(f"port {self.port!r} is not left or right")
         if self.amplitude <= 0.0:
             raise ConfigError("amplitude must be positive")
         if self.omega <= 0.0:
             raise ConfigError("omega must be positive")
         if self.kind == "gaussian-pulse" and self.t_width <= 0.0:
-            raise ConfigError("gaussian pulse needs t_width > 0")
+            raise ConfigError("t_width must be positive for a gaussian pulse")
 
 
 @dataclass
@@ -170,14 +177,14 @@ class Simulator:
         self.dt = dt
         n = geom.n_cells
         self.v = np.zeros(n + 1)
-        self.flux = np.zeros(n)
+        self._psi = np.zeros(n)      # flux/dt, the stepper's own state
         self._i = np.zeros(n)
         self.t_index = 0
 
         z_branch = (np.arange(n) + 0.5) * geom.dz
         self._mod_phase = drive.kappa_s * z_branch + drive.phase
-        self._sin_mp = np.sin(self._mod_phase)
-        self._cos_mp = np.cos(self._mod_phase)
+        self._series, self._basis = _step_numpy.modulation_series(
+            drive.phi_dc_tilde, drive.phi_rf_tilde, self._mod_phase)
 
         # matched termination at the dc operating point (rf off)
         l_dc_per_len, self.v_dc = _dc_line(geom, drive)
@@ -197,8 +204,15 @@ class Simulator:
     def t(self) -> float:
         return self.t_index * self.dt
 
+    @property
+    def flux(self) -> np.ndarray:
+        """Branch flux [Wb] at t - dt/2, a read-only copy of the state."""
+        flux = self._psi * self.dt
+        flux.flags.writeable = False
+        return flux
+
     def state(self) -> LineState:
-        return LineState(t=self.t, v=self.v.copy(), flux=self.flux.copy(),
+        return LineState(t=self.t, v=self.v.copy(), flux=self._psi * self.dt,
                          i=self._i.copy(), step_index=self.t_index)
 
     def _advance(self, n_steps: int, probe_idx=None):
@@ -210,9 +224,16 @@ class Simulator:
         self._advance(1)
         return self.state()
 
-    def run_until(self, t_end: float, snapshot_times=()) -> list[LineState]:
+    def run_until(self, t_end: float, snapshot_times=(), probe=None,
+                  window=None):
         """Advance to t_end, returning states at the steps nearest the
-        requested snapshot times (actual time recorded in each state)."""
+        requested snapshot times (actual time recorded in each state).
+
+        With a probe position [m] and window = (t0, t1) [s], the same pass
+        records the branch current at the probe over the window's steps,
+        going on past t_end when t1 is later, and returns (states, record);
+        the window starts at or after the current time and spans at least
+        8 source periods."""
         end_step = int(round(t_end / self.dt))
         if end_step <= self.t_index:
             raise ConfigError(
@@ -228,12 +249,33 @@ class Simulator:
                     f"snapshot_times entry {ts} outside (t_now, t_end]")
             steps.append(min(max(int(round(ts / self.dt)), self.t_index + 1),
                              end_step))
-        out = []
-        for s in steps:
-            self._advance(s - self.t_index)
-            out.append(self.state())
-        self._advance(end_step - self.t_index)
-        return out
+        stops = {*steps, end_step}
+        if window is not None:
+            branch = [_probe_branch(self.geom, probe)]
+            rec_lo, rec_hi = self._window_steps(*window)
+            stops |= {rec_lo, rec_hi}
+        out, recs = [], []
+        for stop in sorted(stops):
+            inside = window is not None and rec_lo <= self.t_index < rec_hi
+            rec = self._advance(stop - self.t_index,
+                                branch if inside else None)
+            if rec is not None:
+                recs.append(rec[:, 0])
+            out += [self.state() for s in steps if s == stop]
+        return out if window is None else (out, np.concatenate(recs))
+
+    def _window_steps(self, t0: float, t1: float) -> tuple[int, int]:
+        """The steps [lo, hi) of a probe window."""
+        if t0 < self.t:
+            raise ConfigError(
+                f"window_start {t0:.3e} s is before the current time "
+                f"{self.t:.3e} s")
+        period = 2.0 * math.pi / self.source.omega
+        if t1 - t0 < 8.0 * period:
+            raise ConfigError(
+                f"window_end {t1:.3e} s is less than 8 source periods "
+                f"({8.0 * period:.3e} s) after window_start {t0:.3e} s")
+        return int(round(t0 / self.dt)), int(round(t1 / self.dt))
 
     def record_probe(self, branch_indices, n_steps: int) -> np.ndarray:
         """Advance n_steps recording branch currents each half step;
@@ -272,24 +314,22 @@ def _step_runs(sims: list[Simulator], n_steps: int, probes=None):
     psi, j = np.zeros(v.size + 1), np.zeros(v.size + 1)
     psi_cells, j_cells = (a[1:].reshape(len(sims), n + 1)[:, :n]
                           for a in (psi, j))
-    psi_cells[:] = [s.flux / dt for s in sims]
+    psi_cells[:] = [s._psi for s in sims]
     flat = rec = None
     if probes is not None:
         cols = [np.asarray(p, dtype=np.int64) for p in probes]
         flat = np.concatenate([r * (n + 1) + 1 + c
                                for r, c in enumerate(cols)])
         rec = np.empty((n_steps, flat.size))
-    drive = head.drive
     bad = _step_numpy.step_block(
-        v, psi, j, head._sin_mp, head._cos_mp,
-        drive.phi_dc_tilde, drive.phi_rf_tilde, drive.omega_s, dt,
+        v, psi, j, head._series, head._basis, head.drive.omega_s, dt,
         head._tab_scale, head._a_end,
         [s._source_row for s in sims], head.ceiling, head.t_index,
         n_steps, flat, rec)
     i_scale = head.geom.c_cell / dt
     for s, v_r, psi_r, j_r in zip(sims, v.reshape(len(sims), n + 1),
                                   psi_cells, j_cells):
-        s.v[:], s.flux[:], s._i[:] = v_r, psi_r * dt, j_r * i_scale
+        s.v[:], s._psi[:], s._i[:] = v_r, psi_r, j_r * i_scale
         s.t_index = bad + 1 if bad >= 0 else s.t_index + n_steps
     if bad >= 0:
         raise NumericalError(
@@ -356,22 +396,19 @@ def _binned_power(x: np.ndarray, dt: float, f_targets, half_width: int = 0):
 def harmonic_spectrum(sim: Simulator, probe: float, window,
                       n_max: int = 6) -> SpectrumReport:
     """Advance the simulator over `window` = (t0, t1), recording the current
-    at `probe`, and bin Hann-tapered spectral power at the harmonics of the
-    source tone. dBc values are relative to n = 1."""
-    t0, t1 = window
-    period = 2.0 * math.pi / sim.source.omega
-    if t1 - t0 < 8.0 * period:
-        raise ConfigError(
-            f"window {t1 - t0:.3e} s shorter than 8 source periods")
-    if t0 < sim.t:
-        raise ConfigError("window starts before the current simulator time")
-    b = _probe_branch(sim.geom, probe)
-    sim._advance(int(round(t0 / sim.dt)) - sim.t_index)
-    n_rec = int(round(t1 / sim.dt)) - sim.t_index
-    rec = sim.record_probe([b], n_rec)[:, 0]
+    at `probe`, and bin its spectrum with temporal_harmonics."""
+    _, record = sim.run_until(window[1], probe=probe, window=window)
+    return temporal_harmonics(record, sim, probe, n_max)
 
+
+def temporal_harmonics(record: np.ndarray, sim: Simulator, probe: float,
+                       n_max: int = 6) -> SpectrumReport:
+    """Hann-tapered spectral power of a probe record (one current per
+    step, as run_until returns it) at the harmonics of the source tone.
+    dBc values are relative to n = 1."""
     f1 = sim.source.omega / (2.0 * math.pi)
-    powers = _binned_power(rec, sim.dt, [n * f1 for n in range(1, n_max + 1)])
+    powers = _binned_power(record, sim.dt,
+                           [n * f1 for n in range(1, n_max + 1)])
     p1 = powers[0]
     if p1 <= 0.0:
         raise NumericalError("no power at the fundamental; cannot form dBc")
@@ -381,7 +418,7 @@ def harmonic_spectrum(sim: Simulator, probe: float, window,
         harmonic_index=list(range(1, n_max + 1)),
         power_dbc=dbc,
         absolute_power=powers,
-        probe_position=(b + 0.5) * sim.geom.dz)
+        probe_position=(_probe_branch(sim.geom, probe) + 0.5) * sim.geom.dz)
 
 
 def _spatial_bands(state: LineState, geom: LineGeometry, drive: FluxDrive,

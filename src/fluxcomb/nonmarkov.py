@@ -188,8 +188,10 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("one-over-f", "filtered"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 < self.f_min < self.f_max:
-            raise ConfigError("need 0 < f_min < f_max")
+        if not self.f_min > 0.0:
+            raise ConfigError("f_min must be > 0")
+        if not self.f_max > self.f_min:
+            raise ConfigError("f_max must be > f_min")
         if self.n_components < 100:
             raise ConfigError("n_components must be >= 100")
         if self.amplitude < 0.0:

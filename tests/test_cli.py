@@ -188,6 +188,18 @@ class TestScenarioOutputs:
         assert float(rows[0][2]) == 0.0
         assert float(rows[1][1]) == pytest.approx(6e9)
 
+    def test_line_sim_temporal_on_defaults(self, tmp_path):
+        """The default window, 2.7-5.4 ns, ends at t_end: recorded in the
+        same pass as the run."""
+        code = cli.main(["line-sim", "--out", str(tmp_path),
+                         "--set", "run.spectrum=temporal"])
+        assert code == 0
+        header, rows = read_rows(tmp_path / "spectrum.csv")
+        assert header == "n,freq_hz,power_dbc,power_abs"
+        assert [r[0] for r in rows] == [str(n) for n in range(1, 7)]
+        assert float(rows[0][2]) == 0.0
+        assert all(float(r[2]) < 0.0 for r in rows[1:])
+
     def test_scalability_models(self, tmp_path):
         code = cli.main(["scalability", "--out", str(tmp_path),
                          "--set", "n_min=1", "--set", "n_max=3"])
@@ -282,7 +294,10 @@ class TestExitCodes:
         ("nonmarkov", "compare_markovian=0", "compare_markovian"),
         ("scalability", "models=reciprocal", "models"),
         ("spectroscopy", "spectrum.n_avg=0", "spectrum.n_avg"),
-        ("line-sim", "run.spectrum=temporal", "run.window_start_s"),
+        pytest.param("line-sim",
+                     ["run.spectrum=temporal", "run.window_start_s=-1e-9"],
+                     "'run.window_start_s'",
+                     id="line-sim-temporal-window-before-start"),
         ("line-sim", "run.n_harmonics=0", "run.n_harmonics"),
         ("scalability", "models=[]", "models"),
         ("nonmarkov", "smoothing_window=5001", "smoothing_window"),
@@ -327,6 +342,19 @@ class TestExitCodes:
         ("nonmarkov", "kernel.gamma_memory_hz=0", "'kernel.gamma_memory_hz'"),
         ("addressing", "n_levels=0", "'n_levels'"),
         ("addressing", "ec_hz=0", "'ec_hz'"),
+        ("line-sim", "geometry.n_cells=8", "'geometry.n_cells'"),
+        ("line-sim", "geometry.dz_m=0", "'geometry.dz_m'"),
+        ("line-sim", "source.amplitude_volts=0", "'source.amplitude_volts'"),
+        ("line-sim", "drive.phi_dc=1.6", "'drive.phi_dc'"),
+        ("line-sim", "drive.phi_rf=1.2", "'drive.phi_rf'"),
+        ("spectroscopy", "one_over_f.f_min_hz=0", "'one_over_f.f_min_hz'"),
+        ("spectroscopy", "filtered.f_max_hz=1e3", "'filtered.f_max_hz'"),
+        pytest.param("line-sim",
+                     ["run.spectrum=temporal", "run.window_end_s=3e-9"],
+                     "'run.window_end_s'",
+                     id="line-sim-temporal-window-short"),
+        pytest.param("line-sim", ["run.spectrum=temporal", "run.probe_m=1"],
+                     "'run.probe_m'", id="line-sim-temporal-probe-outside"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
                                assignment, key):

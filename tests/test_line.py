@@ -183,6 +183,43 @@ class TestHarmonics:
         assert rep.power_dbc[0] == 0.0
         assert all(p < -100.0 for p in rep.power_dbc[1:])
 
+    @pytest.mark.parametrize("window", [(2.7e-9, 5.5e-9),
+                                        (3.05e-9, 6.05e-9)])
+    def test_one_pass_spectrum_equals_two_passes(self, window):
+        """run_until records the probe over the window in the same pass as
+        the snapshots, going past t_end when the window ends later. Bit
+        for bit, that equals the run followed by harmonic_spectrum when
+        the window starts after t_end, and the same steps taken in separate
+        calls, one recording the whole window, when it starts before."""
+        g = line.LineGeometry()
+        d = line.default_drive(0.6, 0.6, g)
+        probe, t_end, snaps = 0.9 * g.length, 3e-9, [1e-9, 2.5e-9]
+        one = line.build_line(g, d, cw_source())
+        states, record = one.run_until(t_end, snaps, probe=probe,
+                                       window=window)
+        got = line.temporal_harmonics(record, one, probe)
+        assert one.t_index == round(max(t_end, window[1]) / one.dt)
+
+        two = line.build_line(g, d, cw_source())
+        if window[0] >= t_end:
+            ref_states = two.run_until(t_end, snaps)
+            want = line.harmonic_spectrum(two, probe, window)
+        else:
+            stops = [round(t / two.dt) for t in (*snaps, window[0])]
+            ref_states = []
+            for stop in stops:
+                two._advance(stop - two.t_index)
+                ref_states.append(two.state())
+            rec = two.record_probe([line._probe_branch(g, probe)],
+                                   round(window[1] / two.dt) - two.t_index)
+            want = line.temporal_harmonics(rec[:, 0], two, probe)
+            ref_states.pop()
+        assert got == want
+        for a, b in zip(states, ref_states):
+            np.testing.assert_array_equal(a.v, b.v)
+            np.testing.assert_array_equal(a.i, b.i)
+        np.testing.assert_array_equal(one.v, two.v)
+
     def test_window_too_short_rejected(self):
         g = line.LineGeometry()
         sim = line.build_line(g, quiet_drive(), cw_source())

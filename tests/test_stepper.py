@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fluxcomb import line
-from fluxcomb.errors import NumericalError
+from fluxcomb.errors import ConfigError, NumericalError
 
 
 def _source_value(kind, t, amp, omega, t_center, t_width, ramp):
@@ -75,7 +75,7 @@ def make_sim(kind="continuous-wave", port="left", blowup_factor=1e6,
     sim = line.build_line(geom, drive, src, blowup_factor=blowup_factor)
     rng = np.random.default_rng(seed)
     sim.v[:] = rng.normal(scale=1e-7, size=N_CELLS + 1)
-    sim.flux[:] = rng.normal(scale=1e-16, size=N_CELLS)
+    sim._psi[:] = rng.normal(scale=1e-16, size=N_CELLS) / sim.dt
     return sim
 
 
@@ -117,7 +117,7 @@ def test_ceiling_trip_matches_reference():
     # ceiling^2 while every |v| is under it, so both tests run
     sim = make_sim(blowup_factor=0.6)
     sim.v[:] = 0.0
-    sim.flux[:] = 0.0
+    sim._psi[:] = 0.0
     bad, v, flux, i, _ = reference_advance(sim, 400)
     assert bad > line._step_numpy.BLOCK
     with pytest.raises(NumericalError, match=f"at step {bad} "):
@@ -135,7 +135,7 @@ def test_one_node_just_over_ceiling_trips():
     def excited(blowup_factor):
         sim = make_sim(blowup_factor=blowup_factor)
         sim.v[:] = 0.0
-        sim.flux[:] = 0.0
+        sim._psi[:] = 0.0
         sim.v[30] = 1e-6
         return sim
 
@@ -151,7 +151,7 @@ def test_one_node_just_over_ceiling_trips():
 def test_nan_trip_matches_reference():
     sim = make_sim()
     sim._advance(40)
-    sim.flux[17] = np.nan
+    sim._psi[17] = np.nan
     bad, v, flux, i, _ = reference_advance(sim, 100)
     assert bad == 40
     with pytest.raises(NumericalError, match="at step 40 "):
@@ -206,7 +206,7 @@ def test_three_row_batch_isolates_its_seams():
     for sim in (trio[0], single[0]):
         scale = 0.9 * sim.ceiling / np.max(np.abs(sim.v))
         sim.v *= scale
-        sim.flux *= scale
+        sim._psi *= scale
     with pytest.raises(NumericalError) as failed:
         line._step_runs(trio, 100)
     bad = int(re.search(r"at step (\d+) ", str(failed.value)).group(1))
@@ -270,3 +270,86 @@ def test_isolation_report_equals_sequential_runs():
     for k, h in enumerate((1, 2, 3)):
         want = 10.0 * math.log10(powers[0][k] / powers[1][k])
         assert abs(got[h] - want) <= 1e-9
+
+
+def test_result_does_not_depend_on_call_splits():
+    """Table blocks sit on absolute multiples of BLOCK and are computed
+    whole, and the state stays scaled between calls, so a run taken in one
+    call, in 1-step calls, in uneven pieces or through run_until snapshot
+    stops ends bit for bit the same, with the same probe record."""
+    probes = [5, 40]
+    whole = make_sim()
+    rec = whole.record_probe(probes, 300)
+    for pieces in ([1] * 300, [1, 7, 100, 63, 129]):
+        sim = make_sim()
+        got = np.concatenate([sim.record_probe(probes, k) for k in pieces])
+        np.testing.assert_array_equal(got, rec)
+        assert_same_state(sim, whole)
+
+    sim = make_sim()
+    snaps = [1, 2, 63, 64, 65, 130, 299]
+    states = sim.run_until(300 * sim.dt, [k * sim.dt for k in snaps])
+    assert [st.step_index for st in states] == snaps
+    assert_same_state(sim, whole)
+
+
+# ------------------------------------------------- the modulation series
+
+HALF_PI = 0.5 * math.pi
+
+# (phi_dc, phi_rf) over the admissible range at the default 0.05 margin:
+# rf off (M = 0), negative phi_dc, and phi_rf at the secant guard
+SERIES_DRIVES = [(0.6, 0.0), (-1.2, 0.0), (0.0, 0.1), (0.6, 0.6),
+                 (-0.6, 0.6), (0.0, 1.5), (-1.5, 0.02),
+                 (0.0, HALF_PI - 0.05 - 1e-12),
+                 (-0.9, HALF_PI - 0.95 - 1e-12),
+                 (1.3, HALF_PI - 1.35 - 1e-12)]
+
+
+@pytest.mark.parametrize("phi_dc,phi_rf", SERIES_DRIVES)
+def test_series_coefficients_are_jacobi_anger(phi_dc, phi_rf):
+    from scipy.special import jv
+    series, basis = line._step_numpy.modulation_series(
+        phi_dc, phi_rf, np.zeros(3))
+    m = np.arange(series.size)
+    want = jv(m, phi_rf) * np.where(m % 2 == 0, math.cos(phi_dc),
+                                    1j * math.sin(phi_dc))
+    assert np.max(np.abs(series - want)) <= 1e-15
+    assert basis.shape == (2 * series.size - 1, 3)
+    if phi_rf == 0.0:
+        assert series.size == 1
+
+
+@pytest.mark.parametrize("phi_dc,phi_rf", SERIES_DRIVES)
+@pytest.mark.parametrize("k0", [0, 64, 640])
+def test_series_table_equals_cos(phi_dc, phi_rf, k0):
+    """The table rows equal cos(phi_dc + phi_rf sin x), x = theta - omega
+    th, within 4 eps (1 + max |x|): the rounding of an argument of that
+    size, which both sides make."""
+    theta = np.linspace(0.0, 6.0 * math.pi, 301)
+    omega, dt = 2.0 * math.pi * 3e9, 5e-12
+    series, basis = line._step_numpy.modulation_series(phi_dc, phi_rf,
+                                                       theta)
+    coef = line._step_numpy.TableCoefficients(series, omega, dt, 1.0)
+    got = coef.at(k0) @ basis
+    th = (np.arange(k0, k0 + line._step_numpy.BLOCK) + 0.5) * dt
+    x = theta - omega * th[:, None]
+    want = np.cos(phi_dc + phi_rf * np.sin(x))
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(got - want)) <= 4.0 * eps * (1.0 + np.abs(x).max())
+
+
+def test_series_length_stays_under_nyquist():
+    """M stays below SERIES_SAMPLES // 2 = 32 over the admissible range;
+    a drive beyond it raises rather than alias."""
+    rng = np.random.default_rng(3)
+    top = 0
+    for _ in range(2000):
+        phi_dc = rng.uniform(-HALF_PI, HALF_PI)
+        phi_rf = (HALF_PI - abs(phi_dc)) * rng.uniform(0.0, 1.0 - 1e-12)
+        series, _ = line._step_numpy.modulation_series(phi_dc, phi_rf,
+                                                       np.zeros(1))
+        top = max(top, series.size - 1)
+    assert top < line._step_numpy.SERIES_SAMPLES // 2
+    with pytest.raises(ConfigError, match="phi_rf_tilde"):
+        line._step_numpy.modulation_series(0.0, 20.0, np.zeros(1))
