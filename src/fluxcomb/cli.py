@@ -148,7 +148,7 @@ def _keys(**fields):
 
 def _grid(spec: dict, what: str) -> np.ndarray:
     if spec["n"] < 1:
-        raise ConfigError(f"{what} grid needs n >= 1")
+        raise ConfigError(f"'{what}.n' must be >= 1")
     return np.linspace(spec["start"], spec["stop"], spec["n"])
 
 
@@ -250,7 +250,8 @@ def run_flux_sweep(config: dict, out_dir: Path):
     if not idx:
         raise ConfigError("'harmonic_indices' must name at least one harmonic")
     with _keys(harmonic_indices="harmonic_indices",
-               omega_m="modulation_freq_hz", ec="ec_hz"):
+               harmonic="harmonic_indices", omega_m="modulation_freq_hz",
+               ec="ec_hz"):
         array = budget.QubitArraySpec(n_qubits=len(idx), omega_m=omega_m,
                                       harmonic_indices=idx)
         qubits = transmon.default_comb_qubits(omega_m, idx,
@@ -269,7 +270,8 @@ def run_flux_sweep(config: dict, out_dir: Path):
 def run_addressing(config: dict, out_dir: Path):
     omega_m = TWO_PI * config["modulation_freq_hz"]
     bias = config["bias_phi_dc"]
-    with _keys(ec="ec_hz", n_levels="n_levels"):
+    with _keys(ec="ec_hz", n_levels="n_levels",
+               harmonic="harmonic_index"):
         spec = transmon.default_comb_qubits(
             omega_m, (config["harmonic_index"],),
             ec=config["ec_hz"], bias_targets=[bias])[0]
@@ -320,8 +322,10 @@ def run_error_budget(config: dict, out_dir: Path):
 def run_scalability(config: dict, out_dir: Path):
     array = _array_from_config(config["array"])
     n_min, n_max = config["n_min"], config["n_max"]
-    if not 1 <= n_min <= n_max:
-        raise ConfigError("need 1 <= n_min <= n_max")
+    if n_min < 1:
+        raise ConfigError("'n_min' must be >= 1")
+    if n_max < n_min:
+        raise ConfigError("'n_max' must be >= 'n_min'")
     if not config["models"]:
         raise ConfigError("'models' must name at least one bus model")
     n_range = range(n_min, n_max + 1)
@@ -344,7 +348,7 @@ def run_nonmarkov(config: dict, out_dir: Path):
             amplitude_a=kcfg["amplitude_over_gamma_sq"] * gm * gm,
             gamma_memory=gm, markovian_gamma=kcfg["markovian_ratio"] * gm)
     if config["n_points"] < 5:
-        raise ConfigError("n_points must be >= 5")
+        raise ConfigError("'n_points' must be >= 5")
     if not config["t_end_s"] > 0.0:
         raise ConfigError("'t_end_s' must be > 0")
     t = np.linspace(0.0, config["t_end_s"], config["n_points"])
@@ -381,7 +385,7 @@ def run_spectroscopy(config: dict, out_dir: Path):
     n_real = config["n_realizations"]
     tcfg, pcfg = config["tau"], config["spectrum"]
     if tcfg["n"] < 2:
-        raise ConfigError("tau grid needs n >= 2")
+        raise ConfigError("'tau.n' must be >= 2")
     if pcfg["n_avg"] < 1:
         raise ConfigError("'spectrum.n_avg' must be >= 1")
     for key in ("start_s", "stop_s"):

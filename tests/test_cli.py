@@ -23,6 +23,24 @@ def read_rows(path):
     return lines[0], [ln.split(",") for ln in lines[1:]]
 
 
+def format_table(header: str, columns) -> bytes:
+    """The bytes io.write_csv must write: the header, then format_cell of
+    every cell."""
+    return (header + "\n" + "".join(
+        ",".join(map(format_cell, row)) + "\n" for row in zip(*columns))
+            ).encode()
+
+
+def assert_renders_as_format_cell(tmp_path, columns) -> bytes:
+    """Write `columns` with io.write_csv and check its bytes against
+    format_table; returns the expected bytes."""
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    path = io.write_csv(tmp_path / "t.csv", header, columns)
+    want = format_table(header, columns)
+    assert path.read_bytes() == want
+    return want
+
+
 def format_cell(value) -> str:
     """The per-cell rendering io.write_csv must reproduce byte for byte."""
     if isinstance(value, str):
@@ -105,9 +123,8 @@ class TestScenarioOutputs:
                                  sort_keys=True) + "\n"
 
     def test_csv_columns_render_as_format_cell(self, tmp_path):
-        """Columns written block by block, each distinct value formatted
-        once, read exactly as format_cell renders every cell on its own,
-        across both block boundaries."""
+        """Columns written block by block read exactly as format_cell
+        renders every cell on its own, across both block boundaries."""
         n = 2 * io.CSV_BLOCK + 1
         rng = np.random.default_rng(0)
         floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
@@ -121,12 +138,79 @@ class TestScenarioOutputs:
                    [k % 7 - 3 for k in range(n)],
                    [f"s{k % 3}" for k in range(n)],
                    np.float32(0.1) * np.arange(n, dtype=np.float32)]
-        path = io.write_csv(tmp_path / "t.csv", "a,b,c,d,e,f", columns)
-        want = "a,b,c,d,e,f\n" + "".join(
-            ",".join(map(format_cell, row)) + "\n" for row in zip(*columns))
-        assert path.read_bytes() == want.encode()
+        want = assert_renders_as_format_cell(tmp_path, columns)
         # the oracle itself keeps the sign of -0.0
-        assert "\n-0.000000000000e+00,-0.000000000000e+00," in want
+        assert b"\n-0.000000000000e+00,-0.000000000000e+00," in want
+
+    def test_csv_floats_at_rounding_edges(self, tmp_path):
+        """Exact decimal ties (rounded half to even), one ulp either side
+        of each power of ten, carries into the next decade, subnormals and
+        the largest double, against format_cell."""
+        k = np.arange(-300, 301)
+        # a 14th significant digit of exactly 5 at E = 12, 13 and 14
+        m = np.random.default_rng(3).integers(10**12, 10**13, 300)
+        ties = np.concatenate([m + 0.5, 10.0 * m + 5.0, 100.0 * m + 50.0])
+        powers = np.array([float(f"1e{e}") for e in k])
+        carries = np.array([float(f"9.9999999999995e{e}") for e in k])
+        edges = np.concatenate([
+            [1234567890123.5, 1234567890124.5, 2.5e-1, 0.125, 1.5,
+             -2.5e-1, 9.5, 1e23, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308],
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            -powers, carries, np.nextafter(carries, 0.0),
+            np.nextafter(carries, np.inf), -carries,
+            np.arange(1, 2000) * 5e-324, ties, -ties])
+        assert_renders_as_format_cell(tmp_path, [edges, edges[::-1]])
+
+    def test_csv_random_bit_patterns(self, tmp_path):
+        """200k doubles drawn as random 64-bit patterns: every exponent,
+        NaN payloads and infinities included."""
+        rng = np.random.default_rng(10)
+        bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64,
+                            endpoint=False).view(np.float64)
+        assert_renders_as_format_cell(tmp_path, [bits])
+
+    def test_csv_integer_str_and_empty_columns(self, tmp_path):
+        info = np.iinfo(np.int64)
+        ints = np.array([info.min, info.max, -1, 0, 1, 9999, -10000,
+                         10**16, -10**16 + 1], np.int64)
+        big = np.array([2**64 - 1, 2**63, 0, 1, 10**19, 9999, 10**4, 7, 8],
+                       np.uint64)
+        small = np.array([-128, 127, 0, 1, -1, 5, 50, 99, 100], np.int8)
+        text = ["Ω", "é,e", "", "日本", "a", "zz", "µs", "x" * 9, "n"]
+        f32 = np.array([0.1, -2.5, 3e38, 1e-45, 0.0, -0.0, np.inf, 1.0,
+                        np.nan], np.float32)
+        assert_renders_as_format_cell(tmp_path,
+                                      [ints, big, small, text, f32])
+        path = io.write_csv(tmp_path / "empty.csv", "a,b",
+                            [np.zeros(0), np.zeros(0, np.int64)])
+        assert path.read_bytes() == b"a,b\n"
+
+    @pytest.mark.parametrize("scenario,sets", [
+        *(pytest.param(name, [], id=name) for name in cli.SCENARIOS),
+        pytest.param("line-sim", ["--set", "run.spectrum=temporal"],
+                     id="line-sim-temporal")])
+    def test_scenario_csvs_render_as_format_cell(self, tmp_path,
+                                                 monkeypatch, scenario,
+                                                 sets):
+        """Every CSV a scenario writes on its packaged defaults, byte for
+        byte against format_cell on the columns it was given."""
+        write_csv, written = io.write_csv, []
+
+        def checked(path, header, columns):
+            columns = list(columns)
+            path = write_csv(path, header, columns)
+            assert path.read_bytes() == format_table(header, columns), \
+                path.name
+            written.append(path.name)
+            return path
+
+        monkeypatch.setattr(io, "write_csv", checked)
+        assert cli.main([scenario, "--out", str(tmp_path), *sets]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(written) == sorted(
+            e["path"] for e in manifest["files"] if e["path"].endswith(".csv"))
+        assert written
 
     def test_csv_rejects_bad_columns(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -135,6 +219,8 @@ class TestScenarioOutputs:
         for bad in ([True, False], np.zeros((2, 2)), [1.0, None]):
             with pytest.raises(TypeError):
                 io.write_csv(path, "a", [bad])
+        with pytest.raises(ValueError, match="NUL"):
+            io.write_csv(path, "a", [["a\0b"]])
 
     def test_nonmarkov_files(self, tmp_path):
         code = cli.main(["nonmarkov", "--out", str(tmp_path),
@@ -333,6 +419,14 @@ class TestExitCodes:
                      id="line-sim-t_end-under-one-step"),
         # range errors raised inside the library, named by their key
         ("flux-sweep", "harmonic_indices=[3,2]", "'harmonic_indices'"),
+        ("flux-sweep", "harmonic_indices=[0]", "'harmonic_indices'"),
+        ("addressing", "harmonic_index=0", "'harmonic_index'"),
+        ("flux-sweep", "phi_dc.n=0", "'phi_dc.n'"),
+        ("scalability", "n_min=0", "'n_min'"),
+        pytest.param("scalability", ["n_min=5", "n_max=4"], "'n_max'",
+                     id="scalability-n_max-below-n_min"),
+        ("nonmarkov", "n_points=4", "'n_points'"),
+        ("spectroscopy", "tau.n=1", "'tau.n'"),
         ("error-budget", "array.t_gate_s=0", "'array.t_gate_s'"),
         ("error-budget", "array.t2_intrinsic_s=1", "'array.t2_intrinsic_s'"),
         ("error-budget", "array.lambda_c_m=0", "'array.lambda_c_m'"),
