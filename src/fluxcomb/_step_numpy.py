@@ -46,13 +46,13 @@ No transcendental is taken per cell-step.
 Steps are taken in blocks of BLOCK on absolute multiples of BLOCK, and a
 block's table and source values are always computed whole, from the
 absolute step indices alone. Each step then gets the same arithmetic
-however a run is split into calls. A simulator keeps its BlockTable, the
-coefficient factor and the last block's table, so a call that starts
-inside that block does not rebuild it. The product goes into row 0's
-slots of the table and is copied to the other rows; each row's source
-values are one vector. Per step, the leapfrog is five 1-D ufuncs, the 2B
-row ends are Python floats through memoryviews, and the blowup check is
-one dot product unless that product reaches ceiling^2.
+however a run is split into calls. A simulator builds its coefficient
+factor (TableCoefficients) once; each call allocates its own table. The
+product goes into row 0's slots of the table and is copied to the other
+rows; each row's source values are one vector. Per step, the leapfrog is
+five 1-D ufuncs, the 2B row ends are Python floats through memoryviews,
+and the blowup check is one dot product unless that product reaches
+ceiling^2.
 """
 
 from __future__ import annotations
@@ -136,53 +136,21 @@ class TableCoefficients:
         return self.out
 
 
-class BlockTable:
-    """The modulation table of one block of BLOCK steps, as step_block
-    uses it: one row per step, w_k in every branch slot of every row of
-    the batch and 0 at the ghosts.
-
-    Kept across calls: the coefficient factor is built once, and a call
-    that starts inside the last block computed reuses its table. A block
-    is computed whole from its absolute k0 either way."""
-
-    def __init__(self, series: np.ndarray, basis: np.ndarray,
-                 omega_s: float, dt: float, scale: float):
-        self._coef = TableCoefficients(series, omega_s, dt, scale)
-        self._basis = basis
-        self.n = basis.shape[1]       # cells per row
-        self._table = np.zeros((BLOCK, 0))
-        self._k0 = None
-
-    def at(self, k0: int, size: int) -> np.ndarray:
-        """The (BLOCK, size) table of steps k0 .. k0 + BLOCK - 1 for flat
-        vectors of `size` slots."""
-        if self._table.shape[1] != size:
-            self._table = np.zeros((BLOCK, size))
-            self._k0 = None
-        if k0 != self._k0:
-            cells = self._table[:, :-1].reshape(
-                BLOCK, -1, self.n + 1)[:, :, 1:]
-            tab = cells[:, 0]
-            np.matmul(self._coef.at(k0), self._basis, out=tab)
-            cells[:, 1:] = tab[:, None]
-            self._k0 = k0
-        return self._table
-
-
-def step_block(v, psi, j, block_table: BlockTable, dt, a_end, sources,
-               ceiling, t_index0, n_steps, probe_idx=None,
+def step_block(v, psi, j, coef: TableCoefficients, basis, dt, a_end,
+               sources, ceiling, t_index0, n_steps, probe_idx=None,
                probe_rec=None) -> int:
     """Advance every row n_steps in place, from absolute step t_index0.
 
     v: contiguous (B*(n+1),) voltages; psi, j: contiguous (B*(n+1)+1,)
-    scaled flux and current in the layout above. block_table: the
-    BlockTable of the drive at theta = mod_phase, with the scale
-    dt^2/(C_cell l0). sources: one (left_port, kind, amp, omega, t_center,
-    t_width, ramp) tuple per row. probe_idx: slots of j, recorded each
-    step into the rows of probe_rec. Returns -1, or the absolute step
-    index at which max|v| over all rows left the ceiling (the state is
-    then as of that failed step)."""
-    n = block_table.n
+    scaled flux and current in the layout above, with n = basis.shape[1].
+    coef, basis: the TableCoefficients (scale dt^2/(C_cell l0)) and the
+    basis rows of the drive's modulation_series at theta = mod_phase.
+    sources: one (left_port, kind, amp, omega, t_center, t_width, ramp)
+    tuple per row. probe_idx: slots of j, recorded each step into the rows
+    of probe_rec. Returns -1, or the absolute step index at which max|v|
+    over all rows left the ceiling (the state is then as of that failed
+    step)."""
+    n = basis.shape[1]
     v_lo, v_hi, psi_in = v[:-1], v[1:], psi[1:-1]
     j_lo, j_hi = j[:-1], j[1:]
     dv, di = np.empty(v.size - 1), np.empty_like(v)
@@ -199,10 +167,15 @@ def step_block(v, psi, j, block_table: BlockTable, dt, a_end, sources,
     # clears the step; otherwise the exact max|v| test decides
     ceiling_sq = ceiling * ceiling
 
+    table = np.zeros((BLOCK, psi.size))
+    cells = table[:, :-1].reshape(BLOCK, -1, n + 1)[:, :, 1:]
+    tab = cells[:, 0]
     zeros = [0.0] * BLOCK
     k_end = t_index0 + n_steps
     for k0 in range(t_index0 - t_index0 % BLOCK, k_end, BLOCK):
-        table = block_table.at(k0, psi.size)
+        np.matmul(coef.at(k0), basis, out=tab)
+        cells[:, 1:] = tab[:, None]
+
         th = (np.arange(k0, k0 + BLOCK) + 0.5) * dt
         src_l, src_r = [], []
         for left, kind, *params in sources:

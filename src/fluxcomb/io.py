@@ -6,7 +6,7 @@ a str cell as is, in UTF-8 with LF line endings, so identical
 configurations give byte-identical files.
 
 A block is rendered with no Python formatting per cell. Each column's
-block becomes a (rows, words) uint32 matrix of NUL-padded ASCII; the
+block becomes a (rows, words) uint32 matrix of NUL-padded UTF-8; the
 matrices, a ',' word between columns and a newline word at each row end
 are stacked side by side, and the block goes out in one write as the
 matrix's bytes with the NULs dropped.
@@ -189,20 +189,15 @@ def _int_words(x: np.ndarray) -> np.ndarray:
 
 
 def _str_words(x: np.ndarray) -> np.ndarray:
-    """(rows, k) words of the UTF-8 cells. A str array holds one uint32
-    code point per character, which for ASCII is its byte and three NULs;
-    other text is encoded and padded to whole words."""
-    words = np.ascontiguousarray(x).view(np.uint32).reshape(x.size, -1)
-    if words.max() >= 128:
-        chars = np.char.encode(x, "utf-8")
-        width = -(-chars.itemsize // 4) * 4
-        codes = np.zeros((x.size, width), np.uint8)
-        codes[:, :chars.itemsize] = chars.view(np.uint8).reshape(x.size, -1)
-        words = codes.view(np.uint32)
-    filled = words != 0
+    """(rows, k) words of the UTF-8 cells, each padded with NULs to whole
+    words."""
+    chars = np.char.encode(x, "utf-8")
+    codes = np.zeros((x.size, -(-chars.itemsize // 4) * 4), np.uint8)
+    codes[:, :chars.itemsize] = chars.view(np.uint8).reshape(x.size, -1)
+    filled = codes != 0
     if np.any(filled[:, 1:] & ~filled[:, :-1]):
         raise ValueError("a str cell holds a NUL character")
-    return words
+    return codes.view(np.uint32)
 
 
 def _block_bytes(blocks: list) -> bytes:

@@ -183,10 +183,10 @@ class Simulator:
 
         z_branch = (np.arange(n) + 0.5) * geom.dz
         self._mod_phase = drive.kappa_s * z_branch + drive.phase
-        self._block_table = _step_numpy.BlockTable(
-            *_step_numpy.modulation_series(
-                drive.phi_dc_tilde, drive.phi_rf_tilde, self._mod_phase),
-            drive.omega_s, dt, dt * dt / (geom.c_cell * geom.l0))
+        series, self._basis = _step_numpy.modulation_series(
+            drive.phi_dc_tilde, drive.phi_rf_tilde, self._mod_phase)
+        self._coef = _step_numpy.TableCoefficients(
+            series, drive.omega_s, dt, dt * dt / (geom.c_cell * geom.l0))
 
         # matched termination at the dc operating point (rf off)
         l_dc_per_len, self.v_dc = _dc_line(geom, drive)
@@ -323,7 +323,7 @@ def _step_runs(sims: list[Simulator], n_steps: int, probes=None):
                                for r, c in enumerate(cols)])
         rec = np.empty((n_steps, flat.size))
     bad = _step_numpy.step_block(
-        v, psi, j, head._block_table, dt, head._a_end,
+        v, psi, j, head._coef, head._basis, dt, head._a_end,
         [s._source_row for s in sims], head.ceiling, head.t_index,
         n_steps, flat, rec)
     i_scale = head.geom.c_cell / dt

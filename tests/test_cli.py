@@ -219,8 +219,9 @@ class TestScenarioOutputs:
         for bad in ([True, False], np.zeros((2, 2)), [1.0, None]):
             with pytest.raises(TypeError):
                 io.write_csv(path, "a", [bad])
-        with pytest.raises(ValueError, match="NUL"):
-            io.write_csv(path, "a", [["a\0b"]])
+        for cell in ("a\0b", "\0a", "\u00e9\0x", "x\0\u00e9"):
+            with pytest.raises(ValueError, match="NUL"):
+                io.write_csv(path, "a", [["ok", cell]])
 
     def test_nonmarkov_files(self, tmp_path):
         code = cli.main(["nonmarkov", "--out", str(tmp_path),

@@ -293,23 +293,6 @@ def test_result_does_not_depend_on_call_splits():
     assert_same_state(sim, whole)
 
 
-def test_kept_table_follows_the_batch():
-    """A simulator keeps its last block table between calls; a batch of
-    another size in mid-block rebuilds it, and each run still ends bit
-    for bit as in one call."""
-    whole = make_sim(seed=1)
-    whole._advance(100)
-    a, b = make_sim(seed=1), make_sim("gaussian-pulse", "right", seed=2)
-    b_alone = make_sim("gaussian-pulse", "right", seed=2)
-    for sim in (a, b, b_alone):
-        sim._advance(10)
-    line._step_runs([a, b], 20)       # in the block a's lone call used
-    b_alone._advance(20)
-    a._advance(70)
-    assert_same_state(a, whole)
-    assert_same_state(b, b_alone)
-
-
 # ------------------------------------------------- the modulation series
 
 HALF_PI = 0.5 * math.pi
