@@ -19,8 +19,6 @@ from .line import (  # noqa: F401
     Simulator,
     SourceSpec,
     build_line,
-    default_drive,
-    harmonic_spectrum,
     isolation_report,
     spatial_harmonics,
     temporal_harmonics,
@@ -36,7 +34,6 @@ from .transmon import (  # noqa: F401
 from .budget import (  # noqa: F401
     BusIsolationModel,
     QubitArraySpec,
-    budget_decomposition,
     full_budget,
     nonreciprocal_bus,
     reciprocal_bus,
@@ -46,7 +43,6 @@ from .nonmarkov import (  # noqa: F401
     KernelSpec,
     NoiseModel,
     averaged_periodogram,
-    default_kernel,
     evolve_kernel,
     evolve_markovian,
     fit_decay,

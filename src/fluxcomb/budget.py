@@ -2,7 +2,8 @@
 bus: Purcell decay through the bus, engineered dephasing suppression, and
 coherent crosstalk between comb neighbors.
 
-One formula path serves both bus variants; the `kind` field is a label.
+full_budget evaluates the whole comb in one array pass, with one formula
+path for both bus variants; the `kind` field is a label.
 The dimensionless suppression constants and the gain profile are the
 calibration set: tuned once against the target coherence and error bands,
 then frozen here and in the default config.
@@ -15,9 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 TWO_PI = 2.0 * math.pi
+
+# the crosstalk sum holds a few n x n arrays: about 60 MB at 1024 qubits
+MAX_QUBITS = 1024
 
 
 @dataclass(frozen=True)
@@ -36,12 +40,18 @@ class QubitArraySpec:
     lambda_c: float = 12.0               # coupling decay length [m]
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ConfigError("n_qubits must be >= 1")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ConfigError(f"n_qubits must be in 1..{MAX_QUBITS}")
         for name in ("omega_m", "t_gate", "t1_intrinsic", "t2_intrinsic",
                      "lambda_c"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        g_sq = self.g_coupling * self.g_coupling
+        if not math.isfinite(g_sq):
+            raise ConfigError("g_coupling squared is out of float range")
+        if not (self.kappa_bus > 0.0 and math.isfinite(g_sq / self.kappa_bus)):
+            raise ConfigError("kappa_bus must be positive, with "
+                              "g_coupling^2 / kappa_bus in float range")
         if self.t2_intrinsic > 2.0 * self.t1_intrinsic:
             raise ConfigError("t2_intrinsic cannot exceed 2 * t1_intrinsic")
         if self.harmonic_indices is None:
@@ -73,12 +83,11 @@ class BusIsolationModel:
     c0: float                            # residual bus leakage
     delta_bw: float                      # isolation bandwidth [rad/s]
     omega_res: float                     # bus resonance [rad/s]
+    purcell_bw: float                    # Purcell Lorentzian width [rad/s]
     gain_floor: float = 0.5
     gain_peak: float = 2.0
     gain_center: float = None            # default omega_res
     gain_width: float = None             # [rad/s], default 8/13 of omega_res
-    purcell_bw: float = None             # Lorentzian width [rad/s]; None ->
-                                         # the bare bus linewidth kappa
 
     def __post_init__(self):
         if self.kind not in ("reciprocal", "nonreciprocal"):
@@ -89,8 +98,9 @@ class BusIsolationModel:
             raise ConfigError("c_phi must be in (0, 1]")
         if not 0.0 < self.c0 < 1.0:
             raise ConfigError("c0 must be in (0, 1)")
-        if self.delta_bw <= 0 or self.omega_res <= 0:
-            raise ConfigError("delta_bw and omega_res must be positive")
+        if min(self.delta_bw, self.omega_res, self.purcell_bw) <= 0:
+            raise ConfigError(
+                "delta_bw, omega_res and purcell_bw must be positive")
         if self.gain_center is None:
             object.__setattr__(self, "gain_center", self.omega_res)
         if self.gain_width is None:
@@ -105,6 +115,7 @@ class ErrorBudget:
     """Per-qubit lifetimes and gate-error components."""
 
     omega: np.ndarray                    # [rad/s]
+    gamma_purcell: np.ndarray            # bus-mediated decay rate [1/s]
     t1_eff: np.ndarray                   # [s]
     t2_eff: np.ndarray                   # [s]
     e_relax: np.ndarray
@@ -150,78 +161,53 @@ def gain(model: BusIsolationModel, omega) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def purcell_rate(array: QubitArraySpec, model: BusIsolationModel,
-                 i: int) -> float:
-    """Bus-mediated decay rate of qubit i: Lorentzian filter around the bus
-    resonance, gain-screened coupling, suppression constant."""
-    _check_index(array, i)
-    w = array.kappa_bus if model.purcell_bw is None else model.purcell_bw
-    omega_i = array.harmonic_indices[i] * array.omega_m
-    g_eff_sq = array.g_coupling ** 2 / gain(model, omega_i)
-    lor = (w / 2.0) ** 2 / ((omega_i - model.omega_res) ** 2 + (w / 2.0) ** 2)
-    return g_eff_sq / array.kappa_bus * lor * model.c_purcell
+def full_budget(array: QubitArraySpec, model: BusIsolationModel) -> ErrorBudget:
+    """Lifetimes and gate errors of every qubit of the comb, in one array
+    pass. A value that leaves float range raises NumericalError rather
+    than reaching the budget as inf or NaN."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _comb_pass(array, model)
+    except ArithmeticError as exc:
+        raise NumericalError(f"error budget out of float range: {exc}") \
+            from None
 
 
-def t1_effective(array: QubitArraySpec, model: BusIsolationModel,
-                 i: int) -> float:
-    _check_index(array, i)
-    return 1.0 / (1.0 / array.t1_intrinsic + purcell_rate(array, model, i))
-
-
-def t2_effective(array: QubitArraySpec, model: BusIsolationModel,
-                 i: int) -> float:
-    gamma_phi = 1.0 / array.t2_intrinsic - 0.5 / array.t1_intrinsic
-    t1 = t1_effective(array, model, i)
-    return 1.0 / (0.5 / t1 + gamma_phi * model.c_phi)
-
-
-def crosstalk_error(array: QubitArraySpec, model: BusIsolationModel,
-                    i: int) -> float:
-    """Coherent swap error on qubit i from every other comb tooth, with
-    exponentially decaying coupling and gain screening at the victim."""
-    _check_index(array, i)
-    if array.n_qubits == 1:
-        return 0.0
+def _comb_pass(array: QubitArraySpec, model: BusIsolationModel
+               ) -> ErrorBudget:
+    """Purcell decay through the bus is the gain-screened coupling g^2/G,
+    filtered by a Lorentzian of width purcell_bw around the bus resonance
+    and scaled by the suppression constant. Crosstalk on each qubit is the
+    coherent swap error from every other tooth, with exponentially decaying
+    coupling and gain screening at the victim."""
     omega = array.omega
-    x = np.asarray(array.positions)
-    others = np.arange(array.n_qubits) != i
-    delta = np.abs(omega - omega[i])[others]
+    g_omega = gain(model, omega)
+    half_w_sq = (model.purcell_bw / 2.0) ** 2
+    lor = half_w_sq / ((omega - model.omega_res) ** 2 + half_w_sq)
+    gamma_p = array.g_coupling ** 2 / g_omega / array.kappa_bus * lor \
+        * model.c_purcell
+    t1 = 1.0 / (1.0 / array.t1_intrinsic + gamma_p)
+    gamma_phi = 1.0 / array.t2_intrinsic - 0.5 / array.t1_intrinsic
+    t2 = 1.0 / (0.5 / t1 + gamma_phi * model.c_phi)
+
+    # row i holds qubit i's n - 1 partners, in comb order
+    n = array.n_qubits
+    others = ~np.eye(n, dtype=bool)
+    delta = np.abs(np.subtract.outer(omega, omega))[others].reshape(n, n - 1)
     if np.any(delta == 0.0):
         raise ConfigError("degenerate comb: two qubits share a frequency")
-    g_ij = array.g_coupling * np.exp(
-        -np.abs(x - x[i])[others] / array.lambda_c)
+    x = np.asarray(array.positions, dtype=float)
+    dist = np.abs(np.subtract.outer(x, x))[others].reshape(n, n - 1)
+    g_ij = array.g_coupling * np.exp(-dist / array.lambda_c)
     c_bus = model.c0 + (1.0 - model.c0) * np.exp(
         -((delta / model.delta_bw) ** 2))
     terms = (g_ij / delta) ** 2 * np.sin(
         0.5 * delta * array.t_gate) ** 2 * c_bus
-    return float(np.sum(terms)) / gain(model, omega[i])
-
-
-def gate_error(array: QubitArraySpec, model: BusIsolationModel,
-               i: int) -> dict:
-    """Single-qubit error row: relaxation, dephasing, crosstalk, total."""
-    t1 = t1_effective(array, model, i)
-    t2 = t2_effective(array, model, i)
-    row = {
-        "qubit": i,
-        "omega": array.harmonic_indices[i] * array.omega_m,
-        "t1_eff": t1,
-        "t2_eff": t2,
-        "e_relax": array.t_gate / t1,
-        "e_dephase": 1.0 - math.exp(-array.t_gate / t2),
-        "e_crosstalk": crosstalk_error(array, model, i),
-    }
-    row["e_total"] = row["e_relax"] + row["e_dephase"] + row["e_crosstalk"]
-    return row
-
-
-def full_budget(array: QubitArraySpec, model: BusIsolationModel) -> ErrorBudget:
-    rows = [gate_error(array, model, i) for i in range(array.n_qubits)]
-    pull = lambda k: np.array([r[k] for r in rows])  # noqa: E731
     return ErrorBudget(
-        omega=pull("omega"), t1_eff=pull("t1_eff"), t2_eff=pull("t2_eff"),
-        e_relax=pull("e_relax"), e_dephase=pull("e_dephase"),
-        e_crosstalk=pull("e_crosstalk"))
+        omega=omega, gamma_purcell=gamma_p, t1_eff=t1, t2_eff=t2,
+        e_relax=array.t_gate / t1,
+        e_dephase=1.0 - np.exp(-array.t_gate / t2),
+        e_crosstalk=terms.sum(axis=1) / g_omega)
 
 
 def scalability_sweep(array: QubitArraySpec, model: BusIsolationModel,
@@ -237,35 +223,3 @@ def scalability_sweep(array: QubitArraySpec, model: BusIsolationModel,
                       positions=None)
         out.append(float(np.max(full_budget(arr, model).e_total)))
     return out
-
-
-def budget_decomposition(array: QubitArraySpec, model: BusIsolationModel,
-                         i: int | None = None) -> dict:
-    """Component breakdown for one qubit (default: the tooth nearest
-    12x the comb spacing, mid-band). Separates the bus-induced part of
-    relaxation (gamma_purcell * t_gate) from the intrinsic floor so
-    isolation improvements can be read off directly."""
-    if i is None:
-        target = 12.0 * array.omega_m
-        i = int(np.argmin(np.abs(array.omega - target)))
-    row = gate_error(array, model, i)
-    gamma_p = purcell_rate(array, model, i)
-    total = row["e_total"]
-    comp = {
-        "qubit": i,
-        "omega": row["omega"],
-        "e_relax": row["e_relax"],
-        "e_dephase": row["e_dephase"],
-        "e_crosstalk": row["e_crosstalk"],
-        "e_total": total,
-        "gamma_purcell": gamma_p,
-        "e_purcell": gamma_p * array.t_gate,
-    }
-    for k in ("e_relax", "e_dephase", "e_crosstalk"):
-        comp[f"frac_{k[2:]}"] = comp[k] / total if total > 0.0 else 0.0
-    return comp
-
-
-def _check_index(array: QubitArraySpec, i: int):
-    if not 0 <= i < array.n_qubits:
-        raise ConfigError(f"qubit index {i} outside 0..{array.n_qubits - 1}")

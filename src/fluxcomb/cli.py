@@ -256,6 +256,9 @@ def run_flux_sweep(config: dict, out_dir: Path):
                                       harmonic_indices=idx)
         qubits = transmon.default_comb_qubits(omega_m, idx,
                                               ec=config["ec_hz"])
+    for key in ("start", "stop"):
+        if config["phi_rf"][key] < 0.0:
+            raise ConfigError(f"'phi_rf.{key}' must be >= 0")
     dc_grid = _grid(config["phi_dc"], "phi_dc")
     rf_grid = _grid(config["phi_rf"], "phi_rf")
     amap = transmon.addressing_map(array, dc_grid, rf_grid, qubits=qubits)
@@ -286,7 +289,9 @@ def _array_from_config(acfg: dict) -> budget.QubitArraySpec:
     with _keys(n_qubits="array.n_qubits", omega_m="array.modulation_freq_hz",
                t1_intrinsic="array.t1_intrinsic_s",
                t2_intrinsic="array.t2_intrinsic_s",
-               t_gate="array.t_gate_s", lambda_c="array.lambda_c_m"):
+               t_gate="array.t_gate_s", lambda_c="array.lambda_c_m",
+               g_coupling="array.g_coupling_hz",
+               kappa_bus="array.kappa_bus_hz"):
         return budget.QubitArraySpec(
             n_qubits=acfg["n_qubits"],
             omega_m=TWO_PI * acfg["modulation_freq_hz"],
@@ -324,8 +329,9 @@ def run_scalability(config: dict, out_dir: Path):
     n_min, n_max = config["n_min"], config["n_max"]
     if n_min < 1:
         raise ConfigError("'n_min' must be >= 1")
-    if n_max < n_min:
-        raise ConfigError("'n_max' must be >= 'n_min'")
+    if not n_min <= n_max <= budget.MAX_QUBITS:
+        raise ConfigError(
+            f"'n_max' must be in 'n_min'..{budget.MAX_QUBITS}")
     if not config["models"]:
         raise ConfigError("'models' must name at least one bus model")
     n_range = range(n_min, n_max + 1)

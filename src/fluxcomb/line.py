@@ -11,7 +11,7 @@ inductance varies in time; current is derived as flux/L). Cell k occupies
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,20 @@ from .errors import ConfigError, NumericalError
 PHI0 = 2.067833848e-15
 
 HALF_PI = 0.5 * math.pi
+
+# keep-out of the flux excursion from the secant singularity at pi/2 [rad]
+SECANT_MARGIN = 0.05
+
+# isolation_report's measurement: the harmonics compared, the cw source
+# amplitude [V], the steady-state window in source periods, and the probe's
+# distance in cells from the far end
+ISOLATION_HARMONICS = (1, 2, 3)
+ISOLATION_AMPLITUDE = 1e-6
+ISOLATION_WINDOW_PERIODS = 16
+ISOLATION_PROBE_OFFSET = 8
+
+# total current energy below which a snapshot holds no wavepacket
+WAVEPACKET_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -34,23 +48,20 @@ class FluxDrive:
     kappa_s: float               # spatial modulation wavenumber [rad/m]
     omega_s: float               # modulation angular frequency [rad/s]
     phase: float = 0.0           # spatial phase offset [rad]
-    margin: float = 0.05         # keep-out from the secant singularity [rad]
 
     def __post_init__(self):
-        if self.margin <= 0.0:
-            raise ConfigError("margin must be positive")
-        limit = HALF_PI - self.margin
+        limit = HALF_PI - SECANT_MARGIN
         if abs(self.phi_dc_tilde) >= limit:
             raise ConfigError(
                 f"phi_dc_tilde = {self.phi_dc_tilde:.4f} rad lies within "
-                f"{self.margin} of the secant singularity at pi/2")
+                f"{SECANT_MARGIN} of the secant singularity at pi/2")
         if self.phi_rf_tilde < 0.0:
             raise ConfigError("phi_rf_tilde must be nonnegative")
         reach = abs(self.phi_dc_tilde) + self.phi_rf_tilde
         if reach >= limit:
             raise ConfigError(
                 f"phi_rf_tilde = {self.phi_rf_tilde:.4f} rad takes the flux "
-                f"excursion to {reach:.4f} rad, within {self.margin} of the "
+                f"excursion to {reach:.4f} rad, within {SECANT_MARGIN} of the "
                 "secant singularity at pi/2")
 
 
@@ -60,7 +71,6 @@ class LineGeometry:
     dz: float = 10e-6            # cell length [m]
     c_per_length: float = 8.2426e-9   # shunt capacitance [F/m]
     i0: float = 1e-6             # junction critical current [A]
-    phi0: float = PHI0           # flux quantum [Wb]
 
     def __post_init__(self):
         if self.n_cells < 16:
@@ -76,7 +86,7 @@ class LineGeometry:
     @property
     def l0(self) -> float:
         """Unmodulated inductance per cell [H]."""
-        return self.phi0 / (2.0 * math.pi * self.i0)
+        return PHI0 / (2.0 * math.pi * self.i0)
 
     @property
     def c_cell(self) -> float:
@@ -132,37 +142,11 @@ class WavepacketMetrics:
     peak_velocity: float | None  # [m/s]; None for the first entry
 
 
-def inductance_at(drive: FluxDrive, geom: LineGeometry, z: float,
-                  t: float) -> float:
-    """Henries per cell at (z, t); domain error inside the guard margin."""
-    if not 0.0 <= z <= geom.length:
-        raise ConfigError(f"z = {z} outside [0, {geom.length}]")
-    arg = drive.phi_dc_tilde + drive.phi_rf_tilde * math.sin(
-        drive.kappa_s * z - drive.omega_s * t + drive.phase)
-    if abs(arg) >= HALF_PI - drive.margin:
-        raise ConfigError(
-            f"secant argument {arg:.4f} inside the guard margin")
-    return geom.l0 / math.cos(arg)
-
-
 def _dc_line(geom: LineGeometry, drive: FluxDrive) -> tuple[float, float]:
     """Inductance per length [H/m] and phase velocity [m/s] at the dc
     operating point (rf off)."""
     l_dc_per_len = geom.l0 / math.cos(drive.phi_dc_tilde) / geom.dz
     return l_dc_per_len, 1.0 / math.sqrt(l_dc_per_len * geom.c_per_length)
-
-
-def default_drive(phi_dc: float, phi_rf: float,
-                  geom: LineGeometry | None = None,
-                  omega_m: float = 2.0 * math.pi * 3e9,
-                  n_periods: float = 3.0) -> FluxDrive:
-    """Convenience constructor: kappa_s set to n_periods modulation periods
-    along the line, omega_s equal to the excitation tone."""
-    geom = geom or LineGeometry()
-    return FluxDrive(
-        phi_dc_tilde=phi_dc, phi_rf_tilde=phi_rf,
-        kappa_s=2.0 * math.pi * n_periods / geom.length,
-        omega_s=omega_m)
 
 
 class Simulator:
@@ -221,10 +205,6 @@ class Simulator:
                           None if probe_idx is None else [probe_idx])
         return None if recs is None else recs[0]
 
-    def step(self) -> LineState:
-        self._advance(1)
-        return self.state()
-
     def run_until(self, t_end: float, snapshot_times=(), probe=None,
                   window=None):
         """Advance to t_end, returning states at the steps nearest the
@@ -277,11 +257,6 @@ class Simulator:
                 f"window_end {t1:.3e} s is less than 8 source periods "
                 f"({8.0 * period:.3e} s) after window_start {t0:.3e} s")
         return int(round(t0 / self.dt)), int(round(t1 / self.dt))
-
-    def record_probe(self, branch_indices, n_steps: int) -> np.ndarray:
-        """Advance n_steps recording branch currents each half step;
-        shape (n_steps, n_probes)."""
-        return self._advance(n_steps, probe_idx=branch_indices)
 
     def stored_energy(self) -> float:
         """Sum of capacitive and inductive energy, evaluated with the
@@ -350,23 +325,16 @@ def cfl_bound(geom: LineGeometry, drive: FluxDrive) -> float:
 
 
 def build_line(geom: LineGeometry, drive: FluxDrive, source: SourceSpec,
-               dt: float | None = None, cfl_safety: float = 0.9,
+               cfl_safety: float = 0.9,
                blowup_factor: float = 1e6) -> Simulator:
-    """Initialized simulator with zeroed fields; dt defaults to cfl_safety
-    times the CFL bound, an explicit dt beyond the bound is rejected."""
+    """Initialized simulator with zeroed fields, stepping at cfl_safety
+    times the CFL bound."""
     if not 0.0 < cfl_safety <= 1.0:
         raise ConfigError(f"cfl_safety must be in (0, 1], got {cfl_safety}")
     if not blowup_factor > 0.0:
         raise ConfigError(f"blowup_factor must be > 0, got {blowup_factor}")
-    bound = cfl_bound(geom, drive)
-    if dt is None:
-        dt = cfl_safety * bound
-    elif dt <= 0.0:
-        raise ConfigError("dt must be positive")
-    elif dt > bound:
-        raise ConfigError(
-            f"dt = {dt:.3e} s violates the CFL bound {bound:.3e} s")
-    return Simulator(geom, drive, source, dt, blowup_factor)
+    return Simulator(geom, drive, source, cfl_safety * cfl_bound(geom, drive),
+                     blowup_factor)
 
 
 def _probe_branch(geom: LineGeometry, probe: float) -> int:
@@ -391,14 +359,6 @@ def _binned_power(x: np.ndarray, dt: float, f_targets, half_width: int = 0):
         amp2 = np.abs(spec[lo:hi + 1] * scale) ** 2
         out.append(0.5 * float(np.sum(amp2)))
     return out
-
-
-def harmonic_spectrum(sim: Simulator, probe: float, window,
-                      n_max: int = 6) -> SpectrumReport:
-    """Advance the simulator over `window` = (t0, t1), recording the current
-    at `probe`, and bin its spectrum with temporal_harmonics."""
-    _, record = sim.run_until(window[1], probe=probe, window=window)
-    return temporal_harmonics(record, sim, probe, n_max)
 
 
 def temporal_harmonics(record: np.ndarray, sim: Simulator, probe: float,
@@ -444,7 +404,7 @@ def _spatial_bands(state: LineState, geom: LineGeometry, drive: FluxDrive,
 
 def spatial_harmonics(state: LineState, geom: LineGeometry, drive: FluxDrive,
                       source_omega: float, n_max: int = 6) -> SpectrumReport:
-    """Spatial-spectrum analogue of harmonic_spectrum, for one snapshot.
+    """Spatial-spectrum analogue of temporal_harmonics, for one snapshot.
 
     Each harmonic takes the strongest bin within +-2 of its predicted
     wavenumber (dispersion and the modulation shift the peaks slightly off
@@ -459,14 +419,6 @@ def spatial_harmonics(state: LineState, geom: LineGeometry, drive: FluxDrive,
     return SpectrumReport(
         harmonic_index=list(range(1, n_max + 1)),
         power_dbc=dbc, absolute_power=powers, probe_position=None)
-
-
-def harmonic_fraction(state: LineState, geom: LineGeometry, drive: FluxDrive,
-                      source_omega: float, n_max: int = 6) -> float:
-    """Fraction of binned spatial power sitting above the fundamental."""
-    rep = spatial_harmonics(state, geom, drive, source_omega, n_max)
-    total = sum(rep.absolute_power)
-    return sum(rep.absolute_power[1:]) / total if total > 0.0 else 0.0
 
 
 def harmonic_band_power(state: LineState, geom: LineGeometry,
@@ -484,9 +436,7 @@ def harmonic_band_power(state: LineState, geom: LineGeometry,
 
 
 def isolation_report(geom: LineGeometry, drive: FluxDrive,
-                     source_omega: float, harmonics=(1, 2, 3),
-                     amplitude: float = 1e-6, n_periods_window: int = 16,
-                     probe_offset: int = 8) -> dict[int, float]:
+                     source_omega: float) -> dict[int, float]:
     """Forward/backward transmission asymmetry per harmonic, in dB.
 
     Two runs, stepped together as one batch: source at the left port with a
@@ -496,33 +446,33 @@ def isolation_report(geom: LineGeometry, drive: FluxDrive,
     are compared in steady state; band power sums 3 bins around each
     harmonic.
     """
-    if amplitude <= 0.0:
-        raise ConfigError("isolation needs a nonzero source amplitude")
     period = 2.0 * math.pi / source_omega
     n = geom.n_cells
     sims = [build_line(geom, drive, SourceSpec(
-        kind="continuous-wave", omega=source_omega, amplitude=amplitude,
-        port=port)) for port in ("left", "right")]
+        kind="continuous-wave", omega=source_omega,
+        amplitude=ISOLATION_AMPLITUDE, port=port))
+        for port in ("left", "right")]
     dt = sims[0].dt
     transit = geom.length / sims[0].v_dc
     t0 = 1.5 * transit + 3.0 * period
-    t1 = t0 + n_periods_window * period
+    t1 = t0 + ISOLATION_WINDOW_PERIODS * period
     _step_runs(sims, int(round(t0 / dt)))
     n_rec = int(round(t1 / dt)) - sims[0].t_index
-    recs = _step_runs(sims, n_rec, [[n - probe_offset], [probe_offset - 1]])
-    f_targets = [h * source_omega / (2.0 * math.pi) for h in harmonics]
+    off = ISOLATION_PROBE_OFFSET
+    recs = _step_runs(sims, n_rec, [[n - off], [off - 1]])
+    f_targets = [h * source_omega / (2.0 * math.pi)
+                 for h in ISOLATION_HARMONICS]
     pf, pb = [_binned_power(rec[:, 0], dt, f_targets, half_width=1)
               for rec in recs]
     out = {}
-    for h, p_fwd, p_bwd in zip(harmonics, pf, pb):
+    for h, p_fwd, p_bwd in zip(ISOLATION_HARMONICS, pf, pb):
         if p_fwd <= 0.0 or p_bwd <= 0.0:
             raise NumericalError(f"no band power at harmonic {h}")
         out[h] = 10.0 * math.log10(p_fwd / p_bwd)
     return out
 
 
-def wavepacket_metrics(states, geom: LineGeometry,
-                       u_floor: float = 1e-30) -> list[WavepacketMetrics]:
+def wavepacket_metrics(states, geom: LineGeometry) -> list[WavepacketMetrics]:
     """Centroid, rms width, spectral centroid, and centroid velocity of the
     current-energy profile u = i^2 for each snapshot."""
     z = (np.arange(geom.n_cells) + 0.5) * geom.dz
@@ -531,7 +481,7 @@ def wavepacket_metrics(states, geom: LineGeometry,
     for st in states:
         u = st.i ** 2
         total = float(np.sum(u))
-        if total <= u_floor:
+        if total <= WAVEPACKET_FLOOR:
             raise NumericalError(
                 f"wavepacket energy {total:.3e} below the floor at "
                 f"t = {st.t:.3e} s")

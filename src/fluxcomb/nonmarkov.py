@@ -66,16 +66,6 @@ class KernelSpec:
                               "kernel")
 
 
-def default_kernel() -> KernelSpec:
-    """Memory regime calibrated so the decay rate transiently turns
-    negative within the first 100 ns, then frozen."""
-    gamma_mem = TWO_PI * 5e6
-    return KernelSpec(kind="exponential-kernel",
-                      amplitude_a=4.0 * gamma_mem ** 2,
-                      gamma_memory=gamma_mem,
-                      markovian_gamma=gamma_mem / 100.0)
-
-
 def _check_grid(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:

@@ -3,7 +3,7 @@ readout shift, and the comb-addressing maps.
 
 Unit policy: every energy/frequency in this module is an ordinary frequency in
 Hz (E/h). Angular quantities (the comb spacing omega_m, the resonance width
-sigma_res) enter only through addressing_map and are converted at that
+SIGMA_RES) enter only through addressing_map and are converted at that
 boundary.
 """
 
@@ -19,8 +19,12 @@ from numpy.polynomial import chebyshev
 
 from .errors import ConfigError, ConvergenceError
 
-# default Gaussian resonance width for addressing scores, rad/s
+# Gaussian resonance width of the addressing scores, rad/s
 SIGMA_RES = 2.0 * math.pi * 50e6
+
+# FluxCurve: the ej/ec range of its table and its Chebyshev node count
+_CURVE_EJ_OVER_EC = (8.0, 2.2e4)
+_CURVE_NODES = 48
 
 _MAX_CHARGE_CUT = 200
 
@@ -69,15 +73,6 @@ class ReadoutSpec:
     def __post_init__(self):
         if self.omega_r <= 0 or self.g_r < 0:
             raise ConfigError("omega_r must be positive, g_r nonnegative")
-
-
-def ej_of_flux(ej_max: float, phi_over_phi0: float) -> float:
-    """Effective SQUID Josephson energy at external flux.
-
-    Returns 2*ej_max*|cos(pi*phi/phi0)|; magnitude by convention, a negative
-    E_J being a frame rotation with identical spectrum.
-    """
-    return 2.0 * ej_max * abs(math.cos(math.pi * phi_over_phi0))
 
 
 def j0(x):
@@ -181,22 +176,21 @@ class FluxCurve:
     slopes.
     """
 
-    def __init__(self, ec: float, ej_over_ec_min: float = 8.0,
-                 ej_over_ec_max: float = 2.2e4, n_nodes: int = 48):
+    def __init__(self, ec: float):
         self.ec = ec
-        spec = TransmonSpec(ec=ec, ej_max=ec * ej_over_ec_max)
+        self._ej_lo, self._ej_hi = (ec * r for r in _CURVE_EJ_OVER_EC)
         # one converged solve at the widest wavefunction fixes the cut
-        _, cut = _converged_levels(spec, ec * ej_over_ec_max, 3)
-        self._ej_lo, self._ej_hi = ec * ej_over_ec_min, ec * ej_over_ec_max
+        _, cut = _converged_levels(TransmonSpec(ec=ec, ej_max=self._ej_hi),
+                                   self._ej_hi, 3)
         lo, hi = math.log(self._ej_lo), math.log(self._ej_hi)
-        t = chebyshev.chebpts1(n_nodes)
+        t = chebyshev.chebpts1(_CURVE_NODES)
         self._ln_ej = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
         self._wq = np.array([_charge_levels(ec, math.exp(le), 0.0, cut, 3)[1]
                              for le in self._ln_ej])
         # interpolating coefficients from the discrete orthogonality of
         # T_k on the first-kind nodes
-        coef = chebyshev.chebvander(t, n_nodes - 1).T @ self._wq
-        coef *= 2.0 / n_nodes
+        coef = chebyshev.chebvander(t, _CURVE_NODES - 1).T @ self._wq
+        coef *= 2.0 / _CURVE_NODES
         coef[0] *= 0.5
         self._series = chebyshev.Chebyshev(coef, domain=[lo, hi])
         self._slope = self._series.deriv()
@@ -231,19 +225,6 @@ class FluxCurve:
 @functools.lru_cache(maxsize=16)
 def flux_curve(ec: float) -> FluxCurve:
     return FluxCurve(ec)
-
-
-def resonance_bias(spec: TransmonSpec, target_hz: float,
-                   phi_rf: float = 0.0) -> float:
-    """DC flux bias (line units, radians) putting the cycle-averaged qubit
-    frequency on target, in closed form on the flux curve:
-    phi_dc = 2 arccos(E_J,needed / (2 E_Jmax |J0(phi_rf/2)|))."""
-    ej_needed = math.exp(flux_curve(spec.ec).ln_ej_from_omega(target_hz))
-    ratio = ej_needed / (2.0 * spec.ej_max * abs(j0(0.5 * phi_rf)))
-    if ratio > 1.0:
-        raise ConfigError(
-            f"target {target_hz / 1e9:.3f} GHz above the zero-bias frequency")
-    return 2.0 * math.acos(ratio)
 
 
 def default_comb_qubits(omega_m: float,
@@ -299,21 +280,19 @@ class AddressingMap:
     harmonic_indices: list = field(default_factory=list)
 
 
-def addressing_map(array, phi_dc_grid, phi_rf_grid, qubits=None,
-                   sigma_res: float = SIGMA_RES) -> AddressingMap:
+def addressing_map(array, phi_dc_grid, phi_rf_grid,
+                   qubits) -> AddressingMap:
     """Resonance-proximity map over the flux-drive grid.
 
     `array` supplies omega_m (rad/s) and harmonic_indices; `qubits` the
-    per-qubit TransmonSpec list (default: the calibrated comb set). Score of
-    qubit i at a grid point is exp(-(omega_bar - n_i*omega_m)^2/(2 sigma^2)).
+    per-qubit TransmonSpec list. Score of qubit i at a grid point is
+    exp(-(omega_bar - n_i*omega_m)^2/(2 SIGMA_RES^2)).
     """
     phi_dc = np.asarray(phi_dc_grid, dtype=float)
     phi_rf = np.asarray(phi_rf_grid, dtype=float)
     if np.any(phi_rf < 0.0):
         raise ConfigError("phi_rf grid must be nonnegative")
     idx = list(array.harmonic_indices)
-    if qubits is None:
-        qubits = default_comb_qubits(array.omega_m, idx)
     if len(qubits) != len(idx):
         raise ConfigError("one TransmonSpec per harmonic index required")
 
@@ -329,6 +308,6 @@ def addressing_map(array, phi_dc_grid, phi_rf_grid, qubits=None,
         wq = 2.0 * math.pi * curve.omega_q(ej_bar)
         omega_bar[:, :, q] = wq
         det = wq - n_i * array.omega_m
-        score[:, :, q] = np.exp(-det ** 2 / (2.0 * sigma_res ** 2))
+        score[:, :, q] = np.exp(-det ** 2 / (2.0 * SIGMA_RES ** 2))
     return AddressingMap(phi_dc=phi_dc, phi_rf=phi_rf, score=score,
                          omega_bar=omega_bar, harmonic_indices=idx)

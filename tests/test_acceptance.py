@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from fluxcomb import budget, cli, line, nonmarkov, transmon
+from helpers import default_drive, memory_kernel
 from test_nonmarkov import quadrature_population
 from test_transmon import _jc_chi
 
@@ -38,15 +39,13 @@ def test_acceptance_01_harmonic_generation(capsys):
     t_start = time.perf_counter()
     geom = line.LineGeometry()
 
-    sim = line.build_line(geom, line.default_drive(0.6, 0.0, geom),
-                          _cw_source())
+    sim = line.build_line(geom, default_drive(0.6, 0.0, geom), _cw_source())
     sim.run_until(5.4e-9)
     quiet = line.spatial_harmonics(sim.state(), geom, sim.drive, OMEGA_M)
     floor_db = max(d for n, d in zip(quiet.harmonic_index, quiet.power_dbc)
                    if n >= 2)
 
-    sim = line.build_line(geom, line.default_drive(0.6, 0.6, geom),
-                          _cw_source())
+    sim = line.build_line(geom, default_drive(0.6, 0.6, geom), _cw_source())
     sim.run_until(0.8e-9)
     loud = line.spatial_harmonics(sim.state(), geom, sim.drive, OMEGA_M)
     n_emerged = sum(1 for n, d in zip(loud.harmonic_index, loud.power_dbc)
@@ -64,7 +63,7 @@ def test_acceptance_01_harmonic_generation(capsys):
 
 def _band_power_envelope(phi_dc, phi_rf, snap_times):
     geom = line.LineGeometry()
-    drive = line.default_drive(phi_dc, phi_rf, geom)
+    drive = default_drive(phi_dc, phi_rf, geom)
     sim = line.build_line(geom, drive, _cw_source())
     states = sim.run_until(2.6e-9, snap_times)
     powers = [line.harmonic_band_power(st, geom, drive, OMEGA_M)
@@ -77,7 +76,7 @@ def test_acceptance_02_flux_dependence(capsys):
     geom = line.LineGeometry()
     finals = []
     for rf in (0.2, 0.3, 0.4):
-        drive = line.default_drive(0.8, rf, geom)
+        drive = default_drive(0.8, rf, geom)
         sim = line.build_line(geom, drive, _cw_source())
         sim.run_until(2.6e-9)
         finals.append(line.harmonic_band_power(sim.state(), geom, drive,
@@ -108,8 +107,7 @@ def test_acceptance_03_nonreciprocity(capsys):
     iso0 = line.isolation_report(geom, static, OMEGA_M)
     reciprocal = all(abs(v) < 1.0 for v in iso0.values())
 
-    iso = line.isolation_report(geom, line.default_drive(0.6, 0.6, geom),
-                                OMEGA_M)
+    iso = line.isolation_report(geom, default_drive(0.6, 0.6, geom), OMEGA_M)
     frozen = {1: -8.466491, 2: -1.307162, 3: 2.472548}
     isolating = abs(iso[1]) > 5.0
     locked = all(abs(iso[h] - frozen[h]) <= 0.5 for h in frozen)
@@ -125,7 +123,7 @@ def test_acceptance_03_nonreciprocity(capsys):
 
 def _pulse_ratios(phi_rf):
     geom = line.LineGeometry()
-    drive = line.default_drive(0.6, phi_rf, geom)
+    drive = default_drive(0.6, phi_rf, geom)
     source = line.SourceSpec(kind="gaussian-pulse", omega=OMEGA_M,
                              amplitude=1e-6, t_center=0.5e-9,
                              t_width=0.12e-9)
@@ -252,15 +250,16 @@ def test_acceptance_07_scalability_crossing_clause(capsys):
 
 def test_acceptance_08_isolation_switching(capsys):
     array = budget.QubitArraySpec()
-    rec = budget.budget_decomposition(array, budget.reciprocal_bus())
-    nr = budget.budget_decomposition(array, budget.nonreciprocal_bus())
-    assert rec["qubit"] == nr["qubit"]
+    rec = budget.full_budget(array, budget.reciprocal_bus())
+    nr = budget.full_budget(array, budget.nonreciprocal_bus())
+    q = 11                       # the mid-band tooth, n = 12
+    assert rec.omega[q] == 12 * array.omega_m
 
-    crosstalk_dominant = (rec["frac_crosstalk"] > rec["frac_relax"]
-                          and rec["frac_crosstalk"] > rec["frac_dephase"])
-    red_xt = 1.0 - nr["e_crosstalk"] / rec["e_crosstalk"]
-    red_purcell = 1.0 - nr["e_purcell"] / rec["e_purcell"]
-    red_phi = 1.0 - nr["e_dephase"] / rec["e_dephase"]
+    crosstalk_dominant = (rec.e_crosstalk[q] > rec.e_relax[q]
+                          and rec.e_crosstalk[q] > rec.e_dephase[q])
+    red_xt = 1.0 - nr.e_crosstalk[q] / rec.e_crosstalk[q]
+    red_purcell = 1.0 - nr.gamma_purcell[q] / rec.gamma_purcell[q]
+    red_phi = 1.0 - nr.e_dephase[q] / rec.e_dephase[q]
 
     ok = crosstalk_dominant and red_xt >= 0.99 and red_purcell >= 0.98 \
         and red_phi >= 0.95
@@ -274,7 +273,7 @@ def test_acceptance_08_isolation_switching(capsys):
 
 
 def test_acceptance_09_memory_kernel(capsys):
-    kernel = nonmarkov.default_kernel()
+    kernel = memory_kernel()
     state = nonmarkov.excited_state()
 
     t = np.linspace(0.0, 400e-9, 16001)

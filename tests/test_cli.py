@@ -402,6 +402,8 @@ class TestExitCodes:
         ("flux-sweep", "harmonic_indices=[0]", "harmonic 0"),
         ("flux-sweep", "harmonic_indices=[]", "harmonic_indices"),
         ("error-budget", "array.n_qubits=0", "array.n_qubits"),
+        ("error-budget", "array.n_qubits=1025", "'array.n_qubits'"),
+        ("scalability", "n_max=1025", "'n_max'"),
         ("spectroscopy", "spectrum.dt_s=0", "spectrum.dt_s"),
         ("nonmarkov", "t_end_s=0", "t_end_s"),
         ("line-sim", "run.t_end_s=0", "run.t_end_s"),
@@ -431,6 +433,11 @@ class TestExitCodes:
         ("error-budget", "array.t_gate_s=0", "'array.t_gate_s'"),
         ("error-budget", "array.t2_intrinsic_s=1", "'array.t2_intrinsic_s'"),
         ("error-budget", "array.lambda_c_m=0", "'array.lambda_c_m'"),
+        ("error-budget", "array.kappa_bus_hz=0", "'array.kappa_bus_hz'"),
+        ("scalability", "array.kappa_bus_hz=-1", "'array.kappa_bus_hz'"),
+        ("error-budget", "array.kappa_bus_hz=1e-300",
+         "'array.kappa_bus_hz'"),
+        ("scalability", "array.g_coupling_hz=1e300", "'array.g_coupling_hz'"),
         ("spectroscopy", "one_over_f.n_components=10",
          "'one_over_f.n_components'"),
         ("spectroscopy", "n_realizations=0", "'n_realizations'"),
@@ -487,16 +494,27 @@ class TestExitCodes:
         assert code == 2
 
     def test_negative_rf_grid_is_2(self, tmp_path, capsys):
-        code = cli.main(["flux-sweep", "--out", str(tmp_path),
-                         "--set", "phi_rf.start=-0.1"])
-        assert code == 2
-        assert "phi_rf" in capsys.readouterr().err
+        for key in ("start", "stop"):
+            code = cli.main(["flux-sweep", "--out", str(tmp_path),
+                             "--set", f"phi_rf.{key}=-0.1"])
+            assert code == 2
+            assert f"'phi_rf.{key}'" in capsys.readouterr().err
 
     def test_blowup_is_3(self, tmp_path):
         code = cli.main(["line-sim", "--out", str(tmp_path),
                          "--set", "run.blowup_factor=1e-12",
                          "--set", "run.t_end_s=1e-10"])
         assert code == 3
+
+    def test_budget_out_of_float_range_is_3(self, tmp_path, capsys):
+        for scenario, assignment in (
+                ("error-budget", "array.t_gate_s=1e300"),
+                ("scalability", "array.modulation_freq_hz=1e-300")):
+            code = cli.main([scenario, "--out", str(tmp_path),
+                             "--set", assignment])
+            err = capsys.readouterr().err
+            assert code == 3
+            assert "error budget out of float range" in err
 
     def test_unwritable_out_is_4(self, tmp_path):
         blocker = tmp_path / "blocked"

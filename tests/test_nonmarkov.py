@@ -14,6 +14,7 @@ from scipy.signal import savgol_filter
 
 from fluxcomb import nonmarkov as nm
 from fluxcomb.errors import ConfigError, ConvergenceError
+from helpers import memory_kernel
 
 TWO_PI = 2.0 * np.pi
 
@@ -113,13 +114,6 @@ class TestStatesAndSpecs:
             nm.KernelSpec(kind="exponential-kernel", amplitude_a=1.0,
                           gamma_memory=0.0)
 
-    def test_default_kernel_frozen(self):
-        k = nm.default_kernel()
-        gm = TWO_PI * 5e6
-        assert k.gamma_memory == pytest.approx(gm)
-        assert k.amplitude_a == pytest.approx(4.0 * gm ** 2)
-        assert k.markovian_gamma == pytest.approx(gm / 100.0)
-
     def test_grid_validation(self):
         st = nm.excited_state()
         with pytest.raises(ConfigError):
@@ -142,7 +136,7 @@ class TestMarkovianEvolution:
 class TestKernelEvolution:
     def test_against_quadrature(self):
         # the O(h^2) quadrature needs the fine grid, not the RK4 solver
-        kernel = nm.default_kernel()
+        kernel = memory_kernel()
         t = np.linspace(0.0, 400e-9, 16001)
         p = nm.evolve_kernel(nm.excited_state(), kernel, t)
         p_ref = quadrature_population(kernel, t)
@@ -164,13 +158,13 @@ class TestKernelEvolution:
 
     def test_population_stays_physical(self):
         t = np.linspace(0.0, 400e-9, 4001)
-        p = nm.evolve_kernel(nm.excited_state(), nm.default_kernel(), t)
+        p = nm.evolve_kernel(nm.excited_state(), memory_kernel(), t)
         assert p.min() >= -1e-6 and p.max() <= 1.0 + 1e-6
 
     def test_coarse_grid_matches_fine_grid(self):
         # the closed form has no step size: a 5-point grid gives the
         # values of the fine grid, and of the quadrature, at its times
-        kernel = nm.default_kernel()
+        kernel = memory_kernel()
         t = np.linspace(0.0, 400e-9, 4001)
         p = nm.evolve_kernel(nm.excited_state(), kernel, t)
         p5 = nm.evolve_kernel(nm.excited_state(), kernel, t[::1000])
@@ -233,7 +227,7 @@ class TestEffectiveRate:
         # underdamped kernel: c'' + Gamma c' + (A/2) c = 0 with
         # Omega = sqrt(A/2 - Gamma^2/4); negative-rate windows open at
         # each zero of c and repeat every pi/Omega
-        kernel = nm.default_kernel()
+        kernel = memory_kernel()
         t = np.linspace(0.0, 400e-9, 4001)
         p = nm.evolve_kernel(nm.excited_state(), kernel, t)
         g = nm.gamma_eff(t, np.maximum(p, 1e-300))
@@ -253,7 +247,7 @@ class TestEffectiveRate:
         # before the first population zero the rate and the trace are
         # mutual inverses
         t = np.linspace(0.0, 40e-9, 2001)
-        p = nm.evolve_kernel(nm.excited_state(), nm.default_kernel(), t)
+        p = nm.evolve_kernel(nm.excited_state(), memory_kernel(), t)
         g = nm.gamma_eff(t, p)
         chi = cumulative_trapezoid(g, t, initial=0.0)
         np.testing.assert_allclose(np.exp(-chi), p, atol=1e-4)
@@ -283,7 +277,7 @@ class TestEffectiveRate:
 
     @pytest.mark.parametrize("window", [5, 7, 9, 41, 101])
     def test_smoothing_matches_savgol_filter(self, window):
-        kernel = nm.default_kernel()
+        kernel = memory_kernel()
         t = np.linspace(0.0, 400e-9, 4001)
         p = np.maximum(nm.evolve_kernel(nm.excited_state(), kernel, t),
                        1e-300)

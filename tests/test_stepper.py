@@ -10,6 +10,7 @@ import pytest
 
 from fluxcomb import line
 from fluxcomb.errors import ConfigError, NumericalError
+from helpers import default_drive
 
 
 def _source_value(kind, t, amp, omega, t_center, t_width, ramp):
@@ -64,7 +65,7 @@ def make_sim(kind="continuous-wave", port="left", blowup_factor=1e6,
     """A short line under rf drive with a random initial field, so every
     term of the update is exercised from the first step."""
     geom = line.LineGeometry(n_cells=N_CELLS)
-    drive = line.default_drive(0.6, 0.6, geom)
+    drive = default_drive(0.6, 0.6, geom)
     omega = 2.0 * math.pi * 3e9
     if kind == "continuous-wave":
         src = line.SourceSpec(kind=kind, omega=omega, amplitude=1e-6,
@@ -105,7 +106,7 @@ def test_probe_records_match_reference():
     sim._advance(33)
     probes = [3, 31, 60]
     _, v, _, _, rec_ref = reference_advance(sim, 150, probes)
-    rec = sim.record_probe(probes, 150)
+    rec = sim._advance(150, probes)
     assert rec.shape == (150, 3)
     assert_close(rec, rec_ref)
     assert_close(sim.v, v)
@@ -181,7 +182,7 @@ def test_batch_equals_single_runs():
     recs = line._step_runs(pair, 130, [[5, 40], [60]])
     for sim, probes, rec in zip(single, [[5, 40], [60]], recs):
         sim._advance(90)
-        np.testing.assert_array_equal(sim.record_probe(probes, 130), rec)
+        np.testing.assert_array_equal(sim._advance(130, probes), rec)
     for a, b in zip(pair, single):
         assert a.t_index == 220
         assert_same_state(a, b)
@@ -199,7 +200,7 @@ def test_three_row_batch_isolates_its_seams():
     single = [make_sim(kind, port, seed=seed) for kind, port, seed in rows]
     recs = line._step_runs(trio, 150, probes)
     for a, b, p, rec in zip(trio, single, probes, recs):
-        np.testing.assert_array_equal(b.record_probe(p, 150), rec)
+        np.testing.assert_array_equal(b._advance(150, p), rec)
         assert_same_state(a, b)
 
     # row 0 rescaled to 0.9 of the ceiling: it leaves it after a step
@@ -250,7 +251,7 @@ def test_batch_rejects_mismatched_runs():
 
 def test_isolation_report_equals_sequential_runs():
     geom = line.LineGeometry(n_cells=128)
-    drive = line.default_drive(0.5, 0.4, geom)
+    drive = default_drive(0.5, 0.4, geom)
     omega = 2.0 * math.pi * 3e9
     got = line.isolation_report(geom, drive, omega)
 
@@ -263,7 +264,7 @@ def test_isolation_report_equals_sequential_runs():
         t0 = 1.5 * geom.length / sim.v_dc + 3.0 * period
         t1 = t0 + 16 * period
         sim._advance(int(round(t0 / sim.dt)))
-        rec = sim.record_probe([far], int(round(t1 / sim.dt)) - sim.t_index)
+        rec = sim._advance(int(round(t1 / sim.dt)) - sim.t_index, [far])
         powers.append(line._binned_power(
             rec[:, 0], sim.dt, [h * omega / (2.0 * math.pi)
                                 for h in (1, 2, 3)], half_width=1))
@@ -279,10 +280,10 @@ def test_result_does_not_depend_on_call_splits():
     stops ends bit for bit the same, with the same probe record."""
     probes = [5, 40]
     whole = make_sim()
-    rec = whole.record_probe(probes, 300)
+    rec = whole._advance(300, probes)
     for pieces in ([1] * 300, [1, 7, 100, 63, 129]):
         sim = make_sim()
-        got = np.concatenate([sim.record_probe(probes, k) for k in pieces])
+        got = np.concatenate([sim._advance(k, probes) for k in pieces])
         np.testing.assert_array_equal(got, rec)
         assert_same_state(sim, whole)
 
@@ -297,7 +298,7 @@ def test_result_does_not_depend_on_call_splits():
 
 HALF_PI = 0.5 * math.pi
 
-# (phi_dc, phi_rf) over the admissible range at the default 0.05 margin:
+# (phi_dc, phi_rf) over the admissible range at the 0.05 secant margin:
 # rf off (M = 0), negative phi_dc, and phi_rf at the secant guard
 SERIES_DRIVES = [(0.6, 0.0), (-1.2, 0.0), (0.0, 0.1), (0.6, 0.6),
                  (-0.6, 0.6), (0.0, 1.5), (-1.5, 0.02),

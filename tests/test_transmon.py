@@ -14,28 +14,15 @@ from fluxcomb.transmon import (
     chi_dispersive,
     default_comb_qubits,
     diagonalize,
-    ej_of_flux,
     ej_time_averaged,
     flux_curve,
     j0,
-    resonance_bias,
 )
 
 OMEGA_M = 2.0 * math.pi * 3e9
 
 
 # ----------------------------------------------------------- flux tuning
-
-def test_ej_of_flux_endpoints():
-    assert ej_of_flux(10e9, 0.0) == pytest.approx(20e9)
-    assert ej_of_flux(10e9, 0.5) == pytest.approx(0.0, abs=1e-2)
-    assert ej_of_flux(10e9, 0.25) == pytest.approx(math.sqrt(2) * 10e9)
-
-
-def test_ej_of_flux_magnitude_convention():
-    # beyond the sweet spot the cosine flips sign; magnitude is returned
-    assert ej_of_flux(10e9, 0.75) == pytest.approx(math.sqrt(2) * 10e9)
-
 
 def test_ej_time_averaged_reduces_to_dc():
     for phi_dc in (0.0, 0.4, 1.1):
@@ -143,8 +130,9 @@ def test_convergence_error_when_cap_hit(monkeypatch):
 
 def test_omega_q_monotone_in_flux():
     spec = TransmonSpec(ec=0.25e9, ej_max=15e9)
-    phis = np.linspace(0.0, 0.45, 10)
-    wqs = [diagonalize(spec, ej_of_flux(spec.ej_max, p)).omega_q for p in phis]
+    phis = np.linspace(0.0, 0.45, 10)     # external flux, in Phi0
+    wqs = [diagonalize(spec, ej_time_averaged(spec.ej_max, 2 * math.pi * p,
+                                              0.0)).omega_q for p in phis]
     assert np.all(np.diff(wqs) < 0)
 
 
@@ -254,23 +242,6 @@ def test_flux_curve_clips_and_rejects_out_of_range():
             curve.ln_ej_from_omega(w)
 
 
-def test_resonance_bias_round_trip():
-    spec = TransmonSpec(ec=0.25e9, ej_max=600e9)
-    target = 15 * OMEGA_M / (2 * math.pi)
-    for phi_rf in (0.0, 0.6):
-        bias = resonance_bias(spec, target, phi_rf)
-        got = flux_curve(spec.ec).omega_q(
-            ej_time_averaged(spec.ej_max, bias, phi_rf))
-        assert abs(got - target) < 1e4
-    with pytest.raises(ConfigError):
-        resonance_bias(spec, 1e3)      # below the curve's floor
-    # a target just above what the junction reaches at zero bias
-    ej_needed = math.exp(flux_curve(0.25e9).ln_ej_from_omega(target))
-    with pytest.raises(ConfigError, match="zero-bias"):
-        resonance_bias(TransmonSpec(ec=0.25e9, ej_max=0.49 * ej_needed),
-                       target)
-
-
 def test_default_comb_sits_on_harmonics():
     biases = np.linspace(0.7, 1.2, 5)
     for ec in (0.22e9, 0.25e9, 0.28e9):
@@ -299,7 +270,8 @@ def test_addressing_dc_sweep_peaks_separate():
     # fixed rf drive, dc swept: exactly one high-score region per qubit
     array = _ArrayStub(OMEGA_M, [5, 10, 15, 20, 25])
     phi_dc = np.linspace(0.05, 1.3, 400)
-    amap = addressing_map(array, phi_dc, [0.85])
+    amap = addressing_map(array, phi_dc, [0.85],
+                          default_comb_qubits(OMEGA_M))
     assert isinstance(amap, AddressingMap)
     centers = []
     for q in range(5):
@@ -318,7 +290,7 @@ def test_addressing_dc_sweep_peaks_separate():
 def test_addressing_rf_branches_quasi_horizontal():
     array = _ArrayStub(OMEGA_M, [5, 10, 15, 20, 25])
     phi_rf = np.linspace(0.0, 0.85, 60)
-    amap = addressing_map(array, [0.8], phi_rf)
+    amap = addressing_map(array, [0.8], phi_rf, default_comb_qubits(OMEGA_M))
     wb = amap.omega_bar[0, :, :]           # (n_rf, n_qubits)
     drift = np.abs(wb - wb[0, :]) / wb[0, :]
     assert drift.max() < 0.03              # branches move by < 3 percent
@@ -337,4 +309,5 @@ def test_addressing_far_detuned_is_dark():
 def test_addressing_rejects_negative_rf():
     array = _ArrayStub(OMEGA_M, [5])
     with pytest.raises(ConfigError):
-        addressing_map(array, [0.5], [-0.1])
+        addressing_map(array, [0.5], [-0.1],
+                       [TransmonSpec(ec=0.25e9, ej_max=3e9)])
