@@ -43,11 +43,10 @@ from .nonmarkov import (  # noqa: F401
     KernelSpec,
     NoiseModel,
     averaged_periodogram,
+    dephasing,
     evolve_kernel,
     evolve_markovian,
     fit_decay,
     gamma_eff,
-    hahn_echo,
-    ramsey,
     synthesize_noise,
 )

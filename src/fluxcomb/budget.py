@@ -12,6 +12,7 @@ then frozen here and in the default config.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +23,12 @@ TWO_PI = 2.0 * math.pi
 
 # the crosstalk sum holds a few n x n arrays: about 60 MB at 1024 qubits
 MAX_QUBITS = 1024
+# the comb pass squares frequencies from omega_m (the buses' 8 and
+# 16 omega_m widths) up to the top tooth's MAX_QUBITS omega_m: for an
+# omega_m in this range [rad/s] all are normal floats, the top one with a
+# factor 4 to spare
+_OMEGA_M_RANGE = (math.sqrt(sys.float_info.min),
+                  math.sqrt(sys.float_info.max) / (2 * MAX_QUBITS))
 
 
 @dataclass(frozen=True)
@@ -46,9 +53,23 @@ class QubitArraySpec:
                      "lambda_c"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        w_lo, w_hi = _OMEGA_M_RANGE
+        if not w_lo <= self.omega_m <= w_hi:
+            raise ConfigError(
+                f"omega_m must be in {w_lo:.4g}..{w_hi:.4g} rad/s")
         g_sq = self.g_coupling * self.g_coupling
         if not math.isfinite(g_sq):
             raise ConfigError("g_coupling squared is out of float range")
+        # the crosstalk divides the coupling by comb spacings >= omega_m,
+        # and takes the sine of spacings up to MAX_QUBITS omega_m times
+        # t_gate / 2
+        ratio = self.g_coupling / self.omega_m
+        if not math.isfinite(ratio * ratio):
+            raise ConfigError("omega_m is too small: (g_coupling / omega_m)"
+                              "^2 is out of float range")
+        if not math.isfinite(MAX_QUBITS * self.omega_m * self.t_gate):
+            raise ConfigError(f"t_gate is too long: {MAX_QUBITS} omega_m "
+                              f"t_gate is out of float range")
         if not (self.kappa_bus > 0.0 and math.isfinite(g_sq / self.kappa_bus)):
             raise ConfigError("kappa_bus must be positive, with "
                               "g_coupling^2 / kappa_bus in float range")

@@ -18,6 +18,7 @@ import contextlib
 import importlib.resources
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -134,16 +135,20 @@ def resolve_config(scenario: str, config_path, overrides, seed) -> dict:
 
 @contextlib.contextmanager
 def _keys(**fields):
-    """Name the config key of a ConfigError raised by the library, whose
-    messages start with the library's own field name: `fields` maps that
-    name to the dotted key. Other ConfigErrors pass through unchanged."""
+    """Name the config keys of a ConfigError raised by the library, whose
+    messages start with the library's own field name and name any other
+    field a constraint ties it to: `fields` maps those names to dotted
+    keys, and every key the message names is listed, the first word's
+    first. Other ConfigErrors pass through unchanged."""
     try:
         yield
     except ConfigError as exc:
-        key = fields.get(str(exc).split(" ", 1)[0])
-        if key is None:
+        words = re.findall(r"\w+", str(exc))
+        if not words or words[0] not in fields:
             raise
-        raise ConfigError(f"'{key}': {exc}") from None
+        keys = dict.fromkeys(fields[w] for w in words if w in fields)
+        raise ConfigError(", ".join(f"'{k}'" for k in keys)
+                          + f": {exc}") from None
 
 
 def _grid(spec: dict, what: str) -> np.ndarray:
@@ -209,8 +214,7 @@ def run_line_sim(config: dict, out_dir: Path):
                 rcfg["t_end_s"], rcfg["snapshot_times_s"],
                 probe=rcfg["probe_m"],
                 window=(rcfg["window_start_s"], rcfg["window_end_s"]))
-            report = line.temporal_harmonics(record, sim, rcfg["probe_m"],
-                                             n_max)
+            report = line.temporal_harmonics(record, sim, n_max)
         else:
             states = sim.run_until(rcfg["t_end_s"], rcfg["snapshot_times_s"])
 
@@ -252,10 +256,11 @@ def run_flux_sweep(config: dict, out_dir: Path):
     with _keys(harmonic_indices="harmonic_indices",
                harmonic="harmonic_indices", omega_m="modulation_freq_hz",
                ec="ec_hz"):
-        array = budget.QubitArraySpec(n_qubits=len(idx), omega_m=omega_m,
-                                      harmonic_indices=idx)
+        # calibration first: its range error names every key it depends on
         qubits = transmon.default_comb_qubits(omega_m, idx,
                                               ec=config["ec_hz"])
+        array = budget.QubitArraySpec(n_qubits=len(idx), omega_m=omega_m,
+                                      harmonic_indices=idx)
     for key in ("start", "stop"):
         if config["phi_rf"][key] < 0.0:
             raise ConfigError(f"'phi_rf.{key}' must be >= 0")
@@ -273,8 +278,8 @@ def run_flux_sweep(config: dict, out_dir: Path):
 def run_addressing(config: dict, out_dir: Path):
     omega_m = TWO_PI * config["modulation_freq_hz"]
     bias = config["bias_phi_dc"]
-    with _keys(ec="ec_hz", n_levels="n_levels",
-               harmonic="harmonic_index"):
+    with _keys(ec="ec_hz", n_levels="n_levels", harmonic="harmonic_index",
+               omega_m="modulation_freq_hz"):
         spec = transmon.default_comb_qubits(
             omega_m, (config["harmonic_index"],),
             ec=config["ec_hz"], bias_targets=[bias])[0]
@@ -350,7 +355,6 @@ def run_nonmarkov(config: dict, out_dir: Path):
                gamma_memory="kernel.gamma_memory_hz",
                markovian_gamma="kernel.markovian_ratio"):
         kernel = nonmarkov.KernelSpec(
-            kind="exponential-kernel",
             amplitude_a=kcfg["amplitude_over_gamma_sq"] * gm * gm,
             gamma_memory=gm, markovian_gamma=kcfg["markovian_ratio"] * gm)
     if config["n_points"] < 5:
@@ -358,11 +362,11 @@ def run_nonmarkov(config: dict, out_dir: Path):
     if not config["t_end_s"] > 0.0:
         raise ConfigError("'t_end_s' must be > 0")
     t = np.linspace(0.0, config["t_end_s"], config["n_points"])
-    state = nonmarkov.excited_state()
-    p = nonmarkov.evolve_kernel(state, kernel, t)
+    p = nonmarkov.evolve_kernel(kernel, t)
+    # rho00 is the excited population
     files = [io.write_csv(out_dir / "population.csv", "t_s,rho00", [t, p])]
     if config["compare_markovian"]:
-        p_m = nonmarkov.evolve_markovian(state, kernel.markovian_gamma, t)
+        p_m = nonmarkov.evolve_markovian(kernel.markovian_gamma, t)
         files.append(io.write_csv(out_dir / "population_markovian.csv",
                                   "t_s,rho00", [t, p_m]))
     window = config["smoothing_window"] or None
@@ -403,15 +407,16 @@ def run_spectroscopy(config: dict, out_dir: Path):
     m_1f = _noise_model("one-over-f", "one_over_f", config["one_over_f"])
     m_filt = _noise_model("filtered", "filtered", config["filtered"])
 
-    # the first ensemble rejects a bad n_realizations for all three
+    # the first ensemble rejects a bad n_realizations for both
     with _keys(n_realizations="n_realizations"):
-        ramsey = nonmarkov.ramsey(m_1f, tau, n_real, seed)
+        ramsey, echo_1f = nonmarkov.dephasing(m_1f, tau, n_real, seed)
+    echo_filt = nonmarkov.dephasing(m_filt, tau, n_real, seed)[1]
     files = [
         io.write_csv(out_dir / "ramsey.csv", "tau_s,contrast", [tau, ramsey]),
         io.write_csv(out_dir / "echo_one_over_f.csv", "tau_s,echo",
-                     [tau, nonmarkov.hahn_echo(m_1f, tau, n_real, seed)]),
+                     [tau, echo_1f]),
         io.write_csv(out_dir / "echo_filtered.csv", "tau_s,echo",
-                     [tau, nonmarkov.hahn_echo(m_filt, tau, n_real, seed)]),
+                     [tau, echo_filt]),
     ]
 
     f, psa = nonmarkov.averaged_periodogram(

@@ -61,8 +61,9 @@ class FluxDrive:
         if reach >= limit:
             raise ConfigError(
                 f"phi_rf_tilde = {self.phi_rf_tilde:.4f} rad takes the flux "
-                f"excursion to {reach:.4f} rad, within {SECANT_MARGIN} of the "
-                "secant singularity at pi/2")
+                f"excursion from phi_dc_tilde = {self.phi_dc_tilde:.4f} rad "
+                f"to {reach:.4f} rad, within {SECANT_MARGIN} of the secant "
+                "singularity at pi/2")
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,6 @@ class SpectrumReport:
     harmonic_index: list
     power_dbc: list              # dB relative to n = 1
     absolute_power: list         # arbitrary units
-    probe_position: float | None # [m]; None for spatial spectra
 
 
 @dataclass
@@ -361,7 +361,7 @@ def _binned_power(x: np.ndarray, dt: float, f_targets, half_width: int = 0):
     return out
 
 
-def temporal_harmonics(record: np.ndarray, sim: Simulator, probe: float,
+def temporal_harmonics(record: np.ndarray, sim: Simulator,
                        n_max: int = 6) -> SpectrumReport:
     """Hann-tapered spectral power of a probe record (one current per
     step, as run_until returns it) at the harmonics of the source tone.
@@ -377,8 +377,7 @@ def temporal_harmonics(record: np.ndarray, sim: Simulator, probe: float,
     return SpectrumReport(
         harmonic_index=list(range(1, n_max + 1)),
         power_dbc=dbc,
-        absolute_power=powers,
-        probe_position=(_probe_branch(sim.geom, probe) + 0.5) * sim.geom.dz)
+        absolute_power=powers)
 
 
 def _spatial_bands(state: LineState, geom: LineGeometry, drive: FluxDrive,
@@ -418,7 +417,7 @@ def spatial_harmonics(state: LineState, geom: LineGeometry, drive: FluxDrive,
     dbc[0] = 0.0
     return SpectrumReport(
         harmonic_index=list(range(1, n_max + 1)),
-        power_dbc=dbc, absolute_power=powers, probe_position=None)
+        power_dbc=dbc, absolute_power=powers)
 
 
 def harmonic_band_power(state: LineState, geom: LineGeometry,

@@ -1,15 +1,17 @@
 """Open-system dynamics of a single decaying two-level system: Lindblad
 relaxation, an exponential-memory kernel with information backflow, the
 effective decoherence rate, and Monte Carlo dephasing spectroscopy
-(Ramsey / Hahn echo under synthesized classical frequency noise).
+(Ramsey and Hahn echo from one ensemble under synthesized classical
+frequency noise).
 
-Population convention: rho00 labels the DECAYING (excited) population
-throughout, so evolve_* traces start at rho00(0) and relax toward 0.
+Every population trace is the excited population: evolve_* traces start
+at 1 and relax toward 0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,52 +20,22 @@ from .errors import ConfigError, ConvergenceError
 
 TWO_PI = 2.0 * math.pi
 NOISE_BLOCK = 256       # time samples per block of the noise synthesis
-
-
-@dataclass
-class TwoLevelState:
-    rho: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rho, dtype=complex)
-        if r.shape != (2, 2):
-            raise ConfigError("rho must be 2x2")
-        if np.abs(r - r.conj().T).max() > 1e-12:
-            raise ConfigError("rho must be Hermitian")
-        if abs(r.trace() - 1.0) > 1e-12:
-            raise ConfigError("rho must have unit trace")
-        if np.linalg.eigvalsh(r).min() < -1e-10:
-            raise ConfigError("rho must be positive semidefinite")
-        self.rho = r
-
-    @property
-    def population(self) -> float:
-        """The decaying population rho00."""
-        return float(self.rho[0, 0].real)
-
-
-def excited_state(p0: float = 1.0) -> TwoLevelState:
-    if not 0.0 <= p0 <= 1.0:
-        raise ConfigError("p0 must lie in [0, 1]")
-    return TwoLevelState(np.diag([p0, 1.0 - p0]).astype(complex))
+# band edges [Hz] whose squares are normal floats
+_F_MIN, _F_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    kind: str                        # "markovian" | "exponential-kernel"
-    amplitude_a: float = 0.0         # kernel amplitude A [1/s^2]
-    gamma_memory: float = 0.0        # memory decay rate Gamma [1/s]
-    markovian_gamma: float = 0.0     # gamma for the memoryless kind [1/s]
+    amplitude_a: float               # kernel amplitude A [1/s^2]
+    gamma_memory: float              # memory decay rate Gamma [1/s]
+    markovian_gamma: float           # rate of the memoryless comparison [1/s]
 
     def __post_init__(self):
-        if self.kind not in ("markovian", "exponential-kernel"):
-            raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        for name in ("amplitude_a", "gamma_memory", "markovian_gamma"):
+        if not self.gamma_memory > 0.0:
+            raise ConfigError("gamma_memory must be > 0")
+        for name in ("amplitude_a", "markovian_gamma"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be nonnegative")
-        if self.kind == "exponential-kernel" and self.gamma_memory <= 0.0:
-            raise ConfigError("gamma_memory must be > 0 for an exponential "
-                              "kernel")
 
 
 def _check_grid(t_grid) -> np.ndarray:
@@ -77,34 +49,30 @@ def _check_grid(t_grid) -> np.ndarray:
     return t
 
 
-def evolve_markovian(state: TwoLevelState, gamma: float,
-                     t_grid) -> np.ndarray:
+def evolve_markovian(gamma: float, t_grid) -> np.ndarray:
     """Population trace under plain relaxation at rate gamma (H = 0,
     collapse operator sigma-minus), in closed form."""
     t = _check_grid(t_grid)
     if gamma < 0.0:
         raise ConfigError("gamma must be nonnegative")
-    return state.population * np.exp(-gamma * t)
+    return np.exp(-gamma * t)
 
 
-def evolve_kernel(state: TwoLevelState, kernel: KernelSpec,
-                  t_grid) -> np.ndarray:
+def evolve_kernel(kernel: KernelSpec, t_grid) -> np.ndarray:
     """Population trace under the exponential memory kernel
     K(t - tau) = A exp(-Gamma (t - tau)).
 
     Solved at the amplitude level: the excited amplitude c obeys
     c'(t) = -integral K(t-tau)/2 c(tau) dtau, i.e.
-        c'' + Gamma c' + (A/2) c = 0,   c(0) = sqrt(p0),   c'(0) = 0,
+        c'' + Gamma c' + (A/2) c = 0,   c(0) = 1,   c'(0) = 0,
     and p = c^2. This keeps the state physical through the backflow
     regime (a population-level embedding of the same kernel swings
     negative once A/Gamma^2 is of order 1, which no valid density matrix
     can do); the memoryless limit recovers the rate gamma = A/Gamma.
     The closed form is
-        c(t) = c(0) exp(-Gamma t/2) [cosh(q t) + (Gamma/2) sinh(q t)/q]
+        c(t) = exp(-Gamma t/2) [cosh(q t) + (Gamma/2) sinh(q t)/q]
     with q = sqrt(Gamma^2/4 - A/2), imaginary when underdamped.
     """
-    if kernel.kind != "exponential-kernel":
-        raise ConfigError("evolve_kernel needs an exponential-kernel spec")
     t = _check_grid(t_grid)
     gm = kernel.gamma_memory
     q = np.sqrt(complex(0.25 * gm * gm - 0.5 * kernel.amplitude_a))
@@ -112,7 +80,7 @@ def evolve_kernel(state: TwoLevelState, kernel: KernelSpec,
     # overdamped traces do not overflow; sinh(q t)/q -> t at q = 0
     z = -2.0 * q * t
     sinhc = -np.expm1(z) / (2.0 * q) if q != 0.0 else t
-    c = math.sqrt(state.population) * (np.exp((q - 0.5 * gm) * t) * (
+    c = (np.exp((q - 0.5 * gm) * t) * (
         0.5 * (1.0 + np.exp(z)) + 0.5 * gm * sinhc)).real
     return c * c
 
@@ -178,10 +146,14 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("one-over-f", "filtered"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if not self.f_min > 0.0:
-            raise ConfigError("f_min must be > 0")
+        # a tone is the geometric mean of two bin edges, so their product
+        # must neither underflow to 0 Hz nor overflow
+        if not self.f_min >= _F_MIN:
+            raise ConfigError(f"f_min must be >= {_F_MIN:.4g} Hz")
         if not self.f_max > self.f_min:
             raise ConfigError("f_max must be > f_min")
+        if not self.f_max <= _F_MAX:
+            raise ConfigError(f"f_max must be <= {_F_MAX:.4g} Hz")
         if self.n_components < 100:
             raise ConfigError("n_components must be >= 100")
         if self.amplitude < 0.0:
@@ -269,7 +241,13 @@ def _phase_integral(w, a_cos, a_sin, tau):
     return np.sin(wt) @ a_cos + (np.cos(wt) - 1.0) @ a_sin
 
 
-def _ensemble(model, tau_grid, n_realizations, seed, echo):
+def dephasing(model: NoiseModel, tau_grid, n_realizations: int,
+              seed: int):
+    """Ramsey and Hahn-echo contrasts of one ensemble, (ramsey, echo):
+    |<exp(i Phi(tau))>| for free induction, and the same with a refocusing
+    flip at tau/2, whose phase is 2 Phi(tau/2) - Phi(tau). Realization r
+    draws its tone phases from default_rng((seed, r)), so both contrasts
+    share every trajectory and echo >= Ramsey comparisons are paired."""
     tau = np.asarray(tau_grid, dtype=float)
     if np.any(tau < 0.0):
         raise ConfigError("tau grid must be nonnegative")
@@ -280,58 +258,30 @@ def _ensemble(model, tau_grid, n_realizations, seed, echo):
     phi = _phases(model, ((seed, r) for r in range(n_realizations))).T
     a_k = (amp_k / w)[:, None]
     a_cos, a_sin = a_k * np.cos(phi), a_k * np.sin(phi)
-    if echo:
-        phase = 2.0 * _phase_integral(w, a_cos, a_sin, 0.5 * tau) \
-            - _phase_integral(w, a_cos, a_sin, tau)
-    else:
-        phase = _phase_integral(w, a_cos, a_sin, tau)
-    return np.abs(np.exp(1j * phase).sum(axis=1)) / n_realizations
-
-
-def ramsey(model: NoiseModel, tau_grid, n_realizations: int,
-           seed: int) -> np.ndarray:
-    """Free-induction contrast |<exp(i Phi(tau))>| over the ensemble."""
-    return _ensemble(model, tau_grid, n_realizations, seed, echo=False)
-
-
-def hahn_echo(model: NoiseModel, tau_grid, n_realizations: int,
-              seed: int) -> np.ndarray:
-    """Echo amplitude with a refocusing flip at tau/2, same ensemble
-    construction (paired seeds make echo >= Ramsey comparisons exact)."""
-    return _ensemble(model, tau_grid, n_realizations, seed, echo=True)
+    full = _phase_integral(w, a_cos, a_sin, tau)
+    echo = 2.0 * _phase_integral(w, a_cos, a_sin, 0.5 * tau) - full
+    return tuple(np.abs(np.exp(1j * phase).sum(axis=1)) / n_realizations
+                 for phase in (full, echo))
 
 
 @dataclass
 class DecayFit:
-    model: str                       # "exponential" | "stretched-exponential"
     timescale: float                 # [s]
     beta: float
-    residual: float                  # rms in linear space
 
 
-def fit_decay(t, y, kind: str = "stretched-exponential") -> DecayFit:
-    """Fit y = exp(-(t/T)^beta) by damped Gauss-Newton on log residuals,
-    seeded by a log-log line through the usable points. The exponential
-    kind pins beta = 1 (closed-form least squares)."""
+def fit_decay(t, y) -> DecayFit:
+    """Fit the stretched exponential y = exp(-(t/T)^beta) by damped
+    Gauss-Newton on log residuals, seeded by a log-log line through the
+    usable points."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.size != y.size or t.size < 8:
         raise ConfigError("need >= 8 samples")
     if np.any(y <= 0.0) or np.any(y > 1.0):
         raise ConfigError("samples must lie in (0, 1]")
-    if kind not in ("exponential", "stretched-exponential"):
-        raise ConfigError(f"unknown decay model {kind!r}")
 
     ln_y = np.log(y)
-    if kind == "exponential":
-        # minimize sum (ln y + t/T)^2 in 1/T
-        denom = float(np.sum(t * ln_y))
-        if denom >= 0.0:
-            raise ConvergenceError("samples do not decay")
-        timescale = -float(np.sum(t * t)) / denom
-        resid = float(np.sqrt(np.mean((y - np.exp(-t / timescale)) ** 2)))
-        return DecayFit("exponential", timescale, 1.0, resid)
-
     usable = (t > 0.0) & (y < 1.0)
     if usable.sum() < 4:
         raise ConvergenceError("too few decaying samples to seed the fit")
@@ -371,6 +321,4 @@ def fit_decay(t, y, kind: str = "stretched-exponential") -> DecayFit:
     if not (0.0 < beta <= 4.0) or not np.isfinite(timescale):
         raise ConvergenceError(
             f"fit left the admissible region (beta = {beta:.3f})")
-    resid = float(np.sqrt(np.mean(
-        (y - np.exp(-(t / timescale) ** beta)) ** 2)))
-    return DecayFit("stretched-exponential", timescale, beta, resid)
+    return DecayFit(timescale, beta)

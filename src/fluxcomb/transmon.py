@@ -209,8 +209,8 @@ class FluxCurve:
         w_lo, w_hi = self._series(self._series.domain)
         if not w_lo <= omega_q_hz <= w_hi:
             raise ConfigError(
-                f"qubit frequency {omega_q_hz / 1e9:.3f} GHz outside the "
-                f"flux curve's {w_lo / 1e9:.3f}-{w_hi / 1e9:.3f} GHz")
+                f"qubit frequency {omega_q_hz / 1e9:.4g} GHz outside the "
+                f"flux curve's {w_lo / 1e9:.4g}-{w_hi / 1e9:.4g} GHz")
         # omega_q is strictly increasing in ej, so the nodes are sorted
         ln_ej = float(np.interp(omega_q_hz, self._wq, self._ln_ej))
         for _ in range(50):
@@ -246,7 +246,9 @@ def default_comb_qubits(omega_m: float,
         bias_targets = np.linspace(0.7, 1.2, len(idx))
     if len(bias_targets) != len(idx):
         raise ConfigError("bias_targets length must match harmonic_indices")
-    template = TransmonSpec(ec=ec, ej_max=1e12)
+    # the solves take ej explicitly; ej_max only keeps the template in the
+    # transmon regime
+    template = TransmonSpec(ec=ec, ej_max=_CURVE_EJ_OVER_EC[1] * ec)
     curve = flux_curve(ec)
     out = []
     for n_i, bias in zip(idx, bias_targets):
@@ -254,8 +256,9 @@ def default_comb_qubits(omega_m: float,
         try:
             ln_ej = curve.ln_ej_from_omega(target_hz)
         except ConfigError as exc:
-            raise ConfigError(f"harmonic {n_i} at ec = {ec:.4g} Hz: {exc}") \
-                from None
+            raise ConfigError(
+                f"harmonic {n_i} at omega_m = {omega_m:.4g} rad/s and "
+                f"ec = {ec:.4g} Hz: {exc}") from None
         for _ in range(_CAL_STEPS):
             residual = _converged_levels(template, math.exp(ln_ej), 3)[0][1] \
                 - target_hz

@@ -21,7 +21,6 @@ def memory_kernel() -> nonmarkov.KernelSpec:
     """The packaged nonmarkov kernel: the decay rate transiently turns
     negative within the first 100 ns."""
     gamma_mem = TWO_PI * 5e6
-    return nonmarkov.KernelSpec(kind="exponential-kernel",
-                                amplitude_a=4.0 * gamma_mem ** 2,
+    return nonmarkov.KernelSpec(amplitude_a=4.0 * gamma_mem ** 2,
                                 gamma_memory=gamma_mem,
                                 markovian_gamma=gamma_mem / 100.0)

@@ -274,31 +274,30 @@ def test_acceptance_08_isolation_switching(capsys):
 
 def test_acceptance_09_memory_kernel(capsys):
     kernel = memory_kernel()
-    state = nonmarkov.excited_state()
 
     t = np.linspace(0.0, 400e-9, 16001)
-    p = nonmarkov.evolve_kernel(state, kernel, t)
+    p = nonmarkov.evolve_kernel(kernel, t)
     oracle_gap = float(np.abs(p - quadrature_population(kernel, t)).max())
 
     gamma = TWO_PI * 5e4
-    fast = nonmarkov.KernelSpec(kind="exponential-kernel",
-                                amplitude_a=gamma * 100.0 * gamma,
-                                gamma_memory=100.0 * gamma)
+    fast = nonmarkov.KernelSpec(amplitude_a=gamma * 100.0 * gamma,
+                                gamma_memory=100.0 * gamma,
+                                markovian_gamma=gamma)
     tm = np.linspace(0.0, 2.0 / gamma, 4001)
-    pm = nonmarkov.evolve_kernel(state, fast, tm)
+    pm = nonmarkov.evolve_kernel(fast, tm)
     ref = np.exp(-gamma * tm)
     mask = ref > 1e-3
     markov_gap = float(np.max(np.abs(pm[mask] - ref[mask]) / ref[mask]))
 
     tg = np.linspace(0.0, 400e-9, 4001)
-    pg = nonmarkov.evolve_kernel(state, kernel, tg)
+    pg = nonmarkov.evolve_kernel(kernel, tg)
     g = nonmarkov.gamma_eff(tg, np.maximum(pg, 1e-300))
     neg = g < 0.0
     runs = np.diff(np.flatnonzero(np.diff(np.concatenate(
         ([0], neg.astype(int), [0])))).reshape(-1, 2), axis=1)
     has_backflow = bool(runs.size and runs.max() >= 20)
 
-    pexp = nonmarkov.evolve_markovian(state, kernel.markovian_gamma, tg)
+    pexp = nonmarkov.evolve_markovian(kernel.markovian_gamma, tg)
     ge = nonmarkov.gamma_eff(tg, pexp)
     flatness = float(np.std(ge) / np.mean(ge))
 
@@ -328,9 +327,8 @@ def test_acceptance_10_spectroscopy(capsys):
 
     t_start = time.perf_counter()
     tau = np.geomspace(0.3e-6, 12e-6, 90)
-    echo_1f = nonmarkov.hahn_echo(m_1f, tau, 500, 42)
-    ram_1f = nonmarkov.ramsey(m_1f, tau, 500, 42)
-    echo_filt = nonmarkov.hahn_echo(m_filt, tau, 500, 42)
+    ram_1f, echo_1f = nonmarkov.dephasing(m_1f, tau, 500, 42)
+    echo_filt = nonmarkov.dephasing(m_filt, tau, 500, 42)[1]
 
     def fit_beta(y):
         m = (y > 0.25) & (y < 0.85)

@@ -3,6 +3,7 @@ oracle, formula reductions, limit consistency, monotonicity, and the
 frozen calibration outcomes."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +102,32 @@ class TestSpecs:
                 budget.QubitArraySpec(kappa_bus=kappa)
         with pytest.raises(ConfigError, match="^g_coupling"):
             budget.QubitArraySpec(g_coupling=1e300)
+        lo, hi = budget._OMEGA_M_RANGE
+        for omega_m in (0.5 * lo, 2.0 * hi):
+            with pytest.raises(ConfigError, match="^omega_m must be in"):
+                budget.QubitArraySpec(omega_m=omega_m)
+        with pytest.raises(ConfigError, match="^omega_m .*g_coupling"):
+            budget.QubitArraySpec(omega_m=1e-150)
+        with pytest.raises(ConfigError, match="^t_gate .*omega_m"):
+            budget.QubitArraySpec(t_gate=1e300)
+
+    def test_bounds_keep_the_largest_comb_in_float_range(self):
+        # at either end of the omega_m range, with the strongest coupling
+        # it admits, and with the longest gate admitted at 3 GHz, the
+        # budget of teeth at the extremes of a MAX_QUBITS comb (the closest
+        # and farthest spacings, the bus resonance, the top) is finite
+        lo, hi = budget._OMEGA_M_RANGE
+        w, g = budget.TWO_PI * 3e9, budget.TWO_PI * 50e6
+        longest = 0.5 * sys.float_info.max / (budget.MAX_QUBITS * w)
+        for omega_m, g_coupling, t_gate in ((lo, 1.0, 0.5e-9),
+                                            (hi, g, 0.5e-9), (w, g, longest)):
+            array = budget.QubitArraySpec(
+                n_qubits=4, harmonic_indices=(1, 2, 13, budget.MAX_QUBITS),
+                omega_m=omega_m, g_coupling=g_coupling, t_gate=t_gate)
+            for model in (budget.reciprocal_bus(omega_m),
+                          budget.nonreciprocal_bus(omega_m)):
+                result = budget.full_budget(array, model)
+                assert np.all(np.isfinite(result.e_total))
 
     def test_model_validation(self):
         with pytest.raises(ConfigError):

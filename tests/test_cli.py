@@ -451,6 +451,38 @@ class TestExitCodes:
         ("line-sim", "drive.phi_rf=1.2", "'drive.phi_rf'"),
         ("spectroscopy", "one_over_f.f_min_hz=0", "'one_over_f.f_min_hz'"),
         ("spectroscopy", "filtered.f_max_hz=1e3", "'filtered.f_max_hz'"),
+        # bounds that keep the arithmetic in float range
+        ("spectroscopy", "one_over_f.f_min_hz=1e-300",
+         "'one_over_f.f_min_hz'"),
+        ("spectroscopy", "filtered.f_min_hz=1e-300", "'filtered.f_min_hz'"),
+        ("spectroscopy", "one_over_f.f_max_hz=1e300",
+         "'one_over_f.f_max_hz'"),
+        ("error-budget", "array.modulation_freq_hz=1e300",
+         "'array.modulation_freq_hz'"),
+        ("error-budget", "array.modulation_freq_hz=1e-300",
+         "'array.modulation_freq_hz'"),
+        ("scalability", "array.modulation_freq_hz=1e-300",
+         "'array.modulation_freq_hz'"),
+        ("scalability", "array.modulation_freq_hz=1e-150",
+         "'array.modulation_freq_hz', 'array.g_coupling_hz'"),
+        ("error-budget", "array.t_gate_s=1e300",
+         "'array.t_gate_s', 'array.modulation_freq_hz'"),
+        ("scalability", "array.t_gate_s=1e300",
+         "'array.t_gate_s', 'array.modulation_freq_hz'"),
+        # a constraint between keys names all of them
+        ("scalability", "array.t1_intrinsic_s=1e-5",
+         "'array.t2_intrinsic_s', 'array.t1_intrinsic_s'"),
+        ("line-sim", "drive.phi_dc=1.0", "'drive.phi_rf', 'drive.phi_dc'"),
+        ("spectroscopy", "one_over_f.f_max_hz=1e2",
+         "'one_over_f.f_max_hz', 'one_over_f.f_min_hz'"),
+        ("flux-sweep", "modulation_freq_hz=1e-300",
+         "'harmonic_indices', 'modulation_freq_hz', 'ec_hz'"),
+        ("flux-sweep", "ec_hz=1e-300",
+         "'harmonic_indices', 'modulation_freq_hz', 'ec_hz'"),
+        ("addressing", "modulation_freq_hz=1e300",
+         "'harmonic_index', 'modulation_freq_hz', 'ec_hz'"),
+        ("addressing", "ec_hz=1e15",
+         "'harmonic_index', 'modulation_freq_hz', 'ec_hz'"),
         pytest.param("line-sim",
                      ["run.spectrum=temporal", "run.window_end_s=3e-9"],
                      "'run.window_end_s'",
@@ -505,16 +537,6 @@ class TestExitCodes:
                          "--set", "run.blowup_factor=1e-12",
                          "--set", "run.t_end_s=1e-10"])
         assert code == 3
-
-    def test_budget_out_of_float_range_is_3(self, tmp_path, capsys):
-        for scenario, assignment in (
-                ("error-budget", "array.t_gate_s=1e300"),
-                ("scalability", "array.modulation_freq_hz=1e-300")):
-            code = cli.main([scenario, "--out", str(tmp_path),
-                             "--set", assignment])
-            err = capsys.readouterr().err
-            assert code == 3
-            assert "error budget out of float range" in err
 
     def test_unwritable_out_is_4(self, tmp_path):
         blocker = tmp_path / "blocked"

@@ -171,7 +171,7 @@ class TestHarmonics:
         sim = line.build_line(g, quiet_drive(0.6), cw_source())
         probe = 0.9 * g.length
         _, record = sim.run_until(12e-9, probe=probe, window=(4e-9, 12e-9))
-        rep = line.temporal_harmonics(record, sim, probe)
+        rep = line.temporal_harmonics(record, sim)
         assert rep.power_dbc[0] == 0.0
         assert all(p < -100.0 for p in rep.power_dbc[1:])
 
@@ -190,14 +190,14 @@ class TestHarmonics:
         one = line.build_line(g, d, cw_source())
         states, record = one.run_until(t_end, snaps, probe=probe,
                                        window=window)
-        got = line.temporal_harmonics(record, one, probe)
+        got = line.temporal_harmonics(record, one)
         assert one.t_index == round(max(t_end, window[1]) / one.dt)
 
         two = line.build_line(g, d, cw_source())
         if window[0] >= t_end:
             ref_states = two.run_until(t_end, snaps)
             _, rec = two.run_until(window[1], probe=probe, window=window)
-            want = line.temporal_harmonics(rec, two, probe)
+            want = line.temporal_harmonics(rec, two)
         else:
             stops = [round(t / two.dt) for t in (*snaps, window[0])]
             ref_states = []
@@ -206,7 +206,7 @@ class TestHarmonics:
                 ref_states.append(two.state())
             rec = two._advance(round(window[1] / two.dt) - two.t_index,
                                [line._probe_branch(g, probe)])
-            want = line.temporal_harmonics(rec[:, 0], two, probe)
+            want = line.temporal_harmonics(rec[:, 0], two)
             ref_states.pop()
         assert got == want
         for a, b in zip(states, ref_states):
