@@ -390,10 +390,54 @@ def _noise_model(kind: str, section: str, cfg: dict) -> nonmarkov.NoiseModel:
         return nonmarkov.NoiseModel(kind=kind, **common)
 
 
+def _count(n: int) -> str:
+    return f"{n:.3g}" if n < 1e300 else "more than 1e300"
+
+
+def _spectroscopy_work(config: dict, models):
+    """Check the work of a spectroscopy run against nonmarkov's caps before
+    anything is allocated, naming every key that sets an exceeded size."""
+    n_real, n_tau = config["n_realizations"], config["tau"]["n"]
+    pcfg = config["spectrum"]
+    n_avg = pcfg["n_avg"]
+    # samples of np.arange(0, duration, dt); an overflowed ratio is past
+    # every cap
+    ratio = pcfg["duration_s"] / pcfg["dt_s"]
+    n_t = math.ceil(ratio) if math.isfinite(ratio) else 2 ** 1024
+    k_1f, k_filt = (m.n_components for m in models)
+    k_keys = ("one_over_f.n_components", "filtered.n_components")
+    noise_keys = ("spectrum.n_avg", "spectrum.duration_s", "spectrum.dt_s")
+    sizes = [
+        ("phase draw", "floats", nonmarkov.MAX_ARRAY,
+         n_real * max(k_1f, k_filt), ("n_realizations", *k_keys)),
+        ("tone tables", "floats", nonmarkov.MAX_ARRAY,
+         2 * n_tau * (k_1f + k_filt), ("tau.n", *k_keys)),
+        ("phase integrals", "floats", nonmarkov.MAX_ARRAY,
+         4 * n_tau * n_real, ("tau.n", "n_realizations")),
+        ("noise traces", "floats", nonmarkov.MAX_ARRAY,
+         n_avg * n_t, noise_keys),
+        ("noise coefficients", "floats", nonmarkov.MAX_ARRAY,
+         2 * (n_avg + nonmarkov.NOISE_BLOCK) * k_1f,
+         ("spectrum.n_avg", k_keys[0])),
+        ("dephasing ensemble", "multiply-adds", nonmarkov.MAX_TONE_TERMS,
+         4 * n_tau * (k_1f + k_filt) * n_real,
+         ("n_realizations", "tau.n", *k_keys)),
+        ("noise synthesis", "multiply-adds", nonmarkov.MAX_TONE_TERMS,
+         2 * n_avg * n_t * k_1f, (*noise_keys, k_keys[0])),
+    ]
+    for what, unit, cap, size, keys in sizes:
+        if size > cap:
+            raise ConfigError(", ".join(f"'{k}'" for k in keys)
+                              + f": {what}: {_count(size)} {unit}, "
+                              f"above the cap of {cap:.3g}")
+
+
 def run_spectroscopy(config: dict, out_dir: Path):
     seed = config["seed"]
     n_real = config["n_realizations"]
     tcfg, pcfg = config["tau"], config["spectrum"]
+    if seed < 0:
+        raise ConfigError("'seed' must be >= 0")
     if tcfg["n"] < 2:
         raise ConfigError("'tau.n' must be >= 2")
     if pcfg["n_avg"] < 1:
@@ -403,24 +447,24 @@ def run_spectroscopy(config: dict, out_dir: Path):
             raise ConfigError(f"'tau.{key}' must be > 0")
     if not 0.0 < pcfg["dt_s"] < pcfg["duration_s"]:
         raise ConfigError("need 0 < 'spectrum.dt_s' < 'spectrum.duration_s'")
+    models = [_noise_model("one-over-f", "one_over_f", config["one_over_f"]),
+              _noise_model("filtered", "filtered", config["filtered"])]
+    _spectroscopy_work(config, models)
     tau = np.geomspace(tcfg["start_s"], tcfg["stop_s"], tcfg["n"])
-    m_1f = _noise_model("one-over-f", "one_over_f", config["one_over_f"])
-    m_filt = _noise_model("filtered", "filtered", config["filtered"])
 
-    # the first ensemble rejects a bad n_realizations for both
     with _keys(n_realizations="n_realizations"):
-        ramsey, echo_1f = nonmarkov.dephasing(m_1f, tau, n_real, seed)
-    echo_filt = nonmarkov.dephasing(m_filt, tau, n_real, seed)[1]
+        ramsey, echo = nonmarkov.dephasing(models, tau, n_real, seed)
     files = [
-        io.write_csv(out_dir / "ramsey.csv", "tau_s,contrast", [tau, ramsey]),
+        io.write_csv(out_dir / "ramsey.csv", "tau_s,contrast",
+                     [tau, ramsey[0]]),
         io.write_csv(out_dir / "echo_one_over_f.csv", "tau_s,echo",
-                     [tau, echo_1f]),
+                     [tau, echo[0]]),
         io.write_csv(out_dir / "echo_filtered.csv", "tau_s,echo",
-                     [tau, echo_filt]),
+                     [tau, echo[1]]),
     ]
 
     f, psa = nonmarkov.averaged_periodogram(
-        m_1f, pcfg["duration_s"], pcfg["dt_s"],
+        models[0], pcfg["duration_s"], pcfg["dt_s"],
         [seed + k for k in range(pcfg["n_avg"])])
     files.append(io.write_csv(out_dir / "spectrum.csv", "f_hz,s_omega",
                               [f[1:], psa[1:]]))

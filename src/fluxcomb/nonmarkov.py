@@ -1,11 +1,17 @@
 """Open-system dynamics of a single decaying two-level system: Lindblad
 relaxation, an exponential-memory kernel with information backflow, the
 effective decoherence rate, and Monte Carlo dephasing spectroscopy
-(Ramsey and Hahn echo from one ensemble under synthesized classical
-frequency noise).
+(Ramsey and Hahn echo under synthesized classical frequency noise).
 
 Every population trace is the excited population: evolve_* traces start
 at 1 and relax toward 0.
+
+Every tone sum is a matrix product over a table of transcendentals taken
+once: dephasing draws one phase ensemble for all noise models on a tone
+grid and folds each model's amplitudes into the rows of its sin/cos(w
+tau) tables, and synthesize_noise takes one cos/sin(w s) table over a
+block's offsets s and turns each block's start into the complex tone
+coefficients.
 """
 
 from __future__ import annotations
@@ -20,6 +26,12 @@ from .errors import ConfigError, ConvergenceError
 
 TWO_PI = 2.0 * math.pi
 NOISE_BLOCK = 256       # time samples per block of the noise synthesis
+# work caps of a spectroscopy run, checked from its config before anything
+# is allocated: floats in any one working array (128 MiB), and the
+# multiply-adds of one tone sum (the dephasing ensemble or the noise
+# synthesis; the packaged defaults need 3.7e8 and 1.7e8)
+MAX_ARRAY = 1 << 24
+MAX_TONE_TERMS = 10 ** 10
 # band edges [Hz] whose squares are normal floats
 _F_MIN, _F_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
 
@@ -186,39 +198,43 @@ def _tones(model: NoiseModel):
     return f_k, np.sqrt(2.0 * var_k)
 
 
-def _phases(model: NoiseModel, seeds) -> np.ndarray:
+def _phases(n_components: int, seeds) -> np.ndarray:
     """Uniform tone phases, one row per seed, each row drawn from its own
-    default_rng(seed) stream."""
-    rows = [np.random.default_rng(s).uniform(0.0, TWO_PI,
-                                             size=model.n_components)
-            for s in seeds]
-    if not rows:
+    default_rng(seed) stream into one preallocated array."""
+    seeds = list(seeds)
+    if not seeds:
         raise ConfigError("need at least one seed")
-    return np.array(rows)
+    phi = np.empty((len(seeds), n_components))
+    for row, s in zip(phi, seeds):
+        row[:] = np.random.default_rng(s).uniform(0.0, TWO_PI,
+                                                  size=n_components)
+    return phi
 
 
 def synthesize_noise(model: NoiseModel, duration: float, dt: float,
-                     seed) -> np.ndarray:
+                     seeds) -> np.ndarray:
     """Realizations of the frequency-noise trajectory delta-omega(t)
-    [rad/s] on a uniform grid, deterministic under seed: a 1-D trace for
-    an int seed, or one row per seed for a sequence of ints (row k equals
-    the trace for seed[k] alone)."""
+    [rad/s] on a uniform grid, one row per seed; row k is deterministic
+    under seeds[k] alone."""
     if duration <= 0.0 or dt <= 0.0 or dt >= duration:
         raise ConfigError("need 0 < dt < duration")
-    single = np.ndim(seed) == 0
     f_k, amp_k = _tones(model)
-    phi = _phases(model, [seed] if single else seed)
-    a_cos, a_sin = amp_k * np.cos(phi), amp_k * np.sin(phi)
+    coeff = amp_k * np.exp(1j * _phases(model.n_components, seeds))
     w = TWO_PI * f_k
     t = np.arange(0.0, duration, dt)
-    x = np.empty((phi.shape[0], t.size))
-    # cos(w t + phi) = cos(w t) cos(phi) - sin(w t) sin(phi); blocks of
-    # NOISE_BLOCK samples bound the tables of w t
+    # amp cos(w (t0 + s) + phi) = Re[amp exp(i (phi + w t0)) exp(i w s)]:
+    # one table over a block's offsets s, and each block's start t0 turned
+    # into the coefficients; exp(i w t0) is taken afresh per block, so no
+    # rounding accumulates along the trace
+    ws = np.outer(w, t[:NOISE_BLOCK])
+    table = np.concatenate([np.cos(ws), -np.sin(ws)])
+    x = np.empty((coeff.shape[0], t.size))
     for start in range(0, t.size, NOISE_BLOCK):
-        wt = np.outer(w, t[start:start + NOISE_BLOCK])
-        x[:, start:start + NOISE_BLOCK] = a_cos @ np.cos(wt) \
-            - a_sin @ np.sin(wt)
-    return x[0] if single else x
+        rotated = coeff * np.exp(1j * (w * t[start]))
+        block = x[:, start:start + NOISE_BLOCK]
+        block[:] = np.concatenate([rotated.real, rotated.imag], axis=1) \
+            @ table[:, :block.shape[1]]
+    return x
 
 
 def averaged_periodogram(model: NoiseModel, duration: float, dt: float,
@@ -232,36 +248,53 @@ def averaged_periodogram(model: NoiseModel, duration: float, dt: float,
     return np.fft.rfftfreq(n_t, dt), pw.mean(axis=0)
 
 
-def _phase_integral(w, a_cos, a_sin, tau):
-    """Exact integral of the tone sum from 0 to each tau, for every
-    realization at once: Phi[tau, r] [rad]. Column r of a_cos (a_sin)
-    holds amp_k/w_k cos(phi_k) (sin(phi_k)) of realization r, so
-    sin(w tau + phi) - sin(phi) becomes two matrix products."""
+def _phase_integral(w, amp_over_w, tau, phi):
+    """Exact integral of the tone sum from 0 to each tau, for every model
+    and realization at once: Phi[m, tau, r] [rad]. Row m of amp_over_w
+    holds model m's amp_k/w_k, folded into the rows of the tables
+    sin(w tau) and cos(w tau) - 1, so sin(w tau + phi) - sin(phi) becomes
+    two matrix products with sin(phi) and cos(phi). phi holds one row of
+    tone phases per realization and is overwritten with cos(phi)."""
     wt = np.outer(tau, w)
-    return np.sin(wt) @ a_cos + (np.cos(wt) - 1.0) @ a_sin
+    amp = amp_over_w[:, None, :]
+    sin_t = (amp * np.sin(wt)).reshape(-1, w.size)
+    cos_t = (amp * (np.cos(wt) - 1.0)).reshape(-1, w.size)
+    phase = cos_t @ np.sin(phi).T
+    phase += sin_t @ np.cos(phi, out=phi).T
+    return phase.reshape(amp_over_w.shape[0], tau.size, -1)
 
 
-def dephasing(model: NoiseModel, tau_grid, n_realizations: int,
-              seed: int):
-    """Ramsey and Hahn-echo contrasts of one ensemble, (ramsey, echo):
+def dephasing(models, tau_grid, n_realizations: int, seed: int):
+    """Ramsey and Hahn-echo contrasts of every noise model from one
+    ensemble, (ramsey, echo), each shaped (len(models), n_tau):
     |<exp(i Phi(tau))>| for free induction, and the same with a refocusing
     flip at tau/2, whose phase is 2 Phi(tau/2) - Phi(tau). Realization r
-    draws its tone phases from default_rng((seed, r)), so both contrasts
-    share every trajectory and echo >= Ramsey comparisons are paired."""
+    draws its tone phases from default_rng((seed, r)), so every contrast
+    shares every trajectory and echo >= Ramsey comparisons are paired.
+    Models with the same tone grid (f_min, f_max, n_components) share one
+    phase draw and one pair of matrix products."""
     tau = np.asarray(tau_grid, dtype=float)
     if np.any(tau < 0.0):
         raise ConfigError("tau grid must be nonnegative")
     if n_realizations < 200:
         raise ConfigError("n_realizations must be >= 200")
-    f_k, amp_k = _tones(model)
-    w = TWO_PI * f_k
-    phi = _phases(model, ((seed, r) for r in range(n_realizations))).T
-    a_k = (amp_k / w)[:, None]
-    a_cos, a_sin = a_k * np.cos(phi), a_k * np.sin(phi)
-    full = _phase_integral(w, a_cos, a_sin, tau)
-    echo = 2.0 * _phase_integral(w, a_cos, a_sin, 0.5 * tau) - full
-    return tuple(np.abs(np.exp(1j * phase).sum(axis=1)) / n_realizations
-                 for phase in (full, echo))
+    groups = {}
+    for m, model in enumerate(models):
+        grid = (model.f_min, model.f_max, model.n_components)
+        groups.setdefault(grid, []).append(m)
+    # Phi at tau, then at tau/2, for each model
+    taus = np.concatenate([tau, 0.5 * tau])
+    phase = np.empty((len(models), taus.size, n_realizations))
+    for (_, _, n_components), members in groups.items():
+        w = TWO_PI * _tones(models[members[0]])[0]
+        amp_over_w = np.array([_tones(models[m])[1] for m in members]) / w
+        phi = _phases(n_components,
+                      ((seed, r) for r in range(n_realizations)))
+        phase[members] = _phase_integral(w, amp_over_w, taus, phi)
+    full = phase[:, :tau.size]
+    echo = 2.0 * phase[:, tau.size:] - full
+    return tuple(np.abs(np.exp(1j * p).sum(axis=2)) / n_realizations
+                 for p in (full, echo))
 
 
 @dataclass

@@ -327,8 +327,8 @@ def test_acceptance_10_spectroscopy(capsys):
 
     t_start = time.perf_counter()
     tau = np.geomspace(0.3e-6, 12e-6, 90)
-    ram_1f, echo_1f = nonmarkov.dephasing(m_1f, tau, 500, 42)
-    echo_filt = nonmarkov.dephasing(m_filt, tau, 500, 42)[1]
+    (ram_1f, _), (echo_1f, echo_filt) = nonmarkov.dephasing(
+        [m_1f, m_filt], tau, 500, 42)
 
     def fit_beta(y):
         m = (y > 0.25) & (y < 0.85)

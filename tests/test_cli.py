@@ -381,6 +381,7 @@ class TestExitCodes:
         ("nonmarkov", "compare_markovian=0", "compare_markovian"),
         ("scalability", "models=reciprocal", "models"),
         ("spectroscopy", "spectrum.n_avg=0", "spectrum.n_avg"),
+        ("spectroscopy", "seed=-1", "'seed'"),
         pytest.param("line-sim",
                      ["run.spectrum=temporal", "run.window_start_s=-1e-9"],
                      "'run.window_start_s'",
@@ -499,6 +500,60 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("assignment,keys,what", [
+        ("n_realizations=1000000000000000", ["'n_realizations'"],
+         "phase draw"),
+        ("n_realizations=100000000", ["'n_realizations'"], "phase draw"),
+        ("one_over_f.n_components=1000000000000000",
+         ["'one_over_f.n_components'"], "phase draw"),
+        ("filtered.n_components=1000000000000000",
+         ["'filtered.n_components'"], "phase draw"),
+        ("tau.n=1000000000000000", ["'tau.n'"], "tone tables"),
+        ("spectrum.n_avg=1000000000000000", ["'spectrum.n_avg'"],
+         "noise traces"),
+        ("spectrum.duration_s=1e300",
+         ["'spectrum.duration_s'", "'spectrum.dt_s'"], "noise traces"),
+        ("spectrum.dt_s=1e-300",
+         ["'spectrum.duration_s'", "'spectrum.dt_s'"], "noise traces"),
+        # sizes that pass every other cap
+        (["n_realizations=50000", "tau.n=100",
+          "one_over_f.n_components=100", "filtered.n_components=100"],
+         ["'tau.n'", "'n_realizations'"], "phase integrals"),
+        (["one_over_f.n_components=30000", "tau.n=2"],
+         ["'spectrum.n_avg'", "'one_over_f.n_components'"],
+         "noise coefficients"),
+        (["spectrum.n_avg=1", "one_over_f.n_components=100",
+          "spectrum.duration_s=20"],
+         ["'spectrum.n_avg'", "'spectrum.duration_s'", "'spectrum.dt_s'"],
+         "noise traces"),
+        ("tau.n=3000", ["'n_realizations'", "'tau.n'",
+                        "'one_over_f.n_components'",
+                        "'filtered.n_components'"], "dephasing ensemble"),
+        ("spectrum.duration_s=0.2",
+         ["'spectrum.n_avg'", "'spectrum.duration_s'", "'spectrum.dt_s'",
+          "'one_over_f.n_components'"], "noise synthesis"),
+    ])
+    def test_spectroscopy_work_over_cap_is_2(self, tmp_path, capsys,
+                                            monkeypatch, assignment, keys,
+                                            what):
+        """The preflight rejects an oversized run from its config alone,
+        before any tone sum starts, and names the keys of that size."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("the preflight let the run start")
+
+        monkeypatch.setattr(cli.nonmarkov, "dephasing", no_work)
+        monkeypatch.setattr(cli.nonmarkov, "averaged_periodogram", no_work)
+        assignments = [assignment] if isinstance(assignment, str) \
+            else assignment
+        code = cli.main(["spectroscopy", "--out", str(tmp_path),
+                         *(a for x in assignments for a in ("--set", x))])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{what}: " in err and "above the cap" in err
+        for key in keys:
+            assert key in err
         assert "Traceback" not in err
 
     def test_bad_config_file_value_is_2(self, tmp_path, capsys):

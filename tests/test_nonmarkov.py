@@ -4,7 +4,8 @@ The kernel solver is checked against an independent quadrature of the
 integro-differential form (written before the solver, different scheme,
 different state variables), the Markov limit, and the analytic backflow
 geometry of the underdamped regime. The batched ensembles and noise
-synthesis are checked against the per-realization loops they replaced.
+synthesis are checked against the per-realization loops they replaced,
+and the shared multi-model pass against single-model runs.
 """
 
 import numpy as np
@@ -307,18 +308,18 @@ class TestNoiseSynthesis:
 
     def test_synthesis_deterministic(self):
         m = nm.NoiseModel(kind="one-over-f", amplitude=1e10)
-        x1 = nm.synthesize_noise(m, 1e-3, 1e-6, seed=5)
-        x2 = nm.synthesize_noise(m, 1e-3, 1e-6, seed=5)
+        x1 = nm.synthesize_noise(m, 1e-3, 1e-6, [5])
+        x2 = nm.synthesize_noise(m, 1e-3, 1e-6, [5])
         np.testing.assert_array_equal(x1, x2)
-        x3 = nm.synthesize_noise(m, 1e-3, 1e-6, seed=6)
+        x3 = nm.synthesize_noise(m, 1e-3, 1e-6, [6])
         assert np.abs(x1 - x3).max() > 0.0
 
     def test_zero_amplitude_is_silent(self):
         m = nm.NoiseModel(kind="one-over-f", amplitude=0.0)
-        assert np.abs(nm.synthesize_noise(m, 1e-4, 1e-6, seed=0)).max() \
+        assert np.abs(nm.synthesize_noise(m, 1e-4, 1e-6, [0])).max() \
             == 0.0
         tau = np.linspace(0.0, 1e-5, 11)
-        for contrast in nm.dephasing(m, tau, 200, 0):
+        for contrast in nm.dephasing([m], tau, 200, 0):
             np.testing.assert_allclose(contrast, 1.0, atol=1e-12)
 
     def test_batched_noise_matches_single_seeds_and_cos_sum(self):
@@ -328,13 +329,24 @@ class TestNoiseSynthesis:
         x = nm.synthesize_noise(m, 7e-4, 1e-6, [11, 12, 13])
         assert x.shape == (3, 700)
         for row, seed in zip(x, (11, 12, 13)):
-            one = nm.synthesize_noise(m, 7e-4, 1e-6, seed)
+            one = nm.synthesize_noise(m, 7e-4, 1e-6, [seed])[0]
             ref = loop_noise(m, 7e-4, 1e-6, seed)
             scale = np.abs(ref).max()
             assert np.abs(one - row).max() <= 1e-12 * scale
             assert np.abs(one - ref).max() <= 1e-9 * scale
         with pytest.raises(ConfigError):
             nm.synthesize_noise(m, 7e-4, 1e-6, [])
+
+    def test_block_rotation_matches_cos_sum_over_long_trace(self):
+        # at 2 ms the top tone's phase w t0 passes 3.7e3 rad: each block's
+        # start rotation is taken afresh, so no rounding builds up
+        m = nm.NoiseModel(kind="one-over-f", amplitude=5.4e11,
+                          n_components=256)
+        x = nm.synthesize_noise(m, 2e-3, 1e-6, [21, 22])
+        assert TWO_PI * m.f_max * 2e-3 > 1e3
+        for row, seed in zip(x, (21, 22)):
+            ref = loop_noise(m, 2e-3, 1e-6, seed)
+            assert np.abs(row - ref).max() <= 1e-9 * np.abs(ref).max()
 
     def test_phase_integral_matches_trapezoid(self):
         m = nm.NoiseModel(kind="one-over-f", amplitude=1e9, f_max=1e5,
@@ -348,13 +360,12 @@ class TestNoiseSynthesis:
             + phi_k[:, None])).sum(axis=0)
         acc = cumulative_trapezoid(x, t, initial=0.0)
         w = TWO_PI * f_k
-        a_k = (amp_k / w)[:, None]
-        for tau in (5e-6, 1e-5, 2e-5):
+        taus = np.array([5e-6, 1e-5, 2e-5])
+        exact = nm._phase_integral(w, (amp_k / w)[None, :], taus,
+                                   phi_k[None, :].copy())[0, :, 0]
+        for tau, phase in zip(taus, exact):
             idx = int(round(tau / dt))
-            exact = nm._phase_integral(
-                w, a_k * np.cos(phi_k)[:, None],
-                a_k * np.sin(phi_k)[:, None], np.array([tau]))[0, 0]
-            assert abs(acc[idx] - exact) < 1e-3 * max(1.0, abs(exact))
+            assert abs(acc[idx] - phase) < 1e-3 * max(1.0, abs(phase))
 
     def test_spectrum_slope(self):
         m = nm.NoiseModel(kind="one-over-f", amplitude=5.4e11,
@@ -379,22 +390,55 @@ class TestNoiseSynthesis:
 
     @pytest.mark.parametrize("kind", ["one-over-f", "filtered"])
     def test_ensembles_match_per_realization_loop(self, kind):
-        m = nm.NoiseModel(kind=kind, amplitude=5.4e11, n_components=128)
+        # both models share one tone grid, so one phase draw and one pair
+        # of matrix products serve them, whichever comes first
+        models = [nm.NoiseModel(kind="one-over-f", amplitude=5.4e11,
+                                n_components=128),
+                  nm.NoiseModel(kind="filtered", amplitude=6e10,
+                                n_components=128)]
+        if kind == "filtered":
+            models.reverse()
         tau = np.geomspace(0.3e-6, 12e-6, 12)
-        ramsey, echo = nm.dephasing(m, tau, 200, 42)
-        np.testing.assert_allclose(ramsey, loop_ensemble(m, tau, 200, 42,
-                                                         echo=False),
-                                   rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(echo, loop_ensemble(m, tau, 200, 42,
-                                                       echo=True),
-                                   rtol=0.0, atol=1e-12)
+        ramsey, echo = nm.dephasing(models, tau, 200, 42)
+        assert ramsey.shape == echo.shape == (2, 12)
+        for k, m in enumerate(models):
+            np.testing.assert_allclose(
+                ramsey[k], loop_ensemble(m, tau, 200, 42, echo=False),
+                rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(
+                echo[k], loop_ensemble(m, tau, 200, 42, echo=True),
+                rtol=0.0, atol=1e-12)
+
+    def test_split_tone_grids_match_single_model_runs(self):
+        # models on different tone grids fall into separate groups of the
+        # same pass (here the first and last share one); each row is the
+        # model's own ensemble
+        models = [nm.NoiseModel(kind="one-over-f", amplitude=5.4e11,
+                                n_components=256),
+                  nm.NoiseModel(kind="filtered", amplitude=6e10,
+                                n_components=128),
+                  nm.NoiseModel(kind="one-over-f", amplitude=2e11,
+                                f_min=2e3, n_components=256),
+                  nm.NoiseModel(kind="filtered", amplitude=6e10,
+                                n_components=256)]
+        tau = np.geomspace(0.3e-6, 12e-6, 10)
+        ramsey, echo = nm.dephasing(models, tau, 200, 5)
+        for k, m in enumerate(models):
+            ramsey_one, echo_one = nm.dephasing([m], tau, 200, 5)
+            np.testing.assert_allclose(ramsey[k], ramsey_one[0],
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(echo[k], echo_one[0],
+                                       rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            echo[1], loop_ensemble(models[1], tau, 200, 5, echo=True),
+            rtol=0.0, atol=1e-12)
 
     def test_ensemble_validation(self):
         m = nm.NoiseModel(kind="one-over-f", amplitude=1e10)
         with pytest.raises(ConfigError):
-            nm.dephasing(m, np.linspace(0.0, 1e-5, 5), 100, 0)
+            nm.dephasing([m], np.linspace(0.0, 1e-5, 5), 100, 0)
         with pytest.raises(ConfigError):
-            nm.dephasing(m, np.array([-1e-6, 1e-6]), 200, 0)
+            nm.dephasing([m], np.array([-1e-6, 1e-6]), 200, 0)
 
 
 class TestDecayFits:
@@ -434,7 +478,7 @@ class TestSpectroscopyProtocol:
         m = nm.NoiseModel(kind="one-over-f", amplitude=5.4e11,
                           n_components=1024)
         tau = np.geomspace(0.3e-6, 12e-6, 30)
-        r, e = nm.dephasing(m, tau, 250, 42)
+        (r,), (e,) = nm.dephasing([m], tau, 250, 42)
         mask = r > 0.15
         assert np.all(e[mask] >= r[mask] - 0.01)
 
@@ -450,8 +494,9 @@ class TestSpectroscopyProtocol:
         mf = nm.NoiseModel(kind="filtered", amplitude=6e10,
                            filter_center=3e3, filter_depth=30.0,
                            n_components=1024)
-        b1 = fit_window(nm.dephasing(m1, tau, 250, 42)[1]).beta
-        bf = fit_window(nm.dephasing(mf, tau, 250, 42)[1]).beta
+        echo_1f, echo_f = nm.dephasing([m1, mf], tau, 250, 42)[1]
+        b1 = fit_window(echo_1f).beta
+        bf = fit_window(echo_f).beta
         assert 2.3 < b1 < 3.9
         assert 1.3 < bf < 2.7
         assert b1 > bf
