@@ -15,6 +15,8 @@ filesystem trouble.
 
 import argparse
 import contextlib
+import copy
+import functools
 import importlib.resources
 import json
 import math
@@ -32,9 +34,17 @@ TWO_PI = 2.0 * math.pi
 
 # ---------------------------------------------------------------- config
 
-def load_defaults() -> dict:
+@functools.cache
+def _packaged_defaults() -> dict:
+    """data/defaults.json, read and parsed once per process. Shared: read
+    it, or change a copy."""
     ref = importlib.resources.files("fluxcomb") / "data" / "defaults.json"
     return json.loads(ref.read_text())
+
+
+def load_defaults() -> dict:
+    """The packaged defaults, as a fresh dict the caller may change."""
+    return copy.deepcopy(_packaged_defaults())
 
 
 def merge_config(base: dict, user: dict, path: str = "") -> dict:
@@ -113,7 +123,8 @@ def check_types(config: dict, defaults: dict, path: str = ""):
 
 
 def resolve_config(scenario: str, config_path, overrides, seed) -> dict:
-    config = load_defaults()[scenario]
+    defaults = _packaged_defaults()[scenario]
+    config = copy.deepcopy(defaults)
     if config_path is not None:
         try:
             with open(config_path) as fh:
@@ -127,9 +138,9 @@ def resolve_config(scenario: str, config_path, overrides, seed) -> dict:
         apply_override(config, assignment)
     if seed is not None:
         config["seed"] = seed
-    # apply_override writes into the loaded defaults, so the types come
-    # from a fresh copy
-    check_types(config, load_defaults()[scenario])
+    # apply_override writes into the copy; the types come from the
+    # packaged defaults
+    check_types(config, defaults)
     return config
 
 
@@ -151,10 +162,26 @@ def _keys(**fields):
                           + f": {exc}") from None
 
 
-def _grid(spec: dict, what: str) -> np.ndarray:
-    if spec["n"] < 1:
-        raise ConfigError(f"'{what}.n' must be >= 1")
-    return np.linspace(spec["start"], spec["stop"], spec["n"])
+def _count(n: int) -> str:
+    return f"{n:.3g}" if n < 1e300 else "more than 1e300"
+
+
+def _check_work(sizes):
+    """The preflight of a run, before anything is allocated: each entry
+    of `sizes` is (what, unit, cap, size, keys), and the first size above
+    its cap exits 2 naming every key that sets it."""
+    for what, unit, cap, size, keys in sizes:
+        if size > cap:
+            raise ConfigError(", ".join(f"'{k}'" for k in keys)
+                              + f": {what}: {_count(size)} {unit}, "
+                              f"above the cap of {cap:.3g}")
+
+
+def _row_index(n: int, repeat: int, tile: int) -> np.ndarray:
+    """Indices 0..n-1, each `repeat` times in a row, the whole `tile`
+    times, in the smallest unsigned dtype that holds n - 1."""
+    return np.tile(np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1)),
+                             repeat), tile)
 
 
 # ------------------------------------------------------------- scenarios
@@ -253,6 +280,13 @@ def run_flux_sweep(config: dict, out_dir: Path):
     idx = tuple(config["harmonic_indices"])
     if not idx:
         raise ConfigError("'harmonic_indices' must name at least one harmonic")
+    n_dc, n_rf = config["phi_dc"]["n"], config["phi_rf"]["n"]
+    for axis, n in (("phi_dc", n_dc), ("phi_rf", n_rf)):
+        if n < 1:
+            raise ConfigError(f"'{axis}.n' must be >= 1")
+    _check_work([("addressing map", "points", transmon.MAX_MAP_POINTS,
+                  n_dc * n_rf * len(idx),
+                  ("phi_dc.n", "phi_rf.n", "harmonic_indices"))])
     with _keys(harmonic_indices="harmonic_indices",
                harmonic="harmonic_indices", omega_m="modulation_freq_hz",
                ec="ec_hz"):
@@ -264,18 +298,24 @@ def run_flux_sweep(config: dict, out_dir: Path):
     for key in ("start", "stop"):
         if config["phi_rf"][key] < 0.0:
             raise ConfigError(f"'phi_rf.{key}' must be >= 0")
-    dc_grid = _grid(config["phi_dc"], "phi_dc")
-    rf_grid = _grid(config["phi_rf"], "phi_rf")
+    dc, rf = config["phi_dc"], config["phi_rf"]
+    dc_grid = np.linspace(dc["start"], dc["stop"], n_dc)
+    rf_grid = np.linspace(rf["start"], rf["stop"], n_rf)
     amap = transmon.addressing_map(array, dc_grid, rf_grid, qubits=qubits)
-    n_dc, n_rf, n_q = amap.score.shape
-    columns = [np.repeat(dc_grid, n_rf * n_q),
-               np.tile(np.repeat(rf_grid, n_q), n_dc),
-               np.tile(np.arange(n_q), n_dc * n_rf), amap.score.ravel()]
+    n_q = len(idx)
+    # rows run over (phi_dc, phi_rf, qubit), the last fastest; each
+    # coordinate is written from its grid and a row index into it
+    columns = [(dc_grid, _row_index(n_dc, n_rf * n_q, 1)),
+               (rf_grid, _row_index(n_rf, n_q, n_dc)),
+               (np.arange(n_q), _row_index(n_q, 1, n_dc * n_rf)),
+               amap.score.ravel()]
     return [io.write_csv(out_dir / "addressing_map.csv",
                          "phi_dc,phi_rf,qubit_index,score", columns)]
 
 
 def run_addressing(config: dict, out_dir: Path):
+    _check_work([("charge basis", "levels", transmon.MAX_LEVELS,
+                  config["n_levels"], ("n_levels",))])
     omega_m = TWO_PI * config["modulation_freq_hz"]
     bias = config["bias_phi_dc"]
     with _keys(ec="ec_hz", n_levels="n_levels", harmonic="harmonic_index",
@@ -339,16 +379,25 @@ def run_scalability(config: dict, out_dir: Path):
             f"'n_max' must be in 'n_min'..{budget.MAX_QUBITS}")
     if not config["models"]:
         raise ConfigError("'models' must name at least one bus model")
-    n_range = range(n_min, n_max + 1)
+    n_range, models = range(n_min, n_max + 1), config["models"]
     worst = [budget.scalability_sweep(array, _bus_model(kind, array.omega_m),
-                                      n_range) for kind in config["models"]]
-    return [io.write_csv(out_dir / "scalability.csv",
-                         "n,worst_case_error,model",
-                         [np.tile(n_range, len(worst)), np.concatenate(worst),
-                          np.repeat(config["models"], len(n_range))])]
+                                      n_range) for kind in models]
+    n_n, n_m = len(n_range), len(models)
+    # rows run over (model, n), n fastest
+    return [io.write_csv(
+        out_dir / "scalability.csv", "n,worst_case_error,model",
+        [(np.array(n_range), _row_index(n_n, 1, n_m)), np.concatenate(worst),
+         (np.array(models), _row_index(n_m, n_n, 1))])]
 
 
 def run_nonmarkov(config: dict, out_dir: Path):
+    if config["n_points"] < 5:
+        raise ConfigError("'n_points' must be >= 5")
+    if not config["t_end_s"] > 0.0:
+        raise ConfigError("'t_end_s' must be > 0")
+    # the kernel trace's complex amplitude holds two floats a point
+    _check_work([("kernel trace", "floats", nonmarkov.MAX_ARRAY,
+                  2 * config["n_points"], ("n_points",))])
     kcfg = config["kernel"]
     gm = TWO_PI * kcfg["gamma_memory_hz"]
     with _keys(amplitude_a="kernel.amplitude_over_gamma_sq",
@@ -357,10 +406,6 @@ def run_nonmarkov(config: dict, out_dir: Path):
         kernel = nonmarkov.KernelSpec(
             amplitude_a=kcfg["amplitude_over_gamma_sq"] * gm * gm,
             gamma_memory=gm, markovian_gamma=kcfg["markovian_ratio"] * gm)
-    if config["n_points"] < 5:
-        raise ConfigError("'n_points' must be >= 5")
-    if not config["t_end_s"] > 0.0:
-        raise ConfigError("'t_end_s' must be > 0")
     t = np.linspace(0.0, config["t_end_s"], config["n_points"])
     p = nonmarkov.evolve_kernel(kernel, t)
     # rho00 is the excited population
@@ -390,10 +435,6 @@ def _noise_model(kind: str, section: str, cfg: dict) -> nonmarkov.NoiseModel:
         return nonmarkov.NoiseModel(kind=kind, **common)
 
 
-def _count(n: int) -> str:
-    return f"{n:.3g}" if n < 1e300 else "more than 1e300"
-
-
 def _spectroscopy_work(config: dict, models):
     """Check the work of a spectroscopy run against nonmarkov's caps before
     anything is allocated, naming every key that sets an exceeded size."""
@@ -407,7 +448,7 @@ def _spectroscopy_work(config: dict, models):
     k_1f, k_filt = (m.n_components for m in models)
     k_keys = ("one_over_f.n_components", "filtered.n_components")
     noise_keys = ("spectrum.n_avg", "spectrum.duration_s", "spectrum.dt_s")
-    sizes = [
+    _check_work([
         ("phase draw", "floats", nonmarkov.MAX_ARRAY,
          n_real * max(k_1f, k_filt), ("n_realizations", *k_keys)),
         ("tone tables", "floats", nonmarkov.MAX_ARRAY,
@@ -424,12 +465,7 @@ def _spectroscopy_work(config: dict, models):
          ("n_realizations", "tau.n", *k_keys)),
         ("noise synthesis", "multiply-adds", nonmarkov.MAX_TONE_TERMS,
          2 * n_avg * n_t * k_1f, (*noise_keys, k_keys[0])),
-    ]
-    for what, unit, cap, size, keys in sizes:
-        if size > cap:
-            raise ConfigError(", ".join(f"'{k}'" for k in keys)
-                              + f": {what}: {_count(size)} {unit}, "
-                              f"above the cap of {cap:.3g}")
+    ])
 
 
 def run_spectroscopy(config: dict, out_dir: Path):
@@ -484,7 +520,10 @@ SCENARIOS = {
 
 # ------------------------------------------------------------------ main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="fluxcomb",
         description="Space-time-modulated line and frequency-comb qubit "

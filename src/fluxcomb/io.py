@@ -9,7 +9,9 @@ A block is rendered with no Python formatting per cell. Each column's
 block becomes a (rows, words) uint32 matrix of NUL-padded UTF-8; the
 matrices, a ',' word between columns and a newline word at each row end
 are stacked side by side, and the block goes out in one write as the
-matrix's bytes with the NULs dropped.
+matrix's bytes with the NULs dropped. A column given as a (values, index)
+pair, such as a grid coordinate repeated over the rows, is rendered once
+for its distinct values, and each block gathers its rows' word rows.
 
 A float x != 0 has the 13 significant digits M = round(v), where
 v = |x| 10^(12-E) and E = floor(log10|x|). E is exact: log10 is checked
@@ -200,36 +202,66 @@ def _str_words(x: np.ndarray) -> np.ndarray:
     return codes.view(np.uint32)
 
 
-def _block_bytes(blocks: list) -> bytes:
-    """The CSV lines of one block of each column, as bytes."""
+def _render(c: np.ndarray) -> np.ndarray:
+    """(rows, words) of the cells of a float, integer or str column."""
+    render = {"f": _float_words, "U": _str_words}.get(c.dtype.kind,
+                                                      _int_words)
+    return render(c)
+
+
+def _block_bytes(words: list) -> bytes:
+    """The CSV lines of one block, from each column's (rows, k) words."""
     t = _tables()
-    rows = blocks[0].size
+    rows = len(words[0])
     parts = []
-    for b in blocks:
-        render = {"f": _float_words, "U": _str_words}.get(b.dtype.kind,
-                                                          _int_words)
-        parts += [render(b), np.full((rows, 1), t.comma)]
+    for w in words:
+        parts += [w, np.full((rows, 1), t.comma)]
     parts[-1] = np.full((rows, 1), t.newline)
     return np.hstack(parts).tobytes().translate(None, b"\0")
+
+
+def _column(c) -> tuple:
+    """A write_csv column as (values, index); index is None for a plain
+    column."""
+    values, index = c if isinstance(c, tuple) else (c, None)
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        values = values.astype(np.float64, copy=False)
+    if values.ndim != 1 or values.dtype.kind not in "fiuU":
+        raise TypeError(f"not a float, integer or str column: {values.dtype}")
+    if index is not None:
+        index = np.asarray(index)
+        if index.ndim != 1 or index.dtype.kind not in "iu":
+            raise TypeError(f"not a 1-D integer index: {index.dtype}")
+        if index.size and not 0 <= index.min() <= index.max() < len(values):
+            raise IndexError(f"index outside 0..{len(values) - 1}")
+    return values, index
 
 
 def write_csv(path: Path, header: str, columns) -> Path:
     """Write `columns` under `header`. A column is a float array (each cell
     rendered %.12e), an integer array (%d) or a sequence of str (written as
-    is, and holding no NUL); all have the same length. Rows go out in
-    blocks of CSV_BLOCK, each line ending in LF."""
-    columns = [np.asarray(c) for c in columns]
-    columns = [c.astype(np.float64, copy=False) if c.dtype.kind == "f"
-               else c for c in columns]
-    for c in columns:
-        if c.ndim != 1 or c.dtype.kind not in "fiuU":
-            raise TypeError(f"not a float, integer or str column: {c.dtype}")
-    if len({len(c) for c in columns}) > 1:
+    is, and holding no NUL); all have the same length. A column may also be
+    a (values, index) tuple: `values` is such a column and `index` a 1-D
+    integer array into it, so the column reads values[index] and has
+    len(index) rows; `values` is rendered once, not once per row. Rows go
+    out in blocks of CSV_BLOCK, each line ending in LF."""
+    columns = [_column(c) for c in columns]
+    lengths = {len(v if i is None else i) for v, i in columns}
+    if len(lengths) > 1:
         raise ValueError("columns differ in length")
+    (n_rows,) = lengths
+    # a pair's values are rendered here, once; a plain column block by
+    # block (an empty table renders nothing)
+    words = [_render(v) if i is not None and n_rows else None
+             for v, i in columns]
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode())
-        for lo in range(0, len(columns[0]), CSV_BLOCK):
-            fh.write(_block_bytes([c[lo:lo + CSV_BLOCK] for c in columns]))
+        for lo in range(0, n_rows, CSV_BLOCK):
+            hi = lo + CSV_BLOCK
+            fh.write(_block_bytes([_render(v[lo:hi]) if i is None
+                                   else w[i[lo:hi]]
+                                   for (v, i), w in zip(columns, words)]))
     return Path(path)
 
 

@@ -26,10 +26,11 @@ from .errors import ConfigError, ConvergenceError
 
 TWO_PI = 2.0 * math.pi
 NOISE_BLOCK = 256       # time samples per block of the noise synthesis
-# work caps of a spectroscopy run, checked from its config before anything
-# is allocated: floats in any one working array (128 MiB), and the
-# multiply-adds of one tone sum (the dephasing ensemble or the noise
-# synthesis; the packaged defaults need 3.7e8 and 1.7e8)
+# work caps, checked from a run's config before anything is allocated:
+# floats in any one working array (128 MiB: a spectroscopy table or
+# trace, or the complex amplitude of a nonmarkov kernel trace), and the
+# multiply-adds of one spectroscopy tone sum (the dephasing ensemble or
+# the noise synthesis; the packaged defaults need 3.7e8 and 1.7e8)
 MAX_ARRAY = 1 << 24
 MAX_TONE_TERMS = 10 ** 10
 # band edges [Hz] whose squares are normal floats

@@ -27,6 +27,13 @@ _CURVE_EJ_OVER_EC = (8.0, 2.2e4)
 _CURVE_NODES = 48
 
 _MAX_CHARGE_CUT = 200
+# the most levels a solve can converge for: the cutoff starts at n_levels
+# + 2 or more and must grow by 5 at least once within _MAX_CHARGE_CUT
+MAX_LEVELS = _MAX_CHARGE_CUT - 5 - 2
+# grid points x qubits of an addressing map (two float arrays of this
+# size, 32 MiB each, and as many CSV rows); the benchmark's dense map has
+# 221 x 161 x 5 = 177,905
+MAX_MAP_POINTS = 1 << 22
 
 # J0 quadrature: midpoints of 32 equal steps over half a drive period
 _J0_SIN = np.sin((np.arange(32) + 0.5) * (math.pi / 32))

@@ -16,6 +16,12 @@ from fluxcomb import cli, io
 from fluxcomb.errors import ConfigError
 
 FLOAT_CELL = re.compile(r"-?\d\.\d{12}e[+-]\d{2,3}$")
+MAX_MAP_POINTS = cli.transmon.MAX_MAP_POINTS
+MAX_ARRAY = cli.nonmarkov.MAX_ARRAY
+MAX_LEVELS = cli.transmon.MAX_LEVELS
+MAP_KEYS = ["'phi_dc.n'", "'phi_rf.n'", "'harmonic_indices'"]
+# map points per (phi_dc, phi_rf) point: the default harmonic count
+N_HARMONICS = 5
 
 
 def read_rows(path):
@@ -39,6 +45,15 @@ def assert_renders_as_format_cell(tmp_path, columns) -> bytes:
     want = format_table(header, columns)
     assert path.read_bytes() == want
     return want
+
+
+def expand(column):
+    """A write_csv column as the cells it writes: a (values, index) pair
+    reads values[index]."""
+    if isinstance(column, tuple):
+        values, index = column
+        return np.asarray(values)[index]
+    return column
 
 
 def format_cell(value) -> str:
@@ -97,6 +112,37 @@ class TestConfigResolution:
     def test_seed_flag_wins(self):
         config = cli.resolve_config("spectroscopy", None, None, 7)
         assert config["seed"] == 7
+
+    def test_main_keeps_no_state_between_calls(self, tmp_path):
+        """The parser and the parsed defaults are built once per process:
+        a call's --config, --set and --seed do not reach the next call."""
+        # the config file leaves 'array' unmerged, so --set writes into the
+        # array section that the defaults hand out
+        user = tmp_path / "user.json"
+        user.write_text('{"bus": "reciprocal"}')
+        assert cli.main(["error-budget", "--config", str(user),
+                         "--set", "array.n_qubits=5", "--seed", "9",
+                         "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["error-budget", "--out", str(tmp_path / "b")]) == 0
+        first, second = (json.loads((tmp_path / d / "manifest.json")
+                                    .read_text()) for d in "ab")
+        assert (first["seed"], first["config"]["bus"],
+                first["config"]["array"]["n_qubits"]) == (9, "reciprocal", 5)
+        packaged = json.loads((Path(cli.__file__).parent / "data"
+                               / "defaults.json").read_text())
+        assert second["config"] == packaged["error-budget"]
+        assert second["seed"] == 0
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_load_defaults_returns_a_fresh_copy(self):
+        changed = cli.load_defaults()
+        changed["error-budget"]["array"]["n_qubits"] = 3
+        changed["flux-sweep"]["harmonic_indices"].append(99)
+        del changed["line-sim"]
+        fresh = cli.load_defaults()
+        assert fresh["error-budget"]["array"]["n_qubits"] == 25
+        assert fresh["flux-sweep"]["harmonic_indices"] == [5, 10, 15, 20, 25]
+        assert set(fresh) == set(cli.SCENARIOS)
 
 
 class TestScenarioOutputs:
@@ -200,8 +246,8 @@ class TestScenarioOutputs:
         def checked(path, header, columns):
             columns = list(columns)
             path = write_csv(path, header, columns)
-            assert path.read_bytes() == format_table(header, columns), \
-                path.name
+            assert path.read_bytes() == format_table(
+                header, [expand(c) for c in columns]), path.name
             written.append(path.name)
             return path
 
@@ -211,6 +257,33 @@ class TestScenarioOutputs:
         assert sorted(written) == sorted(
             e["path"] for e in manifest["files"] if e["path"].endswith(".csv"))
         assert written
+
+    def test_csv_pair_columns_write_their_expansion(self, tmp_path):
+        """A (values, index) column writes the same bytes as values[index]
+        written as a plain column, across block boundaries."""
+        n = 2 * io.CSV_BLOCK + 3
+        rng = np.random.default_rng(5)
+        # -0.0 and 0.0, a value on the % path, an exact tie and an
+        # ordinary value
+        floats = np.array([-0.0, 0.0, 3e-300, 1234567890123.5, 0.1])
+        ints = np.array([-10**12, -1, 0, 7, 10**15], np.int64)
+        text = np.array(["Ω", "µs,é", "日本", "", "a"])
+        pairs = [(values, rng.integers(0, len(values), n))
+                 for values in (floats, ints, text)]
+        plain = rng.standard_normal(n)
+        header = "f,i,s,x"
+        got = io.write_csv(tmp_path / "pairs.csv", header, [*pairs, plain])
+        expanded = [*(v[i] for v, i in pairs), plain]
+        want = io.write_csv(tmp_path / "plain.csv", header, expanded)
+        assert got.read_bytes() == want.read_bytes() \
+            == format_table(header, expanded)
+        # an index of any integer dtype, and a pair with no rows
+        small = (floats, np.array([4, 0, 2], np.uint8))
+        assert io.write_csv(tmp_path / "u8.csv", "f", [small]).read_bytes() \
+            == format_table("f", [floats[[4, 0, 2]]])
+        empty = io.write_csv(tmp_path / "empty.csv", "i,s",
+                             [(ints, np.zeros(0, np.int64)), []])
+        assert empty.read_bytes() == b"i,s\n"
 
     def test_csv_rejects_bad_columns(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -222,6 +295,26 @@ class TestScenarioOutputs:
         for cell in ("a\0b", "\0a", "\u00e9\0x", "x\0\u00e9"):
             with pytest.raises(ValueError, match="NUL"):
                 io.write_csv(path, "a", [["ok", cell]])
+        # (values, index) pairs: values as strict as a plain column, and
+        # an integer 1-D index inside values
+        values = np.array([1.0, 2.0, 3.0])
+        for index in ([0, 3], [-1, 0]):
+            with pytest.raises(IndexError):
+                io.write_csv(path, "a", [(values, np.array(index))])
+        for index in (np.array([0.0, 1.0]), np.zeros((2, 1), np.int64),
+                      np.array([True, False])):
+            with pytest.raises(TypeError):
+                io.write_csv(path, "a", [(values, index)])
+        for bad in (np.array([True, False]), np.zeros((2, 2)),
+                    np.array([1.0, None])):
+            with pytest.raises(TypeError):
+                io.write_csv(path, "a", [(bad, np.array([0, 1]))])
+        with pytest.raises(ValueError, match="differ in length"):
+            io.write_csv(path, "a,b",
+                         [(values, np.array([0, 1])), np.zeros(3)])
+        with pytest.raises(ValueError, match="NUL"):
+            io.write_csv(path, "a", [(np.array(["ok", "a\0b"]),
+                                      np.array([0]))])
 
     def test_nonmarkov_files(self, tmp_path):
         code = cli.main(["nonmarkov", "--out", str(tmp_path),
@@ -555,6 +648,72 @@ class TestExitCodes:
         for key in keys:
             assert key in err
         assert "Traceback" not in err
+
+    @staticmethod
+    def _stop_at_work(monkeypatch, exc):
+        """Raise `exc` at the first step of flux-sweep, addressing and
+        nonmarkov that follows their size preflight."""
+        def work(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli.transmon, "default_comb_qubits", work)
+        monkeypatch.setattr(cli.nonmarkov, "KernelSpec", work)
+
+    @pytest.mark.parametrize("scenario,assignments,keys,what", [
+        ("flux-sweep", ["phi_dc.n=1000000000000000"], MAP_KEYS,
+         "addressing map"),
+        ("flux-sweep", ["phi_rf.n=1000000000000000"], MAP_KEYS,
+         "addressing map"),
+        pytest.param("flux-sweep",
+                     [f"phi_dc.n={MAX_MAP_POINTS // N_HARMONICS + 1}",
+                      "phi_rf.n=1"],
+                     MAP_KEYS, "addressing map",
+                     id="flux-sweep-one-over-cap"),
+        ("nonmarkov", ["n_points=1000000000000000"], ["'n_points'"],
+         "kernel trace"),
+        pytest.param("nonmarkov", [f"n_points={MAX_ARRAY // 2 + 1}"],
+                     ["'n_points'"], "kernel trace",
+                     id="nonmarkov-one-over-cap"),
+        ("addressing", ["n_levels=1000000000000000"], ["'n_levels'"],
+         "charge basis"),
+        pytest.param("addressing", [f"n_levels={MAX_LEVELS + 1}"],
+                     ["'n_levels'"], "charge basis",
+                     id="addressing-one-over-cap"),
+    ])
+    def test_work_over_cap_is_2(self, tmp_path, capsys, monkeypatch,
+                                scenario, assignments, keys, what):
+        """The preflight rejects an oversized map, kernel trace or level
+        count from the config alone, before anything is allocated."""
+        self._stop_at_work(monkeypatch,
+                           AssertionError("the preflight let the run start"))
+        code = cli.main([scenario, "--out", str(tmp_path),
+                         *(a for x in assignments for a in ("--set", x))])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{what}: " in err and "above the cap" in err
+        for key in keys:
+            assert key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scenario,assignments", [
+        ("flux-sweep",
+         [f"phi_dc.n={MAX_MAP_POINTS // N_HARMONICS}", "phi_rf.n=1"]),
+        ("flux-sweep",
+         ["phi_dc.n=1", f"phi_rf.n={MAX_MAP_POINTS // N_HARMONICS}"]),
+        ("nonmarkov", [f"n_points={MAX_ARRAY // 2}"]),
+        ("addressing", [f"n_levels={MAX_LEVELS}"]),
+    ])
+    def test_work_at_cap_passes_preflight(self, tmp_path, monkeypatch,
+                                          scenario, assignments):
+        """The largest size under each cap gets past the preflight to the
+        scenario's work (stopped there)."""
+        class Started(Exception):
+            pass
+
+        self._stop_at_work(monkeypatch, Started())
+        with pytest.raises(Started):
+            cli.main([scenario, "--out", str(tmp_path),
+                      *(a for x in assignments for a in ("--set", x))])
 
     def test_bad_config_file_value_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
