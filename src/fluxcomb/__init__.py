@@ -26,7 +26,6 @@ from .line import (  # noqa: F401
 )
 from .transmon import (  # noqa: F401
     TransmonSpec,
-    chi_dispersive,
     default_comb_qubits,
     diagonalize,
     ej_time_averaged,

@@ -22,7 +22,8 @@ g(x) = cos(phi_dc + phi_rf sin x), one step from voltage time t to t+dt is
      v = (v + a*Vs -+ j_adj) / (1 + a), a = dt/(C_end Z)
   6. blowup check on max|v| (a NaN also trips it), probe j recorded at th
 
-w_k is 0 at the ghost slots. A seam's psi sums the voltage differences
+w_k is 0 at the ghost slots; step 3 never writes j's last ghost, which
+the caller passes as 0. A seam's psi sums the voltage differences
 across it, finite while the field entering each step is (the stepper stops
 at the first step that leaves the ceiling), so the ghosts' j is exactly 0
 and no row sees its neighbour. Steps 2 and 4 subtract into temporaries:
@@ -47,12 +48,13 @@ Steps are taken in blocks of BLOCK on absolute multiples of BLOCK, and a
 block's table and source values are always computed whole, from the
 absolute step indices alone. Each step then gets the same arithmetic
 however a run is split into calls. A simulator builds its coefficient
-factor (TableCoefficients) once; each call allocates its own table. The
-product goes into row 0's slots of the table and is copied to the other
-rows; each row's source values are one vector. Per step, the leapfrog is
-five 1-D ufuncs, the 2B row ends are Python floats through memoryviews,
-and the blowup check is one dot product unless that product reaches
-ceiling^2.
+factor (TableCoefficients) once; each call allocates its own table, one
+row of n+1 slots per step (slot 0 is the ghost) that every run shares.
+Each run's source values are one vector. Per step, the leapfrog is four
+1-D ufuncs over the batch plus one 1-D product per run (a broadcast
+product over a (B, n+1) view costs more at B = 1 and 2), the 2B row ends
+are Python floats through memoryviews, and the blowup check is one dot
+product unless that product reaches ceiling^2.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-# steps per modulation table: (64, 2 * 1025 + 1) doubles is 1 MB
+# steps per modulation table: (64, 1025) doubles is 0.5 MB
 BLOCK = 64
 
 # samples of g per period for its Fourier coefficients; a series that
@@ -142,7 +144,8 @@ def step_block(v, psi, j, coef: TableCoefficients, basis, dt, a_end,
     """Advance every row n_steps in place, from absolute step t_index0.
 
     v: contiguous (B*(n+1),) voltages; psi, j: contiguous (B*(n+1)+1,)
-    scaled flux and current in the layout above, with n = basis.shape[1].
+    scaled flux and current in the layout above, with n = basis.shape[1]
+    and both last ghost slots 0.
     coef, basis: the TableCoefficients (scale dt^2/(C_cell l0)) and the
     basis rows of the drive's modulation_series at theta = mod_phase.
     sources: one (left_port, kind, amp, omega, t_center, t_width, ramp)
@@ -153,6 +156,8 @@ def step_block(v, psi, j, coef: TableCoefficients, basis, dt, a_end,
     n = basis.shape[1]
     v_lo, v_hi, psi_in = v[:-1], v[1:], psi[1:-1]
     j_lo, j_hi = j[:-1], j[1:]
+    # each run's n+1 slots of psi and j, its leading ghost first
+    rows = list(zip(psi[:-1].reshape(-1, n + 1), j[:-1].reshape(-1, n + 1)))
     dv, di = np.empty(v.size - 1), np.empty_like(v)
     v_mem = memoryview(v)
     j_mem = memoryview(j)
@@ -167,14 +172,11 @@ def step_block(v, psi, j, coef: TableCoefficients, basis, dt, a_end,
     # clears the step; otherwise the exact max|v| test decides
     ceiling_sq = ceiling * ceiling
 
-    table = np.zeros((BLOCK, psi.size))
-    cells = table[:, :-1].reshape(BLOCK, -1, n + 1)[:, :, 1:]
-    tab = cells[:, 0]
+    table = np.zeros((BLOCK, n + 1))
     zeros = [0.0] * BLOCK
     k_end = t_index0 + n_steps
     for k0 in range(t_index0 - t_index0 % BLOCK, k_end, BLOCK):
-        np.matmul(coef.at(k0), basis, out=tab)
-        cells[:, 1:] = tab[:, None]
+        np.matmul(coef.at(k0), basis, out=table[:, 1:])
 
         th = (np.arange(k0, k0 + BLOCK) + 0.5) * dt
         src_l, src_r = [], []
@@ -187,7 +189,9 @@ def step_block(v, psi, j, coef: TableCoefficients, basis, dt, a_end,
         for s in range(lo, hi):
             np.subtract(v_lo, v_hi, out=dv)
             psi_in += dv
-            np.multiply(psi, table[s], out=j)
+            tab = table[s]
+            for psi_r, j_r in rows:
+                np.multiply(psi_r, tab, out=j_r)
 
             if record:
                 np.take(j, probe_idx, out=probe_rec[k0 + s - t_index0])

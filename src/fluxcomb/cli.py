@@ -42,11 +42,6 @@ def _packaged_defaults() -> dict:
     return json.loads(ref.read_text())
 
 
-def load_defaults() -> dict:
-    """The packaged defaults, as a fresh dict the caller may change."""
-    return copy.deepcopy(_packaged_defaults())
-
-
 def merge_config(base: dict, user: dict, path: str = "") -> dict:
     """Deep merge, rejecting keys that do not exist in the defaults."""
     out = dict(base)
@@ -408,15 +403,18 @@ def run_nonmarkov(config: dict, out_dir: Path):
             gamma_memory=gm, markovian_gamma=kcfg["markovian_ratio"] * gm)
     t = np.linspace(0.0, config["t_end_s"], config["n_points"])
     p = nonmarkov.evolve_kernel(kernel, t)
+    # the rate first: a bad smoothing window exits before any file is
+    # written
+    window = config["smoothing_window"] or None
+    with _keys(smoothing_window="smoothing_window"):
+        g = nonmarkov.gamma_eff(t, np.maximum(p, 1e-300),
+                                smoothing_window=window)
     # rho00 is the excited population
     files = [io.write_csv(out_dir / "population.csv", "t_s,rho00", [t, p])]
     if config["compare_markovian"]:
         p_m = nonmarkov.evolve_markovian(kernel.markovian_gamma, t)
         files.append(io.write_csv(out_dir / "population_markovian.csv",
                                   "t_s,rho00", [t, p_m]))
-    window = config["smoothing_window"] or None
-    g = nonmarkov.gamma_eff(t, np.maximum(p, 1e-300),
-                            smoothing_window=window)
     files.append(io.write_csv(out_dir / "gamma_eff.csv",
                               "t_s,gamma_eff_hz", [t, g]))
     return files

@@ -21,8 +21,6 @@ from .errors import ConfigError, NumericalError
 # magnetic flux quantum [Wb]
 PHI0 = 2.067833848e-15
 
-HALF_PI = 0.5 * math.pi
-
 # keep-out of the flux excursion from the secant singularity at pi/2 [rad]
 SECANT_MARGIN = 0.05
 
@@ -50,7 +48,7 @@ class FluxDrive:
     phase: float = 0.0           # spatial phase offset [rad]
 
     def __post_init__(self):
-        limit = HALF_PI - SECANT_MARGIN
+        limit = 0.5 * math.pi - SECANT_MARGIN
         if abs(self.phi_dc_tilde) >= limit:
             raise ConfigError(
                 f"phi_dc_tilde = {self.phi_dc_tilde:.4f} rad lies within "
@@ -79,6 +77,15 @@ class LineGeometry:
         for name in ("dz", "c_per_length", "i0"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
+        # the stepper multiplies and divides up to four of these, times a
+        # secant factor of at most 20: in this range all stay normal floats
+        lo, hi = 2.0 ** -240, 2.0 ** 240
+        for what, x in (("i0 gives l0", self.l0),
+                        ("c_per_length * dz", self.c_cell),
+                        ("i0 and dz give l0 / dz", self.l0 / self.dz)):
+            if not lo <= x <= hi:
+                raise ConfigError(f"{what} = {x:.3g}, outside the line "
+                                  f"constants' range {lo:.3g}..{hi:.3g}")
 
     @property
     def length(self) -> float:
@@ -174,10 +181,8 @@ class Simulator:
 
         # matched termination at the dc operating point (rf off)
         l_dc_per_len, self.v_dc = _dc_line(geom, drive)
-        self.z_term = math.sqrt(l_dc_per_len / geom.c_per_length)
-
-        c_end = 0.5 * geom.c_cell
-        self._a_end = dt / (c_end * self.z_term)
+        z_term = math.sqrt(l_dc_per_len / geom.c_per_length)
+        self._a_end = dt / (0.5 * geom.c_cell * z_term)
         self.ceiling = blowup_factor * source.amplitude
 
         self._source_row = (
@@ -215,7 +220,7 @@ class Simulator:
         going on past t_end when t1 is later, and returns (states, record);
         the window starts at or after the current time and spans at least
         8 source periods."""
-        end_step = int(round(t_end / self.dt))
+        end_step = self._step_at("t_end", t_end)
         if end_step <= self.t_index:
             raise ConfigError(
                 f"t_end = {t_end:.3e} s does not pass the current step "
@@ -232,8 +237,19 @@ class Simulator:
                              end_step))
         stops = {*steps, end_step}
         if window is not None:
+            t0, t1 = window
+            if t0 < self.t:
+                raise ConfigError(
+                    f"window_start {t0:.3e} s is before the current time "
+                    f"{self.t:.3e} s")
+            period = 2.0 * math.pi / self.source.omega
+            if t1 - t0 < 8.0 * period:
+                raise ConfigError(
+                    f"window_end {t1:.3e} s is less than 8 source periods "
+                    f"({8.0 * period:.3e} s) after window_start {t0:.3e} s")
             branch = [_probe_branch(self.geom, probe)]
-            rec_lo, rec_hi = self._window_steps(*window)
+            rec_lo = self._step_at("window_start", t0)
+            rec_hi = self._step_at("window_end", t1)
             stops |= {rec_lo, rec_hi}
         out, recs = [], []
         for stop in sorted(stops):
@@ -245,18 +261,12 @@ class Simulator:
             out += [self.state() for s in steps if s == stop]
         return out if window is None else (out, np.concatenate(recs))
 
-    def _window_steps(self, t0: float, t1: float) -> tuple[int, int]:
-        """The steps [lo, hi) of a probe window."""
-        if t0 < self.t:
-            raise ConfigError(
-                f"window_start {t0:.3e} s is before the current time "
-                f"{self.t:.3e} s")
-        period = 2.0 * math.pi / self.source.omega
-        if t1 - t0 < 8.0 * period:
-            raise ConfigError(
-                f"window_end {t1:.3e} s is less than 8 source periods "
-                f"({8.0 * period:.3e} s) after window_start {t0:.3e} s")
-        return int(round(t0 / self.dt)), int(round(t1 / self.dt))
+    def _step_at(self, name: str, t: float) -> int:
+        """The step nearest time t [s], which `name` sets."""
+        steps = t / self.dt
+        if not math.isfinite(steps):
+            raise ConfigError(f"{name} = {t:.3e} s is past any step count")
+        return int(round(steps))
 
     def stored_energy(self) -> float:
         """Sum of capacitive and inductive energy, evaluated with the
@@ -344,94 +354,55 @@ def _probe_branch(geom: LineGeometry, probe: float) -> int:
     return min(max(b, 0), geom.n_cells - 1)
 
 
-def _binned_power(x: np.ndarray, dt: float, f_targets, half_width: int = 0):
-    """Hann-tapered DFT power at the bins nearest each target frequency,
-    optionally summed over a small band of bins."""
-    n = x.size
-    w = np.hanning(n)
+def _bands(x: np.ndarray, axis: np.ndarray, targets,
+           half_width: int) -> list[np.ndarray]:
+    """Hann-tapered power |X|^2 / 2 of the amplitude-scaled rfft X of x in
+    the bins within half_width of the bin nearest each target on `axis`
+    (the rfft's bin coordinates), never the zero bin."""
+    w = np.hanning(x.size)
     spec = np.fft.rfft(x * w)
-    freqs = np.fft.rfftfreq(n, dt)
     scale = 2.0 / np.sum(w)
-    out = []
-    for f in f_targets:
-        b = int(np.argmin(np.abs(freqs - f)))
-        lo, hi = max(b - half_width, 0), min(b + half_width, spec.size - 1)
-        amp2 = np.abs(spec[lo:hi + 1] * scale) ** 2
-        out.append(0.5 * float(np.sum(amp2)))
-    return out
+    bands = []
+    for target in targets:
+        b = int(np.argmin(np.abs(axis - target)))
+        lo, hi = max(b - half_width, 1), min(b + half_width, spec.size - 1)
+        bands.append(0.5 * np.abs(spec[lo:hi + 1] * scale) ** 2)
+    return bands
+
+
+def _dbc_report(powers: list[float], what: str) -> SpectrumReport:
+    """Per-harmonic powers, n = 1 first, and their dBc relative to n = 1."""
+    p1 = powers[0]
+    if p1 <= 0.0:
+        raise NumericalError(f"no {what} power at the fundamental")
+    dbc = [10.0 * math.log10(max(p / p1, 1e-300)) for p in powers]
+    dbc[0] = 0.0
+    return SpectrumReport(harmonic_index=list(range(1, len(powers) + 1)),
+                          power_dbc=dbc, absolute_power=powers)
 
 
 def temporal_harmonics(record: np.ndarray, sim: Simulator,
                        n_max: int = 6) -> SpectrumReport:
     """Hann-tapered spectral power of a probe record (one current per
-    step, as run_until returns it) at the harmonics of the source tone.
-    dBc values are relative to n = 1."""
+    step, as run_until returns it) at the bins nearest the harmonics of
+    the source tone. dBc values are relative to n = 1."""
     f1 = sim.source.omega / (2.0 * math.pi)
-    powers = _binned_power(record, sim.dt,
-                           [n * f1 for n in range(1, n_max + 1)])
-    p1 = powers[0]
-    if p1 <= 0.0:
-        raise NumericalError("no power at the fundamental; cannot form dBc")
-    dbc = [10.0 * math.log10(max(p / p1, 1e-300)) for p in powers]
-    dbc[0] = 0.0
-    return SpectrumReport(
-        harmonic_index=list(range(1, n_max + 1)),
-        power_dbc=dbc,
-        absolute_power=powers)
-
-
-def _spatial_bands(state: LineState, geom: LineGeometry, drive: FluxDrive,
-                   source_omega: float, harmonics,
-                   half_width: int) -> list[np.ndarray]:
-    """Hann-tapered spatial |DFT|^2 of the branch current in the bins
-    within half_width of each harmonic of kappa_1 = omega / v_dc, the
-    fundamental wavenumber predicted from the dc phase velocity; the zero
-    bin is never included."""
-    n = geom.n_cells
-    w = np.hanning(n)
-    spec = np.fft.rfft(state.i * w)
-    kappas = 2.0 * math.pi * np.fft.rfftfreq(n, geom.dz)
-    k1 = source_omega / _dc_line(geom, drive)[1]
-    scale = 2.0 / np.sum(w)
-    bands = []
-    for h in harmonics:
-        b = int(np.argmin(np.abs(kappas - h * k1)))
-        lo, hi = max(b - half_width, 1), min(b + half_width, spec.size - 1)
-        bands.append(np.abs(spec[lo:hi + 1] * scale) ** 2)
-    return bands
+    bands = _bands(record, np.fft.rfftfreq(record.size, sim.dt),
+                   [n * f1 for n in range(1, n_max + 1)], 0)
+    return _dbc_report([float(np.sum(b)) for b in bands], "temporal")
 
 
 def spatial_harmonics(state: LineState, geom: LineGeometry, drive: FluxDrive,
                       source_omega: float, n_max: int = 6) -> SpectrumReport:
-    """Spatial-spectrum analogue of temporal_harmonics, for one snapshot.
-
-    Each harmonic takes the strongest bin within +-2 of its predicted
-    wavenumber (dispersion and the modulation shift the peaks slightly off
-    the rigid comb)."""
-    powers = [float(np.max(0.5 * band)) for band in _spatial_bands(
-        state, geom, drive, source_omega, range(1, n_max + 1), 2)]
-    p1 = powers[0]
-    if p1 <= 0.0:
-        raise NumericalError("no spatial power at the fundamental")
-    dbc = [10.0 * math.log10(max(p / p1, 1e-300)) for p in powers]
-    dbc[0] = 0.0
-    return SpectrumReport(
-        harmonic_index=list(range(1, n_max + 1)),
-        power_dbc=dbc, absolute_power=powers)
-
-
-def harmonic_band_power(state: LineState, geom: LineGeometry,
-                        drive: FluxDrive, source_omega: float,
-                        n_max: int = 6, half_width: int = 2) -> float:
-    """Total spatial power summed over the bands around harmonics 2..n_max.
-
-    Band sums (not per-band maxima) so the value tracks converted energy
-    smoothly in time; used for development-rate comparisons."""
-    total = 0.0
-    for band in _spatial_bands(state, geom, drive, source_omega,
-                               range(2, n_max + 1), half_width):
-        total += 0.5 * float(np.sum(band))
-    return total
+    """Spatial-spectrum analogue of temporal_harmonics for one snapshot's
+    branch current, at the harmonics of kappa_1 = omega / v_dc predicted
+    from the dc phase velocity. Each takes the strongest bin within +-2 of
+    its predicted wavenumber: dispersion and the modulation shift the
+    peaks slightly off the rigid comb."""
+    k1 = source_omega / _dc_line(geom, drive)[1]
+    kappas = 2.0 * math.pi * np.fft.rfftfreq(geom.n_cells, geom.dz)
+    bands = _bands(state.i, kappas, [h * k1 for h in range(1, n_max + 1)], 2)
+    return _dbc_report([float(np.max(b)) for b in bands], "spatial")
 
 
 def isolation_report(geom: LineGeometry, drive: FluxDrive,
@@ -443,8 +414,7 @@ def isolation_report(geom: LineGeometry, drive: FluxDrive,
     forward-favoring nonreciprocity.
     The window is placed after the slower of (transit + ramp) so both runs
     are compared in steady state; band power sums 3 bins around each
-    harmonic.
-    """
+    harmonic."""
     period = 2.0 * math.pi / source_omega
     n = geom.n_cells
     sims = [build_line(geom, drive, SourceSpec(
@@ -461,8 +431,8 @@ def isolation_report(geom: LineGeometry, drive: FluxDrive,
     recs = _step_runs(sims, n_rec, [[n - off], [off - 1]])
     f_targets = [h * source_omega / (2.0 * math.pi)
                  for h in ISOLATION_HARMONICS]
-    pf, pb = [_binned_power(rec[:, 0], dt, f_targets, half_width=1)
-              for rec in recs]
+    pf, pb = [[float(np.sum(b)) for b in _bands(
+        rec[:, 0], np.fft.rfftfreq(n_rec, dt), f_targets, 1)] for rec in recs]
     out = {}
     for h, p_fwd, p_bwd in zip(ISOLATION_HARMONICS, pf, pb):
         if p_fwd <= 0.0 or p_bwd <= 0.0:

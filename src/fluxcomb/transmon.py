@@ -1,5 +1,5 @@
-"""Transmon spectra from charge-basis diagonalization, flux tuning, dispersive
-readout shift, and the comb-addressing maps.
+"""Transmon spectra from charge-basis diagonalization, flux tuning, and the
+comb-addressing maps.
 
 Unit policy: every energy/frequency in this module is an ordinary frequency in
 Hz (E/h). Angular quantities (the comb spacing omega_m, the resonance width
@@ -70,16 +70,6 @@ class QubitSpectrum:
     levels: np.ndarray        # Hz, ascending, levels[0] == 0
     omega_q: float            # Hz, E1 - E0
     anharmonicity: float      # Hz, E2 - 2 E1 + E0 (negative for a transmon)
-
-
-@dataclass
-class ReadoutSpec:
-    omega_r: float            # resonator frequency [Hz]
-    g_r: float                # qubit-resonator coupling [Hz]
-
-    def __post_init__(self):
-        if self.omega_r <= 0 or self.g_r < 0:
-            raise ConfigError("omega_r must be positive, g_r nonnegative")
 
 
 def j0(x):
@@ -155,21 +145,6 @@ def diagonalize(spec: TransmonSpec, ej: float, n_levels: int = 5
         omega_q=float(levels[1]),
         anharmonicity=float(levels[2] - 2.0 * levels[1]),
     )
-
-
-def chi_dispersive(spec: TransmonSpec, ej: float, readout: ReadoutSpec
-                   ) -> float:
-    """Dispersive shift chi = (g^2/Delta)*(1 + alpha/Delta), Hz, with
-    Delta = omega_q - omega_r and alpha from diagonalization."""
-    spect = diagonalize(spec, ej)
-    delta = spect.omega_q - readout.omega_r
-    if delta == 0.0:
-        raise ConfigError("qubit degenerate with resonator (Delta = 0)")
-    if readout.g_r / abs(delta) > 0.1:
-        warnings.warn(
-            f"g/|Delta| = {readout.g_r / abs(delta):.3f} > 0.1: dispersive "
-            "approximation degrading", stacklevel=2)
-    return (readout.g_r ** 2 / delta) * (1.0 + spect.anharmonicity / delta)
 
 
 class FluxCurve:

@@ -1,9 +1,16 @@
 """Shared test fixtures: the rf-driven line drive and the memory-kernel
-regime that the line and non-Markovian tests are written against."""
+regime that the line and non-Markovian tests are written against, plus
+two measures only the tests take: the total spatial harmonic band power
+and the transmon's dispersive shift."""
 
 import math
+import warnings
+from dataclasses import dataclass
 
-from fluxcomb import line, nonmarkov
+import numpy as np
+
+from fluxcomb import line, nonmarkov, transmon
+from fluxcomb.errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,3 +31,43 @@ def memory_kernel() -> nonmarkov.KernelSpec:
     return nonmarkov.KernelSpec(amplitude_a=4.0 * gamma_mem ** 2,
                                 gamma_memory=gamma_mem,
                                 markovian_gamma=gamma_mem / 100.0)
+
+
+def harmonic_band_power(state, geom: line.LineGeometry,
+                        drive: line.FluxDrive, source_omega: float,
+                        n_max: int = 6, half_width: int = 2) -> float:
+    """Total spatial power summed over the bands around harmonics 2..n_max
+    of kappa_1 = omega / v_dc.
+
+    Band sums (not per-band maxima) so the value tracks converted energy
+    smoothly in time; used for development-rate comparisons."""
+    k1 = source_omega / line._dc_line(geom, drive)[1]
+    kappas = TWO_PI * np.fft.rfftfreq(geom.n_cells, geom.dz)
+    bands = line._bands(state.i, kappas,
+                        [h * k1 for h in range(2, n_max + 1)], half_width)
+    return sum(float(np.sum(band)) for band in bands)
+
+
+@dataclass
+class ReadoutSpec:
+    omega_r: float            # resonator frequency [Hz]
+    g_r: float                # qubit-resonator coupling [Hz]
+
+    def __post_init__(self):
+        if self.omega_r <= 0 or self.g_r < 0:
+            raise ConfigError("omega_r must be positive, g_r nonnegative")
+
+
+def chi_dispersive(spec: transmon.TransmonSpec, ej: float,
+                   readout: ReadoutSpec) -> float:
+    """Dispersive shift chi = (g^2/Delta)*(1 + alpha/Delta), Hz, with
+    Delta = omega_q - omega_r and alpha from diagonalization."""
+    spect = transmon.diagonalize(spec, ej)
+    delta = spect.omega_q - readout.omega_r
+    if delta == 0.0:
+        raise ConfigError("qubit degenerate with resonator (Delta = 0)")
+    if readout.g_r / abs(delta) > 0.1:
+        warnings.warn(
+            f"g/|Delta| = {readout.g_r / abs(delta):.3f} > 0.1: dispersive "
+            "approximation degrading", stacklevel=2)
+    return (readout.g_r ** 2 / delta) * (1.0 + spect.anharmonicity / delta)

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from fluxcomb import budget, cli, line, nonmarkov, transmon
-from helpers import default_drive, memory_kernel
+from helpers import (ReadoutSpec, chi_dispersive, default_drive,
+                     harmonic_band_power, memory_kernel)
 from test_nonmarkov import quadrature_population
 from test_transmon import _jc_chi
 
@@ -66,7 +67,7 @@ def _band_power_envelope(phi_dc, phi_rf, snap_times):
     drive = default_drive(phi_dc, phi_rf, geom)
     sim = line.build_line(geom, drive, _cw_source())
     states = sim.run_until(2.6e-9, snap_times)
-    powers = [line.harmonic_band_power(st, geom, drive, OMEGA_M)
+    powers = [harmonic_band_power(st, geom, drive, OMEGA_M)
               for st in states]
     return np.maximum.accumulate(powers)
 
@@ -79,8 +80,8 @@ def test_acceptance_02_flux_dependence(capsys):
         drive = default_drive(0.8, rf, geom)
         sim = line.build_line(geom, drive, _cw_source())
         sim.run_until(2.6e-9)
-        finals.append(line.harmonic_band_power(sim.state(), geom, drive,
-                                               OMEGA_M))
+        finals.append(harmonic_band_power(sim.state(), geom, drive,
+                                          OMEGA_M))
     monotone = finals[0] < finals[1] < finals[2]
 
     # deeper dc bias reaches the conversion threshold earlier
@@ -159,9 +160,9 @@ def test_acceptance_05_transmon_spectrum(capsys):
 
     # deep dispersive point: the two-level oracle carries no
     # anharmonicity correction, so keep |alpha / delta| small
-    readout = transmon.ReadoutSpec(omega_r=21e9, g_r=0.3e9)
-    chi = transmon.chi_dispersive(transmon.TransmonSpec(ec=ec, ej_max=ej),
-                                  ej, readout)
+    readout = ReadoutSpec(omega_r=21e9, g_r=0.3e9)
+    chi = chi_dispersive(transmon.TransmonSpec(ec=ec, ej_max=ej), ej,
+                         readout)
     chi_oracle = _jc_chi(spect.omega_q, readout.omega_r, readout.g_r)
     chi_ok = abs(chi - chi_oracle) / abs(chi_oracle) < 0.05
 

@@ -67,8 +67,7 @@ def format_cell(value) -> str:
 
 class TestConfigResolution:
     def test_defaults_cover_all_scenarios(self):
-        defaults = cli.load_defaults()
-        assert set(defaults) == set(cli.SCENARIOS)
+        assert set(cli._packaged_defaults()) == set(cli.SCENARIOS)
 
     def test_merge_rejects_unknown_keys(self):
         base = {"a": 1, "b": {"c": 2}}
@@ -133,16 +132,6 @@ class TestConfigResolution:
         assert second["config"] == packaged["error-budget"]
         assert second["seed"] == 0
         assert cli.build_parser() is cli.build_parser()
-
-    def test_load_defaults_returns_a_fresh_copy(self):
-        changed = cli.load_defaults()
-        changed["error-budget"]["array"]["n_qubits"] = 3
-        changed["flux-sweep"]["harmonic_indices"].append(99)
-        del changed["line-sim"]
-        fresh = cli.load_defaults()
-        assert fresh["error-budget"]["array"]["n_qubits"] == 25
-        assert fresh["flux-sweep"]["harmonic_indices"] == [5, 10, 15, 20, 25]
-        assert set(fresh) == set(cli.SCENARIOS)
 
 
 class TestScenarioOutputs:
@@ -327,6 +316,11 @@ class TestScenarioOutputs:
         header, _ = read_rows(tmp_path / "gamma_eff.csv")
         assert header == "t_s,gamma_eff_hz"
 
+    def test_nonmarkov_bad_window_writes_nothing(self, tmp_path):
+        assert cli.main(["nonmarkov", "--out", str(tmp_path),
+                         "--set", "smoothing_window=4"]) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_addressing_levels(self, tmp_path):
         assert cli.main(["addressing", "--out", str(tmp_path)]) == 0
         header, rows = read_rows(tmp_path / "levels.csv")
@@ -444,6 +438,37 @@ class TestDeterminism:
         assert (a / "spectrum.csv").read_bytes() \
             == (b / "spectrum.csv").read_bytes()
 
+    def test_outputs_hold_across_blas_kernels(self, tmp_path):
+        """A manifest's hashes hold for one BLAS kernel; another kernel
+        moves only the last printed digits. OPENBLAS_CORETYPE=Prescott
+        against a SkylakeX host moved the spectroscopy contrasts by 1e-14
+        abs, its spectrum by 1e-12 rel and the flux-sweep scores by 3e-11
+        rel; every other scenario came out byte-identical."""
+        blas = getattr(np.__config__, "CONFIG", {}).get(
+            "Build Dependencies", {}).get("blas", {}).get("name", "")
+        if "openblas" not in blas:
+            pytest.skip(f"NumPy's BLAS is {blas or 'unknown'}, not OpenBLAS, "
+                        "so OPENBLAS_CORETYPE selects no kernel")
+        scenarios = ("spectroscopy", "flux-sweep")
+        host, other = tmp_path / "host", tmp_path / "other"
+        for name in scenarios:
+            assert cli.main([name, "--out", str(host / name)]) == 0
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+                   PYTHONPATH=str(Path(fluxcomb.__file__).parents[1]))
+        run = ("import sys; from fluxcomb import cli; sys.exit(max("
+               "cli.main([name, '--out', sys.argv[1] + '/' + name]) "
+               f"for name in {scenarios!r}))")
+        subprocess.run([sys.executable, "-c", run, str(other)], env=env,
+                       capture_output=True, check=True)
+        paths = sorted(host.glob("*/*.csv"))
+        assert {path.parent.name for path in paths} == set(scenarios)
+        for path in paths:
+            want, got = (np.loadtxt(root / path.relative_to(host),
+                                    delimiter=",", skiprows=1)
+                         for root in (host, other))
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13,
+                                       err_msg=str(path.relative_to(host)))
+
 
 class TestExitCodes:
     def test_unknown_config_key_is_2(self, tmp_path):
@@ -514,6 +539,12 @@ class TestExitCodes:
             "run.snapshot_times_s", id="line-sim-wavepacket-same-step"),
         pytest.param("line-sim", "run.t_end_s=1e-15", "'run.t_end_s'",
                      id="line-sim-t_end-under-one-step"),
+        # a step count past float range
+        ("line-sim", "run.t_end_s=1e300", "'run.t_end_s'"),
+        pytest.param("line-sim",
+                     ["run.spectrum=temporal", "run.window_end_s=1e300"],
+                     "'run.window_end_s'",
+                     id="line-sim-temporal-window-end-past-float-range"),
         # range errors raised inside the library, named by their key
         ("flux-sweep", "harmonic_indices=[3,2]", "'harmonic_indices'"),
         ("flux-sweep", "harmonic_indices=[0]", "'harmonic_indices'"),
@@ -540,6 +571,9 @@ class TestExitCodes:
         ("addressing", "ec_hz=0", "'ec_hz'"),
         ("line-sim", "geometry.n_cells=8", "'geometry.n_cells'"),
         ("line-sim", "geometry.dz_m=0", "'geometry.dz_m'"),
+        ("nonmarkov", "smoothing_window=-1", "'smoothing_window'"),
+        ("nonmarkov", "smoothing_window=1000000000000000",
+         "'smoothing_window'"),
         ("line-sim", "source.amplitude_volts=0", "'source.amplitude_volts'"),
         ("line-sim", "drive.phi_dc=1.6", "'drive.phi_dc'"),
         ("line-sim", "drive.phi_rf=1.2", "'drive.phi_rf'"),
@@ -563,6 +597,16 @@ class TestExitCodes:
          "'array.t_gate_s', 'array.modulation_freq_hz'"),
         ("scalability", "array.t_gate_s=1e300",
          "'array.t_gate_s', 'array.modulation_freq_hz'"),
+        ("line-sim", "geometry.i0_amps=1e300", "'geometry.i0_amps'"),
+        ("line-sim", "geometry.i0_amps=1e-300", "'geometry.i0_amps'"),
+        ("line-sim", "geometry.dz_m=1e300",
+         "'geometry.c_per_length_f_per_m', 'geometry.dz_m'"),
+        ("line-sim", "geometry.c_per_length_f_per_m=1e-300",
+         "'geometry.c_per_length_f_per_m', 'geometry.dz_m'"),
+        pytest.param("line-sim", ["geometry.dz_m=1e-100",
+                                  "geometry.c_per_length_f_per_m=1e92"],
+                     "'geometry.i0_amps', 'geometry.dz_m'",
+                     id="line-sim-inductance-per-length-out-of-range"),
         # a constraint between keys names all of them
         ("scalability", "array.t1_intrinsic_s=1e-5",
          "'array.t2_intrinsic_s', 'array.t1_intrinsic_s'"),

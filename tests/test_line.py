@@ -8,7 +8,7 @@ import pytest
 
 from fluxcomb import line
 from fluxcomb.errors import ConfigError, NumericalError
-from helpers import default_drive
+from helpers import default_drive, harmonic_band_power
 
 OMEGA_M = 2.0 * math.pi * 3e9
 
@@ -238,8 +238,7 @@ class TestHarmonics:
             d = default_drive(0.8, rf, g)
             sim = line.build_line(g, d, cw_source())
             sim.run_until(2.0e-9)
-            totals.append(line.harmonic_band_power(sim.state(), g, d,
-                                                   OMEGA_M))
+            totals.append(harmonic_band_power(sim.state(), g, d, OMEGA_M))
         assert totals[0] < totals[1] < totals[2]
 
     def test_wavepacket_rejects_empty_line(self):

@@ -1,22 +1,19 @@
-"""Library surface guard: every public name of the physics modules is used
-by the program itself, or is kept on purpose with its reason."""
+"""Library surface guard: every public name of the physics, output and
+front-end modules is used by the program itself, or is kept on purpose
+with its reason."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fluxcomb"
-MODULES = ("line", "transmon", "budget", "nonmarkov")
+MODULES = ("line", "transmon", "budget", "nonmarkov", "io", "cli")
 
 # public names that no library code references, with why each stays
 KEPT = {
     "line.Simulator.stored_energy":
         "the energy invariants; run telemetry is to report it",
-    "line.harmonic_band_power":
-        "acceptance 2 measures harmonic conversion with it",
     "line.isolation_report":
         "acceptance 3 and the benchmark call it directly",
-    "transmon.chi_dispersive":
-        "acceptance 5 checks the dispersive shift with it",
     "nonmarkov.fit_decay":
         "acceptance 10 fits the decay exponents with it",
 }

@@ -8,16 +8,15 @@ from scipy.special import mathieu_a, mathieu_b
 from fluxcomb.errors import ConfigError, ConvergenceError
 from fluxcomb.transmon import (
     AddressingMap,
-    ReadoutSpec,
     TransmonSpec,
     addressing_map,
-    chi_dispersive,
     default_comb_qubits,
     diagonalize,
     ej_time_averaged,
     flux_curve,
     j0,
 )
+from helpers import ReadoutSpec, chi_dispersive
 
 OMEGA_M = 2.0 * math.pi * 3e9
 
