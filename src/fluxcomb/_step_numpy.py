@@ -1,13 +1,14 @@
 """Blocked, batched NumPy time stepper for the modulated ladder line.
 
-One call advances B runs (rows) that share geometry, drive, dt and blowup
-ceiling; they differ only in their source (waveform and port) and probes.
+One line.Simulator holds its B runs (rows) back to back in the layout
+below, sharing geometry, drive, dt and blowup ceiling; they differ only in
+their source (waveform and port) and probes, and one call advances all.
 
-Layout: each field of the batch is one flat, contiguous vector. v holds the
-B*(n+1) node voltages, row after row. psi and j have one slot per gap
-between neighbours in v plus a ghost at each end: slot m sits between
-v[m-1] and v[m], so branch c of row r is slot r*(n+1)+c+1, and the ghost
-slots are the multiples of n+1 (both ends and every seam between rows).
+Layout: each field is one flat, contiguous vector. v holds the B*(n+1)
+node voltages, row after row. psi and j have one slot per gap between
+neighbours in v plus a ghost at each end: slot m sits between v[m-1] and
+v[m], so branch c of row r is slot r*(n+1)+c+1, and the ghost slots are
+the multiples of n+1 (both ends and every seam between rows).
 
 Scaled state: psi = flux/dt and j = i*dt/C_cell. With the table
 w_k = g(mod_phase - omega_s th) * dt^2/(C_cell l0), where
@@ -23,12 +24,13 @@ g(x) = cos(phi_dc + phi_rf sin x), one step from voltage time t to t+dt is
   6. blowup check on max|v| (a NaN also trips it), probe j recorded at th
 
 w_k is 0 at the ghost slots; step 3 never writes j's last ghost, which
-the caller passes as 0. A seam's psi sums the voltage differences
-across it, finite while the field entering each step is (the stepper stops
-at the first step that leaves the ceiling), so the ghosts' j is exactly 0
-and no row sees its neighbour. Steps 2 and 4 subtract into temporaries:
-subtraction is exactly antisymmetric, so a mirrored pair of runs stays
-exactly mirrored, and each row gets the arithmetic of a run of its own.
+stays 0 from its allocation. A seam's psi sums the voltage differences
+across it from call to call, finite while the field entering each step
+is (the stepper stops at the first step that leaves the ceiling), so the
+ghosts' j is exactly 0 and no row sees its neighbour; nothing resets
+them between calls. Steps 2 and 4 subtract into temporaries: subtraction is
+exactly antisymmetric, so a mirrored pair of runs stays exactly
+mirrored, and each row gets the arithmetic of a run of its own.
 
 The table as a Fourier series: g is smooth and 2 pi periodic, so
 g(x) = sum_{|m| <= M} c_m e^{imx} with c_{-m} = conj(c_m), and by
@@ -138,21 +140,21 @@ class TableCoefficients:
         return self.out
 
 
-def step_block(v, psi, j, coef: TableCoefficients, basis, dt, a_end,
-               sources, ceiling, t_index0, n_steps, probe_idx=None,
-               probe_rec=None) -> int:
-    """Advance every row n_steps in place, from absolute step t_index0.
+def step_block(sim, n_steps, probe_idx=None, probe_rec=None) -> int:
+    """Advance every row of the line.Simulator sim n_steps in place from
+    its absolute step sim.t_index, which the caller then moves.
 
-    v: contiguous (B*(n+1),) voltages; psi, j: contiguous (B*(n+1)+1,)
-    scaled flux and current in the layout above, with n = basis.shape[1]
-    and both last ghost slots 0.
-    coef, basis: the TableCoefficients (scale dt^2/(C_cell l0)) and the
-    basis rows of the drive's modulation_series at theta = mod_phase.
-    sources: one (left_port, kind, amp, omega, t_center, t_width, ramp)
-    tuple per row. probe_idx: slots of j, recorded each step into the rows
-    of probe_rec. Returns -1, or the absolute step index at which max|v|
-    over all rows left the ceiling (the state is then as of that failed
-    step)."""
+    sim holds the fields _v, _psi and _j in the layout above, the
+    TableCoefficients _coef (scale dt^2/(C_cell l0)) and basis rows _basis
+    of the drive's modulation_series at theta = mod_phase, dt, _a_end,
+    ceiling, and one (left_port, kind, amp, omega, t_center, t_width,
+    ramp) tuple per row in _source_rows. probe_idx: slots of j, recorded
+    each step into the rows of probe_rec. Returns -1, or the absolute step
+    index at which max|v| over all rows left the ceiling (the state is
+    then as of that failed step)."""
+    v, psi, j, basis = sim._v, sim._psi, sim._j, sim._basis
+    dt, a_end, ceiling = sim.dt, sim._a_end, sim.ceiling
+    t_index0 = sim.t_index
     n = basis.shape[1]
     v_lo, v_hi, psi_in = v[:-1], v[1:], psi[1:-1]
     j_lo, j_hi = j[:-1], j[1:]
@@ -176,11 +178,11 @@ def step_block(v, psi, j, coef: TableCoefficients, basis, dt, a_end,
     zeros = [0.0] * BLOCK
     k_end = t_index0 + n_steps
     for k0 in range(t_index0 - t_index0 % BLOCK, k_end, BLOCK):
-        np.matmul(coef.at(k0), basis, out=table[:, 1:])
+        np.matmul(sim._coef.at(k0), basis, out=table[:, 1:])
 
         th = (np.arange(k0, k0 + BLOCK) + 0.5) * dt
         src_l, src_r = [], []
-        for left, kind, *params in sources:
+        for left, kind, *params in sim._source_rows:
             vs = source_values(kind, th, *params).tolist()
             src_l.append(vs if left else zeros)
             src_r.append(zeros if left else vs)

@@ -212,20 +212,37 @@ def run_line_sim(config: dict, out_dir: Path):
             port=scfg["port"],
             ramp_periods=scfg["ramp_periods"])
     rcfg = config["run"]
+    spectrum_mode = rcfg["spectrum"]
+    if spectrum_mode not in ("spatial", "temporal", "none"):
+        raise ConfigError(f"unknown spectrum mode {spectrum_mode!r}")
+    n_max = rcfg["n_harmonics"]
+    if n_max < 1:
+        raise ConfigError("'run.n_harmonics' must be >= 1")
+    if rcfg["wavepacket"] and len(rcfg["snapshot_times_s"]) < 2:
+        raise ConfigError("wavepacket needs >= 2 'run.snapshot_times_s'")
+    # cell-steps to t_end, or to the window's end when later, at
+    # build_line's dt (a dt of 0 or below is build_line's to reject)
+    keys = [*(f"geometry.{k}" for k in gcfg), "run.cfl_safety", "run.t_end_s"]
+    t_stop = rcfg["t_end_s"]
+    if spectrum_mode == "temporal":
+        t_stop = max(t_stop, rcfg["window_end_s"])
+        keys.append("run.window_end_s")
+    dt = rcfg["cfl_safety"] * line.cfl_bound(geom, drive)
+    _check_work([("line run", "cell-steps", line.MAX_CELL_STEPS,
+                  geom.n_cells * (t_stop / dt if dt > 0.0 else 0.0), keys)])
     with _keys(cfl_safety="run.cfl_safety",
                blowup_factor="run.blowup_factor"):
         sim = line.build_line(geom, drive, source,
                               cfl_safety=rcfg["cfl_safety"],
                               blowup_factor=rcfg["blowup_factor"])
 
-    spectrum_mode = rcfg["spectrum"]
-    if spectrum_mode not in ("spatial", "temporal", "none"):
-        raise ConfigError(f"unknown spectrum mode {spectrum_mode!r}")
-    if rcfg["n_harmonics"] < 1:
-        raise ConfigError("'run.n_harmonics' must be >= 1")
-    if rcfg["wavepacket"] and len(rcfg["snapshot_times_s"]) < 2:
-        raise ConfigError("wavepacket needs >= 2 'run.snapshot_times_s'")
-    n_max = rcfg["n_harmonics"]
+    # harmonics up to the Nyquist limit: pi/dz in space, 1/(2 dt) in time
+    f_src = source.omega / TWO_PI
+    n_top = {"spatial": math.pi / geom.dz / (source.omega / sim.v_dc),
+             "temporal": 0.5 / sim.dt / f_src}.get(spectrum_mode, math.inf)
+    if n_max > n_top:
+        raise ConfigError(f"'run.n_harmonics' must be <= {int(n_top)}, the "
+                          f"{spectrum_mode} Nyquist limit")
     with _keys(t_end="run.t_end_s", snapshot_times="run.snapshot_times_s",
                probe="run.probe_m", window_start="run.window_start_s",
                window_end="run.window_end_s"):
@@ -247,7 +264,6 @@ def run_line_sim(config: dict, out_dir: Path):
         files.append(io.write_csv(out_dir / f"snapshot_{k:03d}.csv",
                                   "z_m,v_volts,i_amps", [z_mid, v_mid, st.i]))
 
-    f_src = source.omega / TWO_PI
     if spectrum_mode == "spatial":
         report = line.spatial_harmonics(sim.state(), geom, drive,
                                         source.omega, n_max=n_max)
@@ -296,14 +312,14 @@ def run_flux_sweep(config: dict, out_dir: Path):
     dc, rf = config["phi_dc"], config["phi_rf"]
     dc_grid = np.linspace(dc["start"], dc["stop"], n_dc)
     rf_grid = np.linspace(rf["start"], rf["stop"], n_rf)
-    amap = transmon.addressing_map(array, dc_grid, rf_grid, qubits=qubits)
+    score = transmon.addressing_map(array, dc_grid, rf_grid, qubits=qubits)
     n_q = len(idx)
     # rows run over (phi_dc, phi_rf, qubit), the last fastest; each
     # coordinate is written from its grid and a row index into it
     columns = [(dc_grid, _row_index(n_dc, n_rf * n_q, 1)),
                (rf_grid, _row_index(n_rf, n_q, n_dc)),
                (np.arange(n_q), _row_index(n_q, 1, n_dc * n_rf)),
-               amap.score.ravel()]
+               score.ravel()]
     return [io.write_csv(out_dir / "addressing_map.csv",
                          "phi_dc,phi_rf,qubit_index,score", columns)]
 

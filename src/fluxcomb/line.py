@@ -35,6 +35,11 @@ ISOLATION_PROBE_OFFSET = 8
 # total current energy below which a snapshot holds no wavepacket
 WAVEPACKET_FLOOR = 1e-30
 
+# cells x steps of a line-sim run: about 15 s at the stepper's 14 ns a
+# cell-step on a 2-vCPU Xeon; the benchmark's 1024-cell temporal runs take
+# 7.3e6
+MAX_CELL_STEPS = 1 << 30
+
 
 @dataclass(frozen=True)
 class FluxDrive:
@@ -128,7 +133,6 @@ class SourceSpec:
 class LineState:
     t: float                     # [s], voltage time
     v: np.ndarray                # [V], nodes 0..n
-    flux: np.ndarray             # [Wb], branches, at t - dt/2
     i: np.ndarray                # [A], branch currents, at t - dt/2
     step_index: int
 
@@ -157,19 +161,26 @@ def _dc_line(geom: LineGeometry, drive: FluxDrive) -> tuple[float, float]:
 
 
 class Simulator:
-    """Single line run; not shareable mid-run. Use build_line() to construct;
-    independent instances may run concurrently."""
+    """Runs of one line, one per source, stepped together: they share
+    geometry, drive, dt, blowup ceiling (blowup_factor times the largest
+    source amplitude) and time, and differ in their source. run_until,
+    state and stored_energy report the first run. Use build_line() to
+    construct; not shareable mid-run, independent instances may run
+    concurrently."""
 
-    def __init__(self, geom: LineGeometry, drive: FluxDrive,
-                 source: SourceSpec, dt: float, blowup_factor: float = 1e6):
-        self.geom = geom
-        self.drive = drive
-        self.source = source
-        self.dt = dt
-        n = geom.n_cells
-        self.v = np.zeros(n + 1)
-        self._psi = np.zeros(n)      # flux/dt, the stepper's own state
-        self._i = np.zeros(n)
+    def __init__(self, geom: LineGeometry, drive: FluxDrive, sources,
+                 dt: float, blowup_factor: float):
+        self.geom, self.drive, self.dt = geom, drive, dt
+        self.sources = tuple(sources)
+        n, rows = geom.n_cells, len(self.sources)
+        # the stepper's flat layout (see _step_numpy): v row after row;
+        # psi = flux/dt and j = i dt/C_cell, a slot per gap and the ghosts
+        self._v = np.zeros(rows * (n + 1))
+        self._psi, self._j = np.zeros((2, self._v.size + 1))
+        self.v = self._v.reshape(rows, n + 1)
+        self._psi_cells, self._j_cells = (
+            a[1:].reshape(rows, n + 1)[:, :n] for a in (self._psi, self._j))
+        self._i_scale = geom.c_cell / dt
         self.t_index = 0
 
         z_branch = (np.arange(n) + 0.5) * geom.dz
@@ -183,12 +194,12 @@ class Simulator:
         l_dc_per_len, self.v_dc = _dc_line(geom, drive)
         z_term = math.sqrt(l_dc_per_len / geom.c_per_length)
         self._a_end = dt / (0.5 * geom.c_cell * z_term)
-        self.ceiling = blowup_factor * source.amplitude
+        self.ceiling = blowup_factor * max(s.amplitude for s in self.sources)
 
-        self._source_row = (
-            source.port == "left", source.kind, source.amplitude,
-            source.omega, source.t_center, source.t_width,
-            source.ramp_periods * 2.0 * math.pi / source.omega)
+        self._source_rows = [
+            (s.port == "left", s.kind, s.amplitude, s.omega, s.t_center,
+             s.t_width, s.ramp_periods * 2.0 * math.pi / s.omega)
+            for s in self.sources]
 
     @property
     def t(self) -> float:
@@ -196,19 +207,45 @@ class Simulator:
 
     @property
     def flux(self) -> np.ndarray:
-        """Branch flux [Wb] at t - dt/2, a read-only copy of the state."""
-        flux = self._psi * self.dt
+        """Branch flux [Wb] of every run at t - dt/2, (runs, n_cells), a
+        read-only copy of the state."""
+        flux = self._psi_cells * self.dt
         flux.flags.writeable = False
         return flux
 
-    def state(self) -> LineState:
-        return LineState(t=self.t, v=self.v.copy(), flux=self._psi * self.dt,
-                         i=self._i.copy(), step_index=self.t_index)
+    @property
+    def i(self) -> np.ndarray:
+        """Branch current [A] of every run at t - dt/2, like flux."""
+        i = self._j_cells * self._i_scale
+        i.flags.writeable = False
+        return i
 
-    def _advance(self, n_steps: int, probe_idx=None):
-        recs = _step_runs([self], n_steps,
-                          None if probe_idx is None else [probe_idx])
-        return None if recs is None else recs[0]
+    def state(self) -> LineState:
+        return LineState(t=self.t, v=self.v[0].copy(), i=self.i[0],
+                         step_index=self.t_index)
+
+    def _advance(self, n_steps: int, probes=None):
+        """Advance every run n_steps. probes: None, or one list of branch
+        indices per run; returns then the (n_steps, all probes) record of
+        their currents, the first run's columns first. On a blowup every
+        run is left at the failed step."""
+        if n_steps <= 0:
+            return None
+        slots = rec = None
+        if probes is not None:
+            width = self.geom.n_cells + 1
+            slots = np.array([r * width + 1 + b for r, p in enumerate(probes)
+                              for b in p], dtype=np.int64)
+            rec = np.empty((n_steps, slots.size))
+        bad = _step_numpy.step_block(self, n_steps, slots, rec)
+        self.t_index = bad + 1 if bad >= 0 else self.t_index + n_steps
+        if bad >= 0:
+            raise NumericalError(
+                f"field blowup at step {bad} (t = {bad * self.dt:.3e} s): "
+                f"|v| exceeded {self.ceiling:.3e} V")
+        if rec is not None:
+            rec *= self._i_scale
+        return rec
 
     def run_until(self, t_end: float, snapshot_times=(), probe=None,
                   window=None):
@@ -242,12 +279,12 @@ class Simulator:
                 raise ConfigError(
                     f"window_start {t0:.3e} s is before the current time "
                     f"{self.t:.3e} s")
-            period = 2.0 * math.pi / self.source.omega
+            period = 2.0 * math.pi / self.sources[0].omega
             if t1 - t0 < 8.0 * period:
                 raise ConfigError(
                     f"window_end {t1:.3e} s is less than 8 source periods "
                     f"({8.0 * period:.3e} s) after window_start {t0:.3e} s")
-            branch = [_probe_branch(self.geom, probe)]
+            branch = [[_probe_branch(self.geom, probe)]]
             rec_lo = self._step_at("window_start", t0)
             rec_hi = self._step_at("window_end", t1)
             stops |= {rec_lo, rec_hi}
@@ -271,59 +308,14 @@ class Simulator:
     def stored_energy(self) -> float:
         """Sum of capacitive and inductive energy, evaluated with the
         inductance at the flux's own half step."""
-        g = self.geom
+        g, v, flux = self.geom, self.v[0], self.flux[0]
         th = (self.t_index - 0.5) * self.dt
         arg = self.drive.phi_dc_tilde + self.drive.phi_rf_tilde * np.sin(
             self._mod_phase - self.drive.omega_s * th)
-        e_cap = 0.5 * g.c_cell * float(np.sum(self.v[1:-1] ** 2)) \
-            + 0.25 * g.c_cell * (self.v[0] ** 2 + self.v[-1] ** 2)
-        e_ind = float(np.sum(self.flux ** 2 * np.cos(arg))) / (2.0 * g.l0)
+        e_cap = 0.5 * g.c_cell * float(np.sum(v[1:-1] ** 2)) \
+            + 0.25 * g.c_cell * (v[0] ** 2 + v[-1] ** 2)
+        e_ind = float(np.sum(flux ** 2 * np.cos(arg))) / (2.0 * g.l0)
         return e_cap + e_ind
-
-
-def _step_runs(sims: list[Simulator], n_steps: int, probes=None):
-    """Advance runs that share geometry, drive, dt, ceiling and time by
-    n_steps as one batch. probes: None, or one list of branch indices per
-    run; each run then gets its (n_steps, n_probes) record. On a blowup
-    every run is left at the failed step."""
-    if n_steps <= 0:
-        return None
-    head = sims[0]
-    shared = (head.geom, head.drive, head.dt, head.ceiling, head.t_index)
-    if any((s.geom, s.drive, s.dt, s.ceiling, s.t_index) != shared
-           for s in sims[1:]):
-        raise ValueError("batched runs must share geometry, drive, dt, "
-                         "ceiling and time")
-    # one flat vector per field, scaled; see _step_numpy for the layout
-    n, dt = head.geom.n_cells, head.dt
-    v = np.concatenate([s.v for s in sims])
-    psi, j = np.zeros(v.size + 1), np.zeros(v.size + 1)
-    psi_cells, j_cells = (a[1:].reshape(len(sims), n + 1)[:, :n]
-                          for a in (psi, j))
-    psi_cells[:] = [s._psi for s in sims]
-    flat = rec = None
-    if probes is not None:
-        cols = [np.asarray(p, dtype=np.int64) for p in probes]
-        flat = np.concatenate([r * (n + 1) + 1 + c
-                               for r, c in enumerate(cols)])
-        rec = np.empty((n_steps, flat.size))
-    bad = _step_numpy.step_block(
-        v, psi, j, head._coef, head._basis, dt, head._a_end,
-        [s._source_row for s in sims], head.ceiling, head.t_index,
-        n_steps, flat, rec)
-    i_scale = head.geom.c_cell / dt
-    for s, v_r, psi_r, j_r in zip(sims, v.reshape(len(sims), n + 1),
-                                  psi_cells, j_cells):
-        s.v[:], s._psi[:], s._i[:] = v_r, psi_r, j_r * i_scale
-        s.t_index = bad + 1 if bad >= 0 else s.t_index + n_steps
-    if bad >= 0:
-        raise NumericalError(
-            f"field blowup at step {bad} (t = {bad * head.dt:.3e} s): "
-            f"|v| exceeded {head.ceiling:.3e} V")
-    if rec is None:
-        return None
-    rec *= i_scale
-    return np.split(rec, np.cumsum([c.size for c in cols])[:-1], axis=1)
 
 
 def cfl_bound(geom: LineGeometry, drive: FluxDrive) -> float:
@@ -334,17 +326,18 @@ def cfl_bound(geom: LineGeometry, drive: FluxDrive) -> float:
     return geom.dz * math.sqrt(l_min_per_len * geom.c_per_length)
 
 
-def build_line(geom: LineGeometry, drive: FluxDrive, source: SourceSpec,
+def build_line(geom: LineGeometry, drive: FluxDrive, *sources: SourceSpec,
                cfl_safety: float = 0.9,
                blowup_factor: float = 1e6) -> Simulator:
-    """Initialized simulator with zeroed fields, stepping at cfl_safety
-    times the CFL bound."""
-    if not 0.0 < cfl_safety <= 1.0:
-        raise ConfigError(f"cfl_safety must be in (0, 1], got {cfl_safety}")
+    """Initialized simulator with zeroed fields and one run for each of
+    one or more sources, stepping at cfl_safety times the CFL bound."""
+    dt = cfl_safety * cfl_bound(geom, drive)
+    if not (dt > 0.0 and cfl_safety <= 1.0):
+        raise ConfigError(f"cfl_safety must be in (0, 1] and give a dt "
+                          f"above 0, got {cfl_safety}")
     if not blowup_factor > 0.0:
         raise ConfigError(f"blowup_factor must be > 0, got {blowup_factor}")
-    return Simulator(geom, drive, source, cfl_safety * cfl_bound(geom, drive),
-                     blowup_factor)
+    return Simulator(geom, drive, sources, dt, blowup_factor)
 
 
 def _probe_branch(geom: LineGeometry, probe: float) -> int:
@@ -386,7 +379,7 @@ def temporal_harmonics(record: np.ndarray, sim: Simulator,
     """Hann-tapered spectral power of a probe record (one current per
     step, as run_until returns it) at the bins nearest the harmonics of
     the source tone. dBc values are relative to n = 1."""
-    f1 = sim.source.omega / (2.0 * math.pi)
+    f1 = sim.sources[0].omega / (2.0 * math.pi)
     bands = _bands(record, np.fft.rfftfreq(record.size, sim.dt),
                    [n * f1 for n in range(1, n_max + 1)], 0)
     return _dbc_report([float(np.sum(b)) for b in bands], "temporal")
@@ -409,30 +402,30 @@ def isolation_report(geom: LineGeometry, drive: FluxDrive,
                      source_omega: float) -> dict[int, float]:
     """Forward/backward transmission asymmetry per harmonic, in dB.
 
-    Two runs, stepped together as one batch: source at the left port with a
-    probe near the right end, and the mirror image. Positive values mean
+    Two runs of one simulator: source at the left port with a probe near
+    the right end, and the mirror image. Positive values mean
     forward-favoring nonreciprocity.
     The window is placed after the slower of (transit + ramp) so both runs
     are compared in steady state; band power sums 3 bins around each
     harmonic."""
     period = 2.0 * math.pi / source_omega
     n = geom.n_cells
-    sims = [build_line(geom, drive, SourceSpec(
+    sim = build_line(geom, drive, *(SourceSpec(
         kind="continuous-wave", omega=source_omega,
-        amplitude=ISOLATION_AMPLITUDE, port=port))
-        for port in ("left", "right")]
-    dt = sims[0].dt
-    transit = geom.length / sims[0].v_dc
+        amplitude=ISOLATION_AMPLITUDE, port=port)
+        for port in ("left", "right")))
+    dt = sim.dt
+    transit = geom.length / sim.v_dc
     t0 = 1.5 * transit + 3.0 * period
     t1 = t0 + ISOLATION_WINDOW_PERIODS * period
-    _step_runs(sims, int(round(t0 / dt)))
-    n_rec = int(round(t1 / dt)) - sims[0].t_index
+    sim._advance(int(round(t0 / dt)))
+    n_rec = int(round(t1 / dt)) - sim.t_index
     off = ISOLATION_PROBE_OFFSET
-    recs = _step_runs(sims, n_rec, [[n - off], [off - 1]])
+    rec = sim._advance(n_rec, [[n - off], [off - 1]])
     f_targets = [h * source_omega / (2.0 * math.pi)
                  for h in ISOLATION_HARMONICS]
     pf, pb = [[float(np.sum(b)) for b in _bands(
-        rec[:, 0], np.fft.rfftfreq(n_rec, dt), f_targets, 1)] for rec in recs]
+        x, np.fft.rfftfreq(n_rec, dt), f_targets, 1)] for x in rec.T]
     out = {}
     for h, p_fwd, p_bwd in zip(ISOLATION_HARMONICS, pf, pb):
         if p_fwd <= 0.0 or p_bwd <= 0.0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -256,22 +256,14 @@ def default_comb_qubits(omega_m: float,
     return out
 
 
-@dataclass
-class AddressingMap:
-    phi_dc: np.ndarray        # rad, shape (n_dc,)
-    phi_rf: np.ndarray        # rad, shape (n_rf,)
-    score: np.ndarray         # (n_dc, n_rf, n_qubits), each in [0, 1]
-    omega_bar: np.ndarray     # rad/s, cycle-averaged qubit frequency
-    harmonic_indices: list = field(default_factory=list)
-
-
-def addressing_map(array, phi_dc_grid, phi_rf_grid,
-                   qubits) -> AddressingMap:
-    """Resonance-proximity map over the flux-drive grid.
+def addressing_map(array, phi_dc_grid, phi_rf_grid, qubits) -> np.ndarray:
+    """Resonance-proximity scores over the flux-drive grid, shape
+    (n_dc, n_rf, n_qubits), each in [0, 1].
 
     `array` supplies omega_m (rad/s) and harmonic_indices; `qubits` the
     per-qubit TransmonSpec list. Score of qubit i at a grid point is
-    exp(-(omega_bar - n_i*omega_m)^2/(2 SIGMA_RES^2)).
+    exp(-(omega_bar - n_i*omega_m)^2/(2 SIGMA_RES^2)), omega_bar the
+    qubit's cycle-averaged frequency [rad/s].
     """
     phi_dc = np.asarray(phi_dc_grid, dtype=float)
     phi_rf = np.asarray(phi_rf_grid, dtype=float)
@@ -284,15 +276,10 @@ def addressing_map(array, phi_dc_grid, phi_rf_grid,
     # separable flux factor: ej_bar = 2 ej_max |cos(dc/2)| J0(rf/2)
     dc_fac = np.abs(np.cos(0.5 * phi_dc))[:, None]
     rf_fac = np.abs(j0(0.5 * phi_rf))[None, :]
-    shape = (phi_dc.size, phi_rf.size, len(qubits))
-    score = np.empty(shape)
-    omega_bar = np.empty(shape)
+    score = np.empty((phi_dc.size, phi_rf.size, len(qubits)))
     for q, (spec, n_i) in enumerate(zip(qubits, idx)):
         curve = flux_curve(spec.ec)
         ej_bar = 2.0 * spec.ej_max * dc_fac * rf_fac
-        wq = 2.0 * math.pi * curve.omega_q(ej_bar)
-        omega_bar[:, :, q] = wq
-        det = wq - n_i * array.omega_m
+        det = 2.0 * math.pi * curve.omega_q(ej_bar) - n_i * array.omega_m
         score[:, :, q] = np.exp(-det ** 2 / (2.0 * SIGMA_RES ** 2))
-    return AddressingMap(phi_dc=phi_dc, phi_rf=phi_rf, score=score,
-                         omega_bar=omega_bar, harmonic_indices=idx)
+    return score

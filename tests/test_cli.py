@@ -2,6 +2,7 @@
 and byte-level determinism of the outputs."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,6 +21,14 @@ MAX_MAP_POINTS = cli.transmon.MAX_MAP_POINTS
 MAX_ARRAY = cli.nonmarkov.MAX_ARRAY
 MAX_LEVELS = cli.transmon.MAX_LEVELS
 MAP_KEYS = ["'phi_dc.n'", "'phi_rf.n'", "'harmonic_indices'"]
+LINE_KEYS = ["'geometry.n_cells'", "'geometry.dz_m'",
+             "'geometry.c_per_length_f_per_m'", "'geometry.i0_amps'",
+             "'run.cfl_safety'", "'run.t_end_s'"]
+# line-sim's dt on its packaged geometry and drive, and the cells whose
+# run of 1024 such steps fills MAX_CELL_STEPS exactly
+LINE_DT = 0.9 * cli.line.cfl_bound(
+    cli.line.LineGeometry(), cli.line.FluxDrive(0.6, 0.6, 0.0, 1.0))
+CAP_CELLS = cli.line.MAX_CELL_STEPS // 1024
 # map points per (phi_dc, phi_rf) point: the default harmonic count
 N_HARMONICS = 5
 
@@ -374,6 +383,31 @@ class TestScenarioOutputs:
         assert float(rows[0][2]) == 0.0
         assert all(float(r[2]) < 0.0 for r in rows[1:])
 
+    @pytest.mark.parametrize("mode,n_top", [("spatial", 29),
+                                            ("temporal", 35)])
+    def test_line_sim_harmonics_up_to_nyquist(self, tmp_path, capsys, mode,
+                                              n_top):
+        """On the defaults, the largest n_harmonics whose top harmonic lies
+        within the spectrum (pi/dz in space, 1/(2 dt) in time) writes a
+        distinct power for every harmonic, and one more exits 2."""
+        omega = 2.0 * math.pi * 3e9
+        if mode == "spatial":
+            geom = cli.line.LineGeometry()
+            v_dc = cli.line._dc_line(geom, cli.line.FluxDrive(
+                0.6, 0.6, 0.0, omega))[1]
+            assert n_top == int(math.pi / geom.dz / (omega / v_dc))
+        else:
+            assert n_top == int(0.5 / LINE_DT / 3e9)
+        args = ["line-sim", "--set", f"run.spectrum={mode}"]
+        assert cli.main([*args, "--out", str(tmp_path),
+                         "--set", f"run.n_harmonics={n_top}"]) == 0
+        _, rows = read_rows(tmp_path / "spectrum.csv")
+        assert len({r[3] for r in rows}) == len(rows) == n_top
+        assert cli.main([*args, "--out", str(tmp_path / "over"),
+                         "--set", f"run.n_harmonics={n_top + 1}"]) == 2
+        assert f"'run.n_harmonics' must be <= {n_top}," \
+            in capsys.readouterr().err
+
     def test_scalability_models(self, tmp_path):
         code = cli.main(["scalability", "--out", str(tmp_path),
                          "--set", "n_min=1", "--set", "n_max=3"])
@@ -510,6 +544,15 @@ class TestExitCodes:
         ("line-sim", "run.cfl_safety=0", "run.cfl_safety"),
         ("line-sim", "run.cfl_safety=1.5", "run.cfl_safety"),
         ("line-sim", "run.cfl_safety=-1", "run.cfl_safety"),
+        # a dt that underflows to 0
+        ("line-sim", "run.cfl_safety=5e-324", "'run.cfl_safety'"),
+        # harmonics past the Nyquist limit of the spectrum
+        ("line-sim", "run.n_harmonics=60", "'run.n_harmonics'"),
+        ("line-sim", "run.n_harmonics=1000000000000000",
+         "'run.n_harmonics'"),
+        pytest.param("line-sim",
+                     ["run.spectrum=temporal", "run.n_harmonics=36"],
+                     "'run.n_harmonics'", id="line-sim-temporal-nyquist"),
         ("line-sim", "run.blowup_factor=0", "run.blowup_factor"),
         ("spectroscopy", "tau.start_s=0", "tau.start_s"),
         ("spectroscopy", "tau.stop_s=-1e-6", "tau.stop_s"),
@@ -695,13 +738,14 @@ class TestExitCodes:
 
     @staticmethod
     def _stop_at_work(monkeypatch, exc):
-        """Raise `exc` at the first step of flux-sweep, addressing and
-        nonmarkov that follows their size preflight."""
+        """Raise `exc` at the first step of flux-sweep, addressing,
+        nonmarkov and line-sim that follows their size preflight."""
         def work(*args, **kwargs):
             raise exc
 
         monkeypatch.setattr(cli.transmon, "default_comb_qubits", work)
         monkeypatch.setattr(cli.nonmarkov, "KernelSpec", work)
+        monkeypatch.setattr(cli.line, "build_line", work)
 
     @pytest.mark.parametrize("scenario,assignments,keys,what", [
         ("flux-sweep", ["phi_dc.n=1000000000000000"], MAP_KEYS,
@@ -723,6 +767,17 @@ class TestExitCodes:
         pytest.param("addressing", [f"n_levels={MAX_LEVELS + 1}"],
                      ["'n_levels'"], "charge basis",
                      id="addressing-one-over-cap"),
+        ("line-sim", ["geometry.n_cells=1000000000000000"], LINE_KEYS,
+         "line run"),
+        ("line-sim", ["run.cfl_safety=1e-300"], LINE_KEYS, "line run"),
+        ("line-sim", ["geometry.dz_m=1e-60"], LINE_KEYS, "line run"),
+        pytest.param("line-sim", [f"geometry.n_cells={CAP_CELLS + 1}",
+                                  f"run.t_end_s={1024 * LINE_DT!r}"],
+                     LINE_KEYS, "line run", id="line-sim-one-over-cap"),
+        pytest.param("line-sim", ["run.spectrum=temporal",
+                                  "run.window_end_s=1e-3"],
+                     [*LINE_KEYS, "'run.window_end_s'"], "line run",
+                     id="line-sim-temporal-window-end"),
     ])
     def test_work_over_cap_is_2(self, tmp_path, capsys, monkeypatch,
                                 scenario, assignments, keys, what):
@@ -746,6 +801,12 @@ class TestExitCodes:
          ["phi_dc.n=1", f"phi_rf.n={MAX_MAP_POINTS // N_HARMONICS}"]),
         ("nonmarkov", [f"n_points={MAX_ARRAY // 2}"]),
         ("addressing", [f"n_levels={MAX_LEVELS}"]),
+        ("line-sim", [f"geometry.n_cells={CAP_CELLS}",
+                      f"run.t_end_s={1024 * LINE_DT!r}"]),
+        # the window's end sets the size when it is later than t_end
+        ("line-sim", [f"geometry.n_cells={CAP_CELLS}", "run.spectrum=temporal",
+                      "run.t_end_s=1e-9",
+                      f"run.window_end_s={1024 * LINE_DT!r}"]),
     ])
     def test_work_at_cap_passes_preflight(self, tmp_path, monkeypatch,
                                           scenario, assignments):

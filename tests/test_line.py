@@ -82,7 +82,7 @@ class TestPropagation:
         sim = line.build_line(line.LineGeometry(), quiet_drive(), cw_source())
         st = sim.state()
         assert st.t == 0.0 and st.step_index == 0
-        assert np.all(st.v == 0.0) and np.all(st.flux == 0.0)
+        assert np.all(st.v == 0.0) and np.all(sim.flux == 0.0)
         assert sim.stored_energy() == 0.0
 
     def test_analytic_cw_propagation(self):
@@ -205,7 +205,7 @@ class TestHarmonics:
                 two._advance(stop - two.t_index)
                 ref_states.append(two.state())
             rec = two._advance(round(window[1] / two.dt) - two.t_index,
-                               [line._probe_branch(g, probe)])
+                               [[line._probe_branch(g, probe)]])
             want = line.temporal_harmonics(rec[:, 0], two)
             ref_states.pop()
         assert got == want

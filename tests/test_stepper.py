@@ -1,6 +1,7 @@
 """The blocked, batched stepper against a per-step reference loop: same
 trajectories to roundoff, same probe records, same blowup step and state,
-and a batch of runs equal to the same runs stepped one at a time."""
+and the runs of one simulator equal to the same runs stepped one at a
+time."""
 
 import math
 import re
@@ -26,10 +27,10 @@ def _source_value(kind, t, amp, omega, t_center, t_width, ramp):
 
 def reference_advance(sim, n_steps, probe_idx=()):
     """The stepper one step at a time, with the modulation evaluated as
-    sin(mod_phase - omega_s t) per cell: advances copies of sim's state and
-    returns (bad_step, v, flux, i, probe_record)."""
-    v, flux, i_work = sim.v.copy(), sim.flux.copy(), sim._i.copy()
-    d, src, dt = sim.drive, sim.source, sim.dt
+    sin(mod_phase - omega_s t) per cell: advances copies of the state of
+    sim's one run and returns (bad_step, v, flux, i, probe_record)."""
+    v, flux, i_work = sim.v[0].copy(), sim.flux[0].copy(), sim.i[0].copy()
+    (src,), d, dt = sim.sources, sim.drive, sim.dt
     ramp = src.ramp_periods * 2.0 * math.pi / src.omega
     dt_over_c = dt / sim.geom.c_cell
     dt_over_cend = dt / (0.5 * sim.geom.c_cell)
@@ -58,25 +59,31 @@ def reference_advance(sim, n_steps, probe_idx=()):
 
 
 N_CELLS = 64
+CW_LEFT = ("continuous-wave", "left", 7)
 
 
-def make_sim(kind="continuous-wave", port="left", blowup_factor=1e6,
-             seed=7):
-    """A short line under rf drive with a random initial field, so every
+def make_sim(*rows, blowup_factor=1e6):
+    """A short line under rf drive with one run per (kind, port, seed)
+    row, each with a random initial field drawn from its seed, so every
     term of the update is exercised from the first step."""
     geom = line.LineGeometry(n_cells=N_CELLS)
     drive = default_drive(0.6, 0.6, geom)
     omega = 2.0 * math.pi * 3e9
-    if kind == "continuous-wave":
-        src = line.SourceSpec(kind=kind, omega=omega, amplitude=1e-6,
-                              port=port, ramp_periods=0.5)
-    else:
-        src = line.SourceSpec(kind=kind, omega=omega, amplitude=1e-6,
-                              t_center=0.2e-9, t_width=0.05e-9, port=port)
-    sim = line.build_line(geom, drive, src, blowup_factor=blowup_factor)
-    rng = np.random.default_rng(seed)
-    sim.v[:] = rng.normal(scale=1e-7, size=N_CELLS + 1)
-    sim._psi[:] = rng.normal(scale=1e-16, size=N_CELLS) / sim.dt
+    sources = []
+    for kind, port, _ in rows or [CW_LEFT]:
+        if kind == "continuous-wave":
+            sources.append(line.SourceSpec(
+                kind=kind, omega=omega, amplitude=1e-6, port=port,
+                ramp_periods=0.5))
+        else:
+            sources.append(line.SourceSpec(
+                kind=kind, omega=omega, amplitude=1e-6, t_center=0.2e-9,
+                t_width=0.05e-9, port=port))
+    sim = line.build_line(geom, drive, *sources, blowup_factor=blowup_factor)
+    for r, (*_, seed) in enumerate(rows or [CW_LEFT]):
+        rng = np.random.default_rng(seed)
+        sim.v[r] = rng.normal(scale=1e-7, size=N_CELLS + 1)
+        sim._psi_cells[r] = rng.normal(scale=1e-16, size=N_CELLS) / sim.dt
     return sim
 
 
@@ -88,16 +95,16 @@ def assert_close(got, want, rel=1e-12):
 @pytest.mark.parametrize("kind", ["continuous-wave", "gaussian-pulse"])
 @pytest.mark.parametrize("port", ["left", "right"])
 def test_trajectories_match_reference(kind, port):
-    sim = make_sim(kind, port)
+    sim = make_sim((kind, port, 7))
     # segments off the block boundary: a partial block, several full
     # blocks and a tail, starting at a nonzero step index
     for n_steps in (5, 200, 71):
         bad, v, flux, i, _ = reference_advance(sim, n_steps)
         assert bad == -1
         sim._advance(n_steps)
-        assert_close(sim.v, v)
-        assert_close(sim.flux, flux)
-        assert_close(sim._i, i)
+        assert_close(sim.v[0], v)
+        assert_close(sim.flux[0], flux)
+        assert_close(sim.i[0], i)
     assert sim.t_index == 276
 
 
@@ -106,10 +113,10 @@ def test_probe_records_match_reference():
     sim._advance(33)
     probes = [3, 31, 60]
     _, v, _, _, rec_ref = reference_advance(sim, 150, probes)
-    rec = sim._advance(150, probes)
+    rec = sim._advance(150, [probes])
     assert rec.shape == (150, 3)
     assert_close(rec, rec_ref)
-    assert_close(sim.v, v)
+    assert_close(sim.v[0], v)
 
 
 def test_ceiling_trip_matches_reference():
@@ -124,9 +131,9 @@ def test_ceiling_trip_matches_reference():
     with pytest.raises(NumericalError, match=f"at step {bad} "):
         sim._advance(400)
     assert sim.t_index == bad + 1
-    assert_close(sim.v, v)
-    assert_close(sim.flux, flux)
-    assert_close(sim._i, i)
+    assert_close(sim.v[0], v)
+    assert_close(sim.flux[0], flux)
+    assert_close(sim.i[0], i)
 
 
 def test_one_node_just_over_ceiling_trips():
@@ -137,7 +144,7 @@ def test_one_node_just_over_ceiling_trips():
         sim = make_sim(blowup_factor=blowup_factor)
         sim.v[:] = 0.0
         sim._psi[:] = 0.0
-        sim.v[30] = 1e-6
+        sim.v[0, 30] = 1e-6
         return sim
 
     _, v, *_ = reference_advance(excited(1e6), 1)
@@ -146,107 +153,119 @@ def test_one_node_just_over_ceiling_trips():
     sim = excited(0.99 * peak / 1e-6)          # amplitude is 1e-6 V
     with pytest.raises(NumericalError, match="at step 0 "):
         sim._advance(5)
-    assert_close(sim.v, v)
+    assert_close(sim.v[0], v)
 
 
 def test_nan_trip_matches_reference():
     sim = make_sim()
     sim._advance(40)
-    sim._psi[17] = np.nan
+    sim._psi_cells[0, 17] = np.nan
     bad, v, flux, i, _ = reference_advance(sim, 100)
     assert bad == 40
     with pytest.raises(NumericalError, match="at step 40 "):
         sim._advance(100)
     assert sim.t_index == 41
-    for got, want in ((sim.v, v), (sim.flux, flux), (sim._i, i)):
+    for got, want in ((sim.v[0], v), (sim.flux[0], flux), (sim.i[0], i)):
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         ok = ~np.isnan(want)
         assert_close(got[ok], want[ok])
 
 
 def assert_same_state(a, b):
+    """Every run of a equals the same run of b, bit for bit."""
     assert a.t_index == b.t_index
     np.testing.assert_array_equal(a.v, b.v)
     np.testing.assert_array_equal(a.flux, b.flux)
-    np.testing.assert_array_equal(a._i, b._i)
+    np.testing.assert_array_equal(a.i, b.i)
+
+
+def assert_same_run(batch, row, single):
+    """Run `row` of batch equals the one run of single, bit for bit."""
+    assert batch.t_index == single.t_index
+    for got, want in ((batch.v, single.v), (batch.flux, single.flux),
+                      (batch.i, single.i)):
+        np.testing.assert_array_equal(got[row], want[0])
 
 
 def test_batch_equals_single_runs():
-    """Rows of a batch share the modulation table and step with the same
-    elementwise arithmetic, so each row is bit-identical to its own run."""
-    pair = [make_sim("continuous-wave", "left", seed=1),
-            make_sim("gaussian-pulse", "right", seed=2)]
-    single = [make_sim("continuous-wave", "left", seed=1),
-              make_sim("gaussian-pulse", "right", seed=2)]
-    line._step_runs(pair, 90)
-    recs = line._step_runs(pair, 130, [[5, 40], [60]])
-    for sim, probes, rec in zip(single, [[5, 40], [60]], recs):
-        sim._advance(90)
-        np.testing.assert_array_equal(sim._advance(130, probes), rec)
-    for a, b in zip(pair, single):
-        assert a.t_index == 220
-        assert_same_state(a, b)
+    """Runs of one simulator share the modulation table and step with the
+    same elementwise arithmetic, so each is bit-identical to its own run,
+    probe records included."""
+    rows = [("continuous-wave", "left", 1), ("gaussian-pulse", "right", 2)]
+    probes = [[5, 40], [60]]
+    pair = make_sim(*rows)
+    pair._advance(90)
+    rec = pair._advance(130, probes)
+    assert pair.t_index == 220
+    for r, (row, p, cols) in enumerate(zip(rows, probes,
+                                           (slice(0, 2), slice(2, 3)))):
+        single = make_sim(row)
+        single._advance(90)
+        np.testing.assert_array_equal(single._advance(130, [p]),
+                                      rec[:, cols])
+        assert_same_run(pair, r, single)
 
 
 def test_three_row_batch_isolates_its_seams():
-    """The middle row of three has a seam on each side. Each row equals its
-    own run bit for bit, and when row 0 leaves the ceiling partway through
-    a call, every row is left at that step and still equals its own run
-    there: the ghost slots pass nothing across."""
+    """The middle run of three has a seam on each side. Over several
+    calls, with the seam ghosts kept from one call to the next, each run
+    equals its own run bit for bit and the ghosts' currents stay exactly
+    0; when run 0 leaves the ceiling partway through a call, every run is
+    left at that step and still equals its own run there: the ghost slots
+    pass nothing across."""
     rows = [("continuous-wave", "left", 1), ("gaussian-pulse", "right", 2),
             ("continuous-wave", "right", 3)]
     probes = [[0], [N_CELLS - 1, 5], [31]]
-    trio = [make_sim(kind, port, seed=seed) for kind, port, seed in rows]
-    single = [make_sim(kind, port, seed=seed) for kind, port, seed in rows]
-    recs = line._step_runs(trio, 150, probes)
-    for a, b, p, rec in zip(trio, single, probes, recs):
-        np.testing.assert_array_equal(b._advance(150, p), rec)
-        assert_same_state(a, b)
+    trio = make_sim(*rows)
+    single = [make_sim(row) for row in rows]
+    recs = [trio._advance(k, probes) for k in (70, 1, 79)]
+    assert np.all(trio._psi[N_CELLS + 1:-1:N_CELLS + 1] != 0.0)
+    assert np.all(trio._j[::N_CELLS + 1] == 0.0)
+    cols = np.split(np.concatenate(recs), [1, 3], axis=1)
+    for r, (b, p, rec) in enumerate(zip(single, probes, cols)):
+        np.testing.assert_array_equal(
+            np.concatenate([b._advance(k, [p]) for k in (70, 1, 79)]), rec)
+        assert_same_run(trio, r, b)
 
-    # row 0 rescaled to 0.9 of the ceiling: it leaves it after a step
-    for sim in (trio[0], single[0]):
-        scale = 0.9 * sim.ceiling / np.max(np.abs(sim.v))
-        sim.v *= scale
-        sim._psi *= scale
+    # run 0 rescaled to 0.9 of the ceiling: it leaves it after a step
+    for sim in (trio, single[0]):
+        scale = 0.9 * sim.ceiling / np.max(np.abs(sim.v[0]))
+        sim.v[0] *= scale
+        sim._psi_cells[0] *= scale
     with pytest.raises(NumericalError) as failed:
-        line._step_runs(trio, 100)
+        trio._advance(100)
     bad = int(re.search(r"at step (\d+) ", str(failed.value)).group(1))
     assert 150 < bad < 249
     with pytest.raises(NumericalError, match=f"at step {bad} "):
         single[0]._advance(100)
     for sim in single[1:]:
         sim._advance(bad + 1 - 150)
-    for a, b in zip(trio, single):
-        assert a.t_index == bad + 1
-        assert_same_state(a, b)
+    assert trio.t_index == bad + 1
+    for r, b in enumerate(single):
+        assert_same_run(trio, r, b)
 
 
 def test_mirrored_pair_is_exact_at_kappa_s_zero():
     """With kappa_s = 0 the line is uniform, so the right-port run is the
     left-port run reflected. Differences and end updates are exactly
-    antisymmetric, so the batch keeps the mirror bit for bit and the
-    isolation is exactly 0 dB."""
+    antisymmetric, so the pair keeps the mirror bit for bit, across calls,
+    and the isolation is exactly 0 dB."""
     geom = line.LineGeometry(n_cells=N_CELLS)
     omega = 2.0 * math.pi * 3e9
     drive = line.FluxDrive(phi_dc_tilde=0.6, phi_rf_tilde=0.6,
                            kappa_s=0.0, omega_s=omega)
-    left, right = [line.build_line(geom, drive, line.SourceSpec(
+    sim = line.build_line(geom, drive, *(line.SourceSpec(
         kind="continuous-wave", omega=omega, amplitude=1e-6, port=port,
-        ramp_periods=0.5)) for port in ("left", "right")]
-    line._step_runs([left, right], 300)
-    assert np.max(np.abs(left.v)) > 1e-8
-    np.testing.assert_array_equal(right.v, left.v[::-1])
-    np.testing.assert_array_equal(right.flux, -left.flux[::-1])
-    np.testing.assert_array_equal(right._i, -left._i[::-1])
+        ramp_periods=0.5) for port in ("left", "right")))
+    sim._advance(130)
+    sim._advance(170)
+    (left_v, right_v), (left_f, right_f) = sim.v, sim.flux
+    assert np.max(np.abs(left_v)) > 1e-8
+    np.testing.assert_array_equal(right_v, left_v[::-1])
+    np.testing.assert_array_equal(right_f, -left_f[::-1])
+    np.testing.assert_array_equal(sim.i[1], -sim.i[0][::-1])
     assert line.isolation_report(geom, drive, omega) == \
         {1: 0.0, 2: 0.0, 3: 0.0}
-
-
-def test_batch_rejects_mismatched_runs():
-    a, b = make_sim(), make_sim(port="right")
-    b._advance(1)
-    with pytest.raises(ValueError, match="share"):
-        line._step_runs([a, b], 10)
 
 
 def test_isolation_report_equals_sequential_runs():
@@ -264,7 +283,7 @@ def test_isolation_report_equals_sequential_runs():
         t0 = 1.5 * geom.length / sim.v_dc + 3.0 * period
         t1 = t0 + 16 * period
         sim._advance(int(round(t0 / sim.dt)))
-        rec = sim._advance(int(round(t1 / sim.dt)) - sim.t_index, [far])
+        rec = sim._advance(int(round(t1 / sim.dt)) - sim.t_index, [[far]])
         bands = line._bands(rec[:, 0], np.fft.rfftfreq(rec.shape[0], sim.dt),
                             [h * omega / (2.0 * math.pi) for h in (1, 2, 3)],
                             1)
@@ -276,19 +295,21 @@ def test_isolation_report_equals_sequential_runs():
 
 def test_result_does_not_depend_on_call_splits():
     """Table blocks sit on absolute multiples of BLOCK and are computed
-    whole, and the state stays scaled between calls, so a run taken in one
-    call, in 1-step calls, in uneven pieces or through run_until snapshot
-    stops ends bit for bit the same, with the same probe record."""
-    probes = [5, 40]
-    whole = make_sim()
+    whole, and the state stays scaled between calls, so a pair of runs
+    taken in one call, in 1-step calls, in uneven pieces or through
+    run_until snapshot stops ends bit for bit the same, with the same
+    probe record."""
+    rows = [CW_LEFT, ("gaussian-pulse", "right", 2)]
+    probes = [[5, 40], [60]]
+    whole = make_sim(*rows)
     rec = whole._advance(300, probes)
     for pieces in ([1] * 300, [1, 7, 100, 63, 129]):
-        sim = make_sim()
+        sim = make_sim(*rows)
         got = np.concatenate([sim._advance(k, probes) for k in pieces])
         np.testing.assert_array_equal(got, rec)
         assert_same_state(sim, whole)
 
-    sim = make_sim()
+    sim = make_sim(*rows)
     snaps = [1, 2, 63, 64, 65, 130, 299]
     states = sim.run_until(300 * sim.dt, [k * sim.dt for k in snaps])
     assert [st.step_index for st in states] == snaps

@@ -7,7 +7,7 @@ from scipy.special import mathieu_a, mathieu_b
 
 from fluxcomb.errors import ConfigError, ConvergenceError
 from fluxcomb.transmon import (
-    AddressingMap,
+    SIGMA_RES,
     TransmonSpec,
     addressing_map,
     default_comb_qubits,
@@ -269,12 +269,12 @@ def test_addressing_dc_sweep_peaks_separate():
     # fixed rf drive, dc swept: exactly one high-score region per qubit
     array = _ArrayStub(OMEGA_M, [5, 10, 15, 20, 25])
     phi_dc = np.linspace(0.05, 1.3, 400)
-    amap = addressing_map(array, phi_dc, [0.85],
-                          default_comb_qubits(OMEGA_M))
-    assert isinstance(amap, AddressingMap)
+    score = addressing_map(array, phi_dc, [0.85],
+                           default_comb_qubits(OMEGA_M))
+    assert score.shape == (400, 1, 5)
     centers = []
     for q in range(5):
-        s = amap.score[:, 0, q]
+        s = score[:, 0, q]
         hot = s > 0.5
         assert hot.any(), f"qubit {q} never addressed"
         runs = np.diff(np.flatnonzero(np.diff(hot.astype(int)) != 0))
@@ -289,20 +289,29 @@ def test_addressing_dc_sweep_peaks_separate():
 def test_addressing_rf_branches_quasi_horizontal():
     array = _ArrayStub(OMEGA_M, [5, 10, 15, 20, 25])
     phi_rf = np.linspace(0.0, 0.85, 60)
-    amap = addressing_map(array, [0.8], phi_rf, default_comb_qubits(OMEGA_M))
-    wb = amap.omega_bar[0, :, :]           # (n_rf, n_qubits)
+    qubits = default_comb_qubits(OMEGA_M)
+    # cycle-averaged qubit frequencies [rad/s] at phi_dc = 0.8,
+    # (n_rf, n_qubits)
+    wb = 2.0 * math.pi * np.stack(
+        [flux_curve(q.ec).omega_q(ej_time_averaged(q.ej_max, 0.8, phi_rf))
+         for q in qubits], axis=1)
     drift = np.abs(wb - wb[0, :]) / wb[0, :]
     assert drift.max() < 0.03              # branches move by < 3 percent
     # branches stay ordered and distinct across the sweep
     assert np.all(np.diff(wb, axis=1) > 0)
+    # and the map scores each qubit's detuning from its harmonic
+    det = wb - np.array(array.harmonic_indices) * OMEGA_M
+    np.testing.assert_allclose(
+        addressing_map(array, [0.8], phi_rf, qubits)[0],
+        np.exp(-det ** 2 / (2.0 * SIGMA_RES ** 2)), rtol=1e-9, atol=1e-12)
 
 
 def test_addressing_far_detuned_is_dark():
     array = _ArrayStub(OMEGA_M, [5])
     qubit = TransmonSpec(ec=0.25e9, ej_max=3e9)   # way below harmonic 5
-    amap = addressing_map(array, np.linspace(0.0, 1.2, 50), [0.0],
-                          qubits=[qubit])
-    assert amap.score.max() < 1e-6
+    score = addressing_map(array, np.linspace(0.0, 1.2, 50), [0.0],
+                           qubits=[qubit])
+    assert score.max() < 1e-6
 
 
 def test_addressing_rejects_negative_rf():
