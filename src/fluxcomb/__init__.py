@@ -3,8 +3,8 @@ frequency-comb qubit error model."""
 
 __version__ = "0.1.0"
 
-# the line has one stepper, in NumPy (_step_numpy); BACKEND names it for
-# tools that record the run environment
+# the line has one stepper, in NumPy (line.Simulator); BACKEND names it
+# for tools that record the run environment
 BACKEND = "python"
 
 from .errors import (  # noqa: F401

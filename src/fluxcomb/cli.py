@@ -60,26 +60,19 @@ def merge_config(base: dict, user: dict, path: str = "") -> dict:
     return out
 
 
-def apply_override(config: dict, assignment: str):
+def apply_override(config: dict, assignment: str) -> dict:
+    """config with one --set key.path=value merged over it, as a --config
+    file holding only that value would be."""
     if "=" not in assignment:
         raise ConfigError(f"--set needs key.path=value, got {assignment!r}")
     dotted, raw = assignment.split("=", 1)
-    keys = dotted.split(".")
-    node = config
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node = node[key]
-    leaf = keys[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"unknown config key {dotted!r}")
     try:
         value = json.loads(raw)
     except ValueError:
         value = raw
-    if isinstance(node[leaf], dict):
-        raise ConfigError(f"{dotted!r} is an object; set its fields")
-    node[leaf] = value
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return merge_config(config, value)
 
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a number",
@@ -130,11 +123,11 @@ def resolve_config(scenario: str, config_path, overrides, seed) -> dict:
             raise ConfigError("config root must be a JSON object")
         config = merge_config(config, user)
     for assignment in overrides or ():
-        apply_override(config, assignment)
+        config = apply_override(config, assignment)
     if seed is not None:
         config["seed"] = seed
-    # apply_override writes into the copy; the types come from the
-    # packaged defaults
+    # check_types writes into the copy; the types come from the packaged
+    # defaults
     check_types(config, defaults)
     return config
 
@@ -202,7 +195,8 @@ def run_line_sim(config: dict, out_dir: Path):
     scfg = config["source"]
     with _keys(kind="source.kind", port="source.port",
                amplitude="source.amplitude_volts", omega="source.freq_hz",
-               t_width="source.t_width_s"):
+               t_width="source.t_width_s",
+               ramp_periods="source.ramp_periods"):
         source = line.SourceSpec(
             kind=scfg["kind"],
             omega=TWO_PI * scfg["freq_hz"],
@@ -236,13 +230,22 @@ def run_line_sim(config: dict, out_dir: Path):
                               cfl_safety=rcfg["cfl_safety"],
                               blowup_factor=rcfg["blowup_factor"])
 
-    # harmonics up to the Nyquist limit: pi/dz in space, 1/(2 dt) in time
+    # harmonics up to the Nyquist limit: pi/dz in space, with v_dc from
+    # the geometry and phi_dc, and 1/(2 dt) in time, with dt also from
+    # phi_rf and cfl_safety
     f_src = source.omega / TWO_PI
     n_top = {"spatial": math.pi / geom.dz / (source.omega / sim.v_dc),
              "temporal": 0.5 / sim.dt / f_src}.get(spectrum_mode, math.inf)
     if n_max > n_top:
-        raise ConfigError(f"'run.n_harmonics' must be <= {int(n_top)}, the "
-                          f"{spectrum_mode} Nyquist limit")
+        keys = ["run.n_harmonics", "source.freq_hz", "geometry.dz_m",
+                "geometry.c_per_length_f_per_m", "geometry.i0_amps",
+                "drive.phi_dc"]
+        if spectrum_mode == "temporal":
+            keys += ["drive.phi_rf", "run.cfl_safety"]
+        limit = f"the {spectrum_mode} Nyquist limit"
+        what = (f"n_harmonics must be <= {int(n_top)}, {limit}"
+                if n_top >= 1.0 else f"even the fundamental is past {limit}")
+        raise ConfigError(", ".join(f"'{k}'" for k in keys) + f": {what}")
     with _keys(t_end="run.t_end_s", snapshot_times="run.snapshot_times_s",
                probe="run.probe_m", window_start="run.window_start_s",
                window_end="run.window_end_s"):
@@ -253,7 +256,7 @@ def run_line_sim(config: dict, out_dir: Path):
                 rcfg["t_end_s"], rcfg["snapshot_times_s"],
                 probe=rcfg["probe_m"],
                 window=(rcfg["window_start_s"], rcfg["window_end_s"]))
-            report = line.temporal_harmonics(record, sim, n_max)
+            dbc, power = line.temporal_harmonics(record, sim, n_max)
         else:
             states = sim.run_until(rcfg["t_end_s"], rcfg["snapshot_times_s"])
 
@@ -265,24 +268,22 @@ def run_line_sim(config: dict, out_dir: Path):
                                   "z_m,v_volts,i_amps", [z_mid, v_mid, st.i]))
 
     if spectrum_mode == "spatial":
-        report = line.spatial_harmonics(sim.state(), geom, drive,
-                                        source.omega, n_max=n_max)
+        dbc, power = line.spatial_harmonics(sim.state(), geom, drive,
+                                            source.omega, n_max=n_max)
     if spectrum_mode != "none":
-        n = np.asarray(report.harmonic_index)
+        n = np.arange(1, n_max + 1)
         files.append(io.write_csv(
             out_dir / "spectrum.csv", "n,freq_hz,power_dbc,power_abs",
-            [n, n * f_src, report.power_dbc, report.absolute_power]))
+            [n, n * f_src, dbc, power]))
 
     if rcfg["wavepacket"]:
-        metrics = line.wavepacket_metrics(states, geom)[1:]
-        if any(m.peak_velocity is None for m in metrics):
-            raise ConfigError("two 'run.snapshot_times_s' share a time step")
-        table = np.array([(m.t, m.centroid, m.rms_width, m.spectral_centroid,
-                           m.peak_velocity) for m in metrics])
+        # from the second snapshot on: the first has no velocity
+        with _keys(snapshot_times="run.snapshot_times_s"):
+            metrics = line.wavepacket_metrics(states, geom)
         files.append(io.write_csv(
             out_dir / "wavepacket.csv",
             "t_s,centroid_m,rms_width_m,spectral_centroid_radpm,"
-            "peak_velocity_mps", table.T))
+            "peak_velocity_mps", metrics[:, 1:]))
     return files
 
 
@@ -445,7 +446,8 @@ def _noise_model(kind: str, section: str, cfg: dict) -> nonmarkov.NoiseModel:
                       filter_depth=cfg["filter_depth_db"])
     with _keys(amplitude=f"{section}.amplitude_rad2_per_s2",
                n_components=f"{section}.n_components",
-               f_min=f"{section}.f_min_hz", f_max=f"{section}.f_max_hz"):
+               f_min=f"{section}.f_min_hz", f_max=f"{section}.f_max_hz",
+               filter_center=f"{section}.filter_center_hz"):
         return nonmarkov.NoiseModel(kind=kind, **common)
 
 

@@ -5,8 +5,9 @@ a float cell exactly as '%.12e' % x renders it, an integer cell as %d and
 a str cell as is, in UTF-8 with LF line endings, so identical
 configurations give byte-identical files.
 
-A block is rendered with no Python formatting per cell. Each column's
-block becomes a (rows, words) uint32 matrix of NUL-padded UTF-8; the
+A float block is rendered with no Python formatting per cell; an integer
+cell is its str(), which is short and reads as %d. Each column's block
+becomes a (rows, words) uint32 matrix of NUL-padded UTF-8; the
 matrices, a ',' word between columns and a newline word at each row end
 are stacked side by side, and the block goes out in one write as the
 matrix's bytes with the NULs dropped. A column given as a (values, index)
@@ -79,7 +80,6 @@ def _tables() -> SimpleNamespace:
     hi, lo = np.array(pow10).T
     hi_a = _SPLIT * hi
     hi_a -= hi_a - hi
-    digits4 = _words(quad)[:, 0]                    # 0 -> '0000'
     lead = _digits(n[:200], [10, 1])
     return SimpleNamespace(
         # the float words, one table at offsets _HEAD, _QUAD, _TAIL, _EXP:
@@ -91,19 +91,14 @@ def _tables() -> SimpleNamespace:
             _words(np.column_stack([
                 np.where(n[:200] >= 100, 45, 0), lead[:, 0],
                 np.full(200, 46), lead[:, 1]]))[:, 0],
-            digits4,
+            _words(quad)[:, 0],
             _words(np.column_stack([_digits(n[:1000], [100, 10, 1]),
                                     np.full(1000, 101)]))[:, 0],
             _words(np.column_stack([
                 np.where(e < 0, 45, 43),
                 np.where(abs(e) < 100, 0, _digits(abs(e), [100])[:, 0]),
                 _digits(abs(e), [10, 1])]))[:, 0]]),
-        digits4=digits4,
-        # digits4 without leading zeros; 0 -> '0'
-        leading=_words(np.where(n[:, None] < [1000, 100, 10, 0], 0,
-                                quad))[:, 0],
         comma=_words([44, 0, 0, 0]), newline=_words([10, 0, 0, 0]),
-        minus=_words([45, 0, 0, 0])[0],
         # 10^k = hi + lo, each correctly rounded; hi = hi_a + hi_b split
         hi=hi, lo=lo, hi_a=hi_a, hi_b=hi - hi_a)
 
@@ -166,30 +161,6 @@ def _float_words(x: np.ndarray) -> np.ndarray:
     return words
 
 
-def _int_words(x: np.ndarray) -> np.ndarray:
-    """(rows, k) words of %d, for any int64 or uint64: 4-digit groups, as
-    many as the block's largest magnitude needs, after a '-' word if the
-    block has a negative cell."""
-    t = _tables()
-    if x.dtype != np.uint64:
-        x = x.astype(np.int64, copy=False)
-    neg = x < 0
-    mag = x.view(np.uint64)
-    mag = np.where(neg, np.negative(mag), mag)
-    n_groups = -(-len(str(int(mag.max()))) // 4)
-    groups = mag[:, None] // (np.uint64(10000) ** np.arange(
-        n_groups - 1, -1, -1, dtype=np.uint64)) % np.uint64(10000)
-    nonzero = groups != 0
-    nonzero[:, -1] = True
-    first = np.argmax(nonzero, axis=1)[:, None]
-    col = np.arange(n_groups)
-    words = np.where(col > first, t.digits4[groups],
-                     np.where(col == first, t.leading[groups], 0))
-    if neg.any():
-        words = np.column_stack([np.where(neg, t.minus, 0), words])
-    return words.astype(np.uint32, copy=False)
-
-
 def _str_words(x: np.ndarray) -> np.ndarray:
     """(rows, k) words of the UTF-8 cells, each padded with NULs to whole
     words."""
@@ -203,10 +174,14 @@ def _str_words(x: np.ndarray) -> np.ndarray:
 
 
 def _render(c: np.ndarray) -> np.ndarray:
-    """(rows, words) of the cells of a float, integer or str column."""
-    render = {"f": _float_words, "U": _str_words}.get(c.dtype.kind,
-                                                      _int_words)
-    return render(c)
+    """(rows, words) of the cells of a float, integer or str column; an
+    integer is rendered as its str(), each value in Python: every integer
+    column written is short, or a pair's distinct values."""
+    if c.dtype.kind == "f":
+        return _float_words(c)
+    if c.dtype.kind != "U":
+        c = np.array([str(x) for x in c.tolist()], dtype=str)
+    return _str_words(c)
 
 
 def _block_bytes(words: list) -> bytes:

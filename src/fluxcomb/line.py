@@ -6,6 +6,66 @@ Discretization: voltages live on integer nodes and integer time steps, branch
 flux on half nodes and half steps (flux is the leapfrog state because the
 inductance varies in time; current is derived as flux/L). Cell k occupies
 [k*dz, (k+1)*dz] with its branch at (k+1/2)*dz.
+
+The stepper. A Simulator holds B runs (rows), one per source, sharing
+geometry, drive, dt and blowup ceiling; they differ only in their source
+(waveform and port) and probes, and one _advance call steps all.
+
+Layout: each field is one flat, contiguous vector. v holds the B*(n+1)
+node voltages, row after row. psi and j have one slot per gap between
+neighbours in v plus a ghost at each end: slot m sits between v[m-1] and
+v[m], so branch c of row r is slot r*(n+1)+c+1, and the ghost slots are
+the multiples of n+1 (both ends and every seam between rows).
+
+Scaled state: psi = flux/dt and j = i*dt/C_cell. With the table
+w_k = g(mod_phase - omega_s th) * dt^2/(C_cell l0), where
+g(x) = cos(phi_dc + phi_rf sin x), one step from voltage time t to t+dt is
+
+  1. th = (k + 1/2) dt
+  2. psi[1:-1] += v[:-1] - v[1:]                 (branch flux, half grid)
+  3. j = psi * w_k                               (current through each gap)
+  4. v += j[:-1] - j[1:]                         (every node, ends included)
+  5. row ends: semi-implicit resistor update with C_end = C_cell/2; as
+     dt/C_end * i = 2j and step 4 already applied one j,
+     v = (v + a*Vs -+ j_adj) / (1 + a), a = dt/(C_end Z)
+  6. blowup check on max|v| (a NaN also trips it), probe j recorded at th
+
+w_k is 0 at the ghost slots; step 3 never writes j's last ghost, which
+stays 0 from its allocation. A seam's psi sums the voltage differences
+across it from call to call, finite while the field entering each step
+is (the stepper stops at the first step that leaves the ceiling), so the
+ghosts' j is exactly 0 and no row sees its neighbour; nothing resets
+them between calls. Steps 2 and 4 subtract into temporaries: subtraction is
+exactly antisymmetric, so a mirrored pair of runs stays exactly
+mirrored, and each row gets the arithmetic of a run of its own.
+
+The table as a Fourier series: g is smooth and 2 pi periodic, so
+g(x) = sum_{|m| <= M} c_m e^{imx} with c_{-m} = conj(c_m), and by
+Jacobi-Anger c_m = J_m(phi_rf) cos(phi_dc) for even m and
+i J_m(phi_rf) sin(phi_dc) for odd m. The terms fall off faster than
+geometrically, so M is 8 at phi_rf = 0.1, 12 at 0.6 and 16 at 1.5. With
+x = theta - omega_s th (theta = mod_phase),
+
+  w_k = s c_0 + sum_{m=1}^{M} Re(d_km) cos(m theta) + Im(d_km) sin(m theta),
+  d_km = 2 s conj(c_m) e^{i m omega_s th_k},   s = dt^2/(C_cell l0),
+
+so the table of BLOCK steps is one (BLOCK, 2M+1) @ (2M+1, n) product of
+per-step coefficients and the basis [1, cos(m theta), sin(m theta)]. For
+step k = k0 + r, d_km = e^{i m omega_s k0 dt} times the fixed
+2 s conj(c_m) e^{i m omega_s (r+1/2) dt}, so a block's coefficients cost
+M complex exponentials and one (BLOCK, M) product. No transcendental is
+taken per cell-step.
+
+Steps are taken in blocks of BLOCK on absolute multiples of BLOCK, and a
+block's table and source values are always computed whole, from the
+absolute step indices alone. Each step then gets the same arithmetic
+however a run is split into calls. Each call allocates its own table, one
+row of n+1 slots per step (slot 0 is the ghost) that every run shares.
+Each run's source values are one vector. Per step, the leapfrog is four
+1-D ufuncs over the batch plus one 1-D product per run (a broadcast
+product over a (B, n+1) view costs more at B = 1 and 2), the 2B row ends
+are Python floats through memoryviews, and the blowup check is one dot
+product unless that product reaches ceiling^2.
 """
 
 from __future__ import annotations
@@ -15,7 +75,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _step_numpy
 from .errors import ConfigError, NumericalError
 
 # magnetic flux quantum [Wb]
@@ -39,6 +98,18 @@ WAVEPACKET_FLOOR = 1e-30
 # cell-step on a 2-vCPU Xeon; the benchmark's 1024-cell temporal runs take
 # 7.3e6
 MAX_CELL_STEPS = 1 << 30
+
+# steps per modulation table: (64, 1025) doubles is 0.5 MB
+BLOCK = 64
+
+# samples of g per period for its Fourier coefficients; a series that
+# reaches the Nyquist term SERIES_SAMPLES // 2 would alias
+SERIES_SAMPLES = 64
+
+# cells of a line: a run holds about 100 floats a cell (the block table's
+# BLOCK rows, up to 33 basis rows, the state), so this keeps it near
+# 2^27 floats, 1 GiB
+MAX_CELLS = (1 << 27) // 100
 
 
 @dataclass(frozen=True)
@@ -79,6 +150,8 @@ class LineGeometry:
     def __post_init__(self):
         if self.n_cells < 16:
             raise ConfigError("n_cells must be >= 16")
+        if self.n_cells > MAX_CELLS:
+            raise ConfigError(f"n_cells: above the cap of {MAX_CELLS} cells")
         for name in ("dz", "c_per_length", "i0"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
@@ -123,10 +196,15 @@ class SourceSpec:
             raise ConfigError(f"port {self.port!r} is not left or right")
         if self.amplitude <= 0.0:
             raise ConfigError("amplitude must be positive")
+        # the field's energy and spectra square it
+        if not math.isfinite(self.amplitude * self.amplitude):
+            raise ConfigError("amplitude squared overflows")
         if self.omega <= 0.0:
             raise ConfigError("omega must be positive")
         if self.kind == "gaussian-pulse" and self.t_width <= 0.0:
             raise ConfigError("t_width must be positive for a gaussian pulse")
+        if self.ramp_periods < 0.0:
+            raise ConfigError("ramp_periods must be >= 0")
 
 
 @dataclass
@@ -137,20 +215,44 @@ class LineState:
     step_index: int
 
 
-@dataclass
-class SpectrumReport:
-    harmonic_index: list
-    power_dbc: list              # dB relative to n = 1
-    absolute_power: list         # arbitrary units
+def modulation_series(phi_dc: float, phi_rf: float,
+                      theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier coefficients c_0..c_M of g(x) = cos(phi_dc + phi_rf sin x)
+    and the basis rows [1, cos(m theta), sin(m theta)] for m = 1..M,
+    shape (2M+1, theta.size).
+
+    c_m is the DFT of g at SERIES_SAMPLES equispaced x, divided by
+    SERIES_SAMPLES, and M is the last m with |c_m| > 2^-52. g is a cosine,
+    at most 1 in size: a dropped term changes the table by under 2^-51,
+    and the rounding of the samples themselves puts up to 2^-53 into every
+    coefficient, which the cut leaves out. Raises ConfigError if the series
+    reaches the Nyquist term."""
+    x = (2.0 * math.pi / SERIES_SAMPLES) * np.arange(SERIES_SAMPLES)
+    c = np.fft.rfft(np.cos(phi_dc + phi_rf * np.sin(x))) / SERIES_SAMPLES
+    m_top = max(np.flatnonzero(np.abs(c) > 2.0 ** -52), default=0)
+    if m_top >= SERIES_SAMPLES // 2:
+        raise ConfigError(
+            f"phi_rf_tilde = {phi_rf} needs {SERIES_SAMPLES // 2} or more "
+            "Fourier terms of the modulation")
+    mt = np.multiply.outer(np.arange(1, m_top + 1), theta)
+    basis = np.vstack((np.ones((1, theta.size)), np.cos(mt), np.sin(mt)))
+    return c[:m_top + 1], basis
 
 
-@dataclass
-class WavepacketMetrics:
-    t: float                     # [s]
-    centroid: float              # [m]
-    rms_width: float             # [m]
-    spectral_centroid: float     # [rad/m]
-    peak_velocity: float | None  # [m/s]; None for the first entry
+def source_values(src: SourceSpec, th: np.ndarray) -> np.ndarray:
+    """Source voltage at the half-step times th: a continuous wave with a
+    raised-cosine turn-on over ramp_periods (on at once at 0), or a
+    gaussian pulse."""
+    if src.kind == "continuous-wave":
+        ramp = src.ramp_periods * 2.0 * math.pi / src.omega
+        a = src.amplitude
+        if ramp > 0.0:
+            a = np.where(th < ramp,
+                         a * 0.5 * (1.0 - np.cos(math.pi * th / ramp)), a)
+        return a * np.sin(src.omega * th)
+    x = (th - src.t_center) / src.t_width
+    return src.amplitude * np.exp(-0.5 * x * x) \
+        * np.sin(src.omega * (th - src.t_center))
 
 
 def _dc_line(geom: LineGeometry, drive: FluxDrive) -> tuple[float, float]:
@@ -173,8 +275,8 @@ class Simulator:
         self.geom, self.drive, self.dt = geom, drive, dt
         self.sources = tuple(sources)
         n, rows = geom.n_cells, len(self.sources)
-        # the stepper's flat layout (see _step_numpy): v row after row;
-        # psi = flux/dt and j = i dt/C_cell, a slot per gap and the ghosts
+        # the flat layout (module docstring): v row after row; psi =
+        # flux/dt and j = i dt/C_cell, a slot per gap and the ghosts
         self._v = np.zeros(rows * (n + 1))
         self._psi, self._j = np.zeros((2, self._v.size + 1))
         self.v = self._v.reshape(rows, n + 1)
@@ -185,21 +287,22 @@ class Simulator:
 
         z_branch = (np.arange(n) + 0.5) * geom.dz
         self._mod_phase = drive.kappa_s * z_branch + drive.phase
-        series, self._basis = _step_numpy.modulation_series(
+        series, self._basis = modulation_series(
             drive.phi_dc_tilde, drive.phi_rf_tilde, self._mod_phase)
-        self._coef = _step_numpy.TableCoefficients(
-            series, drive.omega_s, dt, dt * dt / (geom.c_cell * geom.l0))
+        # a block's coefficient rows [s c_0, Re d_k, Im d_k]: the fixed
+        # factor of d_km per row r, and e^{i m omega_s k0 dt} as m omega_s dt
+        scale = dt * dt / (geom.c_cell * geom.l0)
+        self._m_w_dt = np.arange(1, series.size) * (drive.omega_s * dt)
+        self._d_rows = (2.0 * scale * np.conj(series[1:])) * np.exp(
+            1j * np.multiply.outer(np.arange(BLOCK) + 0.5, self._m_w_dt))
+        self._coef = np.empty((BLOCK, 2 * series.size - 1))
+        self._coef[:, 0] = scale * series[0].real
 
         # matched termination at the dc operating point (rf off)
         l_dc_per_len, self.v_dc = _dc_line(geom, drive)
         z_term = math.sqrt(l_dc_per_len / geom.c_per_length)
         self._a_end = dt / (0.5 * geom.c_cell * z_term)
         self.ceiling = blowup_factor * max(s.amplitude for s in self.sources)
-
-        self._source_rows = [
-            (s.port == "left", s.kind, s.amplitude, s.omega, s.t_center,
-             s.t_width, s.ramp_periods * 2.0 * math.pi / s.omega)
-            for s in self.sources]
 
     @property
     def t(self) -> float:
@@ -224,27 +327,94 @@ class Simulator:
         return LineState(t=self.t, v=self.v[0].copy(), i=self.i[0],
                          step_index=self.t_index)
 
+    def _block_table(self, k0: int, out: np.ndarray):
+        """The table rows w_k of steps k0 .. k0 + BLOCK - 1 (module
+        docstring) into out, (BLOCK, n_cells)."""
+        d = np.exp(1j * (k0 * self._m_w_dt)) * self._d_rows
+        m_top = self._m_w_dt.size
+        self._coef[:, 1:m_top + 1] = d.real
+        self._coef[:, m_top + 1:] = d.imag
+        np.matmul(self._coef, self._basis, out=out)
+
     def _advance(self, n_steps: int, probes=None):
-        """Advance every run n_steps. probes: None, or one list of branch
-        indices per run; returns then the (n_steps, all probes) record of
-        their currents, the first run's columns first. On a blowup every
-        run is left at the failed step."""
+        """Advance every run n_steps from its absolute step t_index.
+        probes: None, or one list of branch indices per run; returns then
+        the (n_steps, all probes) record of their currents, the first
+        run's columns first. On a blowup (max|v| over all runs leaves the
+        ceiling) every run is left at the failed step."""
         if n_steps <= 0:
             return None
-        slots = rec = None
+        n, dt, a_end, ceiling = (self.geom.n_cells, self.dt, self._a_end,
+                                 self.ceiling)
+        v, psi, j = self._v, self._psi, self._j
         if probes is not None:
-            width = self.geom.n_cells + 1
-            slots = np.array([r * width + 1 + b for r, p in enumerate(probes)
-                              for b in p], dtype=np.int64)
+            slots = np.array([r * (n + 1) + 1 + b
+                              for r, p in enumerate(probes) for b in p],
+                             dtype=np.int64)
             rec = np.empty((n_steps, slots.size))
-        bad = _step_numpy.step_block(self, n_steps, slots, rec)
-        self.t_index = bad + 1 if bad >= 0 else self.t_index + n_steps
-        if bad >= 0:
-            raise NumericalError(
-                f"field blowup at step {bad} (t = {bad * self.dt:.3e} s): "
-                f"|v| exceeded {self.ceiling:.3e} V")
-        if rec is not None:
-            rec *= self._i_scale
+        record = probes is not None and slots.size > 0
+        v_lo, v_hi, psi_in = v[:-1], v[1:], psi[1:-1]
+        j_lo, j_hi = j[:-1], j[1:]
+        # each run's n+1 slots of psi and j, its leading ghost first
+        rows = list(zip(psi[:-1].reshape(-1, n + 1),
+                        j[:-1].reshape(-1, n + 1)))
+        dv, di = np.empty(v.size - 1), np.empty_like(v)
+        v_mem, j_mem, v_dot = memoryview(v), memoryview(j), v.dot
+        # (left node, its adjacent slot, right node = its adjacent slot)
+        ends = [(m, m + 1, m + n) for m in range(0, v.size, n + 1)]
+        one_plus_a = 1.0 + a_end
+        # any |v| > ceiling makes v.v >= ceiling^2 (a sum of nonnegative
+        # rounded squares is at least its largest term, and inf if that
+        # overflows), so v.v < ceiling^2 clears the step; otherwise the
+        # exact max|v| test decides
+        ceiling_sq = ceiling * ceiling
+        block_table, sources = self._block_table, self.sources
+
+        table = np.zeros((BLOCK, n + 1))
+        zeros = [0.0] * BLOCK
+        k_start = self.t_index
+        k_end = k_start + n_steps
+        for k0 in range(k_start - k_start % BLOCK, k_end, BLOCK):
+            block_table(k0, table[:, 1:])
+            th = (np.arange(k0, k0 + BLOCK) + 0.5) * dt
+            src_l, src_r = [], []
+            for src in sources:
+                vs = source_values(src, th).tolist()
+                left = src.port == "left"
+                src_l.append(vs if left else zeros)
+                src_r.append(zeros if left else vs)
+
+            for s in range(max(k_start - k0, 0), min(k_end - k0, BLOCK)):
+                np.subtract(v_lo, v_hi, out=dv)
+                psi_in += dv
+                tab = table[s]
+                for psi_r, j_r in rows:
+                    np.multiply(psi_r, tab, out=j_r)
+
+                if record:
+                    np.take(j, slots, out=rec[k0 + s - k_start])
+
+                np.subtract(j_lo, j_hi, out=di)
+                v += di
+
+                for (vl, jl, vr), sl, sr in zip(ends, src_l, src_r):
+                    v_mem[vl] = (v_mem[vl] + a_end * sl[s]
+                                 - j_mem[jl]) / one_plus_a
+                    v_mem[vr] = (v_mem[vr] + a_end * sr[s]
+                                 + j_mem[vr]) / one_plus_a
+
+                if not v_dot(v) < ceiling_sq:
+                    if not float(np.max(np.abs(v))) <= ceiling:
+                        bad = k0 + s
+                        self.t_index = bad + 1
+                        raise NumericalError(
+                            f"field blowup at step {bad} (t = "
+                            f"{bad * dt:.3e} s): |v| exceeded "
+                            f"{ceiling:.3e} V")
+        self.t_index = k_end
+        if probes is None:
+            return None
+        rec *= self._i_scale
         return rec
 
     def run_until(self, t_end: float, snapshot_times=(), probe=None,
@@ -363,30 +533,32 @@ def _bands(x: np.ndarray, axis: np.ndarray, targets,
     return bands
 
 
-def _dbc_report(powers: list[float], what: str) -> SpectrumReport:
-    """Per-harmonic powers, n = 1 first, and their dBc relative to n = 1."""
+def _dbc(powers: list[float], what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The dBc relative to n = 1 of per-harmonic powers, n = 1 first, and
+    the powers, as arrays."""
     p1 = powers[0]
     if p1 <= 0.0:
         raise NumericalError(f"no {what} power at the fundamental")
     dbc = [10.0 * math.log10(max(p / p1, 1e-300)) for p in powers]
     dbc[0] = 0.0
-    return SpectrumReport(harmonic_index=list(range(1, len(powers) + 1)),
-                          power_dbc=dbc, absolute_power=powers)
+    return np.array(dbc), np.array(powers)
 
 
 def temporal_harmonics(record: np.ndarray, sim: Simulator,
-                       n_max: int = 6) -> SpectrumReport:
+                       n_max: int = 6) -> tuple[np.ndarray, np.ndarray]:
     """Hann-tapered spectral power of a probe record (one current per
-    step, as run_until returns it) at the bins nearest the harmonics of
-    the source tone. dBc values are relative to n = 1."""
+    step, as run_until returns it) at the bins nearest the harmonics
+    n = 1..n_max of the source tone: (dBc relative to n = 1, power in
+    arbitrary units)."""
     f1 = sim.sources[0].omega / (2.0 * math.pi)
     bands = _bands(record, np.fft.rfftfreq(record.size, sim.dt),
                    [n * f1 for n in range(1, n_max + 1)], 0)
-    return _dbc_report([float(np.sum(b)) for b in bands], "temporal")
+    return _dbc([float(np.sum(b)) for b in bands], "temporal")
 
 
 def spatial_harmonics(state: LineState, geom: LineGeometry, drive: FluxDrive,
-                      source_omega: float, n_max: int = 6) -> SpectrumReport:
+                      source_omega: float, n_max: int = 6
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Spatial-spectrum analogue of temporal_harmonics for one snapshot's
     branch current, at the harmonics of kappa_1 = omega / v_dc predicted
     from the dc phase velocity. Each takes the strongest bin within +-2 of
@@ -395,7 +567,7 @@ def spatial_harmonics(state: LineState, geom: LineGeometry, drive: FluxDrive,
     k1 = source_omega / _dc_line(geom, drive)[1]
     kappas = 2.0 * math.pi * np.fft.rfftfreq(geom.n_cells, geom.dz)
     bands = _bands(state.i, kappas, [h * k1 for h in range(1, n_max + 1)], 2)
-    return _dbc_report([float(np.max(b)) for b in bands], "spatial")
+    return _dbc([float(np.max(b)) for b in bands], "spatial")
 
 
 def isolation_report(geom: LineGeometry, drive: FluxDrive,
@@ -434,13 +606,16 @@ def isolation_report(geom: LineGeometry, drive: FluxDrive,
     return out
 
 
-def wavepacket_metrics(states, geom: LineGeometry) -> list[WavepacketMetrics]:
-    """Centroid, rms width, spectral centroid, and centroid velocity of the
-    current-energy profile u = i^2 for each snapshot."""
+def wavepacket_metrics(states, geom: LineGeometry) -> np.ndarray:
+    """Rows t [s], centroid [m], rms width [m], spectral centroid [rad/m]
+    and centroid velocity [m/s] of the current-energy profile u = i^2,
+    one column per snapshot; the velocity is taken from the snapshot
+    before, so the first is NaN. The snapshots must be at increasing
+    times."""
     z = (np.arange(geom.n_cells) + 0.5) * geom.dz
-    out = []
-    prev = None
-    for st in states:
+    kappas = 2.0 * math.pi * np.fft.rfftfreq(geom.n_cells, geom.dz)[1:]
+    out = np.empty((5, len(states)))
+    for k, st in enumerate(states):
         u = st.i ** 2
         total = float(np.sum(u))
         if total <= WAVEPACKET_FLOOR:
@@ -450,13 +625,12 @@ def wavepacket_metrics(states, geom: LineGeometry) -> list[WavepacketMetrics]:
         centroid = float(np.sum(z * u) / total)
         width = math.sqrt(float(np.sum((z - centroid) ** 2 * u) / total))
         mag = np.abs(np.fft.rfft(st.i))[1:]       # kappa > 0 only
-        kappas = 2.0 * math.pi * np.fft.rfftfreq(geom.n_cells, geom.dz)[1:]
         sc = float(np.sum(kappas * mag) / np.sum(mag))
-        vel = None
-        if prev is not None and st.t > prev.t:
-            vel = (centroid - prev.centroid) / (st.t - prev.t)
-        m = WavepacketMetrics(t=st.t, centroid=centroid, rms_width=width,
-                              spectral_centroid=sc, peak_velocity=vel)
-        out.append(m)
-        prev = m
+        out[:4, k] = st.t, centroid, width, sc
+    t, centroid = out[:2]
+    if np.any(t[1:] <= t[:-1]):
+        raise ConfigError("snapshot_times: two snapshots share a time step "
+                          "or are out of order")
+    out[4, :1] = np.nan
+    out[4, 1:] = (centroid[1:] - centroid[:-1]) / (t[1:] - t[:-1])
     return out

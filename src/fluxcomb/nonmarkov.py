@@ -46,6 +46,12 @@ class KernelSpec:
     def __post_init__(self):
         if not self.gamma_memory > 0.0:
             raise ConfigError("gamma_memory must be > 0")
+        # the closed form takes Gamma^2/4 - A/2: both must be finite
+        if not math.isfinite(self.gamma_memory * self.gamma_memory):
+            raise ConfigError("gamma_memory squared overflows")
+        if not math.isfinite(self.amplitude_a):
+            raise ConfigError(f"amplitude_a overflows at gamma_memory = "
+                              f"{self.gamma_memory:.3g} /s")
         for name in ("amplitude_a", "markovian_gamma"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be nonnegative")
@@ -171,6 +177,8 @@ class NoiseModel:
             raise ConfigError("n_components must be >= 100")
         if self.amplitude < 0.0:
             raise ConfigError("amplitude must be nonnegative")
+        if not self.filter_center > 0.0:
+            raise ConfigError("filter_center must be > 0")
 
 
 def spectral_density(model: NoiseModel, f) -> np.ndarray:

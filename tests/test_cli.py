@@ -24,6 +24,10 @@ MAP_KEYS = ["'phi_dc.n'", "'phi_rf.n'", "'harmonic_indices'"]
 LINE_KEYS = ["'geometry.n_cells'", "'geometry.dz_m'",
              "'geometry.c_per_length_f_per_m'", "'geometry.i0_amps'",
              "'run.cfl_safety'", "'run.t_end_s'"]
+# the keys that set the spatial Nyquist limit of line-sim's harmonics
+NYQUIST_KEYS = ["'run.n_harmonics'", "'source.freq_hz'", "'geometry.dz_m'",
+                "'geometry.c_per_length_f_per_m'", "'geometry.i0_amps'",
+                "'drive.phi_dc'"]
 # line-sim's dt on its packaged geometry and drive, and the cells whose
 # run of 1024 such steps fills MAX_CELL_STEPS exactly
 LINE_DT = 0.9 * cli.line.cfl_bound(
@@ -100,22 +104,20 @@ class TestConfigResolution:
 
     def test_set_override_types(self):
         config = {"a": {"b": 1.0}, "s": "x", "l": [1, 2]}
-        cli.apply_override(config, "a.b=2.5")
-        cli.apply_override(config, "s=reciprocal")
-        cli.apply_override(config, "l=[3,4,5]")
+        for assignment in ("a.b=2.5", "s=reciprocal", "l=[3,4,5]"):
+            config = cli.apply_override(config, assignment)
         assert config == {"a": {"b": 2.5}, "s": "reciprocal",
                           "l": [3, 4, 5]}
 
     def test_set_override_rejects_unknown_path(self):
         config = {"a": {"b": 1.0}}
-        with pytest.raises(ConfigError):
-            cli.apply_override(config, "a.z=1")
-        with pytest.raises(ConfigError):
-            cli.apply_override(config, "q=1")
-        with pytest.raises(ConfigError):
-            cli.apply_override(config, "a=1")     # object, not a leaf
-        with pytest.raises(ConfigError):
-            cli.apply_override(config, "a.b")     # no '='
+        for assignment, key in (("a.z=1", "'a.z'"), ("q=1", "'q'"),
+                                ("a=1", "'a'"),      # object, not a leaf
+                                ("a.b.c=1", "'a.b'"),   # leaf, not object
+                                ("a.b", "'a.b'")):   # no '='
+            with pytest.raises(ConfigError, match=key):
+                cli.apply_override(config, assignment)
+        assert config == {"a": {"b": 1.0}}
 
     def test_seed_flag_wins(self):
         config = cli.resolve_config("spectroscopy", None, None, 7)
@@ -405,8 +407,17 @@ class TestScenarioOutputs:
         assert len({r[3] for r in rows}) == len(rows) == n_top
         assert cli.main([*args, "--out", str(tmp_path / "over"),
                          "--set", f"run.n_harmonics={n_top + 1}"]) == 2
-        assert f"'run.n_harmonics' must be <= {n_top}," \
-            in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"n_harmonics must be <= {n_top}, the {mode} Nyquist" in err
+        dt_keys = ["'drive.phi_rf'", "'run.cfl_safety'"]
+        for key in NYQUIST_KEYS + (dt_keys if mode == "temporal" else []):
+            assert key in err
+        # a source whose fundamental is past the limit
+        assert cli.main([*args, "--out", str(tmp_path / "over"),
+                         "--set", "source.freq_hz=1e300"]) == 2
+        err = capsys.readouterr().err
+        assert f"even the fundamental is past the {mode} Nyquist" in err
+        assert "'source.freq_hz'" in err
 
     def test_scalability_models(self, tmp_path):
         code = cli.main(["scalability", "--out", str(tmp_path),
@@ -670,6 +681,18 @@ class TestExitCodes:
                      id="line-sim-temporal-window-short"),
         pytest.param("line-sim", ["run.spectrum=temporal", "run.probe_m=1"],
                      "'run.probe_m'", id="line-sim-temporal-probe-outside"),
+        # values whose arithmetic overflows to inf or NaN, or divides by 0
+        ("spectroscopy", "filtered.filter_center_hz=-1",
+         "'filtered.filter_center_hz'"),
+        ("spectroscopy", "filtered.filter_center_hz=0",
+         "'filtered.filter_center_hz'"),
+        ("nonmarkov", "kernel.gamma_memory_hz=1e300",
+         "'kernel.gamma_memory_hz'"),
+        ("nonmarkov", "kernel.amplitude_over_gamma_sq=1e300",
+         "'kernel.amplitude_over_gamma_sq', 'kernel.gamma_memory_hz'"),
+        ("line-sim", "source.amplitude_volts=1e300",
+         "'source.amplitude_volts'"),
+        ("line-sim", "source.ramp_periods=-1", "'source.ramp_periods'"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
                                assignment, key):
@@ -767,7 +790,7 @@ class TestExitCodes:
         pytest.param("addressing", [f"n_levels={MAX_LEVELS + 1}"],
                      ["'n_levels'"], "charge basis",
                      id="addressing-one-over-cap"),
-        ("line-sim", ["geometry.n_cells=1000000000000000"], LINE_KEYS,
+        ("line-sim", [f"geometry.n_cells={cli.line.MAX_CELLS}"], LINE_KEYS,
          "line run"),
         ("line-sim", ["run.cfl_safety=1e-300"], LINE_KEYS, "line run"),
         ("line-sim", ["geometry.dz_m=1e-60"], LINE_KEYS, "line run"),
@@ -778,6 +801,21 @@ class TestExitCodes:
                                   "run.window_end_s=1e-3"],
                      [*LINE_KEYS, "'run.window_end_s'"], "line run",
                      id="line-sim-temporal-window-end"),
+        # a line too long to hold, however few its steps
+        pytest.param("line-sim", ["geometry.n_cells=1000000000000000"],
+                     ["'geometry.n_cells'"], "n_cells",
+                     id="line-sim-cells-1e15"),
+        pytest.param("line-sim", ["geometry.n_cells=1" + "0" * 400],
+                     ["'geometry.n_cells'"], "n_cells",
+                     id="line-sim-cells-past-float-range"),
+        pytest.param("line-sim", ["geometry.n_cells=200000000",
+                                  "run.t_end_s=5e-12"],
+                     ["'geometry.n_cells'"], "n_cells",
+                     id="line-sim-cells-one-step"),
+        pytest.param("line-sim", [f"geometry.n_cells={cli.line.MAX_CELLS + 1}",
+                                  "run.t_end_s=5e-12"],
+                     ["'geometry.n_cells'"], "n_cells",
+                     id="line-sim-cells-one-over-cap"),
     ])
     def test_work_over_cap_is_2(self, tmp_path, capsys, monkeypatch,
                                 scenario, assignments, keys, what):
@@ -807,6 +845,9 @@ class TestExitCodes:
         ("line-sim", [f"geometry.n_cells={CAP_CELLS}", "run.spectrum=temporal",
                       "run.t_end_s=1e-9",
                       f"run.window_end_s={1024 * LINE_DT!r}"]),
+        # the longest line, for one step
+        ("line-sim", [f"geometry.n_cells={cli.line.MAX_CELLS}",
+                      "run.t_end_s=5e-12"]),
     ])
     def test_work_at_cap_passes_preflight(self, tmp_path, monkeypatch,
                                           scenario, assignments):

@@ -2,6 +2,7 @@
 linearity, harmonic generation, nonreciprocity, and the guard rails."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,20 @@ class TestGeometryAndGuards:
         with pytest.raises(ConfigError):
             line.SourceSpec(kind="continuous-wave", omega=OMEGA_M,
                             amplitude=-1.0)
+        with pytest.raises(ConfigError, match="ramp_periods"):
+            line.SourceSpec(kind="continuous-wave", omega=OMEGA_M,
+                            amplitude=1e-6, ramp_periods=-1.0)
+
+    def test_zero_ramp_is_on_at_once(self):
+        """ramp_periods = 0 gives the full wave from the first step, with
+        no division by the zero ramp."""
+        src = line.SourceSpec(kind="continuous-wave", omega=OMEGA_M,
+                              amplitude=1e-6, ramp_periods=0.0)
+        th = (np.arange(64) + 0.5) * 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = line.source_values(src, th)
+        np.testing.assert_array_equal(got, 1e-6 * np.sin(OMEGA_M * th))
 
 
 class TestPropagation:
@@ -136,8 +151,8 @@ class TestPropagation:
             g = line.LineGeometry(n_cells=n_cells, dz=dz, i0=i0)
             sim = line.build_line(g, quiet_drive(0.6), pulse_source())
             sim.run_until(2.0e-9)
-            m = line.wavepacket_metrics([sim.state()], g)
-            return m[0].centroid
+            _, centroid, *_ = line.wavepacket_metrics([sim.state()], g)
+            return centroid[0]
 
         coarse = centroid_at(512, 10e-6, 1e-6)
         fine = centroid_at(1024, 5e-6, 2e-6)
@@ -171,9 +186,9 @@ class TestHarmonics:
         sim = line.build_line(g, quiet_drive(0.6), cw_source())
         probe = 0.9 * g.length
         _, record = sim.run_until(12e-9, probe=probe, window=(4e-9, 12e-9))
-        rep = line.temporal_harmonics(record, sim)
-        assert rep.power_dbc[0] == 0.0
-        assert all(p < -100.0 for p in rep.power_dbc[1:])
+        dbc, _ = line.temporal_harmonics(record, sim)
+        assert dbc[0] == 0.0
+        assert all(dbc[1:] < -100.0)
 
     @pytest.mark.parametrize("window", [(2.7e-9, 5.5e-9),
                                         (3.05e-9, 6.05e-9)])
@@ -208,7 +223,7 @@ class TestHarmonics:
                                [[line._probe_branch(g, probe)]])
             want = line.temporal_harmonics(rec[:, 0], two)
             ref_states.pop()
-        assert got == want
+        np.testing.assert_array_equal(got, want)
         for a, b in zip(states, ref_states):
             np.testing.assert_array_equal(a.v, b.v)
             np.testing.assert_array_equal(a.i, b.i)
@@ -227,9 +242,9 @@ class TestHarmonics:
         d = default_drive(0.6, 0.6, g)
         sim = line.build_line(g, d, cw_source())
         sim.run_until(2.0e-9)
-        rep = line.spatial_harmonics(sim.state(), g, d, OMEGA_M)
-        assert rep.power_dbc[1] > -30.0
-        assert rep.power_dbc[2] > -30.0
+        dbc, _ = line.spatial_harmonics(sim.state(), g, d, OMEGA_M)
+        assert dbc[1] > -30.0
+        assert dbc[2] > -30.0
 
     def test_band_power_grows_with_rf_amplitude(self):
         g = line.LineGeometry()
@@ -246,6 +261,23 @@ class TestHarmonics:
         sim = line.build_line(g, quiet_drive(), cw_source())
         with pytest.raises(NumericalError):
             line.wavepacket_metrics([sim.state()], g)
+
+    def test_wavepacket_columns(self):
+        """One column per snapshot; the velocity is the centroid's
+        displacement from the snapshot before over the time between, NaN
+        for the first, and two snapshots at one time are rejected."""
+        g = line.LineGeometry()
+        sim = line.build_line(g, quiet_drive(0.6), pulse_source())
+        states = sim.run_until(1.5e-9, [0.9e-9, 1.2e-9, 1.5e-9])
+        t, centroid, width, kappa, velocity = line.wavepacket_metrics(
+            states, g)
+        assert list(t) == [st.t for st in states]
+        assert np.isnan(velocity[0])
+        np.testing.assert_array_equal(
+            velocity[1:], np.diff(centroid) / np.diff(t))
+        assert np.all(width > 0.0) and np.all(kappa > 0.0)
+        with pytest.raises(ConfigError, match="snapshot_times"):
+            line.wavepacket_metrics([states[0], states[0]], g)
 
 
 class TestIsolation:

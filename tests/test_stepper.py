@@ -14,15 +14,16 @@ from fluxcomb.errors import ConfigError, NumericalError
 from helpers import default_drive
 
 
-def _source_value(kind, t, amp, omega, t_center, t_width, ramp):
-    if kind == "continuous-wave":
+def _source_value(src, t):
+    if src.kind == "continuous-wave":
+        ramp = src.ramp_periods * 2.0 * math.pi / src.omega
+        a = src.amplitude
         if t < ramp:
-            a = amp * 0.5 * (1.0 - math.cos(math.pi * t / ramp))
-        else:
-            a = amp
-        return a * math.sin(omega * t)
-    x = (t - t_center) / t_width
-    return amp * math.exp(-0.5 * x * x) * math.sin(omega * (t - t_center))
+            a = a * 0.5 * (1.0 - math.cos(math.pi * t / ramp))
+        return a * math.sin(src.omega * t)
+    x = (t - src.t_center) / src.t_width
+    return src.amplitude * math.exp(-0.5 * x * x) \
+        * math.sin(src.omega * (t - src.t_center))
 
 
 def reference_advance(sim, n_steps, probe_idx=()):
@@ -31,7 +32,6 @@ def reference_advance(sim, n_steps, probe_idx=()):
     sim's one run and returns (bad_step, v, flux, i, probe_record)."""
     v, flux, i_work = sim.v[0].copy(), sim.flux[0].copy(), sim.i[0].copy()
     (src,), d, dt = sim.sources, sim.drive, sim.dt
-    ramp = src.ramp_periods * 2.0 * math.pi / src.omega
     dt_over_c = dt / sim.geom.c_cell
     dt_over_cend = dt / (0.5 * sim.geom.c_cell)
     rec = np.empty((n_steps, len(probe_idx)))
@@ -46,8 +46,7 @@ def reference_advance(sim, n_steps, probe_idx=()):
         for p, b in enumerate(probe_idx):
             rec[s, p] = i_work[b]
         v[1:-1] += dt_over_c * (i_work[:-1] - i_work[1:])
-        vs = _source_value(src.kind, th, src.amplitude, src.omega,
-                           src.t_center, src.t_width, ramp)
+        vs = _source_value(src, th)
         vs_l, vs_r = (vs, 0.0) if src.port == "left" else (0.0, vs)
         a = sim._a_end
         v[0] = (v[0] + a * vs_l - dt_over_cend * i_work[0]) / (1.0 + a)
@@ -127,7 +126,7 @@ def test_ceiling_trip_matches_reference():
     sim.v[:] = 0.0
     sim._psi[:] = 0.0
     bad, v, flux, i, _ = reference_advance(sim, 400)
-    assert bad > line._step_numpy.BLOCK
+    assert bad > line.BLOCK
     with pytest.raises(NumericalError, match=f"at step {bad} "):
         sim._advance(400)
     assert sim.t_index == bad + 1
@@ -332,8 +331,7 @@ SERIES_DRIVES = [(0.6, 0.0), (-1.2, 0.0), (0.0, 0.1), (0.6, 0.6),
 @pytest.mark.parametrize("phi_dc,phi_rf", SERIES_DRIVES)
 def test_series_coefficients_are_jacobi_anger(phi_dc, phi_rf):
     from scipy.special import jv
-    series, basis = line._step_numpy.modulation_series(
-        phi_dc, phi_rf, np.zeros(3))
+    series, basis = line.modulation_series(phi_dc, phi_rf, np.zeros(3))
     m = np.arange(series.size)
     want = jv(m, phi_rf) * np.where(m % 2 == 0, math.cos(phi_dc),
                                     1j * math.sin(phi_dc))
@@ -346,17 +344,19 @@ def test_series_coefficients_are_jacobi_anger(phi_dc, phi_rf):
 @pytest.mark.parametrize("phi_dc,phi_rf", SERIES_DRIVES)
 @pytest.mark.parametrize("k0", [0, 64, 640])
 def test_series_table_equals_cos(phi_dc, phi_rf, k0):
-    """The table rows equal cos(phi_dc + phi_rf sin x), x = theta - omega
-    th, within 4 eps (1 + max |x|): the rounding of an argument of that
-    size, which both sides make."""
-    theta = np.linspace(0.0, 6.0 * math.pi, 301)
-    omega, dt = 2.0 * math.pi * 3e9, 5e-12
-    series, basis = line._step_numpy.modulation_series(phi_dc, phi_rf,
-                                                       theta)
-    coef = line._step_numpy.TableCoefficients(series, omega, dt, 1.0)
-    got = coef.at(k0) @ basis
-    th = (np.arange(k0, k0 + line._step_numpy.BLOCK) + 0.5) * dt
-    x = theta - omega * th[:, None]
+    """A simulator's block table, over its scale s = dt^2/(C_cell l0),
+    equals cos(phi_dc + phi_rf sin x), x = theta - omega_s th, within
+    4 eps (1 + max |x|): the rounding of an argument of that size, which
+    both sides make."""
+    geom = line.LineGeometry(n_cells=301)
+    sim = line.build_line(geom, default_drive(phi_dc, phi_rf, geom),
+                          line.SourceSpec(kind="continuous-wave",
+                                          omega=1e10, amplitude=1e-6))
+    got = np.empty((line.BLOCK, geom.n_cells))
+    sim._block_table(k0, got)
+    got /= sim.dt * sim.dt / (geom.c_cell * geom.l0)
+    th = (np.arange(k0, k0 + line.BLOCK) + 0.5) * sim.dt
+    x = sim._mod_phase - sim.drive.omega_s * th[:, None]
     want = np.cos(phi_dc + phi_rf * np.sin(x))
     eps = np.finfo(float).eps
     assert np.max(np.abs(got - want)) <= 4.0 * eps * (1.0 + np.abs(x).max())
@@ -370,9 +370,8 @@ def test_series_length_stays_under_nyquist():
     for _ in range(2000):
         phi_dc = rng.uniform(-HALF_PI, HALF_PI)
         phi_rf = (HALF_PI - abs(phi_dc)) * rng.uniform(0.0, 1.0 - 1e-12)
-        series, _ = line._step_numpy.modulation_series(phi_dc, phi_rf,
-                                                       np.zeros(1))
+        series, _ = line.modulation_series(phi_dc, phi_rf, np.zeros(1))
         top = max(top, series.size - 1)
-    assert top < line._step_numpy.SERIES_SAMPLES // 2
+    assert top < line.SERIES_SAMPLES // 2
     with pytest.raises(ConfigError, match="phi_rf_tilde"):
-        line._step_numpy.modulation_series(0.0, 20.0, np.zeros(1))
+        line.modulation_series(0.0, 20.0, np.zeros(1))

@@ -1,12 +1,11 @@
-"""Library surface guard: every public name of the physics, output and
-front-end modules is used by the program itself, or is kept on purpose
-with its reason."""
+"""Library surface guard: every public name of every module of the
+package (src/fluxcomb/*.py but __init__, which only re-exports) is used
+by the program itself, or is kept on purpose with its reason."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fluxcomb"
-MODULES = ("line", "transmon", "budget", "nonmarkov", "io", "cli")
 
 # public names that no library code references, with why each stays
 KEPT = {
@@ -53,8 +52,8 @@ def _unused() -> list:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
-    return sorted(qual for module in MODULES
-                  for qual, name, method in _public(trees[module], module)
+    return sorted(qual for module, tree in trees.items()
+                  for qual, name, method in _public(tree, module)
                   if name not in attrs and (method or name not in names))
 
 
