@@ -248,7 +248,8 @@ def run_line_sim(config: dict, out_dir: Path):
         raise ConfigError(", ".join(f"'{k}'" for k in keys) + f": {what}")
     with _keys(t_end="run.t_end_s", snapshot_times="run.snapshot_times_s",
                probe="run.probe_m", window_start="run.window_start_s",
-               window_end="run.window_end_s"):
+               window_end="run.window_end_s", t_center="source.t_center_s",
+               t_width="source.t_width_s", omega="source.freq_hz"):
         if spectrum_mode == "temporal":
             # the probe is recorded in the same pass as the snapshots,
             # past t_end when the window ends later

@@ -59,13 +59,17 @@ taken per cell-step.
 Steps are taken in blocks of BLOCK on absolute multiples of BLOCK, and a
 block's table and source values are always computed whole, from the
 absolute step indices alone. Each step then gets the same arithmetic
-however a run is split into calls. Each call allocates its own table, one
-row of n+1 slots per step (slot 0 is the ghost) that every run shares.
-Each run's source values are one vector. Per step, the leapfrog is four
+however a run is split into calls. The simulator keeps the table of the
+block it last entered, one row of n+1 slots per step (slot 0 is the
+ghost) that every run shares, with each run's source values, and a call
+that resumes inside that block reuses them. Per step, the leapfrog is four
 1-D ufuncs over the batch plus one 1-D product per run (a broadcast
 product over a (B, n+1) view costs more at B = 1 and 2), the 2B row ends
 are Python floats through memoryviews, and the blowup check is one dot
-product unless that product reaches ceiling^2.
+product unless that product reaches ceiling^2. A block's steps run with
+NumPy's overflow warning off: that dot may overflow on a field within
+the ceiling, and any other overflow leaves a non-finite v, which the
+blowup check catches.
 """
 
 from __future__ import annotations
@@ -206,6 +210,24 @@ class SourceSpec:
         if self.ramp_periods < 0.0:
             raise ConfigError("ramp_periods must be >= 0")
 
+    def check_span(self, t_max: float):
+        """Raise ConfigError unless a gaussian pulse's carrier phase
+        omega (t - t_center) and envelope exponent ((t - t_center) /
+        t_width)^2 are finite at every source time t in [0, t_max]."""
+        if self.kind != "gaussian-pulse":
+            return
+        reach = abs(self.t_center) + t_max
+        if not math.isfinite(self.omega * reach):
+            raise ConfigError(
+                f"t_center = {self.t_center:.3e} s takes the carrier phase "
+                f"omega (t - t_center) out of float range by t = "
+                f"{t_max:.3e} s")
+        x = reach / self.t_width
+        if not math.isfinite(x * x):
+            raise ConfigError(
+                f"t_width = {self.t_width:.3e} s takes the pulse envelope's "
+                f"exponent out of float range {reach:.3e} s from t_center")
+
 
 @dataclass
 class LineState:
@@ -297,6 +319,10 @@ class Simulator:
             1j * np.multiply.outer(np.arange(BLOCK) + 0.5, self._m_w_dt))
         self._coef = np.empty((BLOCK, 2 * series.size - 1))
         self._coef[:, 0] = scale * series[0].real
+        # the block last entered: its first step, its table (the ghost
+        # slot 0 stays 0) and each run's left and right source values
+        self._block_k0, self._block_src = None, None
+        self._table = np.zeros((BLOCK, n + 1))
 
         # matched termination at the dc operating point (rf off)
         l_dc_per_len, self.v_dc = _dc_line(geom, drive)
@@ -368,49 +394,50 @@ class Simulator:
         # overflows), so v.v < ceiling^2 clears the step; otherwise the
         # exact max|v| test decides
         ceiling_sq = ceiling * ceiling
-        block_table, sources = self._block_table, self.sources
-
-        table = np.zeros((BLOCK, n + 1))
-        zeros = [0.0] * BLOCK
+        table, zeros = self._table, [0.0] * BLOCK
         k_start = self.t_index
         k_end = k_start + n_steps
         for k0 in range(k_start - k_start % BLOCK, k_end, BLOCK):
-            block_table(k0, table[:, 1:])
-            th = (np.arange(k0, k0 + BLOCK) + 0.5) * dt
-            src_l, src_r = [], []
-            for src in sources:
-                vs = source_values(src, th).tolist()
-                left = src.port == "left"
-                src_l.append(vs if left else zeros)
-                src_r.append(zeros if left else vs)
+            if k0 != self._block_k0:
+                self._block_table(k0, table[:, 1:])
+                th = (np.arange(k0, k0 + BLOCK) + 0.5) * dt
+                src_l, src_r = [], []
+                for src in self.sources:
+                    vs = source_values(src, th).tolist()
+                    left = src.port == "left"
+                    src_l.append(vs if left else zeros)
+                    src_r.append(zeros if left else vs)
+                self._block_k0, self._block_src = k0, (src_l, src_r)
+            src_l, src_r = self._block_src
 
-            for s in range(max(k_start - k0, 0), min(k_end - k0, BLOCK)):
-                np.subtract(v_lo, v_hi, out=dv)
-                psi_in += dv
-                tab = table[s]
-                for psi_r, j_r in rows:
-                    np.multiply(psi_r, tab, out=j_r)
+            with np.errstate(over="ignore"):
+                for s in range(max(k_start - k0, 0), min(k_end - k0, BLOCK)):
+                    np.subtract(v_lo, v_hi, out=dv)
+                    psi_in += dv
+                    tab = table[s]
+                    for psi_r, j_r in rows:
+                        np.multiply(psi_r, tab, out=j_r)
 
-                if record:
-                    np.take(j, slots, out=rec[k0 + s - k_start])
+                    if record:
+                        np.take(j, slots, out=rec[k0 + s - k_start])
 
-                np.subtract(j_lo, j_hi, out=di)
-                v += di
+                    np.subtract(j_lo, j_hi, out=di)
+                    v += di
 
-                for (vl, jl, vr), sl, sr in zip(ends, src_l, src_r):
-                    v_mem[vl] = (v_mem[vl] + a_end * sl[s]
-                                 - j_mem[jl]) / one_plus_a
-                    v_mem[vr] = (v_mem[vr] + a_end * sr[s]
-                                 + j_mem[vr]) / one_plus_a
+                    for (vl, jl, vr), sl, sr in zip(ends, src_l, src_r):
+                        v_mem[vl] = (v_mem[vl] + a_end * sl[s]
+                                     - j_mem[jl]) / one_plus_a
+                        v_mem[vr] = (v_mem[vr] + a_end * sr[s]
+                                     + j_mem[vr]) / one_plus_a
 
-                if not v_dot(v) < ceiling_sq:
-                    if not float(np.max(np.abs(v))) <= ceiling:
-                        bad = k0 + s
-                        self.t_index = bad + 1
-                        raise NumericalError(
-                            f"field blowup at step {bad} (t = "
-                            f"{bad * dt:.3e} s): |v| exceeded "
-                            f"{ceiling:.3e} V")
+                    if not v_dot(v) < ceiling_sq:
+                        if not float(np.max(np.abs(v))) <= ceiling:
+                            bad = k0 + s
+                            self.t_index = bad + 1
+                            raise NumericalError(
+                                f"field blowup at step {bad} (t = "
+                                f"{bad * dt:.3e} s): |v| exceeded "
+                                f"{ceiling:.3e} V")
         self.t_index = k_end
         if probes is None:
             return None
@@ -458,6 +485,9 @@ class Simulator:
             rec_lo = self._step_at("window_start", t0)
             rec_hi = self._step_at("window_end", t1)
             stops |= {rec_lo, rec_hi}
+        # the last source time a block evaluates is under (stop + BLOCK) dt
+        for src in self.sources:
+            src.check_span((max(stops) + BLOCK) * self.dt)
         out, recs = [], []
         for stop in sorted(stops):
             inside = window is not None and rec_lo <= self.t_index < rec_hi

@@ -6,12 +6,13 @@ effective decoherence rate, and Monte Carlo dephasing spectroscopy
 Every population trace is the excited population: evolve_* traces start
 at 1 and relax toward 0.
 
-Every tone sum is a matrix product over a table of transcendentals taken
-once: dephasing draws one phase ensemble for all noise models on a tone
-grid and folds each model's amplitudes into the rows of its sin/cos(w
-tau) tables, and synthesize_noise takes one cos/sin(w s) table over a
-block's offsets s and turns each block's start into the complex tone
-coefficients.
+Every tone sum is a matrix product in bounded blocks. dephasing streams
+its realizations in chunks of CHUNK, folds each model's amplitudes into
+a chunk's phases and adds the chunk's sums of exp(i Phi) into
+accumulators; its sin/cos(w tau) tables at tau and tau/2 come from one
+sin/cos pair at tau/2 by the double-angle formulas. synthesize_noise
+builds its cos/sin(w s) table over a block's offsets s by angle addition
+from exact exp(i w s) at NOISE_SUB offsets and at each sub-block start.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .errors import ConfigError, ConvergenceError
 
 TWO_PI = 2.0 * math.pi
 NOISE_BLOCK = 256       # time samples per block of the noise synthesis
+NOISE_SUB = 16          # offsets per angle-addition sub-block of its table
+CHUNK = 64              # realizations per chunk of the dephasing ensemble
 # work caps, checked from a run's config before anything is allocated:
 # floats in any one working array (128 MiB: a spectroscopy table or
 # trace, or the complex amplitude of a nonmarkov kernel trace), and the
@@ -234,9 +237,15 @@ def synthesize_noise(model: NoiseModel, duration: float, dt: float,
     # amp cos(w (t0 + s) + phi) = Re[amp exp(i (phi + w t0)) exp(i w s)]:
     # one table over a block's offsets s, and each block's start t0 turned
     # into the coefficients; exp(i w t0) is taken afresh per block, so no
-    # rounding accumulates along the trace
-    ws = np.outer(w, t[:NOISE_BLOCK])
-    table = np.concatenate([np.cos(ws), -np.sin(ws)])
+    # rounding accumulates along the trace. The table's exp(i w s) is
+    # exp(i w t[a0]) exp(i w t[b]) for sub-block starts a0 and offsets b.
+    n_s, k = min(NOISE_BLOCK, t.size), w.size
+    e_b = np.exp(1j * np.multiply.outer(w, t[:NOISE_SUB]))
+    table = np.empty((2 * k, n_s))
+    for a0 in range(0, n_s, NOISE_SUB):
+        e = np.exp(1j * (w * t[a0]))[:, None] * e_b[:, :n_s - a0]
+        table[:k, a0:a0 + NOISE_SUB] = e.real
+        np.negative(e.imag, out=table[k:, a0:a0 + NOISE_SUB])
     x = np.empty((coeff.shape[0], t.size))
     for start in range(0, t.size, NOISE_BLOCK):
         rotated = coeff * np.exp(1j * (w * t[start]))
@@ -257,20 +266,33 @@ def averaged_periodogram(model: NoiseModel, duration: float, dt: float,
     return np.fft.rfftfreq(n_t, dt), pw.mean(axis=0)
 
 
-def _phase_integral(w, amp_over_w, tau, phi):
-    """Exact integral of the tone sum from 0 to each tau, for every model
-    and realization at once: Phi[m, tau, r] [rad]. Row m of amp_over_w
-    holds model m's amp_k/w_k, folded into the rows of the tables
-    sin(w tau) and cos(w tau) - 1, so sin(w tau + phi) - sin(phi) becomes
-    two matrix products with sin(phi) and cos(phi). phi holds one row of
-    tone phases per realization and is overwritten with cos(phi)."""
-    wt = np.outer(tau, w)
-    amp = amp_over_w[:, None, :]
-    sin_t = (amp * np.sin(wt)).reshape(-1, w.size)
-    cos_t = (amp * (np.cos(wt) - 1.0)).reshape(-1, w.size)
-    phase = cos_t @ np.sin(phi).T
-    phase += sin_t @ np.cos(phi, out=phi).T
-    return phase.reshape(amp_over_w.shape[0], tau.size, -1)
+def _tone_tables(w, tau):
+    """sin(w t) and cos(w t) - 1 for t in tau, then in tau/2: two
+    (2 tau.size, w.size) tables from one sin/cos pair at h = w tau/2, by
+    sin 2h = 2 sin h cos h and cos 2h - 1 = -2 sin^2 h (w (tau/2) is
+    (w tau)/2 exactly)."""
+    sin_t, cos_t = np.empty((2, 2, tau.size, w.size))
+    half = np.multiply.outer(0.5 * tau, w, out=cos_t[1])
+    s, c = np.sin(half, out=sin_t[1]), np.cos(half, out=half)
+    sin_t[0], cos_t[0] = 2.0 * s * c, -2.0 * s * s
+    c -= 1.0
+    return sin_t.reshape(-1, w.size), cos_t.reshape(-1, w.size)
+
+
+def _chunk_phases(tables, amp_over_w, phi):
+    """Exact integral of the tone sum from 0 to each time of the tables,
+    for every model and realization at once: Phi[t, m, r] [rad]. Row m of
+    amp_over_w holds model m's amp_k/w_k, folded into sin(phi) and
+    cos(phi) with the models' rows stacked, so sin(w t + phi) - sin(phi)
+    is one pair of matrix products. phi (a row per realization) is lost."""
+    sin_t, cos_t = tables
+    folded = np.empty((amp_over_w.shape[0], *phi.shape))
+    stacked = folded.reshape(-1, phi.shape[1]).T      # a view of folded
+    np.multiply(amp_over_w[:, None], np.sin(phi), out=folded)
+    phase = cos_t @ stacked
+    np.multiply(amp_over_w[:, None], np.cos(phi, out=phi), out=folded)
+    phase += sin_t @ stacked
+    return phase.reshape(sin_t.shape[0], *folded.shape[:2])
 
 
 def dephasing(models, tau_grid, n_realizations: int, seed: int):
@@ -281,7 +303,7 @@ def dephasing(models, tau_grid, n_realizations: int, seed: int):
     draws its tone phases from default_rng((seed, r)), so every contrast
     shares every trajectory and echo >= Ramsey comparisons are paired.
     Models with the same tone grid (f_min, f_max, n_components) share one
-    phase draw and one pair of matrix products."""
+    phase draw and one pair of matrix products per chunk of realizations."""
     tau = np.asarray(tau_grid, dtype=float)
     if np.any(tau < 0.0):
         raise ConfigError("tau grid must be nonnegative")
@@ -291,19 +313,21 @@ def dephasing(models, tau_grid, n_realizations: int, seed: int):
     for m, model in enumerate(models):
         grid = (model.f_min, model.f_max, model.n_components)
         groups.setdefault(grid, []).append(m)
-    # Phi at tau, then at tau/2, for each model
-    taus = np.concatenate([tau, 0.5 * tau])
-    phase = np.empty((len(models), taus.size, n_realizations))
+    # sums of exp(i Phi) over the realizations: Ramsey, then echo
+    acc = np.zeros((2, tau.size, len(models)), dtype=complex)
     for (_, _, n_components), members in groups.items():
         w = TWO_PI * _tones(models[members[0]])[0]
         amp_over_w = np.array([_tones(models[m])[1] for m in members]) / w
-        phi = _phases(n_components,
-                      ((seed, r) for r in range(n_realizations)))
-        phase[members] = _phase_integral(w, amp_over_w, taus, phi)
-    full = phase[:, :tau.size]
-    echo = 2.0 * phase[:, tau.size:] - full
-    return tuple(np.abs(np.exp(1j * p).sum(axis=2)) / n_realizations
-                 for p in (full, echo))
+        tables = _tone_tables(w, tau)
+        for r0 in range(0, n_realizations, CHUNK):
+            rs = range(r0, min(r0 + CHUNK, n_realizations))
+            phi = _phases(n_components, ((seed, r) for r in rs))
+            phase = _chunk_phases(tables, amp_over_w, phi).reshape(
+                2, tau.size, len(members), len(rs))
+            phase[1] = 2.0 * phase[1] - phase[0]
+            acc[..., members] += (np.cos(phase).sum(axis=3)
+                                  + 1j * np.sin(phase).sum(axis=3))
+    return tuple(np.abs(acc.transpose(0, 2, 1)) / n_realizations)
 
 
 @dataclass

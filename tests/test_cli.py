@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -693,6 +694,12 @@ class TestExitCodes:
         ("line-sim", "source.amplitude_volts=1e300",
          "'source.amplitude_volts'"),
         ("line-sim", "source.ramp_periods=-1", "'source.ramp_periods'"),
+        pytest.param("line-sim", ["source.kind=gaussian-pulse",
+                                  "source.t_center_s=1e300"],
+                     "'source.t_center_s'", id="line-sim-pulse-center-far"),
+        pytest.param("line-sim", ["source.kind=gaussian-pulse",
+                                  "source.t_width_s=1e-300"],
+                     "'source.t_width_s'", id="line-sim-pulse-width-tiny"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
                                assignment, key):
@@ -704,6 +711,15 @@ class TestExitCodes:
         assert code == 2
         assert key in err
         assert "Traceback" not in err
+
+    def test_field_near_float_range_runs_without_warning(self, tmp_path):
+        """At 1.3e154 V the amplitude's square is still a float, but the
+        blowup check's v.v overflows on a field within the ceiling; the
+        exact max|v| test decides, and nothing warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["line-sim", "--out", str(tmp_path), "--set",
+                             "source.amplitude_volts=1.3e154"]) == 0
 
     @pytest.mark.parametrize("assignment,keys,what", [
         ("n_realizations=1000000000000000", ["'n_realizations'"],

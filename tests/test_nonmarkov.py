@@ -8,11 +8,14 @@ synthesis are checked against the per-realization loops they replaced,
 and the shared multi-model pass against single-model runs.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import savgol_filter
 
+from fluxcomb import cli
 from fluxcomb import nonmarkov as nm
 from fluxcomb.errors import ConfigError, ConvergenceError
 from helpers import memory_kernel
@@ -361,11 +364,24 @@ class TestNoiseSynthesis:
         acc = cumulative_trapezoid(x, t, initial=0.0)
         w = TWO_PI * f_k
         taus = np.array([5e-6, 1e-5, 2e-5])
-        exact = nm._phase_integral(w, (amp_k / w)[None, :], taus,
-                                   phi_k[None, :].copy())[0, :, 0]
+        exact = nm._chunk_phases(nm._tone_tables(w, taus),
+                                 (amp_k / w)[None, :],
+                                 phi_k[None, :].copy())[:taus.size, 0, 0]
         for tau, phase in zip(taus, exact):
             idx = int(round(tau / dt))
             assert abs(acc[idx] - phase) < 1e-3 * max(1.0, abs(phase))
+
+    def test_double_angle_tables_match_direct_transcendentals(self):
+        # the packaged spectroscopy grid: w tau reaches 23 rad
+        m = nm.NoiseModel(kind="one-over-f", amplitude=5.4e11,
+                          n_components=1024)
+        w = TWO_PI * nm._tones(m)[0]
+        tau = np.geomspace(0.3e-6, 12e-6, 90)
+        sin_t, cos_t = nm._tone_tables(w, tau)
+        wt = np.outer(np.concatenate([tau, 0.5 * tau]), w)
+        np.testing.assert_allclose(sin_t, np.sin(wt), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(cos_t, np.cos(wt) - 1.0, rtol=0.0,
+                                   atol=1e-15)
 
     def test_spectrum_slope(self):
         m = nm.NoiseModel(kind="one-over-f", amplitude=5.4e11,
@@ -409,6 +425,23 @@ class TestNoiseSynthesis:
                 echo[k], loop_ensemble(m, tau, 200, 42, echo=True),
                 rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_realizations", [200, 201, 263])
+    def test_streamed_ensemble_matches_loop_off_chunk(self, n_realizations):
+        # no ensemble size is a multiple of the chunk: the last chunk is
+        # partial, and both models share every chunk's matrix products
+        assert n_realizations % nm.CHUNK
+        models = [nm.NoiseModel(kind="one-over-f", amplitude=5.4e11,
+                                n_components=128),
+                  nm.NoiseModel(kind="filtered", amplitude=6e10,
+                                n_components=128)]
+        tau = np.geomspace(0.3e-6, 12e-6, 8)
+        ramsey, echo = nm.dephasing(models, tau, n_realizations, 9)
+        for k, m in enumerate(models):
+            for got, is_echo in ((ramsey[k], False), (echo[k], True)):
+                np.testing.assert_allclose(
+                    got, loop_ensemble(m, tau, n_realizations, 9, is_echo),
+                    rtol=0.0, atol=1e-12)
+
     def test_split_tone_grids_match_single_model_runs(self):
         # models on different tone grids fall into separate groups of the
         # same pass (here the first and last share one); each row is the
@@ -439,6 +472,35 @@ class TestNoiseSynthesis:
             nm.dephasing([m], np.linspace(0.0, 1e-5, 5), 100, 0)
         with pytest.raises(ConfigError):
             nm.dephasing([m], np.array([-1e-6, 1e-6]), 200, 0)
+
+
+class TestSpectroscopyMemory:
+    """The ensemble streams in chunks and the tone tables are built in
+    place: traced NumPy peaks at the packaged spectroscopy defaults (one
+    ensemble held whole, and tables of direct transcendentals, peaked at
+    about 18 and 11 MB)."""
+
+    @staticmethod
+    def traced_peak_mb(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_dephasing_and_periodogram_peaks(self):
+        cfg = cli.resolve_config("spectroscopy", None, [], None)
+        models = [cli._noise_model(kind, section, cfg[section])
+                  for kind, section in (("one-over-f", "one_over_f"),
+                                        ("filtered", "filtered"))]
+        t, p = cfg["tau"], cfg["spectrum"]
+        tau = np.geomspace(t["start_s"], t["stop_s"], t["n"])
+        assert self.traced_peak_mb(lambda: nm.dephasing(
+            models, tau, cfg["n_realizations"], cfg["seed"])) < 10.0
+        assert self.traced_peak_mb(lambda: nm.averaged_periodogram(
+            models[0], p["duration_s"], p["dt_s"],
+            range(cfg["seed"], cfg["seed"] + p["n_avg"]))) < 9.5
 
 
 class TestDecayFits:

@@ -315,6 +315,23 @@ def test_result_does_not_depend_on_call_splits():
     assert_same_state(sim, whole)
 
 
+def test_run_until_builds_each_block_table_once():
+    """Twenty snapshot stops, most inside the block the call before ended
+    in: the simulator keeps that block's table, so each block spanned is
+    built once, in order."""
+    sim = make_sim()
+    built, block_table = [], sim._block_table
+
+    def counted(k0, out):
+        built.append(k0)
+        block_table(k0, out)
+
+    sim._block_table = counted
+    stops = [37 * (k + 1) for k in range(20)]
+    sim.run_until(750 * sim.dt, [k * sim.dt for k in stops])
+    assert built == list(range(0, 750, line.BLOCK))
+
+
 # ------------------------------------------------- the modulation series
 
 HALF_PI = 0.5 * math.pi
