@@ -250,27 +250,25 @@ def run_line_sim(config: dict, out_dir: Path):
                probe="run.probe_m", window_start="run.window_start_s",
                window_end="run.window_end_s", t_center="source.t_center_s",
                t_width="source.t_width_s", omega="source.freq_hz"):
-        if spectrum_mode == "temporal":
-            # the probe is recorded in the same pass as the snapshots,
-            # past t_end when the window ends later
-            states, record = sim.run_until(
-                rcfg["t_end_s"], rcfg["snapshot_times_s"],
-                probe=rcfg["probe_m"],
-                window=(rcfg["window_start_s"], rcfg["window_end_s"]))
-            dbc, power = line.temporal_harmonics(record, sim, n_max)
-        else:
-            states = sim.run_until(rcfg["t_end_s"], rcfg["snapshot_times_s"])
+        # the probe is recorded in the same pass as the snapshots, past
+        # t_end when the window ends later
+        window = ((rcfg["window_start_s"], rcfg["window_end_s"])
+                  if spectrum_mode == "temporal" else None)
+        t, v, i, record = sim.run_until(
+            rcfg["t_end_s"], rcfg["snapshot_times_s"],
+            probes=(rcfg["probe_m"],), window=window)
+
+    if spectrum_mode == "spatial":
+        dbc, power = line.spatial_harmonics(sim.i[0], sim, n_max)
+    elif spectrum_mode == "temporal":
+        dbc, power = line.temporal_harmonics(record[:, 0], sim, n_max)
 
     files = []
     z_mid = (np.arange(geom.n_cells) + 0.5) * geom.dz
-    for k, st in enumerate(states):
-        v_mid = 0.5 * (st.v[:-1] + st.v[1:])
+    for k, (v_k, i_k) in enumerate(zip(v, i)):
+        v_mid = 0.5 * (v_k[:-1] + v_k[1:])
         files.append(io.write_csv(out_dir / f"snapshot_{k:03d}.csv",
-                                  "z_m,v_volts,i_amps", [z_mid, v_mid, st.i]))
-
-    if spectrum_mode == "spatial":
-        dbc, power = line.spatial_harmonics(sim.state(), geom, drive,
-                                            source.omega, n_max=n_max)
+                                  "z_m,v_volts,i_amps", [z_mid, v_mid, i_k]))
     if spectrum_mode != "none":
         n = np.arange(1, n_max + 1)
         files.append(io.write_csv(
@@ -280,7 +278,7 @@ def run_line_sim(config: dict, out_dir: Path):
     if rcfg["wavepacket"]:
         # from the second snapshot on: the first has no velocity
         with _keys(snapshot_times="run.snapshot_times_s"):
-            metrics = line.wavepacket_metrics(states, geom)
+            metrics = line.wavepacket_metrics(t, i, geom)
         files.append(io.write_csv(
             out_dir / "wavepacket.csv",
             "t_s,centroid_m,rms_width_m,spectral_centroid_radpm,"
@@ -337,10 +335,9 @@ def run_addressing(config: dict, out_dir: Path):
             omega_m, (config["harmonic_index"],),
             ec=config["ec_hz"], bias_targets=[bias])[0]
         ej = transmon.ej_time_averaged(spec.ej_max, bias, config["phi_rf"])
-        spectrum = transmon.diagonalize(spec, ej,
-                                        n_levels=config["n_levels"])
+        levels = transmon.diagonalize(spec, ej, n_levels=config["n_levels"])
     return [io.write_csv(out_dir / "levels.csv", "level,freq_hz",
-                         [np.arange(len(spectrum.levels)), spectrum.levels])]
+                         [np.arange(len(levels)), levels])]
 
 
 def _array_from_config(acfg: dict) -> budget.QubitArraySpec:
@@ -465,13 +462,13 @@ def _spectroscopy_work(config: dict, models):
     k_1f, k_filt = (m.n_components for m in models)
     k_keys = ("one_over_f.n_components", "filtered.n_components")
     noise_keys = ("spectrum.n_avg", "spectrum.duration_s", "spectrum.dt_s")
+    # dephasing holds one chunk of realizations at a time; its phase
+    # integrals, 2 n_tau x 2 x CHUNK floats, stay below the tone tables
     _check_work([
         ("phase draw", "floats", nonmarkov.MAX_ARRAY,
-         n_real * max(k_1f, k_filt), ("n_realizations", *k_keys)),
+         len(models) * nonmarkov.CHUNK * max(k_1f, k_filt), k_keys),
         ("tone tables", "floats", nonmarkov.MAX_ARRAY,
          2 * n_tau * (k_1f + k_filt), ("tau.n", *k_keys)),
-        ("phase integrals", "floats", nonmarkov.MAX_ARRAY,
-         4 * n_tau * n_real, ("tau.n", "n_realizations")),
         ("noise traces", "floats", nonmarkov.MAX_ARRAY,
          n_avg * n_t, noise_keys),
         ("noise coefficients", "floats", nonmarkov.MAX_ARRAY,

@@ -229,14 +229,6 @@ class SourceSpec:
                 f"exponent out of float range {reach:.3e} s from t_center")
 
 
-@dataclass
-class LineState:
-    t: float                     # [s], voltage time
-    v: np.ndarray                # [V], nodes 0..n
-    i: np.ndarray                # [A], branch currents, at t - dt/2
-    step_index: int
-
-
 def modulation_series(phi_dc: float, phi_rf: float,
                       theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fourier coefficients c_0..c_M of g(x) = cos(phi_dc + phi_rf sin x)
@@ -277,18 +269,11 @@ def source_values(src: SourceSpec, th: np.ndarray) -> np.ndarray:
         * np.sin(src.omega * (th - src.t_center))
 
 
-def _dc_line(geom: LineGeometry, drive: FluxDrive) -> tuple[float, float]:
-    """Inductance per length [H/m] and phase velocity [m/s] at the dc
-    operating point (rf off)."""
-    l_dc_per_len = geom.l0 / math.cos(drive.phi_dc_tilde) / geom.dz
-    return l_dc_per_len, 1.0 / math.sqrt(l_dc_per_len * geom.c_per_length)
-
-
 class Simulator:
     """Runs of one line, one per source, stepped together: they share
     geometry, drive, dt, blowup ceiling (blowup_factor times the largest
-    source amplitude) and time, and differ in their source. run_until,
-    state and stored_energy report the first run. Use build_line() to
+    source amplitude) and time, and differ in their source. run_until's
+    snapshots and stored_energy report the first run. Use build_line() to
     construct; not shareable mid-run, independent instances may run
     concurrently."""
 
@@ -324,8 +309,10 @@ class Simulator:
         self._block_k0, self._block_src = None, None
         self._table = np.zeros((BLOCK, n + 1))
 
-        # matched termination at the dc operating point (rf off)
-        l_dc_per_len, self.v_dc = _dc_line(geom, drive)
+        # the inductance per length, phase velocity and matched
+        # termination at the dc operating point (rf off)
+        l_dc_per_len = geom.l0 / math.cos(drive.phi_dc_tilde) / geom.dz
+        self.v_dc = 1.0 / math.sqrt(l_dc_per_len * geom.c_per_length)
         z_term = math.sqrt(l_dc_per_len / geom.c_per_length)
         self._a_end = dt / (0.5 * geom.c_cell * z_term)
         self.ceiling = blowup_factor * max(s.amplitude for s in self.sources)
@@ -348,10 +335,6 @@ class Simulator:
         i = self._j_cells * self._i_scale
         i.flags.writeable = False
         return i
-
-    def state(self) -> LineState:
-        return LineState(t=self.t, v=self.v[0].copy(), i=self.i[0],
-                         step_index=self.t_index)
 
     def _block_table(self, k0: int, out: np.ndarray):
         """The table rows w_k of steps k0 .. k0 + BLOCK - 1 (module
@@ -444,16 +427,18 @@ class Simulator:
         rec *= self._i_scale
         return rec
 
-    def run_until(self, t_end: float, snapshot_times=(), probe=None,
+    def run_until(self, t_end: float, snapshot_times=(), probes=None,
                   window=None):
-        """Advance to t_end, returning states at the steps nearest the
-        requested snapshot times (actual time recorded in each state).
+        """Advance to t_end and return (t, v, i, record): the first run's
+        time [s], node voltages (k, n_cells + 1) [V] and branch currents
+        (k, n_cells) [A, at t - dt/2] at the steps nearest the k snapshot
+        times, and the probe record.
 
-        With a probe position [m] and window = (t0, t1) [s], the same pass
-        records the branch current at the probe over the window's steps,
-        going on past t_end when t1 is later, and returns (states, record);
-        the window starts at or after the current time and spans at least
-        8 source periods."""
+        With probes, one position [m] per run, and window = (t0, t1) [s],
+        the same pass records each run's branch current at its probe over
+        the window's steps, going on past t_end when t1 is later: record
+        is (steps, runs), and None without a window. The window starts at
+        or after the current time and spans at least 8 source periods."""
         end_step = self._step_at("t_end", t_end)
         if end_step <= self.t_index:
             raise ConfigError(
@@ -481,22 +466,28 @@ class Simulator:
                 raise ConfigError(
                     f"window_end {t1:.3e} s is less than 8 source periods "
                     f"({8.0 * period:.3e} s) after window_start {t0:.3e} s")
-            branch = [[_probe_branch(self.geom, probe)]]
+            branches = [[_probe_branch(self.geom, p)] for p in probes]
             rec_lo = self._step_at("window_start", t0)
             rec_hi = self._step_at("window_end", t1)
             stops |= {rec_lo, rec_hi}
         # the last source time a block evaluates is under (stop + BLOCK) dt
         for src in self.sources:
             src.check_span((max(stops) + BLOCK) * self.dt)
-        out, recs = [], []
+        k, n = len(steps), self.geom.n_cells
+        t, v, i = np.empty(k), np.empty((k, n + 1)), np.empty((k, n))
+        recs = []
         for stop in sorted(stops):
             inside = window is not None and rec_lo <= self.t_index < rec_hi
             rec = self._advance(stop - self.t_index,
-                                branch if inside else None)
+                                branches if inside else None)
             if rec is not None:
-                recs.append(rec[:, 0])
-            out += [self.state() for s in steps if s == stop]
-        return out if window is None else (out, np.concatenate(recs))
+                recs.append(rec)
+            for row, step in enumerate(steps):
+                if step == stop:
+                    # rows written in place: each is a copy of the state
+                    t[row], v[row] = self.t, self.v[0]
+                    np.multiply(self._j_cells[0], self._i_scale, out=i[row])
+        return t, v, i, None if window is None else np.concatenate(recs)
 
     def _step_at(self, name: str, t: float) -> int:
         """The step nearest time t [s], which `name` sets."""
@@ -577,7 +568,7 @@ def _dbc(powers: list[float], what: str) -> tuple[np.ndarray, np.ndarray]:
 def temporal_harmonics(record: np.ndarray, sim: Simulator,
                        n_max: int = 6) -> tuple[np.ndarray, np.ndarray]:
     """Hann-tapered spectral power of a probe record (one current per
-    step, as run_until returns it) at the bins nearest the harmonics
+    step, a column of run_until's record) at the bins nearest the harmonics
     n = 1..n_max of the source tone: (dBc relative to n = 1, power in
     arbitrary units)."""
     f1 = sim.sources[0].omega / (2.0 * math.pi)
@@ -586,17 +577,17 @@ def temporal_harmonics(record: np.ndarray, sim: Simulator,
     return _dbc([float(np.sum(b)) for b in bands], "temporal")
 
 
-def spatial_harmonics(state: LineState, geom: LineGeometry, drive: FluxDrive,
-                      source_omega: float, n_max: int = 6
+def spatial_harmonics(i: np.ndarray, sim: Simulator, n_max: int = 6
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Spatial-spectrum analogue of temporal_harmonics for one snapshot's
-    branch current, at the harmonics of kappa_1 = omega / v_dc predicted
-    from the dc phase velocity. Each takes the strongest bin within +-2 of
-    its predicted wavenumber: dispersion and the modulation shift the
-    peaks slightly off the rigid comb."""
-    k1 = source_omega / _dc_line(geom, drive)[1]
-    kappas = 2.0 * math.pi * np.fft.rfftfreq(geom.n_cells, geom.dz)
-    bands = _bands(state.i, kappas, [h * k1 for h in range(1, n_max + 1)], 2)
+    branch current i (a row of run_until's), at the harmonics of
+    kappa_1 = omega / v_dc predicted from the dc phase velocity. Each
+    takes the strongest bin within +-2 of its predicted wavenumber:
+    dispersion and the modulation shift the peaks slightly off the rigid
+    comb."""
+    k1 = sim.sources[0].omega / sim.v_dc
+    kappas = 2.0 * math.pi * np.fft.rfftfreq(sim.geom.n_cells, sim.geom.dz)
+    bands = _bands(i, kappas, [h * k1 for h in range(1, n_max + 1)], 2)
     return _dbc([float(np.max(b)) for b in bands], "spatial")
 
 
@@ -611,23 +602,20 @@ def isolation_report(geom: LineGeometry, drive: FluxDrive,
     are compared in steady state; band power sums 3 bins around each
     harmonic."""
     period = 2.0 * math.pi / source_omega
-    n = geom.n_cells
     sim = build_line(geom, drive, *(SourceSpec(
         kind="continuous-wave", omega=source_omega,
         amplitude=ISOLATION_AMPLITUDE, port=port)
         for port in ("left", "right")))
-    dt = sim.dt
-    transit = geom.length / sim.v_dc
-    t0 = 1.5 * transit + 3.0 * period
+    t0 = 1.5 * (geom.length / sim.v_dc) + 3.0 * period
     t1 = t0 + ISOLATION_WINDOW_PERIODS * period
-    sim._advance(int(round(t0 / dt)))
-    n_rec = int(round(t1 / dt)) - sim.t_index
-    off = ISOLATION_PROBE_OFFSET
-    rec = sim._advance(n_rec, [[n - off], [off - 1]])
+    # the middles of the branches ISOLATION_PROBE_OFFSET cells from each
+    # run's far end
+    p = (ISOLATION_PROBE_OFFSET - 0.5) * geom.dz
+    rec = sim.run_until(t1, probes=(geom.length - p, p), window=(t0, t1))[3]
     f_targets = [h * source_omega / (2.0 * math.pi)
                  for h in ISOLATION_HARMONICS]
     pf, pb = [[float(np.sum(b)) for b in _bands(
-        x, np.fft.rfftfreq(n_rec, dt), f_targets, 1)] for x in rec.T]
+        x, np.fft.rfftfreq(len(rec), sim.dt), f_targets, 1)] for x in rec.T]
     out = {}
     for h, p_fwd, p_bwd in zip(ISOLATION_HARMONICS, pf, pb):
         if p_fwd <= 0.0 or p_bwd <= 0.0:
@@ -636,27 +624,28 @@ def isolation_report(geom: LineGeometry, drive: FluxDrive,
     return out
 
 
-def wavepacket_metrics(states, geom: LineGeometry) -> np.ndarray:
+def wavepacket_metrics(t: np.ndarray, i: np.ndarray,
+                       geom: LineGeometry) -> np.ndarray:
     """Rows t [s], centroid [m], rms width [m], spectral centroid [rad/m]
     and centroid velocity [m/s] of the current-energy profile u = i^2,
-    one column per snapshot; the velocity is taken from the snapshot
-    before, so the first is NaN. The snapshots must be at increasing
-    times."""
+    one column per snapshot (run_until's t and i); the velocity is taken
+    from the snapshot before, so the first is NaN. The snapshots must be
+    at increasing times."""
     z = (np.arange(geom.n_cells) + 0.5) * geom.dz
     kappas = 2.0 * math.pi * np.fft.rfftfreq(geom.n_cells, geom.dz)[1:]
-    out = np.empty((5, len(states)))
-    for k, st in enumerate(states):
-        u = st.i ** 2
+    out = np.empty((5, len(t)))
+    for k, i_k in enumerate(i):
+        u = i_k ** 2
         total = float(np.sum(u))
         if total <= WAVEPACKET_FLOOR:
             raise NumericalError(
                 f"wavepacket energy {total:.3e} below the floor at "
-                f"t = {st.t:.3e} s")
+                f"t = {t[k]:.3e} s")
         centroid = float(np.sum(z * u) / total)
         width = math.sqrt(float(np.sum((z - centroid) ** 2 * u) / total))
-        mag = np.abs(np.fft.rfft(st.i))[1:]       # kappa > 0 only
+        mag = np.abs(np.fft.rfft(i_k))[1:]       # kappa > 0 only
         sc = float(np.sum(kappas * mag) / np.sum(mag))
-        out[:4, k] = st.t, centroid, width, sc
+        out[:4, k] = t[k], centroid, width, sc
     t, centroid = out[:2]
     if np.any(t[1:] <= t[:-1]):
         raise ConfigError("snapshot_times: two snapshots share a time step "

@@ -330,16 +330,10 @@ def dephasing(models, tau_grid, n_realizations: int, seed: int):
     return tuple(np.abs(acc.transpose(0, 2, 1)) / n_realizations)
 
 
-@dataclass
-class DecayFit:
-    timescale: float                 # [s]
-    beta: float
-
-
-def fit_decay(t, y) -> DecayFit:
+def fit_decay(t, y) -> tuple[float, float]:
     """Fit the stretched exponential y = exp(-(t/T)^beta) by damped
     Gauss-Newton on log residuals, seeded by a log-log line through the
-    usable points."""
+    usable points: (T [s], beta)."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.size != y.size or t.size < 8:
@@ -387,4 +381,4 @@ def fit_decay(t, y) -> DecayFit:
     if not (0.0 < beta <= 4.0) or not np.isfinite(timescale):
         raise ConvergenceError(
             f"fit left the admissible region (beta = {beta:.3f})")
-    return DecayFit(timescale, beta)
+    return timescale, beta

@@ -26,9 +26,12 @@ SIGMA_RES = 2.0 * math.pi * 50e6
 _CURVE_EJ_OVER_EC = (8.0, 2.2e4)
 _CURVE_NODES = 48
 
+# the charge basis spans -cut..+cut: a solve starts at the larger of
+# _START_CHARGE_CUT and n_levels + 2, and grows by 5 until converged
+_START_CHARGE_CUT = 31
 _MAX_CHARGE_CUT = 200
-# the most levels a solve can converge for: the cutoff starts at n_levels
-# + 2 or more and must grow by 5 at least once within _MAX_CHARGE_CUT
+# the most levels a solve can converge for: the cut must grow by 5 at
+# least once within _MAX_CHARGE_CUT
 MAX_LEVELS = _MAX_CHARGE_CUT - 5 - 2
 # grid points x qubits of an addressing map (two float arrays of this
 # size, 32 MiB each, and as many CSV rows); the benchmark's dense map has
@@ -49,27 +52,15 @@ class TransmonSpec:
     ec: float                 # charging energy E_C/h [Hz]
     ej_max: float             # max Josephson energy E_Jmax/h [Hz], per junction
     ng: float = 0.0           # offset charge [Cooper pairs]
-    n_charge_cut: int = 31    # charge basis spans -cut..+cut
 
     def __post_init__(self):
         for name in ("ec", "ej_max"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.n_charge_cut < 10:
-            raise ConfigError("n_charge_cut must be >= 10")
         if self.ej_max / self.ec < 10:
             warnings.warn(
                 f"ej_max/ec = {self.ej_max / self.ec:.2f} < 10: outside the "
                 "transmon regime", stacklevel=2)
-
-
-@dataclass
-class QubitSpectrum:
-    """Ground-referenced eigenfrequencies of one transmon."""
-
-    levels: np.ndarray        # Hz, ascending, levels[0] == 0
-    omega_q: float            # Hz, E1 - E0
-    anharmonicity: float      # Hz, E2 - 2 E1 + E0 (negative for a transmon)
 
 
 def j0(x):
@@ -108,29 +99,31 @@ def _charge_levels(ec: float, ej: float, ng: float, cut: int, n_levels: int
     return vals - vals[0]
 
 
-def _converged_levels(spec: TransmonSpec, ej: float, n_levels: int
+def _converged_levels(ec: float, ej: float, ng: float, n_levels: int
                       ) -> tuple[np.ndarray, int]:
     """Grow the charge cutoff until the two highest retained levels stop
-    moving (relative 1e-9 under cut -> cut+5)."""
-    cut = max(spec.n_charge_cut, n_levels + 2)
-    prev = _charge_levels(spec.ec, ej, spec.ng, cut, n_levels)
+    moving (relative 1e-9 under cut -> cut+5): (levels, cut)."""
+    cut = max(_START_CHARGE_CUT, n_levels + 2)
+    prev = _charge_levels(ec, ej, ng, cut, n_levels)
     while cut + 5 <= _MAX_CHARGE_CUT:
         cut += 5
-        cur = _charge_levels(spec.ec, ej, spec.ng, cut, n_levels)
-        scale = max(abs(cur[-1]), abs(cur[-2]), spec.ec)
+        cur = _charge_levels(ec, ej, ng, cut, n_levels)
+        scale = max(abs(cur[-1]), abs(cur[-2]), ec)
         if (abs(cur[-1] - prev[-1]) <= 1e-9 * scale
                 and abs(cur[-2] - prev[-2]) <= 1e-9 * scale):
             return cur, cut
         prev = cur
     raise ConvergenceError(
         f"charge basis not converged at cut = {_MAX_CHARGE_CUT} "
-        f"(ej/ec = {ej / spec.ec:.3g})")
+        f"(ej/ec = {ej / ec:.3g})")
 
 
 def diagonalize(spec: TransmonSpec, ej: float, n_levels: int = 5
-                ) -> QubitSpectrum:
+                ) -> np.ndarray:
     """Diagonalize the charge-basis Hamiltonian 4*E_C*(n-ng)^2 - (E_J/2) *
-    (|n><n+1| + h.c.) and return the lowest ground-referenced levels.
+    (|n><n+1| + h.c.) and return the lowest n_levels ground-referenced
+    levels [Hz], ascending from levels[0] == 0: omega_q is levels[1] and
+    the anharmonicity levels[2] - 2 levels[1].
 
     The truncation is auto-verified; raises ConvergenceError when the cap is
     reached.
@@ -139,12 +132,7 @@ def diagonalize(spec: TransmonSpec, ej: float, n_levels: int = 5
         raise ConfigError("ej must be nonnegative (take the magnitude)")
     if n_levels < 3:
         raise ConfigError("n_levels must be >= 3 for omega_q and alpha")
-    levels, _ = _converged_levels(spec, ej, n_levels)
-    return QubitSpectrum(
-        levels=levels,
-        omega_q=float(levels[1]),
-        anharmonicity=float(levels[2] - 2.0 * levels[1]),
-    )
+    return _converged_levels(spec.ec, ej, spec.ng, n_levels)[0]
 
 
 class FluxCurve:
@@ -159,11 +147,12 @@ class FluxCurve:
     """
 
     def __init__(self, ec: float):
+        if not ec > 0:
+            raise ConfigError("ec must be positive")
         self.ec = ec
         self._ej_lo, self._ej_hi = (ec * r for r in _CURVE_EJ_OVER_EC)
         # one converged solve at the widest wavefunction fixes the cut
-        _, cut = _converged_levels(TransmonSpec(ec=ec, ej_max=self._ej_hi),
-                                   self._ej_hi, 3)
+        cut = _converged_levels(ec, self._ej_hi, 0.0, 3)[1]
         lo, hi = math.log(self._ej_lo), math.log(self._ej_hi)
         t = chebyshev.chebpts1(_CURVE_NODES)
         self._ln_ej = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
@@ -228,9 +217,6 @@ def default_comb_qubits(omega_m: float,
         bias_targets = np.linspace(0.7, 1.2, len(idx))
     if len(bias_targets) != len(idx):
         raise ConfigError("bias_targets length must match harmonic_indices")
-    # the solves take ej explicitly; ej_max only keeps the template in the
-    # transmon regime
-    template = TransmonSpec(ec=ec, ej_max=_CURVE_EJ_OVER_EC[1] * ec)
     curve = flux_curve(ec)
     out = []
     for n_i, bias in zip(idx, bias_targets):
@@ -242,7 +228,7 @@ def default_comb_qubits(omega_m: float,
                 f"harmonic {n_i} at omega_m = {omega_m:.4g} rad/s and "
                 f"ec = {ec:.4g} Hz: {exc}") from None
         for _ in range(_CAL_STEPS):
-            residual = _converged_levels(template, math.exp(ln_ej), 3)[0][1] \
+            residual = _converged_levels(ec, math.exp(ln_ej), 0.0, 3)[0][1] \
                 - target_hz
             ln_ej -= residual / curve.slope(ln_ej)
             if abs(residual) <= _CAL_RTOL * target_hz:

@@ -33,18 +33,17 @@ def memory_kernel() -> nonmarkov.KernelSpec:
                                 markovian_gamma=gamma_mem / 100.0)
 
 
-def harmonic_band_power(state, geom: line.LineGeometry,
-                        drive: line.FluxDrive, source_omega: float,
-                        n_max: int = 6, half_width: int = 2) -> float:
-    """Total spatial power summed over the bands around harmonics 2..n_max
-    of kappa_1 = omega / v_dc.
+def harmonic_band_power(i: np.ndarray, sim: line.Simulator, n_max: int = 6,
+                        half_width: int = 2) -> float:
+    """Total spatial power of one snapshot's branch current i summed over
+    the bands around harmonics 2..n_max of kappa_1 = omega / v_dc.
 
     Band sums (not per-band maxima) so the value tracks converted energy
     smoothly in time; used for development-rate comparisons."""
-    k1 = source_omega / line._dc_line(geom, drive)[1]
-    kappas = TWO_PI * np.fft.rfftfreq(geom.n_cells, geom.dz)
-    bands = line._bands(state.i, kappas,
-                        [h * k1 for h in range(2, n_max + 1)], half_width)
+    k1 = sim.sources[0].omega / sim.v_dc
+    kappas = TWO_PI * np.fft.rfftfreq(sim.geom.n_cells, sim.geom.dz)
+    bands = line._bands(i, kappas, [h * k1 for h in range(2, n_max + 1)],
+                        half_width)
     return sum(float(np.sum(band)) for band in bands)
 
 
@@ -62,12 +61,13 @@ def chi_dispersive(spec: transmon.TransmonSpec, ej: float,
                    readout: ReadoutSpec) -> float:
     """Dispersive shift chi = (g^2/Delta)*(1 + alpha/Delta), Hz, with
     Delta = omega_q - omega_r and alpha from diagonalization."""
-    spect = transmon.diagonalize(spec, ej)
-    delta = spect.omega_q - readout.omega_r
+    levels = transmon.diagonalize(spec, ej)
+    delta = levels[1] - readout.omega_r
     if delta == 0.0:
         raise ConfigError("qubit degenerate with resonator (Delta = 0)")
     if readout.g_r / abs(delta) > 0.1:
         warnings.warn(
             f"g/|Delta| = {readout.g_r / abs(delta):.3f} > 0.1: dispersive "
             "approximation degrading", stacklevel=2)
-    return (readout.g_r ** 2 / delta) * (1.0 + spect.anharmonicity / delta)
+    alpha = levels[2] - 2.0 * levels[1]
+    return (readout.g_r ** 2 / delta) * (1.0 + alpha / delta)

@@ -36,6 +36,26 @@ LINE_DT = 0.9 * cli.line.cfl_bound(
 CAP_CELLS = cli.line.MAX_CELL_STEPS // 1024
 # map points per (phi_dc, phi_rf) point: the default harmonic count
 N_HARMONICS = 5
+# the values a leaf walk sets each numeric leaf of the defaults to, by type
+WALK_VALUES = {int: [0, -1, 10 ** 15], float: [0.0, -1.0, 1e300, 1e-300],
+               list: [[]]}
+# the walk's passes: each scenario on its defaults, and line-sim again
+# under a gaussian-pulse source
+WALK_PASSES = [*(pytest.param(s, [], id=s) for s in cli._packaged_defaults()),
+               pytest.param("line-sim", ["source.kind=gaussian-pulse"],
+                            id="line-sim-gaussian-pulse")]
+
+
+def _walk_settings(tree, path=""):
+    """(--set assignment, key) for every numeric leaf of a config tree at
+    each of its WALK_VALUES."""
+    for key, value in tree.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _walk_settings(value, here)
+        else:
+            for probe in WALK_VALUES.get(type(value), ()):
+                yield f"{here}={json.dumps(probe)}", here
 
 
 def read_rows(path):
@@ -396,8 +416,9 @@ class TestScenarioOutputs:
         omega = 2.0 * math.pi * 3e9
         if mode == "spatial":
             geom = cli.line.LineGeometry()
-            v_dc = cli.line._dc_line(geom, cli.line.FluxDrive(
-                0.6, 0.6, 0.0, omega))[1]
+            v_dc = cli.line.build_line(
+                geom, cli.line.FluxDrive(0.6, 0.6, 0.0, omega),
+                cli.line.SourceSpec("continuous-wave", omega, 1.0)).v_dc
             assert n_top == int(math.pi / geom.dz / (omega / v_dc))
         else:
             assert n_top == int(0.5 / LINE_DT / 3e9)
@@ -722,9 +743,11 @@ class TestExitCodes:
                              "source.amplitude_volts=1.3e154"]) == 0
 
     @pytest.mark.parametrize("assignment,keys,what", [
+        # the phase draw holds one chunk: the realizations size the tone sum
         ("n_realizations=1000000000000000", ["'n_realizations'"],
-         "phase draw"),
-        ("n_realizations=100000000", ["'n_realizations'"], "phase draw"),
+         "dephasing ensemble"),
+        ("n_realizations=100000000", ["'n_realizations'"],
+         "dephasing ensemble"),
         ("one_over_f.n_components=1000000000000000",
          ["'one_over_f.n_components'"], "phase draw"),
         ("filtered.n_components=1000000000000000",
@@ -736,10 +759,11 @@ class TestExitCodes:
          ["'spectrum.duration_s'", "'spectrum.dt_s'"], "noise traces"),
         ("spectrum.dt_s=1e-300",
          ["'spectrum.duration_s'", "'spectrum.dt_s'"], "noise traces"),
-        # sizes that pass every other cap
-        (["n_realizations=50000", "tau.n=100",
-          "one_over_f.n_components=100", "filtered.n_components=100"],
-         ["'tau.n'", "'n_realizations'"], "phase integrals"),
+        # sizes that pass every other cap; the phase draw holds one chunk
+        # of each model's tones
+        (["filtered.n_components=131073", "tau.n=2"],
+         ["'one_over_f.n_components'", "'filtered.n_components'"],
+         "phase draw"),
         (["one_over_f.n_components=30000", "tau.n=2"],
          ["'spectrum.n_avg'", "'one_over_f.n_components'"],
          "noise coefficients"),
@@ -778,13 +802,15 @@ class TestExitCodes:
     @staticmethod
     def _stop_at_work(monkeypatch, exc):
         """Raise `exc` at the first step of flux-sweep, addressing,
-        nonmarkov and line-sim that follows their size preflight."""
+        nonmarkov, line-sim and spectroscopy that follows their size
+        preflight."""
         def work(*args, **kwargs):
             raise exc
 
         monkeypatch.setattr(cli.transmon, "default_comb_qubits", work)
         monkeypatch.setattr(cli.nonmarkov, "KernelSpec", work)
         monkeypatch.setattr(cli.line, "build_line", work)
+        monkeypatch.setattr(cli.nonmarkov, "dephasing", work)
 
     @pytest.mark.parametrize("scenario,assignments,keys,what", [
         ("flux-sweep", ["phi_dc.n=1000000000000000"], MAP_KEYS,
@@ -864,6 +890,16 @@ class TestExitCodes:
         # the longest line, for one step
         ("line-sim", [f"geometry.n_cells={cli.line.MAX_CELLS}",
                       "run.t_end_s=5e-12"]),
+        # ensembles whose realizations would not fit in one array: the
+        # dephasing ensemble holds one chunk of them at a time
+        ("spectroscopy", ["n_realizations=50000", "tau.n=100",
+                          "one_over_f.n_components=100",
+                          "filtered.n_components=100"]),
+        ("spectroscopy", ["n_realizations=200000", "tau.n=2",
+                          "one_over_f.n_components=100",
+                          "filtered.n_components=100"]),
+        # the largest phase draw: 2 models x CHUNK x 131072 = 2^24 floats
+        ("spectroscopy", ["filtered.n_components=131072", "tau.n=2"]),
     ])
     def test_work_at_cap_passes_preflight(self, tmp_path, monkeypatch,
                                           scenario, assignments):
@@ -876,6 +912,43 @@ class TestExitCodes:
         with pytest.raises(Started):
             cli.main([scenario, "--out", str(tmp_path),
                       *(a for x in assignments for a in ("--set", x))])
+
+    @pytest.mark.parametrize("scenario,extra", WALK_PASSES)
+    def test_leaf_walk_exits_2_or_reaches_the_work(self, tmp_path, capsys,
+                                                   monkeypatch, scenario,
+                                                   extra):
+        """Any value of any one numeric leaf exits 2 naming its key, or
+        gets past every check to the scenario's work, stopped there: the
+        calibration, the kernel, the first line step or the dephasing
+        ensemble. error-budget and scalability run whole in milliseconds
+        and may exit 0. No other exit, no traceback and, as the suite
+        turns warnings into errors, no RuntimeWarning."""
+        class Started(Exception):
+            pass
+
+        def work(*args, **kwargs):
+            raise Started
+
+        for owner, name in ((cli.transmon, "default_comb_qubits"),
+                            (cli.nonmarkov, "KernelSpec"),
+                            (cli.line.Simulator, "_advance"),
+                            (cli.nonmarkov, "dephasing"),
+                            (cli.nonmarkov, "averaged_periodogram")):
+            monkeypatch.setattr(owner, name, work)
+        wrong = []
+        for setting, key in _walk_settings(cli._packaged_defaults()[scenario]):
+            try:
+                code = cli.main([scenario, "--out", str(tmp_path),
+                                 *(a for x in [*extra, setting]
+                                   for a in ("--set", x))])
+            except Started:
+                continue
+            err = capsys.readouterr().err
+            if not (code == 2 and f"'{key}'" in err
+                    or code == 0 and scenario in ("error-budget",
+                                                  "scalability")):
+                wrong.append((setting, code, err))
+        assert wrong == []
 
     def test_bad_config_file_value_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

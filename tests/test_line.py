@@ -95,9 +95,8 @@ class TestGeometryAndGuards:
 class TestPropagation:
     def test_zero_state_on_build(self):
         sim = line.build_line(line.LineGeometry(), quiet_drive(), cw_source())
-        st = sim.state()
-        assert st.t == 0.0 and st.step_index == 0
-        assert np.all(st.v == 0.0) and np.all(sim.flux == 0.0)
+        assert sim.t == 0.0 and sim.t_index == 0
+        assert np.all(sim.v == 0.0) and np.all(sim.flux == 0.0)
         assert sim.stored_energy() == 0.0
 
     def test_analytic_cw_propagation(self):
@@ -107,7 +106,7 @@ class TestPropagation:
         sim = line.build_line(g, quiet_drive(), cw_source())
         transit = g.length / sim.v_dc
         sim.run_until(2.0 * transit)
-        v = sim.state().v
+        v = sim.v[0]
         assert np.abs(v).max() == pytest.approx(0.5e-6, rel=0.02)
         mid = v[100:400]
         crossings = np.sum(np.diff(np.sign(mid)) != 0)
@@ -124,9 +123,9 @@ class TestPropagation:
         s2 = line.build_line(g, d, cw_source(amp=3e-6))
         s1.run_until(1.5e-9)
         s2.run_until(1.5e-9)
-        ref = np.abs(s1.state().v).max()
-        np.testing.assert_allclose(s2.state().v, 3.0 * s1.state().v,
-                                   rtol=1e-9, atol=1e-9 * ref)
+        ref = np.abs(s1.v).max()
+        np.testing.assert_allclose(s2.v, 3.0 * s1.v, rtol=1e-9,
+                                   atol=1e-9 * ref)
 
     def test_passivity_unmodulated(self):
         """With the source spent and no modulation pumping, stored energy
@@ -150,8 +149,8 @@ class TestPropagation:
         def centroid_at(n_cells, dz, i0):
             g = line.LineGeometry(n_cells=n_cells, dz=dz, i0=i0)
             sim = line.build_line(g, quiet_drive(0.6), pulse_source())
-            sim.run_until(2.0e-9)
-            _, centroid, *_ = line.wavepacket_metrics([sim.state()], g)
+            t, _, i, _ = sim.run_until(2.0e-9, [2.0e-9])
+            _, centroid, *_ = line.wavepacket_metrics(t, i, g)
             return centroid[0]
 
         coarse = centroid_at(512, 10e-6, 1e-6)
@@ -161,12 +160,12 @@ class TestPropagation:
     def test_snapshot_times_and_ordering(self):
         sim = line.build_line(line.LineGeometry(), quiet_drive(), cw_source())
         snaps = [0.3e-9, 0.70002e-9, 1.1e-9]
-        states = sim.run_until(1.5e-9, snapshot_times=snaps)
-        assert len(states) == 3
-        for ts, st in zip(snaps, states):
-            assert st.step_index == round(ts / sim.dt)
-            assert st.t == pytest.approx(st.step_index * sim.dt)
-            assert abs(st.t - ts) <= 0.5 * sim.dt
+        t, v, i, record = sim.run_until(1.5e-9, snapshot_times=snaps)
+        assert (t.shape, v.shape, i.shape, record) == (
+            (3,), (3, 513), (3, 512), None)
+        for ts, t_k in zip(snaps, t):
+            assert t_k == round(ts / sim.dt) * sim.dt
+            assert abs(t_k - ts) <= 0.5 * sim.dt
         assert sim.t_index == round(1.5e-9 / sim.dt)
         with pytest.raises(ConfigError):
             sim.run_until(1.0e-9)   # going backwards
@@ -185,8 +184,9 @@ class TestHarmonics:
         g = line.LineGeometry()
         sim = line.build_line(g, quiet_drive(0.6), cw_source())
         probe = 0.9 * g.length
-        _, record = sim.run_until(12e-9, probe=probe, window=(4e-9, 12e-9))
-        dbc, _ = line.temporal_harmonics(record, sim)
+        record = sim.run_until(12e-9, probes=(probe,),
+                               window=(4e-9, 12e-9))[3]
+        dbc, _ = line.temporal_harmonics(record[:, 0], sim)
         assert dbc[0] == 0.0
         assert all(dbc[1:] < -100.0)
 
@@ -203,46 +203,45 @@ class TestHarmonics:
         d = default_drive(0.6, 0.6, g)
         probe, t_end, snaps = 0.9 * g.length, 3e-9, [1e-9, 2.5e-9]
         one = line.build_line(g, d, cw_source())
-        states, record = one.run_until(t_end, snaps, probe=probe,
-                                       window=window)
-        got = line.temporal_harmonics(record, one)
+        _, v, i, record = one.run_until(t_end, snaps, probes=(probe,),
+                                        window=window)
+        got = line.temporal_harmonics(record[:, 0], one)
         assert one.t_index == round(max(t_end, window[1]) / one.dt)
 
         two = line.build_line(g, d, cw_source())
         if window[0] >= t_end:
-            ref_states = two.run_until(t_end, snaps)
-            _, rec = two.run_until(window[1], probe=probe, window=window)
-            want = line.temporal_harmonics(rec, two)
+            _, ref_v, ref_i, _ = two.run_until(t_end, snaps)
+            rec = two.run_until(window[1], probes=(probe,),
+                                window=window)[3]
         else:
-            stops = [round(t / two.dt) for t in (*snaps, window[0])]
-            ref_states = []
-            for stop in stops:
-                two._advance(stop - two.t_index)
-                ref_states.append(two.state())
+            ref_v, ref_i = [], []
+            for ts in snaps:
+                two._advance(round(ts / two.dt) - two.t_index)
+                ref_v.append(two.v[0].copy())
+                ref_i.append(two.i[0])
+            two._advance(round(window[0] / two.dt) - two.t_index)
             rec = two._advance(round(window[1] / two.dt) - two.t_index,
                                [[line._probe_branch(g, probe)]])
-            want = line.temporal_harmonics(rec[:, 0], two)
-            ref_states.pop()
+        want = line.temporal_harmonics(rec[:, 0], two)
         np.testing.assert_array_equal(got, want)
-        for a, b in zip(states, ref_states):
-            np.testing.assert_array_equal(a.v, b.v)
-            np.testing.assert_array_equal(a.i, b.i)
+        np.testing.assert_array_equal(v, ref_v)
+        np.testing.assert_array_equal(i, ref_i)
         np.testing.assert_array_equal(one.v, two.v)
 
     def test_window_too_short_rejected(self):
         g = line.LineGeometry()
         sim = line.build_line(g, quiet_drive(), cw_source())
         with pytest.raises(ConfigError):
-            sim.run_until(1e-9, probe=1e-3, window=(0.0, 1e-9))
+            sim.run_until(1e-9, probes=(1e-3,), window=(0.0, 1e-9))
         with pytest.raises(ConfigError):
-            sim.run_until(4e-9, probe=1e-2, window=(0.0, 4e-9))
+            sim.run_until(4e-9, probes=(1e-2,), window=(0.0, 4e-9))
 
     def test_modulation_generates_harmonics(self):
         g = line.LineGeometry()
         d = default_drive(0.6, 0.6, g)
         sim = line.build_line(g, d, cw_source())
         sim.run_until(2.0e-9)
-        dbc, _ = line.spatial_harmonics(sim.state(), g, d, OMEGA_M)
+        dbc, _ = line.spatial_harmonics(sim.i[0], sim)
         assert dbc[1] > -30.0
         assert dbc[2] > -30.0
 
@@ -253,14 +252,14 @@ class TestHarmonics:
             d = default_drive(0.8, rf, g)
             sim = line.build_line(g, d, cw_source())
             sim.run_until(2.0e-9)
-            totals.append(harmonic_band_power(sim.state(), g, d, OMEGA_M))
+            totals.append(harmonic_band_power(sim.i[0], sim))
         assert totals[0] < totals[1] < totals[2]
 
     def test_wavepacket_rejects_empty_line(self):
         g = line.LineGeometry()
         sim = line.build_line(g, quiet_drive(), cw_source())
         with pytest.raises(NumericalError):
-            line.wavepacket_metrics([sim.state()], g)
+            line.wavepacket_metrics(np.zeros(1), sim.i, g)
 
     def test_wavepacket_columns(self):
         """One column per snapshot; the velocity is the centroid's
@@ -268,16 +267,16 @@ class TestHarmonics:
         for the first, and two snapshots at one time are rejected."""
         g = line.LineGeometry()
         sim = line.build_line(g, quiet_drive(0.6), pulse_source())
-        states = sim.run_until(1.5e-9, [0.9e-9, 1.2e-9, 1.5e-9])
+        t_snap, _, i, _ = sim.run_until(1.5e-9, [0.9e-9, 1.2e-9, 1.5e-9])
         t, centroid, width, kappa, velocity = line.wavepacket_metrics(
-            states, g)
-        assert list(t) == [st.t for st in states]
+            t_snap, i, g)
+        np.testing.assert_array_equal(t, t_snap)
         assert np.isnan(velocity[0])
         np.testing.assert_array_equal(
             velocity[1:], np.diff(centroid) / np.diff(t))
         assert np.all(width > 0.0) and np.all(kappa > 0.0)
         with pytest.raises(ConfigError, match="snapshot_times"):
-            line.wavepacket_metrics([states[0], states[0]], g)
+            line.wavepacket_metrics(t_snap[[0, 0]], i[[0, 0]], g)
 
 
 class TestIsolation:

@@ -310,9 +310,25 @@ def test_result_does_not_depend_on_call_splits():
 
     sim = make_sim(*rows)
     snaps = [1, 2, 63, 64, 65, 130, 299]
-    states = sim.run_until(300 * sim.dt, [k * sim.dt for k in snaps])
-    assert [st.step_index for st in states] == snaps
+    t = sim.run_until(300 * sim.dt, [k * sim.dt for k in snaps])[0]
+    np.testing.assert_array_equal(t, [k * sim.dt for k in snaps])
     assert_same_state(sim, whole)
+
+
+def test_snapshots_are_copies():
+    """Each run_until snapshot row holds the first run's state at its own
+    step, not a view of the live state: it equals a fresh simulator
+    stepped to that step."""
+    rows = [CW_LEFT, ("gaussian-pulse", "right", 2)]
+    sim = make_sim(*rows)
+    snaps = [1, 63, 64, 130, 299]
+    t, v, i, _ = sim.run_until(300 * sim.dt, [k * sim.dt for k in snaps])
+    for k, step in enumerate(snaps):
+        fresh = make_sim(*rows)
+        fresh._advance(step)
+        assert t[k] == fresh.t
+        np.testing.assert_array_equal(v[k], fresh.v[0])
+        np.testing.assert_array_equal(i[k], fresh.i[0])
 
 
 def test_run_until_builds_each_block_table_once():

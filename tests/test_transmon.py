@@ -47,10 +47,10 @@ def test_ej_time_averaged_bessel_suppression():
 
 def test_charging_parabola_at_zero_ej():
     spec = TransmonSpec(ec=0.3e9, ej_max=10e9)
-    s = diagonalize(spec, 0.0)
+    levels = diagonalize(spec, 0.0)
     # levels are 4*EC*n^2, degenerate +-n pairs at ng = 0
     expect = np.array([0.0, 4 * 0.3e9, 4 * 0.3e9, 16 * 0.3e9, 16 * 0.3e9])
-    np.testing.assert_allclose(s.levels, expect, rtol=1e-12)
+    np.testing.assert_allclose(levels, expect, rtol=1e-12)
 
 
 # SciPy's Mathieu characteristic values lose accuracy by ej/ec = 1.5e4,
@@ -62,10 +62,10 @@ def test_levels_match_mathieu_characteristic_values(ej_over_ec):
     ec = 0.25e9
     ej = ej_over_ec * ec
     q = ej / (2.0 * ec)
-    s = diagonalize(TransmonSpec(ec=ec, ej_max=ej), ej)
+    levels = diagonalize(TransmonSpec(ec=ec, ej_max=ej), ej)
     expect = ec * np.array([mathieu_b(2, q), mathieu_a(2, q),
                             mathieu_b(4, q)]) - ec * mathieu_a(0, q)
-    np.testing.assert_allclose(s.levels[1:4], expect, rtol=1e-12)
+    np.testing.assert_allclose(levels[1:4], expect, rtol=1e-12)
 
 
 def test_nonfinite_ej_is_convergence_error():
@@ -77,9 +77,8 @@ def test_nonfinite_ej_is_convergence_error():
 def test_charge_periodicity():
     spec_a = TransmonSpec(ec=0.25e9, ej_max=10e9, ng=0.3)
     spec_b = TransmonSpec(ec=0.25e9, ej_max=10e9, ng=1.3)
-    sa = diagonalize(spec_a, 5e9)
-    sb = diagonalize(spec_b, 5e9)
-    np.testing.assert_allclose(sa.levels, sb.levels, rtol=1e-10, atol=1.0)
+    np.testing.assert_allclose(diagonalize(spec_a, 5e9),
+                               diagonalize(spec_b, 5e9), rtol=1e-10, atol=1.0)
 
 
 def test_transmon_asymptotics():
@@ -88,35 +87,39 @@ def test_transmon_asymptotics():
     dev_prev = None
     for ratio in (50, 200, 1000):
         ej = ratio * ec
-        s = diagonalize(spec, ej)
+        levels = diagonalize(spec, ej)
+        alpha = levels[2] - 2.0 * levels[1]
         wq_asym = math.sqrt(8 * ej * ec) - ec
-        assert abs(s.omega_q - wq_asym) / wq_asym < 0.01
-        assert s.anharmonicity < 0
+        assert abs(levels[1] - wq_asym) / wq_asym < 0.01
+        assert alpha < 0
         # the exact cosine potential overshoots -EC by ~0.9/sqrt(EJ/EC);
         # the deviation shrinks monotonically toward the asymptote
-        dev = abs(s.anharmonicity + ec) / ec
+        dev = abs(alpha + ec) / ec
         assert 0.0 < dev < 0.20
         if dev_prev is not None:
             assert dev < dev_prev
         dev_prev = dev
     # frozen regression for the EJ/EC = 200 point
-    s200 = diagonalize(spec, 200 * ec)
-    assert s200.anharmonicity / (-ec) == pytest.approx(1.0636, abs=2e-3)
+    l200 = diagonalize(spec, 200 * ec)
+    assert (l200[2] - 2.0 * l200[1]) / (-ec) == pytest.approx(1.0636,
+                                                             abs=2e-3)
 
 
 def test_levels_sorted_and_ground_referenced():
     spec = TransmonSpec(ec=0.2e9, ej_max=20e9, ng=0.17)
-    s = diagonalize(spec, 12e9)
-    assert s.levels[0] == 0.0
-    assert np.all(np.diff(s.levels) > 0)
+    levels = diagonalize(spec, 12e9)
+    assert levels[0] == 0.0
+    assert np.all(np.diff(levels) > 0)
 
 
 def test_truncation_convergence_on_doubling():
-    spec = TransmonSpec(ec=0.25e9, ej_max=20e9, n_charge_cut=20)
-    wq_a = diagonalize(spec, 12.5e9).omega_q
-    spec2 = TransmonSpec(ec=0.25e9, ej_max=20e9, n_charge_cut=40)
-    wq_b = diagonalize(spec2, 12.5e9).omega_q
-    assert abs(wq_a - wq_b) / wq_b < 1e-9
+    """The converged levels equal a solve at a fixed cut over three times
+    the starting one."""
+    import fluxcomb.transmon as tm
+    spec = TransmonSpec(ec=0.25e9, ej_max=20e9, ng=0.3)
+    levels = diagonalize(spec, 12.5e9)
+    fixed = tm._charge_levels(spec.ec, 12.5e9, spec.ng, 100, levels.size)
+    np.testing.assert_allclose(levels[1:], fixed[1:], rtol=1e-9)
 
 
 def test_convergence_error_when_cap_hit(monkeypatch):
@@ -131,7 +134,7 @@ def test_omega_q_monotone_in_flux():
     spec = TransmonSpec(ec=0.25e9, ej_max=15e9)
     phis = np.linspace(0.0, 0.45, 10)     # external flux, in Phi0
     wqs = [diagonalize(spec, ej_time_averaged(spec.ej_max, 2 * math.pi * p,
-                                              0.0)).omega_q for p in phis]
+                                              0.0))[1] for p in phis]
     assert np.all(np.diff(wqs) < 0)
 
 
@@ -144,7 +147,9 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         TransmonSpec(ec=-1.0, ej_max=10e9)
     with pytest.raises(ConfigError):
-        TransmonSpec(ec=0.25e9, ej_max=10e9, n_charge_cut=5)
+        TransmonSpec(ec=0.25e9, ej_max=0.0)
+    with pytest.raises(ConfigError, match="ec must be positive"):
+        flux_curve(0.0)
 
 
 # ------------------------------------------------------- dispersive shift
@@ -177,7 +182,7 @@ def test_chi_zero_coupling():
 
 def test_chi_sign_flips_with_detuning():
     spec = TransmonSpec(ec=0.2e9, ej_max=10e9)
-    wq = diagonalize(spec, 10e9).omega_q
+    wq = diagonalize(spec, 10e9)[1]
     above = chi_dispersive(spec, 10e9, ReadoutSpec(omega_r=wq + 3e9, g_r=0.1e9))
     below = chi_dispersive(spec, 10e9, ReadoutSpec(omega_r=wq - 3e9, g_r=0.1e9))
     assert above * below < 0
@@ -185,14 +190,14 @@ def test_chi_sign_flips_with_detuning():
 
 def test_chi_degenerate_raises():
     spec = TransmonSpec(ec=0.2e9, ej_max=10e9)
-    wq = diagonalize(spec, 10e9).omega_q
+    wq = diagonalize(spec, 10e9)[1]
     with pytest.raises(ConfigError):
         chi_dispersive(spec, 10e9, ReadoutSpec(omega_r=wq, g_r=0.1e9))
 
 
 def test_chi_against_jc_oracle():
     spec = TransmonSpec(ec=0.2e9, ej_max=10e9)
-    wq = diagonalize(spec, 10e9).omega_q
+    wq = diagonalize(spec, 10e9)[1]
     for g in (0.1e9, 0.3e9, 0.6e9):
         chi_f = chi_dispersive(spec, 10e9, ReadoutSpec(omega_r=12e9, g_r=g))
         chi_o = _jc_chi(wq, 12e9, g)
@@ -202,7 +207,7 @@ def test_chi_against_jc_oracle():
 
 def test_chi_dispersive_warning():
     spec = TransmonSpec(ec=0.2e9, ej_max=10e9)
-    wq = diagonalize(spec, 10e9).omega_q
+    wq = diagonalize(spec, 10e9)[1]
     with pytest.warns(UserWarning, match="dispersive"):
         chi_dispersive(spec, 10e9, ReadoutSpec(omega_r=wq + 0.5e9, g_r=0.2e9))
 
@@ -222,7 +227,7 @@ def test_flux_curve_accuracy():
         curve = flux_curve(ec)
         spec = TransmonSpec(ec=ec, ej_max=1e12)
         ln_ej = rng.uniform(math.log(8 * ec), math.log(2.2e4 * ec), 60)
-        exact = np.array([diagonalize(spec, math.exp(le)).omega_q
+        exact = np.array([diagonalize(spec, math.exp(le))[1]
                           for le in ln_ej])
         got = curve.omega_q(np.exp(ln_ej))
         np.testing.assert_allclose(got, exact, rtol=1e-10, atol=0)
@@ -247,7 +252,7 @@ def test_default_comb_sits_on_harmonics():
         qubits = default_comb_qubits(OMEGA_M, ec=ec)
         for spec, n_i, bias in zip(qubits, (5, 10, 15, 20, 25), biases):
             ej = ej_time_averaged(spec.ej_max, bias, 0.0)
-            wq = diagonalize(spec, ej).omega_q
+            wq = diagonalize(spec, ej)[1]
             assert abs(2 * math.pi * wq - n_i * OMEGA_M) \
                 <= 1e-12 * n_i * OMEGA_M
 
@@ -260,7 +265,7 @@ def test_calibration_converges_from_a_poor_start(monkeypatch):
     qubits = default_comb_qubits(OMEGA_M, (5, 25), bias_targets=[0.0, 0.0])
     for spec, n_i in zip(qubits, (5, 25)):
         # at zero bias the SQUID's E_J is 2 ej_max
-        wq = diagonalize(spec, 2.0 * spec.ej_max).omega_q
+        wq = diagonalize(spec, 2.0 * spec.ej_max)[1]
         assert abs(2 * math.pi * wq - n_i * OMEGA_M) \
             <= 1e-12 * n_i * OMEGA_M
 
