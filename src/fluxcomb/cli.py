@@ -7,7 +7,8 @@ Every scenario starts from the packaged defaults (data/defaults.json),
 deep-merges the user config over them (unknown keys are rejected, with
 their dotted path), applies --set overrides, checks every value against
 the type of its default, and writes CSV tables plus a manifest.json with
-sha256 checksums into --out.
+sha256 checksums into --out. --seed N is a last `--set seed=N`: only
+spectroscopy has a seed, and elsewhere it exits 2 as an unknown key.
 
 Exit codes: 0 success, 2 bad configuration, 3 numerical failure, 4
 filesystem trouble.
@@ -110,7 +111,7 @@ def check_types(config: dict, defaults: dict, path: str = ""):
             config[key] = _typed(config[key], default, here)
 
 
-def resolve_config(scenario: str, config_path, overrides, seed) -> dict:
+def resolve_config(scenario: str, config_path, overrides) -> dict:
     defaults = _packaged_defaults()[scenario]
     config = copy.deepcopy(defaults)
     if config_path is not None:
@@ -124,8 +125,6 @@ def resolve_config(scenario: str, config_path, overrides, seed) -> dict:
         config = merge_config(config, user)
     for assignment in overrides or ():
         config = apply_override(config, assignment)
-    if seed is not None:
-        config["seed"] = seed
     # check_types writes into the copy; the types come from the packaged
     # defaults
     check_types(config, defaults)
@@ -213,7 +212,13 @@ def run_line_sim(config: dict, out_dir: Path):
     if n_max < 1:
         raise ConfigError("'run.n_harmonics' must be >= 1")
     if rcfg["wavepacket"] and len(rcfg["snapshot_times_s"]) < 2:
-        raise ConfigError("wavepacket needs >= 2 'run.snapshot_times_s'")
+        raise ConfigError("'run.wavepacket' needs >= 2 'run.snapshot_times_s'")
+    # keys that one mode reads are checked in every mode, each on its own
+    if not 0.0 <= rcfg["window_start_s"] < rcfg["window_end_s"]:
+        raise ConfigError(
+            "need 0 <= 'run.window_start_s' < 'run.window_end_s'")
+    if not scfg["t_width_s"] > 0.0:
+        raise ConfigError("'source.t_width_s' must be > 0")
     # cell-steps to t_end, or to the window's end when later, at
     # build_line's dt (a dt of 0 or below is build_line's to reject)
     keys = [*(f"geometry.{k}" for k in gcfg), "run.cfl_safety", "run.t_end_s"]
@@ -330,7 +335,7 @@ def run_addressing(config: dict, out_dir: Path):
     omega_m = TWO_PI * config["modulation_freq_hz"]
     bias = config["bias_phi_dc"]
     with _keys(ec="ec_hz", n_levels="n_levels", harmonic="harmonic_index",
-               omega_m="modulation_freq_hz"):
+               omega_m="modulation_freq_hz", ej_max="bias_phi_dc"):
         spec = transmon.default_comb_qubits(
             omega_m, (config["harmonic_index"],),
             ec=config["ec_hz"], bias_targets=[bias])[0]
@@ -340,7 +345,7 @@ def run_addressing(config: dict, out_dir: Path):
                          [np.arange(len(levels)), levels])]
 
 
-def _array_from_config(acfg: dict) -> budget.QubitArraySpec:
+def _array_from_config(acfg: dict, n_qubits: int) -> budget.QubitArraySpec:
     with _keys(n_qubits="array.n_qubits", omega_m="array.modulation_freq_hz",
                t1_intrinsic="array.t1_intrinsic_s",
                t2_intrinsic="array.t2_intrinsic_s",
@@ -348,7 +353,7 @@ def _array_from_config(acfg: dict) -> budget.QubitArraySpec:
                g_coupling="array.g_coupling_hz",
                kappa_bus="array.kappa_bus_hz"):
         return budget.QubitArraySpec(
-            n_qubits=acfg["n_qubits"],
+            n_qubits=n_qubits,
             omega_m=TWO_PI * acfg["modulation_freq_hz"],
             t1_intrinsic=acfg["t1_intrinsic_s"],
             t2_intrinsic=acfg["t2_intrinsic_s"],
@@ -367,7 +372,7 @@ def _bus_model(kind: str, omega_m: float) -> budget.BusIsolationModel:
 
 
 def run_error_budget(config: dict, out_dir: Path):
-    array = _array_from_config(config["array"])
+    array = _array_from_config(config["array"], config["array"]["n_qubits"])
     model = _bus_model(config["bus"], array.omega_m)
     result = budget.full_budget(array, model)
     return [io.write_csv(
@@ -380,7 +385,6 @@ def run_error_budget(config: dict, out_dir: Path):
 
 
 def run_scalability(config: dict, out_dir: Path):
-    array = _array_from_config(config["array"])
     n_min, n_max = config["n_min"], config["n_max"]
     if n_min < 1:
         raise ConfigError("'n_min' must be >= 1")
@@ -389,6 +393,8 @@ def run_scalability(config: dict, out_dir: Path):
             f"'n_max' must be in 'n_min'..{budget.MAX_QUBITS}")
     if not config["models"]:
         raise ConfigError("'models' must name at least one bus model")
+    # the sweep resizes this template to each n
+    array = _array_from_config(config["array"], n_max)
     n_range, models = range(n_min, n_max + 1), config["models"]
     worst = [budget.scalability_sweep(array, _bus_model(kind, array.omega_m),
                                       n_range) for kind in models]
@@ -552,20 +558,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a single config entry")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (created if missing)")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, help="a last --set seed=N")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        seed = [] if args.seed is None else [f"seed={args.seed}"]
         config = resolve_config(args.scenario, args.config,
-                                args.overrides, args.seed)
+                                [*(args.overrides or ()), *seed])
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         files = SCENARIOS[args.scenario](config, out_dir)
-        manifest = io.write_manifest(out_dir, args.scenario, config,
-                                     config.get("seed"), files)
+        manifest = io.write_manifest(out_dir, args.scenario, config, files)
         for path in [*files, manifest]:
             print(f"wrote {path}")
         return 0

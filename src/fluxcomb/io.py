@@ -257,8 +257,7 @@ def file_entry(out_dir: Path, path: Path) -> dict:
     }
 
 
-def write_manifest(out_dir: Path, scenario: str, config: dict, seed,
-                   files) -> Path:
+def write_manifest(out_dir: Path, scenario: str, config: dict, files) -> Path:
     """files: paths inside out_dir; entries are sorted by path so the
     manifest itself is reproducible."""
     entries = sorted((file_entry(out_dir, p) for p in files),
@@ -266,7 +265,6 @@ def write_manifest(out_dir: Path, scenario: str, config: dict, seed,
     manifest = {
         "scenario": scenario,
         "config": config,
-        "seed": seed,
         "versions": {
             "python": ".".join(str(v) for v in sys.version_info[:3]),
             "numpy": np.__version__,

@@ -427,18 +427,18 @@ class Simulator:
         rec *= self._i_scale
         return rec
 
-    def run_until(self, t_end: float, snapshot_times=(), probes=None,
+    def run_until(self, t_end: float, snapshot_times=(), probes=(),
                   window=None):
         """Advance to t_end and return (t, v, i, record): the first run's
         time [s], node voltages (k, n_cells + 1) [V] and branch currents
         (k, n_cells) [A, at t - dt/2] at the steps nearest the k snapshot
         times, and the probe record.
 
-        With probes, one position [m] per run, and window = (t0, t1) [s],
-        the same pass records each run's branch current at its probe over
-        the window's steps, going on past t_end when t1 is later: record
-        is (steps, runs), and None without a window. The window starts at
-        or after the current time and spans at least 8 source periods."""
+        Each probe [m], one per run, must lie on the line. With window =
+        (t0, t1) [s], the same pass records each run's branch current at
+        its probe over the window's steps, past t_end when t1 is later:
+        record is (steps, runs), and None without a window. The window
+        starts at or after the current time and spans >= 8 source periods."""
         end_step = self._step_at("t_end", t_end)
         if end_step <= self.t_index:
             raise ConfigError(
@@ -455,6 +455,7 @@ class Simulator:
             steps.append(min(max(int(round(ts / self.dt)), self.t_index + 1),
                              end_step))
         stops = {*steps, end_step}
+        branches = [[_probe_branch(self.geom, p)] for p in probes]
         if window is not None:
             t0, t1 = window
             if t0 < self.t:
@@ -464,9 +465,8 @@ class Simulator:
             period = 2.0 * math.pi / self.sources[0].omega
             if t1 - t0 < 8.0 * period:
                 raise ConfigError(
-                    f"window_end {t1:.3e} s is less than 8 source periods "
+                    f"window_end {t1:.3e} s is less than 8 periods 2 pi/omega "
                     f"({8.0 * period:.3e} s) after window_start {t0:.3e} s")
-            branches = [[_probe_branch(self.geom, p)] for p in probes]
             rec_lo = self._step_at("window_start", t0)
             rec_hi = self._step_at("window_end", t1)
             stops |= {rec_lo, rec_hi}

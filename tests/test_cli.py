@@ -40,22 +40,69 @@ N_HARMONICS = 5
 WALK_VALUES = {int: [0, -1, 10 ** 15], float: [0.0, -1.0, 1e300, 1e-300],
                list: [[]]}
 # the walk's passes: each scenario on its defaults, and line-sim again
-# under a gaussian-pulse source
+# under the temporal spectrum and under a gaussian-pulse source
 WALK_PASSES = [*(pytest.param(s, [], id=s) for s in cli._packaged_defaults()),
+               pytest.param("line-sim", ["run.spectrum=temporal"],
+                            id="line-sim-temporal"),
                pytest.param("line-sim", ["source.kind=gaussian-pulse"],
                             id="line-sim-gaussian-pulse")]
+# the sensitivity walk's passes, small configs of each scenario: line-sim
+# on a continuous wave, under the temporal spectrum, and as a gaussian
+# pulse with two snapshots and its wavepacket
+LINE_SMALL = ["geometry.n_cells=64", "run.t_end_s=1.2e-9", "run.probe_m=3e-4",
+              "run.window_start_s=1e-9", "run.window_end_s=4e-9"]
+SENSITIVITY_PASSES = {
+    "line-sim": [LINE_SMALL, [*LINE_SMALL, "run.spectrum=temporal"],
+                 [*LINE_SMALL, "source.kind=gaussian-pulse",
+                  "run.snapshot_times_s=[6e-10,1.2e-9]",
+                  "run.wavepacket=true"]],
+    "flux-sweep": [["harmonic_indices=[5,10]", "phi_dc.n=3", "phi_rf.n=2"]],
+    "addressing": [[]],
+    "error-budget": [["array.n_qubits=5"]],
+    "scalability": [["n_max=3"]],
+    "nonmarkov": [["n_points=201", "smoothing_window=5"]],
+    "spectroscopy": [["n_realizations=200", "tau.n=6",
+                      "one_over_f.n_components=100",
+                      "filtered.n_components=100", "spectrum.n_avg=2",
+                      "spectrum.duration_s=2e-4"]],
+}
+# the one other value the sensitivity walk gives each string and list leaf
+ALTERNATIVES = {"bus": "reciprocal", "models": ["nonreciprocal"],
+                "kind": "gaussian-pulse", "port": "right",
+                "spectrum": "temporal", "harmonic_indices": [5, 15],
+                "snapshot_times_s": [8e-10, 1.2e-9]}
+# the leaves that change no CSV byte in any pass, by scenario, and why
+INERT = {
+    "line-sim": {"run.blowup_factor": "only a run that grows past it reads "
+                                      "it, and that run exits 3"},
+    # default_comb_qubits calibrates ej_max = E_J* / (2 cos(bias/2)) and
+    # ej_time_averaged multiplies by 2 cos(bias/2) at the same bias
+    "addressing": {"bias_phi_dc": "the calibration cancels the bias"},
+}
 
 
-def _walk_settings(tree, path=""):
-    """(--set assignment, key) for every numeric leaf of a config tree at
-    each of its WALK_VALUES."""
+def _leaves(tree, path=""):
+    """(dotted key, value) for every leaf of a config tree."""
     for key, value in tree.items():
         here = f"{path}.{key}" if path else key
         if isinstance(value, dict):
-            yield from _walk_settings(value, here)
+            yield from _leaves(value, here)
         else:
-            for probe in WALK_VALUES.get(type(value), ()):
-                yield f"{here}={json.dumps(probe)}", here
+            yield here, value
+
+
+def _nudges(key, value):
+    """The values the sensitivity walk tries for one leaf, in order, until
+    one is valid: a flag flipped, an integer + 1 (+ 2 where only odd
+    values are valid), a float x 1.01 (+ 1 at 0) and a string or list
+    set to its ALTERNATIVES entry."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value + 1, value + 2]
+    if isinstance(value, float):
+        return [value * 1.01 if value else 1.0]
+    return [ALTERNATIVES[key.rsplit(".", 1)[-1]]]
 
 
 def read_rows(path):
@@ -140,29 +187,43 @@ class TestConfigResolution:
                 cli.apply_override(config, assignment)
         assert config == {"a": {"b": 1.0}}
 
-    def test_seed_flag_wins(self):
-        config = cli.resolve_config("spectroscopy", None, None, 7)
-        assert config["seed"] == 7
+    def test_seed_flag_wins(self, tmp_path, monkeypatch):
+        """--seed N is a last --set seed=N: it wins over --config and
+        --set."""
+        seeds = []
+        monkeypatch.setitem(cli.SCENARIOS, "spectroscopy",
+                            lambda config, out: seeds.append(config["seed"])
+                            or [])
+        user = tmp_path / "user.json"
+        user.write_text('{"seed": 3}')
+        assert cli.main(["spectroscopy", "--config", str(user), "--set",
+                         "seed=5", "--seed", "7", "--out", str(tmp_path)]) == 0
+        assert seeds == [7]
+        assert cli.resolve_config("spectroscopy", None,
+                                  ["seed=7"])["seed"] == 7
 
-    def test_main_keeps_no_state_between_calls(self, tmp_path):
+    def test_main_keeps_no_state_between_calls(self, tmp_path, monkeypatch):
         """The parser and the parsed defaults are built once per process:
         a call's --config, --set and --seed do not reach the next call."""
-        # the config file leaves 'array' unmerged, so --set writes into the
-        # array section that the defaults hand out
+        # spectroscopy carries the seed; its work is not the point here
+        monkeypatch.setitem(cli.SCENARIOS, "spectroscopy",
+                            lambda config, out: [])
+        # the config file leaves 'tau' unmerged, so --set writes into the
+        # tau section that the defaults hand out
         user = tmp_path / "user.json"
-        user.write_text('{"bus": "reciprocal"}')
-        assert cli.main(["error-budget", "--config", str(user),
-                         "--set", "array.n_qubits=5", "--seed", "9",
+        user.write_text('{"n_realizations": 100}')
+        assert cli.main(["spectroscopy", "--config", str(user),
+                         "--set", "tau.n=5", "--seed", "9",
                          "--out", str(tmp_path / "a")]) == 0
-        assert cli.main(["error-budget", "--out", str(tmp_path / "b")]) == 0
+        assert cli.main(["spectroscopy", "--out", str(tmp_path / "b")]) == 0
         first, second = (json.loads((tmp_path / d / "manifest.json")
                                     .read_text()) for d in "ab")
-        assert (first["seed"], first["config"]["bus"],
-                first["config"]["array"]["n_qubits"]) == (9, "reciprocal", 5)
+        assert (first["config"]["seed"], first["config"]["n_realizations"],
+                first["config"]["tau"]["n"]) == (9, 100, 5)
         packaged = json.loads((Path(cli.__file__).parent / "data"
                                / "defaults.json").read_text())
-        assert second["config"] == packaged["error-budget"]
-        assert second["seed"] == 0
+        assert second["config"] == packaged["spectroscopy"]
+        assert "seed" not in second
         assert cli.build_parser() is cli.build_parser()
 
 
@@ -538,12 +599,25 @@ class TestDeterminism:
 
 
 class TestExitCodes:
-    def test_unknown_config_key_is_2(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"array": {"n_wires": 3}}')
-        code = cli.main(["error-budget", "--config", str(bad),
-                         "--out", str(tmp_path)])
+    @pytest.mark.parametrize("scenario,args,key", [
+        pytest.param("error-budget", ["--config", "bad.json"],
+                     "'array.n_wires'", id="error-budget-config-file"),
+        # removed knobs: the array size of a sweep, and the seed of the
+        # scenarios that draw nothing at random
+        pytest.param("scalability", ["--set", "array.n_qubits=3"],
+                     "'array.n_qubits'", id="scalability-array-n_qubits"),
+        *(pytest.param(s, ["--seed", "1"], "'seed'", id=f"{s}-seed")
+          for s in cli.SCENARIOS if s != "spectroscopy")])
+    def test_unknown_config_key_is_2(self, tmp_path, capsys, scenario, args,
+                                     key):
+        (tmp_path / "bad.json").write_text('{"array": {"n_wires": 3}}')
+        code = cli.main([scenario, "--out", str(tmp_path / "out"),
+                         *(str(tmp_path / a) if a.endswith(".json") else a
+                           for a in args)])
+        err = capsys.readouterr().err
         assert code == 2
+        assert f"unknown config key {key}" in err
+        assert "Traceback" not in err
 
     def test_malformed_json_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -603,7 +677,8 @@ class TestExitCodes:
         ("nonmarkov", "t_end_s=0", "t_end_s"),
         ("line-sim", "run.t_end_s=0", "run.t_end_s"),
         pytest.param("line-sim", "run.wavepacket=true",
-                     "run.snapshot_times_s", id="line-sim-wavepacket-one"),
+                     "'run.wavepacket' needs >= 2 'run.snapshot_times_s'",
+                     id="line-sim-wavepacket-one"),
         pytest.param(
             "line-sim", ["run.wavepacket=true", "run.t_end_s=3e-8",
                          "geometry.n_cells=1024"],
@@ -721,6 +796,18 @@ class TestExitCodes:
         pytest.param("line-sim", ["source.kind=gaussian-pulse",
                                   "source.t_width_s=1e-300"],
                      "'source.t_width_s'", id="line-sim-pulse-width-tiny"),
+        # keys that one mode reads, checked on the continuous-wave,
+        # spatial-spectrum defaults
+        ("line-sim", "run.probe_m=-1", "'run.probe_m'"),
+        pytest.param("line-sim", ["run.probe_m=-1", "run.window_end_s=-1"],
+                     "'run.window_end_s'", id="line-sim-cw-probe-and-window"),
+        ("line-sim", "run.window_start_s=6e-9", "'run.window_start_s'"),
+        pytest.param("line-sim", ["source.t_center_s=-5",
+                                  "source.t_width_s=-1"],
+                     "'source.t_width_s'", id="line-sim-cw-pulse-keys"),
+        # a bias with cos(bias / 2) < 0, which no E_J calibrates
+        ("addressing", "bias_phi_dc=3.3", "'bias_phi_dc'"),
+        ("addressing", "bias_phi_dc=7", "'bias_phi_dc'"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
                                assignment, key):
@@ -936,7 +1023,11 @@ class TestExitCodes:
                             (cli.nonmarkov, "averaged_periodogram")):
             monkeypatch.setattr(owner, name, work)
         wrong = []
-        for setting, key in _walk_settings(cli._packaged_defaults()[scenario]):
+        defaults = cli._packaged_defaults()[scenario]
+        settings = ((f"{key}={json.dumps(probe)}", key)
+                    for key, value in _leaves(defaults)
+                    for probe in WALK_VALUES.get(type(value), ()))
+        for setting, key in settings:
             try:
                 code = cli.main([scenario, "--out", str(tmp_path),
                                  *(a for x in [*extra, setting]
@@ -949,6 +1040,36 @@ class TestExitCodes:
                                                   "scalability")):
                 wrong.append((setting, code, err))
         assert wrong == []
+
+    @pytest.mark.parametrize("scenario", SENSITIVITY_PASSES)
+    def test_sensitivity_walk_every_leaf_changes_a_csv(self, tmp_path,
+                                                       scenario):
+        """For every leaf, the first valid value of _nudges changes at
+        least one CSV byte in at least one of the scenario's passes. The
+        INERT leaves, and only they, change nothing."""
+        def csvs(settings):
+            out = tmp_path / str(len(list(tmp_path.iterdir())))
+            code = cli.main([scenario, "--out", str(out),
+                             *(a for x in settings for a in ("--set", x))])
+            return code, {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+        moved = set()
+        for settings in SENSITIVITY_PASSES[scenario]:
+            code, base = csvs(settings)
+            assert code == 0 and base, settings
+            for key, value in _leaves(cli.resolve_config(scenario, None,
+                                                         settings)):
+                if key in moved:
+                    continue
+                for nudge in _nudges(key, value):
+                    code, got = csvs([*settings, f"{key}={json.dumps(nudge)}"])
+                    if code == 0:
+                        if got != base:
+                            moved.add(key)
+                        break
+        defaults = cli._packaged_defaults()[scenario]
+        assert {key for key, _ in _leaves(defaults)} - moved \
+            == set(INERT.get(scenario, {}))
 
     def test_bad_config_file_value_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -490,7 +490,7 @@ class TestSpectroscopyMemory:
             tracemalloc.stop()
 
     def test_dephasing_and_periodogram_peaks(self):
-        cfg = cli.resolve_config("spectroscopy", None, [], None)
+        cfg = cli.resolve_config("spectroscopy", None, [])
         models = [cli._noise_model(kind, section, cfg[section])
                   for kind, section in (("one-over-f", "one_over_f"),
                                         ("filtered", "filtered"))]
