@@ -5,28 +5,41 @@ a float cell exactly as '%.12e' % x renders it, an integer cell as %d and
 a str cell as is, in UTF-8 with LF line endings, so identical
 configurations give byte-identical files.
 
-A float block is rendered with no Python formatting per cell; an integer
-cell is its str(), which is short and reads as %d. Each column's block
-becomes a (rows, words) uint32 matrix of NUL-padded UTF-8; the
-matrices, a ',' word between columns and a newline word at each row end
-are stacked side by side, and the block goes out in one write as the
-matrix's bytes with the NULs dropped. A column given as a (values, index)
-pair, such as a grid coordinate repeated over the rows, is rendered once
-for its distinct values, and each block gathers its rows' word rows.
+Each write_csv call allocates one workspace, sized to its first block,
+and renders every block into it: a (rows, words) uint32 matrix of
+NUL-padded UTF-8 held in a bytearray, whose ',' word after each column
+and newline word at each row end are set once; the scratch arrays of the
+float path; and a word buffer and a row index for the pair columns. Each
+column's words are copied into its slice of the matrix, and the block goes
+out in one write as the bytearray with its NULs dropped by
+bytes.translate. Past the first block, what a block of float and pair
+columns allocates is that result, and index lists of the few cells that
+need more work (scaled, near a power of ten, or through %). NumPy offers
+no cheaper way to drop the NULs into a reused buffer: compress first
+builds an 8-byte index per kept byte, and boolean indexing is slower than
+translate. The plain float columns of a block are rendered together, as
+many in one pass as CSV_BLOCK values fill, with no Python formatting per
+cell; an integer cell is its str(), which is short and reads as %d. A
+column given as a (values, index) pair, such as a grid coordinate
+repeated over the rows, is rendered once for its distinct values, and
+each block gathers its rows' word rows.
 
 A float x != 0 has the 13 significant digits M = round(v), where
 v = |x| 10^(12-E) and E = floor(log10|x|). E is exact: log10 is checked
 against 10^E held as hi + lo wherever it lies within 1e-10 of an integer.
 v is taken in double-double, a Dekker two-product against 10^(12-E) as
 hi + lo, each correctly rounded, so its distance from the nearest integer
-is known to about 1e-16. A v that rounds up to 10^13 carries, as % does,
+is known to about 1e-16. A finite |x| outside [1e-280, 1e280],
+subnormals included, is first scaled by the exact power of two 2^1000 or
+2^-1000, which keeps 10^(12-E) and Dekker's split of |x| in range; its
+10^E and 10^(12-E) come from tables scaled by the same and the inverse
+power of two. A v that rounds up to 10^13 carries, as % does,
 into M = 10^12 at E + 1. The words come from tables: the sign, first
 digit, point and second digit; two groups of four digits; the last three
 digits and 'e'; the exponent. 0.0 and -0.0 take the same path. Python's
-'%.12e' renders only the cells this cannot: v within _TIE_MARGIN of a half
-(possibly an exact tie, which % rounds half to even), a non-finite value,
-and |x| outside [_FAST_MIN, _FAST_MAX], where 10^(12-E) or the split of x
-would overflow.
+'%.12e' renders only the cells this cannot: a non-finite value, and v
+within _TIE_MARGIN of a half (possibly an exact tie, which % rounds half
+to even).
 """
 
 import functools
@@ -42,11 +55,18 @@ from . import __version__
 
 CSV_BLOCK = 8192
 
-# |x| range of the vectorized float path
-_FAST_MIN, _FAST_MAX = 1e-280, 1e280
-# exponents k of the 10^k table, which holds 10^E, 10^(E+1) and 10^(12-E)
-# for every E of that range, with room
-_K_MIN, _K_MAX = -290, 297
+# |x| range taken unscaled, 10^-_FAST_EXP to 10^_FAST_EXP; a finite |x|
+# below it is scaled by 2^_SCALE, one above it by 2^-_SCALE
+_FAST_EXP = 280
+_SCALE = 1000
+# exponents k of the power-of-ten tables, which hold 10^E, 10^(E+1) and
+# 10^(12-E) for every E their cells reach, with room: 10^k for the
+# unscaled cells, 2^_SCALE 10^k and 2^-_SCALE 10^k for the scaled ones
+_K = (-290, 297)
+_K_UP = (-326, -268)
+_K_DOWN = (278, 336)
+# decimal exponents of the rendered cells
+_E_MIN, _E_MAX = -324, 308
 # a v this close to a half may be an exact tie
 _TIE_MARGIN = 1e-7
 _SPLIT = 134217729.0   # 2^27 + 1: Dekker's split of a double into halves
@@ -64,29 +84,40 @@ def _digits(k: np.ndarray, divisors) -> np.ndarray:
     return k[:, None] // np.array(divisors) % 10 + 48
 
 
+def _hi_lo(num: int, den: int) -> tuple:
+    """num / den as hi + lo, each correctly rounded."""
+    hi = num / den
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q)
+
+
 @functools.cache
 def _tables() -> SimpleNamespace:
-    """The word tables and 10^k, built on first use: a few ms, mostly the
-    correctly rounded 10^k from Python's int division."""
+    """The word tables and the powers of ten, built on first use: a few
+    ms, mostly the correctly rounded 10^k from Python's int division."""
     n = np.arange(10000)
     quad = _digits(n, [1000, 100, 10, 1])
-    e = np.arange(_K_MIN, _K_MAX + 1)
-    pow10 = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-        hi = num / den
-        p, q = hi.as_integer_ratio()
-        pow10.append((hi, (num * q - p * den) / (den * q)))
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    # the unscaled, up-scaled and down-scaled 10^k, one after the other;
+    # offsets[c] maps k to the index of 10^k in table c
+    ten, two = [10 ** j for j in range(_K_DOWN[1] + 1)], 2 ** _SCALE
+    pow10, offsets = [], []
+    for (k_min, k_max), up, down in ((_K, 1, 1), (_K_UP, two, 1),
+                                     (_K_DOWN, 1, two)):
+        offsets.append(len(pow10) - k_min)
+        pow10 += [_hi_lo(ten[max(k, 0)] * up, ten[max(-k, 0)] * down)
+                  for k in range(k_min, k_max + 1)]
     hi, lo = np.array(pow10).T
     hi_a = _SPLIT * hi
     hi_a -= hi_a - hi
     lead = _digits(n[:200], [10, 1])
+    plain, up, down = offsets
     return SimpleNamespace(
         # the float words, one table at offsets _HEAD, _QUAD, _TAIL, _EXP:
         # '-' or nothing, first digit, '.', second digit, indexed by
         # 100 * negative + the first two digits; four digits; the last
         # three digits and 'e'; the sign and two or three digits of
-        # exponent _K_MIN + index
+        # exponent _E_MIN + index
         floats=np.concatenate([
             _words(np.column_stack([
                 np.where(n[:200] >= 100, 45, 0), lead[:, 0],
@@ -100,64 +131,132 @@ def _tables() -> SimpleNamespace:
                 _digits(abs(e), [10, 1])]))[:, 0]]),
         comma=_words([44, 0, 0, 0]), newline=_words([10, 0, 0, 0]),
         # 10^k = hi + lo, each correctly rounded; hi = hi_a + hi_b split
-        hi=hi, lo=lo, hi_a=hi_a, hi_b=hi - hi_a)
+        hi=hi, lo=lo, hi_a=hi_a, hi_b=hi - hi_a,
+        # by class (unscaled, tiny, huge): the factor 2^s that scales |x|
+        # to y, and the offsets of 10^E (scaled by 2^s) and of 10^(12-E)
+        # (scaled by 2^-s) in hi and lo
+        scale=np.array([1.0, 2.0 ** _SCALE, 2.0 ** -_SCALE]),
+        cmp=np.array([plain, up, down]),
+        mul=np.array([plain, down, up]))
 
 
-def _decimal_exponent(y: np.ndarray) -> np.ndarray:
-    """floor(log10 y), exactly, for y in [_FAST_MIN, _FAST_MAX]. log10 is
-    off by far less than 1e-10, so only a y whose log10 lies that close to
-    an integer E is compared with 10^E and 10^(E+1)."""
-    lg = np.log10(y)
-    e = np.floor(lg).astype(np.int64)
-    near = np.flatnonzero(np.abs(lg - np.rint(lg)) < 1e-10)
-    if near.size:
-        t = _tables()
-        y, k = y[near], e[near] - _K_MIN
-        k -= (y < t.hi[k]) | ((y == t.hi[k]) & (t.lo[k] > 0.0))
-        k += (y > t.hi[k + 1]) | ((y == t.hi[k + 1]) & (t.lo[k + 1] <= 0.0))
-        e[near] = k + _K_MIN
-    return e
+def _scratch(n: int) -> SimpleNamespace:
+    """Working memory of _float_words for up to n values."""
+    return SimpleNamespace(x=np.empty(n), f=np.empty((9, n)),
+                           i=np.empty((4, n), np.int64),
+                           b=np.empty((3, n), bool),
+                           words=np.empty(5 * n, np.uint32))
 
 
-def _float_words(x: np.ndarray) -> np.ndarray:
-    """(rows, 5) words of '%.12e' % x."""
+def _float_words(x: np.ndarray, s: SimpleNamespace) -> np.ndarray:
+    """(5, rows) words of '%.12e' % x, written into the scratch s, which
+    has room for len(x) values and holds none of them."""
     t = _tables()
-    ax = np.abs(x)
-    fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)   # NaN is neither
-    zero = ax == 0.0
-    y = np.where(fast, ax, 1.0)
-    e = _decimal_exponent(y)
-    # v = y 10^(12-e) = p + tail: p = fl(y hi), and y hi - p is exact by
-    # the two-product
-    k = (12 - _K_MIN) - e
-    hi_a, hi_b, lo = np.take(t.hi_a, k), np.take(t.hi_b, k), np.take(t.lo, k)
-    y_a = _SPLIT * y
-    y_a -= y_a - y
-    y_b = y - y_a
-    p = y * (hi_a + hi_b)
-    tail = ((y_a * hi_a - p) + y_a * hi_b + y_b * hi_a) + y_b * hi_b \
-        + y * lo
-    m = np.rint(p)
-    frac = (p - m) + tail            # v - m, to about 1e-16
-    m += frac > 0.5
-    m -= frac < -0.5
-    carry = m == 1e13
-    m[carry], e[carry] = 1e12, e[carry] + 1
-    m[zero], e[zero] = 0.0, 0
-    digits = m.astype(np.int64)
-    d3 = digits // 1000
-    d7 = d3 // 10000
-    d11 = d7 // 10000
-    words = np.take(t.floats, np.stack([
-        np.signbit(x) * 100 + d11, d7 - d11 * 10000 + _QUAD,
-        d3 - d7 * 10000 + _QUAD, digits - d3 * 1000 + _TAIL,
-        e + (_EXP - _K_MIN)])).T
-    slow = np.flatnonzero(~(fast | zero)
-                          | (np.abs(np.abs(frac) - 0.5) < _TIE_MARGIN))
-    if slow.size:
+    n = len(x)
+    y, lg, tmp, hi_a, hi_b, lo, y_a, y_b, p = (a[:n] for a in s.f)
+    cls, e, k, q = (a[:n] for a in s.i)
+    zero, bad, mask = (a[:n] for a in s.b)
+    words = s.words[:5 * n].reshape(5, n)
+    np.abs(x, out=y)
+    np.equal(y, 0.0, out=zero)
+    np.isfinite(y, out=bad)
+    bad ^= zero                        # finite and nonzero: the rest is bad
+    np.logical_not(bad, out=bad)
+    # 2.0, whose log10 is far from an integer, stands in for a zero or
+    # non-finite cell, which the words ignore
+    np.copyto(y, 2.0, where=bad)
+    # E = floor(log10 |x|), and 10^(12-E) at index k of the unscaled table
+    np.log10(y, out=lg)
+    np.floor(lg, out=tmp)
+    np.copyto(e, tmp, casting="unsafe")
+    np.subtract(12 + t.mul[0], e, out=k)
+    # a cell outside the unscaled range takes class 1 (tiny) or 2 (huge):
+    # y = |x| 2^s exactly, and its 10^(12-E) from the table scaled by 2^-s
+    cls.fill(0)
+    np.abs(lg, out=tmp)
+    np.greater(tmp, _FAST_EXP, out=mask)
+    if mask.any():
+        scaled = np.flatnonzero(mask)
+        c = np.where(lg[scaled] < 0.0, 1, 2)
+        y[scaled] *= t.scale[c]
+        cls[scaled] = c
+        k[scaled] += t.mul[c] - t.mul[0]
+    # log10 is off by far less than 1e-10, so only a y whose log lies that
+    # close to an integer is compared with 10^E and 10^(E+1), scaled as y is
+    np.rint(lg, out=tmp)
+    tmp -= lg
+    np.abs(tmp, out=tmp)
+    np.less(tmp, 1e-10, out=mask)
+    if mask.any():
+        near = np.flatnonzero(mask)
+        yn, offset = y[near], t.cmp[cls[near]]
+        j = e[near] + offset
+        j -= (yn < t.hi[j]) | ((yn == t.hi[j]) & (t.lo[j] > 0.0))
+        j += (yn > t.hi[j + 1]) | ((yn == t.hi[j + 1]) & (t.lo[j + 1] <= 0.0))
+        step = j - offset - e[near]
+        e[near] += step
+        k[near] -= step
+    # v = y 10^(12-E) 2^-s = p + tail: p = fl(y hi), and y hi - p is exact
+    # by the two-product
+    np.take(t.hi_a, k, out=hi_a, mode="clip")
+    np.take(t.hi_b, k, out=hi_b, mode="clip")
+    np.take(t.lo, k, out=lo, mode="clip")
+    np.multiply(y, _SPLIT, out=y_a)
+    np.subtract(y_a, y, out=y_b)
+    y_a -= y_b
+    np.subtract(y, y_a, out=y_b)
+    np.add(hi_a, hi_b, out=p)
+    p *= y
+    tail, part = tmp, lg
+    np.multiply(y_a, hi_a, out=tail)
+    tail -= p
+    for u, w in ((y_a, hi_b), (y_b, hi_a), (y_b, hi_b), (y, lo)):
+        np.multiply(u, w, out=part)
+        tail += part
+    m, frac = hi_a, p
+    np.rint(p, out=m)
+    frac -= m
+    frac += tail                       # v - m, to about 1e-16
+    np.greater(frac, 0.5, out=mask)
+    m += mask
+    np.less(frac, -0.5, out=mask)
+    m -= mask
+    np.equal(m, 1e13, out=mask)
+    np.copyto(m, 1e12, where=mask)
+    e += mask
+    np.copyto(m, 0.0, where=zero)
+    np.copyto(e, 0, where=zero)
+    # the words, each looked up at index r: the last three digits and 'e',
+    # two groups of four digits, the sign and first two digits, and the
+    # exponent
+    d, r = k, cls
+    np.copyto(d, m, casting="unsafe")
+    for row, div, offset in ((3, 1000, _TAIL), (2, 10000, _QUAD),
+                             (1, 10000, _QUAD)):
+        np.floor_divide(d, div, out=q)   # divmod does not divide as fast
+        np.multiply(q, -div, out=r)
+        r += d
+        r += offset
+        np.take(t.floats, r, out=words[row], mode="clip")
+        d, q = q, d
+    np.signbit(x, out=mask)
+    np.multiply(mask, 100, out=r)
+    r += d
+    np.take(t.floats, r, out=words[0], mode="clip")
+    np.add(e, _EXP - _E_MIN, out=r)
+    np.take(t.floats, r, out=words[4], mode="clip")
+    # the rest through %: non-finite cells and possible ties
+    np.abs(frac, out=frac)
+    frac -= 0.5
+    np.abs(frac, out=frac)
+    np.less(frac, _TIE_MARGIN, out=mask)
+    bad ^= zero
+    mask |= bad
+    if mask.any():
+        slow = np.flatnonzero(mask)
         text = b"".join(("%.12e" % v).encode().ljust(20, b"\0")
                         for v in x[slow].tolist())
-        words[slow] = np.frombuffer(text, np.uint32).reshape(-1, 5)
+        words[:, slow] = np.frombuffer(text, np.uint32).reshape(-1, 5).T
     return words
 
 
@@ -178,21 +277,21 @@ def _render(c: np.ndarray) -> np.ndarray:
     integer is rendered as its str(), each value in Python: every integer
     column written is short, or a pair's distinct values."""
     if c.dtype.kind == "f":
-        return _float_words(c)
+        return _float_words(c, _scratch(len(c))).T.copy()
     if c.dtype.kind != "U":
         c = np.array([str(x) for x in c.tolist()], dtype=str)
     return _str_words(c)
 
 
-def _block_bytes(words: list) -> bytes:
-    """The CSV lines of one block, from each column's (rows, k) words."""
-    t = _tables()
-    rows = len(words[0])
-    parts = []
-    for w in words:
-        parts += [w, np.full((rows, 1), t.comma)]
-    parts[-1] = np.full((rows, 1), t.newline)
-    return np.hstack(parts).tobytes().translate(None, b"\0")
+def _width(c: np.ndarray) -> int:
+    """The most words a cell of a plain column renders to: an integer
+    column's longest str() is its minimum's or its maximum's, and a str
+    cell's UTF-8 takes at most 4 bytes a character."""
+    if c.dtype.kind == "f":
+        return 5
+    if c.dtype.kind == "U":
+        return c.dtype.itemsize // 4
+    return -(-max(len(str(c.min())), len(str(c.max()))) // 4)
 
 
 def _column(c) -> tuple:
@@ -226,18 +325,62 @@ def write_csv(path: Path, header: str, columns) -> Path:
     if len(lengths) > 1:
         raise ValueError("columns differ in length")
     (n_rows,) = lengths
-    # a pair's values are rendered here, once; a plain column block by
-    # block (an empty table renders nothing)
-    words = [_render(v) if i is not None and n_rows else None
-             for v, i in columns]
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode())
-        for lo in range(0, n_rows, CSV_BLOCK):
-            hi = lo + CSV_BLOCK
-            fh.write(_block_bytes([_render(v[lo:hi]) if i is None
-                                   else w[i[lo:hi]]
-                                   for (v, i), w in zip(columns, words)]))
+        if n_rows:
+            _write_blocks(fh, columns, n_rows)
     return Path(path)
+
+
+def _write_blocks(fh, columns: list, n_rows: int) -> None:
+    """Render the rows of `columns` block by block into one workspace and
+    write each block's bytes."""
+    t = _tables()
+    # a pair's values are rendered here, once; a plain column block by
+    # block
+    pairs = [None if i is None else _render(v) for v, i in columns]
+    widths = [_width(v) if w is None else w.shape[1]
+              for (v, _), w in zip(columns, pairs)]
+    ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)
+    rows = min(n_rows, CSV_BLOCK)
+    # the block's text, NULs included, is the bytearray's memory
+    text = bytearray(4 * rows * ends[-1])
+    matrix = np.frombuffer(text, np.uint32).reshape(rows, -1)
+    matrix[:, ends - 1] = t.comma
+    matrix[:, -1] = t.newline
+    cells = [matrix[:, end - 1 - width:end - 1]
+             for width, end in zip(widths, ends)]
+    # the plain float columns go through _float_words together, as many at
+    # a time as CSV_BLOCK values fill
+    floats = [k for k, ((v, _), w) in enumerate(zip(columns, pairs))
+              if w is None and v.dtype.kind == "f"]
+    group = max(1, CSV_BLOCK // rows)
+    scratch = _scratch(rows * min(group, len(floats)))
+    gathered = np.empty(rows * max(widths), np.uint32)
+    index = np.empty(rows, np.intp)
+    for lo in range(0, n_rows, CSV_BLOCK):
+        n = min(CSV_BLOCK, n_rows - lo)
+        for g in range(0, len(floats), group):
+            ks = floats[g:g + group]
+            x = scratch.x[:len(ks) * n].reshape(len(ks), n)
+            for row, k in zip(x, ks):
+                row[:] = columns[k][0][lo:lo + n]
+            words = _float_words(x.reshape(-1), scratch).reshape(
+                5, len(ks), n)
+            for j, k in enumerate(ks):
+                cells[k][:n] = words[:, j].T
+        for (v, i), w, c in zip(columns, pairs, cells):
+            if w is not None:
+                # np.take would copy an index that is not intp
+                np.copyto(index[:n], i[lo:lo + n])
+                c[:n] = np.take(w, index[:n], axis=0, mode="clip",
+                                out=gathered[:n * w.shape[1]].reshape(n, -1))
+            elif v.dtype.kind != "f":
+                got = _render(v[lo:lo + n])
+                c[:n, :got.shape[1]] = got
+                c[:n, got.shape[1]:] = 0
+        fh.write((text if n == rows else text[:4 * n * ends[-1]])
+                 .translate(None, b"\0"))
 
 
 def sha256_of(path: Path) -> str:

@@ -402,7 +402,7 @@ class Simulator:
                         np.multiply(psi_r, tab, out=j_r)
 
                     if record:
-                        np.take(j, slots, out=rec[k0 + s - k_start])
+                        j.take(slots, out=rec[k0 + s - k_start])
 
                     np.subtract(j_lo, j_hi, out=di)
                     v += di

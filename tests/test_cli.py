@@ -120,10 +120,10 @@ def format_table(header: str, columns) -> bytes:
 
 def assert_renders_as_format_cell(tmp_path, columns) -> bytes:
     """Write `columns` with io.write_csv and check its bytes against
-    format_table; returns the expected bytes."""
+    format_table of their expansion; returns the expected bytes."""
     header = ",".join(f"c{k}" for k in range(len(columns)))
     path = io.write_csv(tmp_path / "t.csv", header, columns)
-    want = format_table(header, columns)
+    want = format_table(header, [expand(c) for c in columns])
     assert path.read_bytes() == want
     return want
 
@@ -290,6 +290,23 @@ class TestScenarioOutputs:
             np.arange(1, 2000) * 5e-324, ties, -ties])
         assert_renders_as_format_cell(tmp_path, [edges, edges[::-1]])
 
+    def test_csv_scaled_floats_at_powers_of_ten(self, tmp_path):
+        """Below 1e-280 and above 1e280 a cell is scaled by a power of two
+        and compared with scaled powers of ten: every power of ten there,
+        one ulp either side, the carries, and the scaling thresholds."""
+        k = np.r_[-323:-265, 265:309]
+        powers = np.array([float(f"1e{e}") for e in k])
+        carries = np.array([float(f"9.9999999999995e{e}") for e in k[:-1]])
+        edges = np.concatenate([
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            carries, np.nextafter(carries, 0.0),
+            np.nextafter(carries, np.inf),
+            [1e-280, 1e280, 2.0 ** -1022, 2.0 ** -1074],
+            np.nextafter([1e-280, 1e-280, 1e280, 1e280, 2.0 ** -1022],
+                         [0.0, 1.0, 0.0, np.inf, 0.0])])
+        edges = edges[np.isfinite(edges)]
+        assert_renders_as_format_cell(tmp_path, [np.r_[edges, -edges]])
+
     def test_csv_random_bit_patterns(self, tmp_path):
         """200k doubles drawn as random 64-bit patterns: every exponent,
         NaN payloads and infinities included."""
@@ -297,6 +314,26 @@ class TestScenarioOutputs:
         bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64,
                             endpoint=False).view(np.float64)
         assert_renders_as_format_cell(tmp_path, [bits])
+
+    def test_csv_workspace_leaks_nothing_between_blocks_or_calls(
+            self, tmp_path):
+        """Each write renders its blocks into one reused workspace: a
+        first block of the widest cells is followed by a one-row last block
+        of the narrowest, and then by a narrower table, and none of them
+        shows a byte of what came before."""
+        n = io.CSV_BLOCK + 1
+        k = np.arange(n)
+        wide = -(1.0 + k / n) * 1e-300
+        wide[-1] = 0.0
+        text = [f"Ωµ日本{j}" * 6 for j in range(n - 1)] + [""]
+        ints = -(10**18) - k
+        ints[-1] = 0
+        grid = np.array([-9.87654321e-123, 0.0])
+        pair = (grid, (k == n - 1).astype(np.uint8))
+        columns = [wide, text, ints, pair, wide[::-1].copy()]
+        assert_renders_as_format_cell(tmp_path, columns)
+        assert_renders_as_format_cell(
+            tmp_path, [np.array([0.5, 0.0]), ["a", ""], np.array([1, 0])])
 
     def test_csv_integer_str_and_empty_columns(self, tmp_path):
         info = np.iinfo(np.int64)
