@@ -469,12 +469,13 @@ def _spectroscopy_work(config: dict, models):
     k_keys = ("one_over_f.n_components", "filtered.n_components")
     noise_keys = ("spectrum.n_avg", "spectrum.duration_s", "spectrum.dt_s")
     # dephasing holds one chunk of realizations at a time; its phase
-    # integrals, 2 n_tau x 2 x CHUNK floats, stay below the tone tables
+    # integrals, 2 n_tau x 2 x CHUNK floats, stay below the tone tables,
+    # which are one array of 4 n_tau x n_components floats per tone grid
     _check_work([
         ("phase draw", "floats", nonmarkov.MAX_ARRAY,
          len(models) * nonmarkov.CHUNK * max(k_1f, k_filt), k_keys),
         ("tone tables", "floats", nonmarkov.MAX_ARRAY,
-         2 * n_tau * (k_1f + k_filt), ("tau.n", *k_keys)),
+         4 * n_tau * max(k_1f, k_filt), ("tau.n", *k_keys)),
         ("noise traces", "floats", nonmarkov.MAX_ARRAY,
          n_avg * n_t, noise_keys),
         ("noise coefficients", "floats", nonmarkov.MAX_ARRAY,

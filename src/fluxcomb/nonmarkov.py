@@ -7,12 +7,12 @@ Every population trace is the excited population: evolve_* traces start
 at 1 and relax toward 0.
 
 Every tone sum is a matrix product in bounded blocks. dephasing streams
-its realizations in chunks of CHUNK, folds each model's amplitudes into
-a chunk's phases and adds the chunk's sums of exp(i Phi) into
-accumulators; its sin/cos(w tau) tables at tau and tau/2 come from one
-sin/cos pair at tau/2 by the double-angle formulas. synthesize_noise
-builds its cos/sin(w s) table over a block's offsets s by angle addition
-from exact exp(i w s) at NOISE_SUB offsets and at each sub-block start.
+its realizations in chunks of CHUNK through buffers allocated once per
+call, folds each model's amplitudes into a chunk's phases and adds the
+chunk's sums of exp(i Phi) into accumulators. Every sine and cosine of a
+tone phase (the tone tables, the phase draws, exp(i Phi) and the noise
+synthesis's exp(i w t)) is taken in place by _sincos from one tan at half
+the angle, which NumPy vectorizes where its float64 sin and cos may not.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import ConfigError, ConvergenceError
 
 TWO_PI = 2.0 * math.pi
 NOISE_BLOCK = 256       # time samples per block of the noise synthesis
-NOISE_SUB = 16          # offsets per angle-addition sub-block of its table
 CHUNK = 64              # realizations per chunk of the dephasing ensemble
 # work caps, checked from a run's config before anything is allocated:
 # floats in any one working array (128 MiB: a spectroscopy table or
@@ -210,17 +209,32 @@ def _tones(model: NoiseModel):
     return f_k, np.sqrt(2.0 * var_k)
 
 
-def _phases(n_components: int, seeds) -> np.ndarray:
-    """Uniform tone phases, one row per seed, each row drawn from its own
-    default_rng(seed) stream into one preallocated array."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    phi = np.empty((len(seeds), n_components))
-    for row, s in zip(phi, seeds):
-        row[:] = np.random.default_rng(s).uniform(0.0, TWO_PI,
-                                                  size=n_components)
-    return phi
+def _sincos(x, sin_out, cos_out):
+    """sin x into sin_out and cos x into cos_out, from t = tan(x/2) by
+    sin x = t r and cos x = r - 1 with r = 2/(1 + t^2). NumPy vectorizes
+    float64 tan where its sin and cos may take the scalar libm path, and
+    the halving is exact. x may be either output; nothing is allocated."""
+    t = np.multiply(x, 0.5, out=sin_out)
+    np.tan(t, out=t)
+    r = np.multiply(t, t, out=cos_out)
+    r += 1.0
+    np.divide(2.0, r, out=r)
+    t *= r
+    r -= 1.0
+
+
+def _view(buf, *shape):
+    """The leading elements of the flat buffer buf, as an array of shape."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _phases(seeds, out) -> np.ndarray:
+    """Uniform tone phases in [0, 2 pi) into out, one row per seed, each
+    row drawn from its own default_rng(seed) stream."""
+    for row, s in zip(out, seeds):
+        np.random.default_rng(s).random(out=row)
+    out *= TWO_PI
+    return out
 
 
 def synthesize_noise(model: NoiseModel, duration: float, dt: float,
@@ -230,25 +244,30 @@ def synthesize_noise(model: NoiseModel, duration: float, dt: float,
     under seeds[k] alone."""
     if duration <= 0.0 or dt <= 0.0 or dt >= duration:
         raise ConfigError("need 0 < dt < duration")
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigError("need at least one seed")
     f_k, amp_k = _tones(model)
-    coeff = amp_k * np.exp(1j * _phases(model.n_components, seeds))
     w = TWO_PI * f_k
     t = np.arange(0.0, duration, dt)
     # amp cos(w (t0 + s) + phi) = Re[amp exp(i (phi + w t0)) exp(i w s)]:
     # one table over a block's offsets s, and each block's start t0 turned
     # into the coefficients; exp(i w t0) is taken afresh per block, so no
-    # rounding accumulates along the trace. The table's exp(i w s) is
-    # exp(i w t[a0]) exp(i w t[b]) for sub-block starts a0 and offsets b.
+    # rounding accumulates along the trace.
     n_s, k = min(NOISE_BLOCK, t.size), w.size
-    e_b = np.exp(1j * np.multiply.outer(w, t[:NOISE_SUB]))
     table = np.empty((2 * k, n_s))
-    for a0 in range(0, n_s, NOISE_SUB):
-        e = np.exp(1j * (w * t[a0]))[:, None] * e_b[:, :n_s - a0]
-        table[:k, a0:a0 + NOISE_SUB] = e.real
-        np.negative(e.imag, out=table[k:, a0:a0 + NOISE_SUB])
-    x = np.empty((coeff.shape[0], t.size))
+    cos_s, sin_s = table[:k], table[k:]
+    _sincos(np.multiply.outer(w, t[:n_s], out=cos_s), sin_s, cos_s)
+    np.negative(sin_s, out=sin_s)
+    coeff = np.empty((len(seeds), k), dtype=complex)
+    _sincos(_phases(seeds, np.empty(coeff.shape)), coeff.imag, coeff.real)
+    coeff *= amp_k
+    turn = np.empty(k, dtype=complex)
+    x = np.empty((len(seeds), t.size))
     for start in range(0, t.size, NOISE_BLOCK):
-        rotated = coeff * np.exp(1j * (w * t[start]))
+        _sincos(np.multiply(w, t[start], out=turn.real), turn.imag,
+                turn.real)
+        rotated = coeff * turn
         block = x[:, start:start + NOISE_BLOCK]
         block[:] = np.concatenate([rotated.real, rotated.imag], axis=1) \
             @ table[:, :block.shape[1]]
@@ -268,30 +287,30 @@ def averaged_periodogram(model: NoiseModel, duration: float, dt: float,
 
 def _tone_tables(w, tau):
     """sin(w t) and cos(w t) - 1 for t in tau, then in tau/2: two
-    (2 tau.size, w.size) tables from one sin/cos pair at h = w tau/2, by
-    sin 2h = 2 sin h cos h and cos 2h - 1 = -2 sin^2 h (w (tau/2) is
-    (w tau)/2 exactly)."""
-    sin_t, cos_t = np.empty((2, 2, tau.size, w.size))
-    half = np.multiply.outer(0.5 * tau, w, out=cos_t[1])
-    s, c = np.sin(half, out=sin_t[1]), np.cos(half, out=half)
-    sin_t[0], cos_t[0] = 2.0 * s * c, -2.0 * s * s
-    c -= 1.0
-    return sin_t.reshape(-1, w.size), cos_t.reshape(-1, w.size)
+    (2 tau.size, w.size) tables."""
+    sin_t, cos_t = np.empty((2, 2 * tau.size, w.size))
+    np.multiply.outer(np.concatenate([tau, 0.5 * tau]), w, out=cos_t)
+    _sincos(cos_t, sin_t, cos_t)
+    cos_t -= 1.0
+    return sin_t, cos_t
 
 
-def _chunk_phases(tables, amp_over_w, phi):
+def _chunk_phases(tables, amp_over_w, phi, folded, out):
     """Exact integral of the tone sum from 0 to each time of the tables,
-    for every model and realization at once: Phi[t, m, r] [rad]. Row m of
-    amp_over_w holds model m's amp_k/w_k, folded into sin(phi) and
-    cos(phi) with the models' rows stacked, so sin(w t + phi) - sin(phi)
-    is one pair of matrix products. phi (a row per realization) is lost."""
+    for every model and realization at once, into out[0] (returned as
+    Phi[t, m, r] [rad]). Row m of amp_over_w holds model m's amp_k/w_k,
+    folded into sin(phi) and cos(phi) with the models' rows stacked, so
+    sin(w t + phi) - sin(phi) is one pair of matrix products. phi (a row
+    per realization), folded (models x realizations x tones) and out[1]
+    are scratch."""
     sin_t, cos_t = tables
-    folded = np.empty((amp_over_w.shape[0], *phi.shape))
     stacked = folded.reshape(-1, phi.shape[1]).T      # a view of folded
-    np.multiply(amp_over_w[:, None], np.sin(phi), out=folded)
-    phase = cos_t @ stacked
-    np.multiply(amp_over_w[:, None], np.cos(phi, out=phi), out=folded)
-    phase += sin_t @ stacked
+    _sincos(phi, folded[0], phi)
+    np.multiply(amp_over_w[1:, None], folded[0], out=folded[1:])
+    folded[0] *= amp_over_w[0]
+    phase = np.matmul(cos_t, stacked, out=out[0])
+    np.multiply(amp_over_w[:, None], phi, out=folded)
+    phase += np.matmul(sin_t, stacked, out=out[1])
     return phase.reshape(sin_t.shape[0], *folded.shape[:2])
 
 
@@ -313,20 +332,33 @@ def dephasing(models, tau_grid, n_realizations: int, seed: int):
     for m, model in enumerate(models):
         grid = (model.f_min, model.f_max, model.n_components)
         groups.setdefault(grid, []).append(m)
+    # one chunk's buffers, sized for the largest group and shared by all
+    k_max = max(k for _, _, k in groups)
+    m_max = max(map(len, groups.values()))
+    phi_buf = np.empty(CHUNK * k_max)
+    folded_buf = np.empty(m_max * CHUNK * k_max)
+    phase_bufs = [np.empty(2 * tau.size * m_max * CHUNK) for _ in range(2)]
     # sums of exp(i Phi) over the realizations: Ramsey, then echo
     acc = np.zeros((2, tau.size, len(models)), dtype=complex)
-    for (_, _, n_components), members in groups.items():
+    for (_, _, k), members in groups.items():
         w = TWO_PI * _tones(models[members[0]])[0]
         amp_over_w = np.array([_tones(models[m])[1] for m in members]) / w
         tables = _tone_tables(w, tau)
+        n_m = len(members)
         for r0 in range(0, n_realizations, CHUNK):
-            rs = range(r0, min(r0 + CHUNK, n_realizations))
-            phi = _phases(n_components, ((seed, r) for r in rs))
-            phase = _chunk_phases(tables, amp_over_w, phi).reshape(
-                2, tau.size, len(members), len(rs))
-            phase[1] = 2.0 * phase[1] - phase[0]
-            acc[..., members] += (np.cos(phase).sum(axis=3)
-                                  + 1j * np.sin(phase).sum(axis=3))
+            n = min(CHUNK, n_realizations - r0)
+            phi = _phases(((seed, r) for r in range(r0, r0 + n)),
+                          _view(phi_buf, n, k))
+            out = [_view(b, 2 * tau.size, n_m * n) for b in phase_bufs]
+            phase = _chunk_phases(tables, amp_over_w, phi,
+                                  _view(folded_buf, n_m, n, k),
+                                  out).reshape(2, tau.size, n_m, n)
+            phase[1] *= 2.0
+            phase[1] -= phase[0]
+            sin_phase = out[1].reshape(phase.shape)
+            _sincos(phase, sin_phase, phase)
+            acc[..., members] += (phase.sum(axis=3)
+                                  + 1j * sin_phase.sum(axis=3))
     return tuple(np.abs(acc.transpose(0, 2, 1)) / n_realizations)
 
 

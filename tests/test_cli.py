@@ -603,22 +603,15 @@ class TestDeterminism:
         assert (a / "spectrum.csv").read_bytes() \
             == (b / "spectrum.csv").read_bytes()
 
-    def test_outputs_hold_across_blas_kernels(self, tmp_path):
-        """A manifest's hashes hold for one BLAS kernel; another kernel
-        moves only the last printed digits. OPENBLAS_CORETYPE=Prescott
-        against a SkylakeX host moved the spectroscopy contrasts by 1e-14
-        abs, its spectrum by 1e-12 rel and the flux-sweep scores by 3e-11
-        rel; every other scenario came out byte-identical."""
-        blas = getattr(np.__config__, "CONFIG", {}).get(
-            "Build Dependencies", {}).get("blas", {}).get("name", "")
-        if "openblas" not in blas:
-            pytest.skip(f"NumPy's BLAS is {blas or 'unknown'}, not OpenBLAS, "
-                        "so OPENBLAS_CORETYPE selects no kernel")
-        scenarios = ("spectroscopy", "flux-sweep")
+    @staticmethod
+    def assert_outputs_hold(tmp_path, scenarios, **env):
+        """Run each scenario on packaged defaults here and in a subprocess
+        with env added, and hold every CSV of the second run to the first
+        at 1e-10 rel."""
         host, other = tmp_path / "host", tmp_path / "other"
         for name in scenarios:
             assert cli.main([name, "--out", str(host / name)]) == 0
-        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+        env = dict(os.environ, **env,
                    PYTHONPATH=str(Path(fluxcomb.__file__).parents[1]))
         run = ("import sys; from fluxcomb import cli; sys.exit(max("
                "cli.main([name, '--out', sys.argv[1] + '/' + name]) "
@@ -633,6 +626,43 @@ class TestDeterminism:
                          for root in (host, other))
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13,
                                        err_msg=str(path.relative_to(host)))
+
+    def test_outputs_hold_across_blas_kernels(self, tmp_path):
+        """A manifest's hashes hold for one BLAS kernel; another kernel
+        moves only the last printed digits. OPENBLAS_CORETYPE=Prescott
+        against a SkylakeX host moved the spectroscopy contrasts by 1e-14
+        abs, its spectrum by 1e-12 rel and the flux-sweep scores by 3e-11
+        rel; every other scenario came out byte-identical."""
+        blas = getattr(np.__config__, "CONFIG", {}).get(
+            "Build Dependencies", {}).get("blas", {}).get("name", "")
+        if "openblas" not in blas:
+            pytest.skip(f"NumPy's BLAS is {blas or 'unknown'}, not OpenBLAS, "
+                        "so OPENBLAS_CORETYPE selects no kernel")
+        self.assert_outputs_hold(tmp_path, ("spectroscopy", "flux-sweep"),
+                                 OPENBLAS_CORETYPE="Prescott")
+
+    def test_outputs_hold_across_simd_targets(self, tmp_path):
+        """A manifest's hashes also hold for one NumPy SIMD target. Every
+        sine and cosine of spectroscopy's tone phases comes from np.tan,
+        whose AVX-512 loop and the X86_V3 one differ by 1 ulp in about
+        0.5% of arguments. Disabling the targets above X86_V3 on an
+        AVX-512 host moved the spectroscopy contrasts by 1e-14 abs and
+        its spectrum by 9e-13 rel, error-budget by 6.5e-11 rel and the
+        nonmarkov Markovian trace by 1.1e-13 rel (the last two through
+        other vectorized functions); every other scenario came out
+        byte-identical."""
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        dispatch = list(umath.__cpu_dispatch__)
+        above = [target for target in
+                 dispatch[dispatch.index("X86_V3") + 1:]
+                 if umath.__cpu_features__.get(target)] \
+            if "X86_V3" in dispatch else []
+        if not above:
+            pytest.skip("this host runs no NumPy dispatch target above "
+                        "X86_V3")
+        self.assert_outputs_hold(
+            tmp_path, ("spectroscopy", "error-budget", "nonmarkov"),
+            NPY_DISABLE_CPU_FEATURES=" ".join(above))
 
 
 class TestExitCodes:
@@ -901,6 +931,13 @@ class TestExitCodes:
         ("spectrum.duration_s=0.2",
          ["'spectrum.n_avg'", "'spectrum.duration_s'", "'spectrum.dt_s'",
           "'one_over_f.n_components'"], "noise synthesis"),
+        # unequal tone grids: each grid's tables are one array, sized by
+        # the larger grid (16.2M floats summed, 32M in the larger array)
+        pytest.param(["tau.n=1000", "one_over_f.n_components=8000",
+                      "filtered.n_components=100"],
+                     ["'tau.n'", "'one_over_f.n_components'",
+                      "'filtered.n_components'"], "tone tables",
+                     id="unequal-tone-grids"),
     ])
     def test_spectroscopy_work_over_cap_is_2(self, tmp_path, capsys,
                                             monkeypatch, assignment, keys,

@@ -366,7 +366,10 @@ class TestNoiseSynthesis:
         taus = np.array([5e-6, 1e-5, 2e-5])
         exact = nm._chunk_phases(nm._tone_tables(w, taus),
                                  (amp_k / w)[None, :],
-                                 phi_k[None, :].copy())[:taus.size, 0, 0]
+                                 phi_k[None, :].copy(),
+                                 np.empty((1, 1, w.size)),
+                                 np.empty((2, 2 * taus.size, 1))
+                                 )[:taus.size, 0, 0]
         for tau, phase in zip(taus, exact):
             idx = int(round(tau / dt))
             assert abs(acc[idx] - phase) < 1e-3 * max(1.0, abs(phase))
@@ -474,11 +477,50 @@ class TestNoiseSynthesis:
             nm.dephasing([m], np.array([-1e-6, 1e-6]), 200, 0)
 
 
+class TestHalfAngleSinCos:
+    """_sincos takes every tone-phase sine and cosine from tan(x/2):
+    within 2^-51 of NumPy's sin and cos, in place."""
+
+    @staticmethod
+    def sincos(x):
+        s, c = np.empty_like(x), np.empty_like(x)
+        nm._sincos(x, s, c)
+        return s, c
+
+    @pytest.mark.parametrize("x", [
+        pytest.param(np.random.default_rng(0).uniform(0.0, TWO_PI, 10 ** 6),
+                     id="uniform-phases"),
+        # the ranges of Phi and of w tau
+        pytest.param(np.random.default_rng(1).uniform(-1e3, 1e3, 10 ** 6),
+                     id="wide-arguments"),
+        pytest.param(np.array([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi]),
+                     id="quadrants"),
+        # tan(x/2) is largest just below pi
+        pytest.param(np.array([np.nextafter(np.pi, 0.0),
+                               -np.nextafter(np.pi, 0.0)]), id="below-pi"),
+    ])
+    def test_matches_numpy_sin_cos(self, x):
+        s, c = self.sincos(x)
+        np.testing.assert_allclose(s, np.sin(x), rtol=0.0, atol=2.0 ** -51)
+        np.testing.assert_allclose(c, np.cos(x), rtol=0.0, atol=2.0 ** -51)
+        assert np.abs(s * s + c * c - 1.0).max() <= 1e-15
+
+    def test_in_place_into_either_output(self):
+        x = np.random.default_rng(2).uniform(-50.0, 50.0, 1000)
+        want = self.sincos(x)
+        y, other = x.copy(), np.empty_like(x)
+        nm._sincos(y, y, other)                 # x becomes its sine
+        np.testing.assert_array_equal([y, other], want)
+        y = x.copy()
+        nm._sincos(y, other, y)                 # x becomes its cosine
+        np.testing.assert_array_equal([other, y], want)
+
+
 class TestSpectroscopyMemory:
-    """The ensemble streams in chunks and the tone tables are built in
-    place: traced NumPy peaks at the packaged spectroscopy defaults (one
-    ensemble held whole, and tables of direct transcendentals, peaked at
-    about 18 and 11 MB)."""
+    """The ensemble streams in chunks through buffers allocated once per
+    call, and the tone tables are built in place: traced NumPy peaks at
+    the packaged spectroscopy defaults (one ensemble held whole, and
+    tables of direct transcendentals, peaked at about 18 and 11 MB)."""
 
     @staticmethod
     def traced_peak_mb(fn):
@@ -496,8 +538,19 @@ class TestSpectroscopyMemory:
                                         ("filtered", "filtered"))]
         t, p = cfg["tau"], cfg["spectrum"]
         tau = np.geomspace(t["start_s"], t["stop_s"], t["n"])
-        assert self.traced_peak_mb(lambda: nm.dephasing(
-            models, tau, cfg["n_realizations"], cfg["seed"])) < 10.0
+
+        def dephasing_peak(n_realizations):
+            return self.traced_peak_mb(lambda: nm.dephasing(
+                models, tau, n_realizations, cfg["seed"]))
+
+        dephasing_peak(200)                     # warm-up
+        peak = dephasing_peak(cfg["n_realizations"])
+        # the peak does not grow with the ensemble (Python objects move
+        # it by about 0.1 kB from call to call); the bound, the peak with
+        # per-chunk arrays (5.33 MB) plus 0.25 MB, fails one more array
+        # of the phase draw's size (0.5 MB) per chunk
+        assert dephasing_peak(2000) == pytest.approx(peak, abs=1e-3)
+        assert peak < 5.58
         assert self.traced_peak_mb(lambda: nm.averaged_periodogram(
             models[0], p["duration_s"], p["dt_s"],
             range(cfg["seed"], cfg["seed"] + p["n_avg"]))) < 9.5
