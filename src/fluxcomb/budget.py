@@ -107,7 +107,6 @@ class BusIsolationModel:
     purcell_bw: float                    # Purcell Lorentzian width [rad/s]
     gain_floor: float = 0.5
     gain_peak: float = 2.0
-    gain_center: float = None            # default omega_res
     gain_width: float = None             # [rad/s], default 8/13 of omega_res
 
     def __post_init__(self):
@@ -122,8 +121,6 @@ class BusIsolationModel:
         if min(self.delta_bw, self.omega_res, self.purcell_bw) <= 0:
             raise ConfigError(
                 "delta_bw, omega_res and purcell_bw must be positive")
-        if self.gain_center is None:
-            object.__setattr__(self, "gain_center", self.omega_res)
         if self.gain_width is None:
             object.__setattr__(self, "gain_width",
                                8.0 / 13.0 * self.omega_res)
@@ -172,12 +169,12 @@ def nonreciprocal_bus(omega_m: float = TWO_PI * 3e9) -> BusIsolationModel:
 
 def gain(model: BusIsolationModel, omega) -> float | np.ndarray:
     """Frequency-dependent insertion gain G(omega), Gaussian around the
-    gain center with a flat floor."""
+    bus resonance with a flat floor."""
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0.0):
         raise ConfigError("gain needs omega > 0")
     out = model.gain_floor + (model.gain_peak - model.gain_floor) * np.exp(
-        -((omega - model.gain_center) ** 2)
+        -((omega - model.omega_res) ** 2)
         / (2.0 * model.gain_width ** 2))
     return float(out) if out.ndim == 0 else out
 

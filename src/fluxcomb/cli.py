@@ -398,12 +398,11 @@ def run_scalability(config: dict, out_dir: Path):
     n_range, models = range(n_min, n_max + 1), config["models"]
     worst = [budget.scalability_sweep(array, _bus_model(kind, array.omega_m),
                                       n_range) for kind in models]
-    n_n, n_m = len(n_range), len(models)
     # rows run over (model, n), n fastest
     return [io.write_csv(
         out_dir / "scalability.csv", "n,worst_case_error,model",
-        [(np.array(n_range), _row_index(n_n, 1, n_m)), np.concatenate(worst),
-         (np.array(models), _row_index(n_m, n_n, 1))])]
+        [np.tile(n_range, len(models)), np.concatenate(worst),
+         np.repeat(models, len(n_range))])]
 
 
 def run_nonmarkov(config: dict, out_dir: Path):

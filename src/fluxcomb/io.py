@@ -9,20 +9,23 @@ Each write_csv call allocates one workspace, sized to its first block,
 and renders every block into it: a (rows, words) uint32 matrix of
 NUL-padded UTF-8 held in a bytearray, whose ',' word after each column
 and newline word at each row end are set once; the scratch arrays of the
-float path; and a word buffer and a row index for the pair columns. Each
-column's words are copied into its slice of the matrix, and the block goes
-out in one write as the bytearray with its NULs dropped by
-bytes.translate. Past the first block, what a block of float and pair
-columns allocates is that result, and index lists of the few cells that
-need more work (scaled, near a power of ten, or through %). NumPy offers
-no cheaper way to drop the NULs into a reused buffer: compress first
-builds an 8-byte index per kept byte, and boolean indexing is slower than
-translate. The plain float columns of a block are rendered together, as
-many in one pass as CSV_BLOCK values fill, with no Python formatting per
-cell; an integer cell is its str(), which is short and reads as %d. A
-column given as a (values, index) pair, such as a grid coordinate
-repeated over the rows, is rendered once for its distinct values, and
-each block gathers its rows' word rows.
+float path; and a word buffer and a row index for the gathered columns.
+A column is rendered in one of two ways. The plain float columns of a
+block go through the float path together, as many in one pass as
+CSV_BLOCK values fill, with no Python formatting per cell. Every other
+column is rendered once per distinct value (an integer cell as its
+str(), which reads as %d), and each block gathers its rows' word rows:
+np.unique splits a plain integer or str column into its distinct values
+and a row index, and a caller passes a (values, index) pair for a float
+coordinate repeated over the rows, whose grid order must stay, or for a
+long repeated index column, which np.unique would sort. Each column's
+words are copied into its slice of the matrix, and the block goes out in
+one write as the bytearray with its NULs dropped by bytes.translate.
+Past the first block, what a block allocates is that result, and index
+lists of the few cells that need more work (scaled, near a power of ten,
+or through %). NumPy offers no cheaper way to drop the NULs into a
+reused buffer: compress first builds an 8-byte index per kept byte, and
+boolean indexing is slower than translate.
 
 A float x != 0 has the 13 significant digits M = round(v), where
 v = |x| 10^(12-E) and E = floor(log10|x|). E is exact: log10 is checked
@@ -273,9 +276,8 @@ def _str_words(x: np.ndarray) -> np.ndarray:
 
 
 def _render(c: np.ndarray) -> np.ndarray:
-    """(rows, words) of the cells of a float, integer or str column; an
-    integer is rendered as its str(), each value in Python: every integer
-    column written is short, or a pair's distinct values."""
+    """(rows, words) of a column's cells, an integer as its str(); the
+    writer renders integer and str columns once per distinct value."""
     if c.dtype.kind == "f":
         return _float_words(c, _scratch(len(c))).T.copy()
     if c.dtype.kind != "U":
@@ -283,26 +285,18 @@ def _render(c: np.ndarray) -> np.ndarray:
     return _str_words(c)
 
 
-def _width(c: np.ndarray) -> int:
-    """The most words a cell of a plain column renders to: an integer
-    column's longest str() is its minimum's or its maximum's, and a str
-    cell's UTF-8 takes at most 4 bytes a character."""
-    if c.dtype.kind == "f":
-        return 5
-    if c.dtype.kind == "U":
-        return c.dtype.itemsize // 4
-    return -(-max(len(str(c.min())), len(str(c.max()))) // 4)
-
-
 def _column(c) -> tuple:
-    """A write_csv column as (values, index); index is None for a plain
-    column."""
+    """A write_csv column as (values, index): index is None for a plain
+    float column, and a plain integer or str column becomes its distinct
+    values and a row index."""
     values, index = c if isinstance(c, tuple) else (c, None)
     values = np.asarray(values)
     if values.dtype.kind == "f":
         values = values.astype(np.float64, copy=False)
     if values.ndim != 1 or values.dtype.kind not in "fiuU":
         raise TypeError(f"not a float, integer or str column: {values.dtype}")
+    if index is None and values.dtype.kind != "f":
+        return np.unique(values, return_inverse=True)
     if index is not None:
         index = np.asarray(index)
         if index.ndim != 1 or index.dtype.kind not in "iu":
@@ -318,8 +312,9 @@ def write_csv(path: Path, header: str, columns) -> Path:
     is, and holding no NUL); all have the same length. A column may also be
     a (values, index) tuple: `values` is such a column and `index` a 1-D
     integer array into it, so the column reads values[index] and has
-    len(index) rows; `values` is rendered once, not once per row. Rows go
-    out in blocks of CSV_BLOCK, each line ending in LF."""
+    len(index) rows. Every column but a plain float one is rendered once
+    per distinct value, not once per row. Rows go out in blocks of
+    CSV_BLOCK, each line ending in LF."""
     columns = [_column(c) for c in columns]
     lengths = {len(v if i is None else i) for v, i in columns}
     if len(lengths) > 1:
@@ -336,11 +331,9 @@ def _write_blocks(fh, columns: list, n_rows: int) -> None:
     """Render the rows of `columns` block by block into one workspace and
     write each block's bytes."""
     t = _tables()
-    # a pair's values are rendered here, once; a plain column block by
-    # block
-    pairs = [None if i is None else _render(v) for v, i in columns]
-    widths = [_width(v) if w is None else w.shape[1]
-              for (v, _), w in zip(columns, pairs)]
+    # every column but a plain float one is rendered once, here
+    rendered = [None if i is None else _render(v) for v, i in columns]
+    widths = [5 if w is None else w.shape[1] for w in rendered]
     ends = np.cumsum(widths) + np.arange(1, len(widths) + 1)
     rows = min(n_rows, CSV_BLOCK)
     # the block's text, NULs included, is the bytearray's memory
@@ -352,8 +345,7 @@ def _write_blocks(fh, columns: list, n_rows: int) -> None:
              for width, end in zip(widths, ends)]
     # the plain float columns go through _float_words together, as many at
     # a time as CSV_BLOCK values fill
-    floats = [k for k, ((v, _), w) in enumerate(zip(columns, pairs))
-              if w is None and v.dtype.kind == "f"]
+    floats = [k for k, w in enumerate(rendered) if w is None]
     group = max(1, CSV_BLOCK // rows)
     scratch = _scratch(rows * min(group, len(floats)))
     gathered = np.empty(rows * max(widths), np.uint32)
@@ -369,16 +361,12 @@ def _write_blocks(fh, columns: list, n_rows: int) -> None:
                 5, len(ks), n)
             for j, k in enumerate(ks):
                 cells[k][:n] = words[:, j].T
-        for (v, i), w, c in zip(columns, pairs, cells):
+        for (_, i), w, c in zip(columns, rendered, cells):
             if w is not None:
                 # np.take would copy an index that is not intp
                 np.copyto(index[:n], i[lo:lo + n])
                 c[:n] = np.take(w, index[:n], axis=0, mode="clip",
                                 out=gathered[:n * w.shape[1]].reshape(n, -1))
-            elif v.dtype.kind != "f":
-                got = _render(v[lo:lo + n])
-                c[:n, :got.shape[1]] = got
-                c[:n, got.shape[1]:] = 0
         fh.write((text if n == rows else text[:4 * n * ends[-1]])
                  .translate(None, b"\0"))
 

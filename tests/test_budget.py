@@ -32,7 +32,7 @@ def oracle(array, model, i) -> dict:
 
     def gain(w):
         return model.gain_floor + (model.gain_peak - model.gain_floor) \
-            * math.exp(-(w - model.gain_center) ** 2
+            * math.exp(-(w - model.omega_res) ** 2
                        / (2.0 * model.gain_width ** 2))
 
     half_w = model.purcell_bw / 2.0
@@ -152,11 +152,11 @@ class TestGain:
 
     def test_peak_at_center(self):
         m = budget.nonreciprocal_bus()
-        assert budget.gain(m, m.gain_center) == pytest.approx(2.0)
+        assert budget.gain(m, m.omega_res) == pytest.approx(2.0)
 
     def test_one_sigma_point(self):
         m = budget.nonreciprocal_bus()
-        g = budget.gain(m, m.gain_center + m.gain_width)
+        g = budget.gain(m, m.omega_res + m.gain_width)
         assert g == pytest.approx(0.5 + 1.5 * math.exp(-0.5), rel=1e-12)
 
     def test_rejects_nonpositive_frequency(self):

@@ -377,9 +377,11 @@ class TestScenarioOutputs:
             e["path"] for e in manifest["files"] if e["path"].endswith(".csv"))
         assert written
 
-    def test_csv_pair_columns_write_their_expansion(self, tmp_path):
+    def test_csv_pair_columns_write_their_expansion(self, tmp_path,
+                                                    monkeypatch):
         """A (values, index) column writes the same bytes as values[index]
-        written as a plain column, across block boundaries."""
+        written as a plain column, across block boundaries; a plain
+        integer or str column is rendered once, on its distinct values."""
         n = 2 * io.CSV_BLOCK + 3
         rng = np.random.default_rng(5)
         # -0.0 and 0.0, a value on the % path, an exact tie and an
@@ -393,7 +395,13 @@ class TestScenarioOutputs:
         header = "f,i,s,x"
         got = io.write_csv(tmp_path / "pairs.csv", header, [*pairs, plain])
         expanded = [*(v[i] for v, i in pairs), plain]
+        rendered, render = [], io._render
+        monkeypatch.setattr(
+            io, "_render", lambda c: rendered.append(c) or render(c))
         want = io.write_csv(tmp_path / "plain.csv", header, expanded)
+        monkeypatch.undo()
+        assert [(c.dtype.kind, len(c) <= 5) for c in rendered] \
+            == [("i", True), ("U", True)]
         assert got.read_bytes() == want.read_bytes() \
             == format_table(header, expanded)
         # an index of any integer dtype, and a pair with no rows
