@@ -6,9 +6,10 @@
 Every scenario starts from the packaged defaults (data/defaults.json),
 deep-merges the user config over them (unknown keys are rejected, with
 their dotted path), applies --set overrides, checks every value against
-the type of its default, and writes CSV tables plus a manifest.json with
-sha256 checksums into --out. --seed N is a last `--set seed=N`: only
-spectroscopy has a seed, and elsewhere it exits 2 as an unknown key.
+the type of its default and its bound in BOUNDS, if any, and writes CSV
+tables plus a manifest.json with sha256 checksums into --out. --seed N
+is a last `--set seed=N`: only spectroscopy has a seed, and elsewhere it
+exits 2 as an unknown key.
 
 Exit codes: 0 success, 2 bad configuration, 3 numerical failure, 4
 filesystem trouble.
@@ -21,6 +22,7 @@ import functools
 import importlib.resources
 import json
 import math
+import operator
 import re
 import sys
 from pathlib import Path
@@ -97,18 +99,45 @@ def _typed(value, default, where: str):
     return value
 
 
+# single-leaf bounds by dotted key, checked with the types; a key means
+# the same in every scenario that has it. An entry holds rules on the
+# value (on a list, on its length): "> 0", ">= 1", or ">= 1 and <= 64".
+BOUNDS = {
+    "run.n_harmonics": ">= 1", "run.window_start_s": ">= 0",
+    "source.t_width_s": "> 0",
+    "harmonic_indices": ">= 1", "phi_dc.n": ">= 1", "phi_rf.n": ">= 1",
+    "phi_rf.start": ">= 0", "phi_rf.stop": ">= 0",
+    "n_min": ">= 1", "models": ">= 1", "n_points": ">= 5", "t_end_s": "> 0",
+    "seed": ">= 0", "tau.n": ">= 2", "spectrum.n_avg": ">= 1",
+    "spectrum.dt_s": "> 0", "tau.start_s": "> 0", "tau.stop_s": "> 0",
+}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def _bounded(value, where: str):
+    size = len(value) if type(value) is list else value
+    if not all(_COMPARE[op](size, float(bound)) for op, bound in
+               map(str.split, BOUNDS[where].split(" and "))):
+        raise ConfigError(f"{where!r} must "
+                          + ("have length " if type(value) is list else "be ")
+                          + f"{BOUNDS[where]}, got {value!r}")
+
+
 def check_types(config: dict, defaults: dict, path: str = ""):
     """Check every leaf of `config`, in place, against the type of the same
     leaf in `defaults`: a bool takes true/false, an int a JSON integer, a
     float any finite number (stored as a float; JSON's NaN and Infinity
     are rejected), a string a string, and a list a list whose items match
-    the default's first item (numbers when the default list is empty)."""
+    the default's first item (numbers when the default list is empty).
+    A leaf with a BOUNDS entry is then checked against it."""
     for key, default in defaults.items():
         here = f"{path}.{key}" if path else key
         if isinstance(default, dict):
             check_types(config[key], default, here)
         else:
             config[key] = _typed(config[key], default, here)
+            if here in BOUNDS:
+                _bounded(config[key], here)
 
 
 def resolve_config(scenario: str, config_path, overrides) -> dict:
@@ -209,16 +238,11 @@ def run_line_sim(config: dict, out_dir: Path):
     if spectrum_mode not in ("spatial", "temporal", "none"):
         raise ConfigError(f"unknown spectrum mode {spectrum_mode!r}")
     n_max = rcfg["n_harmonics"]
-    if n_max < 1:
-        raise ConfigError("'run.n_harmonics' must be >= 1")
     if rcfg["wavepacket"] and len(rcfg["snapshot_times_s"]) < 2:
         raise ConfigError("'run.wavepacket' needs >= 2 'run.snapshot_times_s'")
-    # keys that one mode reads are checked in every mode, each on its own
-    if not 0.0 <= rcfg["window_start_s"] < rcfg["window_end_s"]:
-        raise ConfigError(
-            "need 0 <= 'run.window_start_s' < 'run.window_end_s'")
-    if not scfg["t_width_s"] > 0.0:
-        raise ConfigError("'source.t_width_s' must be > 0")
+    # keys that one mode reads are checked in every mode
+    if not rcfg["window_start_s"] < rcfg["window_end_s"]:
+        raise ConfigError("need 'run.window_start_s' < 'run.window_end_s'")
     # cell-steps to t_end, or to the window's end when later, at
     # build_line's dt (a dt of 0 or below is build_line's to reject)
     keys = [*(f"geometry.{k}" for k in gcfg), "run.cfl_safety", "run.t_end_s"]
@@ -238,13 +262,16 @@ def run_line_sim(config: dict, out_dir: Path):
     # harmonics up to the Nyquist limit: pi/dz in space, with v_dc from
     # the geometry and phi_dc, and 1/(2 dt) in time, with dt also from
     # phi_rf and cfl_safety
-    f_src = source.omega / TWO_PI
-    n_top = {"spatial": math.pi / geom.dz / (source.omega / sim.v_dc),
+    keys = ["run.n_harmonics", "source.freq_hz", "geometry.dz_m",
+            "geometry.c_per_length_f_per_m", "geometry.i0_amps",
+            "drive.phi_dc"]
+    f_src, k_src = source.omega / TWO_PI, source.omega / sim.v_dc
+    if k_src == 0.0:
+        raise ConfigError(", ".join(f"'{k}'" for k in keys[1:])
+                          + ": the source's wavenumber underflows to 0")
+    n_top = {"spatial": math.pi / geom.dz / k_src,
              "temporal": 0.5 / sim.dt / f_src}.get(spectrum_mode, math.inf)
     if n_max > n_top:
-        keys = ["run.n_harmonics", "source.freq_hz", "geometry.dz_m",
-                "geometry.c_per_length_f_per_m", "geometry.i0_amps",
-                "drive.phi_dc"]
         if spectrum_mode == "temporal":
             keys += ["drive.phi_rf", "run.cfl_safety"]
         limit = f"the {spectrum_mode} Nyquist limit"
@@ -294,12 +321,7 @@ def run_line_sim(config: dict, out_dir: Path):
 def run_flux_sweep(config: dict, out_dir: Path):
     omega_m = TWO_PI * config["modulation_freq_hz"]
     idx = tuple(config["harmonic_indices"])
-    if not idx:
-        raise ConfigError("'harmonic_indices' must name at least one harmonic")
     n_dc, n_rf = config["phi_dc"]["n"], config["phi_rf"]["n"]
-    for axis, n in (("phi_dc", n_dc), ("phi_rf", n_rf)):
-        if n < 1:
-            raise ConfigError(f"'{axis}.n' must be >= 1")
     _check_work([("addressing map", "points", transmon.MAX_MAP_POINTS,
                   n_dc * n_rf * len(idx),
                   ("phi_dc.n", "phi_rf.n", "harmonic_indices"))])
@@ -311,9 +333,6 @@ def run_flux_sweep(config: dict, out_dir: Path):
                                               ec=config["ec_hz"])
         array = budget.QubitArraySpec(n_qubits=len(idx), omega_m=omega_m,
                                       harmonic_indices=idx)
-    for key in ("start", "stop"):
-        if config["phi_rf"][key] < 0.0:
-            raise ConfigError(f"'phi_rf.{key}' must be >= 0")
     dc, rf = config["phi_dc"], config["phi_rf"]
     dc_grid = np.linspace(dc["start"], dc["stop"], n_dc)
     rf_grid = np.linspace(rf["start"], rf["stop"], n_rf)
@@ -386,13 +405,9 @@ def run_error_budget(config: dict, out_dir: Path):
 
 def run_scalability(config: dict, out_dir: Path):
     n_min, n_max = config["n_min"], config["n_max"]
-    if n_min < 1:
-        raise ConfigError("'n_min' must be >= 1")
     if not n_min <= n_max <= budget.MAX_QUBITS:
         raise ConfigError(
             f"'n_max' must be in 'n_min'..{budget.MAX_QUBITS}")
-    if not config["models"]:
-        raise ConfigError("'models' must name at least one bus model")
     # the sweep resizes this template to each n
     array = _array_from_config(config["array"], n_max)
     n_range, models = range(n_min, n_max + 1), config["models"]
@@ -406,10 +421,6 @@ def run_scalability(config: dict, out_dir: Path):
 
 
 def run_nonmarkov(config: dict, out_dir: Path):
-    if config["n_points"] < 5:
-        raise ConfigError("'n_points' must be >= 5")
-    if not config["t_end_s"] > 0.0:
-        raise ConfigError("'t_end_s' must be > 0")
     # the kernel trace's complex amplitude holds two floats a point
     _check_work([("kernel trace", "floats", nonmarkov.MAX_ARRAY,
                   2 * config["n_points"], ("n_points",))])
@@ -422,6 +433,9 @@ def run_nonmarkov(config: dict, out_dir: Path):
             amplitude_a=kcfg["amplitude_over_gamma_sq"] * gm * gm,
             gamma_memory=gm, markovian_gamma=kcfg["markovian_ratio"] * gm)
     t = np.linspace(0.0, config["t_end_s"], config["n_points"])
+    if np.any(np.diff(t) <= 0.0):
+        raise ConfigError("'t_end_s', 'n_points': the grid step "
+                          "t_end_s / (n_points - 1) underflows")
     p = nonmarkov.evolve_kernel(kernel, t)
     # the rate first: a bad smoothing window exits before any file is
     # written
@@ -492,17 +506,8 @@ def run_spectroscopy(config: dict, out_dir: Path):
     seed = config["seed"]
     n_real = config["n_realizations"]
     tcfg, pcfg = config["tau"], config["spectrum"]
-    if seed < 0:
-        raise ConfigError("'seed' must be >= 0")
-    if tcfg["n"] < 2:
-        raise ConfigError("'tau.n' must be >= 2")
-    if pcfg["n_avg"] < 1:
-        raise ConfigError("'spectrum.n_avg' must be >= 1")
-    for key in ("start_s", "stop_s"):
-        if not tcfg[key] > 0.0:
-            raise ConfigError(f"'tau.{key}' must be > 0")
-    if not 0.0 < pcfg["dt_s"] < pcfg["duration_s"]:
-        raise ConfigError("need 0 < 'spectrum.dt_s' < 'spectrum.duration_s'")
+    if not pcfg["dt_s"] < pcfg["duration_s"]:
+        raise ConfigError("need 'spectrum.dt_s' < 'spectrum.duration_s'")
     models = [_noise_model("one-over-f", "one_over_f", config["one_over_f"]),
               _noise_model("filtered", "filtered", config["filtered"])]
     _spectroscopy_work(config, models)

@@ -1,20 +1,16 @@
-"""Exception taxonomy shared by all fluxcomb modules.
-
-The CLI maps these onto exit codes: ConfigError -> 2, NumericalError -> 3,
-plain OSError -> 4.
+"""Exceptions that fluxcomb raises on purpose. The CLI maps them onto
+exit codes: ConfigError -> 2, NumericalError -> 3, plain OSError -> 4. A
+library ConfigError's message starts with the name of the field it
+concerns, which the CLI maps to the field's dotted config key.
 """
 
 
-class SimulationError(Exception):
-    """Base class for everything fluxcomb raises on purpose."""
-
-
-class ConfigError(SimulationError):
+class ConfigError(Exception):
     """Invalid input: bad parameter values, unknown config keys, guard
     violations (e.g. the inductance secant margin)."""
 
 
-class NumericalError(SimulationError):
+class NumericalError(Exception):
     """Runtime numerical failure: field blowup, trace drift, step-size
     violations."""
 

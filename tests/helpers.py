@@ -1,7 +1,7 @@
 """Shared test fixtures: the rf-driven line drive and the memory-kernel
-regime that the line and non-Markovian tests are written against, plus
-two measures only the tests take: the total spatial harmonic band power
-and the transmon's dispersive shift."""
+regime that the line and non-Markovian tests are written against, two
+measures only the tests take (the total spatial harmonic band power and
+the transmon's dispersive shift), and the leaves of a config tree."""
 
 import math
 import warnings
@@ -13,6 +13,16 @@ from fluxcomb import line, nonmarkov, transmon
 from fluxcomb.errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
+
+
+def config_leaves(tree, path=""):
+    """(dotted key, value) for every leaf of a config tree."""
+    for key, value in tree.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from config_leaves(value, here)
+        else:
+            yield here, value
 
 
 def default_drive(phi_dc: float, phi_rf: float,

@@ -17,6 +17,8 @@ import fluxcomb
 from fluxcomb import cli, io
 from fluxcomb.errors import ConfigError
 
+from helpers import config_leaves
+
 FLOAT_CELL = re.compile(r"-?\d\.\d{12}e[+-]\d{2,3}$")
 MAX_MAP_POINTS = cli.transmon.MAX_MAP_POINTS
 MAX_ARRAY = cli.nonmarkov.MAX_ARRAY
@@ -79,16 +81,6 @@ INERT = {
     # ej_time_averaged multiplies by 2 cos(bias/2) at the same bias
     "addressing": {"bias_phi_dc": "the calibration cancels the bias"},
 }
-
-
-def _leaves(tree, path=""):
-    """(dotted key, value) for every leaf of a config tree."""
-    for key, value in tree.items():
-        here = f"{path}.{key}" if path else key
-        if isinstance(value, dict):
-            yield from _leaves(value, here)
-        else:
-            yield here, value
 
 
 def _nudges(key, value):
@@ -883,6 +875,20 @@ class TestExitCodes:
         # a bias with cos(bias / 2) < 0, which no E_J calibrates
         ("addressing", "bias_phi_dc=3.3", "'bias_phi_dc'"),
         ("addressing", "bias_phi_dc=7", "'bias_phi_dc'"),
+        # a source wavenumber omega / v_dc that underflows to 0, in every
+        # mode, and a time step t_end_s / (n_points - 1) that underflows
+        pytest.param("line-sim", "source.freq_hz=5e-324",
+                     "'source.freq_hz'", id="line-sim-freq-underflow"),
+        pytest.param("line-sim",
+                     ["run.spectrum=temporal", "source.freq_hz=5e-324"],
+                     "'source.freq_hz'",
+                     id="line-sim-temporal-freq-underflow"),
+        pytest.param("line-sim",
+                     ["source.kind=gaussian-pulse", "source.freq_hz=5e-324"],
+                     "'source.freq_hz'",
+                     id="line-sim-gaussian-pulse-freq-underflow"),
+        pytest.param("nonmarkov", "t_end_s=5e-324", "'t_end_s', 'n_points'",
+                     id="nonmarkov-step-underflow"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
                                assignment, key):
@@ -1107,7 +1113,7 @@ class TestExitCodes:
         wrong = []
         defaults = cli._packaged_defaults()[scenario]
         settings = ((f"{key}={json.dumps(probe)}", key)
-                    for key, value in _leaves(defaults)
+                    for key, value in config_leaves(defaults)
                     for probe in WALK_VALUES.get(type(value), ()))
         for setting, key in settings:
             try:
@@ -1139,8 +1145,8 @@ class TestExitCodes:
         for settings in SENSITIVITY_PASSES[scenario]:
             code, base = csvs(settings)
             assert code == 0 and base, settings
-            for key, value in _leaves(cli.resolve_config(scenario, None,
-                                                         settings)):
+            config = cli.resolve_config(scenario, None, settings)
+            for key, value in config_leaves(config):
                 if key in moved:
                     continue
                 for nudge in _nudges(key, value):
@@ -1150,7 +1156,7 @@ class TestExitCodes:
                             moved.add(key)
                         break
         defaults = cli._packaged_defaults()[scenario]
-        assert {key for key, _ in _leaves(defaults)} - moved \
+        assert {key for key, _ in config_leaves(defaults)} - moved \
             == set(INERT.get(scenario, {}))
 
     def test_bad_config_file_value_is_2(self, tmp_path, capsys):

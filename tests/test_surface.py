@@ -1,17 +1,22 @@
 """Library surface guard: every public name of every module of the
-package (src/fluxcomb/*.py but __init__, which only re-exports) is used
-by the program itself, and every dataclass field with a default is set
-by a keyword somewhere in the package, or is kept on purpose with its
-reason."""
+package (src/fluxcomb/*.py) is used by the program itself, and every
+dataclass field with a default is set by a keyword somewhere in the
+package, or is kept on purpose with its reason. Every key of the CLI's
+bounds table is a config leaf."""
 
 import ast
 from pathlib import Path
+
+from fluxcomb import cli
+
+from helpers import config_leaves
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fluxcomb"
 
 # public names that no library code references, and defaulted fields
 # that no library call sets, with why each stays
 KEPT = {
+    "__init__.BACKEND": "perfbench/worker.py records it",
     "line.Simulator.stored_energy":
         "the energy invariants; run telemetry is to report it",
     "line.isolation_report":
@@ -45,15 +50,15 @@ def _public(tree: ast.Module, module: str):
 
 
 def _unused() -> list:
-    """Public names that no module of the package but __init__ refers to:
-    a top-level name by name or as a module attribute, a method as an
-    attribute."""
-    trees = {p.stem: ast.parse(p.read_text())
-             for p in SRC.glob("*.py") if p.stem != "__init__"}
+    """Public names that no module of the package refers to: a top-level
+    name read by name (its own assignment is no use) or as a module
+    attribute, a method as an attribute."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     names, attrs = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                        ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
@@ -91,3 +96,10 @@ def test_kept_names_are_still_flagged():
     # list
     flagged = _unused() + _unset()
     assert sorted(KEPT) == sorted(q for q in flagged if q in KEPT)
+
+
+def test_bounds_are_config_leaves():
+    # a renamed key must not silently drop its bound
+    leaves = {key for defaults in cli._packaged_defaults().values()
+              for key, _ in config_leaves(defaults)}
+    assert set(cli.BOUNDS) - leaves == set()
