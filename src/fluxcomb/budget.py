@@ -3,7 +3,7 @@ bus: Purcell decay through the bus, engineered dephasing suppression, and
 coherent crosstalk between comb neighbors.
 
 full_budget evaluates the whole comb in one array pass, with one formula
-path for both bus variants; the `kind` field is a label.
+path for both bus variants.
 The dimensionless suppression constants and the gain profile are the
 calibration set: tuned once against the target coherence and error bands,
 then frozen here and in the default config.
@@ -33,12 +33,12 @@ _OMEGA_M_RANGE = (math.sqrt(sys.float_info.min),
 
 @dataclass(frozen=True)
 class QubitArraySpec:
-    """Comb of transmons at omega_i = n_i * omega_m on a shared bus."""
+    """Comb of transmons at omega_i = n_i * omega_m on a shared bus, at
+    unit pitch: qubit i sits at x = i + 1 [m]."""
 
     n_qubits: int = 25
     omega_m: float = TWO_PI * 3e9        # comb spacing [rad/s]
     harmonic_indices: tuple = None       # default 1..N
-    positions: tuple = None              # [m], default unit pitch
     t1_intrinsic: float = 150e-6         # [s]
     t2_intrinsic: float = 40e-6          # [s]
     g_coupling: float = TWO_PI * 50e6    # qubit-bus coupling [rad/s]
@@ -53,6 +53,15 @@ class QubitArraySpec:
                      "lambda_c"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        # the comb pass takes 1 / t2_intrinsic and 1 / t1_intrinsic, at
+        # most 2 / t2_intrinsic, and the coupling's decay over up to
+        # MAX_QUBITS - 1 pitches
+        if not math.isfinite(2.0 / self.t2_intrinsic):
+            raise ConfigError("t2_intrinsic is too short: 2 / t2_intrinsic "
+                              "is out of float range")
+        if not math.isfinite((MAX_QUBITS - 1) / self.lambda_c):
+            raise ConfigError(f"lambda_c is too short: {MAX_QUBITS - 1} / "
+                              f"lambda_c is out of float range")
         w_lo, w_hi = _OMEGA_M_RANGE
         if not w_lo <= self.omega_m <= w_hi:
             raise ConfigError(
@@ -83,12 +92,6 @@ class QubitArraySpec:
             raise ConfigError("harmonic_indices length must match n_qubits")
         if any(b <= a for a, b in zip(hi, hi[1:])):
             raise ConfigError("harmonic_indices must be strictly increasing")
-        if self.positions is None:
-            object.__setattr__(self, "positions",
-                               tuple(float(i) for i in range(1,
-                                                             self.n_qubits + 1)))
-        if len(self.positions) != self.n_qubits:
-            raise ConfigError("positions length must match n_qubits")
 
     @property
     def omega(self) -> np.ndarray:
@@ -98,20 +101,17 @@ class QubitArraySpec:
 
 @dataclass(frozen=True)
 class BusIsolationModel:
-    kind: str                            # "reciprocal" | "nonreciprocal"
     c_purcell: float                     # Purcell suppression
     c_phi: float                         # dephasing suppression
     c0: float                            # residual bus leakage
     delta_bw: float                      # isolation bandwidth [rad/s]
     omega_res: float                     # bus resonance [rad/s]
     purcell_bw: float                    # Purcell Lorentzian width [rad/s]
+    gain_width: float                    # gain Gaussian width [rad/s]
     gain_floor: float = 0.5
     gain_peak: float = 2.0
-    gain_width: float = None             # [rad/s], default 8/13 of omega_res
 
     def __post_init__(self):
-        if self.kind not in ("reciprocal", "nonreciprocal"):
-            raise ConfigError(f"unknown bus kind {self.kind!r}")
         if not 0.0 < self.c_purcell <= 1.0:
             raise ConfigError("c_purcell must be in (0, 1]")
         if not 0.0 < self.c_phi <= 1.0:
@@ -121,38 +121,18 @@ class BusIsolationModel:
         if min(self.delta_bw, self.omega_res, self.purcell_bw) <= 0:
             raise ConfigError(
                 "delta_bw, omega_res and purcell_bw must be positive")
-        if self.gain_width is None:
-            object.__setattr__(self, "gain_width",
-                               8.0 / 13.0 * self.omega_res)
         if self.gain_floor <= 0 or self.gain_peak <= 0:
             raise ConfigError("gain must be positive everywhere")
 
 
-@dataclass
-class ErrorBudget:
-    """Per-qubit lifetimes and gate-error components."""
-
-    omega: np.ndarray                    # [rad/s]
-    gamma_purcell: np.ndarray            # bus-mediated decay rate [1/s]
-    t1_eff: np.ndarray                   # [s]
-    t2_eff: np.ndarray                   # [s]
-    e_relax: np.ndarray
-    e_dephase: np.ndarray
-    e_crosstalk: np.ndarray
-
-    @property
-    def e_total(self) -> np.ndarray:
-        return self.e_relax + self.e_dephase + self.e_crosstalk
-
-
 def reciprocal_bus(omega_m: float = TWO_PI * 3e9) -> BusIsolationModel:
     """Plain shared bus. Flat sub-unity gain (insertion loss raises the
-    effective environment coupling); no isolation engineering."""
+    effective environment coupling, and leaves gain_width inert); no
+    isolation engineering."""
     return BusIsolationModel(
-        kind="reciprocal",
         c_purcell=4.8251e-5, c_phi=1.0, c0=0.3,
         delta_bw=0.4 * omega_m, omega_res=13.0 * omega_m,
-        gain_floor=0.07, gain_peak=0.07,
+        gain_floor=0.07, gain_peak=0.07, gain_width=8.0 * omega_m,
         purcell_bw=16.0 * omega_m)
 
 
@@ -160,7 +140,6 @@ def nonreciprocal_bus(omega_m: float = TWO_PI * 3e9) -> BusIsolationModel:
     """Direction-selective bus: decay paths back into the bus are strongly
     suppressed, in-band gain peaks at the bus resonance."""
     return BusIsolationModel(
-        kind="nonreciprocal",
         c_purcell=1.9e-6, c_phi=0.002, c0=0.005,
         delta_bw=0.4 * omega_m, omega_res=13.0 * omega_m,
         gain_floor=0.5, gain_peak=2.0, gain_width=8.0 * omega_m,
@@ -179,10 +158,12 @@ def gain(model: BusIsolationModel, omega) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def full_budget(array: QubitArraySpec, model: BusIsolationModel) -> ErrorBudget:
+def full_budget(array: QubitArraySpec, model: BusIsolationModel) -> tuple:
     """Lifetimes and gate errors of every qubit of the comb, in one array
-    pass. A value that leaves float range raises NumericalError rather
-    than reaching the budget as inf or NaN."""
+    pass: per-qubit arrays (omega [rad/s], gamma_purcell [1/s], t1 [s],
+    t2 [s], e_relax, e_dephase, e_crosstalk, e_total), with e_total the
+    sum of the three errors. A value that leaves float range raises
+    NumericalError rather than reaching the budget as inf or NaN."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _comb_pass(array, model)
@@ -191,8 +172,7 @@ def full_budget(array: QubitArraySpec, model: BusIsolationModel) -> ErrorBudget:
             from None
 
 
-def _comb_pass(array: QubitArraySpec, model: BusIsolationModel
-               ) -> ErrorBudget:
+def _comb_pass(array: QubitArraySpec, model: BusIsolationModel) -> tuple:
     """Purcell decay through the bus is the gain-screened coupling g^2/G,
     filtered by a Lorentzian of width purcell_bw around the bus resonance
     and scaled by the suppression constant. Crosstalk on each qubit is the
@@ -214,18 +194,18 @@ def _comb_pass(array: QubitArraySpec, model: BusIsolationModel
     delta = np.abs(np.subtract.outer(omega, omega))[others].reshape(n, n - 1)
     if np.any(delta == 0.0):
         raise ConfigError("degenerate comb: two qubits share a frequency")
-    x = np.asarray(array.positions, dtype=float)
+    x = np.arange(1.0, n + 1)
     dist = np.abs(np.subtract.outer(x, x))[others].reshape(n, n - 1)
     g_ij = array.g_coupling * np.exp(-dist / array.lambda_c)
     c_bus = model.c0 + (1.0 - model.c0) * np.exp(
         -((delta / model.delta_bw) ** 2))
     terms = (g_ij / delta) ** 2 * np.sin(
         0.5 * delta * array.t_gate) ** 2 * c_bus
-    return ErrorBudget(
-        omega=omega, gamma_purcell=gamma_p, t1_eff=t1, t2_eff=t2,
-        e_relax=array.t_gate / t1,
-        e_dephase=1.0 - np.exp(-array.t_gate / t2),
-        e_crosstalk=terms.sum(axis=1) / g_omega)
+    e_relax = array.t_gate / t1
+    e_dephase = 1.0 - np.exp(-array.t_gate / t2)
+    e_crosstalk = terms.sum(axis=1) / g_omega
+    return (omega, gamma_p, t1, t2, e_relax, e_dephase, e_crosstalk,
+            e_relax + e_dephase + e_crosstalk)
 
 
 def scalability_sweep(array: QubitArraySpec, model: BusIsolationModel,
@@ -237,7 +217,6 @@ def scalability_sweep(array: QubitArraySpec, model: BusIsolationModel,
         raise ConfigError("n_range must be nonempty")
     out = []
     for n in n_range:
-        arr = replace(array, n_qubits=int(n), harmonic_indices=None,
-                      positions=None)
-        out.append(float(np.max(full_budget(arr, model).e_total)))
+        arr = replace(array, n_qubits=int(n), harmonic_indices=None)
+        out.append(float(np.max(full_budget(arr, model)[-1])))
     return out

@@ -110,6 +110,7 @@ BOUNDS = {
     "n_min": ">= 1", "models": ">= 1", "n_points": ">= 5", "t_end_s": "> 0",
     "seed": ">= 0", "tau.n": ">= 2", "spectrum.n_avg": ">= 1",
     "spectrum.dt_s": "> 0", "tau.start_s": "> 0", "tau.stop_s": "> 0",
+    "kernel.markovian_ratio": ">= 0",
 }
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
@@ -329,14 +330,15 @@ def run_flux_sweep(config: dict, out_dir: Path):
                harmonic="harmonic_indices", omega_m="modulation_freq_hz",
                ec="ec_hz"):
         # calibration first: its range error names every key it depends on
-        qubits = transmon.default_comb_qubits(omega_m, idx,
+        ej_max = transmon.default_comb_qubits(omega_m, idx,
                                               ec=config["ec_hz"])
         array = budget.QubitArraySpec(n_qubits=len(idx), omega_m=omega_m,
                                       harmonic_indices=idx)
     dc, rf = config["phi_dc"], config["phi_rf"]
     dc_grid = np.linspace(dc["start"], dc["stop"], n_dc)
     rf_grid = np.linspace(rf["start"], rf["stop"], n_rf)
-    score = transmon.addressing_map(array, dc_grid, rf_grid, qubits=qubits)
+    score = transmon.addressing_map(array, dc_grid, rf_grid,
+                                    config["ec_hz"], ej_max)
     n_q = len(idx)
     # rows run over (phi_dc, phi_rf, qubit), the last fastest; each
     # coordinate is written from its grid and a row index into it
@@ -351,15 +353,15 @@ def run_flux_sweep(config: dict, out_dir: Path):
 def run_addressing(config: dict, out_dir: Path):
     _check_work([("charge basis", "levels", transmon.MAX_LEVELS,
                   config["n_levels"], ("n_levels",))])
-    omega_m = TWO_PI * config["modulation_freq_hz"]
+    omega_m, ec = TWO_PI * config["modulation_freq_hz"], config["ec_hz"]
     bias = config["bias_phi_dc"]
     with _keys(ec="ec_hz", n_levels="n_levels", harmonic="harmonic_index",
                omega_m="modulation_freq_hz", ej_max="bias_phi_dc"):
-        spec = transmon.default_comb_qubits(
-            omega_m, (config["harmonic_index"],),
-            ec=config["ec_hz"], bias_targets=[bias])[0]
-        ej = transmon.ej_time_averaged(spec.ej_max, bias, config["phi_rf"])
-        levels = transmon.diagonalize(spec, ej, n_levels=config["n_levels"])
+        ej_max = transmon.default_comb_qubits(
+            omega_m, (config["harmonic_index"],), ec=ec,
+            bias_targets=[bias])[0]
+        ej = transmon.ej_time_averaged(ej_max, bias, config["phi_rf"])
+        levels = transmon.diagonalize(ec, ej, n_levels=config["n_levels"])
     return [io.write_csv(out_dir / "levels.csv", "level,freq_hz",
                          [np.arange(len(levels)), levels])]
 
@@ -393,14 +395,12 @@ def _bus_model(kind: str, omega_m: float) -> budget.BusIsolationModel:
 def run_error_budget(config: dict, out_dir: Path):
     array = _array_from_config(config["array"], config["array"]["n_qubits"])
     model = _bus_model(config["bus"], array.omega_m)
-    result = budget.full_budget(array, model)
+    out = budget.full_budget(array, model)
     return [io.write_csv(
         out_dir / "budget.csv",
         "qubit,omega_over_omega_m,t1_s,t2_s,e_relax,e_dephase,"
         "e_crosstalk,e_total",
-        [np.arange(array.n_qubits), result.omega / array.omega_m,
-         result.t1_eff, result.t2_eff, result.e_relax, result.e_dephase,
-         result.e_crosstalk, result.e_total])]
+        [np.arange(array.n_qubits), out[0] / array.omega_m, *out[2:]])]
 
 
 def run_scalability(config: dict, out_dir: Path):
@@ -427,11 +427,10 @@ def run_nonmarkov(config: dict, out_dir: Path):
     kcfg = config["kernel"]
     gm = TWO_PI * kcfg["gamma_memory_hz"]
     with _keys(amplitude_a="kernel.amplitude_over_gamma_sq",
-               gamma_memory="kernel.gamma_memory_hz",
-               markovian_gamma="kernel.markovian_ratio"):
+               gamma_memory="kernel.gamma_memory_hz"):
         kernel = nonmarkov.KernelSpec(
             amplitude_a=kcfg["amplitude_over_gamma_sq"] * gm * gm,
-            gamma_memory=gm, markovian_gamma=kcfg["markovian_ratio"] * gm)
+            gamma_memory=gm)
     t = np.linspace(0.0, config["t_end_s"], config["n_points"])
     if np.any(np.diff(t) <= 0.0):
         raise ConfigError("'t_end_s', 'n_points': the grid step "
@@ -446,7 +445,7 @@ def run_nonmarkov(config: dict, out_dir: Path):
     # rho00 is the excited population
     files = [io.write_csv(out_dir / "population.csv", "t_s,rho00", [t, p])]
     if config["compare_markovian"]:
-        p_m = nonmarkov.evolve_markovian(kernel.markovian_gamma, t)
+        p_m = nonmarkov.evolve_markovian(kcfg["markovian_ratio"] * gm, t)
         files.append(io.write_csv(out_dir / "population_markovian.csv",
                                   "t_s,rho00", [t, p_m]))
     files.append(io.write_csv(out_dir / "gamma_eff.csv",

@@ -43,7 +43,6 @@ _F_MIN, _F_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
 class KernelSpec:
     amplitude_a: float               # kernel amplitude A [1/s^2]
     gamma_memory: float              # memory decay rate Gamma [1/s]
-    markovian_gamma: float           # rate of the memoryless comparison [1/s]
 
     def __post_init__(self):
         if not self.gamma_memory > 0.0:
@@ -54,9 +53,8 @@ class KernelSpec:
         if not math.isfinite(self.amplitude_a):
             raise ConfigError(f"amplitude_a overflows at gamma_memory = "
                               f"{self.gamma_memory:.3g} /s")
-        for name in ("amplitude_a", "markovian_gamma"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be nonnegative")
+        if self.amplitude_a < 0.0:
+            raise ConfigError("amplitude_a must be nonnegative")
 
 
 def _check_grid(t_grid) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -45,22 +44,6 @@ _J0_SIN = np.sin((np.arange(32) + 0.5) * (math.pi / 32))
 # which one more step leaves only the eigensolver's rounding (~1e-13)
 _CAL_STEPS = 8
 _CAL_RTOL = 1e-12
-
-
-@dataclass
-class TransmonSpec:
-    ec: float                 # charging energy E_C/h [Hz]
-    ej_max: float             # max Josephson energy E_Jmax/h [Hz], per junction
-    ng: float = 0.0           # offset charge [Cooper pairs]
-
-    def __post_init__(self):
-        for name in ("ec", "ej_max"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.ej_max / self.ec < 10:
-            warnings.warn(
-                f"ej_max/ec = {self.ej_max / self.ec:.2f} < 10: outside the "
-                "transmon regime", stacklevel=2)
 
 
 def j0(x):
@@ -118,21 +101,24 @@ def _converged_levels(ec: float, ej: float, ng: float, n_levels: int
         f"(ej/ec = {ej / ec:.3g})")
 
 
-def diagonalize(spec: TransmonSpec, ej: float, n_levels: int = 5
+def diagonalize(ec: float, ej: float, n_levels: int = 5, ng: float = 0.0
                 ) -> np.ndarray:
     """Diagonalize the charge-basis Hamiltonian 4*E_C*(n-ng)^2 - (E_J/2) *
-    (|n><n+1| + h.c.) and return the lowest n_levels ground-referenced
-    levels [Hz], ascending from levels[0] == 0: omega_q is levels[1] and
-    the anharmonicity levels[2] - 2 levels[1].
+    (|n><n+1| + h.c.), with E_C = ec and E_J = ej [Hz] and the offset
+    charge ng [Cooper pairs], and return the lowest n_levels
+    ground-referenced levels [Hz], ascending from levels[0] == 0: omega_q
+    is levels[1] and the anharmonicity levels[2] - 2 levels[1].
 
     The truncation is auto-verified; raises ConvergenceError when the cap is
     reached.
     """
+    if not ec > 0:
+        raise ConfigError("ec must be positive")
     if ej < 0:
         raise ConfigError("ej must be nonnegative (take the magnitude)")
     if n_levels < 3:
         raise ConfigError("n_levels must be >= 3 for omega_q and alpha")
-    return _converged_levels(spec.ec, ej, spec.ng, n_levels)[0]
+    return _converged_levels(ec, ej, ng, n_levels)[0]
 
 
 class FluxCurve:
@@ -201,10 +187,11 @@ def flux_curve(ec: float) -> FluxCurve:
 def default_comb_qubits(omega_m: float,
                         harmonic_indices=(5, 10, 15, 20, 25),
                         ec: float = 0.25e9,
-                        bias_targets=None) -> list[TransmonSpec]:
-    """Calibrated qubit set: qubit i is sized so its cycle-averaged frequency
-    sits on harmonic n_i of the comb (omega_m in rad/s) at a staggered DC
-    bias, giving well-separated addressing peaks.
+                        bias_targets=None) -> np.ndarray:
+    """Calibrated comb qubits, all at charging energy ec [Hz]: their
+    ej_max [Hz, per junction] as an array. Qubit i is sized so its
+    cycle-averaged frequency sits on harmonic n_i of the comb (omega_m in
+    rad/s) at a staggered DC bias, giving well-separated addressing peaks.
 
     Calibration is Newton in ln(E_J): each residual is an exact solve, each
     slope the flux curve's, and the start the flux curve's own root.
@@ -218,8 +205,8 @@ def default_comb_qubits(omega_m: float,
     if len(bias_targets) != len(idx):
         raise ConfigError("bias_targets length must match harmonic_indices")
     curve = flux_curve(ec)
-    out = []
-    for n_i, bias in zip(idx, bias_targets):
+    ej_max = np.empty(len(idx))
+    for q, (n_i, bias) in enumerate(zip(idx, bias_targets)):
         target_hz = n_i * omega_m / (2.0 * math.pi)
         try:
             ln_ej = curve.ln_ej_from_omega(target_hz)
@@ -237,17 +224,24 @@ def default_comb_qubits(omega_m: float,
             raise ConvergenceError(
                 f"calibration to harmonic {n_i} not converged in "
                 f"{_CAL_STEPS} steps")
-        ej_max = math.exp(ln_ej) / (2.0 * math.cos(0.5 * bias))
-        out.append(TransmonSpec(ec=ec, ej_max=ej_max))
-    return out
+        ej_max[q] = math.exp(ln_ej) / (2.0 * math.cos(0.5 * bias))
+        if not ej_max[q] > 0:
+            raise ConfigError("ej_max must be positive")
+        if ej_max[q] / ec < 10:
+            warnings.warn(
+                f"ej_max/ec = {ej_max[q] / ec:.2f} < 10: outside the "
+                "transmon regime", stacklevel=2)
+    return ej_max
 
 
-def addressing_map(array, phi_dc_grid, phi_rf_grid, qubits) -> np.ndarray:
+def addressing_map(array, phi_dc_grid, phi_rf_grid, ec: float, ej_max
+                   ) -> np.ndarray:
     """Resonance-proximity scores over the flux-drive grid, shape
     (n_dc, n_rf, n_qubits), each in [0, 1].
 
-    `array` supplies omega_m (rad/s) and harmonic_indices; `qubits` the
-    per-qubit TransmonSpec list. Score of qubit i at a grid point is
+    `array` supplies omega_m (rad/s) and harmonic_indices; `ec` [Hz] is
+    the comb's charging energy and `ej_max` [Hz] holds one value per
+    qubit. Score of qubit i at a grid point is
     exp(-(omega_bar - n_i*omega_m)^2/(2 SIGMA_RES^2)), omega_bar the
     qubit's cycle-averaged frequency [rad/s].
     """
@@ -256,16 +250,16 @@ def addressing_map(array, phi_dc_grid, phi_rf_grid, qubits) -> np.ndarray:
     if np.any(phi_rf < 0.0):
         raise ConfigError("phi_rf grid must be nonnegative")
     idx = list(array.harmonic_indices)
-    if len(qubits) != len(idx):
-        raise ConfigError("one TransmonSpec per harmonic index required")
+    if len(ej_max) != len(idx):
+        raise ConfigError("ej_max needs one value per harmonic index")
 
     # separable flux factor: ej_bar = 2 ej_max |cos(dc/2)| J0(rf/2)
     dc_fac = np.abs(np.cos(0.5 * phi_dc))[:, None]
     rf_fac = np.abs(j0(0.5 * phi_rf))[None, :]
-    score = np.empty((phi_dc.size, phi_rf.size, len(qubits)))
-    for q, (spec, n_i) in enumerate(zip(qubits, idx)):
-        curve = flux_curve(spec.ec)
-        ej_bar = 2.0 * spec.ej_max * dc_fac * rf_fac
+    curve = flux_curve(ec)
+    score = np.empty((phi_dc.size, phi_rf.size, len(idx)))
+    for q, (e_q, n_i) in enumerate(zip(ej_max, idx)):
+        ej_bar = 2.0 * e_q * dc_fac * rf_fac
         det = 2.0 * math.pi * curve.omega_q(ej_bar) - n_i * array.omega_m
         score[:, :, q] = np.exp(-det ** 2 / (2.0 * SIGMA_RES ** 2))
     return score

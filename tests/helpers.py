@@ -1,15 +1,17 @@
 """Shared test fixtures: the rf-driven line drive and the memory-kernel
 regime that the line and non-Markovian tests are written against, two
 measures only the tests take (the total spatial harmonic band power and
-the transmon's dispersive shift), and the leaves of a config tree."""
+the transmon's dispersive shift), the error budget's arrays by name, and
+the leaves of a config tree."""
 
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from fluxcomb import line, nonmarkov, transmon
+from fluxcomb import budget, line, nonmarkov, transmon
 from fluxcomb.errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
@@ -23,6 +25,15 @@ def config_leaves(tree, path=""):
             yield from config_leaves(value, here)
         else:
             yield here, value
+
+
+def named_budget(array: budget.QubitArraySpec,
+                 model: budget.BusIsolationModel) -> SimpleNamespace:
+    """budget.full_budget's per-qubit arrays, by name in its order."""
+    return SimpleNamespace(**dict(zip(
+        ("omega", "gamma_purcell", "t1_eff", "t2_eff", "e_relax",
+         "e_dephase", "e_crosstalk", "e_total"),
+        budget.full_budget(array, model), strict=True)))
 
 
 def default_drive(phi_dc: float, phi_rf: float,
@@ -39,8 +50,7 @@ def memory_kernel() -> nonmarkov.KernelSpec:
     negative within the first 100 ns."""
     gamma_mem = TWO_PI * 5e6
     return nonmarkov.KernelSpec(amplitude_a=4.0 * gamma_mem ** 2,
-                                gamma_memory=gamma_mem,
-                                markovian_gamma=gamma_mem / 100.0)
+                                gamma_memory=gamma_mem)
 
 
 def harmonic_band_power(i: np.ndarray, sim: line.Simulator, n_max: int = 6,
@@ -67,11 +77,11 @@ class ReadoutSpec:
             raise ConfigError("omega_r must be positive, g_r nonnegative")
 
 
-def chi_dispersive(spec: transmon.TransmonSpec, ej: float,
-                   readout: ReadoutSpec) -> float:
+def chi_dispersive(ec: float, ej: float, readout: ReadoutSpec) -> float:
     """Dispersive shift chi = (g^2/Delta)*(1 + alpha/Delta), Hz, with
-    Delta = omega_q - omega_r and alpha from diagonalization."""
-    levels = transmon.diagonalize(spec, ej)
+    Delta = omega_q - omega_r and alpha from diagonalization at E_C = ec
+    and E_J = ej [Hz]."""
+    levels = transmon.diagonalize(ec, ej)
     delta = levels[1] - readout.omega_r
     if delta == 0.0:
         raise ConfigError("qubit degenerate with resonator (Delta = 0)")

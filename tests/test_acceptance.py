@@ -16,7 +16,7 @@ import pytest
 
 from fluxcomb import budget, cli, line, nonmarkov, transmon
 from helpers import (ReadoutSpec, chi_dispersive, default_drive,
-                     harmonic_band_power, memory_kernel)
+                     harmonic_band_power, memory_kernel, named_budget)
 from test_nonmarkov import quadrature_population
 from test_transmon import _jc_chi
 
@@ -148,16 +148,14 @@ def test_acceptance_04_wavepacket_reshaping(capsys):
 def test_acceptance_05_transmon_spectrum(capsys):
     ec = 0.25e9
     ej = 200.0 * ec
-    omega_q = transmon.diagonalize(transmon.TransmonSpec(ec=ec, ej_max=ej),
-                                   ej)[1]
+    omega_q = transmon.diagonalize(ec, ej)[1]
     wq_asym = math.sqrt(8.0 * ej * ec) - ec
     freq_ok = abs(omega_q - wq_asym) / wq_asym < 0.01
 
     # deep dispersive point: the two-level oracle carries no
     # anharmonicity correction, so keep |alpha / delta| small
     readout = ReadoutSpec(omega_r=21e9, g_r=0.3e9)
-    chi = chi_dispersive(transmon.TransmonSpec(ec=ec, ej_max=ej), ej,
-                         readout)
+    chi = chi_dispersive(ec, ej, readout)
     chi_oracle = _jc_chi(omega_q, readout.omega_r, readout.g_r)
     chi_ok = abs(chi - chi_oracle) / abs(chi_oracle) < 0.05
 
@@ -177,8 +175,7 @@ def test_acceptance_05_transmon_spectrum(capsys):
 def test_acceptance_05_anharmonicity_clause(capsys):
     ec = 0.25e9
     ej = 200.0 * ec
-    levels = transmon.diagonalize(transmon.TransmonSpec(ec=ec, ej_max=ej),
-                                  ej)
+    levels = transmon.diagonalize(ec, ej)
     deviation = abs(levels[2] - 2.0 * levels[1] - (-ec)) / ec
     ok = deviation < 0.05
     report(capsys, "5 (anharmonicity)", ok,
@@ -188,8 +185,8 @@ def test_acceptance_05_anharmonicity_clause(capsys):
 
 def test_acceptance_06_lifetimes(capsys):
     array = budget.QubitArraySpec()
-    rec = budget.full_budget(array, budget.reciprocal_bus())
-    nr = budget.full_budget(array, budget.nonreciprocal_bus())
+    rec = named_budget(array, budget.reciprocal_bus())
+    nr = named_budget(array, budget.nonreciprocal_bus())
 
     rec_band = bool(np.all((rec.t1_eff >= 8e-6) & (rec.t1_eff <= 60e-6)))
     rec_dip = rec.t1_eff.min() < 15e-6
@@ -210,8 +207,8 @@ def test_acceptance_06_lifetimes(capsys):
 
 def test_acceptance_07_error_budget_bands(capsys):
     array = budget.QubitArraySpec()
-    rec = budget.full_budget(array, budget.reciprocal_bus()).e_total
-    nr = budget.full_budget(array, budget.nonreciprocal_bus()).e_total
+    rec = named_budget(array, budget.reciprocal_bus()).e_total
+    nr = named_budget(array, budget.nonreciprocal_bus()).e_total
     worst_nr_25 = budget.scalability_sweep(
         array, budget.nonreciprocal_bus(), [25])[0]
 
@@ -246,8 +243,8 @@ def test_acceptance_07_scalability_crossing_clause(capsys):
 
 def test_acceptance_08_isolation_switching(capsys):
     array = budget.QubitArraySpec()
-    rec = budget.full_budget(array, budget.reciprocal_bus())
-    nr = budget.full_budget(array, budget.nonreciprocal_bus())
+    rec = named_budget(array, budget.reciprocal_bus())
+    nr = named_budget(array, budget.nonreciprocal_bus())
     q = 11                       # the mid-band tooth, n = 12
     assert rec.omega[q] == 12 * array.omega_m
 
@@ -277,8 +274,7 @@ def test_acceptance_09_memory_kernel(capsys):
 
     gamma = TWO_PI * 5e4
     fast = nonmarkov.KernelSpec(amplitude_a=gamma * 100.0 * gamma,
-                                gamma_memory=100.0 * gamma,
-                                markovian_gamma=gamma)
+                                gamma_memory=100.0 * gamma)
     tm = np.linspace(0.0, 2.0 / gamma, 4001)
     pm = nonmarkov.evolve_kernel(fast, tm)
     ref = np.exp(-gamma * tm)
@@ -293,7 +289,8 @@ def test_acceptance_09_memory_kernel(capsys):
         ([0], neg.astype(int), [0])))).reshape(-1, 2), axis=1)
     has_backflow = bool(runs.size and runs.max() >= 20)
 
-    pexp = nonmarkov.evolve_markovian(kernel.markovian_gamma, tg)
+    # the packaged markovian_ratio: 1/100 of the memory rate
+    pexp = nonmarkov.evolve_markovian(kernel.gamma_memory / 100.0, tg)
     ge = nonmarkov.gamma_eff(tg, pexp)
     flatness = float(np.std(ge) / np.mean(ge))
 

@@ -12,23 +12,27 @@ import pytest
 from fluxcomb import budget
 from fluxcomb.errors import ConfigError
 
+from helpers import named_budget
+
 TWO_PI = 2.0 * math.pi
 OMEGA_M = TWO_PI * 3e9
 
 
 def uniform_model(**over):
-    """Both-kinds-identical baseline: unit gain, no engineered isolation."""
-    kw = dict(kind="reciprocal", c_purcell=1.0, c_phi=1.0, c0=0.5,
+    """Baseline bus: unit gain, no engineered isolation."""
+    kw = dict(c_purcell=1.0, c_phi=1.0, c0=0.5,
               delta_bw=0.4 * OMEGA_M, omega_res=13.0 * OMEGA_M,
-              purcell_bw=16.0 * OMEGA_M, gain_floor=1.0, gain_peak=1.0)
+              purcell_bw=16.0 * OMEGA_M, gain_floor=1.0, gain_peak=1.0,
+              gain_width=8.0 * OMEGA_M)
     kw.update(over)
     return budget.BusIsolationModel(**kw)
 
 
 def oracle(array, model, i) -> dict:
-    """Qubit i's budget from the formulas, one Python float at a time."""
+    """Qubit i's budget from the formulas, one Python float at a time,
+    with the qubits at unit pitch."""
     omega = [n * array.omega_m for n in array.harmonic_indices]
-    x = array.positions
+    x = [float(j) for j in range(1, array.n_qubits + 1)]
 
     def gain(w):
         return model.gain_floor + (model.gain_peak - model.gain_floor) \
@@ -69,7 +73,7 @@ def test_every_qubit_matches_the_scalar_oracle(bus, n):
     difference between NumPy's and the math module's exp shows in it, and
     in e_total, at up to ~1e-10 relative."""
     a, m = budget.QubitArraySpec(n_qubits=n), bus()
-    b = budget.full_budget(a, m)
+    b = named_budget(a, m)
     for i in range(n):
         for name, want in oracle(a, m, i).items():
             rtol = 1e-9 if name in ("e_dephase", "e_total") else 1e-12
@@ -81,7 +85,6 @@ class TestSpecs:
     def test_array_defaults(self):
         a = budget.QubitArraySpec()
         assert a.harmonic_indices == tuple(range(1, 26))
-        assert a.positions == tuple(float(i) for i in range(1, 26))
         np.testing.assert_allclose(a.omega, np.arange(1, 26) * OMEGA_M)
 
     def test_array_validation(self):
@@ -95,8 +98,6 @@ class TestSpecs:
             budget.QubitArraySpec(n_qubits=2, harmonic_indices=(1, 2, 3))
         with pytest.raises(ConfigError):
             budget.QubitArraySpec(t2_intrinsic=400e-6, t1_intrinsic=150e-6)
-        with pytest.raises(ConfigError):
-            budget.QubitArraySpec(n_qubits=2, positions=(1.0,))
         for kappa in (0.0, -1.0, 1e-300):
             with pytest.raises(ConfigError, match="^kappa_bus"):
                 budget.QubitArraySpec(kappa_bus=kappa)
@@ -110,6 +111,11 @@ class TestSpecs:
             budget.QubitArraySpec(omega_m=1e-150)
         with pytest.raises(ConfigError, match="^t_gate .*omega_m"):
             budget.QubitArraySpec(t_gate=1e300)
+        with pytest.raises(ConfigError, match="^t2_intrinsic .*2 / t2"):
+            budget.QubitArraySpec(t2_intrinsic=5e-324)
+        for lambda_c in (5e-324, sys.float_info.min):
+            with pytest.raises(ConfigError, match="^lambda_c .*1023 / "):
+                budget.QubitArraySpec(lambda_c=lambda_c)
 
     def test_bounds_keep_the_largest_comb_in_float_range(self):
         # at either end of the omega_m range, with the strongest coupling
@@ -126,12 +132,10 @@ class TestSpecs:
                 omega_m=omega_m, g_coupling=g_coupling, t_gate=t_gate)
             for model in (budget.reciprocal_bus(omega_m),
                           budget.nonreciprocal_bus(omega_m)):
-                result = budget.full_budget(array, model)
+                result = named_budget(array, model)
                 assert np.all(np.isfinite(result.e_total))
 
     def test_model_validation(self):
-        with pytest.raises(ConfigError):
-            uniform_model(kind="magic")
         with pytest.raises(ConfigError):
             uniform_model(c_purcell=0.0)
         with pytest.raises(ConfigError):
@@ -170,14 +174,14 @@ class TestPurcell:
         the rate collapses to g^2/kappa."""
         a = budget.QubitArraySpec(n_qubits=13)
         m = uniform_model(purcell_bw=a.kappa_bus)   # bare linewidth
-        got = budget.full_budget(a, m).gamma_purcell[12]  # tooth 13
+        got = named_budget(a, m).gamma_purcell[12]  # tooth 13
         assert got == pytest.approx(a.g_coupling ** 2 / a.kappa_bus,
                                     rel=1e-12)
 
     def test_scales_linearly_with_suppression(self):
         a = budget.QubitArraySpec()
-        r1 = budget.full_budget(a, uniform_model(c_purcell=1.0))
-        r2 = budget.full_budget(a, uniform_model(c_purcell=0.25))
+        r1 = named_budget(a, uniform_model(c_purcell=1.0))
+        r2 = named_budget(a, uniform_model(c_purcell=0.25))
         np.testing.assert_allclose(r2.gamma_purcell, 0.25 * r1.gamma_purcell,
                                    rtol=1e-12)
 
@@ -186,20 +190,20 @@ class TestLifetimes:
     def test_t1_reaches_intrinsic_without_purcell(self):
         a = budget.QubitArraySpec(n_qubits=5)   # comb far below omega_res
         m = uniform_model(c_purcell=1e-12)
-        assert budget.full_budget(a, m).t1_eff[0] == pytest.approx(
+        assert named_budget(a, m).t1_eff[0] == pytest.approx(
             150e-6, rel=1e-4)
 
     def test_t2_lifetime_limited_bound(self):
         a = budget.QubitArraySpec(n_qubits=5, t2_intrinsic=300e-6)
         m = uniform_model(c_purcell=1e-12, c_phi=1e-12)
-        assert budget.full_budget(a, m).t2_eff[0] == pytest.approx(
+        assert named_budget(a, m).t2_eff[0] == pytest.approx(
             2.0 * a.t1_intrinsic, rel=1e-3)
 
 
 class TestCrosstalk:
     def test_single_qubit_is_zero(self):
         a = budget.QubitArraySpec(n_qubits=1)
-        assert budget.full_budget(a, uniform_model()).e_crosstalk[0] == 0.0
+        assert named_budget(a, uniform_model()).e_crosstalk[0] == 0.0
 
     def test_two_qubit_bare_swap_limit(self):
         """Leakage ~1, infinite correlation length, unit gain: the formula
@@ -209,12 +213,12 @@ class TestCrosstalk:
         delta = OMEGA_M
         expect = (a.g_coupling / delta) ** 2 * math.sin(
             0.5 * delta * a.t_gate) ** 2
-        assert budget.full_budget(a, m).e_crosstalk[0] == pytest.approx(
+        assert named_budget(a, m).e_crosstalk[0] == pytest.approx(
             expect, rel=1e-6)
 
     def test_monotone_in_isolation_bandwidth(self):
         a = budget.QubitArraySpec()
-        vals = [budget.full_budget(a, uniform_model(delta_bw=bw))
+        vals = [named_budget(a, uniform_model(delta_bw=bw))
                 .e_crosstalk[12]
                 for bw in (0.2 * OMEGA_M, 0.5 * OMEGA_M, 2.0 * OMEGA_M)]
         assert vals[0] < vals[1] < vals[2]
@@ -224,23 +228,15 @@ class TestCrosstalk:
         prev = 0.0
         for n in (2, 5, 10, 25):
             a = budget.QubitArraySpec(n_qubits=n)
-            cur = budget.full_budget(a, m).e_crosstalk[0]
+            cur = named_budget(a, m).e_crosstalk[0]
             assert cur >= prev
             prev = cur
-
-    def test_translation_invariance(self):
-        a = budget.QubitArraySpec()
-        shifted = replace(a, positions=tuple(x + 17.3 for x in a.positions))
-        m = budget.reciprocal_bus()
-        np.testing.assert_allclose(
-            budget.full_budget(shifted, m).e_crosstalk,
-            budget.full_budget(a, m).e_crosstalk, rtol=1e-12)
 
 
 class TestBudgetAssembly:
     def test_total_is_exact_sum(self):
         a = budget.QubitArraySpec()
-        b = budget.full_budget(a, budget.reciprocal_bus())
+        b = named_budget(a, budget.reciprocal_bus())
         np.testing.assert_array_equal(
             b.e_total, b.e_relax + b.e_dephase + b.e_crosstalk)
         assert np.all(b.e_relax >= 0) and np.all(b.e_dephase >= 0)
@@ -250,14 +246,14 @@ class TestBudgetAssembly:
         a = budget.QubitArraySpec()
         floor = a.t_gate / a.t1_intrinsic
         for m in (budget.reciprocal_bus(), budget.nonreciprocal_bus()):
-            assert np.all(budget.full_budget(a, m).e_total >= floor)
+            assert np.all(named_budget(a, m).e_total >= floor)
 
-    def test_kind_is_label_only(self):
+    def test_flat_gain_leaves_its_width_inert(self):
         a = budget.QubitArraySpec()
         out = []
-        for kind in ("reciprocal", "nonreciprocal"):
-            m = uniform_model(kind=kind, c_purcell=0.3, c_phi=0.4, c0=0.2)
-            out.append(budget.full_budget(a, m).e_total)
+        for width in (8.0 * OMEGA_M, 0.5 * OMEGA_M):
+            m = replace(budget.reciprocal_bus(), gain_width=width)
+            out.append(named_budget(a, m).e_total)
         np.testing.assert_array_equal(out[0], out[1])
 
 
@@ -266,8 +262,8 @@ class TestFrozenOutcomes:
 
     def setup_method(self):
         self.arr = budget.QubitArraySpec()
-        self.rec = budget.full_budget(self.arr, budget.reciprocal_bus())
-        self.nr = budget.full_budget(self.arr, budget.nonreciprocal_bus())
+        self.rec = named_budget(self.arr, budget.reciprocal_bus())
+        self.nr = named_budget(self.arr, budget.nonreciprocal_bus())
 
     def test_t1_regression(self):
         for q, expect in ((0, 2.501122e-05), (6, 1.316436e-05),
@@ -308,9 +304,8 @@ class TestFrozenOutcomes:
         # single qubit: no crosstalk, both models at the coherence floor
         w1r = budget.scalability_sweep(self.arr, budget.reciprocal_bus(),
                                        [1])[0]
-        a1 = replace(self.arr, n_qubits=1, harmonic_indices=None,
-                     positions=None)
-        assert budget.full_budget(
+        a1 = replace(self.arr, n_qubits=1, harmonic_indices=None)
+        assert named_budget(
             a1, budget.reciprocal_bus()).e_crosstalk[0] == 0.0
         assert w1r < 1e-4
 

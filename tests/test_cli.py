@@ -798,6 +798,11 @@ class TestExitCodes:
         ("spectroscopy", "one_over_f.f_min_hz=0", "'one_over_f.f_min_hz'"),
         ("spectroscopy", "filtered.f_max_hz=1e3", "'filtered.f_max_hz'"),
         # bounds that keep the arithmetic in float range
+        *((scenario, f"array.{key}={value!r}", f"'array.{key}'")
+          for scenario in ("error-budget", "scalability")
+          for key, value in (("t2_intrinsic_s", 5e-324),
+                             ("lambda_c_m", 5e-324),
+                             ("lambda_c_m", sys.float_info.min))),
         ("spectroscopy", "one_over_f.f_min_hz=1e-300",
          "'one_over_f.f_min_hz'"),
         ("spectroscopy", "filtered.f_min_hz=1e-300", "'filtered.f_min_hz'"),
@@ -889,6 +894,11 @@ class TestExitCodes:
                      id="line-sim-gaussian-pulse-freq-underflow"),
         pytest.param("nonmarkov", "t_end_s=5e-324", "'t_end_s', 'n_points'",
                      id="nonmarkov-step-underflow"),
+        # a bound holds whether or not its key's output is written
+        pytest.param("nonmarkov", ["compare_markovian=false",
+                                   "kernel.markovian_ratio=-1"],
+                     "'kernel.markovian_ratio'",
+                     id="nonmarkov-negative-ratio-unused"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
                                assignment, key):

@@ -93,14 +93,9 @@ def loop_ensemble(model, tau, n_realizations, seed, echo):
 class TestStatesAndSpecs:
     def test_kernel_spec_validation(self):
         with pytest.raises(ConfigError, match="amplitude_a"):
-            nm.KernelSpec(amplitude_a=-1.0, gamma_memory=1.0,
-                          markovian_gamma=0.0)
+            nm.KernelSpec(amplitude_a=-1.0, gamma_memory=1.0)
         with pytest.raises(ConfigError, match="gamma_memory"):
-            nm.KernelSpec(amplitude_a=1.0, gamma_memory=0.0,
-                          markovian_gamma=0.0)
-        with pytest.raises(ConfigError, match="markovian_gamma"):
-            nm.KernelSpec(amplitude_a=1.0, gamma_memory=1.0,
-                          markovian_gamma=-1.0)
+            nm.KernelSpec(amplitude_a=1.0, gamma_memory=0.0)
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
@@ -134,8 +129,7 @@ class TestKernelEvolution:
         # plain exponential decay at rate gamma
         gamma = TWO_PI * 5e4
         kernel = nm.KernelSpec(amplitude_a=gamma * (100.0 * gamma),
-                               gamma_memory=100.0 * gamma,
-                               markovian_gamma=gamma)
+                               gamma_memory=100.0 * gamma)
         t = np.linspace(0.0, 2.0 / gamma, 4001)
         p = nm.evolve_kernel(kernel, t)
         p_m = np.exp(-gamma * t)
@@ -168,7 +162,7 @@ class TestKernelEvolution:
         exact = (np.exp(-0.5 * gm * t) * (1.0 + 0.5 * gm * t)) ** 2
         for factor in (1.0, 1.0 - 1e-10, 1.0 + 1e-10):
             kernel = nm.KernelSpec(amplitude_a=0.5 * gm * gm * factor,
-                                   gamma_memory=gm, markovian_gamma=0.0)
+                                   gamma_memory=gm)
             p = nm.evolve_kernel(kernel, t)
             np.testing.assert_allclose(p, exact, rtol=1e-8, atol=1e-15)
 
@@ -177,8 +171,7 @@ class TestKernelEvolution:
         # trace must still decay at the slow root's rate 2 (Gamma/2 - q)
         gamma = TWO_PI * 5e4
         kernel = nm.KernelSpec(amplitude_a=gamma * (100.0 * gamma),
-                               gamma_memory=100.0 * gamma,
-                               markovian_gamma=gamma)
+                               gamma_memory=100.0 * gamma)
         t = np.linspace(0.0, 20.0 / gamma, 2001)
         p = nm.evolve_kernel(kernel, t)
         assert np.all(np.isfinite(p)) and p[-1] > 0.0

@@ -1,10 +1,11 @@
 """Library surface guard: every public name of every module of the
 package (src/fluxcomb/*.py) is used by the program itself, and every
-dataclass field with a default is set by a keyword somewhere in the
-package, or is kept on purpose with its reason. Every key of the CLI's
-bounds table is a config leaf."""
+dataclass field with a default is set to another value by a keyword
+somewhere in the package, or is kept on purpose with its reason. Every
+key of the CLI's bounds table is a config leaf."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 from fluxcomb import cli
@@ -23,8 +24,6 @@ KEPT = {
         "acceptance 3 and the benchmark call it directly",
     "nonmarkov.fit_decay":
         "acceptance 10 fits the decay exponents with it",
-    "transmon.TransmonSpec.ng":
-        "the charge-dispersion tests set an offset charge",
 }
 
 
@@ -69,10 +68,18 @@ def _unused() -> list:
 
 def _unset() -> list:
     """Dataclass fields with a default that no call in the package sets
-    by keyword, so each holds its default in every run of the program."""
+    by keyword to another value, so each holds its default in every run
+    of the program. A keyword of cli._keys(...) names a field in a key
+    map and sets nothing; one whose value is the field's own default
+    literal passes that default."""
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
-    keywords = {k.arg for tree in trees.values() for node in ast.walk(tree)
-                if isinstance(node, ast.Call) for k in node.keywords}
+    passed = defaultdict(set)       # keyword -> source of each value
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and ast.unparse(node.func) != "_keys":
+                for k in node.keywords:
+                    passed[k.arg].add(ast.unparse(k.value))
     return sorted(
         f"{module}.{node.name}.{item.target.id}"
         for module, tree in trees.items() for node in tree.body
@@ -80,7 +87,7 @@ def _unset() -> list:
             "dataclass" in ast.unparse(d) for d in node.decorator_list)
         for item in node.body
         if isinstance(item, ast.AnnAssign) and item.value is not None
-        and item.target.id not in keywords)
+        and not passed[item.target.id] - {ast.unparse(item.value)})
 
 
 def test_public_names_reach_the_program():

@@ -8,7 +8,6 @@ from scipy.special import mathieu_a, mathieu_b
 from fluxcomb.errors import ConfigError, ConvergenceError
 from fluxcomb.transmon import (
     SIGMA_RES,
-    TransmonSpec,
     addressing_map,
     default_comb_qubits,
     diagonalize,
@@ -46,8 +45,7 @@ def test_ej_time_averaged_bessel_suppression():
 # -------------------------------------------------------- diagonalization
 
 def test_charging_parabola_at_zero_ej():
-    spec = TransmonSpec(ec=0.3e9, ej_max=10e9)
-    levels = diagonalize(spec, 0.0)
+    levels = diagonalize(0.3e9, 0.0)
     # levels are 4*EC*n^2, degenerate +-n pairs at ng = 0
     expect = np.array([0.0, 4 * 0.3e9, 4 * 0.3e9, 16 * 0.3e9, 16 * 0.3e9])
     np.testing.assert_allclose(levels, expect, rtol=1e-12)
@@ -62,32 +60,29 @@ def test_levels_match_mathieu_characteristic_values(ej_over_ec):
     ec = 0.25e9
     ej = ej_over_ec * ec
     q = ej / (2.0 * ec)
-    levels = diagonalize(TransmonSpec(ec=ec, ej_max=ej), ej)
+    levels = diagonalize(ec, ej)
     expect = ec * np.array([mathieu_b(2, q), mathieu_a(2, q),
                             mathieu_b(4, q)]) - ec * mathieu_a(0, q)
     np.testing.assert_allclose(levels[1:4], expect, rtol=1e-12)
 
 
 def test_nonfinite_ej_is_convergence_error():
-    spec = TransmonSpec(ec=0.25e9, ej_max=10e9)
     with pytest.raises(ConvergenceError):
-        diagonalize(spec, math.nan)
+        diagonalize(0.25e9, math.nan)
 
 
 def test_charge_periodicity():
-    spec_a = TransmonSpec(ec=0.25e9, ej_max=10e9, ng=0.3)
-    spec_b = TransmonSpec(ec=0.25e9, ej_max=10e9, ng=1.3)
-    np.testing.assert_allclose(diagonalize(spec_a, 5e9),
-                               diagonalize(spec_b, 5e9), rtol=1e-10, atol=1.0)
+    np.testing.assert_allclose(diagonalize(0.25e9, 5e9, ng=0.3),
+                               diagonalize(0.25e9, 5e9, ng=1.3),
+                               rtol=1e-10, atol=1.0)
 
 
 def test_transmon_asymptotics():
     ec = 0.25e9
-    spec = TransmonSpec(ec=ec, ej_max=100e9)
     dev_prev = None
     for ratio in (50, 200, 1000):
         ej = ratio * ec
-        levels = diagonalize(spec, ej)
+        levels = diagonalize(ec, ej)
         alpha = levels[2] - 2.0 * levels[1]
         wq_asym = math.sqrt(8 * ej * ec) - ec
         assert abs(levels[1] - wq_asym) / wq_asym < 0.01
@@ -100,14 +95,13 @@ def test_transmon_asymptotics():
             assert dev < dev_prev
         dev_prev = dev
     # frozen regression for the EJ/EC = 200 point
-    l200 = diagonalize(spec, 200 * ec)
+    l200 = diagonalize(ec, 200 * ec)
     assert (l200[2] - 2.0 * l200[1]) / (-ec) == pytest.approx(1.0636,
                                                              abs=2e-3)
 
 
 def test_levels_sorted_and_ground_referenced():
-    spec = TransmonSpec(ec=0.2e9, ej_max=20e9, ng=0.17)
-    levels = diagonalize(spec, 12e9)
+    levels = diagonalize(0.2e9, 12e9, ng=0.17)
     assert levels[0] == 0.0
     assert np.all(np.diff(levels) > 0)
 
@@ -116,38 +110,39 @@ def test_truncation_convergence_on_doubling():
     """The converged levels equal a solve at a fixed cut over three times
     the starting one."""
     import fluxcomb.transmon as tm
-    spec = TransmonSpec(ec=0.25e9, ej_max=20e9, ng=0.3)
-    levels = diagonalize(spec, 12.5e9)
-    fixed = tm._charge_levels(spec.ec, 12.5e9, spec.ng, 100, levels.size)
+    levels = diagonalize(0.25e9, 12.5e9, ng=0.3)
+    fixed = tm._charge_levels(0.25e9, 12.5e9, 0.3, 100, levels.size)
     np.testing.assert_allclose(levels[1:], fixed[1:], rtol=1e-9)
 
 
 def test_convergence_error_when_cap_hit(monkeypatch):
     import fluxcomb.transmon as tm
     monkeypatch.setattr(tm, "_MAX_CHARGE_CUT", 30)
-    spec = TransmonSpec(ec=0.25e9, ej_max=1e13)
     with pytest.raises(ConvergenceError):
-        diagonalize(spec, 5e12)
+        diagonalize(0.25e9, 5e12)
 
 
 def test_omega_q_monotone_in_flux():
-    spec = TransmonSpec(ec=0.25e9, ej_max=15e9)
     phis = np.linspace(0.0, 0.45, 10)     # external flux, in Phi0
-    wqs = [diagonalize(spec, ej_time_averaged(spec.ej_max, 2 * math.pi * p,
-                                              0.0))[1] for p in phis]
+    wqs = [diagonalize(0.25e9, ej_time_averaged(15e9, 2 * math.pi * p,
+                                                0.0))[1] for p in phis]
     assert np.all(np.diff(wqs) < 0)
 
 
 def test_transmon_regime_warning():
-    with pytest.warns(UserWarning, match="transmon regime"):
-        TransmonSpec(ec=1e9, ej_max=5e9)
+    # harmonic 1 of 8 GHz at ec = 1 GHz calibrates to ej_max/ec = 5.45
+    with pytest.warns(UserWarning, match="ej_max/ec = 5.45 < 10: outside "
+                                         "the transmon regime"):
+        default_comb_qubits(2 * math.pi * 8e9, (1,), ec=1e9)
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError):
-        TransmonSpec(ec=-1.0, ej_max=10e9)
-    with pytest.raises(ConfigError):
-        TransmonSpec(ec=0.25e9, ej_max=0.0)
+    for ec in (-1.0, 0.0, math.nan):
+        with pytest.raises(ConfigError, match="^ec must be positive"):
+            diagonalize(ec, 10e9)
+    # cos(bias / 2) < 0: no ej_max calibrates
+    with pytest.raises(ConfigError, match="^ej_max must be positive"):
+        default_comb_qubits(OMEGA_M, (5,), bias_targets=[4.0])
     with pytest.raises(ConfigError, match="ec must be positive"):
         flux_curve(0.0)
 
@@ -176,40 +171,40 @@ def _jc_chi(nu_q, nu_r, g, n_ph=40):
 
 
 def test_chi_zero_coupling():
-    spec = TransmonSpec(ec=0.2e9, ej_max=10e9)
-    assert chi_dispersive(spec, 10e9, ReadoutSpec(omega_r=12e9, g_r=0.0)) == 0.0
+    assert chi_dispersive(0.2e9, 10e9,
+                          ReadoutSpec(omega_r=12e9, g_r=0.0)) == 0.0
 
 
 def test_chi_sign_flips_with_detuning():
-    spec = TransmonSpec(ec=0.2e9, ej_max=10e9)
-    wq = diagonalize(spec, 10e9)[1]
-    above = chi_dispersive(spec, 10e9, ReadoutSpec(omega_r=wq + 3e9, g_r=0.1e9))
-    below = chi_dispersive(spec, 10e9, ReadoutSpec(omega_r=wq - 3e9, g_r=0.1e9))
+    ec = 0.2e9
+    wq = diagonalize(ec, 10e9)[1]
+    above = chi_dispersive(ec, 10e9, ReadoutSpec(omega_r=wq + 3e9, g_r=0.1e9))
+    below = chi_dispersive(ec, 10e9, ReadoutSpec(omega_r=wq - 3e9, g_r=0.1e9))
     assert above * below < 0
 
 
 def test_chi_degenerate_raises():
-    spec = TransmonSpec(ec=0.2e9, ej_max=10e9)
-    wq = diagonalize(spec, 10e9)[1]
+    ec = 0.2e9
+    wq = diagonalize(ec, 10e9)[1]
     with pytest.raises(ConfigError):
-        chi_dispersive(spec, 10e9, ReadoutSpec(omega_r=wq, g_r=0.1e9))
+        chi_dispersive(ec, 10e9, ReadoutSpec(omega_r=wq, g_r=0.1e9))
 
 
 def test_chi_against_jc_oracle():
-    spec = TransmonSpec(ec=0.2e9, ej_max=10e9)
-    wq = diagonalize(spec, 10e9)[1]
+    ec = 0.2e9
+    wq = diagonalize(ec, 10e9)[1]
     for g in (0.1e9, 0.3e9, 0.6e9):
-        chi_f = chi_dispersive(spec, 10e9, ReadoutSpec(omega_r=12e9, g_r=g))
+        chi_f = chi_dispersive(ec, 10e9, ReadoutSpec(omega_r=12e9, g_r=g))
         chi_o = _jc_chi(wq, 12e9, g)
         assert g / abs(wq - 12e9) <= 0.1
         assert abs(chi_f - chi_o) / abs(chi_o) < 0.05
 
 
 def test_chi_dispersive_warning():
-    spec = TransmonSpec(ec=0.2e9, ej_max=10e9)
-    wq = diagonalize(spec, 10e9)[1]
+    ec = 0.2e9
+    wq = diagonalize(ec, 10e9)[1]
     with pytest.warns(UserWarning, match="dispersive"):
-        chi_dispersive(spec, 10e9, ReadoutSpec(omega_r=wq + 0.5e9, g_r=0.2e9))
+        chi_dispersive(ec, 10e9, ReadoutSpec(omega_r=wq + 0.5e9, g_r=0.2e9))
 
 
 # ------------------------------------------------------------ addressing
@@ -225,9 +220,8 @@ def test_flux_curve_accuracy():
     rng = np.random.default_rng(3)
     for ec in (0.22e9, 0.25e9, 0.28e9):
         curve = flux_curve(ec)
-        spec = TransmonSpec(ec=ec, ej_max=1e12)
         ln_ej = rng.uniform(math.log(8 * ec), math.log(2.2e4 * ec), 60)
-        exact = np.array([diagonalize(spec, math.exp(le))[1]
+        exact = np.array([diagonalize(ec, math.exp(le))[1]
                           for le in ln_ej])
         got = curve.omega_q(np.exp(ln_ej))
         np.testing.assert_allclose(got, exact, rtol=1e-10, atol=0)
@@ -249,10 +243,10 @@ def test_flux_curve_clips_and_rejects_out_of_range():
 def test_default_comb_sits_on_harmonics():
     biases = np.linspace(0.7, 1.2, 5)
     for ec in (0.22e9, 0.25e9, 0.28e9):
-        qubits = default_comb_qubits(OMEGA_M, ec=ec)
-        for spec, n_i, bias in zip(qubits, (5, 10, 15, 20, 25), biases):
-            ej = ej_time_averaged(spec.ej_max, bias, 0.0)
-            wq = diagonalize(spec, ej)[1]
+        ej_max = default_comb_qubits(OMEGA_M, ec=ec)
+        for e_q, n_i, bias in zip(ej_max, (5, 10, 15, 20, 25), biases):
+            ej = ej_time_averaged(e_q, bias, 0.0)
+            wq = diagonalize(ec, ej)[1]
             assert abs(2 * math.pi * wq - n_i * OMEGA_M) \
                 <= 1e-12 * n_i * OMEGA_M
 
@@ -262,10 +256,10 @@ def test_calibration_converges_from_a_poor_start(monkeypatch):
     curve = flux_curve(0.25e9)
     start = curve.ln_ej_from_omega
     monkeypatch.setattr(curve, "ln_ej_from_omega", lambda w: start(w) + 0.05)
-    qubits = default_comb_qubits(OMEGA_M, (5, 25), bias_targets=[0.0, 0.0])
-    for spec, n_i in zip(qubits, (5, 25)):
+    ej_max = default_comb_qubits(OMEGA_M, (5, 25), bias_targets=[0.0, 0.0])
+    for e_q, n_i in zip(ej_max, (5, 25)):
         # at zero bias the SQUID's E_J is 2 ej_max
-        wq = diagonalize(spec, 2.0 * spec.ej_max)[1]
+        wq = diagonalize(0.25e9, 2.0 * e_q)[1]
         assert abs(2 * math.pi * wq - n_i * OMEGA_M) \
             <= 1e-12 * n_i * OMEGA_M
 
@@ -274,7 +268,7 @@ def test_addressing_dc_sweep_peaks_separate():
     # fixed rf drive, dc swept: exactly one high-score region per qubit
     array = _ArrayStub(OMEGA_M, [5, 10, 15, 20, 25])
     phi_dc = np.linspace(0.05, 1.3, 400)
-    score = addressing_map(array, phi_dc, [0.85],
+    score = addressing_map(array, phi_dc, [0.85], 0.25e9,
                            default_comb_qubits(OMEGA_M))
     assert score.shape == (400, 1, 5)
     centers = []
@@ -294,12 +288,12 @@ def test_addressing_dc_sweep_peaks_separate():
 def test_addressing_rf_branches_quasi_horizontal():
     array = _ArrayStub(OMEGA_M, [5, 10, 15, 20, 25])
     phi_rf = np.linspace(0.0, 0.85, 60)
-    qubits = default_comb_qubits(OMEGA_M)
+    ej_max = default_comb_qubits(OMEGA_M)
     # cycle-averaged qubit frequencies [rad/s] at phi_dc = 0.8,
     # (n_rf, n_qubits)
     wb = 2.0 * math.pi * np.stack(
-        [flux_curve(q.ec).omega_q(ej_time_averaged(q.ej_max, 0.8, phi_rf))
-         for q in qubits], axis=1)
+        [flux_curve(0.25e9).omega_q(ej_time_averaged(e_q, 0.8, phi_rf))
+         for e_q in ej_max], axis=1)
     drift = np.abs(wb - wb[0, :]) / wb[0, :]
     assert drift.max() < 0.03              # branches move by < 3 percent
     # branches stay ordered and distinct across the sweep
@@ -307,20 +301,19 @@ def test_addressing_rf_branches_quasi_horizontal():
     # and the map scores each qubit's detuning from its harmonic
     det = wb - np.array(array.harmonic_indices) * OMEGA_M
     np.testing.assert_allclose(
-        addressing_map(array, [0.8], phi_rf, qubits)[0],
+        addressing_map(array, [0.8], phi_rf, 0.25e9, ej_max)[0],
         np.exp(-det ** 2 / (2.0 * SIGMA_RES ** 2)), rtol=1e-9, atol=1e-12)
 
 
 def test_addressing_far_detuned_is_dark():
     array = _ArrayStub(OMEGA_M, [5])
-    qubit = TransmonSpec(ec=0.25e9, ej_max=3e9)   # way below harmonic 5
+    # ej_max = 3 GHz: way below harmonic 5
     score = addressing_map(array, np.linspace(0.0, 1.2, 50), [0.0],
-                           qubits=[qubit])
+                           0.25e9, [3e9])
     assert score.max() < 1e-6
 
 
 def test_addressing_rejects_negative_rf():
     array = _ArrayStub(OMEGA_M, [5])
     with pytest.raises(ConfigError):
-        addressing_map(array, [0.5], [-0.1],
-                       [TransmonSpec(ec=0.25e9, ej_max=3e9)])
+        addressing_map(array, [0.5], [-0.1], 0.25e9, [3e9])
