@@ -125,37 +125,37 @@ class BusIsolationModel:
             raise ConfigError("gain must be positive everywhere")
 
 
-def reciprocal_bus(omega_m: float = TWO_PI * 3e9) -> BusIsolationModel:
-    """Plain shared bus. Flat sub-unity gain (insertion loss raises the
-    effective environment coupling, and leaves gain_width inert); no
-    isolation engineering."""
+# each bus kind's constants: a reciprocal bus is a plain shared bus with
+# flat sub-unity gain (insertion loss; gain_width is inert), a
+# nonreciprocal one is direction-selective, suppressing decay back into
+# the bus, with in-band gain peaking at the bus resonance
+_BUSES = {
+    "reciprocal": dict(c_purcell=4.8251e-5, c_phi=1.0, c0=0.3,
+                       gain_floor=0.07, gain_peak=0.07),
+    "nonreciprocal": dict(c_purcell=1.9e-6, c_phi=0.002, c0=0.005,
+                          gain_floor=0.5, gain_peak=2.0),
+}
+
+
+def bus_model(kind: str, omega_m: float) -> BusIsolationModel:
+    """The bus of a kind, "reciprocal" or "nonreciprocal", with the
+    bandwidths and resonance of both at fixed multiples of omega_m."""
+    if kind not in _BUSES:
+        raise ConfigError(f"kind {kind!r} is not a bus model")
     return BusIsolationModel(
-        c_purcell=4.8251e-5, c_phi=1.0, c0=0.3,
-        delta_bw=0.4 * omega_m, omega_res=13.0 * omega_m,
-        gain_floor=0.07, gain_peak=0.07, gain_width=8.0 * omega_m,
-        purcell_bw=16.0 * omega_m)
+        **_BUSES[kind], delta_bw=0.4 * omega_m, omega_res=13.0 * omega_m,
+        gain_width=8.0 * omega_m, purcell_bw=16.0 * omega_m)
 
 
-def nonreciprocal_bus(omega_m: float = TWO_PI * 3e9) -> BusIsolationModel:
-    """Direction-selective bus: decay paths back into the bus are strongly
-    suppressed, in-band gain peaks at the bus resonance."""
-    return BusIsolationModel(
-        c_purcell=1.9e-6, c_phi=0.002, c0=0.005,
-        delta_bw=0.4 * omega_m, omega_res=13.0 * omega_m,
-        gain_floor=0.5, gain_peak=2.0, gain_width=8.0 * omega_m,
-        purcell_bw=16.0 * omega_m)
-
-
-def gain(model: BusIsolationModel, omega) -> float | np.ndarray:
+def gain(model: BusIsolationModel, omega) -> np.ndarray:
     """Frequency-dependent insertion gain G(omega), Gaussian around the
     bus resonance with a flat floor."""
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0.0):
         raise ConfigError("gain needs omega > 0")
-    out = model.gain_floor + (model.gain_peak - model.gain_floor) * np.exp(
+    return model.gain_floor + (model.gain_peak - model.gain_floor) * np.exp(
         -((omega - model.omega_res) ** 2)
         / (2.0 * model.gain_width ** 2))
-    return float(out) if out.ndim == 0 else out
 
 
 def full_budget(array: QubitArraySpec, model: BusIsolationModel) -> tuple:

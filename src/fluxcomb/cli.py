@@ -101,13 +101,19 @@ def _typed(value, default, where: str):
 
 # single-leaf bounds by dotted key, checked with the types; a key means
 # the same in every scenario that has it. An entry holds rules on the
-# value (on a list, on its length): "> 0", ">= 1", or ">= 1 and <= 64".
+# value (on a list, on its length): "> 0", "<= 193", ">= 5 and <= 8388608".
+_F_MOD_TOP = sys.float_info.max / TWO_PI    # the largest f with finite 2 pi f
 BOUNDS = {
     "run.n_harmonics": ">= 1", "run.window_start_s": ">= 0",
     "source.t_width_s": "> 0",
+    "drive.modulation_freq_hz": f">= {-_F_MOD_TOP} and <= {_F_MOD_TOP}",
     "harmonic_indices": ">= 1", "phi_dc.n": ">= 1", "phi_rf.n": ">= 1",
     "phi_rf.start": ">= 0", "phi_rf.stop": ">= 0",
-    "n_min": ">= 1", "models": ">= 1", "n_points": ">= 5", "t_end_s": "> 0",
+    # the most levels the charge basis can converge for
+    "n_levels": f"<= {transmon.MAX_LEVELS}",
+    "n_min": ">= 1", "models": ">= 1", "t_end_s": "> 0",
+    # the kernel trace's complex amplitude holds two floats a point
+    "n_points": f">= 5 and <= {nonmarkov.MAX_ARRAY // 2}",
     "seed": ">= 0", "tau.n": ">= 2", "spectrum.n_avg": ">= 1",
     "spectrum.dt_s": "> 0", "tau.start_s": "> 0", "tau.stop_s": "> 0",
     "kernel.markovian_ratio": ">= 0",
@@ -221,6 +227,13 @@ def run_line_sim(config: dict, out_dir: Path):
             kappa_s=TWO_PI * dcfg["spatial_periods"] / geom.length,
             omega_s=TWO_PI * dcfg["modulation_freq_hz"],
             phase=dcfg["phase_rad"])
+    # the modulation basis takes cos and sin of m theta, m below
+    # SERIES_SAMPLES / 2, at theta = kappa_s z + phase, 0 < z < length
+    theta = abs(drive.kappa_s) * geom.length + abs(drive.phase)
+    if not math.isfinite((line.SERIES_SAMPLES // 2 - 1) * theta):
+        raise ConfigError("'drive.spatial_periods', 'drive.phase_rad', "
+                          "'geometry.n_cells', 'geometry.dz_m': the "
+                          "modulation phase m theta is out of float range")
     scfg = config["source"]
     with _keys(kind="source.kind", port="source.port",
                amplitude="source.amplitude_volts", omega="source.freq_hz",
@@ -237,7 +250,8 @@ def run_line_sim(config: dict, out_dir: Path):
     rcfg = config["run"]
     spectrum_mode = rcfg["spectrum"]
     if spectrum_mode not in ("spatial", "temporal", "none"):
-        raise ConfigError(f"unknown spectrum mode {spectrum_mode!r}")
+        raise ConfigError(f"'run.spectrum' must be spatial, temporal or "
+                          f"none, got {spectrum_mode!r}")
     n_max = rcfg["n_harmonics"]
     if rcfg["wavepacket"] and len(rcfg["snapshot_times_s"]) < 2:
         raise ConfigError("'run.wavepacket' needs >= 2 'run.snapshot_times_s'")
@@ -351,8 +365,6 @@ def run_flux_sweep(config: dict, out_dir: Path):
 
 
 def run_addressing(config: dict, out_dir: Path):
-    _check_work([("charge basis", "levels", transmon.MAX_LEVELS,
-                  config["n_levels"], ("n_levels",))])
     omega_m, ec = TWO_PI * config["modulation_freq_hz"], config["ec_hz"]
     bias = config["bias_phi_dc"]
     with _keys(ec="ec_hz", n_levels="n_levels", harmonic="harmonic_index",
@@ -384,17 +396,10 @@ def _array_from_config(acfg: dict, n_qubits: int) -> budget.QubitArraySpec:
             lambda_c=acfg["lambda_c_m"])
 
 
-def _bus_model(kind: str, omega_m: float) -> budget.BusIsolationModel:
-    if kind == "reciprocal":
-        return budget.reciprocal_bus(omega_m)
-    if kind == "nonreciprocal":
-        return budget.nonreciprocal_bus(omega_m)
-    raise ConfigError(f"unknown bus model {kind!r}")
-
-
 def run_error_budget(config: dict, out_dir: Path):
     array = _array_from_config(config["array"], config["array"]["n_qubits"])
-    model = _bus_model(config["bus"], array.omega_m)
+    with _keys(kind="bus"):
+        model = budget.bus_model(config["bus"], array.omega_m)
     out = budget.full_budget(array, model)
     return [io.write_csv(
         out_dir / "budget.csv",
@@ -411,8 +416,9 @@ def run_scalability(config: dict, out_dir: Path):
     # the sweep resizes this template to each n
     array = _array_from_config(config["array"], n_max)
     n_range, models = range(n_min, n_max + 1), config["models"]
-    worst = [budget.scalability_sweep(array, _bus_model(kind, array.omega_m),
-                                      n_range) for kind in models]
+    with _keys(kind="models"):
+        buses = [budget.bus_model(kind, array.omega_m) for kind in models]
+    worst = [budget.scalability_sweep(array, bus, n_range) for bus in buses]
     # rows run over (model, n), n fastest
     return [io.write_csv(
         out_dir / "scalability.csv", "n,worst_case_error,model",
@@ -421,21 +427,20 @@ def run_scalability(config: dict, out_dir: Path):
 
 
 def run_nonmarkov(config: dict, out_dir: Path):
-    # the kernel trace's complex amplitude holds two floats a point
-    _check_work([("kernel trace", "floats", nonmarkov.MAX_ARRAY,
-                  2 * config["n_points"], ("n_points",))])
     kcfg = config["kernel"]
     gm = TWO_PI * kcfg["gamma_memory_hz"]
-    with _keys(amplitude_a="kernel.amplitude_over_gamma_sq",
-               gamma_memory="kernel.gamma_memory_hz"):
-        kernel = nonmarkov.KernelSpec(
-            amplitude_a=kcfg["amplitude_over_gamma_sq"] * gm * gm,
-            gamma_memory=gm)
     t = np.linspace(0.0, config["t_end_s"], config["n_points"])
     if np.any(np.diff(t) <= 0.0):
         raise ConfigError("'t_end_s', 'n_points': the grid step "
                           "t_end_s / (n_points - 1) underflows")
-    p = nonmarkov.evolve_kernel(kernel, t)
+    with _keys(amplitude_a="kernel.amplitude_over_gamma_sq",
+               gamma_memory="kernel.gamma_memory_hz"):
+        p = nonmarkov.evolve_kernel(kcfg["amplitude_over_gamma_sq"] * gm * gm,
+                                    gm, t)
+    # checked in every mode, also where no Markovian trace is written
+    if not math.isfinite(kcfg["markovian_ratio"] * gm):
+        raise ConfigError("'kernel.markovian_ratio', 'kernel.gamma_memory_hz'"
+                          ": the Markovian rate is out of float range")
     # the rate first: a bad smoothing window exits before any file is
     # written
     window = config["smoothing_window"] or None
@@ -510,6 +515,13 @@ def run_spectroscopy(config: dict, out_dir: Path):
     models = [_noise_model("one-over-f", "one_over_f", config["one_over_f"]),
               _noise_model("filtered", "filtered", config["filtered"])]
     _spectroscopy_work(config, models)
+    # np.geomspace takes 10**log10(tau), which may round past tau, so 2 tau
+    # must be finite, and so must the tone tables' w tau, w <= 2 pi f_max
+    t_top = max(tcfg["start_s"], tcfg["stop_s"])
+    w_top = TWO_PI * max(m.f_max for m in models)
+    if not math.isfinite(t_top * max(2.0, w_top)):
+        raise ConfigError("'tau.start_s', 'tau.stop_s', 'one_over_f.f_max_hz',"
+                          " 'filtered.f_max_hz': w tau is out of float range")
     tau = np.geomspace(tcfg["start_s"], tcfg["stop_s"], tcfg["n"])
 
     with _keys(n_realizations="n_realizations"):

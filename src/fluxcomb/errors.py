@@ -1,7 +1,8 @@
 """Exceptions that fluxcomb raises on purpose. The CLI maps them onto
-exit codes: ConfigError -> 2, NumericalError -> 3, plain OSError -> 4. A
-library ConfigError's message starts with the name of the field it
-concerns, which the CLI maps to the field's dotted config key.
+exit codes, one class each: ConfigError -> 2, NumericalError -> 3, plain
+OSError -> 4. A library ConfigError's message starts with the name of
+the field it concerns, which the CLI maps to the field's dotted config
+key.
 """
 
 
@@ -11,11 +12,6 @@ class ConfigError(Exception):
 
 
 class NumericalError(Exception):
-    """Runtime numerical failure: field blowup, trace drift, step-size
-    violations."""
-
-
-class ConvergenceError(NumericalError):
-    """Iterative method exhausted its budget or failed to converge (a LAPACK
-    eigensolve failure, basis truncation growth, calibration or fit
-    iterations)."""
+    """Runtime numerical failure: field blowup, a value out of float
+    range, or an iterative method that did not converge (a LAPACK
+    eigensolve, the charge-basis growth, calibration or fit iterations)."""

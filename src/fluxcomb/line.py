@@ -565,8 +565,8 @@ def _dbc(powers: list[float], what: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array(dbc), np.array(powers)
 
 
-def temporal_harmonics(record: np.ndarray, sim: Simulator,
-                       n_max: int = 6) -> tuple[np.ndarray, np.ndarray]:
+def temporal_harmonics(record: np.ndarray, sim: Simulator, n_max: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """Hann-tapered spectral power of a probe record (one current per
     step, a column of run_until's record) at the bins nearest the harmonics
     n = 1..n_max of the source tone: (dBc relative to n = 1, power in
@@ -577,7 +577,7 @@ def temporal_harmonics(record: np.ndarray, sim: Simulator,
     return _dbc([float(np.sum(b)) for b in bands], "temporal")
 
 
-def spatial_harmonics(i: np.ndarray, sim: Simulator, n_max: int = 6
+def spatial_harmonics(i: np.ndarray, sim: Simulator, n_max: int
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Spatial-spectrum analogue of temporal_harmonics for one snapshot's
     branch current i (a row of run_until's), at the harmonics of

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, NumericalError
 
 TWO_PI = 2.0 * math.pi
 NOISE_BLOCK = 256       # time samples per block of the noise synthesis
@@ -37,24 +37,6 @@ MAX_ARRAY = 1 << 24
 MAX_TONE_TERMS = 10 ** 10
 # band edges [Hz] whose squares are normal floats
 _F_MIN, _F_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    amplitude_a: float               # kernel amplitude A [1/s^2]
-    gamma_memory: float              # memory decay rate Gamma [1/s]
-
-    def __post_init__(self):
-        if not self.gamma_memory > 0.0:
-            raise ConfigError("gamma_memory must be > 0")
-        # the closed form takes Gamma^2/4 - A/2: both must be finite
-        if not math.isfinite(self.gamma_memory * self.gamma_memory):
-            raise ConfigError("gamma_memory squared overflows")
-        if not math.isfinite(self.amplitude_a):
-            raise ConfigError(f"amplitude_a overflows at gamma_memory = "
-                              f"{self.gamma_memory:.3g} /s")
-        if self.amplitude_a < 0.0:
-            raise ConfigError("amplitude_a must be nonnegative")
 
 
 def _check_grid(t_grid) -> np.ndarray:
@@ -77,9 +59,11 @@ def evolve_markovian(gamma: float, t_grid) -> np.ndarray:
     return np.exp(-gamma * t)
 
 
-def evolve_kernel(kernel: KernelSpec, t_grid) -> np.ndarray:
+def evolve_kernel(amplitude_a: float, gamma_memory: float, t_grid
+                  ) -> np.ndarray:
     """Population trace under the exponential memory kernel
-    K(t - tau) = A exp(-Gamma (t - tau)).
+    K(t - tau) = A exp(-Gamma (t - tau)), with A = amplitude_a [1/s^2]
+    and Gamma = gamma_memory [1/s].
 
     Solved at the amplitude level: the excited amplitude c obeys
     c'(t) = -integral K(t-tau)/2 c(tau) dtau, i.e.
@@ -92,9 +76,19 @@ def evolve_kernel(kernel: KernelSpec, t_grid) -> np.ndarray:
         c(t) = exp(-Gamma t/2) [cosh(q t) + (Gamma/2) sinh(q t)/q]
     with q = sqrt(Gamma^2/4 - A/2), imaginary when underdamped.
     """
+    gm = gamma_memory
+    if not gm > 0.0:
+        raise ConfigError("gamma_memory must be > 0")
+    # the closed form takes Gamma^2/4 - A/2: both must be finite
+    if not math.isfinite(gm * gm):
+        raise ConfigError("gamma_memory squared overflows")
+    if not math.isfinite(amplitude_a):
+        raise ConfigError(f"amplitude_a overflows at gamma_memory = "
+                          f"{gm:.3g} /s")
+    if amplitude_a < 0.0:
+        raise ConfigError("amplitude_a must be nonnegative")
     t = _check_grid(t_grid)
-    gm = kernel.gamma_memory
-    q = np.sqrt(complex(0.25 * gm * gm - 0.5 * kernel.amplitude_a))
+    q = np.sqrt(complex(0.25 * gm * gm - 0.5 * amplitude_a))
     # written with exponentials that never grow (Re q <= Gamma/2), so long
     # overdamped traces do not overflow; sinh(q t)/q -> t at q = 0
     z = -2.0 * q * t
@@ -374,7 +368,7 @@ def fit_decay(t, y) -> tuple[float, float]:
     ln_y = np.log(y)
     usable = (t > 0.0) & (y < 1.0)
     if usable.sum() < 4:
-        raise ConvergenceError("too few decaying samples to seed the fit")
+        raise NumericalError("too few decaying samples to seed the fit")
     u = np.log(-ln_y[usable])
     v = np.log(t[usable])
     beta, intercept = np.polyfit(v, u, 1)
@@ -409,6 +403,6 @@ def fit_decay(t, y) -> tuple[float, float]:
             break
     timescale, beta = math.exp(theta[0]), float(theta[1])
     if not (0.0 < beta <= 4.0) or not np.isfinite(timescale):
-        raise ConvergenceError(
+        raise NumericalError(
             f"fit left the admissible region (beta = {beta:.3f})")
     return timescale, beta

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, NumericalError
 
 # Gaussian resonance width of the addressing scores, rad/s
 SIGMA_RES = 2.0 * math.pi * 50e6
@@ -77,7 +77,7 @@ def _charge_levels(ec: float, ej: float, ng: float, cut: int, n_levels: int
     try:
         vals = np.linalg.eigvalsh(ham)[:n_levels]
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"charge-basis eigensolve failed: {exc}") \
+        raise NumericalError(f"charge-basis eigensolve failed: {exc}") \
             from exc
     return vals - vals[0]
 
@@ -96,7 +96,7 @@ def _converged_levels(ec: float, ej: float, ng: float, n_levels: int
                 and abs(cur[-2] - prev[-2]) <= 1e-9 * scale):
             return cur, cut
         prev = cur
-    raise ConvergenceError(
+    raise NumericalError(
         f"charge basis not converged at cut = {_MAX_CHARGE_CUT} "
         f"(ej/ec = {ej / ec:.3g})")
 
@@ -109,7 +109,7 @@ def diagonalize(ec: float, ej: float, n_levels: int = 5, ng: float = 0.0
     ground-referenced levels [Hz], ascending from levels[0] == 0: omega_q
     is levels[1] and the anharmonicity levels[2] - 2 levels[1].
 
-    The truncation is auto-verified; raises ConvergenceError when the cap is
+    The truncation is auto-verified; raises NumericalError when the cap is
     reached.
     """
     if not ec > 0:
@@ -135,7 +135,6 @@ class FluxCurve:
     def __init__(self, ec: float):
         if not ec > 0:
             raise ConfigError("ec must be positive")
-        self.ec = ec
         self._ej_lo, self._ej_hi = (ec * r for r in _CURVE_EJ_OVER_EC)
         # one converged solve at the widest wavefunction fixes the cut
         cut = _converged_levels(ec, self._ej_hi, 0.0, 3)[1]
@@ -184,9 +183,7 @@ def flux_curve(ec: float) -> FluxCurve:
     return FluxCurve(ec)
 
 
-def default_comb_qubits(omega_m: float,
-                        harmonic_indices=(5, 10, 15, 20, 25),
-                        ec: float = 0.25e9,
+def default_comb_qubits(omega_m: float, harmonic_indices, ec: float,
                         bias_targets=None) -> np.ndarray:
     """Calibrated comb qubits, all at charging energy ec [Hz]: their
     ej_max [Hz, per junction] as an array. Qubit i is sized so its
@@ -221,7 +218,7 @@ def default_comb_qubits(omega_m: float,
             if abs(residual) <= _CAL_RTOL * target_hz:
                 break
         else:
-            raise ConvergenceError(
+            raise NumericalError(
                 f"calibration to harmonic {n_i} not converged in "
                 f"{_CAL_STEPS} steps")
         ej_max[q] = math.exp(ln_ej) / (2.0 * math.cos(0.5 * bias))

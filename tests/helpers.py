@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fluxcomb import budget, line, nonmarkov, transmon
+from fluxcomb import budget, line, transmon
 from fluxcomb.errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
@@ -45,12 +45,11 @@ def default_drive(phi_dc: float, phi_rf: float,
         kappa_s=TWO_PI * 3.0 / geom.length, omega_s=TWO_PI * 3e9)
 
 
-def memory_kernel() -> nonmarkov.KernelSpec:
-    """The packaged nonmarkov kernel: the decay rate transiently turns
-    negative within the first 100 ns."""
+def memory_kernel() -> tuple[float, float]:
+    """The packaged nonmarkov kernel, (amplitude_a, gamma_memory): the
+    decay rate transiently turns negative within the first 100 ns."""
     gamma_mem = TWO_PI * 5e6
-    return nonmarkov.KernelSpec(amplitude_a=4.0 * gamma_mem ** 2,
-                                gamma_memory=gamma_mem)
+    return 4.0 * gamma_mem ** 2, gamma_mem
 
 
 def harmonic_band_power(i: np.ndarray, sim: line.Simulator, n_max: int = 6,

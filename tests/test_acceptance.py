@@ -42,12 +42,12 @@ def test_acceptance_01_harmonic_generation(capsys):
 
     sim = line.build_line(geom, default_drive(0.6, 0.0, geom), _cw_source())
     sim.run_until(5.4e-9)
-    quiet, _ = line.spatial_harmonics(sim.i[0], sim)
+    quiet, _ = line.spatial_harmonics(sim.i[0], sim, 6)
     floor_db = max(quiet[1:])
 
     sim = line.build_line(geom, default_drive(0.6, 0.6, geom), _cw_source())
     sim.run_until(0.8e-9)
-    loud, _ = line.spatial_harmonics(sim.i[0], sim)
+    loud, _ = line.spatial_harmonics(sim.i[0], sim, 6)
     n_emerged = int(np.sum(loud[1:] > -30.0))
     runtime = time.perf_counter() - t_start
 
@@ -185,8 +185,8 @@ def test_acceptance_05_anharmonicity_clause(capsys):
 
 def test_acceptance_06_lifetimes(capsys):
     array = budget.QubitArraySpec()
-    rec = named_budget(array, budget.reciprocal_bus())
-    nr = named_budget(array, budget.nonreciprocal_bus())
+    rec = named_budget(array, budget.bus_model("reciprocal", OMEGA_M))
+    nr = named_budget(array, budget.bus_model("nonreciprocal", OMEGA_M))
 
     rec_band = bool(np.all((rec.t1_eff >= 8e-6) & (rec.t1_eff <= 60e-6)))
     rec_dip = rec.t1_eff.min() < 15e-6
@@ -207,10 +207,11 @@ def test_acceptance_06_lifetimes(capsys):
 
 def test_acceptance_07_error_budget_bands(capsys):
     array = budget.QubitArraySpec()
-    rec = named_budget(array, budget.reciprocal_bus()).e_total
-    nr = named_budget(array, budget.nonreciprocal_bus()).e_total
-    worst_nr_25 = budget.scalability_sweep(
-        array, budget.nonreciprocal_bus(), [25])[0]
+    rec_bus = budget.bus_model("reciprocal", OMEGA_M)
+    nr_bus = budget.bus_model("nonreciprocal", OMEGA_M)
+    rec = named_budget(array, rec_bus).e_total
+    nr = named_budget(array, nr_bus).e_total
+    worst_nr_25 = budget.scalability_sweep(array, nr_bus, [25])[0]
 
     rec_band = bool(np.all((rec >= 1e-3) & (rec <= 1e-1)))
     nr_band = bool(np.all(nr < 1e-5))
@@ -232,8 +233,8 @@ def test_acceptance_07_error_budget_bands(capsys):
            "into [5, 8] (ledgered)")
 def test_acceptance_07_scalability_crossing_clause(capsys):
     array = budget.QubitArraySpec()
-    worst = budget.scalability_sweep(array, budget.reciprocal_bus(),
-                                     range(1, 26))
+    worst = budget.scalability_sweep(
+        array, budget.bus_model("reciprocal", OMEGA_M), range(1, 26))
     crossing = next(n for n, w in zip(range(1, 26), worst) if w > 1e-4)
     ok = 5 <= crossing <= 8
     report(capsys, "7 (crossing window)", ok,
@@ -243,8 +244,8 @@ def test_acceptance_07_scalability_crossing_clause(capsys):
 
 def test_acceptance_08_isolation_switching(capsys):
     array = budget.QubitArraySpec()
-    rec = named_budget(array, budget.reciprocal_bus())
-    nr = named_budget(array, budget.nonreciprocal_bus())
+    rec = named_budget(array, budget.bus_model("reciprocal", OMEGA_M))
+    nr = named_budget(array, budget.bus_model("nonreciprocal", OMEGA_M))
     q = 11                       # the mid-band tooth, n = 12
     assert rec.omega[q] == 12 * array.omega_m
 
@@ -269,20 +270,19 @@ def test_acceptance_09_memory_kernel(capsys):
     kernel = memory_kernel()
 
     t = np.linspace(0.0, 400e-9, 16001)
-    p = nonmarkov.evolve_kernel(kernel, t)
+    p = nonmarkov.evolve_kernel(*kernel, t)
     oracle_gap = float(np.abs(p - quadrature_population(kernel, t)).max())
 
     gamma = TWO_PI * 5e4
-    fast = nonmarkov.KernelSpec(amplitude_a=gamma * 100.0 * gamma,
-                                gamma_memory=100.0 * gamma)
+    fast = (gamma * 100.0 * gamma, 100.0 * gamma)
     tm = np.linspace(0.0, 2.0 / gamma, 4001)
-    pm = nonmarkov.evolve_kernel(fast, tm)
+    pm = nonmarkov.evolve_kernel(*fast, tm)
     ref = np.exp(-gamma * tm)
     mask = ref > 1e-3
     markov_gap = float(np.max(np.abs(pm[mask] - ref[mask]) / ref[mask]))
 
     tg = np.linspace(0.0, 400e-9, 4001)
-    pg = nonmarkov.evolve_kernel(kernel, tg)
+    pg = nonmarkov.evolve_kernel(*kernel, tg)
     g = nonmarkov.gamma_eff(tg, np.maximum(pg, 1e-300))
     neg = g < 0.0
     runs = np.diff(np.flatnonzero(np.diff(np.concatenate(
@@ -290,7 +290,7 @@ def test_acceptance_09_memory_kernel(capsys):
     has_backflow = bool(runs.size and runs.max() >= 20)
 
     # the packaged markovian_ratio: 1/100 of the memory rate
-    pexp = nonmarkov.evolve_markovian(kernel.gamma_memory / 100.0, tg)
+    pexp = nonmarkov.evolve_markovian(kernel[1] / 100.0, tg)
     ge = nonmarkov.gamma_eff(tg, pexp)
     flatness = float(np.std(ge) / np.mean(ge))
 

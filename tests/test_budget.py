@@ -66,13 +66,14 @@ def oracle(array, model, i) -> dict:
 
 
 @pytest.mark.parametrize("n", [1, 2, 25])
-@pytest.mark.parametrize("bus", [budget.reciprocal_bus,
-                                 budget.nonreciprocal_bus])
+@pytest.mark.parametrize("bus", ["reciprocal", "nonreciprocal"],
+                         ids=lambda kind: f"{kind}_bus")
 def test_every_qubit_matches_the_scalar_oracle(bus, n):
     """e_dephase = 1 - exp(-t_gate/T2) is about 1e-5, so a last-bit
     difference between NumPy's and the math module's exp shows in it, and
     in e_total, at up to ~1e-10 relative."""
-    a, m = budget.QubitArraySpec(n_qubits=n), bus()
+    a = budget.QubitArraySpec(n_qubits=n)
+    m = budget.bus_model(bus, OMEGA_M)
     b = named_budget(a, m)
     for i in range(n):
         for name, want in oracle(a, m, i).items():
@@ -130,8 +131,8 @@ class TestSpecs:
             array = budget.QubitArraySpec(
                 n_qubits=4, harmonic_indices=(1, 2, 13, budget.MAX_QUBITS),
                 omega_m=omega_m, g_coupling=g_coupling, t_gate=t_gate)
-            for model in (budget.reciprocal_bus(omega_m),
-                          budget.nonreciprocal_bus(omega_m)):
+            for model in (budget.bus_model("reciprocal", omega_m),
+                          budget.bus_model("nonreciprocal", omega_m)):
                 result = named_budget(array, model)
                 assert np.all(np.isfinite(result.e_total))
 
@@ -155,11 +156,11 @@ class TestGain:
         np.testing.assert_array_equal(budget.gain(m, w), np.ones(4))
 
     def test_peak_at_center(self):
-        m = budget.nonreciprocal_bus()
+        m = budget.bus_model("nonreciprocal", OMEGA_M)
         assert budget.gain(m, m.omega_res) == pytest.approx(2.0)
 
     def test_one_sigma_point(self):
-        m = budget.nonreciprocal_bus()
+        m = budget.bus_model("nonreciprocal", OMEGA_M)
         g = budget.gain(m, m.omega_res + m.gain_width)
         assert g == pytest.approx(0.5 + 1.5 * math.exp(-0.5), rel=1e-12)
 
@@ -224,7 +225,7 @@ class TestCrosstalk:
         assert vals[0] < vals[1] < vals[2]
 
     def test_never_decreases_with_array_size(self):
-        m = budget.reciprocal_bus()
+        m = budget.bus_model("reciprocal", OMEGA_M)
         prev = 0.0
         for n in (2, 5, 10, 25):
             a = budget.QubitArraySpec(n_qubits=n)
@@ -236,7 +237,7 @@ class TestCrosstalk:
 class TestBudgetAssembly:
     def test_total_is_exact_sum(self):
         a = budget.QubitArraySpec()
-        b = named_budget(a, budget.reciprocal_bus())
+        b = named_budget(a, budget.bus_model("reciprocal", OMEGA_M))
         np.testing.assert_array_equal(
             b.e_total, b.e_relax + b.e_dephase + b.e_crosstalk)
         assert np.all(b.e_relax >= 0) and np.all(b.e_dephase >= 0)
@@ -245,14 +246,16 @@ class TestBudgetAssembly:
     def test_intrinsic_error_floor(self):
         a = budget.QubitArraySpec()
         floor = a.t_gate / a.t1_intrinsic
-        for m in (budget.reciprocal_bus(), budget.nonreciprocal_bus()):
+        for kind in ("reciprocal", "nonreciprocal"):
+            m = budget.bus_model(kind, OMEGA_M)
             assert np.all(named_budget(a, m).e_total >= floor)
 
     def test_flat_gain_leaves_its_width_inert(self):
         a = budget.QubitArraySpec()
         out = []
         for width in (8.0 * OMEGA_M, 0.5 * OMEGA_M):
-            m = replace(budget.reciprocal_bus(), gain_width=width)
+            m = replace(budget.bus_model("reciprocal", OMEGA_M),
+                        gain_width=width)
             out.append(named_budget(a, m).e_total)
         np.testing.assert_array_equal(out[0], out[1])
 
@@ -262,8 +265,10 @@ class TestFrozenOutcomes:
 
     def setup_method(self):
         self.arr = budget.QubitArraySpec()
-        self.rec = named_budget(self.arr, budget.reciprocal_bus())
-        self.nr = named_budget(self.arr, budget.nonreciprocal_bus())
+        self.rec = named_budget(self.arr,
+                                budget.bus_model("reciprocal", OMEGA_M))
+        self.nr = named_budget(self.arr,
+                               budget.bus_model("nonreciprocal", OMEGA_M))
 
     def test_t1_regression(self):
         for q, expect in ((0, 2.501122e-05), (6, 1.316436e-05),
@@ -299,14 +304,14 @@ class TestFrozenOutcomes:
 
     def test_scalability_endpoints(self):
         worst_nr = budget.scalability_sweep(
-            self.arr, budget.nonreciprocal_bus(), [25])[0]
+            self.arr, budget.bus_model("nonreciprocal", OMEGA_M), [25])[0]
         assert worst_nr < 1e-4
         # single qubit: no crosstalk, both models at the coherence floor
-        w1r = budget.scalability_sweep(self.arr, budget.reciprocal_bus(),
-                                       [1])[0]
+        w1r = budget.scalability_sweep(
+            self.arr, budget.bus_model("reciprocal", OMEGA_M), [1])[0]
         a1 = replace(self.arr, n_qubits=1, harmonic_indices=None)
         assert named_budget(
-            a1, budget.reciprocal_bus()).e_crosstalk[0] == 0.0
+            a1, budget.bus_model("reciprocal", OMEGA_M)).e_crosstalk[0] == 0.0
         assert w1r < 1e-4
 
     def test_decomposition_reductions(self):

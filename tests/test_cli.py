@@ -38,8 +38,11 @@ LINE_DT = 0.9 * cli.line.cfl_bound(
 CAP_CELLS = cli.line.MAX_CELL_STEPS // 1024
 # map points per (phi_dc, phi_rf) point: the default harmonic count
 N_HARMONICS = 5
-# the values a leaf walk sets each numeric leaf of the defaults to, by type
-WALK_VALUES = {int: [0, -1, 10 ** 15], float: [0.0, -1.0, 1e300, 1e-300],
+# the values a leaf walk sets each numeric leaf of the defaults to, by type,
+# out to the float edges
+WALK_VALUES = {int: [0, -1, 10 ** 15, 2 ** 63, -2 ** 63],
+               float: [0.0, -1.0, 1e300, 1e-300, sys.float_info.max,
+                       -sys.float_info.max, 5e-324, sys.float_info.min],
                list: [[]]}
 # the walk's passes: each scenario on its defaults, and line-sim again
 # under the temporal spectrum and under a gaussian-pulse source
@@ -899,6 +902,19 @@ class TestExitCodes:
                                    "kernel.markovian_ratio=-1"],
                      "'kernel.markovian_ratio'",
                      id="nonmarkov-negative-ratio-unused"),
+        # a Markovian rate markovian_ratio * 2 pi gamma_memory_hz out of
+        # float range, written or not (the leaf walk stubs the kernel, so
+        # it never reaches this check)
+        *(pytest.param("nonmarkov", [f"compare_markovian={flag}",
+                                     "kernel.markovian_ratio="
+                                     f"{sys.float_info.max!r}"],
+                       "'kernel.markovian_ratio', 'kernel.gamma_memory_hz'",
+                       id=f"nonmarkov-ratio-overflow-{flag}")
+          for flag in ("true", "false")),
+        # a choice outside its list names its key
+        ("line-sim", "run.spectrum=x", "'run.spectrum'"),
+        ("error-budget", "bus=x", "'bus'"),
+        ("scalability", 'models=["reciprocal","x"]', "'models'"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
                                assignment, key):
@@ -993,7 +1009,7 @@ class TestExitCodes:
             raise exc
 
         monkeypatch.setattr(cli.transmon, "default_comb_qubits", work)
-        monkeypatch.setattr(cli.nonmarkov, "KernelSpec", work)
+        monkeypatch.setattr(cli.nonmarkov, "evolve_kernel", work)
         monkeypatch.setattr(cli.line, "build_line", work)
         monkeypatch.setattr(cli.nonmarkov, "dephasing", work)
 
@@ -1007,15 +1023,18 @@ class TestExitCodes:
                       "phi_rf.n=1"],
                      MAP_KEYS, "addressing map",
                      id="flux-sweep-one-over-cap"),
-        ("nonmarkov", ["n_points=1000000000000000"], ["'n_points'"],
-         "kernel trace"),
+        # one-key caps, checked with the types (cli.BOUNDS)
+        pytest.param("nonmarkov", ["n_points=1000000000000000"],
+                     ["'n_points'"], f"must be >= 5 and <= {MAX_ARRAY // 2}",
+                     id="nonmarkov-n_points-1e15"),
         pytest.param("nonmarkov", [f"n_points={MAX_ARRAY // 2 + 1}"],
-                     ["'n_points'"], "kernel trace",
+                     ["'n_points'"], f"must be >= 5 and <= {MAX_ARRAY // 2}",
                      id="nonmarkov-one-over-cap"),
-        ("addressing", ["n_levels=1000000000000000"], ["'n_levels'"],
-         "charge basis"),
+        pytest.param("addressing", ["n_levels=1000000000000000"],
+                     ["'n_levels'"], f"must be <= {MAX_LEVELS}",
+                     id="addressing-n_levels-1e15"),
         pytest.param("addressing", [f"n_levels={MAX_LEVELS + 1}"],
-                     ["'n_levels'"], "charge basis",
+                     ["'n_levels'"], f"must be <= {MAX_LEVELS}",
                      id="addressing-one-over-cap"),
         ("line-sim", [f"geometry.n_cells={cli.line.MAX_CELLS}"], LINE_KEYS,
          "line run"),
@@ -1047,14 +1066,18 @@ class TestExitCodes:
     def test_work_over_cap_is_2(self, tmp_path, capsys, monkeypatch,
                                 scenario, assignments, keys, what):
         """The preflight rejects an oversized map, kernel trace or level
-        count from the config alone, before anything is allocated."""
+        count from the config alone, before anything is allocated: a cap
+        on one key is a bound of cli.BOUNDS, `what` its rule."""
         self._stop_at_work(monkeypatch,
                            AssertionError("the preflight let the run start"))
         code = cli.main([scenario, "--out", str(tmp_path),
                          *(a for x in assignments for a in ("--set", x))])
         err = capsys.readouterr().err
         assert code == 2
-        assert f"{what}: " in err and "above the cap" in err
+        if what.startswith("must be"):
+            assert f"{keys[0]} {what}, got " in err
+        else:
+            assert f"{what}: " in err and "above the cap" in err
         for key in keys:
             assert key in err
         assert "Traceback" not in err
@@ -1115,7 +1138,7 @@ class TestExitCodes:
             raise Started
 
         for owner, name in ((cli.transmon, "default_comb_qubits"),
-                            (cli.nonmarkov, "KernelSpec"),
+                            (cli.nonmarkov, "evolve_kernel"),
                             (cli.line.Simulator, "_advance"),
                             (cli.nonmarkov, "dephasing"),
                             (cli.nonmarkov, "averaged_periodogram")):

@@ -186,7 +186,7 @@ class TestHarmonics:
         probe = 0.9 * g.length
         record = sim.run_until(12e-9, probes=(probe,),
                                window=(4e-9, 12e-9))[3]
-        dbc, _ = line.temporal_harmonics(record[:, 0], sim)
+        dbc, _ = line.temporal_harmonics(record[:, 0], sim, 6)
         assert dbc[0] == 0.0
         assert all(dbc[1:] < -100.0)
 
@@ -205,7 +205,7 @@ class TestHarmonics:
         one = line.build_line(g, d, cw_source())
         _, v, i, record = one.run_until(t_end, snaps, probes=(probe,),
                                         window=window)
-        got = line.temporal_harmonics(record[:, 0], one)
+        got = line.temporal_harmonics(record[:, 0], one, 6)
         assert one.t_index == round(max(t_end, window[1]) / one.dt)
 
         two = line.build_line(g, d, cw_source())
@@ -222,7 +222,7 @@ class TestHarmonics:
             two._advance(round(window[0] / two.dt) - two.t_index)
             rec = two._advance(round(window[1] / two.dt) - two.t_index,
                                [[line._probe_branch(g, probe)]])
-        want = line.temporal_harmonics(rec[:, 0], two)
+        want = line.temporal_harmonics(rec[:, 0], two, 6)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(v, ref_v)
         np.testing.assert_array_equal(i, ref_i)
@@ -241,7 +241,7 @@ class TestHarmonics:
         d = default_drive(0.6, 0.6, g)
         sim = line.build_line(g, d, cw_source())
         sim.run_until(2.0e-9)
-        dbc, _ = line.spatial_harmonics(sim.i[0], sim)
+        dbc, _ = line.spatial_harmonics(sim.i[0], sim, 6)
         assert dbc[1] > -30.0
         assert dbc[2] > -30.0
 

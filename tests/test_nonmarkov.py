@@ -17,21 +17,22 @@ from scipy.signal import savgol_filter
 
 from fluxcomb import cli
 from fluxcomb import nonmarkov as nm
-from fluxcomb.errors import ConfigError, ConvergenceError
+from fluxcomb.errors import ConfigError, NumericalError
 from helpers import memory_kernel
 
 TWO_PI = 2.0 * np.pi
 
 
 def quadrature_population(kernel, t_grid):
-    """Independent check: integrate c'(t) = -(A/2) I(t) with
+    """Independent check for the kernel (A, Gamma): integrate
+    c'(t) = -(A/2) I(t) with
     I(t) = int_0^t exp(-Gamma (t - tau)) c(tau) dtau directly, using a
     trapezoid predictor-corrector and an exponentially-updated running
     integral. O(h^2); no auxiliary (c, w) embedding.
     """
     t = np.asarray(t_grid, dtype=float)
-    a_half = 0.5 * kernel.amplitude_a
-    gm = kernel.gamma_memory
+    amplitude_a, gm = kernel
+    a_half = 0.5 * amplitude_a
     c = 1.0
     integ = 0.0
     out = np.empty(t.size)
@@ -93,9 +94,9 @@ def loop_ensemble(model, tau, n_realizations, seed, echo):
 class TestStatesAndSpecs:
     def test_kernel_spec_validation(self):
         with pytest.raises(ConfigError, match="amplitude_a"):
-            nm.KernelSpec(amplitude_a=-1.0, gamma_memory=1.0)
+            nm.evolve_kernel(-1.0, 1.0, [0.0, 1e-9])
         with pytest.raises(ConfigError, match="gamma_memory"):
-            nm.KernelSpec(amplitude_a=1.0, gamma_memory=0.0)
+            nm.evolve_kernel(1.0, 0.0, [0.0, 1e-9])
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
@@ -120,7 +121,7 @@ class TestKernelEvolution:
         # the O(h^2) quadrature needs the fine grid, not the RK4 solver
         kernel = memory_kernel()
         t = np.linspace(0.0, 400e-9, 16001)
-        p = nm.evolve_kernel(kernel, t)
+        p = nm.evolve_kernel(*kernel, t)
         p_ref = quadrature_population(kernel, t)
         assert np.abs(p - p_ref).max() < 1e-6
 
@@ -128,10 +129,9 @@ class TestKernelEvolution:
         # fast memory: Gamma = 100 gamma, A = gamma Gamma collapses to
         # plain exponential decay at rate gamma
         gamma = TWO_PI * 5e4
-        kernel = nm.KernelSpec(amplitude_a=gamma * (100.0 * gamma),
-                               gamma_memory=100.0 * gamma)
+        kernel = (gamma * (100.0 * gamma), 100.0 * gamma)
         t = np.linspace(0.0, 2.0 / gamma, 4001)
-        p = nm.evolve_kernel(kernel, t)
+        p = nm.evolve_kernel(*kernel, t)
         p_m = np.exp(-gamma * t)
         mask = p_m > 1e-3
         rel = np.abs(p[mask] - p_m[mask]) / p_m[mask]
@@ -139,7 +139,7 @@ class TestKernelEvolution:
 
     def test_population_stays_physical(self):
         t = np.linspace(0.0, 400e-9, 4001)
-        p = nm.evolve_kernel(memory_kernel(), t)
+        p = nm.evolve_kernel(*memory_kernel(), t)
         assert p.min() >= -1e-6 and p.max() <= 1.0 + 1e-6
 
     def test_coarse_grid_matches_fine_grid(self):
@@ -147,8 +147,8 @@ class TestKernelEvolution:
         # values of the fine grid, and of the quadrature, at its times
         kernel = memory_kernel()
         t = np.linspace(0.0, 400e-9, 4001)
-        p = nm.evolve_kernel(kernel, t)
-        p5 = nm.evolve_kernel(kernel, t[::1000])
+        p = nm.evolve_kernel(*kernel, t)
+        p5 = nm.evolve_kernel(*kernel, t[::1000])
         np.testing.assert_allclose(p5, p[::1000], rtol=0.0, atol=1e-14)
         t_fine = np.linspace(0.0, 400e-9, 16001)
         p_ref = quadrature_population(kernel, t_fine)[::4000]
@@ -161,23 +161,21 @@ class TestKernelEvolution:
         t = np.linspace(0.0, 400e-9, 401)
         exact = (np.exp(-0.5 * gm * t) * (1.0 + 0.5 * gm * t)) ** 2
         for factor in (1.0, 1.0 - 1e-10, 1.0 + 1e-10):
-            kernel = nm.KernelSpec(amplitude_a=0.5 * gm * gm * factor,
-                                   gamma_memory=gm)
-            p = nm.evolve_kernel(kernel, t)
+            kernel = (0.5 * gm * gm * factor, gm)
+            p = nm.evolve_kernel(*kernel, t)
             np.testing.assert_allclose(p, exact, rtol=1e-8, atol=1e-15)
 
     def test_long_overdamped_trace_stays_finite(self):
         # exp(-Gamma t/2) cosh(q t) overflows once q t passes ~710; the
         # trace must still decay at the slow root's rate 2 (Gamma/2 - q)
         gamma = TWO_PI * 5e4
-        kernel = nm.KernelSpec(amplitude_a=gamma * (100.0 * gamma),
-                               gamma_memory=100.0 * gamma)
+        kernel = (gamma * (100.0 * gamma), 100.0 * gamma)
         t = np.linspace(0.0, 20.0 / gamma, 2001)
-        p = nm.evolve_kernel(kernel, t)
+        p = nm.evolve_kernel(*kernel, t)
         assert np.all(np.isfinite(p)) and p[-1] > 0.0
-        gm = kernel.gamma_memory
+        amplitude_a, gm = kernel
         slow = 2.0 * (0.5 * gm - np.sqrt(0.25 * gm * gm
-                                         - 0.5 * kernel.amplitude_a))
+                                         - 0.5 * amplitude_a))
         np.testing.assert_allclose(nm.gamma_eff(t, p)[-100:], slow,
                                    rtol=1e-6)
 
@@ -201,17 +199,16 @@ class TestEffectiveRate:
         # underdamped kernel: c'' + Gamma c' + (A/2) c = 0 with
         # Omega = sqrt(A/2 - Gamma^2/4); negative-rate windows open at
         # each zero of c and repeat every pi/Omega
-        kernel = memory_kernel()
+        amplitude_a, gamma_memory = memory_kernel()
         t = np.linspace(0.0, 400e-9, 4001)
-        p = nm.evolve_kernel(kernel, t)
+        p = nm.evolve_kernel(amplitude_a, gamma_memory, t)
         g = nm.gamma_eff(t, np.maximum(p, 1e-300))
         neg = g < 0.0
         edges = np.flatnonzero(np.diff(neg.astype(int)) == 1)
         starts = t[edges + 1]
         assert starts.size >= 3
-        omega = np.sqrt(0.5 * kernel.amplitude_a
-                        - 0.25 * kernel.gamma_memory ** 2)
-        t_star = (np.pi - np.arctan(2.0 * omega / kernel.gamma_memory)) \
+        omega = np.sqrt(0.5 * amplitude_a - 0.25 * gamma_memory ** 2)
+        t_star = (np.pi - np.arctan(2.0 * omega / gamma_memory)) \
             / omega
         assert abs(starts[0] - t_star) < 1e-9
         spacing = np.diff(starts[:3])
@@ -221,7 +218,7 @@ class TestEffectiveRate:
         # before the first population zero the rate and the trace are
         # mutual inverses
         t = np.linspace(0.0, 40e-9, 2001)
-        p = nm.evolve_kernel(memory_kernel(), t)
+        p = nm.evolve_kernel(*memory_kernel(), t)
         g = nm.gamma_eff(t, p)
         chi = cumulative_trapezoid(g, t, initial=0.0)
         np.testing.assert_allclose(np.exp(-chi), p, atol=1e-4)
@@ -253,7 +250,7 @@ class TestEffectiveRate:
     def test_smoothing_matches_savgol_filter(self, window):
         kernel = memory_kernel()
         t = np.linspace(0.0, 400e-9, 4001)
-        p = np.maximum(nm.evolve_kernel(kernel, t),
+        p = np.maximum(nm.evolve_kernel(*kernel, t),
                        1e-300)
         g = nm.gamma_eff(t, p)
         ref = savgol_filter(g, window, 2)
@@ -573,7 +570,7 @@ class TestFitDecay:
             nm.fit_decay(t[:5], y[:5])
         with pytest.raises(ConfigError):
             nm.fit_decay(t, y - 1.0)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(NumericalError):
             nm.fit_decay(t, np.ones(25))
 
 

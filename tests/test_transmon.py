@@ -5,7 +5,7 @@ import pytest
 from scipy.special import j0 as scipy_j0
 from scipy.special import mathieu_a, mathieu_b
 
-from fluxcomb.errors import ConfigError, ConvergenceError
+from fluxcomb.errors import ConfigError, NumericalError
 from fluxcomb.transmon import (
     SIGMA_RES,
     addressing_map,
@@ -18,6 +18,8 @@ from fluxcomb.transmon import (
 from helpers import ReadoutSpec, chi_dispersive
 
 OMEGA_M = 2.0 * math.pi * 3e9
+# the packaged flux-sweep comb's harmonics
+COMB = (5, 10, 15, 20, 25)
 
 
 # ----------------------------------------------------------- flux tuning
@@ -67,7 +69,7 @@ def test_levels_match_mathieu_characteristic_values(ej_over_ec):
 
 
 def test_nonfinite_ej_is_convergence_error():
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(NumericalError):
         diagonalize(0.25e9, math.nan)
 
 
@@ -118,7 +120,7 @@ def test_truncation_convergence_on_doubling():
 def test_convergence_error_when_cap_hit(monkeypatch):
     import fluxcomb.transmon as tm
     monkeypatch.setattr(tm, "_MAX_CHARGE_CUT", 30)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(NumericalError):
         diagonalize(0.25e9, 5e12)
 
 
@@ -142,7 +144,7 @@ def test_spec_validation():
             diagonalize(ec, 10e9)
     # cos(bias / 2) < 0: no ej_max calibrates
     with pytest.raises(ConfigError, match="^ej_max must be positive"):
-        default_comb_qubits(OMEGA_M, (5,), bias_targets=[4.0])
+        default_comb_qubits(OMEGA_M, (5,), 0.25e9, bias_targets=[4.0])
     with pytest.raises(ConfigError, match="ec must be positive"):
         flux_curve(0.0)
 
@@ -243,7 +245,7 @@ def test_flux_curve_clips_and_rejects_out_of_range():
 def test_default_comb_sits_on_harmonics():
     biases = np.linspace(0.7, 1.2, 5)
     for ec in (0.22e9, 0.25e9, 0.28e9):
-        ej_max = default_comb_qubits(OMEGA_M, ec=ec)
+        ej_max = default_comb_qubits(OMEGA_M, COMB, ec=ec)
         for e_q, n_i, bias in zip(ej_max, (5, 10, 15, 20, 25), biases):
             ej = ej_time_averaged(e_q, bias, 0.0)
             wq = diagonalize(ec, ej)[1]
@@ -256,7 +258,8 @@ def test_calibration_converges_from_a_poor_start(monkeypatch):
     curve = flux_curve(0.25e9)
     start = curve.ln_ej_from_omega
     monkeypatch.setattr(curve, "ln_ej_from_omega", lambda w: start(w) + 0.05)
-    ej_max = default_comb_qubits(OMEGA_M, (5, 25), bias_targets=[0.0, 0.0])
+    ej_max = default_comb_qubits(OMEGA_M, (5, 25), 0.25e9,
+                                 bias_targets=[0.0, 0.0])
     for e_q, n_i in zip(ej_max, (5, 25)):
         # at zero bias the SQUID's E_J is 2 ej_max
         wq = diagonalize(0.25e9, 2.0 * e_q)[1]
@@ -269,7 +272,7 @@ def test_addressing_dc_sweep_peaks_separate():
     array = _ArrayStub(OMEGA_M, [5, 10, 15, 20, 25])
     phi_dc = np.linspace(0.05, 1.3, 400)
     score = addressing_map(array, phi_dc, [0.85], 0.25e9,
-                           default_comb_qubits(OMEGA_M))
+                           default_comb_qubits(OMEGA_M, COMB, 0.25e9))
     assert score.shape == (400, 1, 5)
     centers = []
     for q in range(5):
@@ -288,7 +291,7 @@ def test_addressing_dc_sweep_peaks_separate():
 def test_addressing_rf_branches_quasi_horizontal():
     array = _ArrayStub(OMEGA_M, [5, 10, 15, 20, 25])
     phi_rf = np.linspace(0.0, 0.85, 60)
-    ej_max = default_comb_qubits(OMEGA_M)
+    ej_max = default_comb_qubits(OMEGA_M, COMB, 0.25e9)
     # cycle-averaged qubit frequencies [rad/s] at phi_dc = 0.8,
     # (n_rf, n_qubits)
     wb = 2.0 * math.pi * np.stack(
