@@ -103,14 +103,19 @@ def _typed(value, default, where: str):
 # the same in every scenario that has it. An entry holds rules on the
 # value (on a list, on its length): "> 0", "<= 193", ">= 5 and <= 8388608".
 _F_MOD_TOP = sys.float_info.max / TWO_PI    # the largest f with finite 2 pi f
+# the largest ec whose charge-basis diagonal 4 ec n^2 is finite at every cut
+_EC_TOP = sys.float_info.max / (4 * transmon._MAX_CHARGE_CUT ** 2)
 BOUNDS = {
     "run.n_harmonics": ">= 1", "run.window_start_s": ">= 0",
     "source.t_width_s": "> 0",
     "drive.modulation_freq_hz": f">= {-_F_MOD_TOP} and <= {_F_MOD_TOP}",
-    "harmonic_indices": ">= 1", "phi_dc.n": ">= 1", "phi_rf.n": ">= 1",
+    # one qubit per harmonic, as many as a budget array holds
+    "harmonic_indices": f">= 1 and <= {budget.MAX_QUBITS}",
+    "phi_dc.n": ">= 1", "phi_rf.n": ">= 1",
     "phi_rf.start": ">= 0", "phi_rf.stop": ">= 0",
     # the most levels the charge basis can converge for
     "n_levels": f"<= {transmon.MAX_LEVELS}",
+    "ec_hz": f"<= {_EC_TOP}",
     "n_min": ">= 1", "models": ">= 1", "t_end_s": "> 0",
     # the kernel trace's complex amplitude holds two floats a point
     "n_points": f">= 5 and <= {nonmarkov.MAX_ARRAY // 2}",
@@ -235,10 +240,11 @@ def run_line_sim(config: dict, out_dir: Path):
                           "'geometry.n_cells', 'geometry.dz_m': the "
                           "modulation phase m theta is out of float range")
     scfg = config["source"]
-    with _keys(kind="source.kind", port="source.port",
-               amplitude="source.amplitude_volts", omega="source.freq_hz",
-               t_width="source.t_width_s",
-               ramp_periods="source.ramp_periods"):
+    src_keys = dict(kind="source.kind", port="source.port",
+                    amplitude="source.amplitude_volts", omega="source.freq_hz",
+                    t_center="source.t_center_s", t_width="source.t_width_s",
+                    ramp_periods="source.ramp_periods")
+    with _keys(**src_keys):
         source = line.SourceSpec(
             kind=scfg["kind"],
             omega=TWO_PI * scfg["freq_hz"],
@@ -268,11 +274,9 @@ def run_line_sim(config: dict, out_dir: Path):
     dt = rcfg["cfl_safety"] * line.cfl_bound(geom, drive)
     _check_work([("line run", "cell-steps", line.MAX_CELL_STEPS,
                   geom.n_cells * (t_stop / dt if dt > 0.0 else 0.0), keys)])
-    with _keys(cfl_safety="run.cfl_safety",
-               blowup_factor="run.blowup_factor"):
+    with _keys(cfl_safety="run.cfl_safety"):
         sim = line.build_line(geom, drive, source,
-                              cfl_safety=rcfg["cfl_safety"],
-                              blowup_factor=rcfg["blowup_factor"])
+                              cfl_safety=rcfg["cfl_safety"])
 
     # harmonics up to the Nyquist limit: pi/dz in space, with v_dc from
     # the geometry and phi_dc, and 1/(2 dt) in time, with dt also from
@@ -293,10 +297,21 @@ def run_line_sim(config: dict, out_dir: Path):
         what = (f"n_harmonics must be <= {int(n_top)}, {limit}"
                 if n_top >= 1.0 else f"even the fundamental is past {limit}")
         raise ConfigError(", ".join(f"'{k}'" for k in keys) + f": {what}")
-    with _keys(t_end="run.t_end_s", snapshot_times="run.snapshot_times_s",
-               probe="run.probe_m", window_start="run.window_start_s",
-               window_end="run.window_end_s", t_center="source.t_center_s",
-               t_width="source.t_width_s", omega="source.freq_hz"):
+    # the step resolves the modulation in every mode, and the source where
+    # no spectrum's Nyquist limit already holds it: f dt < 1/2
+    tones = {"drive.modulation_freq_hz": abs(dcfg["modulation_freq_hz"])}
+    if spectrum_mode == "none":
+        tones["source.freq_hz"] = scfg["freq_hz"]
+    for key, f in tones.items():
+        if not f * sim.dt < 0.5:
+            raise ConfigError(
+                f"'{key}', " + ", ".join(f"'{k}'" for k in keys[2:])
+                + ", 'drive.phi_rf', 'run.cfl_safety': f dt = "
+                f"{f * sim.dt:.3g} is not below 1/2 at dt = {sim.dt:.3e} s")
+    with _keys(**src_keys, t_end="run.t_end_s",
+               snapshot_times="run.snapshot_times_s", probe="run.probe_m",
+               window_start="run.window_start_s",
+               window_end="run.window_end_s"):
         # the probe is recorded in the same pass as the snapshots, past
         # t_end when the window ends later
         window = ((rcfg["window_start_s"], rcfg["window_end_s"])
@@ -304,11 +319,12 @@ def run_line_sim(config: dict, out_dir: Path):
         t, v, i, record = sim.run_until(
             rcfg["t_end_s"], rcfg["snapshot_times_s"],
             probes=(rcfg["probe_m"],), window=window)
-
-    if spectrum_mode == "spatial":
-        dbc, power = line.spatial_harmonics(sim.i[0], sim, n_max)
-    elif spectrum_mode == "temporal":
-        dbc, power = line.temporal_harmonics(record[:, 0], sim, n_max)
+        if spectrum_mode == "spatial":
+            dbc, power = line.spatial_harmonics(sim.i[0], sim, n_max)
+        elif spectrum_mode == "temporal":
+            dbc, power = line.temporal_harmonics(record[:, 0], sim, n_max)
+        if rcfg["wavepacket"]:
+            metrics = line.wavepacket_metrics(t, i, geom)
 
     files = []
     z_mid = (np.arange(geom.n_cells) + 0.5) * geom.dz
@@ -324,8 +340,6 @@ def run_line_sim(config: dict, out_dir: Path):
 
     if rcfg["wavepacket"]:
         # from the second snapshot on: the first has no velocity
-        with _keys(snapshot_times="run.snapshot_times_s"):
-            metrics = line.wavepacket_metrics(t, i, geom)
         files.append(io.write_csv(
             out_dir / "wavepacket.csv",
             "t_s,centroid_m,rms_width_m,spectral_centroid_radpm,"
@@ -434,13 +448,14 @@ def run_nonmarkov(config: dict, out_dir: Path):
         raise ConfigError("'t_end_s', 'n_points': the grid step "
                           "t_end_s / (n_points - 1) underflows")
     with _keys(amplitude_a="kernel.amplitude_over_gamma_sq",
-               gamma_memory="kernel.gamma_memory_hz"):
+               gamma_memory="kernel.gamma_memory_hz", t_grid="t_end_s"):
         p = nonmarkov.evolve_kernel(kcfg["amplitude_over_gamma_sq"] * gm * gm,
                                     gm, t)
     # checked in every mode, also where no Markovian trace is written
-    if not math.isfinite(kcfg["markovian_ratio"] * gm):
+    if not math.isfinite(kcfg["markovian_ratio"] * gm * config["t_end_s"]):
         raise ConfigError("'kernel.markovian_ratio', 'kernel.gamma_memory_hz'"
-                          ": the Markovian rate is out of float range")
+                          ", 't_end_s': the Markovian exponent at t_end_s is "
+                          "out of float range")
     # the rate first: a bad smoothing window exits before any file is
     # written
     window = config["smoothing_window"] or None
@@ -459,17 +474,15 @@ def run_nonmarkov(config: dict, out_dir: Path):
 
 
 def _noise_model(kind: str, section: str, cfg: dict) -> nonmarkov.NoiseModel:
-    common = dict(amplitude=cfg["amplitude_rad2_per_s2"],
-                  f_min=cfg["f_min_hz"], f_max=cfg["f_max_hz"],
-                  n_components=cfg["n_components"])
+    # each NoiseModel field the section sets, and its key there
+    fields = dict(amplitude="amplitude_rad2_per_s2", f_min="f_min_hz",
+                  f_max="f_max_hz", n_components="n_components")
     if kind == "filtered":
-        common.update(filter_center=cfg["filter_center_hz"],
-                      filter_depth=cfg["filter_depth_db"])
-    with _keys(amplitude=f"{section}.amplitude_rad2_per_s2",
-               n_components=f"{section}.n_components",
-               f_min=f"{section}.f_min_hz", f_max=f"{section}.f_max_hz",
-               filter_center=f"{section}.filter_center_hz"):
-        return nonmarkov.NoiseModel(kind=kind, **common)
+        fields.update(filter_center="filter_center_hz",
+                      filter_depth="filter_depth_db")
+    with _keys(**{f: f"{section}.{k}" for f, k in fields.items()}):
+        return nonmarkov.NoiseModel(
+            kind=kind, **{f: cfg[k] for f, k in fields.items()})
 
 
 def _spectroscopy_work(config: dict, models):
@@ -524,23 +537,26 @@ def run_spectroscopy(config: dict, out_dir: Path):
                           " 'filtered.f_max_hz': w tau is out of float range")
     tau = np.geomspace(tcfg["start_s"], tcfg["stop_s"], tcfg["n"])
 
+    # the periodogram first: its range error exits before the ensemble
+    with _keys(amplitude="one_over_f.amplitude_rad2_per_s2",
+               f_min="one_over_f.f_min_hz", f_max="one_over_f.f_max_hz",
+               n_components="one_over_f.n_components",
+               duration="spectrum.duration_s", dt="spectrum.dt_s"):
+        f, psa = nonmarkov.averaged_periodogram(
+            models[0], pcfg["duration_s"], pcfg["dt_s"],
+            [seed + k for k in range(pcfg["n_avg"])])
     with _keys(n_realizations="n_realizations"):
         ramsey, echo = nonmarkov.dephasing(models, tau, n_real, seed)
-    files = [
+    return [
         io.write_csv(out_dir / "ramsey.csv", "tau_s,contrast",
                      [tau, ramsey[0]]),
         io.write_csv(out_dir / "echo_one_over_f.csv", "tau_s,echo",
                      [tau, echo[0]]),
         io.write_csv(out_dir / "echo_filtered.csv", "tau_s,echo",
                      [tau, echo[1]]),
+        io.write_csv(out_dir / "spectrum.csv", "f_hz,s_omega",
+                     [f[1:], psa[1:]]),
     ]
-
-    f, psa = nonmarkov.averaged_periodogram(
-        models[0], pcfg["duration_s"], pcfg["dt_s"],
-        [seed + k for k in range(pcfg["n_avg"])])
-    files.append(io.write_csv(out_dir / "spectrum.csv", "f_hz,s_omega",
-                              [f[1:], psa[1:]]))
-    return files
 
 
 SCENARIOS = {

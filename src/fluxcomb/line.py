@@ -95,8 +95,10 @@ ISOLATION_AMPLITUDE = 1e-6
 ISOLATION_WINDOW_PERIODS = 16
 ISOLATION_PROBE_OFFSET = 8
 
-# total current energy below which a snapshot holds no wavepacket
+# total current energy below which a snapshot holds no wavepacket, and
+# the blowup ceiling in units of the largest source amplitude
 WAVEPACKET_FLOOR = 1e-30
+BLOWUP_FACTOR = 1e6
 
 # cells x steps of a line-sim run: about 15 s at the stepper's 14 ns a
 # cell-step on a 2-vCPU Xeon; the benchmark's 1024-cell temporal runs take
@@ -255,12 +257,14 @@ def modulation_series(phi_dc: float, phi_rf: float,
 
 def source_values(src: SourceSpec, th: np.ndarray) -> np.ndarray:
     """Source voltage at the half-step times th: a continuous wave with a
-    raised-cosine turn-on over ramp_periods (on at once at 0), or a
-    gaussian pulse."""
+    raised-cosine turn-on over ramp_periods (on at once when the ramp
+    ends by the first half step), or a gaussian pulse."""
     if src.kind == "continuous-wave":
         ramp = src.ramp_periods * 2.0 * math.pi / src.omega
         a = src.amplitude
-        if ramp > 0.0:
+        # th / ramp only in a block that starts inside the ramp, which a
+        # ramp far shorter than a step would overflow
+        if th[0] < ramp:
             a = np.where(th < ramp,
                          a * 0.5 * (1.0 - np.cos(math.pi * th / ramp)), a)
         return a * np.sin(src.omega * th)
@@ -271,14 +275,14 @@ def source_values(src: SourceSpec, th: np.ndarray) -> np.ndarray:
 
 class Simulator:
     """Runs of one line, one per source, stepped together: they share
-    geometry, drive, dt, blowup ceiling (blowup_factor times the largest
+    geometry, drive, dt, blowup ceiling (BLOWUP_FACTOR times the largest
     source amplitude) and time, and differ in their source. run_until's
     snapshots and stored_energy report the first run. Use build_line() to
     construct; not shareable mid-run, independent instances may run
     concurrently."""
 
     def __init__(self, geom: LineGeometry, drive: FluxDrive, sources,
-                 dt: float, blowup_factor: float):
+                 dt: float):
         self.geom, self.drive, self.dt = geom, drive, dt
         self.sources = tuple(sources)
         n, rows = geom.n_cells, len(self.sources)
@@ -315,7 +319,7 @@ class Simulator:
         self.v_dc = 1.0 / math.sqrt(l_dc_per_len * geom.c_per_length)
         z_term = math.sqrt(l_dc_per_len / geom.c_per_length)
         self._a_end = dt / (0.5 * geom.c_cell * z_term)
-        self.ceiling = blowup_factor * max(s.amplitude for s in self.sources)
+        self.ceiling = BLOWUP_FACTOR * max(s.amplitude for s in self.sources)
 
     @property
     def t(self) -> float:
@@ -518,17 +522,14 @@ def cfl_bound(geom: LineGeometry, drive: FluxDrive) -> float:
 
 
 def build_line(geom: LineGeometry, drive: FluxDrive, *sources: SourceSpec,
-               cfl_safety: float = 0.9,
-               blowup_factor: float = 1e6) -> Simulator:
+               cfl_safety: float = 0.9) -> Simulator:
     """Initialized simulator with zeroed fields and one run for each of
     one or more sources, stepping at cfl_safety times the CFL bound."""
     dt = cfl_safety * cfl_bound(geom, drive)
     if not (dt > 0.0 and cfl_safety <= 1.0):
         raise ConfigError(f"cfl_safety must be in (0, 1] and give a dt "
                           f"above 0, got {cfl_safety}")
-    if not blowup_factor > 0.0:
-        raise ConfigError(f"blowup_factor must be > 0, got {blowup_factor}")
-    return Simulator(geom, drive, sources, dt, blowup_factor)
+    return Simulator(geom, drive, sources, dt)
 
 
 def _probe_branch(geom: LineGeometry, probe: float) -> int:
@@ -554,13 +555,15 @@ def _bands(x: np.ndarray, axis: np.ndarray, targets,
     return bands
 
 
-def _dbc(powers: list[float], what: str) -> tuple[np.ndarray, np.ndarray]:
+def _dbc(powers, sim: Simulator, what: str) -> tuple[np.ndarray, np.ndarray]:
     """The dBc relative to n = 1 of per-harmonic powers, n = 1 first, and
-    the powers, as arrays."""
-    p1 = powers[0]
-    if p1 <= 0.0:
-        raise NumericalError(f"no {what} power at the fundamental")
-    dbc = [10.0 * math.log10(max(p / p1, 1e-300)) for p in powers]
+    the powers, as arrays; ConfigError if n = 1 has none."""
+    if powers[0] <= 0.0:
+        shape = ("ramp_periods" if sim.sources[0].kind == "continuous-wave"
+                 else "t_center, t_width")
+        raise ConfigError(f"amplitude, omega, {shape}, {what} power at the "
+                          "fundamental")
+    dbc = [10.0 * math.log10(max(p / powers[0], 1e-300)) for p in powers]
     dbc[0] = 0.0
     return np.array(dbc), np.array(powers)
 
@@ -574,7 +577,8 @@ def temporal_harmonics(record: np.ndarray, sim: Simulator, n_max: int
     f1 = sim.sources[0].omega / (2.0 * math.pi)
     bands = _bands(record, np.fft.rfftfreq(record.size, sim.dt),
                    [n * f1 for n in range(1, n_max + 1)], 0)
-    return _dbc([float(np.sum(b)) for b in bands], "temporal")
+    return _dbc([float(np.sum(b)) for b in bands], sim,
+                "probe, window_start, window_end: no temporal")
 
 
 def spatial_harmonics(i: np.ndarray, sim: Simulator, n_max: int
@@ -588,7 +592,7 @@ def spatial_harmonics(i: np.ndarray, sim: Simulator, n_max: int
     k1 = sim.sources[0].omega / sim.v_dc
     kappas = 2.0 * math.pi * np.fft.rfftfreq(sim.geom.n_cells, sim.geom.dz)
     bands = _bands(i, kappas, [h * k1 for h in range(1, n_max + 1)], 2)
-    return _dbc([float(np.max(b)) for b in bands], "spatial")
+    return _dbc([float(np.max(b)) for b in bands], sim, "t_end: no spatial")
 
 
 def isolation_report(geom: LineGeometry, drive: FluxDrive,
@@ -638,9 +642,9 @@ def wavepacket_metrics(t: np.ndarray, i: np.ndarray,
         u = i_k ** 2
         total = float(np.sum(u))
         if total <= WAVEPACKET_FLOOR:
-            raise NumericalError(
-                f"wavepacket energy {total:.3e} below the floor at "
-                f"t = {t[k]:.3e} s")
+            raise ConfigError("amplitude, omega, ramp_periods, t_center, "
+                              "t_width, snapshot_times: wavepacket energy "
+                              f"{total:.3e} at t = {t[k]:.3e} s is too low")
         centroid = float(np.sum(z * u) / total)
         width = math.sqrt(float(np.sum((z - centroid) ** 2 * u) / total))
         mag = np.abs(np.fft.rfft(i_k))[1:]       # kappa > 0 only

@@ -89,6 +89,11 @@ def evolve_kernel(amplitude_a: float, gamma_memory: float, t_grid
         raise ConfigError("amplitude_a must be nonnegative")
     t = _check_grid(t_grid)
     q = np.sqrt(complex(0.25 * gm * gm - 0.5 * amplitude_a))
+    # the exponents (q - Gamma/2) t and -2 q t at the grid's end
+    if not math.isfinite((2.0 * float(abs(q)) + gm) * float(t[-1])):
+        raise ConfigError(f"t_grid ends at {t[-1]:.3e} s, where the "
+                          "exponents of amplitude_a and gamma_memory "
+                          "leave float range")
     # written with exponentials that never grow (Re q <= Gamma/2), so long
     # overdamped traces do not overflow; sinh(q t)/q -> t at q = 0
     z = -2.0 * q * t
@@ -171,8 +176,21 @@ class NoiseModel:
             raise ConfigError("n_components must be >= 100")
         if self.amplitude < 0.0:
             raise ConfigError("amplitude must be nonnegative")
-        if not self.filter_center > 0.0:
-            raise ConfigError("filter_center must be > 0")
+        # log10(f / filter_center) stays finite for f_min <= f <= f_max
+        if not _F_MIN <= self.filter_center <= _F_MAX:
+            raise ConfigError(f"filter_center must be in {_F_MIN:.4g}.."
+                              f"{_F_MAX:.4g} Hz")
+        # S(f) is at most amplitude / f times the notch's largest factor,
+        # 10^(-filter_depth / 10) at a negative depth, and a tone's variance
+        # S(f) df, with the same df / f = rho - 1 / rho at every tone
+        boost = max(-self.filter_depth / 10.0, 0.0)
+        top = self.amplitude * (10.0 ** boost if boost < 308.0 else math.inf)
+        rho = (self.f_max / self.f_min) ** (0.5 / self.n_components)
+        if not math.isfinite(top * max(1.0 / self.f_min,
+                                       2.0 * (rho - 1.0 / rho))):
+            raise ConfigError("amplitude, f_min, f_max, n_components, "
+                              "filter_depth: the noise spectrum or a tone's "
+                              "variance is out of float range")
 
 
 def spectral_density(model: NoiseModel, f) -> np.ndarray:
@@ -272,6 +290,13 @@ def averaged_periodogram(model: NoiseModel, duration: float, dt: float,
     one realization per seed: (f [Hz], S [(rad/s)^2/Hz])."""
     x = synthesize_noise(model, duration, dt, list(seeds))
     n_t = x.shape[1]
+    # |rfft| of a mean-removed trace is at most 2 n_t times its largest
+    # value, the sum of the tone amplitudes; the periodogram squares it
+    top = 2.0 * n_t * float(np.sum(_tones(model)[1]))
+    if not math.isfinite(top * top * dt):
+        raise ConfigError("amplitude, f_min, f_max, n_components, duration, "
+                          "dt: the periodogram of the noise trace is out of "
+                          "float range")
     pw = np.abs(np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1)) \
         ** 2 * dt / n_t
     return np.fft.rfftfreq(n_t, dt), pw.mean(axis=0)

@@ -78,12 +78,14 @@ ALTERNATIVES = {"bus": "reciprocal", "models": ["nonreciprocal"],
                 "snapshot_times_s": [8e-10, 1.2e-9]}
 # the leaves that change no CSV byte in any pass, by scenario, and why
 INERT = {
-    "line-sim": {"run.blowup_factor": "only a run that grows past it reads "
-                                      "it, and that run exits 3"},
     # default_comb_qubits calibrates ej_max = E_J* / (2 cos(bias/2)) and
     # ej_time_averaged multiplies by 2 cos(bias/2) at the same bias
     "addressing": {"bias_phi_dc": "the calibration cancels the bias"},
 }
+# the leaves whose walk values may exit 3 through the work, by scenario,
+# and why: only a field that grows past the blowup ceiling may, and no
+# walk value makes one
+GROWS = {}
 
 
 def _nudges(key, value):
@@ -730,7 +732,6 @@ class TestExitCodes:
         pytest.param("line-sim",
                      ["run.spectrum=temporal", "run.n_harmonics=36"],
                      "'run.n_harmonics'", id="line-sim-temporal-nyquist"),
-        ("line-sim", "run.blowup_factor=0", "run.blowup_factor"),
         ("spectroscopy", "tau.start_s=0", "tau.start_s"),
         ("spectroscopy", "tau.stop_s=-1e-6", "tau.stop_s"),
         ("line-sim", "geometry.dz_m=NaN", "geometry.dz_m"),
@@ -911,6 +912,30 @@ class TestExitCodes:
                        "'kernel.markovian_ratio', 'kernel.gamma_memory_hz'",
                        id=f"nonmarkov-ratio-overflow-{flag}")
           for flag in ("true", "false")),
+        # the Markovian exponent at t_end out of float range, written or not
+        *(pytest.param("nonmarkov", [f"compare_markovian={flag}",
+                                     "kernel.markovian_ratio=1e290",
+                                     "t_end_s=1e20"],
+                       "'kernel.markovian_ratio', 'kernel.gamma_memory_hz', "
+                       "'t_end_s'", id=f"nonmarkov-exponent-overflow-{flag}")
+          for flag in ("true", "false")),
+        # more harmonics than a budget array holds qubits, before any
+        # calibration
+        pytest.param("flux-sweep",
+                     [f"harmonic_indices={list(range(1, 1026))}",
+                      "phi_dc.n=1", "phi_rf.n=1"],
+                     "'harmonic_indices' must have length >= 1 and <= 1024",
+                     id="flux-sweep-harmonics-over-1024"),
+        # a step that aliases the modulation (f dt = 0.94) or the source
+        # under no spectrum
+        ("line-sim", "drive.modulation_freq_hz=2e11",
+         "'drive.modulation_freq_hz'"),
+        pytest.param("line-sim", ["run.spectrum=none",
+                                  f"source.freq_hz={sys.float_info.max!r}"],
+                     "'source.freq_hz'", id="line-sim-none-source-aliased"),
+        # a notch turned bump whose tone variance overflows
+        ("spectroscopy", "filtered.filter_depth_db=-3000",
+         "'filtered.filter_depth_db'"),
         # a choice outside its list names its key
         ("line-sim", "run.spectrum=x", "'run.spectrum'"),
         ("error-budget", "bus=x", "'bus'"),
@@ -1162,6 +1187,43 @@ class TestExitCodes:
                 wrong.append((setting, code, err))
         assert wrong == []
 
+    @pytest.mark.parametrize("scenario,settings", [
+        pytest.param(s, settings, id=f"{s}-{k}")
+        for s, passes in SENSITIVITY_PASSES.items()
+        for k, settings in enumerate(passes)])
+    def test_leaf_walk_through_the_work(self, tmp_path, capsys, scenario,
+                                        settings):
+        """Each WALK_VALUES value on each numeric leaf of a sensitivity
+        pass, run whole: exit 0 with no non-finite CSV cell, or exit 2
+        naming the key. Exit 3 only for a key of GROWS. No traceback and,
+        as the suite turns warnings into errors, no RuntimeWarning."""
+        wrong = []
+        config = cli.resolve_config(scenario, None, settings)
+        for key, value in config_leaves(config):
+            for probe in WALK_VALUES.get(type(value), ()):
+                setting = f"{key}={json.dumps(probe)}"
+                try:
+                    code = cli.main([scenario, "--out", str(tmp_path),
+                                     *(a for x in [*settings, setting]
+                                       for a in ("--set", x))])
+                except Exception as exc:
+                    wrong.append((setting, repr(exc)))
+                    continue
+                err = capsys.readouterr().err
+                if code == 0:
+                    files = json.loads(
+                        (tmp_path / "manifest.json").read_text())["files"]
+                    bad = [e["path"] for e in files
+                           if re.search(r"(^|,)-?(nan|inf)(,|$)",
+                                        (tmp_path / e["path"]).read_text(),
+                                        re.M)]
+                    if bad:
+                        wrong.append((setting, code, bad))
+                elif not (code == 2 and f"'{key}'" in err
+                          or code == 3 and key in GROWS.get(scenario, {})):
+                    wrong.append((setting, code, err))
+        assert wrong == []
+
     @pytest.mark.parametrize("scenario", SENSITIVITY_PASSES)
     def test_sensitivity_walk_every_leaf_changes_a_csv(self, tmp_path,
                                                        scenario):
@@ -1224,9 +1286,12 @@ class TestExitCodes:
             assert f"'phi_rf.{key}'" in capsys.readouterr().err
 
     def test_blowup_is_3(self, tmp_path):
+        # 1024 cells over 30 ns grow past the ceiling from parametric gain,
+        # at step 4,900
         code = cli.main(["line-sim", "--out", str(tmp_path),
-                         "--set", "run.blowup_factor=1e-12",
-                         "--set", "run.t_end_s=1e-10"])
+                         "--set", "geometry.n_cells=1024",
+                         "--set", "run.t_end_s=3e-8",
+                         "--set", "run.spectrum=none"])
         assert code == 3
 
     def test_unwritable_out_is_4(self, tmp_path):

@@ -61,10 +61,11 @@ N_CELLS = 64
 CW_LEFT = ("continuous-wave", "left", 7)
 
 
-def make_sim(*rows, blowup_factor=1e6):
+def make_sim(*rows, ceiling=1.0):
     """A short line under rf drive with one run per (kind, port, seed)
     row, each with a random initial field drawn from its seed, so every
-    term of the update is exercised from the first step."""
+    term of the update is exercised from the first step, and the blowup
+    ceiling [V] that _advance reads at each call."""
     geom = line.LineGeometry(n_cells=N_CELLS)
     drive = default_drive(0.6, 0.6, geom)
     omega = 2.0 * math.pi * 3e9
@@ -78,7 +79,8 @@ def make_sim(*rows, blowup_factor=1e6):
             sources.append(line.SourceSpec(
                 kind=kind, omega=omega, amplitude=1e-6, t_center=0.2e-9,
                 t_width=0.05e-9, port=port))
-    sim = line.build_line(geom, drive, *sources, blowup_factor=blowup_factor)
+    sim = line.build_line(geom, drive, *sources)
+    sim.ceiling = ceiling
     for r, (*_, seed) in enumerate(rows or [CW_LEFT]):
         rng = np.random.default_rng(seed)
         sim.v[r] = rng.normal(scale=1e-7, size=N_CELLS + 1)
@@ -122,7 +124,7 @@ def test_ceiling_trip_matches_reference():
     # from rest, the wave entering at the left port passes the 6e-7 V
     # ceiling inside the second block; before that, v.v already exceeds
     # ceiling^2 while every |v| is under it, so both tests run
-    sim = make_sim(blowup_factor=0.6)
+    sim = make_sim(ceiling=6e-7)
     sim.v[:] = 0.0
     sim._psi[:] = 0.0
     bad, v, flux, i, _ = reference_advance(sim, 400)
@@ -139,17 +141,17 @@ def test_one_node_just_over_ceiling_trips():
     """A field concentrated on a few nodes, its largest 1% over the
     ceiling: v.v stays under 2 ceiling^2, so only the exact test of the
     largest |v| catches it."""
-    def excited(blowup_factor):
-        sim = make_sim(blowup_factor=blowup_factor)
+    def excited(ceiling):
+        sim = make_sim(ceiling=ceiling)
         sim.v[:] = 0.0
         sim._psi[:] = 0.0
         sim.v[0, 30] = 1e-6
         return sim
 
-    _, v, *_ = reference_advance(excited(1e6), 1)
+    _, v, *_ = reference_advance(excited(1.0), 1)
     peak = float(np.max(np.abs(v)))
     assert v @ v < 2.0 * peak * peak
-    sim = excited(0.99 * peak / 1e-6)          # amplitude is 1e-6 V
+    sim = excited(0.99 * peak)
     with pytest.raises(NumericalError, match="at step 0 "):
         sim._advance(5)
     assert_close(sim.v[0], v)
