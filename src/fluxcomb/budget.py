@@ -6,7 +6,7 @@ full_budget evaluates the whole comb in one array pass, with one formula
 path for both bus variants.
 The dimensionless suppression constants and the gain profile are the
 calibration set: tuned once against the target coherence and error bands,
-then frozen here and in the default config.
+then frozen here.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,7 +128,13 @@ class BusIsolationModel:
 # each bus kind's constants: a reciprocal bus is a plain shared bus with
 # flat sub-unity gain (insertion loss; gain_width is inert), a
 # nonreciprocal one is direction-selective, suppressing decay back into
-# the bus, with in-band gain peaking at the bus resonance
+# the bus, with in-band gain peaking at the bus resonance. The
+# nonreciprocal constants are assumed, not derived from the line: c0
+# 0.3 -> 0.005 implies 17.8 dB of isolation and c_purcell 4.8251e-5 ->
+# 1.9e-6 implies 14.0 dB, while line.isolation_report at the fundamental
+# reads -0.09 dB on the stable (phi_dc, phi_rf) = (0.5, 0.3) drive and
+# -8.47 dB on the packaged (0.6, 0.6) one (a strict xfail in the
+# acceptance tests records the gap)
 _BUSES = {
     "reciprocal": dict(c_purcell=4.8251e-5, c_phi=1.0, c0=0.3,
                        gain_floor=0.07, gain_peak=0.07),
@@ -163,13 +169,16 @@ def full_budget(array: QubitArraySpec, model: BusIsolationModel) -> tuple:
     pass: per-qubit arrays (omega [rad/s], gamma_purcell [1/s], t1 [s],
     t2 [s], e_relax, e_dephase, e_crosstalk, e_total), with e_total the
     sum of the three errors. A value that leaves float range raises
-    NumericalError rather than reaching the budget as inf or NaN."""
+    ConfigError, naming every array field the pass reads, rather than
+    reaching the budget as inf or NaN."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _comb_pass(array, model)
     except ArithmeticError as exc:
-        raise NumericalError(f"error budget out of float range: {exc}") \
-            from None
+        raise ConfigError(
+            "omega_m, harmonic_indices, n_qubits, t1_intrinsic, "
+            "t2_intrinsic, g_coupling, kappa_bus, t_gate, lambda_c: the "
+            f"error budget is out of float range: {exc}") from None
 
 
 def _comb_pass(array: QubitArraySpec, model: BusIsolationModel) -> tuple:
@@ -192,8 +201,6 @@ def _comb_pass(array: QubitArraySpec, model: BusIsolationModel) -> tuple:
     n = array.n_qubits
     others = ~np.eye(n, dtype=bool)
     delta = np.abs(np.subtract.outer(omega, omega))[others].reshape(n, n - 1)
-    if np.any(delta == 0.0):
-        raise ConfigError("degenerate comb: two qubits share a frequency")
     x = np.arange(1.0, n + 1)
     dist = np.abs(np.subtract.outer(x, x))[others].reshape(n, n - 1)
     g_ij = array.g_coupling * np.exp(-dist / array.lambda_c)
@@ -212,9 +219,6 @@ def scalability_sweep(array: QubitArraySpec, model: BusIsolationModel,
                       n_range) -> list[float]:
     """Worst-case total gate error as the comb is grown, keeping the
     template's per-qubit parameters."""
-    n_range = list(n_range)
-    if not n_range:
-        raise ConfigError("n_range must be nonempty")
     out = []
     for n in n_range:
         arr = replace(array, n_qubits=int(n), harmonic_indices=None)

@@ -216,9 +216,10 @@ def _row_index(n: int, repeat: int, tile: int) -> np.ndarray:
 
 def run_line_sim(config: dict, out_dir: Path):
     gcfg = config["geometry"]
-    with _keys(n_cells="geometry.n_cells", dz="geometry.dz_m",
-               c_per_length="geometry.c_per_length_f_per_m",
-               i0="geometry.i0_amps"):
+    geom_keys = dict(n_cells="geometry.n_cells", dz="geometry.dz_m",
+                     c_per_length="geometry.c_per_length_f_per_m",
+                     i0="geometry.i0_amps")
+    with _keys(**geom_keys):
         geom = line.LineGeometry(
             n_cells=gcfg["n_cells"],
             dz=gcfg["dz_m"],
@@ -308,7 +309,7 @@ def run_line_sim(config: dict, out_dir: Path):
                 f"'{key}', " + ", ".join(f"'{k}'" for k in keys[2:])
                 + ", 'drive.phi_rf', 'run.cfl_safety': f dt = "
                 f"{f * sim.dt:.3g} is not below 1/2 at dt = {sim.dt:.3e} s")
-    with _keys(**src_keys, t_end="run.t_end_s",
+    with _keys(**src_keys, **geom_keys, t_end="run.t_end_s",
                snapshot_times="run.snapshot_times_s", probe="run.probe_m",
                window_start="run.window_start_s",
                window_end="run.window_end_s"):
@@ -392,13 +393,18 @@ def run_addressing(config: dict, out_dir: Path):
                          [np.arange(len(levels)), levels])]
 
 
+# the config key of each QubitArraySpec field
+_ARRAY_KEYS = dict(n_qubits="array.n_qubits",
+                   omega_m="array.modulation_freq_hz",
+                   t1_intrinsic="array.t1_intrinsic_s",
+                   t2_intrinsic="array.t2_intrinsic_s",
+                   t_gate="array.t_gate_s", lambda_c="array.lambda_c_m",
+                   g_coupling="array.g_coupling_hz",
+                   kappa_bus="array.kappa_bus_hz")
+
+
 def _array_from_config(acfg: dict, n_qubits: int) -> budget.QubitArraySpec:
-    with _keys(n_qubits="array.n_qubits", omega_m="array.modulation_freq_hz",
-               t1_intrinsic="array.t1_intrinsic_s",
-               t2_intrinsic="array.t2_intrinsic_s",
-               t_gate="array.t_gate_s", lambda_c="array.lambda_c_m",
-               g_coupling="array.g_coupling_hz",
-               kappa_bus="array.kappa_bus_hz"):
+    with _keys(**_ARRAY_KEYS):
         return budget.QubitArraySpec(
             n_qubits=n_qubits,
             omega_m=TWO_PI * acfg["modulation_freq_hz"],
@@ -414,7 +420,8 @@ def run_error_budget(config: dict, out_dir: Path):
     array = _array_from_config(config["array"], config["array"]["n_qubits"])
     with _keys(kind="bus"):
         model = budget.bus_model(config["bus"], array.omega_m)
-    out = budget.full_budget(array, model)
+    with _keys(**_ARRAY_KEYS):
+        out = budget.full_budget(array, model)
     return [io.write_csv(
         out_dir / "budget.csv",
         "qubit,omega_over_omega_m,t1_s,t2_s,e_relax,e_dephase,"
@@ -432,7 +439,10 @@ def run_scalability(config: dict, out_dir: Path):
     n_range, models = range(n_min, n_max + 1), config["models"]
     with _keys(kind="models"):
         buses = [budget.bus_model(kind, array.omega_m) for kind in models]
-    worst = [budget.scalability_sweep(array, bus, n_range) for bus in buses]
+    # the sweep sets n_qubits to each of n_min..n_max
+    with _keys(**_ARRAY_KEYS | {"n_qubits": "n_max"}):
+        worst = [budget.scalability_sweep(array, bus, n_range)
+                 for bus in buses]
     # rows run over (model, n), n fastest
     return [io.write_csv(
         out_dir / "scalability.csv", "n,worst_case_error,model",
@@ -460,7 +470,7 @@ def run_nonmarkov(config: dict, out_dir: Path):
     # written
     window = config["smoothing_window"] or None
     with _keys(smoothing_window="smoothing_window"):
-        g = nonmarkov.gamma_eff(t, np.maximum(p, 1e-300),
+        g = nonmarkov.gamma_eff(np.maximum(p, 1e-300), t[1],
                                 smoothing_window=window)
     # rho00 is the excited population
     files = [io.write_csv(out_dir / "population.csv", "t_s,rho00", [t, p])]

@@ -8,10 +8,12 @@ key.
 
 class ConfigError(Exception):
     """Invalid input: bad parameter values, unknown config keys, guard
-    violations (e.g. the inductance secant margin)."""
+    violations (e.g. the inductance secant margin, or a value that would
+    leave float range)."""
 
 
 class NumericalError(Exception):
-    """Runtime numerical failure: field blowup, a value out of float
-    range, or an iterative method that did not converge (a LAPACK
-    eigensolve, the charge-basis growth, calibration or fit iterations)."""
+    """Runtime numerical failure: field blowup, an isolation run with no
+    band power at a harmonic, or an iterative method that did not converge
+    (a LAPACK eigensolve, the charge-basis growth, calibration or fit
+    iterations)."""

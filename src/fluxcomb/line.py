@@ -534,7 +534,8 @@ def build_line(geom: LineGeometry, drive: FluxDrive, *sources: SourceSpec,
 
 def _probe_branch(geom: LineGeometry, probe: float) -> int:
     if not 0.0 <= probe <= geom.length:
-        raise ConfigError(f"probe {probe} m outside the line")
+        raise ConfigError(f"probe {probe} m outside the line of n_cells x "
+                          f"dz = {geom.length:.3g} m")
     b = int(round(probe / geom.dz - 0.5))
     return min(max(b, 0), geom.n_cells - 1)
 
@@ -643,7 +644,8 @@ def wavepacket_metrics(t: np.ndarray, i: np.ndarray,
         total = float(np.sum(u))
         if total <= WAVEPACKET_FLOOR:
             raise ConfigError("amplitude, omega, ramp_periods, t_center, "
-                              "t_width, snapshot_times: wavepacket energy "
+                              "t_width, snapshot_times, n_cells, dz, "
+                              "c_per_length, i0: wavepacket energy "
                               f"{total:.3e} at t = {t[k]:.3e} s is too low")
         centroid = float(np.sum(z * u) / total)
         width = math.sqrt(float(np.sum((z - centroid) ** 2 * u) / total))

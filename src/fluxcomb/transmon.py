@@ -3,15 +3,14 @@ comb-addressing maps.
 
 Unit policy: every energy/frequency in this module is an ordinary frequency in
 Hz (E/h). Angular quantities (the comb spacing omega_m, the resonance width
-SIGMA_RES) enter only through addressing_map and are converted at that
-boundary.
+SIGMA_RES) enter only through default_comb_qubits and addressing_map and are
+converted at those boundaries.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -68,10 +67,10 @@ def ej_time_averaged(ej_max: float, phi_dc: float, phi_rf: float) -> float:
     return 2.0 * ej_max * abs(math.cos(0.5 * phi_dc) * j0(0.5 * phi_rf))
 
 
-def _charge_levels(ec: float, ej: float, ng: float, cut: int, n_levels: int
+def _charge_levels(ec: float, ej: float, cut: int, n_levels: int
                    ) -> np.ndarray:
     n = np.arange(-cut, cut + 1, dtype=np.float64)
-    ham = np.diag(4.0 * ec * (n - ng) ** 2)
+    ham = np.diag(4.0 * ec * n ** 2)
     off = np.arange(2 * cut)
     ham[off, off + 1] = ham[off + 1, off] = -0.5 * ej
     try:
@@ -82,15 +81,15 @@ def _charge_levels(ec: float, ej: float, ng: float, cut: int, n_levels: int
     return vals - vals[0]
 
 
-def _converged_levels(ec: float, ej: float, ng: float, n_levels: int
+def _converged_levels(ec: float, ej: float, n_levels: int
                       ) -> tuple[np.ndarray, int]:
     """Grow the charge cutoff until the two highest retained levels stop
     moving (relative 1e-9 under cut -> cut+5): (levels, cut)."""
     cut = max(_START_CHARGE_CUT, n_levels + 2)
-    prev = _charge_levels(ec, ej, ng, cut, n_levels)
+    prev = _charge_levels(ec, ej, cut, n_levels)
     while cut + 5 <= _MAX_CHARGE_CUT:
         cut += 5
-        cur = _charge_levels(ec, ej, ng, cut, n_levels)
+        cur = _charge_levels(ec, ej, cut, n_levels)
         scale = max(abs(cur[-1]), abs(cur[-2]), ec)
         if (abs(cur[-1] - prev[-1]) <= 1e-9 * scale
                 and abs(cur[-2] - prev[-2]) <= 1e-9 * scale):
@@ -101,24 +100,21 @@ def _converged_levels(ec: float, ej: float, ng: float, n_levels: int
         f"(ej/ec = {ej / ec:.3g})")
 
 
-def diagonalize(ec: float, ej: float, n_levels: int = 5, ng: float = 0.0
-                ) -> np.ndarray:
-    """Diagonalize the charge-basis Hamiltonian 4*E_C*(n-ng)^2 - (E_J/2) *
-    (|n><n+1| + h.c.), with E_C = ec and E_J = ej [Hz] and the offset
-    charge ng [Cooper pairs], and return the lowest n_levels
-    ground-referenced levels [Hz], ascending from levels[0] == 0: omega_q
-    is levels[1] and the anharmonicity levels[2] - 2 levels[1].
+def diagonalize(ec: float, ej: float, n_levels: int = 5) -> np.ndarray:
+    """Diagonalize the charge-basis Hamiltonian 4*E_C*n^2 - (E_J/2) *
+    (|n><n+1| + h.c.), with E_C = ec and E_J = ej [Hz] at zero offset
+    charge, and return the lowest n_levels ground-referenced levels [Hz],
+    ascending from levels[0] == 0: omega_q is levels[1] and the
+    anharmonicity levels[2] - 2 levels[1]. The spectrum is even in ej.
 
     The truncation is auto-verified; raises NumericalError when the cap is
     reached.
     """
     if not ec > 0:
         raise ConfigError("ec must be positive")
-    if ej < 0:
-        raise ConfigError("ej must be nonnegative (take the magnitude)")
     if n_levels < 3:
         raise ConfigError("n_levels must be >= 3 for omega_q and alpha")
-    return _converged_levels(ec, ej, ng, n_levels)[0]
+    return _converged_levels(ec, ej, n_levels)[0]
 
 
 class FluxCurve:
@@ -137,11 +133,11 @@ class FluxCurve:
             raise ConfigError("ec must be positive")
         self._ej_lo, self._ej_hi = (ec * r for r in _CURVE_EJ_OVER_EC)
         # one converged solve at the widest wavefunction fixes the cut
-        cut = _converged_levels(ec, self._ej_hi, 0.0, 3)[1]
+        cut = _converged_levels(ec, self._ej_hi, 3)[1]
         lo, hi = math.log(self._ej_lo), math.log(self._ej_hi)
         t = chebyshev.chebpts1(_CURVE_NODES)
         self._ln_ej = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
-        self._wq = np.array([_charge_levels(ec, math.exp(le), 0.0, cut, 3)[1]
+        self._wq = np.array([_charge_levels(ec, math.exp(le), cut, 3)[1]
                              for le in self._ln_ej])
         # interpolating coefficients from the discrete orthogonality of
         # T_k on the first-kind nodes
@@ -191,7 +187,9 @@ def default_comb_qubits(omega_m: float, harmonic_indices, ec: float,
     rad/s) at a staggered DC bias, giving well-separated addressing peaks.
 
     Calibration is Newton in ln(E_J): each residual is an exact solve, each
-    slope the flux curve's, and the start the flux curve's own root.
+    slope the flux curve's, and the start the flux curve's own root. A
+    qubit below ej_max/ec = 10, outside the transmon regime, raises
+    ConfigError.
     """
     idx = list(harmonic_indices)
     if bias_targets is None:
@@ -212,7 +210,7 @@ def default_comb_qubits(omega_m: float, harmonic_indices, ec: float,
                 f"harmonic {n_i} at omega_m = {omega_m:.4g} rad/s and "
                 f"ec = {ec:.4g} Hz: {exc}") from None
         for _ in range(_CAL_STEPS):
-            residual = _converged_levels(ec, math.exp(ln_ej), 0.0, 3)[0][1] \
+            residual = _converged_levels(ec, math.exp(ln_ej), 3)[0][1] \
                 - target_hz
             ln_ej -= residual / curve.slope(ln_ej)
             if abs(residual) <= _CAL_RTOL * target_hz:
@@ -224,10 +222,12 @@ def default_comb_qubits(omega_m: float, harmonic_indices, ec: float,
         ej_max[q] = math.exp(ln_ej) / (2.0 * math.cos(0.5 * bias))
         if not ej_max[q] > 0:
             raise ConfigError("ej_max must be positive")
+        # the charge basis models zero offset charge, which holds only
+        # where the charge dispersion is negligible
         if ej_max[q] / ec < 10:
-            warnings.warn(
-                f"ej_max/ec = {ej_max[q] / ec:.2f} < 10: outside the "
-                "transmon regime", stacklevel=2)
+            raise ConfigError(
+                f"ec, harmonic, omega_m, ej_max: ej_max/ec = "
+                f"{ej_max[q] / ec:.2f} < 10: outside the transmon regime")
     return ej_max
 
 

@@ -1,11 +1,13 @@
 """End-to-end acceptance checks.
 
 Each test prints one `ACCEPTANCE <n>: PASS/FAIL` line on the live
-terminal (bypassing capture) and then asserts. Two clauses are strict
+terminal (bypassing capture) and then asserts. Three clauses are strict
 xfails: the transmon anharmonicity tolerance (the exact charge-basis
-value sits outside the stated band) and the reciprocal scalability
+value sits outside the stated band), the reciprocal scalability
 crossing window (nearest-neighbor crosstalk alone exceeds the crossing
-level at N = 2 for any calibration matching the N = 25 band).
+level at N = 2 for any calibration matching the N = 25 band) and the
+bus isolation that the budget's nonreciprocal constants assume (the
+simulated line does not deliver it).
 """
 
 import math
@@ -266,6 +268,31 @@ def test_acceptance_08_isolation_switching(capsys):
     assert red_phi >= 0.95
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the nonreciprocal bus constants are assumed, not derived from "
+           "the line: c0 0.3 -> 0.005 implies 17.8 dB of isolation and "
+           "c_purcell 14.0 dB, while isolation_report at the fundamental "
+           "reads -0.09 dB on the stable (0.5, 0.3) drive and -8.47 dB on "
+           "the packaged (0.6, 0.6) one (ledgered)")
+def test_acceptance_08_bus_isolation_clause(capsys):
+    rec, nr = (budget._BUSES[kind] for kind in ("reciprocal",
+                                                 "nonreciprocal"))
+    assumed = {name: 10.0 * math.log10(rec[name] / nr[name])
+               for name in ("c0", "c_purcell")}
+    geom = line.LineGeometry()
+    simulated = {drive: line.isolation_report(
+        geom, default_drive(*drive, geom), OMEGA_M)[1]
+        for drive in ((0.5, 0.3), (0.6, 0.6))}
+    ok = min(simulated.values()) >= max(assumed.values())
+    report(capsys, "8 (bus isolation)", ok,
+           "assumed " + ", ".join(f"{k} {v:.1f} dB"
+                                  for k, v in assumed.items())
+           + "; line " + ", ".join(f"{d} {v:.2f} dB"
+                                   for d, v in simulated.items()))
+    assert ok
+
+
 def test_acceptance_09_memory_kernel(capsys):
     kernel = memory_kernel()
 
@@ -283,7 +310,7 @@ def test_acceptance_09_memory_kernel(capsys):
 
     tg = np.linspace(0.0, 400e-9, 4001)
     pg = nonmarkov.evolve_kernel(*kernel, tg)
-    g = nonmarkov.gamma_eff(tg, np.maximum(pg, 1e-300))
+    g = nonmarkov.gamma_eff(np.maximum(pg, 1e-300), tg[1])
     neg = g < 0.0
     runs = np.diff(np.flatnonzero(np.diff(np.concatenate(
         ([0], neg.astype(int), [0])))).reshape(-1, 2), axis=1)
@@ -291,7 +318,7 @@ def test_acceptance_09_memory_kernel(capsys):
 
     # the packaged markovian_ratio: 1/100 of the memory rate
     pexp = nonmarkov.evolve_markovian(kernel[1] / 100.0, tg)
-    ge = nonmarkov.gamma_eff(tg, pexp)
+    ge = nonmarkov.gamma_eff(pexp, tg[1])
     flatness = float(np.std(ge) / np.mean(ge))
 
     ok = oracle_gap < 1e-6 and markov_gap < 0.02 and has_backflow \

@@ -698,6 +698,13 @@ class TestExitCodes:
             assert cli.main(["error-budget", "--config", str(bad),
                              "--out", str(tmp_path)]) == 2
 
+    def test_config_root_not_object_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[]")
+        assert cli.main(["error-budget", "--config", str(bad),
+                         "--out", str(tmp_path)]) == 2
+        assert "config root must be a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scenario,assignment,key", [
         ("line-sim", "geometry.n_cells=abc", "geometry.n_cells"),
         ("line-sim", "run.snapshot_times_s=5", "run.snapshot_times_s"),
@@ -940,6 +947,40 @@ class TestExitCodes:
         ("line-sim", "run.spectrum=x", "'run.spectrum'"),
         ("error-budget", "bus=x", "'bus'"),
         ("scalability", 'models=["reciprocal","x"]', "'models'"),
+        ("line-sim", "source.port=x", "'source.port'"),
+        ("line-sim", "source.kind=x", "'source.kind'"),
+        # snapshots out of order, and past t_end
+        ("line-sim", "run.snapshot_times_s=[2e-9,1e-9]",
+         "'run.snapshot_times_s'"),
+        ("line-sim", "run.snapshot_times_s=[1e-8]", "'run.snapshot_times_s'"),
+        # an error budget out of float range from two keys at once
+        pytest.param("scalability",
+                     ["n_max=3", "array.t_gate_s=1e10",
+                      "array.t2_intrinsic_s=2.2250738585072014e-308"],
+                     ["'array.t2_intrinsic_s'", "'array.t_gate_s'"],
+                     id="scalability-budget-overflow"),
+        pytest.param("error-budget",
+                     ["array.kappa_bus_hz=1.7976931348623157e308",
+                      "array.t1_intrinsic_s=1.7976931348623157e308"],
+                     ["'array.t1_intrinsic_s'", "'array.kappa_bus_hz'"],
+                     id="error-budget-budget-overflow"),
+        # a calibrated qubit outside the transmon regime, ej_max/ec < 10
+        pytest.param("flux-sweep", ["ec_hz=1.5e9", "harmonic_indices=[5]"],
+                     "'ec_hz', 'harmonic_indices', 'modulation_freq_hz'",
+                     id="flux-sweep-charge-regime"),
+        pytest.param("addressing", ["ec_hz=1.5e9", "harmonic_index=5"],
+                     "'ec_hz', 'harmonic_index', 'modulation_freq_hz', "
+                     "'bias_phi_dc'", id="addressing-charge-regime"),
+        # a probe past a line shortened by its geometry, and a pulse that
+        # has left a faster line by its last snapshot
+        pytest.param("line-sim", [*LINE_SMALL, "geometry.dz_m=1e-10"],
+                     "'run.probe_m', 'geometry.n_cells', 'geometry.dz_m'",
+                     id="line-sim-probe-off-short-line"),
+        pytest.param("line-sim",
+                     [*SENSITIVITY_PASSES["line-sim"][2],
+                      "geometry.c_per_length_f_per_m=1e-10"],
+                     "'geometry.c_per_length_f_per_m'",
+                     id="line-sim-pulse-left-the-line"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
                                assignment, key):
@@ -949,7 +990,8 @@ class TestExitCodes:
                          *(a for x in assignments for a in ("--set", x))])
         err = capsys.readouterr().err
         assert code == 2
-        assert key in err
+        for k in [key] if isinstance(key, str) else key:
+            assert k in err
         assert "Traceback" not in err
 
     def test_field_near_float_range_runs_without_warning(self, tmp_path):

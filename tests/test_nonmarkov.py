@@ -99,12 +99,14 @@ class TestStatesAndSpecs:
             nm.evolve_kernel(1.0, 0.0, [0.0, 1e-9])
 
     def test_grid_validation(self):
-        with pytest.raises(ConfigError):
-            nm.evolve_markovian(1e6, [1e-9, 2e-9])   # no t=0
-        with pytest.raises(ConfigError):
-            nm.evolve_markovian(1e6, [0.0, 2e-9, 1e-9])
-        with pytest.raises(ConfigError):
-            nm.evolve_markovian(1e6, [0.0])
+        # the closed forms hold for t >= 0, at any times in any order
+        with pytest.raises(ConfigError, match="t_grid"):
+            nm.evolve_markovian(1e6, [0.0, -1e-9])
+        with pytest.raises(ConfigError, match="t_grid"):
+            nm.evolve_kernel(1.0, 1.0, [-1e-9])
+        np.testing.assert_array_equal(
+            nm.evolve_markovian(1e6, [2e-9, 0.0, 1e-9]),
+            nm.evolve_markovian(1e6, [0.0, 1e-9, 2e-9])[[2, 0, 1]])
         with pytest.raises(ConfigError):
             nm.evolve_markovian(-1e6, [0.0, 1e-9])
 
@@ -176,7 +178,7 @@ class TestKernelEvolution:
         amplitude_a, gm = kernel
         slow = 2.0 * (0.5 * gm - np.sqrt(0.25 * gm * gm
                                          - 0.5 * amplitude_a))
-        np.testing.assert_allclose(nm.gamma_eff(t, p)[-100:], slow,
+        np.testing.assert_allclose(nm.gamma_eff(p, t[1])[-100:], slow,
                                    rtol=1e-6)
 
 
@@ -184,14 +186,14 @@ class TestEffectiveRate:
     def test_exponential_trace_gives_constant_rate(self):
         gamma = 3e5
         t = np.linspace(0.0, 5e-6, 501)
-        g = nm.gamma_eff(t, np.exp(-gamma * t))
+        g = nm.gamma_eff(np.exp(-gamma * t), t[1])
         # ln p is linear so every stencil is exact to roundoff
         assert np.abs(g - gamma).max() / gamma < 1e-10
         assert np.std(g) / np.mean(g) < 1e-3
 
     def test_constant_trace_gives_zero(self):
         t = np.linspace(0.0, 1e-6, 101)
-        g = nm.gamma_eff(t, np.full(101, 0.42))
+        g = nm.gamma_eff(np.full(101, 0.42), t[1])
         # roundoff in ln p is amplified by 1/h in the stencil
         assert np.abs(g).max() < 1e-7
 
@@ -202,7 +204,7 @@ class TestEffectiveRate:
         amplitude_a, gamma_memory = memory_kernel()
         t = np.linspace(0.0, 400e-9, 4001)
         p = nm.evolve_kernel(amplitude_a, gamma_memory, t)
-        g = nm.gamma_eff(t, np.maximum(p, 1e-300))
+        g = nm.gamma_eff(np.maximum(p, 1e-300), t[1])
         neg = g < 0.0
         edges = np.flatnonzero(np.diff(neg.astype(int)) == 1)
         starts = t[edges + 1]
@@ -219,7 +221,7 @@ class TestEffectiveRate:
         # mutual inverses
         t = np.linspace(0.0, 40e-9, 2001)
         p = nm.evolve_kernel(*memory_kernel(), t)
-        g = nm.gamma_eff(t, p)
+        g = nm.gamma_eff(p, t[1])
         chi = cumulative_trapezoid(g, t, initial=0.0)
         np.testing.assert_allclose(np.exp(-chi), p, atol=1e-4)
 
@@ -227,22 +229,18 @@ class TestEffectiveRate:
         t = np.linspace(0.0, 1e-6, 101)
         p = np.exp(-1e5 * t)
         with pytest.raises(ConfigError):
-            nm.gamma_eff(t[:4], p[:4])
+            nm.gamma_eff(-p, t[1])
         with pytest.raises(ConfigError):
-            nm.gamma_eff(t, -p)
+            nm.gamma_eff(p, t[1], smoothing_window=4)
         with pytest.raises(ConfigError):
-            nm.gamma_eff(np.geomspace(1e-9, 1e-6, 101), p)
-        with pytest.raises(ConfigError):
-            nm.gamma_eff(t, p, smoothing_window=4)
-        with pytest.raises(ConfigError):
-            nm.gamma_eff(t, p, smoothing_window=3)
+            nm.gamma_eff(p, t[1], smoothing_window=3)
         with pytest.raises(ConfigError, match="smoothing_window"):
-            nm.gamma_eff(t, p, smoothing_window=103)
+            nm.gamma_eff(p, t[1], smoothing_window=103)
 
     def test_smoothing_preserves_shape(self):
         t = np.linspace(0.0, 1e-6, 201)
         p = np.exp(-2e5 * t)
-        g = nm.gamma_eff(t, p, smoothing_window=11)
+        g = nm.gamma_eff(p, t[1], smoothing_window=11)
         assert g.shape == t.shape
         assert np.abs(g - 2e5).max() / 2e5 < 1e-6
 
@@ -252,9 +250,9 @@ class TestEffectiveRate:
         t = np.linspace(0.0, 400e-9, 4001)
         p = np.maximum(nm.evolve_kernel(*kernel, t),
                        1e-300)
-        g = nm.gamma_eff(t, p)
+        g = nm.gamma_eff(p, t[1])
         ref = savgol_filter(g, window, 2)
-        got = nm.gamma_eff(t, p, smoothing_window=window)
+        got = nm.gamma_eff(p, t[1], smoothing_window=window)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         # a window spanning the whole grid is one quadratic fit
         np.testing.assert_allclose(

@@ -1,11 +1,13 @@
 """Library surface guard: every public name of every module of the
-package (src/fluxcomb/*.py) is used by the program itself, and every
+package (src/fluxcomb/*.py) is used by the program itself, every
 dataclass field with a default is set to another value by a keyword
-somewhere in the package, or is kept on purpose with its reason. Every
-key of the CLI's bounds table is a config leaf."""
+somewhere in the package, and every function parameter with a default
+is passed by some call of that function in the package, or each is kept
+on purpose with its reason. Every key of the CLI's bounds table is a
+config leaf."""
 
 import ast
-from collections import defaultdict
+import math
 from pathlib import Path
 
 from fluxcomb import cli
@@ -14,10 +16,12 @@ from helpers import config_leaves
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fluxcomb"
 
-# public names that no library code references, and defaulted fields
-# that no library call sets, with why each stays
+# public names that no library code references, and defaulted fields and
+# parameters that no library call sets, with why each stays
 KEPT = {
     "__init__.BACKEND": "perfbench/worker.py records it",
+    "cli.main.argv": "the console script calls main() with no arguments; "
+                     "tests pass their own",
     "line.Simulator.stored_energy":
         "the energy invariants; run telemetry is to report it",
     "line.isolation_report":
@@ -66,28 +70,69 @@ def _unused() -> list:
                   if name not in attrs and (method or name not in names))
 
 
+def _defaulted(tree: ast.Module, module: str):
+    """(qualified name, callee, position, default) of each dataclass
+    field and function parameter with a default: a field has no callee
+    (any call may set it) and no position, a keyword-only parameter no
+    position, and a method's positions start after self."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            if any("dataclass" in ast.unparse(d)
+                   for d in node.decorator_list):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) \
+                            and item.value is not None:
+                        yield (f"{module}.{node.name}.{item.target.id}",
+                               None, None, ast.unparse(item.value))
+            functions = [(f"{module}.{node.name}", item, 1)
+                         for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            functions = [(module, node, 0)]
+        else:
+            continue
+        for owner, fn, skip in functions:
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            for k, (arg, default) in enumerate(zip(positional[first:],
+                                                   a.defaults)):
+                yield (f"{owner}.{fn.name}.{arg.arg}", fn.name,
+                       first + k - skip, ast.unparse(default))
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield (f"{owner}.{fn.name}.{arg.arg}", fn.name, None,
+                           ast.unparse(default))
+
+
 def _unset() -> list:
-    """Dataclass fields with a default that no call in the package sets
-    by keyword to another value, so each holds its default in every run
-    of the program. A keyword of cli._keys(...) names a field in a key
-    map and sets nothing; one whose value is the field's own default
-    literal passes that default."""
+    """Dataclass fields and function parameters with a default that no
+    call in the package sets to another value, so each holds its default
+    in every run of the program. A field is set by keyword in any call, a
+    parameter by keyword or by position in a call of its function's name
+    (a starred argument passes every position). A keyword of
+    cli._keys(...) names a field in a key map and sets nothing; one whose
+    value is the default's own literal passes that default."""
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
-    passed = defaultdict(set)       # keyword -> source of each value
+    calls = []          # (callee, positions passed, {keyword: value})
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) \
                     and ast.unparse(node.func) != "_keys":
-                for k in node.keywords:
-                    passed[k.arg].add(ast.unparse(k.value))
+                f = node.func
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.append((
+                    f.attr if isinstance(f, ast.Attribute) else ast.unparse(f),
+                    math.inf if starred else len(node.args),
+                    {k.arg: ast.unparse(k.value) for k in node.keywords}))
     return sorted(
-        f"{module}.{node.name}.{item.target.id}"
-        for module, tree in trees.items() for node in tree.body
-        if isinstance(node, ast.ClassDef) and any(
-            "dataclass" in ast.unparse(d) for d in node.decorator_list)
-        for item in node.body
-        if isinstance(item, ast.AnnAssign) and item.value is not None
-        and not passed[item.target.id] - {ast.unparse(item.value)})
+        qual for module, tree in trees.items()
+        for qual, callee, position, default in _defaulted(tree, module)
+        if not any(
+            callee in (None, name) and (
+                position is not None and n_args > position
+                or kws.get(qual.rsplit(".", 1)[1], default) != default)
+            for name, n_args, kws in calls))
 
 
 def test_public_names_reach_the_program():

@@ -73,10 +73,10 @@ def test_nonfinite_ej_is_convergence_error():
         diagonalize(0.25e9, math.nan)
 
 
-def test_charge_periodicity():
-    np.testing.assert_allclose(diagonalize(0.25e9, 5e9, ng=0.3),
-                               diagonalize(0.25e9, 5e9, ng=1.3),
-                               rtol=1e-10, atol=1.0)
+def test_spectrum_even_in_ej():
+    # n -> (-1)^n |n> flips the sign of the hopping term
+    np.testing.assert_allclose(diagonalize(0.25e9, -5e9),
+                               diagonalize(0.25e9, 5e9), rtol=1e-12)
 
 
 def test_transmon_asymptotics():
@@ -103,7 +103,7 @@ def test_transmon_asymptotics():
 
 
 def test_levels_sorted_and_ground_referenced():
-    levels = diagonalize(0.2e9, 12e9, ng=0.17)
+    levels = diagonalize(0.2e9, 12e9)
     assert levels[0] == 0.0
     assert np.all(np.diff(levels) > 0)
 
@@ -112,8 +112,8 @@ def test_truncation_convergence_on_doubling():
     """The converged levels equal a solve at a fixed cut over three times
     the starting one."""
     import fluxcomb.transmon as tm
-    levels = diagonalize(0.25e9, 12.5e9, ng=0.3)
-    fixed = tm._charge_levels(0.25e9, 12.5e9, 0.3, 100, levels.size)
+    levels = diagonalize(0.25e9, 12.5e9)
+    fixed = tm._charge_levels(0.25e9, 12.5e9, 100, levels.size)
     np.testing.assert_allclose(levels[1:], fixed[1:], rtol=1e-9)
 
 
@@ -131,10 +131,11 @@ def test_omega_q_monotone_in_flux():
     assert np.all(np.diff(wqs) < 0)
 
 
-def test_transmon_regime_warning():
+def test_transmon_regime_is_config_error():
     # harmonic 1 of 8 GHz at ec = 1 GHz calibrates to ej_max/ec = 5.45
-    with pytest.warns(UserWarning, match="ej_max/ec = 5.45 < 10: outside "
-                                         "the transmon regime"):
+    with pytest.raises(ConfigError, match="^ec, harmonic, omega_m, ej_max: "
+                                          "ej_max/ec = 5.45 < 10: outside "
+                                          "the transmon regime"):
         default_comb_qubits(2 * math.pi * 8e9, (1,), ec=1e9)
 
 
