@@ -214,7 +214,7 @@ def _row_index(n: int, repeat: int, tile: int) -> np.ndarray:
 
 # ------------------------------------------------------------- scenarios
 
-def run_line_sim(config: dict, out_dir: Path):
+def run_line_sim(config: dict):
     gcfg = config["geometry"]
     geom_keys = dict(n_cells="geometry.n_cells", dz="geometry.dz_m",
                      c_per_length="geometry.c_per_length_f_per_m",
@@ -298,6 +298,13 @@ def run_line_sim(config: dict, out_dir: Path):
         what = (f"n_harmonics must be <= {int(n_top)}, {limit}"
                 if n_top >= 1.0 else f"even the fundamental is past {limit}")
         raise ConfigError(", ".join(f"'{k}'" for k in keys) + f": {what}")
+    # and by the spatial spectrum's nonzero bins, which a small source
+    # frequency does not bound; a temporal window spans >= 8 source
+    # periods, so its bins, some 4 / (f dt), already hold the Nyquist limit
+    if spectrum_mode == "spatial" and n_max > geom.n_cells // 2:
+        raise ConfigError(f"'run.n_harmonics', 'geometry.n_cells': "
+                          f"n_harmonics must be <= {geom.n_cells // 2}, the "
+                          "spatial spectrum's nonzero bins")
     # the step resolves the modulation in every mode, and the source where
     # no spectrum's Nyquist limit already holds it: f dt < 1/2
     tones = {"drive.modulation_freq_hz": abs(dcfg["modulation_freq_hz"])}
@@ -327,34 +334,34 @@ def run_line_sim(config: dict, out_dir: Path):
         if rcfg["wavepacket"]:
             metrics = line.wavepacket_metrics(t, i, geom)
 
-    files = []
     z_mid = (np.arange(geom.n_cells) + 0.5) * geom.dz
-    for k, (v_k, i_k) in enumerate(zip(v, i)):
-        v_mid = 0.5 * (v_k[:-1] + v_k[1:])
-        files.append(io.write_csv(out_dir / f"snapshot_{k:03d}.csv",
-                                  "z_m,v_volts,i_amps", [z_mid, v_mid, i_k]))
+    tables = [(f"snapshot_{k:03d}.csv", "z_m,v_volts,i_amps",
+               [z_mid, 0.5 * (v_k[:-1] + v_k[1:]), i_k])
+              for k, (v_k, i_k) in enumerate(zip(v, i))]
     if spectrum_mode != "none":
         n = np.arange(1, n_max + 1)
-        files.append(io.write_csv(
-            out_dir / "spectrum.csv", "n,freq_hz,power_dbc,power_abs",
-            [n, n * f_src, dbc, power]))
-
+        tables.append(("spectrum.csv", "n,freq_hz,power_dbc,power_abs",
+                       [n, n * f_src, dbc, power]))
     if rcfg["wavepacket"]:
         # from the second snapshot on: the first has no velocity
-        files.append(io.write_csv(
-            out_dir / "wavepacket.csv",
-            "t_s,centroid_m,rms_width_m,spectral_centroid_radpm,"
-            "peak_velocity_mps", metrics[:, 1:]))
-    return files
+        tables.append(("wavepacket.csv",
+                       "t_s,centroid_m,rms_width_m,spectral_centroid_radpm,"
+                       "peak_velocity_mps", metrics[:, 1:]))
+    return tables
 
 
-def run_flux_sweep(config: dict, out_dir: Path):
+def run_flux_sweep(config: dict):
     omega_m = TWO_PI * config["modulation_freq_hz"]
     idx = tuple(config["harmonic_indices"])
-    n_dc, n_rf = config["phi_dc"]["n"], config["phi_rf"]["n"]
+    dc, rf = config["phi_dc"], config["phi_rf"]
+    n_dc, n_rf = dc["n"], rf["n"]
     _check_work([("addressing map", "points", transmon.MAX_MAP_POINTS,
                   n_dc * n_rf * len(idx),
                   ("phi_dc.n", "phi_rf.n", "harmonic_indices"))])
+    # phi_rf's ends are >= 0, so only phi_dc's span can overflow
+    if not math.isfinite(dc["stop"] - dc["start"]):
+        raise ConfigError("'phi_dc.start', 'phi_dc.stop': the grid's span "
+                          "is out of float range")
     with _keys(harmonic_indices="harmonic_indices",
                harmonic="harmonic_indices", omega_m="modulation_freq_hz",
                ec="ec_hz"):
@@ -363,7 +370,6 @@ def run_flux_sweep(config: dict, out_dir: Path):
                                               ec=config["ec_hz"])
         array = budget.QubitArraySpec(n_qubits=len(idx), omega_m=omega_m,
                                       harmonic_indices=idx)
-    dc, rf = config["phi_dc"], config["phi_rf"]
     dc_grid = np.linspace(dc["start"], dc["stop"], n_dc)
     rf_grid = np.linspace(rf["start"], rf["stop"], n_rf)
     score = transmon.addressing_map(array, dc_grid, rf_grid,
@@ -375,11 +381,11 @@ def run_flux_sweep(config: dict, out_dir: Path):
                (rf_grid, _row_index(n_rf, n_q, n_dc)),
                (np.arange(n_q), _row_index(n_q, 1, n_dc * n_rf)),
                score.ravel()]
-    return [io.write_csv(out_dir / "addressing_map.csv",
-                         "phi_dc,phi_rf,qubit_index,score", columns)]
+    return [("addressing_map.csv", "phi_dc,phi_rf,qubit_index,score",
+             columns)]
 
 
-def run_addressing(config: dict, out_dir: Path):
+def run_addressing(config: dict):
     omega_m, ec = TWO_PI * config["modulation_freq_hz"], config["ec_hz"]
     bias = config["bias_phi_dc"]
     with _keys(ec="ec_hz", n_levels="n_levels", harmonic="harmonic_index",
@@ -389,8 +395,7 @@ def run_addressing(config: dict, out_dir: Path):
             bias_targets=[bias])[0]
         ej = transmon.ej_time_averaged(ej_max, bias, config["phi_rf"])
         levels = transmon.diagonalize(ec, ej, n_levels=config["n_levels"])
-    return [io.write_csv(out_dir / "levels.csv", "level,freq_hz",
-                         [np.arange(len(levels)), levels])]
+    return [("levels.csv", "level,freq_hz", [np.arange(len(levels)), levels])]
 
 
 # the config key of each QubitArraySpec field
@@ -416,20 +421,19 @@ def _array_from_config(acfg: dict, n_qubits: int) -> budget.QubitArraySpec:
             lambda_c=acfg["lambda_c_m"])
 
 
-def run_error_budget(config: dict, out_dir: Path):
+def run_error_budget(config: dict):
     array = _array_from_config(config["array"], config["array"]["n_qubits"])
     with _keys(kind="bus"):
         model = budget.bus_model(config["bus"], array.omega_m)
     with _keys(**_ARRAY_KEYS):
         out = budget.full_budget(array, model)
-    return [io.write_csv(
-        out_dir / "budget.csv",
-        "qubit,omega_over_omega_m,t1_s,t2_s,e_relax,e_dephase,"
-        "e_crosstalk,e_total",
-        [np.arange(array.n_qubits), out[0] / array.omega_m, *out[2:]])]
+    return [("budget.csv",
+             "qubit,omega_over_omega_m,t1_s,t2_s,e_relax,e_dephase,"
+             "e_crosstalk,e_total",
+             [np.arange(array.n_qubits), out[0] / array.omega_m, *out[2:]])]
 
 
-def run_scalability(config: dict, out_dir: Path):
+def run_scalability(config: dict):
     n_min, n_max = config["n_min"], config["n_max"]
     if not n_min <= n_max <= budget.MAX_QUBITS:
         raise ConfigError(
@@ -444,13 +448,12 @@ def run_scalability(config: dict, out_dir: Path):
         worst = [budget.scalability_sweep(array, bus, n_range)
                  for bus in buses]
     # rows run over (model, n), n fastest
-    return [io.write_csv(
-        out_dir / "scalability.csv", "n,worst_case_error,model",
-        [np.tile(n_range, len(models)), np.concatenate(worst),
-         np.repeat(models, len(n_range))])]
+    return [("scalability.csv", "n,worst_case_error,model",
+             [np.tile(n_range, len(models)), np.concatenate(worst),
+              np.repeat(models, len(n_range))])]
 
 
-def run_nonmarkov(config: dict, out_dir: Path):
+def run_nonmarkov(config: dict):
     kcfg = config["kernel"]
     gm = TWO_PI * kcfg["gamma_memory_hz"]
     t = np.linspace(0.0, config["t_end_s"], config["n_points"])
@@ -466,21 +469,17 @@ def run_nonmarkov(config: dict, out_dir: Path):
         raise ConfigError("'kernel.markovian_ratio', 'kernel.gamma_memory_hz'"
                           ", 't_end_s': the Markovian exponent at t_end_s is "
                           "out of float range")
-    # the rate first: a bad smoothing window exits before any file is
-    # written
+    # rho00 is the excited population
+    tables = [("population.csv", "t_s,rho00", [t, p])]
+    if config["compare_markovian"]:
+        p_m = nonmarkov.evolve_markovian(kcfg["markovian_ratio"] * gm, t)
+        tables.append(("population_markovian.csv", "t_s,rho00", [t, p_m]))
     window = config["smoothing_window"] or None
     with _keys(smoothing_window="smoothing_window"):
         g = nonmarkov.gamma_eff(np.maximum(p, 1e-300), t[1],
                                 smoothing_window=window)
-    # rho00 is the excited population
-    files = [io.write_csv(out_dir / "population.csv", "t_s,rho00", [t, p])]
-    if config["compare_markovian"]:
-        p_m = nonmarkov.evolve_markovian(kcfg["markovian_ratio"] * gm, t)
-        files.append(io.write_csv(out_dir / "population_markovian.csv",
-                                  "t_s,rho00", [t, p_m]))
-    files.append(io.write_csv(out_dir / "gamma_eff.csv",
-                              "t_s,gamma_eff_hz", [t, g]))
-    return files
+    tables.append(("gamma_eff.csv", "t_s,gamma_eff_hz", [t, g]))
+    return tables
 
 
 def _noise_model(kind: str, section: str, cfg: dict) -> nonmarkov.NoiseModel:
@@ -529,7 +528,7 @@ def _spectroscopy_work(config: dict, models):
     ])
 
 
-def run_spectroscopy(config: dict, out_dir: Path):
+def run_spectroscopy(config: dict):
     seed = config["seed"]
     n_real = config["n_realizations"]
     tcfg, pcfg = config["tau"], config["spectrum"]
@@ -557,18 +556,14 @@ def run_spectroscopy(config: dict, out_dir: Path):
             [seed + k for k in range(pcfg["n_avg"])])
     with _keys(n_realizations="n_realizations"):
         ramsey, echo = nonmarkov.dephasing(models, tau, n_real, seed)
-    return [
-        io.write_csv(out_dir / "ramsey.csv", "tau_s,contrast",
-                     [tau, ramsey[0]]),
-        io.write_csv(out_dir / "echo_one_over_f.csv", "tau_s,echo",
-                     [tau, echo[0]]),
-        io.write_csv(out_dir / "echo_filtered.csv", "tau_s,echo",
-                     [tau, echo[1]]),
-        io.write_csv(out_dir / "spectrum.csv", "f_hz,s_omega",
-                     [f[1:], psa[1:]]),
-    ]
+    return [("ramsey.csv", "tau_s,contrast", [tau, ramsey[0]]),
+            ("echo_one_over_f.csv", "tau_s,echo", [tau, echo[0]]),
+            ("echo_filtered.csv", "tau_s,echo", [tau, echo[1]]),
+            ("spectrum.csv", "f_hz,s_omega", [f[1:], psa[1:]])]
 
 
+# each scenario takes the resolved config and returns its tables, (file
+# name, header, io.write_csv columns), in the order main writes them
 SCENARIOS = {
     "line-sim": run_line_sim,
     "flux-sweep": run_flux_sweep,
@@ -612,7 +607,10 @@ def main(argv=None) -> int:
                                 [*(args.overrides or ()), *seed])
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
-        files = SCENARIOS[args.scenario](config, out_dir)
+        # every table is computed before the first is written, so a run
+        # that fails leaves no CSV
+        files = [io.write_csv(out_dir / name, header, columns)
+                 for name, header, columns in SCENARIOS[args.scenario](config)]
         manifest = io.write_manifest(out_dir, args.scenario, config, files)
         for path in [*files, manifest]:
             print(f"wrote {path}")

@@ -86,6 +86,9 @@ INERT = {
 # and why: only a field that grows past the blowup ceiling may, and no
 # walk value makes one
 GROWS = {}
+# the two-key walk: its seed, and the pairs of leaves it draws per
+# sensitivity pass
+PAIR_SEED, PAIRS_PER_PASS = 0, 64
 
 
 def _nudges(key, value):
@@ -189,7 +192,7 @@ class TestConfigResolution:
         --set."""
         seeds = []
         monkeypatch.setitem(cli.SCENARIOS, "spectroscopy",
-                            lambda config, out: seeds.append(config["seed"])
+                            lambda config: seeds.append(config["seed"])
                             or [])
         user = tmp_path / "user.json"
         user.write_text('{"seed": 3}')
@@ -204,7 +207,7 @@ class TestConfigResolution:
         a call's --config, --set and --seed do not reach the next call."""
         # spectroscopy carries the seed; its work is not the point here
         monkeypatch.setitem(cli.SCENARIOS, "spectroscopy",
-                            lambda config, out: [])
+                            lambda config: [])
         # the config file leaves 'tau' unmerged, so --set writes into the
         # tau section that the defaults hand out
         user = tmp_path / "user.json"
@@ -450,6 +453,17 @@ class TestScenarioOutputs:
         assert (tmp_path / "population_markovian.csv").exists()
         header, _ = read_rows(tmp_path / "gamma_eff.csv")
         assert header == "t_s,gamma_eff_hz"
+
+    def test_failed_run_writes_nothing(self, tmp_path, monkeypatch):
+        """main writes a scenario's tables only once it has computed all
+        of them: a failure after nonmarkov has built population.csv's
+        table leaves --out empty, with no CSV and no manifest."""
+        def fail(*args, **kwargs):
+            raise ConfigError("injected")
+
+        monkeypatch.setattr(cli.nonmarkov, "evolve_markovian", fail)
+        assert cli.main(["nonmarkov", "--out", str(tmp_path)]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_nonmarkov_bad_window_writes_nothing(self, tmp_path):
         assert cli.main(["nonmarkov", "--out", str(tmp_path),
@@ -981,6 +995,11 @@ class TestExitCodes:
                       "geometry.c_per_length_f_per_m=1e-10"],
                      "'geometry.c_per_length_f_per_m'",
                      id="line-sim-pulse-left-the-line"),
+        # a phi_dc grid whose span overflows
+        pytest.param("flux-sweep", ["phi_dc.stop=1e300",
+                                    "phi_dc.start=-1.7976931348623157e308"],
+                     "'phi_dc.start', 'phi_dc.stop'",
+                     id="flux-sweep-grid-span-overflow"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, scenario,
                                assignment, key):
@@ -993,6 +1012,31 @@ class TestExitCodes:
         for k in [key] if isinstance(key, str) else key:
             assert k in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("assignments,keys", [
+        # a tiny source frequency lifts the spatial Nyquist limit past the
+        # spectrum's bins
+        pytest.param(["source.freq_hz=1e-200", "run.n_harmonics=100000000"],
+                     ["'run.n_harmonics'", "'geometry.n_cells'"],
+                     id="harmonics-past-the-bins"),
+        # a step past line.MAX_CFL_SAFETY, where the packaged line's
+        # stable (0.5, 0.3) drive grows a grid mode by 32 ns
+        pytest.param(["run.cfl_safety=0.999"], ["'run.cfl_safety'"],
+                     id="cfl-past-the-cap"),
+    ])
+    def test_line_sim_exits_2_before_any_step(self, tmp_path, capsys,
+                                              monkeypatch, assignments, keys):
+        def step(*args, **kwargs):
+            raise AssertionError("a line step ran")
+
+        monkeypatch.setattr(cli.line.Simulator, "_advance", step)
+        code = cli.main(["line-sim", "--out", str(tmp_path),
+                         *(a for x in assignments for a in ("--set", x))])
+        err = capsys.readouterr().err
+        assert code == 2
+        for key in keys:
+            assert key in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_field_near_float_range_runs_without_warning(self, tmp_path):
         """At 1.3e154 V the amplitude's square is still a float, but the
@@ -1264,6 +1308,53 @@ class TestExitCodes:
                 elif not (code == 2 and f"'{key}'" in err
                           or code == 3 and key in GROWS.get(scenario, {})):
                     wrong.append((setting, code, err))
+        assert wrong == []
+
+    @pytest.mark.parametrize("scenario,settings,k", [
+        pytest.param(s, settings, k, id=f"{s}-{j}")
+        for k, (s, j, settings) in enumerate(
+            (s, j, settings) for s, passes in SENSITIVITY_PASSES.items()
+            for j, settings in enumerate(passes))])
+    def test_pair_walk_through_the_work(self, tmp_path, capsys, scenario,
+                                        settings, k):
+        """PAIRS_PER_PASS random pairs of two numeric leaves of a
+        sensitivity pass, each set to one of its WALK_VALUES values, drawn
+        from a generator seeded with (PAIR_SEED, the pass's index), run
+        whole under the single-leaf walk's verdict: exit 2 names one of
+        the two keys."""
+        rng = np.random.default_rng((PAIR_SEED, k))
+        config = cli.resolve_config(scenario, None, settings)
+        leaves = [(key, WALK_VALUES[type(value)])
+                  for key, value in config_leaves(config)
+                  if type(value) in WALK_VALUES]
+        wrong = []
+        for _ in range(PAIRS_PER_PASS):
+            pair = [leaves[j] for j in rng.choice(len(leaves), 2,
+                                                  replace=False)]
+            assignments = [
+                f"{key}={json.dumps(values[rng.integers(len(values))])}"
+                for key, values in pair]
+            try:
+                code = cli.main([scenario, "--out", str(tmp_path),
+                                 *(a for x in [*settings, *assignments]
+                                   for a in ("--set", x))])
+            except Exception as exc:
+                wrong.append((assignments, repr(exc)))
+                continue
+            err = capsys.readouterr().err
+            if code == 0:
+                files = json.loads(
+                    (tmp_path / "manifest.json").read_text())["files"]
+                bad = [e["path"] for e in files
+                       if re.search(r"(^|,)-?(nan|inf)(,|$)",
+                                    (tmp_path / e["path"]).read_text(),
+                                    re.M)]
+                if bad:
+                    wrong.append((assignments, code, bad))
+            elif not (code == 2 and any(f"'{key}'" in err for key, _ in pair)
+                      or code == 3 and any(key in GROWS.get(scenario, {})
+                                           for key, _ in pair)):
+                wrong.append((assignments, code, err))
         assert wrong == []
 
     @pytest.mark.parametrize("scenario", SENSITIVITY_PASSES)

@@ -57,6 +57,14 @@ class TestGeometryAndGuards:
         sim = line.build_line(g, d, cw_source())
         assert sim.dt == pytest.approx(0.9 * bound)
 
+    def test_cfl_cap(self):
+        # the steady cap passes, and the next float past it does not
+        g, d, cap = line.LineGeometry(), quiet_drive(), line.MAX_CFL_SAFETY
+        line.build_line(g, d, cw_source(), cfl_safety=cap)
+        with pytest.raises(ConfigError, match="cfl_safety must be in"):
+            line.build_line(g, d, cw_source(),
+                            cfl_safety=math.nextafter(cap, 1.0))
+
     def test_cfl_bound_uses_minimum_inductance(self):
         g = line.LineGeometry()
         biased = line.FluxDrive(phi_dc_tilde=0.8, phi_rf_tilde=0.3,

@@ -4,7 +4,8 @@ dataclass field with a default is set to another value by a keyword
 somewhere in the package, and every function parameter with a default
 is passed by some call of that function in the package, or each is kept
 on purpose with its reason. Every key of the CLI's bounds table is a
-config leaf."""
+config leaf, every scenario takes the config alone, and the CLI writes
+CSVs at one site, in main."""
 
 import ast
 import math
@@ -155,3 +156,20 @@ def test_bounds_are_config_leaves():
     leaves = {key for defaults in cli._packaged_defaults().values()
               for key, _ in config_leaves(defaults)}
     assert set(cli.BOUNDS) - leaves == set()
+
+
+def test_main_is_the_one_csv_writer():
+    """Each scenario takes the config alone and returns its tables, and
+    cli.py calls io.write_csv at one site, in main: no scenario can write
+    a file before its run has computed every table."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    for fn in cli.SCENARIOS.values():
+        args = functions[fn.__name__].args
+        assert [a.arg for a in args.posonlyargs + args.args] == ["config"]
+        assert not (args.vararg or args.kwonlyargs or args.kwarg)
+    writers = [name for name, fn in functions.items()
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and ast.unparse(node.func) == "io.write_csv"]
+    assert writers == ["main"]
