@@ -21,28 +21,30 @@ coordinate repeated over the rows, whose grid order must stay, or for a
 long repeated index column, which np.unique would sort. Each column's
 words are copied into its slice of the matrix, and the block goes out in
 one write as the bytearray with its NULs dropped by bytes.translate.
-Past the first block, what a block allocates is that result, and index
-lists of the few cells that need more work (scaled, near a power of ten,
-or through %). NumPy offers no cheaper way to drop the NULs into a
-reused buffer: compress first builds an 8-byte index per kept byte, and
-boolean indexing is slower than translate.
+Past the first block, what a block allocates is that result, and the
+index list of the few cells rendered through %. NumPy offers no cheaper
+way to drop the NULs into a reused buffer: compress first builds an
+8-byte index per kept byte, and boolean indexing is slower than
+translate.
 
 A float x != 0 has the 13 significant digits M = round(v), where
-v = |x| 10^(12-E) and E = floor(log10|x|). E is exact: log10 is checked
-against 10^E held as hi + lo wherever it lies within 1e-10 of an integer.
-v is taken in double-double, a Dekker two-product against 10^(12-E) as
-hi + lo, each correctly rounded, so its distance from the nearest integer
-is known to about 1e-16. A finite |x| outside [1e-280, 1e280],
-subnormals included, is first scaled by the exact power of two 2^1000 or
-2^-1000, which keeps 10^(12-E) and Dekker's split of |x| in range; its
-10^E and 10^(12-E) come from tables scaled by the same and the inverse
-power of two. A v that rounds up to 10^13 carries, as % does,
-into M = 10^12 at E + 1. The words come from tables: the sign, first
-digit, point and second digit; two groups of four digits; the last three
-digits and 'e'; the exponent. 0.0 and -0.0 take the same path. Python's
-'%.12e' renders only the cells this cannot: a non-finite value, and v
-within _TIE_MARGIN of a half (possibly an exact tie, which % rounds half
-to even).
+v = |x| 10^(12-E) and E = floor(log10|x|). v is taken as one rounded
+product p = fl(y h) of y = |x| and h = 10^(12-E) correctly rounded (from
+Python's int division). Each of the two roundings is off by at most
+2^-53 relatively and v < 10^13, so |p - v| < 10^13 (2^-52 + 2^-106)
+< 2.3e-3; p - m is exact for m = rint(p), so m = M wherever
+|p - m| <= 0.5 - 2^-8. A |x| below 1e-280, subnormals included, is first
+scaled by the exact power of two 2^1000 against an h divided by 2^1000,
+which keeps both in the normal range; above 1e280 the plain product
+stays in range. A v that rounds up to 10^13 carries, as % does, into
+M = 10^12 at E + 1. The words come from tables: the sign, first digit,
+point and second digit; two groups of four digits; the last three digits
+and 'e'; the exponent. 0.0 and -0.0 take the same path. Python's '%.12e'
+renders the cells this cannot: a non-finite value; a log10 within 1e-10
+of an integer, which may floor to a wrong E (log10 itself is off by far
+less); and a p within 2^-8 of a half, where v may round either way or be
+an exact tie (% rounds half to even). On the seed-0 tables of the
+benchmark's three workloads that is 0.36-0.46% of the float cells.
 """
 
 import functools
@@ -58,21 +60,14 @@ from . import __version__
 
 CSV_BLOCK = 8192
 
-# |x| range taken unscaled, 10^-_FAST_EXP to 10^_FAST_EXP; a finite |x|
-# below it is scaled by 2^_SCALE, one above it by 2^-_SCALE
+# a |x| below 10^-_FAST_EXP is scaled by 2^_SCALE
 _FAST_EXP = 280
 _SCALE = 1000
-# exponents k of the power-of-ten tables, which hold 10^E, 10^(E+1) and
-# 10^(12-E) for every E their cells reach, with room: 10^k for the
-# unscaled cells, 2^_SCALE 10^k and 2^-_SCALE 10^k for the scaled ones
-_K = (-290, 297)
-_K_UP = (-326, -268)
-_K_DOWN = (278, 336)
 # decimal exponents of the rendered cells
 _E_MIN, _E_MAX = -324, 308
-# a v this close to a half may be an exact tie
-_TIE_MARGIN = 1e-7
-_SPLIT = 134217729.0   # 2^27 + 1: Dekker's split of a double into halves
+# p is within 2.3e-3 of v, so a p this close to a half may round either
+# way, or v may be an exact tie
+_TIE_MARGIN = 2.0 ** -8
 # offsets of the four float word tables in one
 _HEAD, _QUAD, _TAIL, _EXP = 0, 200, 10200, 11200
 
@@ -87,13 +82,6 @@ def _digits(k: np.ndarray, divisors) -> np.ndarray:
     return k[:, None] // np.array(divisors) % 10 + 48
 
 
-def _hi_lo(num: int, den: int) -> tuple:
-    """num / den as hi + lo, each correctly rounded."""
-    hi = num / den
-    p, q = hi.as_integer_ratio()
-    return hi, (num * q - p * den) / (den * q)
-
-
 @functools.cache
 def _tables() -> SimpleNamespace:
     """The word tables and the powers of ten, built on first use: a few
@@ -101,20 +89,7 @@ def _tables() -> SimpleNamespace:
     n = np.arange(10000)
     quad = _digits(n, [1000, 100, 10, 1])
     e = np.arange(_E_MIN, _E_MAX + 1)
-    # the unscaled, up-scaled and down-scaled 10^k, one after the other;
-    # offsets[c] maps k to the index of 10^k in table c
-    ten, two = [10 ** j for j in range(_K_DOWN[1] + 1)], 2 ** _SCALE
-    pow10, offsets = [], []
-    for (k_min, k_max), up, down in ((_K, 1, 1), (_K_UP, two, 1),
-                                     (_K_DOWN, 1, two)):
-        offsets.append(len(pow10) - k_min)
-        pow10 += [_hi_lo(ten[max(k, 0)] * up, ten[max(-k, 0)] * down)
-                  for k in range(k_min, k_max + 1)]
-    hi, lo = np.array(pow10).T
-    hi_a = _SPLIT * hi
-    hi_a -= hi_a - hi
     lead = _digits(n[:200], [10, 1])
-    plain, up, down = offsets
     return SimpleNamespace(
         # the float words, one table at offsets _HEAD, _QUAD, _TAIL, _EXP:
         # '-' or nothing, first digit, '.', second digit, indexed by
@@ -133,19 +108,17 @@ def _tables() -> SimpleNamespace:
                 np.where(abs(e) < 100, 0, _digits(abs(e), [100])[:, 0]),
                 _digits(abs(e), [10, 1])]))[:, 0]]),
         comma=_words([44, 0, 0, 0]), newline=_words([10, 0, 0, 0]),
-        # 10^k = hi + lo, each correctly rounded; hi = hi_a + hi_b split
-        hi=hi, lo=lo, hi_a=hi_a, hi_b=hi - hi_a,
-        # by class (unscaled, tiny, huge): the factor 2^s that scales |x|
-        # to y, and the offsets of 10^E (scaled by 2^s) and of 10^(12-E)
-        # (scaled by 2^-s) in hi and lo
-        scale=np.array([1.0, 2.0 ** _SCALE, 2.0 ** -_SCALE]),
-        cmp=np.array([plain, up, down]),
-        mul=np.array([plain, down, up]))
+        # 10^(12-E) at index E - _E_MIN, correctly rounded, and divided by
+        # 2^_SCALE for an E below -_FAST_EXP
+        pow10=np.array([
+            10 ** max(12 - j, 0)
+            / (10 ** max(j - 12, 0) * 2 ** (_SCALE if j < -_FAST_EXP else 0))
+            for j in range(_E_MIN, _E_MAX + 1)]))
 
 
 def _scratch(n: int) -> SimpleNamespace:
     """Working memory of _float_words for up to n values."""
-    return SimpleNamespace(x=np.empty(n), f=np.empty((9, n)),
+    return SimpleNamespace(x=np.empty(n), f=np.empty((4, n)),
                            i=np.empty((4, n), np.int64),
                            b=np.empty((3, n), bool),
                            words=np.empty(5 * n, np.uint32))
@@ -156,74 +129,41 @@ def _float_words(x: np.ndarray, s: SimpleNamespace) -> np.ndarray:
     has room for len(x) values and holds none of them."""
     t = _tables()
     n = len(x)
-    y, lg, tmp, hi_a, hi_b, lo, y_a, y_b, p = (a[:n] for a in s.f)
-    cls, e, k, q = (a[:n] for a in s.i)
-    zero, bad, mask = (a[:n] for a in s.b)
+    y, lg, p, m = (a[:n] for a in s.f)
+    e, d, q, r = (a[:n] for a in s.i)
+    zero, slow, mask = (a[:n] for a in s.b)
     words = s.words[:5 * n].reshape(5, n)
     np.abs(x, out=y)
     np.equal(y, 0.0, out=zero)
-    np.isfinite(y, out=bad)
-    bad ^= zero                        # finite and nonzero: the rest is bad
-    np.logical_not(bad, out=bad)
+    np.isfinite(y, out=slow)
+    np.logical_not(slow, out=slow)
     # 2.0, whose log10 is far from an integer, stands in for a zero or
     # non-finite cell, which the words ignore
-    np.copyto(y, 2.0, where=bad)
-    # E = floor(log10 |x|), and 10^(12-E) at index k of the unscaled table
+    np.logical_or(slow, zero, out=mask)
+    np.copyto(y, 2.0, where=mask)
+    # E = floor(log10 |x|); log10 is off by far less than 1e-10, so only a
+    # log that close to an integer may floor to a wrong E, and goes to %
     np.log10(y, out=lg)
-    np.floor(lg, out=tmp)
-    np.copyto(e, tmp, casting="unsafe")
-    np.subtract(12 + t.mul[0], e, out=k)
-    # a cell outside the unscaled range takes class 1 (tiny) or 2 (huge):
-    # y = |x| 2^s exactly, and its 10^(12-E) from the table scaled by 2^-s
-    cls.fill(0)
-    np.abs(lg, out=tmp)
-    np.greater(tmp, _FAST_EXP, out=mask)
-    if mask.any():
-        scaled = np.flatnonzero(mask)
-        c = np.where(lg[scaled] < 0.0, 1, 2)
-        y[scaled] *= t.scale[c]
-        cls[scaled] = c
-        k[scaled] += t.mul[c] - t.mul[0]
-    # log10 is off by far less than 1e-10, so only a y whose log lies that
-    # close to an integer is compared with 10^E and 10^(E+1), scaled as y is
-    np.rint(lg, out=tmp)
-    tmp -= lg
-    np.abs(tmp, out=tmp)
-    np.less(tmp, 1e-10, out=mask)
-    if mask.any():
-        near = np.flatnonzero(mask)
-        yn, offset = y[near], t.cmp[cls[near]]
-        j = e[near] + offset
-        j -= (yn < t.hi[j]) | ((yn == t.hi[j]) & (t.lo[j] > 0.0))
-        j += (yn > t.hi[j + 1]) | ((yn == t.hi[j + 1]) & (t.lo[j + 1] <= 0.0))
-        step = j - offset - e[near]
-        e[near] += step
-        k[near] -= step
-    # v = y 10^(12-E) 2^-s = p + tail: p = fl(y hi), and y hi - p is exact
-    # by the two-product
-    np.take(t.hi_a, k, out=hi_a, mode="clip")
-    np.take(t.hi_b, k, out=hi_b, mode="clip")
-    np.take(t.lo, k, out=lo, mode="clip")
-    np.multiply(y, _SPLIT, out=y_a)
-    np.subtract(y_a, y, out=y_b)
-    y_a -= y_b
-    np.subtract(y, y_a, out=y_b)
-    np.add(hi_a, hi_b, out=p)
+    np.floor(lg, out=p)
+    np.copyto(e, p, casting="unsafe")
+    np.rint(lg, out=p)
+    p -= lg
+    np.abs(p, out=p)
+    np.less(p, 1e-10, out=mask)
+    slow |= mask
+    # below 10^-_FAST_EXP, y = |x| 2^_SCALE exactly, against a 10^(12-E)
+    # divided by 2^_SCALE in the table
+    np.less(e, -_FAST_EXP, out=mask)
+    np.multiply(y, 2.0 ** _SCALE, out=y, where=mask)
+    # p = fl(y fl(10^(12-E))) is within 2.3e-3 of v, and p - m is exact
+    np.subtract(e, _E_MIN, out=d)
+    np.take(t.pow10, d, out=p, mode="clip")
     p *= y
-    tail, part = tmp, lg
-    np.multiply(y_a, hi_a, out=tail)
-    tail -= p
-    for u, w in ((y_a, hi_b), (y_b, hi_a), (y_b, hi_b), (y, lo)):
-        np.multiply(u, w, out=part)
-        tail += part
-    m, frac = hi_a, p
     np.rint(p, out=m)
-    frac -= m
-    frac += tail                       # v - m, to about 1e-16
-    np.greater(frac, 0.5, out=mask)
-    m += mask
-    np.less(frac, -0.5, out=mask)
-    m -= mask
+    p -= m
+    np.abs(p, out=p)
+    np.greater(p, 0.5 - _TIE_MARGIN, out=mask)
+    slow |= mask
     np.equal(m, 1e13, out=mask)
     np.copyto(m, 1e12, where=mask)
     e += mask
@@ -232,7 +172,6 @@ def _float_words(x: np.ndarray, s: SimpleNamespace) -> np.ndarray:
     # the words, each looked up at index r: the last three digits and 'e',
     # two groups of four digits, the sign and first two digits, and the
     # exponent
-    d, r = k, cls
     np.copyto(d, m, casting="unsafe")
     for row, div, offset in ((3, 1000, _TAIL), (2, 10000, _QUAD),
                              (1, 10000, _QUAD)):
@@ -248,18 +187,13 @@ def _float_words(x: np.ndarray, s: SimpleNamespace) -> np.ndarray:
     np.take(t.floats, r, out=words[0], mode="clip")
     np.add(e, _EXP - _E_MIN, out=r)
     np.take(t.floats, r, out=words[4], mode="clip")
-    # the rest through %: non-finite cells and possible ties
-    np.abs(frac, out=frac)
-    frac -= 0.5
-    np.abs(frac, out=frac)
-    np.less(frac, _TIE_MARGIN, out=mask)
-    bad ^= zero
-    mask |= bad
-    if mask.any():
-        slow = np.flatnonzero(mask)
+    # the rest through %: non-finite cells, a log10 near an integer and a
+    # p near a half
+    if slow.any():
+        cells = np.flatnonzero(slow)
         text = b"".join(("%.12e" % v).encode().ljust(20, b"\0")
-                        for v in x[slow].tolist())
-        words[:, slow] = np.frombuffer(text, np.uint32).reshape(-1, 5).T
+                        for v in x[cells].tolist())
+        words[:, cells] = np.frombuffer(text, np.uint32).reshape(-1, 5).T
     return words
 
 

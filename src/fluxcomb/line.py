@@ -553,13 +553,29 @@ def _bands(x: np.ndarray, axis: np.ndarray, targets,
     (the rfft's bin coordinates), never the zero bin."""
     w = np.hanning(x.size)
     spec = np.fft.rfft(x * w)
-    scale = 2.0 / np.sum(w)
+    power = 0.5 * np.abs(spec * (2.0 / np.sum(w))) ** 2
     bands = []
-    for target in targets:
-        b = int(np.argmin(np.abs(axis - target)))
+    for b in _nearest_bins(axis, targets).tolist():
         lo, hi = max(b - half_width, 1), min(b + half_width, spec.size - 1)
-        bands.append(0.5 * np.abs(spec[lo:hi + 1] * scale) ** 2)
+        bands.append(power[lo:hi + 1])
     return bands
+
+
+def _nearest_bins(axis: np.ndarray, targets) -> np.ndarray:
+    """The index of the bin nearest each target on the increasing `axis`,
+    the lower one on a tie: np.argmin(np.abs(axis - target)) for each."""
+    t = np.asarray(targets, dtype=float)
+    i = np.searchsorted(axis, t)
+    below, above = np.maximum(i - 1, 0), np.minimum(i, axis.size - 1)
+    b = np.where(np.abs(axis[above] - t) < np.abs(axis[below] - t),
+                 above, below)
+    # the distances fall to the nearest bin and rise past it, so argmin
+    # takes b unless the bin below lies as near once rounded, as it can
+    # far past the last bin (or for a NaN target)
+    for k in np.flatnonzero((b > 0) & ~(np.abs(axis[b - 1] - t)
+                                        > np.abs(axis[b] - t))):
+        b[k] = np.argmin(np.abs(axis - t[k]))
+    return b
 
 
 def _dbc(powers, sim: Simulator, what: str) -> tuple[np.ndarray, np.ndarray]:

@@ -271,13 +271,24 @@ class TestScenarioOutputs:
         assert b"\n-0.000000000000e+00,-0.000000000000e+00," in want
 
     def test_csv_floats_at_rounding_edges(self, tmp_path):
-        """Exact decimal ties (rounded half to even), one ulp either side
-        of each power of ten, carries into the next decade, subnormals and
-        the largest double, against format_cell."""
+        """Exact decimal ties (rounded half to even), cells 1 to 64 ulp
+        either side of a tie, across both sides of the tie margin, one ulp
+        either side of each power of ten, carries into the next decade,
+        subnormals and the largest double, against format_cell."""
         k = np.arange(-300, 301)
         # a 14th significant digit of exactly 5 at E = 12, 13 and 14
         m = np.random.default_rng(3).integers(10**12, 10**13, 300)
         ties = np.concatenate([m + 0.5, 10.0 * m + 5.0, 100.0 * m + 50.0])
+        # j ulp from the ties at E = 12 and 13 reach past the margin
+        j = np.r_[-64:0, 1:65]
+        near_ties = (ties[:600:6].view(np.int64)[:, None] + j).view(
+            np.float64).ravel()
+        # 14 to 17 significant digits at E = -281, -296 and -312, where a
+        # cell is scaled: the digits past the 13th at, near and past a half
+        scaled = np.array([float(f"{a}.{b}e{-293 - c}") for a in m[:40]
+                           for b in ("5", "49", "51", "496", "504", "4999",
+                                     "5001")
+                           for c in (0, 15, 31)])
         powers = np.array([float(f"1e{e}") for e in k])
         carries = np.array([float(f"9.9999999999995e{e}") for e in k])
         edges = np.concatenate([
@@ -287,13 +298,15 @@ class TestScenarioOutputs:
             powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
             -powers, carries, np.nextafter(carries, 0.0),
             np.nextafter(carries, np.inf), -carries,
-            np.arange(1, 2000) * 5e-324, ties, -ties])
+            np.arange(1, 2000) * 5e-324, ties, -ties, near_ties,
+            -near_ties, scaled, -scaled])
         assert_renders_as_format_cell(tmp_path, [edges, edges[::-1]])
 
     def test_csv_scaled_floats_at_powers_of_ten(self, tmp_path):
-        """Below 1e-280 and above 1e280 a cell is scaled by a power of two
-        and compared with scaled powers of ten: every power of ten there,
-        one ulp either side, the carries, and the scaling thresholds."""
+        """Below 1e-280 a cell is scaled by a power of two, and above 1e280
+        it takes the plain product: every power of ten in both ranges, one
+        ulp either side, the carries, the cells at and either side of 1e-280
+        and 1e280, and the smallest normal and subnormal doubles."""
         k = np.r_[-323:-265, 265:309]
         powers = np.array([float(f"1e{e}") for e in k])
         carries = np.array([float(f"9.9999999999995e{e}") for e in k[:-1]])

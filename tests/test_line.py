@@ -264,6 +264,28 @@ class TestHarmonics:
             totals.append(harmonic_band_power(sim.i[0], sim))
         assert totals[0] < totals[1] < totals[2]
 
+    def test_nearest_bins_match_argmin(self):
+        """The bin nearest each target, the lower one on a tie, as an
+        argmin over every bin picks it: on the bins, at and one ulp either
+        side of the midpoints, before the first bin and past the last, out
+        to where rounding makes every bin equally near."""
+        for axis in (np.fft.rfftfreq(16, 1.0 / 16),
+                     np.fft.rfftfreq(1001, 3e-13),
+                     2.0 * math.pi * np.fft.rfftfreq(1024, 1e-4)):
+            mid = (axis[:-1] + axis[1:]) / 2.0
+            targets = np.concatenate([
+                axis, mid, np.nextafter(mid, 0.0), np.nextafter(mid, np.inf),
+                axis[-1] + axis[1] * np.arange(1, 40) / 4.0,
+                axis[-1] * np.array([1e15, 1e17]),
+                [-axis[1], 1e300, np.inf, np.nan]])
+            want = [np.argmin(np.abs(axis - t)) for t in targets]
+            np.testing.assert_array_equal(
+                line._nearest_bins(axis, targets), want)
+        # the integer bins' midpoints are exact ties
+        np.testing.assert_array_equal(
+            line._nearest_bins(np.arange(9.0), np.arange(8) + 0.5),
+            np.arange(8))
+
     def test_wavepacket_rejects_empty_line(self):
         g = line.LineGeometry()
         sim = line.build_line(g, quiet_drive(), cw_source())
