@@ -7,9 +7,10 @@ key.
 
 
 class ConfigError(Exception):
-    """Invalid input: bad parameter values, unknown config keys, guard
-    violations (e.g. the inductance secant margin, or a value that would
-    leave float range)."""
+    """Invalid input: unknown config keys, a value of the wrong type or
+    outside its one-key bound, or a library guard on values tied together
+    or derived (e.g. the flux excursion's secant margin, or a value that
+    would leave float range)."""
 
 
 class NumericalError(Exception):

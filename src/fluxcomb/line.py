@@ -136,15 +136,8 @@ class FluxDrive:
     phase: float = 0.0           # spatial phase offset [rad]
 
     def __post_init__(self):
-        limit = 0.5 * math.pi - SECANT_MARGIN
-        if abs(self.phi_dc_tilde) >= limit:
-            raise ConfigError(
-                f"phi_dc_tilde = {self.phi_dc_tilde:.4f} rad lies within "
-                f"{SECANT_MARGIN} of the secant singularity at pi/2")
-        if self.phi_rf_tilde < 0.0:
-            raise ConfigError("phi_rf_tilde must be nonnegative")
         reach = abs(self.phi_dc_tilde) + self.phi_rf_tilde
-        if reach >= limit:
+        if reach >= 0.5 * math.pi - SECANT_MARGIN:
             raise ConfigError(
                 f"phi_rf_tilde = {self.phi_rf_tilde:.4f} rad takes the flux "
                 f"excursion from phi_dc_tilde = {self.phi_dc_tilde:.4f} rad "
@@ -160,13 +153,6 @@ class LineGeometry:
     i0: float = 1e-6             # junction critical current [A]
 
     def __post_init__(self):
-        if self.n_cells < 16:
-            raise ConfigError("n_cells must be >= 16")
-        if self.n_cells > MAX_CELLS:
-            raise ConfigError(f"n_cells: above the cap of {MAX_CELLS} cells")
-        for name in ("dz", "c_per_length", "i0"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive")
         # the stepper multiplies and divides up to four of these, times a
         # secant factor of at most 20: in this range all stay normal floats
         lo, hi = 2.0 ** -240, 2.0 ** 240
@@ -206,17 +192,9 @@ class SourceSpec:
             raise ConfigError(f"kind {self.kind!r} is not a source kind")
         if self.port not in ("left", "right"):
             raise ConfigError(f"port {self.port!r} is not left or right")
-        if self.amplitude <= 0.0:
-            raise ConfigError("amplitude must be positive")
         # the field's energy and spectra square it
         if not math.isfinite(self.amplitude * self.amplitude):
             raise ConfigError("amplitude squared overflows")
-        if self.omega <= 0.0:
-            raise ConfigError("omega must be positive")
-        if self.kind == "gaussian-pulse" and self.t_width <= 0.0:
-            raise ConfigError("t_width must be positive for a gaussian pulse")
-        if self.ramp_periods < 0.0:
-            raise ConfigError("ramp_periods must be >= 0")
 
     def check_span(self, t_max: float):
         """Raise ConfigError unless a gaussian pulse's carrier phase
@@ -532,9 +510,9 @@ def build_line(geom: LineGeometry, drive: FluxDrive, *sources: SourceSpec,
     """Initialized simulator with zeroed fields and one run for each of
     one or more sources, stepping at cfl_safety times the CFL bound."""
     dt = cfl_safety * cfl_bound(geom, drive)
-    if not (dt > 0.0 and cfl_safety <= MAX_CFL_SAFETY):
-        raise ConfigError(f"cfl_safety must be in (0, {MAX_CFL_SAFETY}] and "
-                          f"give a dt above 0, got {cfl_safety}")
+    if not dt > 0.0:
+        raise ConfigError(f"cfl_safety = {cfl_safety} gives a time step "
+                          "that underflows to 0")
     return Simulator(geom, drive, sources, dt)
 
 

@@ -90,13 +90,7 @@ class TestSpecs:
 
     def test_array_validation(self):
         with pytest.raises(ConfigError):
-            budget.QubitArraySpec(n_qubits=0)
-        with pytest.raises(ConfigError):
-            budget.QubitArraySpec(n_qubits=budget.MAX_QUBITS + 1)
-        with pytest.raises(ConfigError):
             budget.QubitArraySpec(n_qubits=3, harmonic_indices=(1, 3, 3))
-        with pytest.raises(ConfigError):
-            budget.QubitArraySpec(n_qubits=2, harmonic_indices=(1, 2, 3))
         with pytest.raises(ConfigError):
             budget.QubitArraySpec(t2_intrinsic=400e-6, t1_intrinsic=150e-6)
         for kappa in (0.0, -1.0, 1e-300):
@@ -136,18 +130,6 @@ class TestSpecs:
                 result = named_budget(array, model)
                 assert np.all(np.isfinite(result.e_total))
 
-    def test_model_validation(self):
-        with pytest.raises(ConfigError):
-            uniform_model(c_purcell=0.0)
-        with pytest.raises(ConfigError):
-            uniform_model(c_purcell=1.5)
-        with pytest.raises(ConfigError):
-            uniform_model(c0=1.0)
-        with pytest.raises(ConfigError):
-            uniform_model(gain_floor=-0.1)
-        with pytest.raises(ConfigError):
-            uniform_model(purcell_bw=0.0)
-
 
 class TestGain:
     def test_uniform_when_peak_equals_floor(self):
@@ -163,10 +145,6 @@ class TestGain:
         m = budget.bus_model("nonreciprocal", OMEGA_M)
         g = budget.gain(m, m.omega_res + m.gain_width)
         assert g == pytest.approx(0.5 + 1.5 * math.exp(-0.5), rel=1e-12)
-
-    def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(ConfigError):
-            budget.gain(uniform_model(), 0.0)
 
 
 class TestPurcell:

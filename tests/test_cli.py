@@ -36,6 +36,8 @@ NYQUIST_KEYS = ["'run.n_harmonics'", "'source.freq_hz'", "'geometry.dz_m'",
 LINE_DT = 0.9 * cli.line.cfl_bound(
     cli.line.LineGeometry(), cli.line.FluxDrive(0.6, 0.6, 0.0, 1.0))
 CAP_CELLS = cli.line.MAX_CELL_STEPS // 1024
+# the bound on a line's cells, however few its steps
+CELLS_RULE = f"must be >= 16 and <= {cli.line.MAX_CELLS}"
 # map points per (phi_dc, phi_rf) point: the default harmonic count
 N_HARMONICS = 5
 # the values a leaf walk sets each numeric leaf of the defaults to, by type,
@@ -211,7 +213,7 @@ class TestConfigResolution:
         # the config file leaves 'tau' unmerged, so --set writes into the
         # tau section that the defaults hand out
         user = tmp_path / "user.json"
-        user.write_text('{"n_realizations": 100}')
+        user.write_text('{"n_realizations": 300}')
         assert cli.main(["spectroscopy", "--config", str(user),
                          "--set", "tau.n=5", "--seed", "9",
                          "--out", str(tmp_path / "a")]) == 0
@@ -219,7 +221,7 @@ class TestConfigResolution:
         first, second = (json.loads((tmp_path / d / "manifest.json")
                                     .read_text()) for d in "ab")
         assert (first["config"]["seed"], first["config"]["n_realizations"],
-                first["config"]["tau"]["n"]) == (9, 100, 5)
+                first["config"]["tau"]["n"]) == (9, 300, 5)
         packaged = json.loads((Path(cli.__file__).parent / "data"
                                / "defaults.json").read_text())
         assert second["config"] == packaged["spectroscopy"]
@@ -753,6 +755,18 @@ class TestExitCodes:
                      id="line-sim-temporal-window-before-start"),
         ("line-sim", "run.n_harmonics=0", "run.n_harmonics"),
         ("scalability", "models=[]", "models"),
+        # one sweep a bus kind
+        ("scalability", 'models=["reciprocal","nonreciprocal","reciprocal"]',
+         "'models' must have length >= 1 and <= 2"),
+        # JSON nested past the parser's recursion limit, from --set and
+        # from a --config file (a value that starts with "{")
+        pytest.param("nonmarkov", "n_points=" + "[" * 10 ** 5 + "]" * 10 ** 5,
+                     "'n_points' must be an integer",
+                     id="nonmarkov-set-nested-past-recursion-limit"),
+        pytest.param("nonmarkov",
+                     '{"n_points": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}",
+                     "config is not valid JSON",
+                     id="nonmarkov-config-nested-past-recursion-limit"),
         ("nonmarkov", "smoothing_window=5001", "smoothing_window"),
         ("line-sim", "run.cfl_safety=0", "run.cfl_safety"),
         ("line-sim", "run.cfl_safety=1.5", "run.cfl_safety"),
@@ -1018,8 +1032,14 @@ class TestExitCodes:
                                assignment, key):
         assignments = [assignment] if isinstance(assignment, str) \
             else assignment
-        code = cli.main([scenario, "--out", str(tmp_path),
-                         *(a for x in assignments for a in ("--set", x))])
+        args = []
+        for x in assignments:
+            if x.startswith("{"):
+                (tmp_path / "config.json").write_text(x)
+                args += ["--config", str(tmp_path / "config.json")]
+            else:
+                args += ["--set", x]
+        code = cli.main([scenario, "--out", str(tmp_path), *args])
         err = capsys.readouterr().err
         assert code == 2
         for k in [key] if isinstance(key, str) else key:
@@ -1155,10 +1175,10 @@ class TestExitCodes:
                      ["'n_points'"], f"must be >= 5 and <= {MAX_ARRAY // 2}",
                      id="nonmarkov-one-over-cap"),
         pytest.param("addressing", ["n_levels=1000000000000000"],
-                     ["'n_levels'"], f"must be <= {MAX_LEVELS}",
+                     ["'n_levels'"], f"must be >= 3 and <= {MAX_LEVELS}",
                      id="addressing-n_levels-1e15"),
         pytest.param("addressing", [f"n_levels={MAX_LEVELS + 1}"],
-                     ["'n_levels'"], f"must be <= {MAX_LEVELS}",
+                     ["'n_levels'"], f"must be >= 3 and <= {MAX_LEVELS}",
                      id="addressing-one-over-cap"),
         ("line-sim", [f"geometry.n_cells={cli.line.MAX_CELLS}"], LINE_KEYS,
          "line run"),
@@ -1173,18 +1193,18 @@ class TestExitCodes:
                      id="line-sim-temporal-window-end"),
         # a line too long to hold, however few its steps
         pytest.param("line-sim", ["geometry.n_cells=1000000000000000"],
-                     ["'geometry.n_cells'"], "n_cells",
+                     ["'geometry.n_cells'"], CELLS_RULE,
                      id="line-sim-cells-1e15"),
         pytest.param("line-sim", ["geometry.n_cells=1" + "0" * 400],
-                     ["'geometry.n_cells'"], "n_cells",
+                     ["'geometry.n_cells'"], CELLS_RULE,
                      id="line-sim-cells-past-float-range"),
         pytest.param("line-sim", ["geometry.n_cells=200000000",
                                   "run.t_end_s=5e-12"],
-                     ["'geometry.n_cells'"], "n_cells",
+                     ["'geometry.n_cells'"], CELLS_RULE,
                      id="line-sim-cells-one-step"),
         pytest.param("line-sim", [f"geometry.n_cells={cli.line.MAX_CELLS + 1}",
                                   "run.t_end_s=5e-12"],
-                     ["'geometry.n_cells'"], "n_cells",
+                     ["'geometry.n_cells'"], CELLS_RULE,
                      id="line-sim-cells-one-over-cap"),
     ])
     def test_work_over_cap_is_2(self, tmp_path, capsys, monkeypatch,

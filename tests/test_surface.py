@@ -4,14 +4,18 @@ dataclass field with a default is set to another value by a keyword
 somewhere in the package, and every function parameter with a default
 is passed by some call of that function in the package, or each is kept
 on purpose with its reason. Every key of the CLI's bounds table is a
-config leaf, every scenario takes the config alone, and the CLI writes
-CSVs at one site, in main."""
+config leaf whose every rule holds at its edge, every scenario takes the
+config alone, and the CLI writes CSVs at one site, in main."""
 
 import ast
 import math
+import re
 from pathlib import Path
 
+import pytest
+
 from fluxcomb import cli
+from fluxcomb.errors import ConfigError
 
 from helpers import config_leaves
 
@@ -156,6 +160,45 @@ def test_bounds_are_config_leaves():
     leaves = {key for defaults in cli._packaged_defaults().values()
               for key, _ in config_leaves(defaults)}
     assert set(cli.BOUNDS) - leaves == set()
+
+
+def test_bounds_hold_at_their_edges():
+    """Each clause of each BOUNDS entry reads an operator of _COMPARE and
+    a bound that float reads back as written (an integer for an integer
+    leaf). The bound, or the nearest value inside it where the clause is
+    strict, passes cli._bounded, and the nearest value past it fails,
+    naming its key: +-1 for an integer, the next float for a float, one
+    item more or fewer for a list."""
+    leaves = {key: value for defaults in cli._packaged_defaults().values()
+              for key, value in config_leaves(defaults)}
+    for key, rule in cli.BOUNDS.items():
+        default = leaves[key]
+        is_float = type(default) is float
+        for clause in rule.split(" and "):
+            op, text = clause.split()
+            assert op in cli._COMPARE, (key, clause)
+            bound = float(text)
+            if is_float:
+                assert text == repr(bound) or text == str(int(bound)), \
+                    (key, clause)
+            else:
+                assert text == str(int(bound)), (key, clause)
+
+            def past(x, sign):
+                return math.nextafter(x, sign * math.inf) if is_float \
+                    else x + sign
+
+            # the sign of the step past the bound
+            out = -1 if op.startswith(">") else 1
+            inside = bound if is_float else int(bound)
+            if "=" not in op:
+                inside = past(inside, -out)
+            values = [inside, past(inside, out)]
+            if type(default) is list:
+                values = [[default[0]] * n for n in values]
+            cli._bounded(values[0], key)
+            with pytest.raises(ConfigError, match=f"^'{re.escape(key)}' must"):
+                cli._bounded(values[1], key)
 
 
 def test_main_is_the_one_csv_writer():
