@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, shown
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,9 +73,9 @@ class QubitArraySpec:
         if not math.isfinite(MAX_QUBITS * self.omega_m * self.t_gate):
             raise ConfigError(f"t_gate is too long: {MAX_QUBITS} omega_m "
                               f"t_gate is out of float range")
-        if not (self.kappa_bus > 0.0 and math.isfinite(g_sq / self.kappa_bus)):
-            raise ConfigError("kappa_bus must be positive, with "
-                              "g_coupling^2 / kappa_bus in float range")
+        if not math.isfinite(g_sq / self.kappa_bus):
+            raise ConfigError("kappa_bus is too small: g_coupling^2 / "
+                              "kappa_bus is out of float range")
         if self.t2_intrinsic > 2.0 * self.t1_intrinsic:
             raise ConfigError("t2_intrinsic cannot exceed 2 * t1_intrinsic")
         if self.harmonic_indices is None:
@@ -126,7 +126,7 @@ def bus_model(kind: str, omega_m: float) -> BusIsolationModel:
     """The bus of a kind, "reciprocal" or "nonreciprocal", with the
     bandwidths and resonance of both at fixed multiples of omega_m."""
     if kind not in _BUSES:
-        raise ConfigError(f"kind {kind!r} is not a bus model")
+        raise ConfigError(f"kind {shown(kind)} is not a bus model")
     return BusIsolationModel(
         **_BUSES[kind], delta_bw=0.4 * omega_m, omega_res=13.0 * omega_m,
         gain_width=8.0 * omega_m, purcell_bw=16.0 * omega_m)

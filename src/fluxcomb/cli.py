@@ -4,10 +4,11 @@
                         [--out DIR] [--seed N]
 
 Every scenario starts from the packaged defaults (data/defaults.json),
-deep-merges the user config over them (unknown keys are rejected, with
-their dotted path), applies --set overrides, checks every value against
-the type of its default and its bound in BOUNDS, if any, and writes CSV
-tables plus a manifest.json with sha256 checksums into --out. --seed N
+deep-merges the user config over them, then each --set override, and
+writes CSV tables plus a manifest.json with sha256 checksums into --out.
+Each value is checked as it is merged: an unknown key exits 2 with its
+dotted path, and a value must have the type of its default and keep its
+bound in BOUNDS, if any, even when a later --set replaces it. --seed N
 is a last `--set seed=N`: only spectroscopy has a seed, and elsewhere it
 exits 2 as an unknown key.
 
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import budget, io, line, nonmarkov, transmon
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, shown
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,20 +52,23 @@ def _packaged_defaults() -> dict:
 
 
 def merge_config(base: dict, user: dict, path: str = "") -> dict:
-    """Deep merge, rejecting keys that do not exist in the defaults."""
+    """A new config, `user` deep-merged over `base`, which is not written.
+    Each key must exist in base, and each leaf is checked as it is placed,
+    against the type of the leaf it replaces (see _typed) and against its
+    bound in BOUNDS, if any."""
     out = dict(base)
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
         if key not in base:
-            raise ConfigError(f"unknown config key {here!r}")
+            raise ConfigError(f"unknown config key {shown(here)}")
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{here!r} must be an object")
             out[key] = merge_config(base[key], value, here)
         else:
-            if isinstance(value, dict):
-                raise ConfigError(f"{here!r} does not take an object")
-            out[key] = value
+            out[key] = _typed(value, base[key], here)
+            if here in BOUNDS:
+                _bounded(out[key], here)
     return out
 
 
@@ -72,7 +76,8 @@ def apply_override(config: dict, assignment: str) -> dict:
     """config with one --set key.path=value merged over it, as a --config
     file holding only that value would be."""
     if "=" not in assignment:
-        raise ConfigError(f"--set needs key.path=value, got {assignment!r}")
+        raise ConfigError("--set needs key.path=value, got "
+                          + shown(assignment))
     dotted, raw = assignment.split("=", 1)
     try:
         value = json.loads(raw)
@@ -88,6 +93,11 @@ _KINDS = {bool: "true or false", int: "an integer", float: "a number",
 
 
 def _typed(value, default, where: str):
+    """value, checked against the type of `default`: a bool takes
+    true/false, an int a JSON integer, a float any finite number (stored
+    as a float; JSON's NaN and Infinity are rejected), a string a string,
+    and a list a list whose items match the default's first item (numbers
+    when the default list is empty)."""
     want = type(default)
     if want is float and type(value) is int:
         try:
@@ -95,7 +105,8 @@ def _typed(value, default, where: str):
         except OverflowError:
             raise ConfigError(f"{where!r} is out of float range") from None
     if type(value) is not want:
-        raise ConfigError(f"{where!r} must be {_KINDS[want]}, got {value!r}")
+        raise ConfigError(f"{where!r} must be {_KINDS[want]}, got "
+                          + shown(value))
     if want is float and not math.isfinite(value):
         raise ConfigError(f"{where!r} must be finite, got {value!r}")
     if want is list:
@@ -126,6 +137,8 @@ BOUNDS = {
     "source.t_width_s": "> 0", "source.ramp_periods": ">= 0",
     "run.cfl_safety": f"> 0 and <= {line.MAX_CFL_SAFETY}",
     "run.n_harmonics": ">= 1", "run.window_start_s": ">= 0",
+    # snapshot_NNN.csv: three digits
+    "run.snapshot_times_s": "<= 1000",
     # one qubit per harmonic, as many as a budget array holds
     "harmonic_indices": f">= 1 and <= {budget.MAX_QUBITS}",
     "phi_dc.n": ">= 1", "phi_rf.n": ">= 1",
@@ -137,6 +150,7 @@ BOUNDS = {
     "array.n_qubits": f">= 1 and <= {budget.MAX_QUBITS}",
     "array.t1_intrinsic_s": "> 0", "array.t2_intrinsic_s": "> 0",
     "array.t_gate_s": "> 0", "array.lambda_c_m": "> 0",
+    "array.kappa_bus_hz": "> 0",
     "n_min": ">= 1", "n_max": f"<= {budget.MAX_QUBITS}",
     # one sweep a bus kind
     "models": f">= 1 and <= {len(budget._BUSES)}",
@@ -166,29 +180,12 @@ def _bounded(value, where: str):
                map(str.split, BOUNDS[where].split(" and "))):
         raise ConfigError(f"{where!r} must "
                           + ("have length " if type(value) is list else "be ")
-                          + f"{BOUNDS[where]}, got {value!r}")
-
-
-def check_types(config: dict, defaults: dict, path: str = ""):
-    """Check every leaf of `config`, in place, against the type of the same
-    leaf in `defaults`: a bool takes true/false, an int a JSON integer, a
-    float any finite number (stored as a float; JSON's NaN and Infinity
-    are rejected), a string a string, and a list a list whose items match
-    the default's first item (numbers when the default list is empty).
-    A leaf with a BOUNDS entry is then checked against it."""
-    for key, default in defaults.items():
-        here = f"{path}.{key}" if path else key
-        if isinstance(default, dict):
-            check_types(config[key], default, here)
-        else:
-            config[key] = _typed(config[key], default, here)
-            if here in BOUNDS:
-                _bounded(config[key], here)
+                          + f"{BOUNDS[where]}, got {shown(value)}")
 
 
 def resolve_config(scenario: str, config_path, overrides) -> dict:
-    defaults = _packaged_defaults()[scenario]
-    config = copy.deepcopy(defaults)
+    # a copy: no run writes into the cached defaults
+    config = copy.deepcopy(_packaged_defaults()[scenario])
     if config_path is not None:
         try:
             with open(config_path) as fh:
@@ -200,10 +197,11 @@ def resolve_config(scenario: str, config_path, overrides) -> dict:
         config = merge_config(config, user)
     for assignment in overrides or ():
         config = apply_override(config, assignment)
-    # check_types writes into the copy; the types come from the packaged
-    # defaults
-    check_types(config, defaults)
     return config
+
+
+def _quoted(keys) -> str:
+    return ", ".join(f"'{k}'" for k in keys)
 
 
 @contextlib.contextmanager
@@ -220,8 +218,7 @@ def _keys(**fields):
         if not words or words[0] not in fields:
             raise
         keys = dict.fromkeys(fields[w] for w in words if w in fields)
-        raise ConfigError(", ".join(f"'{k}'" for k in keys)
-                          + f": {exc}") from None
+        raise ConfigError(_quoted(keys) + f": {exc}") from None
 
 
 def _count(n: int) -> str:
@@ -234,9 +231,8 @@ def _check_work(sizes):
     its cap exits 2 naming every key that sets it."""
     for what, unit, cap, size, keys in sizes:
         if size > cap:
-            raise ConfigError(", ".join(f"'{k}'" for k in keys)
-                              + f": {what}: {_count(size)} {unit}, "
-                              f"above the cap of {cap:.3g}")
+            raise ConfigError(_quoted(keys) + f": {what}: {_count(size)} "
+                              f"{unit}, above the cap of {cap:.3g}")
 
 
 def _row_index(n: int, repeat: int, tile: int) -> np.ndarray:
@@ -292,46 +288,50 @@ def run_line_sim(config: dict):
     spectrum_mode = rcfg["spectrum"]
     if spectrum_mode not in ("spatial", "temporal", "none"):
         raise ConfigError(f"'run.spectrum' must be spatial, temporal or "
-                          f"none, got {spectrum_mode!r}")
+                          f"none, got {shown(spectrum_mode)}")
     n_max = rcfg["n_harmonics"]
     if rcfg["wavepacket"] and len(rcfg["snapshot_times_s"]) < 2:
         raise ConfigError("'run.wavepacket' needs >= 2 'run.snapshot_times_s'")
     # keys that one mode reads are checked in every mode
     if not rcfg["window_start_s"] < rcfg["window_end_s"]:
         raise ConfigError("need 'run.window_start_s' < 'run.window_end_s'")
+    # the keys that set v_dc: the geometry's constants and the flux bias;
+    # and those that set dt, where cfl_bound reads |phi_dc| - phi_rf
+    v_keys = ["geometry.dz_m", "geometry.c_per_length_f_per_m",
+              "geometry.i0_amps", "drive.phi_dc"]
+    dt_keys = [*v_keys, "drive.phi_rf", "run.cfl_safety"]
     # cell-steps to t_end, or to the window's end when later, at
     # build_line's dt (a dt that underflows to 0 is build_line's to reject)
-    keys = [*(f"geometry.{k}" for k in gcfg), "run.cfl_safety", "run.t_end_s"]
+    keys = ["geometry.n_cells", *dt_keys, "run.t_end_s"]
     t_stop = rcfg["t_end_s"]
     if spectrum_mode == "temporal":
         t_stop = max(t_stop, rcfg["window_end_s"])
         keys.append("run.window_end_s")
     dt = rcfg["cfl_safety"] * line.cfl_bound(geom, drive)
     _check_work([("line run", "cell-steps", line.MAX_CELL_STEPS,
-                  geom.n_cells * (t_stop / dt if dt > 0.0 else 0.0), keys)])
+                  geom.n_cells * (t_stop / dt if dt > 0.0 else 0.0), keys),
+                 ("snapshots", "floats", line.MAX_SNAPSHOT_FLOATS,
+                  3 * len(rcfg["snapshot_times_s"]) * (geom.n_cells + 1),
+                  ("run.snapshot_times_s", "geometry.n_cells"))])
     with _keys(cfl_safety="run.cfl_safety"):
         sim = line.build_line(geom, drive, source,
                               cfl_safety=rcfg["cfl_safety"])
 
-    # harmonics up to the Nyquist limit: pi/dz in space, with v_dc from
-    # the geometry and phi_dc, and 1/(2 dt) in time, with dt also from
-    # phi_rf and cfl_safety
-    keys = ["run.n_harmonics", "source.freq_hz", "geometry.dz_m",
-            "geometry.c_per_length_f_per_m", "geometry.i0_amps",
-            "drive.phi_dc"]
+    # harmonics up to the Nyquist limit: pi/dz in space, at v_dc, and
+    # 1/(2 dt) in time
     f_src, k_src = source.omega / TWO_PI, source.omega / sim.v_dc
     if k_src == 0.0:
-        raise ConfigError(", ".join(f"'{k}'" for k in keys[1:])
+        raise ConfigError(_quoted(["source.freq_hz", *v_keys])
                           + ": the source's wavenumber underflows to 0")
     n_top = {"spatial": math.pi / geom.dz / k_src,
              "temporal": 0.5 / sim.dt / f_src}.get(spectrum_mode, math.inf)
     if n_max > n_top:
-        if spectrum_mode == "temporal":
-            keys += ["drive.phi_rf", "run.cfl_safety"]
+        keys = ["run.n_harmonics", "source.freq_hz",
+                *(dt_keys if spectrum_mode == "temporal" else v_keys)]
         limit = f"the {spectrum_mode} Nyquist limit"
         what = (f"n_harmonics must be <= {int(n_top)}, {limit}"
                 if n_top >= 1.0 else f"even the fundamental is past {limit}")
-        raise ConfigError(", ".join(f"'{k}'" for k in keys) + f": {what}")
+        raise ConfigError(_quoted(keys) + f": {what}")
     # and by the spatial spectrum's nonzero bins, which a small source
     # frequency does not bound; a temporal window spans >= 8 source
     # periods, so its bins, some 4 / (f dt), already hold the Nyquist limit
@@ -347,9 +347,8 @@ def run_line_sim(config: dict):
     for key, f in tones.items():
         if not f * sim.dt < 0.5:
             raise ConfigError(
-                f"'{key}', " + ", ".join(f"'{k}'" for k in keys[2:])
-                + ", 'drive.phi_rf', 'run.cfl_safety': f dt = "
-                f"{f * sim.dt:.3g} is not below 1/2 at dt = {sim.dt:.3e} s")
+                _quoted([key, *dt_keys]) + f": f dt = {f * sim.dt:.3g} is "
+                f"not below 1/2 at dt = {sim.dt:.3e} s")
     with _keys(**src_keys, **geom_keys, t_end="run.t_end_s",
                snapshot_times="run.snapshot_times_s", probe="run.probe_m",
                window_start="run.window_start_s",

@@ -2,8 +2,17 @@
 exit codes, one class each: ConfigError -> 2, NumericalError -> 3, plain
 OSError -> 4. A library ConfigError's message starts with the name of
 the field it concerns, which the CLI maps to the field's dotted config
-key.
+key. A message echoes a value through shown(), cut to a readable length.
 """
+
+SHOWN = 200     # characters of an echoed value
+
+
+def shown(value) -> str:
+    """repr(value), cut to its first SHOWN characters."""
+    text = repr(value)
+    return text if len(text) <= SHOWN else \
+        f"{text[:SHOWN]}... ({len(text)} characters)"
 
 
 class ConfigError(Exception):

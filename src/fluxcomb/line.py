@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, shown
 
 # magnetic flux quantum [Wb]
 PHI0 = 2.067833848e-15
@@ -122,6 +122,11 @@ SERIES_SAMPLES = 64
 # BLOCK rows, up to 33 basis rows, the state), so this keeps it near
 # 2^27 floats, 1 GiB
 MAX_CELLS = (1 << 27) // 100
+
+# floats of a run's k snapshots, about 3 k (n_cells + 1): run_until's v
+# and i and the tables' cell-centred v. As many as the largest line holds
+# (2^27, 1 GiB): the snapshots never take more than a line may
+MAX_SNAPSHOT_FLOATS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -189,9 +194,9 @@ class SourceSpec:
 
     def __post_init__(self):
         if self.kind not in ("continuous-wave", "gaussian-pulse"):
-            raise ConfigError(f"kind {self.kind!r} is not a source kind")
+            raise ConfigError(f"kind {shown(self.kind)} is not a source kind")
         if self.port not in ("left", "right"):
-            raise ConfigError(f"port {self.port!r} is not left or right")
+            raise ConfigError(f"port {shown(self.port)} is not left or right")
         # the field's energy and spectra square it
         if not math.isfinite(self.amplitude * self.amplitude):
             raise ConfigError("amplitude squared overflows")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, shown
 
 TWO_PI = 2.0 * math.pi
 NOISE_BLOCK = 256       # time samples per block of the noise synthesis
@@ -120,8 +120,8 @@ def gamma_eff(trace, h: float, smoothing_window: int | None = None
         if smoothing_window < 5 or smoothing_window % 2 == 0:
             raise ConfigError("smoothing_window must be odd and >= 5")
         if smoothing_window > g.size:
-            raise ConfigError(f"smoothing_window ({smoothing_window}) must "
-                              f"not exceed the {g.size} grid points")
+            raise ConfigError(f"smoothing_window ({shown(smoothing_window)})"
+                              f" must not exceed the {g.size} grid points")
         g = _savgol_quadratic(g, smoothing_window)
     return g
 

@@ -93,9 +93,8 @@ class TestSpecs:
             budget.QubitArraySpec(n_qubits=3, harmonic_indices=(1, 3, 3))
         with pytest.raises(ConfigError):
             budget.QubitArraySpec(t2_intrinsic=400e-6, t1_intrinsic=150e-6)
-        for kappa in (0.0, -1.0, 1e-300):
-            with pytest.raises(ConfigError, match="^kappa_bus"):
-                budget.QubitArraySpec(kappa_bus=kappa)
+        with pytest.raises(ConfigError, match="^kappa_bus"):
+            budget.QubitArraySpec(kappa_bus=1e-300)
         with pytest.raises(ConfigError, match="^g_coupling"):
             budget.QubitArraySpec(g_coupling=1e300)
         lo, hi = budget._OMEGA_M_RANGE

@@ -26,7 +26,8 @@ MAX_LEVELS = cli.transmon.MAX_LEVELS
 MAP_KEYS = ["'phi_dc.n'", "'phi_rf.n'", "'harmonic_indices'"]
 LINE_KEYS = ["'geometry.n_cells'", "'geometry.dz_m'",
              "'geometry.c_per_length_f_per_m'", "'geometry.i0_amps'",
-             "'run.cfl_safety'", "'run.t_end_s'"]
+             "'drive.phi_dc'", "'drive.phi_rf'", "'run.cfl_safety'",
+             "'run.t_end_s'"]
 # the keys that set the spatial Nyquist limit of line-sim's harmonics
 NYQUIST_KEYS = ["'run.n_harmonics'", "'source.freq_hz'", "'geometry.dz_m'",
                 "'geometry.c_per_length_f_per_m'", "'geometry.i0_amps'",
@@ -36,6 +37,9 @@ NYQUIST_KEYS = ["'run.n_harmonics'", "'source.freq_hz'", "'geometry.dz_m'",
 LINE_DT = 0.9 * cli.line.cfl_bound(
     cli.line.LineGeometry(), cli.line.FluxDrive(0.6, 0.6, 0.0, 1.0))
 CAP_CELLS = cli.line.MAX_CELL_STEPS // 1024
+# the cells whose 1000 snapshots, the most a run takes, hold
+# 3 x 1000 x (SNAPSHOT_CELLS + 1) floats, at most line.MAX_SNAPSHOT_FLOATS
+SNAPSHOT_CELLS = cli.line.MAX_SNAPSHOT_FLOATS // 3000 - 1
 # the bound on a line's cells, however few its steps
 CELLS_RULE = f"must be >= 16 and <= {cli.line.MAX_CELLS}"
 # map points per (phi_dc, phi_rf) point: the default harmonic count
@@ -139,6 +143,12 @@ def expand(column):
     return column
 
 
+def snapshots(k: int, t_end: float = 5.4e-9) -> str:
+    """A --set of k snapshot times, evenly spaced up to t_end."""
+    return "run.snapshot_times_s=" + json.dumps(
+        [t_end * (j + 1) / k for j in range(k)])
+
+
 def format_cell(value) -> str:
     """The per-cell rendering io.write_csv must reproduce byte for byte."""
     if isinstance(value, str):
@@ -203,6 +213,31 @@ class TestConfigResolution:
         assert seeds == [7]
         assert cli.resolve_config("spectroscopy", None,
                                   ["seed=7"])["seed"] == 7
+
+    @pytest.mark.parametrize("args,message", [
+        pytest.param(["nonmarkov", "--set", "n_points=abc",
+                      "--set", "n_points=11"],
+                     "'n_points' must be an integer", id="set-then-set"),
+        pytest.param(["spectroscopy", "--set", "seed=-1", "--seed", "3"],
+                     "'seed' must be >= 0", id="set-then-seed"),
+        pytest.param(["nonmarkov", "--config", "user.json",
+                      "--set", "t_end_s=1e-7"],
+                     "'t_end_s' must be > 0", id="config-then-set"),
+        # of two bad values, the first merged: t_end_s comes first in the
+        # defaults
+        pytest.param(["nonmarkov", "--set", "n_points=abc",
+                      "--set", "t_end_s=0"],
+                     "'n_points' must be an integer", id="first-merged"),
+    ])
+    def test_bad_value_is_2_as_merged(self, tmp_path, capsys, args, message):
+        """Each value is typed and bounded as it is merged: a bad one
+        exits 2 even when a later --set or --seed replaces it, and of
+        several the first merged is reported."""
+        (tmp_path / "user.json").write_text('{"t_end_s": 0}')
+        code = cli.main([*(str(tmp_path / a) if a.endswith(".json") else a
+                           for a in args), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_main_keeps_no_state_between_calls(self, tmp_path, monkeypatch):
         """The parser and the parsed defaults are built once per process:
@@ -767,6 +802,16 @@ class TestExitCodes:
                      '{"n_points": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}",
                      "config is not valid JSON",
                      id="nonmarkov-config-nested-past-recursion-limit"),
+        # long values, each echoed cut to errors.SHOWN characters
+        pytest.param("nonmarkov", "n_points=" + "1" * 5000,
+                     "'n_points' must be an integer",
+                     id="nonmarkov-5000-digits"),
+        pytest.param("nonmarkov", "n" * 10 ** 5, "--set needs key.path=value",
+                     id="nonmarkov-set-without-value"),
+        pytest.param("nonmarkov", "n" * 10 ** 5 + "=1", "unknown config key",
+                     id="nonmarkov-long-unknown-key"),
+        pytest.param("line-sim", "run.spectrum=" + "x" * 10 ** 5,
+                     "'run.spectrum'", id="line-sim-long-spectrum"),
         ("nonmarkov", "smoothing_window=5001", "smoothing_window"),
         ("line-sim", "run.cfl_safety=0", "run.cfl_safety"),
         ("line-sim", "run.cfl_safety=1.5", "run.cfl_safety"),
@@ -828,8 +873,14 @@ class TestExitCodes:
         ("error-budget", "array.t_gate_s=0", "'array.t_gate_s'"),
         ("error-budget", "array.t2_intrinsic_s=1", "'array.t2_intrinsic_s'"),
         ("error-budget", "array.lambda_c_m=0", "'array.lambda_c_m'"),
-        ("error-budget", "array.kappa_bus_hz=0", "'array.kappa_bus_hz'"),
-        ("scalability", "array.kappa_bus_hz=-1", "'array.kappa_bus_hz'"),
+        pytest.param("error-budget", "array.kappa_bus_hz=0",
+                     "'array.kappa_bus_hz' must be > 0",
+                     id="error-budget-array.kappa_bus_hz=0"
+                     "-'array.kappa_bus_hz'"),
+        pytest.param("scalability", "array.kappa_bus_hz=-1",
+                     "'array.kappa_bus_hz' must be > 0",
+                     id="scalability-array.kappa_bus_hz=-1"
+                     "-'array.kappa_bus_hz'"),
         ("error-budget", "array.kappa_bus_hz=1e-300",
          "'array.kappa_bus_hz'"),
         ("scalability", "array.g_coupling_hz=1e300", "'array.g_coupling_hz'"),
@@ -1045,6 +1096,8 @@ class TestExitCodes:
         for k in [key] if isinstance(key, str) else key:
             assert k in err
         assert "Traceback" not in err
+        # an echoed value is cut, however long the input
+        assert len(err.encode()) < 1024
 
     @pytest.mark.parametrize("assignments,keys", [
         # a tiny source frequency lifts the spatial Nyquist limit past the
@@ -1191,6 +1244,16 @@ class TestExitCodes:
                                   "run.window_end_s=1e-3"],
                      [*LINE_KEYS, "'run.window_end_s'"], "line run",
                      id="line-sim-temporal-window-end"),
+        # over at the packaged phi_rf, under at phi_rf = 0 (see below)
+        pytest.param("line-sim", ["run.t_end_s=1e-5"], LINE_KEYS, "line run",
+                     id="line-sim-phi_rf-tips-the-cap"),
+        pytest.param("line-sim", [snapshots(1001)],
+                     ["'run.snapshot_times_s'"], "must have length <= 1000",
+                     id="line-sim-1001-snapshots"),
+        pytest.param("line-sim", [snapshots(1000),
+                                  f"geometry.n_cells={SNAPSHOT_CELLS + 1}"],
+                     ["'run.snapshot_times_s'", "'geometry.n_cells'"],
+                     "snapshots", id="line-sim-snapshots-one-over-cap"),
         # a line too long to hold, however few its steps
         pytest.param("line-sim", ["geometry.n_cells=1000000000000000"],
                      ["'geometry.n_cells'"], CELLS_RULE,
@@ -1218,7 +1281,7 @@ class TestExitCodes:
                          *(a for x in assignments for a in ("--set", x))])
         err = capsys.readouterr().err
         assert code == 2
-        if what.startswith("must be"):
+        if what.startswith("must "):
             assert f"{keys[0]} {what}, got " in err
         else:
             assert f"{what}: " in err and "above the cap" in err
@@ -1252,6 +1315,12 @@ class TestExitCodes:
                           "filtered.n_components=100"]),
         # the largest phase draw: 2 models x CHUNK x 131072 = 2^24 floats
         ("spectroscopy", ["filtered.n_components=131072", "tau.n=2"]),
+        # phi_rf = 0 lifts cfl_bound's |phi_dc| - phi_rf and so dt
+        ("line-sim", ["run.t_end_s=1e-5", "drive.phi_rf=0.0"]),
+        # the benchmark's snapshots, and the most snapshot floats
+        ("line-sim", ["geometry.n_cells=1024", "run.t_end_s=3e-8",
+                      snapshots(20, 3e-8)]),
+        ("line-sim", [snapshots(1000), f"geometry.n_cells={SNAPSHOT_CELLS}"]),
     ])
     def test_work_at_cap_passes_preflight(self, tmp_path, monkeypatch,
                                           scenario, assignments):

@@ -4,10 +4,12 @@ dataclass field with a default is set to another value by a keyword
 somewhere in the package, and every function parameter with a default
 is passed by some call of that function in the package, or each is kept
 on purpose with its reason. Every key of the CLI's bounds table is a
-config leaf whose every rule holds at its edge, every scenario takes the
-config alone, and the CLI writes CSVs at one site, in main."""
+config leaf whose every rule holds at its edge, every packaged default
+has its own type and keeps its bound, every scenario takes the config
+alone, and the CLI writes CSVs at one site, in main."""
 
 import ast
+import copy
 import math
 import re
 from pathlib import Path
@@ -195,10 +197,37 @@ def test_bounds_hold_at_their_edges():
                 inside = past(inside, -out)
             values = [inside, past(inside, out)]
             if type(default) is list:
-                values = [[default[0]] * n for n in values]
+                # the item _typed checks an empty default's items against
+                item = default[0] if default else 0.0
+                values = [[item] * n for n in values]
             cli._bounded(values[0], key)
             with pytest.raises(ConfigError, match=f"^'{re.escape(key)}' must"):
                 cli._bounded(values[1], key)
+
+
+def _check_defaults(tree: dict):
+    """Each leaf of a scenario's defaults passes cli._typed against itself,
+    unchanged, and cli._bounded where it has a BOUNDS entry."""
+    for key, value in config_leaves(tree):
+        assert cli._typed(value, value, key) == value
+        if key in cli.BOUNDS:
+            cli._bounded(value, key)
+
+
+def test_defaults_hold_their_own_rules():
+    """A run checks the values it merges, not the packaged defaults it
+    leaves, so they are checked here; a default edited past its bound, or
+    a list with an item of another type, fails."""
+    for defaults in cli._packaged_defaults().values():
+        _check_defaults(defaults)
+    edited = copy.deepcopy(cli._packaged_defaults())
+    edited["addressing"]["n_levels"] = 2
+    with pytest.raises(ConfigError, match="^'n_levels' must be >= 3"):
+        _check_defaults(edited["addressing"])
+    edited["flux-sweep"]["harmonic_indices"][1] = 10.0
+    with pytest.raises(ConfigError,
+                       match=r"^'harmonic_indices\[1\]' must be an integer"):
+        _check_defaults(edited["flux-sweep"])
 
 
 def test_main_is_the_one_csv_writer():
