@@ -2,18 +2,19 @@
 bus: Purcell decay through the bus, engineered dephasing suppression, and
 coherent crosstalk between comb neighbors.
 
-full_budget evaluates the whole comb in one array pass, with one formula
-path for both bus variants.
-The dimensionless suppression constants and the gain profile are the
-calibration set: tuned once against the target coherence and error bands,
-then frozen here.
+One pass over the comb, teeth 1..n at unit pitch, sums the crosstalk over
+tooth spacings and serves full_budget and every size of scalability_sweep,
+with one formula path for both bus variants. The dimensionless suppression
+constants and the gain profile are the calibration set: tuned once against
+the target coherence and error bands, then frozen here.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +22,7 @@ from .errors import ConfigError, shown
 
 TWO_PI = 2.0 * math.pi
 
-# the crosstalk sum holds a few n x n arrays: about 60 MB at 1024 qubits
-MAX_QUBITS = 1024
+MAX_QUBITS = 1024    # the largest comb; the guards below are written for it
 # the comb pass squares frequencies from omega_m (the buses' 8 and
 # 16 omega_m widths) up to the top tooth's MAX_QUBITS omega_m: for an
 # omega_m in this range [rad/s] all are normal floats, the top one with a
@@ -33,12 +33,12 @@ _OMEGA_M_RANGE = (math.sqrt(sys.float_info.min),
 
 @dataclass(frozen=True)
 class QubitArraySpec:
-    """Comb of transmons at omega_i = n_i * omega_m on a shared bus, at
-    unit pitch: qubit i sits at x = i + 1 [m]."""
+    """Comb of transmons on a shared bus. The budget's comb is teeth
+    1..n_qubits at unit pitch, qubit i at x = i + 1 [m]."""
 
     n_qubits: int = 25
     omega_m: float = TWO_PI * 3e9        # comb spacing [rad/s]
-    harmonic_indices: tuple = None       # default 1..N
+    harmonic_indices: tuple = None       # a flux sweep's; not the budget's
     t1_intrinsic: float = 150e-6         # [s]
     t2_intrinsic: float = 40e-6          # [s]
     g_coupling: float = TWO_PI * 50e6    # qubit-bus coupling [rad/s]
@@ -78,17 +78,9 @@ class QubitArraySpec:
                               "kappa_bus is out of float range")
         if self.t2_intrinsic > 2.0 * self.t1_intrinsic:
             raise ConfigError("t2_intrinsic cannot exceed 2 * t1_intrinsic")
-        if self.harmonic_indices is None:
-            object.__setattr__(self, "harmonic_indices",
-                               tuple(range(1, self.n_qubits + 1)))
-        hi = self.harmonic_indices
+        hi = self.harmonic_indices or ()
         if any(b <= a for a, b in zip(hi, hi[1:])):
             raise ConfigError("harmonic_indices must be strictly increasing")
-
-    @property
-    def omega(self) -> np.ndarray:
-        """Qubit frequencies [rad/s]."""
-        return np.asarray(self.harmonic_indices, dtype=float) * self.omega_m
 
 
 @dataclass(frozen=True)
@@ -137,34 +129,52 @@ def gain(model: BusIsolationModel, omega) -> np.ndarray:
     bus resonance with a flat floor."""
     omega = np.asarray(omega, dtype=float)
     return model.gain_floor + (model.gain_peak - model.gain_floor) * np.exp(
-        -((omega - model.omega_res) ** 2)
-        / (2.0 * model.gain_width ** 2))
+        -((omega - model.omega_res) ** 2) / (2.0 * model.gain_width ** 2))
+
+
+@contextmanager
+def _in_float_range():
+    """A comb pass out of float range raises ConfigError, not inf or NaN."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except ArithmeticError as exc:
+        raise ConfigError(
+            "omega_m, n_qubits, t1_intrinsic, t2_intrinsic, g_coupling, "
+            "kappa_bus, t_gate, lambda_c: the error budget is out of float "
+            f"range: {exc}") from None
 
 
 def full_budget(array: QubitArraySpec, model: BusIsolationModel) -> tuple:
-    """Lifetimes and gate errors of every qubit of the comb, in one array
-    pass: per-qubit arrays (omega [rad/s], gamma_purcell [1/s], t1 [s],
-    t2 [s], e_relax, e_dephase, e_crosstalk, e_total), with e_total the
-    sum of the three errors. A value that leaves float range raises
-    ConfigError, naming every array field the pass reads, rather than
-    reaching the budget as inf or NaN."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _comb_pass(array, model)
-    except ArithmeticError as exc:
-        raise ConfigError(
-            "omega_m, harmonic_indices, n_qubits, t1_intrinsic, "
-            "t2_intrinsic, g_coupling, kappa_bus, t_gate, lambda_c: the "
-            f"error budget is out of float range: {exc}") from None
+    """Lifetimes and gate errors of every qubit of the comb: per-qubit
+    arrays (omega [rad/s], gamma_purcell [1/s], t1 [s], t2 [s], e_relax,
+    e_dephase, e_crosstalk, e_total), e_total the sum of the three errors."""
+    with _in_float_range():
+        return _comb_pass(array, model)[0]
+
+
+def scalability_sweep(array: QubitArraySpec, model: BusIsolationModel,
+                      n_range) -> list[float]:
+    """Worst-case total gate error of the comb's first n teeth, for each n
+    of n_range (each in 1..array.n_qubits), all from one comb pass."""
+    with _in_float_range():
+        per_qubit, g_omega, reach = _comb_pass(array, model)
+        base = per_qubit[4] + per_qubit[5]         # e_relax + e_dephase
+        return [float(np.max(base[:n] + (reach[:n] + reach[n - 1::-1])
+                             / g_omega[:n])) for n in n_range]
 
 
 def _comb_pass(array: QubitArraySpec, model: BusIsolationModel) -> tuple:
-    """Purcell decay through the bus is the gain-screened coupling g^2/G,
+    """full_budget's tuple of per-qubit arrays, the gain G(omega), and
+    reach, whose entry d sums the crosstalk terms of partners 1..d teeth away.
+    Purcell decay through the bus is the gain-screened coupling g^2/G,
     filtered by a Lorentzian of width purcell_bw around the bus resonance
-    and scaled by the suppression constant. Crosstalk on each qubit is the
-    coherent swap error from every other tooth, with exponentially decaying
-    coupling and gain screening at the victim."""
-    omega = array.omega
+    and scaled by the suppression constant. Crosstalk is the coherent swap
+    error from every other tooth, with exponentially decaying coupling and
+    gain screening at the victim: qubit i of n has i partners below it and
+    n - 1 - i above."""
+    teeth = np.arange(1.0, array.n_qubits + 1)
+    omega = teeth * array.omega_m
     g_omega = gain(model, omega)
     half_w_sq = (model.purcell_bw / 2.0) ** 2
     lor = half_w_sq / ((omega - model.omega_res) ** 2 + half_w_sq)
@@ -173,31 +183,17 @@ def _comb_pass(array: QubitArraySpec, model: BusIsolationModel) -> tuple:
     t1 = 1.0 / (1.0 / array.t1_intrinsic + gamma_p)
     gamma_phi = 1.0 / array.t2_intrinsic - 0.5 / array.t1_intrinsic
     t2 = 1.0 / (0.5 / t1 + gamma_phi * model.c_phi)
-
-    # row i holds qubit i's n - 1 partners, in comb order
-    n = array.n_qubits
-    others = ~np.eye(n, dtype=bool)
-    delta = np.abs(np.subtract.outer(omega, omega))[others].reshape(n, n - 1)
-    x = np.arange(1.0, n + 1)
-    dist = np.abs(np.subtract.outer(x, x))[others].reshape(n, n - 1)
+    # a partner d = 1..n-1 teeth away is d omega_m and d pitches off, the
+    # same term for every qubit
+    dist, delta = teeth[:-1], omega[:-1]
     g_ij = array.g_coupling * np.exp(-dist / array.lambda_c)
     c_bus = model.c0 + (1.0 - model.c0) * np.exp(
         -((delta / model.delta_bw) ** 2))
     terms = (g_ij / delta) ** 2 * np.sin(
         0.5 * delta * array.t_gate) ** 2 * c_bus
+    reach = np.concatenate(([0.0], np.cumsum(terms)))
     e_relax = array.t_gate / t1
     e_dephase = 1.0 - np.exp(-array.t_gate / t2)
-    e_crosstalk = terms.sum(axis=1) / g_omega
-    return (omega, gamma_p, t1, t2, e_relax, e_dephase, e_crosstalk,
-            e_relax + e_dephase + e_crosstalk)
-
-
-def scalability_sweep(array: QubitArraySpec, model: BusIsolationModel,
-                      n_range) -> list[float]:
-    """Worst-case total gate error as the comb is grown, keeping the
-    template's per-qubit parameters."""
-    out = []
-    for n in n_range:
-        arr = replace(array, n_qubits=int(n), harmonic_indices=None)
-        out.append(float(np.max(full_budget(arr, model)[-1])))
-    return out
+    e_crosstalk = (reach + reach[::-1]) / g_omega
+    return ((omega, gamma_p, t1, t2, e_relax, e_dephase, e_crosstalk,
+             e_relax + e_dephase + e_crosstalk), g_omega, reach)

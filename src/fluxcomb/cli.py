@@ -470,12 +470,11 @@ def run_scalability(config: dict):
     n_min, n_max = config["n_min"], config["n_max"]
     if not n_min <= n_max:
         raise ConfigError("'n_max' must be >= 'n_min'")
-    # the sweep resizes this template to each n
     array = _array_from_config(config["array"], n_max)
     n_range, models = range(n_min, n_max + 1), config["models"]
     with _keys(kind="models"):
         buses = [budget.bus_model(kind, array.omega_m) for kind in models]
-    # the sweep sets n_qubits to each of n_min..n_max
+    # every n_min..n_max comes from one comb pass over n_max teeth
     with _keys(**_ARRAY_KEYS | {"n_qubits": "n_max"}):
         worst = [budget.scalability_sweep(array, bus, n_range)
                  for bus in buses]

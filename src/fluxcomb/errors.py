@@ -5,14 +5,19 @@ the field it concerns, which the CLI maps to the field's dotted config
 key. A message echoes a value through shown(), cut to a readable length.
 """
 
+from itertools import islice
+
 SHOWN = 200     # characters of an echoed value
 
 
 def shown(value) -> str:
-    """repr(value), cut to its first SHOWN characters."""
-    text = repr(value)
-    return text if len(text) <= SHOWN else \
-        f"{text[:SHOWN]}... ({len(text)} characters)"
+    """repr(value), cut to its first SHOWN characters. Of a list, tuple or
+    dict only the first SHOWN items are rendered, which pass the cut."""
+    sized = type(value) in (list, tuple, dict)
+    text = repr(dict(islice(value.items(), SHOWN)) if type(value) is dict
+                else value[:SHOWN] if sized else value)
+    size = f"{len(value)} items" if sized else f"{len(text)} characters"
+    return text if len(text) <= SHOWN else f"{text[:SHOWN]}... ({size})"
 
 
 class ConfigError(Exception):

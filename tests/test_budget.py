@@ -30,8 +30,8 @@ def uniform_model(**over):
 
 def oracle(array, model, i) -> dict:
     """Qubit i's budget from the formulas, one Python float at a time,
-    with the qubits at unit pitch."""
-    omega = [n * array.omega_m for n in array.harmonic_indices]
+    with the qubits at teeth 1..n_qubits and unit pitch."""
+    omega = [n * array.omega_m for n in range(1, array.n_qubits + 1)]
     x = [float(j) for j in range(1, array.n_qubits + 1)]
 
     def gain(w):
@@ -65,17 +65,18 @@ def oracle(array, model, i) -> dict:
     return row
 
 
-@pytest.mark.parametrize("n", [1, 2, 25])
+@pytest.mark.parametrize("n", [1, 2, 25, budget.MAX_QUBITS])
 @pytest.mark.parametrize("bus", ["reciprocal", "nonreciprocal"],
                          ids=lambda kind: f"{kind}_bus")
 def test_every_qubit_matches_the_scalar_oracle(bus, n):
     """e_dephase = 1 - exp(-t_gate/T2) is about 1e-5, so a last-bit
     difference between NumPy's and the math module's exp shows in it, and
-    in e_total, at up to ~1e-10 relative."""
+    in e_total, at up to ~1e-10 relative. The largest comb is checked at
+    its ends, the bus resonance and the middle."""
     a = budget.QubitArraySpec(n_qubits=n)
     m = budget.bus_model(bus, OMEGA_M)
     b = named_budget(a, m)
-    for i in range(n):
+    for i in range(n) if n <= 25 else (0, 1, 12, 511, 1022, 1023):
         for name, want in oracle(a, m, i).items():
             rtol = 1e-9 if name in ("e_dephase", "e_total") else 1e-12
             assert getattr(b, name)[i] == pytest.approx(want, rel=rtol), \
@@ -85,8 +86,9 @@ def test_every_qubit_matches_the_scalar_oracle(bus, n):
 class TestSpecs:
     def test_array_defaults(self):
         a = budget.QubitArraySpec()
-        assert a.harmonic_indices == tuple(range(1, 26))
-        np.testing.assert_allclose(a.omega, np.arange(1, 26) * OMEGA_M)
+        assert a.n_qubits == 25 and a.harmonic_indices is None
+        omega = named_budget(a, uniform_model()).omega
+        np.testing.assert_array_equal(omega, np.arange(1, 26) * OMEGA_M)
 
     def test_array_validation(self):
         with pytest.raises(ConfigError):
@@ -114,20 +116,32 @@ class TestSpecs:
     def test_bounds_keep_the_largest_comb_in_float_range(self):
         # at either end of the omega_m range, with the strongest coupling
         # it admits, and with the longest gate admitted at 3 GHz, the
-        # budget of teeth at the extremes of a MAX_QUBITS comb (the closest
-        # and farthest spacings, the bus resonance, the top) is finite
+        # budget of the full MAX_QUBITS comb (every spacing, the bus
+        # resonance, the top tooth) is finite
         lo, hi = budget._OMEGA_M_RANGE
         w, g = budget.TWO_PI * 3e9, budget.TWO_PI * 50e6
         longest = 0.5 * sys.float_info.max / (budget.MAX_QUBITS * w)
         for omega_m, g_coupling, t_gate in ((lo, 1.0, 0.5e-9),
                                             (hi, g, 0.5e-9), (w, g, longest)):
             array = budget.QubitArraySpec(
-                n_qubits=4, harmonic_indices=(1, 2, 13, budget.MAX_QUBITS),
-                omega_m=omega_m, g_coupling=g_coupling, t_gate=t_gate)
+                n_qubits=budget.MAX_QUBITS, omega_m=omega_m,
+                g_coupling=g_coupling, t_gate=t_gate)
             for model in (budget.bus_model("reciprocal", omega_m),
                           budget.bus_model("nonreciprocal", omega_m)):
                 result = named_budget(array, model)
                 assert np.all(np.isfinite(result.e_total))
+
+
+@pytest.mark.parametrize("bus", ["reciprocal", "nonreciprocal"])
+def test_sweep_is_the_budget_of_each_size(bus):
+    """Each size of the one-pass sweep is, bit for bit, the worst total
+    error of a full budget at that size."""
+    array = budget.QubitArraySpec(n_qubits=64)
+    model = budget.bus_model(bus, OMEGA_M)
+    worst = budget.scalability_sweep(array, model, range(1, 65))
+    for n in range(1, 65):
+        sized = replace(array, n_qubits=n, harmonic_indices=None)
+        assert worst[n - 1] == max(budget.full_budget(sized, model)[-1]), n
 
 
 class TestGain:

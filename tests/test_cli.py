@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import fluxcomb
-from fluxcomb import cli, io
+from fluxcomb import cli, errors, io
 from fluxcomb.errors import ConfigError
 
 from helpers import config_leaves
@@ -608,6 +608,18 @@ class TestScenarioOutputs:
         assert f"even the fundamental is past the {mode} Nyquist" in err
         assert "'source.freq_hz'" in err
 
+    def test_scalability_at_the_cap(self, tmp_path):
+        """The largest sweep runs: each model's worst case never
+        decreases with n, as it sums ever more nonnegative terms."""
+        assert cli.main(["scalability", "--out", str(tmp_path),
+                         "--set", f"n_max={cli.budget.MAX_QUBITS}"]) == 0
+        header, rows = read_rows(tmp_path / "scalability.csv")
+        assert len(rows) == 2 * cli.budget.MAX_QUBITS == 2048
+        for model in ("reciprocal", "nonreciprocal"):
+            worst = [float(r[1]) for r in rows if r[2] == model]
+            assert len(worst) == cli.budget.MAX_QUBITS
+            assert all(b >= a for a, b in zip(worst, worst[1:])), model
+
     def test_scalability_models(self, tmp_path):
         code = cli.main(["scalability", "--out", str(tmp_path),
                          "--set", "n_min=1", "--set", "n_max=3"])
@@ -1098,6 +1110,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         # an echoed value is cut, however long the input
         assert len(err.encode()) < 1024
+
+    def test_long_value_renders_only_its_head(self):
+        """A list echoed in a message renders about SHOWN of its items,
+        not all of them; a value that fits renders as repr does."""
+        calls = []
+
+        class Item:
+            def __repr__(self):
+                calls.append(1)
+                return "1e-09"
+
+        text = errors.shown([Item() for _ in range(100_000)])
+        assert text.endswith("... (100000 items)")
+        assert errors.SHOWN // 8 <= len(calls) <= errors.SHOWN
+        for value in ([1.5, [2, (3,)], {"a": ()}], "x" * (errors.SHOWN - 2),
+                      {"b": [None, True]}, (), [[[]]]):
+            assert errors.shown(value) == repr(value)
+        deep = json.loads("[" * 900 + "]" * 900)
+        assert errors.shown(deep) == repr(deep)[:errors.SHOWN] \
+            + "... (1 items)"
 
     @pytest.mark.parametrize("assignments,keys", [
         # a tiny source frequency lifts the spatial Nyquist limit past the
