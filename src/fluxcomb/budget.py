@@ -156,7 +156,14 @@ def full_budget(array: QubitArraySpec, model: BusIsolationModel) -> tuple:
 def scalability_sweep(array: QubitArraySpec, model: BusIsolationModel,
                       n_range) -> list[float]:
     """Worst-case total gate error of the comb's first n teeth, for each n
-    of n_range (each in 1..array.n_qubits), all from one comb pass."""
+    of n_range, all from one comb pass. An n outside 1..array.n_qubits,
+    which the pass over the template's teeth cannot answer, raises
+    ValueError."""
+    n_range = list(n_range)
+    for n in n_range:
+        if not 1 <= n <= array.n_qubits:
+            raise ValueError(f"n_range holds {n}, outside 1.."
+                             f"{array.n_qubits} (array.n_qubits)")
     with _in_float_range():
         per_qubit, g_omega, reach = _comb_pass(array, model)
         base = per_qubit[4] + per_qubit[5]         # e_relax + e_dephase

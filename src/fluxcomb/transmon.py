@@ -1,6 +1,16 @@
 """Transmon spectra from charge-basis diagonalization, flux tuning, and the
 comb-addressing maps.
 
+At zero offset charge the charge-basis Hamiltonian 4 E_C n^2 - (E_J/2)
+(|n><n+1| + h.c.) commutes with n -> -n, so it is solved as two
+tridiagonal parity blocks (Koch et al., Phys. Rev. A 76, 042319 (2007)).
+The even block, on |0> and (|n> + |-n>)/sqrt(2) for n = 1..cut, has
+diagonal 4 E_C n^2 for n = 0..cut and off-diagonal -E_J/2, except
+-E_J/sqrt(2) between |0> and the first even state; the odd block, on
+(|n> - |-n>)/sqrt(2), is 4 E_C n^2 for n = 1..cut with off-diagonal
+-E_J/2. Their levels interleave (even, odd, even, ...), so the lowest
+levels of the whole basis are the lowest of the sorted union.
+
 Unit policy: every energy/frequency in this module is an ordinary frequency in
 Hz (E/h). Angular quantities (the comb spacing omega_m, the resonance width
 SIGMA_RES) enter only through default_comb_qubits and addressing_map and are
@@ -67,18 +77,40 @@ def ej_time_averaged(ej_max: float, phi_dc: float, phi_rf: float) -> float:
     return 2.0 * ej_max * abs(math.cos(0.5 * phi_dc) * j0(0.5 * phi_rf))
 
 
-def _charge_levels(ec: float, ej: float, cut: int, n_levels: int
-                   ) -> np.ndarray:
-    n = np.arange(-cut, cut + 1, dtype=np.float64)
-    ham = np.diag(4.0 * ec * n ** 2)
-    off = np.arange(2 * cut)
-    ham[off, off + 1] = ham[off + 1, off] = -0.5 * ej
+def eigvals_tridiag(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric tridiagonal matrices with
+    main diagonal diag (..., m) and off-diagonal off (..., m - 1), the
+    leading axes broadcast: one LAPACK call for the whole stack. A failed
+    solve raises NumericalError."""
+    m = diag.shape[-1]
+    stack = np.broadcast_shapes(diag.shape[:-1], off.shape[:-1])
+    # each matrix flattened: the diagonal is every (m + 1)th entry from 0,
+    # the subdiagonal every (m + 1)th from m, and eigvalsh reads the lower
+    # triangle only
+    ham = np.zeros(stack + (m * m,))
+    ham[..., ::m + 1] = diag
+    ham[..., m::m + 1] = off
     try:
-        vals = np.linalg.eigvalsh(ham)[:n_levels]
+        return np.linalg.eigvalsh(ham.reshape(stack + (m, m)))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"charge-basis eigensolve failed: {exc}") \
             from exc
-    return vals - vals[0]
+
+
+def _charge_levels(ec: float, ej, cut: int, n_levels: int) -> np.ndarray:
+    """The lowest n_levels ground-referenced levels of the charge basis
+    -cut..+cut, from its two parity blocks. ej is a scalar, or an array
+    whose levels run along a new last axis."""
+    ej = np.asarray(ej, dtype=np.float64)[..., None]
+    diag = 4.0 * ec * np.arange(cut + 1, dtype=np.float64) ** 2
+    hop = np.repeat(-0.5 * ej, cut, axis=-1)
+    odd = eigvals_tridiag(diag[1:], hop[..., 1:])
+    # |0> couples to (|1> + |-1>)/sqrt(2) through both of its neighbours
+    hop[..., 0] = -ej[..., 0] / math.sqrt(2.0)
+    even = eigvals_tridiag(diag, hop)
+    vals = np.sort(np.concatenate((even, odd), axis=-1), axis=-1)
+    vals = vals[..., :n_levels]
+    return vals - vals[..., :1]
 
 
 def _converged_levels(ec: float, ej: float, n_levels: int
@@ -117,8 +149,14 @@ class FluxCurve:
     """omega_q as a function of effective E_J at fixed E_C: a Chebyshev
     interpolant in ln(E_J) on 48 nodes over ej/ec in [8, 2.2e4].
 
+    The table takes one cut from a converged solve at the top of the range
+    and solves all 48 nodes at it as one stack per parity block: 2 LAPACK
+    calls, each node's levels equal to its own solve bit for bit. Each node
+    keeps the lowest levels of the union of its even and odd blocks, whose
+    levels interleave at zero offset charge.
+
     It matches exact solves to about 1e-12 relative over that range (the
-    dense eigensolver's own rounding at the low end), and E_J outside the
+    eigensolver's own rounding at the low end), and E_J outside the
     range is clipped to its ends. Exact solves go through diagonalize();
     this class serves map evaluation and calibration start points and
     slopes.
@@ -131,8 +169,9 @@ class FluxCurve:
         lo, hi = math.log(self._ej_lo), math.log(self._ej_hi)
         t = chebyshev.chebpts1(_CURVE_NODES)
         self._ln_ej = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
-        self._wq = np.array([_charge_levels(ec, math.exp(le), cut, 3)[1]
-                             for le in self._ln_ej])
+        # math.exp: NumPy's SIMD exp can differ from it by an ulp
+        ej = np.array([math.exp(le) for le in self._ln_ej])
+        self._wq = _charge_levels(ec, ej, cut, 3)[:, 1]
         # interpolating coefficients from the discrete orthogonality of
         # T_k on the first-kind nodes
         coef = chebyshev.chebvander(t, _CURVE_NODES - 1).T @ self._wq
@@ -142,8 +181,33 @@ class FluxCurve:
         self._slope = self._series.deriv()
 
     def omega_q(self, ej):
-        """Interpolated qubit frequency [Hz]; accepts scalars or arrays."""
-        return self._series(np.log(np.clip(ej, self._ej_lo, self._ej_hi)))
+        """Interpolated qubit frequency [Hz]; accepts scalars or arrays.
+
+        An array runs chebval's own Clenshaw recurrence in place, in
+        buffers of its shape, so it equals the series call bit for bit
+        without allocating temporaries at each of the 48 terms.
+        """
+        x = np.clip(ej, self._ej_lo, self._ej_hi)
+        if np.ndim(x) == 0:
+            return self._series(np.log(x))
+        np.log(x, out=x)
+        off, scl = self._series.mapparms()
+        x *= scl
+        x += off
+        c = self._series.coef
+        x2 = 2.0 * x
+        c0 = np.full_like(x, c[-2])
+        c1 = np.full_like(x, c[-1])
+        tmp = np.empty_like(x)
+        for i in range(3, c.size + 1):
+            # (c0, c1) <- (c[-i] - c1, c0 + c1 * x2), as chebval
+            np.multiply(c1, x2, out=tmp)
+            np.subtract(c[-i], c1, out=c1)
+            np.add(c0, tmp, out=c0)
+            c0, c1 = c1, c0
+        c1 *= x
+        c1 += c0
+        return c1
 
     def slope(self, ln_ej: float) -> float:
         """d omega_q / d ln(E_J) [Hz] of the interpolant."""
@@ -244,7 +308,11 @@ def addressing_map(array, phi_dc_grid, phi_rf_grid, ec: float, ej_max
     curve = flux_curve(ec)
     score = np.empty((phi_dc.size, phi_rf.size, len(idx)))
     for q, (e_q, n_i) in enumerate(zip(ej_max, idx)):
-        ej_bar = 2.0 * e_q * dc_fac * rf_fac
-        det = 2.0 * math.pi * curve.omega_q(ej_bar) - n_i * array.omega_m
-        score[:, :, q] = np.exp(-det ** 2 / (2.0 * SIGMA_RES ** 2))
+        # the detuning 2 pi omega_q - n_i omega_m, scored in place
+        det = curve.omega_q(2.0 * e_q * dc_fac * rf_fac)
+        det *= 2.0 * math.pi
+        det -= n_i * array.omega_m
+        np.square(det, out=det)
+        det /= -2.0 * SIGMA_RES ** 2
+        np.exp(det, out=score[:, :, q])
     return score

@@ -144,6 +144,18 @@ def test_sweep_is_the_budget_of_each_size(bus):
         assert worst[n - 1] == max(budget.full_budget(sized, model)[-1]), n
 
 
+@pytest.mark.parametrize("n", [0, 4, 100])
+def test_sweep_rejects_a_size_beyond_its_template(n):
+    """The sweep answers sizes 1..n_qubits of its template; the first n
+    past either end raises instead of clamping to the whole comb."""
+    array = budget.QubitArraySpec(n_qubits=3)
+    model = budget.bus_model("nonreciprocal", OMEGA_M)
+    assert len(budget.scalability_sweep(array, model, [1, 3])) == 2
+    with pytest.raises(ValueError, match=rf"^n_range holds {n}, outside "
+                                         r"1\.\.3 \(array.n_qubits\)$"):
+        budget.scalability_sweep(array, model, [2, n])
+
+
 class TestGain:
     def test_uniform_when_peak_equals_floor(self):
         m = uniform_model()

@@ -1124,8 +1124,18 @@ class TestExitCodes:
         text = errors.shown([Item() for _ in range(100_000)])
         assert text.endswith("... (100000 items)")
         assert errors.SHOWN // 8 <= len(calls) <= errors.SHOWN
+        # the cut holds at every nesting level, not only the top one
+        calls.clear()
+        text = errors.shown([[Item() for _ in range(100_000)]])
+        assert text.endswith("... (1 items)")
+        assert len(text) == errors.SHOWN + len("... (1 items)")
+        assert len(calls) <= errors.SHOWN
+        inner = [list(range(100_000))]
+        assert errors.shown(inner) == repr(inner)[:errors.SHOWN] \
+            + "... (1 items)"
         for value in ([1.5, [2, (3,)], {"a": ()}], "x" * (errors.SHOWN - 2),
-                      {"b": [None, True]}, (), [[[]]]):
+                      {"b": [None, True]}, (), [[[]]],
+                      ({(2,): "3"}, (4,))):
             assert errors.shown(value) == repr(value)
         deep = json.loads("[" * 900 + "]" * 900)
         assert errors.shown(deep) == repr(deep)[:errors.SHOWN] \

@@ -117,6 +117,59 @@ def test_truncation_convergence_on_doubling():
     np.testing.assert_allclose(levels[1:], fixed[1:], rtol=1e-9)
 
 
+def _dense_levels(ec, ej, cut, n_levels):
+    """Oracle: the full (2 cut + 1)-dimensional charge-basis matrix."""
+    n = np.arange(-cut, cut + 1, dtype=np.float64)
+    ham = np.diag(4.0 * ec * n ** 2)
+    off = np.arange(2 * cut)
+    ham[off, off + 1] = ham[off + 1, off] = -0.5 * ej
+    vals = np.linalg.eigvalsh(ham)[:n_levels]
+    return vals - vals[0]
+
+
+@pytest.mark.parametrize("cut", [31, 46])
+@pytest.mark.parametrize("ej_over_ec", [8, 50, 1e3, 2.2e4])
+def test_parity_blocks_match_the_full_basis(ej_over_ec, cut):
+    """The even and odd blocks' sorted union is the full basis' spectrum,
+    within the dense solver's rounding."""
+    import fluxcomb.transmon as tm
+    ec = 0.25e9
+    expect = _dense_levels(ec, ej_over_ec * ec, cut, 5)
+    got = tm._charge_levels(ec, ej_over_ec * ec, cut, 5)
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * expect[-1])
+
+
+def test_flux_curve_table_is_its_per_node_solves(monkeypatch):
+    """The table's two stacked solves give each node's own solve bit for
+    bit, and the array series is chebval's bit for bit."""
+    import fluxcomb.transmon as tm
+    ec = 0.25e9
+    shapes = []
+    solve = tm.eigvals_tridiag
+
+    def counted(diag, off):
+        shapes.append(off.shape)
+        return solve(diag, off)
+
+    monkeypatch.setattr(tm, "eigvals_tridiag", counted)
+    curve = tm.FluxCurve(ec)
+    cut = tm._converged_levels(ec, 2.2e4 * ec, 3)[1]
+    assert [s for s in shapes if len(s) == 2] == [(48, cut - 1), (48, cut)]
+    nodes = [tm._charge_levels(ec, math.exp(le), cut, 3)[1]
+             for le in curve._ln_ej]
+    np.testing.assert_array_equal(curve._wq, nodes)
+
+    ej = np.exp(np.random.default_rng(5).uniform(
+        math.log(4 * ec), math.log(4e4 * ec), (37, 23)))
+    given = ej.copy()
+    np.testing.assert_array_equal(
+        curve.omega_q(ej),
+        curve._series(np.log(np.clip(ej, curve._ej_lo, curve._ej_hi))))
+    np.testing.assert_array_equal(ej, given)
+    assert curve.omega_q(3e10) == curve._series(math.log(3e10))
+
+
 def test_convergence_error_when_cap_hit(monkeypatch):
     import fluxcomb.transmon as tm
     monkeypatch.setattr(tm, "_MAX_CHARGE_CUT", 30)
