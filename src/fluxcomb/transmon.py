@@ -181,33 +181,8 @@ class FluxCurve:
         self._slope = self._series.deriv()
 
     def omega_q(self, ej):
-        """Interpolated qubit frequency [Hz]; accepts scalars or arrays.
-
-        An array runs chebval's own Clenshaw recurrence in place, in
-        buffers of its shape, so it equals the series call bit for bit
-        without allocating temporaries at each of the 48 terms.
-        """
-        x = np.clip(ej, self._ej_lo, self._ej_hi)
-        if np.ndim(x) == 0:
-            return self._series(np.log(x))
-        np.log(x, out=x)
-        off, scl = self._series.mapparms()
-        x *= scl
-        x += off
-        c = self._series.coef
-        x2 = 2.0 * x
-        c0 = np.full_like(x, c[-2])
-        c1 = np.full_like(x, c[-1])
-        tmp = np.empty_like(x)
-        for i in range(3, c.size + 1):
-            # (c0, c1) <- (c[-i] - c1, c0 + c1 * x2), as chebval
-            np.multiply(c1, x2, out=tmp)
-            np.subtract(c[-i], c1, out=c1)
-            np.add(c0, tmp, out=c0)
-            c0, c1 = c1, c0
-        c1 *= x
-        c1 += c0
-        return c1
+        """Interpolated qubit frequency [Hz]; accepts scalars or arrays."""
+        return self._series(np.log(np.clip(ej, self._ej_lo, self._ej_hi)))
 
     def slope(self, ln_ej: float) -> float:
         """d omega_q / d ln(E_J) [Hz] of the interpolant."""
@@ -308,11 +283,7 @@ def addressing_map(array, phi_dc_grid, phi_rf_grid, ec: float, ej_max
     curve = flux_curve(ec)
     score = np.empty((phi_dc.size, phi_rf.size, len(idx)))
     for q, (e_q, n_i) in enumerate(zip(ej_max, idx)):
-        # the detuning 2 pi omega_q - n_i omega_m, scored in place
-        det = curve.omega_q(2.0 * e_q * dc_fac * rf_fac)
-        det *= 2.0 * math.pi
-        det -= n_i * array.omega_m
-        np.square(det, out=det)
-        det /= -2.0 * SIGMA_RES ** 2
-        np.exp(det, out=score[:, :, q])
+        ej_bar = 2.0 * e_q * dc_fac * rf_fac
+        det = 2.0 * math.pi * curve.omega_q(ej_bar) - n_i * array.omega_m
+        score[:, :, q] = np.exp(-det ** 2 / (2.0 * SIGMA_RES ** 2))
     return score
