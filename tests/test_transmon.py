@@ -266,10 +266,22 @@ def test_flux_curve_accuracy():
         exact = np.array([diagonalize(ec, math.exp(le))[1]
                           for le in ln_ej])
         got = curve.omega_q(np.exp(ln_ej))
-        np.testing.assert_allclose(got, exact, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
         # the inverse lands on the series' own value
-        for le, w in zip(ln_ej[:10], got[:10]):
-            assert curve.ln_ej_from_omega(w) == pytest.approx(le, rel=1e-13)
+        np.testing.assert_allclose(curve.ln_ej_from_omega(got), ln_ej,
+                                   rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("ec", [1e-3, 2.5e8, 1e20])
+def test_flux_curve_root_is_the_exact_solve(ec):
+    # the spectrum over ec depends only on ej/ec, so three ec values span
+    # every curve; an exact solve at the root lands on its target
+    curve = flux_curve(ec)
+    w_lo, w_hi = curve.omega_range
+    targets = np.random.default_rng(5).uniform(w_lo, w_hi, 200)
+    ln_ej = curve.ln_ej_from_omega(targets)
+    exact = np.array([diagonalize(ec, math.exp(le))[1] for le in ln_ej])
+    np.testing.assert_allclose(exact, targets, rtol=1e-12, atol=0)
 
 
 def test_flux_curve_clips_and_rejects_out_of_range():
@@ -277,8 +289,16 @@ def test_flux_curve_clips_and_rejects_out_of_range():
     lo, hi = curve.omega_q(np.array([8 * 0.25e9, 2.2e4 * 0.25e9]))
     assert curve.omega_q(1.0) == lo
     assert curve.omega_q(1e20) == hi
-    for w in (0.5 * lo, 2.0 * hi):
-        with pytest.raises(ConfigError, match="outside the flux curve"):
+    assert curve.omega_range == (lo, hi)
+    np.testing.assert_allclose(curve.ln_ej_from_omega([lo, hi]),
+                               np.log([8 * 0.25e9, 2.2e4 * 0.25e9]),
+                               rtol=1e-13)
+    # one target off the curve rejects the whole array, naming the first
+    for w, shown in (([lo, 0.5 * lo, 2.0 * hi], 0.5 * lo),
+                     ([2.0 * hi, 0.5 * lo], 2.0 * hi),
+                     (2.0 * hi, 2.0 * hi)):
+        with pytest.raises(ConfigError, match=f"^qubit frequency "
+                           f"{shown / 1e9:.4g} GHz outside the flux curve"):
             curve.ln_ej_from_omega(w)
 
 
@@ -293,18 +313,13 @@ def test_default_comb_sits_on_harmonics():
                 <= 1e-12 * n_i * OMEGA_M
 
 
-def test_calibration_converges_from_a_poor_start(monkeypatch):
-    # the exact Newton steps, not the curve's start point, pin the qubits
-    curve = flux_curve(0.25e9)
-    start = curve.ln_ej_from_omega
-    monkeypatch.setattr(curve, "ln_ej_from_omega", lambda w: start(w) + 0.05)
-    ej_max = default_comb_qubits(OMEGA_M, (5, 25), 0.25e9,
-                                 bias_targets=[0.0, 0.0])
-    for e_q, n_i in zip(ej_max, (5, 25)):
-        # at zero bias the SQUID's E_J is 2 ej_max
-        wq = diagonalize(0.25e9, 2.0 * e_q)[1]
-        assert abs(2 * math.pi * wq - n_i * OMEGA_M) \
-            <= 1e-12 * n_i * OMEGA_M
+def test_calibration_solves_nothing_once_the_curve_is_cached(monkeypatch):
+    import fluxcomb.transmon as tm
+    flux_curve(0.25e9)
+    calls = []
+    monkeypatch.setattr(tm, "eigvals_tridiag", lambda *a: calls.append(a))
+    default_comb_qubits(OMEGA_M, COMB, 0.25e9)
+    assert calls == []
 
 
 def test_addressing_dc_sweep_peaks_separate():
