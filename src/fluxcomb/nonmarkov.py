@@ -292,7 +292,11 @@ def dephasing(models, tau_grid, n_realizations: int, seed: int):
     draws its tone phases from default_rng((seed, r)), so every contrast
     shares every trajectory and echo >= Ramsey comparisons are paired.
     Models with the same tone grid (f_min, f_max, n_components) share one
-    phase draw and one pair of matrix products per chunk of realizations."""
+    phase draw and one pair of matrix products per chunk of realizations.
+    The exact mean is prod_k J0(B_k(tau)) (Ithier et al., Phys. Rev. B 72,
+    134519 (2005)), and test_nonmarkov's TestExactEnsembleMean checks the
+    ensemble against it; the Monte Carlo stays because the packaged CSVs
+    and the benchmark references are its seeded draws."""
     tau = np.asarray(tau_grid, dtype=float)
     groups = {}
     for m, model in enumerate(models):

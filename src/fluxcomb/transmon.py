@@ -64,15 +64,16 @@ def j0(x):
     return np.cos(np.multiply.outer(x, _J0_SIN)).mean(axis=-1)[()]
 
 
-def ej_time_averaged(ej_max: float, phi_dc: float, phi_rf: float) -> float:
+def ej_time_averaged(ej_max, phi_dc, phi_rf):
     """Cycle-averaged E_J under flux phi(t) = phi_dc + phi_rf*sin(omega t),
-    both in line-flux units (2*pi*Phi/Phi0, radians).
+    both in line-flux units (2*pi*Phi/Phi0, radians): scalars or arrays,
+    broadcast together.
 
     The average of cos(phi/2) over one drive period contributes a Bessel
     factor: <cos> = cos(phi_dc/2) * J0(phi_rf/2). At phi_rf = 0 this is the
     plain DC expression.
     """
-    return 2.0 * ej_max * abs(math.cos(0.5 * phi_dc) * j0(0.5 * phi_rf))
+    return 2.0 * ej_max * abs(np.cos(0.5 * phi_dc)) * abs(j0(0.5 * phi_rf))
 
 
 def eigvals_tridiag(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -263,14 +264,10 @@ def addressing_map(array, phi_dc_grid, phi_rf_grid, ec: float, ej_max
     phi_dc = np.asarray(phi_dc_grid, dtype=float)
     phi_rf = np.asarray(phi_rf_grid, dtype=float)
     idx = list(array.harmonic_indices)
-
-    # separable flux factor: ej_bar = 2 ej_max |cos(dc/2)| J0(rf/2)
-    dc_fac = np.abs(np.cos(0.5 * phi_dc))[:, None]
-    rf_fac = np.abs(j0(0.5 * phi_rf))[None, :]
     curve = flux_curve(ec)
     score = np.empty((phi_dc.size, phi_rf.size, len(idx)))
     for q, (e_q, n_i) in enumerate(zip(ej_max, idx)):
-        ej_bar = 2.0 * e_q * dc_fac * rf_fac
+        ej_bar = ej_time_averaged(e_q, phi_dc[:, None], phi_rf)
         det = 2.0 * math.pi * curve.omega_q(ej_bar) - n_i * array.omega_m
         score[:, :, q] = np.exp(-det ** 2 / (2.0 * SIGMA_RES ** 2))
     return score

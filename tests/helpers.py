@@ -1,8 +1,9 @@
-"""Shared test fixtures: the rf-driven line drive and the memory-kernel
-regime that the line and non-Markovian tests are written against, two
-measures only the tests take (the total spatial harmonic band power and
-the transmon's dispersive shift), the error budget's arrays by name, and
-the leaves of a config tree."""
+"""Shared test fixtures: the rf-driven line drive, its cw source and the
+memory-kernel regime that the line and non-Markovian tests are written
+against, four measures only the tests take (the total spatial harmonic
+band power, the transmon's dispersive shift, the exact dephasing
+contrasts and acceptance 10's stretched-exponent fit), the error
+budget's arrays by name, and the leaves of a config tree."""
 
 import math
 import warnings
@@ -10,8 +11,9 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.special import j0
 
-from fluxcomb import budget, line, transmon
+from fluxcomb import budget, line, nonmarkov, transmon
 from fluxcomb.errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
@@ -45,11 +47,43 @@ def default_drive(phi_dc: float, phi_rf: float,
         kappa_s=TWO_PI * 3.0 / geom.length, omega_s=TWO_PI * 3e9)
 
 
+def cw_source(amp: float = 1e-6) -> line.SourceSpec:
+    """A continuous wave at the 3 GHz excitation tone, from the left port
+    with the default ramp."""
+    return line.SourceSpec(kind="continuous-wave", omega=TWO_PI * 3e9,
+                           amplitude=amp)
+
+
 def memory_kernel() -> tuple[float, float]:
     """The packaged nonmarkov kernel, (amplitude_a, gamma_memory): the
     decay rate transiently turns negative within the first 100 ns."""
     gamma_mem = TWO_PI * 5e6
     return 4.0 * gamma_mem ** 2, gamma_mem
+
+
+def exact_contrasts(models, tau) -> tuple[np.ndarray, np.ndarray]:
+    """The ensemble means that nonmarkov.dephasing estimates, (ramsey,
+    echo), each (len(models), len(tau)). A trajectory is a sum of tones
+    a_k cos(w_k t + phi_k) with independent uniform phases, so the mean
+    of exp(i Phi(tau)) is prod_k J0(B_k) (Abramowitz and Stegun 9.1.21),
+    with B_k = (2 a_k / w_k) |sin(w_k tau / 2)| for Ramsey and
+    B_k = (a_k / w_k) |exp(i w_k tau / 2) - 1|^2 for the echo."""
+    tau = np.asarray(tau, dtype=float)[:, None]
+    out = np.empty((2, len(models), tau.size))
+    for m, model in enumerate(models):
+        f_k, a_k = nonmarkov._tones(model)
+        w = TWO_PI * f_k
+        b_ramsey = (2.0 * a_k / w) * np.abs(np.sin(0.5 * w * tau))
+        b_echo = (a_k / w) * np.abs(np.exp(0.5j * w * tau) - 1.0) ** 2
+        out[:, m] = [np.prod(j0(b), axis=1) for b in (b_ramsey, b_echo)]
+    return out[0], out[1]
+
+
+def fit_beta(tau: np.ndarray, y: np.ndarray) -> float:
+    """Acceptance 10's stretched exponent of a contrast curve: the fit of
+    the points between 0.25 and 0.85, clipped at 1."""
+    m = (y > 0.25) & (y < 0.85)
+    return nonmarkov.fit_decay(tau[m], np.minimum(y[m], 1.0))[1]
 
 
 def harmonic_band_power(i: np.ndarray, sim: line.Simulator, n_max: int = 6,

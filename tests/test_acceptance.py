@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from fluxcomb import budget, cli, line, nonmarkov, transmon
-from helpers import (ReadoutSpec, chi_dispersive, default_drive,
-                     harmonic_band_power, memory_kernel, named_budget)
+from helpers import (ReadoutSpec, chi_dispersive, cw_source, default_drive,
+                     fit_beta, harmonic_band_power, memory_kernel,
+                     named_budget)
 from test_nonmarkov import quadrature_population
 from test_transmon import _jc_chi
 
@@ -33,21 +34,16 @@ def report(capsys, label, ok, note=""):
               flush=True)
 
 
-def _cw_source(amplitude=1e-6, port="left"):
-    return line.SourceSpec(kind="continuous-wave", omega=OMEGA_M,
-                           amplitude=amplitude, port=port)
-
-
 def test_acceptance_01_harmonic_generation(capsys):
     t_start = time.perf_counter()
     geom = line.LineGeometry()
 
-    sim = line.build_line(geom, default_drive(0.6, 0.0, geom), _cw_source())
+    sim = line.build_line(geom, default_drive(0.6, 0.0, geom), cw_source())
     sim.run_until(5.4e-9)
     quiet, _ = line.spatial_harmonics(sim.i[0], sim, 6)
     floor_db = max(quiet[1:])
 
-    sim = line.build_line(geom, default_drive(0.6, 0.6, geom), _cw_source())
+    sim = line.build_line(geom, default_drive(0.6, 0.6, geom), cw_source())
     sim.run_until(0.8e-9)
     loud, _ = line.spatial_harmonics(sim.i[0], sim, 6)
     n_emerged = int(np.sum(loud[1:] > -30.0))
@@ -65,7 +61,7 @@ def test_acceptance_01_harmonic_generation(capsys):
 def _band_power_envelope(phi_dc, phi_rf, snap_times):
     geom = line.LineGeometry()
     drive = default_drive(phi_dc, phi_rf, geom)
-    sim = line.build_line(geom, drive, _cw_source())
+    sim = line.build_line(geom, drive, cw_source())
     i = sim.run_until(2.6e-9, snap_times)[2]
     powers = [harmonic_band_power(i_k, sim) for i_k in i]
     return np.maximum.accumulate(powers)
@@ -77,7 +73,7 @@ def test_acceptance_02_flux_dependence(capsys):
     finals = []
     for rf in (0.2, 0.3, 0.4):
         drive = default_drive(0.8, rf, geom)
-        sim = line.build_line(geom, drive, _cw_source())
+        sim = line.build_line(geom, drive, cw_source())
         sim.run_until(2.6e-9)
         finals.append(harmonic_band_power(sim.i[0], sim))
     monotone = finals[0] < finals[1] < finals[2]
@@ -350,13 +346,9 @@ def test_acceptance_10_spectroscopy(capsys):
     (ram_1f, _), (echo_1f, echo_filt) = nonmarkov.dephasing(
         [m_1f, m_filt], tau, 500, 42)
 
-    def fit_beta(y):
-        m = (y > 0.25) & (y < 0.85)
-        return nonmarkov.fit_decay(tau[m], np.minimum(y[m], 1.0))[1]
-
-    beta_echo = fit_beta(echo_1f)
-    beta_ram = fit_beta(ram_1f)
-    beta_filt = fit_beta(echo_filt)
+    beta_echo = fit_beta(tau, echo_1f)
+    beta_ram = fit_beta(tau, ram_1f)
+    beta_filt = fit_beta(tau, echo_filt)
     above_floor = ram_1f > 0.15
     echo_dominates = bool(np.all(echo_1f[above_floor]
                                  >= ram_1f[above_floor] - 0.01))

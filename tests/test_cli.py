@@ -1620,3 +1620,15 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_keys_passes_other_errors_through():
+    """A ConfigError whose first word names none of the fields leaves
+    cli._keys as the same exception, its message unchanged."""
+    exc = ConfigError("qubit frequency 9 GHz outside the flux curve's "
+                      "range (ec, ej_max)")
+    with pytest.raises(ConfigError) as info:
+        with cli._keys(ec="ec_hz", ej_max="bias_phi_dc"):
+            raise exc
+    assert info.value is exc
+    assert str(info.value) == str(exc)

@@ -5,9 +5,11 @@ integro-differential form (written before the solver, different scheme,
 different state variables), the Markov limit, and the analytic backflow
 geometry of the underdamped regime. The batched ensembles and noise
 synthesis are checked against the per-realization loops they replaced,
-and the shared multi-model pass against single-model runs.
+the shared multi-model pass against single-model runs, and the packaged
+ensembles against their exact mean.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +20,7 @@ from scipy.signal import savgol_filter
 from fluxcomb import cli
 from fluxcomb import nonmarkov as nm
 from fluxcomb.errors import ConfigError, NumericalError
-from helpers import memory_kernel
+from helpers import exact_contrasts, fit_beta, memory_kernel
 
 TWO_PI = 2.0 * np.pi
 
@@ -541,6 +543,12 @@ class TestFitDecay:
         with pytest.raises(NumericalError):
             nm.fit_decay(t, np.ones(25))
 
+    def test_steep_decay_leaves_admissible_region(self):
+        t = np.linspace(0.2e-6, 5e-6, 40)
+        with pytest.raises(NumericalError, match=re.escape(
+                "fit left the admissible region (beta = 6.000)")):
+            nm.fit_decay(t, np.exp(-(t / 2e-6) ** 6))
+
 
 class TestSpectroscopyProtocol:
     """Light version of the frozen dephasing protocol; the full
@@ -571,3 +579,46 @@ class TestSpectroscopyProtocol:
         assert 2.3 < b1 < 3.9
         assert 1.3 < bf < 2.7
         assert b1 > bf
+
+
+def packaged_dephasing():
+    """The spectroscopy scenario's two noise models on its packaged
+    config, its tau grid, and its ensemble size."""
+    cfg = cli.resolve_config("spectroscopy", None, [])
+    models = [cli._noise_model("one-over-f", "one_over_f", cfg["one_over_f"]),
+              cli._noise_model("filtered", "filtered", cfg["filtered"])]
+    t = cfg["tau"]
+    return (models, np.geomspace(t["start_s"], t["stop_s"], t["n"]),
+            cfg["n_realizations"], cfg["seed"])
+
+
+class TestExactEnsembleMean:
+    """The Monte Carlo contrasts against their exact mean, the product of
+    J0 over the tones (helpers.exact_contrasts; Ithier et al., Phys. Rev.
+    B 72, 134519 (2005))."""
+
+    def test_contrasts_within_four_sigma_of_the_product(self):
+        models, tau, n_real, seed = packaged_dephasing()
+        assert (n_real, seed) == (500, 42)
+        for got, exact in zip(nm.dephasing(models, tau, n_real, seed),
+                              exact_contrasts(models, tau)):
+            assert got.shape == exact.shape == (2, tau.size)
+            # each part of the sample mean of exp(i Phi) has variance of
+            # order (1 - C^2) / 2N; at C = 0 this is the Rayleigh scale
+            sigma = np.sqrt((1.0 - exact ** 2) / (2.0 * n_real))
+            assert np.all(np.abs(got - np.abs(exact)) <= 4.0 * sigma)
+
+    def test_exact_exponents_inside_acceptance_bands(self):
+        """Acceptance 10's fit window on the exact curves: the exponents
+        the Monte Carlo estimates (1.85, 2.94 and 1.79 at 500
+        realizations) are 1.98, 3.18 and 1.75 in the limit."""
+        models, tau, _, _ = packaged_dephasing()
+        (ram_1f, _), (echo_1f, echo_filt) = exact_contrasts(models, tau)
+        beta_ram, beta_echo, beta_filt = (
+            fit_beta(tau, y) for y in (ram_1f, echo_1f, echo_filt))
+        assert beta_ram == pytest.approx(1.98, abs=0.005)
+        assert beta_echo == pytest.approx(3.18, abs=0.005)
+        assert beta_filt == pytest.approx(1.75, abs=0.005)
+        assert abs(beta_ram - 1.0) > 0.3
+        assert 2.5 <= beta_echo <= 3.5
+        assert 1.5 <= beta_filt <= 2.5

@@ -30,7 +30,8 @@ def reference_advance(sim, n_steps, probe_idx=()):
     """The stepper one step at a time, with the modulation evaluated as
     sin(mod_phase - omega_s t) per cell: advances copies of the state of
     sim's one run and returns (bad_step, v, flux, i, probe_record)."""
-    v, flux, i_work = sim.v[0].copy(), sim.flux[0].copy(), sim.i[0].copy()
+    v, i_work = sim.v[0].copy(), sim.i[0].copy()
+    flux = sim._psi_cells[0] * sim.dt
     (src,), d, dt = sim.sources, sim.drive, sim.dt
     dt_over_c = dt / sim.geom.c_cell
     dt_over_cend = dt / (0.5 * sim.geom.c_cell)
@@ -104,7 +105,7 @@ def test_trajectories_match_reference(kind, port):
         assert bad == -1
         sim._advance(n_steps)
         assert_close(sim.v[0], v)
-        assert_close(sim.flux[0], flux)
+        assert_close(sim._psi_cells[0] * sim.dt, flux)
         assert_close(sim.i[0], i)
     assert sim.t_index == 276
 
@@ -133,7 +134,7 @@ def test_ceiling_trip_matches_reference():
         sim._advance(400)
     assert sim.t_index == bad + 1
     assert_close(sim.v[0], v)
-    assert_close(sim.flux[0], flux)
+    assert_close(sim._psi_cells[0] * sim.dt, flux)
     assert_close(sim.i[0], i)
 
 
@@ -166,7 +167,8 @@ def test_nan_trip_matches_reference():
     with pytest.raises(NumericalError, match="at step 40 "):
         sim._advance(100)
     assert sim.t_index == 41
-    for got, want in ((sim.v[0], v), (sim.flux[0], flux), (sim.i[0], i)):
+    for got, want in ((sim.v[0], v), (sim._psi_cells[0] * sim.dt, flux),
+                      (sim.i[0], i)):
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         ok = ~np.isnan(want)
         assert_close(got[ok], want[ok])
@@ -176,14 +178,15 @@ def assert_same_state(a, b):
     """Every run of a equals the same run of b, bit for bit."""
     assert a.t_index == b.t_index
     np.testing.assert_array_equal(a.v, b.v)
-    np.testing.assert_array_equal(a.flux, b.flux)
+    np.testing.assert_array_equal(a._psi_cells * a.dt, b._psi_cells * b.dt)
     np.testing.assert_array_equal(a.i, b.i)
 
 
 def assert_same_run(batch, row, single):
     """Run `row` of batch equals the one run of single, bit for bit."""
     assert batch.t_index == single.t_index
-    for got, want in ((batch.v, single.v), (batch.flux, single.flux),
+    flux_b, flux_s = (s._psi_cells * s.dt for s in (batch, single))
+    for got, want in ((batch.v, single.v), (flux_b, flux_s),
                       (batch.i, single.i)):
         np.testing.assert_array_equal(got[row], want[0])
 
@@ -260,7 +263,7 @@ def test_mirrored_pair_is_exact_at_kappa_s_zero():
         ramp_periods=0.5) for port in ("left", "right")))
     sim._advance(130)
     sim._advance(170)
-    (left_v, right_v), (left_f, right_f) = sim.v, sim.flux
+    (left_v, right_v), (left_f, right_f) = sim.v, sim._psi_cells * sim.dt
     assert np.max(np.abs(left_v)) > 1e-8
     np.testing.assert_array_equal(right_v, left_v[::-1])
     np.testing.assert_array_equal(right_f, -left_f[::-1])

@@ -44,6 +44,19 @@ def test_ej_time_averaged_bessel_suppression():
     assert ej_time_averaged(5e9, 0.6, 0.3) < full
 
 
+def test_ej_time_averaged_on_arrays_equals_scalar_calls():
+    """Arrays broadcast, each element bit for bit its scalar call: the
+    addressing map scores through the same law as a single qubit."""
+    rng = np.random.default_rng(3)
+    phi_dc = rng.uniform(-3.0, 3.0, 41)
+    phi_rf = rng.uniform(0.0, 1.5, 29)
+    got = ej_time_averaged(7.3e9, phi_dc[:, None], phi_rf)
+    assert got.shape == (41, 29)
+    want = [[ej_time_averaged(7.3e9, float(dc), float(rf)) for rf in phi_rf]
+            for dc in phi_dc]
+    np.testing.assert_array_equal(got, np.array(want))
+
+
 # -------------------------------------------------------- diagonalization
 
 def test_charging_parabola_at_zero_ej():
