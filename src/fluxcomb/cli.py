@@ -15,7 +15,10 @@ exits 2 as an unknown key.
 BOUNDS is the one place where a bound on one key is checked. The library
 checks only what ties values together, the float range of values it
 derives, choices among strings and rules BOUNDS cannot state; _keys
-names the config keys of those messages.
+names the config keys of those messages. The field tables (_GEOMETRY,
+_DRIVE, _SOURCE, _ARRAY, _NOISE and their kin) are the one place where a
+library field meets its config key: _build reads a section through its
+table and returns the dotted keys that _keys names.
 
 Exit codes: 0 success, 2 bad configuration, 3 numerical failure, 4
 filesystem trouble.
@@ -210,7 +213,9 @@ def _keys(**fields):
     messages start with the library's own field name and name any other
     field a constraint ties it to: `fields` maps those names to dotted
     keys, and every key the message names is listed, the first word's
-    first. Other ConfigErrors pass through unchanged."""
+    first. Other ConfigErrors pass through unchanged. A library object's
+    map is the one _build returns from its field table, which alone pairs
+    a field with its key."""
     try:
         yield
     except ConfigError as exc:
@@ -219,6 +224,46 @@ def _keys(**fields):
             raise
         keys = dict.fromkeys(fields[w] for w in words if w in fields)
         raise ConfigError(_quoted(keys) + f": {exc}") from None
+
+
+# each library class a scenario builds from a config section: its fields
+# and their keys in the section, the one place where a field meets its
+# key. A (key, TWO_PI) entry is a frequency in Hz for a field in rad/s.
+_GEOMETRY = dict(n_cells="n_cells", dz="dz_m",
+                 c_per_length="c_per_length_f_per_m", i0="i0_amps")
+_DRIVE = dict(phi_dc_tilde="phi_dc", phi_rf_tilde="phi_rf",
+              omega_s=("modulation_freq_hz", TWO_PI), phase="phase_rad")
+_SOURCE = dict(kind="kind", port="port", amplitude="amplitude_volts",
+               omega=("freq_hz", TWO_PI), t_center="t_center_s",
+               t_width="t_width_s", ramp_periods="ramp_periods")
+# scalability's array has no n_qubits: its comb is n_max teeth
+_ARRAY = dict(omega_m=("modulation_freq_hz", TWO_PI),
+              t1_intrinsic="t1_intrinsic_s", t2_intrinsic="t2_intrinsic_s",
+              g_coupling=("g_coupling_hz", TWO_PI),
+              kappa_bus=("kappa_bus_hz", TWO_PI), t_gate="t_gate_s",
+              lambda_c="lambda_c_m")
+_BUDGET_ARRAY = dict(_ARRAY, n_qubits="n_qubits")
+_NOISE = dict(amplitude="amplitude_rad2_per_s2", f_min="f_min_hz",
+              f_max="f_max_hz", n_components="n_components")
+_NOTCH = dict(_NOISE, filter_center="filter_center_hz",
+              filter_depth="filter_depth_db")
+
+
+def _build(make, table: dict, config: dict, section: str, **derived):
+    """(make(**fields), keys): each field of `table` read from
+    config[section] at its key there, times the factor of a (key, factor)
+    entry, and each field of `derived` a (value, dotted key) pair. make
+    runs inside _keys, and `keys` maps every field to its dotted key for
+    the later _keys blocks that run the object."""
+    cfg, values, keys = config[section], {}, {}
+    for field, entry in table.items():
+        key, factor = entry if type(entry) is tuple else (entry, None)
+        values[field] = cfg[key] if factor is None else factor * cfg[key]
+        keys[field] = f"{section}.{key}"
+    for field, (value, key) in derived.items():
+        values[field], keys[field] = value, key
+    with _keys(**keys):
+        return make(**values), keys
 
 
 def _count(n: int) -> str:
@@ -245,24 +290,12 @@ def _row_index(n: int, repeat: int, tile: int) -> np.ndarray:
 # ------------------------------------------------------------- scenarios
 
 def run_line_sim(config: dict):
-    gcfg = config["geometry"]
-    geom_keys = dict(n_cells="geometry.n_cells", dz="geometry.dz_m",
-                     c_per_length="geometry.c_per_length_f_per_m",
-                     i0="geometry.i0_amps")
-    with _keys(**geom_keys):
-        geom = line.LineGeometry(
-            n_cells=gcfg["n_cells"],
-            dz=gcfg["dz_m"],
-            c_per_length=gcfg["c_per_length_f_per_m"],
-            i0=gcfg["i0_amps"])
+    geom, geom_keys = _build(line.LineGeometry, _GEOMETRY, config,
+                             "geometry")
     dcfg = config["drive"]
-    with _keys(phi_dc_tilde="drive.phi_dc", phi_rf_tilde="drive.phi_rf"):
-        drive = line.FluxDrive(
-            phi_dc_tilde=dcfg["phi_dc"],
-            phi_rf_tilde=dcfg["phi_rf"],
-            kappa_s=TWO_PI * dcfg["spatial_periods"] / geom.length,
-            omega_s=TWO_PI * dcfg["modulation_freq_hz"],
-            phase=dcfg["phase_rad"])
+    drive, _ = _build(line.FluxDrive, _DRIVE, config, "drive", kappa_s=(
+        TWO_PI * dcfg["spatial_periods"] / geom.length,
+        "drive.spatial_periods"))
     # the modulation basis takes cos and sin of m theta, m below
     # SERIES_SAMPLES / 2, at theta = kappa_s z + phase, 0 < z < length
     theta = abs(drive.kappa_s) * geom.length + abs(drive.phase)
@@ -270,20 +303,7 @@ def run_line_sim(config: dict):
         raise ConfigError("'drive.spatial_periods', 'drive.phase_rad', "
                           "'geometry.n_cells', 'geometry.dz_m': the "
                           "modulation phase m theta is out of float range")
-    scfg = config["source"]
-    src_keys = dict(kind="source.kind", port="source.port",
-                    amplitude="source.amplitude_volts", omega="source.freq_hz",
-                    t_center="source.t_center_s", t_width="source.t_width_s",
-                    ramp_periods="source.ramp_periods")
-    with _keys(**src_keys):
-        source = line.SourceSpec(
-            kind=scfg["kind"],
-            omega=TWO_PI * scfg["freq_hz"],
-            amplitude=scfg["amplitude_volts"],
-            t_center=scfg["t_center_s"],
-            t_width=scfg["t_width_s"],
-            port=scfg["port"],
-            ramp_periods=scfg["ramp_periods"])
+    source, src_keys = _build(line.SourceSpec, _SOURCE, config, "source")
     rcfg = config["run"]
     spectrum_mode = rcfg["spectrum"]
     if spectrum_mode not in ("spatial", "temporal", "none"):
@@ -343,7 +363,7 @@ def run_line_sim(config: dict):
     # no spectrum's Nyquist limit already holds it: f dt < 1/2
     tones = {"drive.modulation_freq_hz": abs(dcfg["modulation_freq_hz"])}
     if spectrum_mode == "none":
-        tones["source.freq_hz"] = scfg["freq_hz"]
+        tones["source.freq_hz"] = config["source"]["freq_hz"]
     for key, f in tones.items():
         if not f * sim.dt < 0.5:
             raise ConfigError(
@@ -431,34 +451,12 @@ def run_addressing(config: dict):
     return [("levels.csv", "level,freq_hz", [np.arange(len(levels)), levels])]
 
 
-# the config key of each QubitArraySpec field
-_ARRAY_KEYS = dict(n_qubits="array.n_qubits",
-                   omega_m="array.modulation_freq_hz",
-                   t1_intrinsic="array.t1_intrinsic_s",
-                   t2_intrinsic="array.t2_intrinsic_s",
-                   t_gate="array.t_gate_s", lambda_c="array.lambda_c_m",
-                   g_coupling="array.g_coupling_hz",
-                   kappa_bus="array.kappa_bus_hz")
-
-
-def _array_from_config(acfg: dict, n_qubits: int) -> budget.QubitArraySpec:
-    with _keys(**_ARRAY_KEYS):
-        return budget.QubitArraySpec(
-            n_qubits=n_qubits,
-            omega_m=TWO_PI * acfg["modulation_freq_hz"],
-            t1_intrinsic=acfg["t1_intrinsic_s"],
-            t2_intrinsic=acfg["t2_intrinsic_s"],
-            g_coupling=TWO_PI * acfg["g_coupling_hz"],
-            kappa_bus=TWO_PI * acfg["kappa_bus_hz"],
-            t_gate=acfg["t_gate_s"],
-            lambda_c=acfg["lambda_c_m"])
-
-
 def run_error_budget(config: dict):
-    array = _array_from_config(config["array"], config["array"]["n_qubits"])
+    array, array_keys = _build(budget.QubitArraySpec, _BUDGET_ARRAY, config,
+                               "array")
     with _keys(kind="bus"):
         model = budget.bus_model(config["bus"], array.omega_m)
-    with _keys(**_ARRAY_KEYS):
+    with _keys(**array_keys):
         out = budget.full_budget(array, model)
     return [("budget.csv",
              "qubit,omega_over_omega_m,t1_s,t2_s,e_relax,e_dephase,"
@@ -470,12 +468,13 @@ def run_scalability(config: dict):
     n_min, n_max = config["n_min"], config["n_max"]
     if not n_min <= n_max:
         raise ConfigError("'n_max' must be >= 'n_min'")
-    array = _array_from_config(config["array"], n_max)
+    array, array_keys = _build(budget.QubitArraySpec, _ARRAY, config,
+                               "array", n_qubits=(n_max, "n_max"))
     n_range, models = range(n_min, n_max + 1), config["models"]
     with _keys(kind="models"):
         buses = [budget.bus_model(kind, array.omega_m) for kind in models]
     # every n_min..n_max comes from one comb pass over n_max teeth
-    with _keys(**_ARRAY_KEYS | {"n_qubits": "n_max"}):
+    with _keys(**array_keys):
         worst = [budget.scalability_sweep(array, bus, n_range)
                  for bus in buses]
     # rows run over (model, n), n fastest
@@ -511,18 +510,6 @@ def run_nonmarkov(config: dict):
                                 smoothing_window=window)
     tables.append(("gamma_eff.csv", "t_s,gamma_eff_hz", [t, g]))
     return tables
-
-
-def _noise_model(kind: str, section: str, cfg: dict) -> nonmarkov.NoiseModel:
-    # each NoiseModel field the section sets, and its key there
-    fields = dict(amplitude="amplitude_rad2_per_s2", f_min="f_min_hz",
-                  f_max="f_max_hz", n_components="n_components")
-    if kind == "filtered":
-        fields.update(filter_center="filter_center_hz",
-                      filter_depth="filter_depth_db")
-    with _keys(**{f: f"{section}.{k}" for f, k in fields.items()}):
-        return nonmarkov.NoiseModel(
-            kind=kind, **{f: cfg[k] for f, k in fields.items()})
 
 
 def _spectroscopy_work(config: dict, models):
@@ -565,8 +552,13 @@ def run_spectroscopy(config: dict):
     tcfg, pcfg = config["tau"], config["spectrum"]
     if not pcfg["dt_s"] < pcfg["duration_s"]:
         raise ConfigError("need 'spectrum.dt_s' < 'spectrum.duration_s'")
-    models = [_noise_model("one-over-f", "one_over_f", config["one_over_f"]),
-              _noise_model("filtered", "filtered", config["filtered"])]
+    one_over_f, noise_keys = _build(
+        functools.partial(nonmarkov.NoiseModel, kind="one-over-f"), _NOISE,
+        config, "one_over_f")
+    filtered, _ = _build(
+        functools.partial(nonmarkov.NoiseModel, kind="filtered"), _NOTCH,
+        config, "filtered")
+    models = [one_over_f, filtered]
     _spectroscopy_work(config, models)
     # np.geomspace takes 10**log10(tau), which may round past tau, so 2 tau
     # must be finite, and so must the tone tables' w tau, w <= 2 pi f_max
@@ -578,12 +570,10 @@ def run_spectroscopy(config: dict):
     tau = np.geomspace(tcfg["start_s"], tcfg["stop_s"], tcfg["n"])
 
     # the periodogram first: its range error exits before the ensemble
-    with _keys(amplitude="one_over_f.amplitude_rad2_per_s2",
-               f_min="one_over_f.f_min_hz", f_max="one_over_f.f_max_hz",
-               n_components="one_over_f.n_components",
-               duration="spectrum.duration_s", dt="spectrum.dt_s"):
+    with _keys(**noise_keys, duration="spectrum.duration_s",
+               dt="spectrum.dt_s"):
         f, psa = nonmarkov.averaged_periodogram(
-            models[0], pcfg["duration_s"], pcfg["dt_s"],
+            one_over_f, pcfg["duration_s"], pcfg["dt_s"],
             [seed + k for k in range(pcfg["n_avg"])])
     ramsey, echo = nonmarkov.dephasing(models, tau, n_real, seed)
     return [("ramsey.csv", "tau_s,contrast", [tau, ramsey[0]]),

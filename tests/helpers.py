@@ -2,8 +2,10 @@
 memory-kernel regime that the line and non-Markovian tests are written
 against, four measures only the tests take (the total spatial harmonic
 band power, the transmon's dispersive shift, the exact dephasing
-contrasts and acceptance 10's stretched-exponent fit), the error
-budget's arrays by name, and the leaves of a config tree."""
+contrasts and acceptance 10's stretched-exponent fit), two independent
+oracles (the Jaynes-Cummings dispersive shift and the kernel's
+population by direct quadrature), the error budget's arrays by name,
+and the leaves of a config tree."""
 
 import math
 import warnings
@@ -124,3 +126,50 @@ def chi_dispersive(ec: float, ej: float, readout: ReadoutSpec) -> float:
             "approximation degrading", stacklevel=2)
     alpha = levels[2] - 2.0 * levels[1]
     return (readout.g_r ** 2 / delta) * (1.0 + alpha / delta)
+
+
+def jc_chi(nu_q, nu_r, g, n_ph=40):
+    """Two-level atom + resonator oracle: full diagonalization, chi from the
+    dressed resonator frequencies in the two qubit states."""
+    dim = 2 * n_ph
+    H = np.zeros((dim, dim))
+    for n in range(n_ph):
+        H[2 * n, 2 * n] = n * nu_r
+        H[2 * n + 1, 2 * n + 1] = n * nu_r + nu_q
+        if n + 1 < n_ph:
+            i, j = 2 * n + 1, 2 * (n + 1)
+            H[i, j] = H[j, i] = g * math.sqrt(n + 1)
+    w, v = np.linalg.eigh(H)
+
+    def dressed(bare_index):
+        return w[np.argmax(np.abs(v[bare_index, :]))]
+
+    e_g0, e_e0 = dressed(0), dressed(1)
+    e_g1, e_e1 = dressed(2), dressed(3)
+    return ((e_e1 - e_e0) - (e_g1 - e_g0)) / 2.0
+
+
+def quadrature_population(kernel, t_grid):
+    """Independent check for the kernel (A, Gamma): integrate
+    c'(t) = -(A/2) I(t) with
+    I(t) = int_0^t exp(-Gamma (t - tau)) c(tau) dtau directly, using a
+    trapezoid predictor-corrector and an exponentially-updated running
+    integral. O(h^2); no auxiliary (c, w) embedding.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    amplitude_a, gm = kernel
+    a_half = 0.5 * amplitude_a
+    c = 1.0
+    integ = 0.0
+    out = np.empty(t.size)
+    out[0] = c * c
+    for k in range(t.size - 1):
+        h = t[k + 1] - t[k]
+        decay = np.exp(-gm * h)
+        c_pred = c + h * (-a_half * integ)
+        i_pred = decay * (integ + 0.5 * h * c) + 0.5 * h * c_pred
+        c_new = c + 0.5 * h * (-a_half * integ - a_half * i_pred)
+        integ = decay * (integ + 0.5 * h * c) + 0.5 * h * c_new
+        c = c_new
+        out[k + 1] = c * c
+    return out

@@ -18,10 +18,8 @@ import pytest
 
 from fluxcomb import budget, cli, line, nonmarkov, transmon
 from helpers import (ReadoutSpec, chi_dispersive, cw_source, default_drive,
-                     fit_beta, harmonic_band_power, memory_kernel,
-                     named_budget)
-from test_nonmarkov import quadrature_population
-from test_transmon import _jc_chi
+                     fit_beta, harmonic_band_power, jc_chi, memory_kernel,
+                     named_budget, quadrature_population)
 
 TWO_PI = 2.0 * math.pi
 OMEGA_M = TWO_PI * 3e9
@@ -154,7 +152,7 @@ def test_acceptance_05_transmon_spectrum(capsys):
     # anharmonicity correction, so keep |alpha / delta| small
     readout = ReadoutSpec(omega_r=21e9, g_r=0.3e9)
     chi = chi_dispersive(ec, ej, readout)
-    chi_oracle = _jc_chi(omega_q, readout.omega_r, readout.g_r)
+    chi_oracle = jc_chi(omega_q, readout.omega_r, readout.g_r)
     chi_ok = abs(chi - chi_oracle) / abs(chi_oracle) < 0.05
 
     ok = freq_ok and chi_ok

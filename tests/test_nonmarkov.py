@@ -9,6 +9,7 @@ the shared multi-model pass against single-model runs, and the packaged
 ensembles against their exact mean.
 """
 
+import functools
 import re
 import tracemalloc
 
@@ -20,35 +21,10 @@ from scipy.signal import savgol_filter
 from fluxcomb import cli
 from fluxcomb import nonmarkov as nm
 from fluxcomb.errors import ConfigError, NumericalError
-from helpers import exact_contrasts, fit_beta, memory_kernel
+from helpers import (exact_contrasts, fit_beta, memory_kernel,
+                     quadrature_population)
 
 TWO_PI = 2.0 * np.pi
-
-
-def quadrature_population(kernel, t_grid):
-    """Independent check for the kernel (A, Gamma): integrate
-    c'(t) = -(A/2) I(t) with
-    I(t) = int_0^t exp(-Gamma (t - tau)) c(tau) dtau directly, using a
-    trapezoid predictor-corrector and an exponentially-updated running
-    integral. O(h^2); no auxiliary (c, w) embedding.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    amplitude_a, gm = kernel
-    a_half = 0.5 * amplitude_a
-    c = 1.0
-    integ = 0.0
-    out = np.empty(t.size)
-    out[0] = c * c
-    for k in range(t.size - 1):
-        h = t[k + 1] - t[k]
-        decay = np.exp(-gm * h)
-        c_pred = c + h * (-a_half * integ)
-        i_pred = decay * (integ + 0.5 * h * c) + 0.5 * h * c_pred
-        c_new = c + 0.5 * h * (-a_half * integ - a_half * i_pred)
-        integ = decay * (integ + 0.5 * h * c) + 0.5 * h * c_new
-        c = c_new
-        out[k + 1] = c * c
-    return out
 
 
 def loop_tones(model):
@@ -117,7 +93,8 @@ class TestMarkovianEvolution:
 
 class TestKernelEvolution:
     def test_against_quadrature(self):
-        # the O(h^2) quadrature needs the fine grid, not the RK4 solver
+        # the O(h^2) quadrature needs the fine grid; the closed form
+        # has no step size
         kernel = memory_kernel()
         t = np.linspace(0.0, 400e-9, 16001)
         p = nm.evolve_kernel(*kernel, t)
@@ -492,19 +469,15 @@ class TestSpectroscopyMemory:
             tracemalloc.stop()
 
     def test_dephasing_and_periodogram_peaks(self):
-        cfg = cli.resolve_config("spectroscopy", None, [])
-        models = [cli._noise_model(kind, section, cfg[section])
-                  for kind, section in (("one-over-f", "one_over_f"),
-                                        ("filtered", "filtered"))]
-        t, p = cfg["tau"], cfg["spectrum"]
-        tau = np.geomspace(t["start_s"], t["stop_s"], t["n"])
+        models, tau, n_real, seed = packaged_dephasing()
+        p = cli.resolve_config("spectroscopy", None, [])["spectrum"]
 
         def dephasing_peak(n_realizations):
             return self.traced_peak_mb(lambda: nm.dephasing(
-                models, tau, n_realizations, cfg["seed"]))
+                models, tau, n_realizations, seed))
 
         dephasing_peak(200)                     # warm-up
-        peak = dephasing_peak(cfg["n_realizations"])
+        peak = dephasing_peak(n_real)
         # the peak does not grow with the ensemble (Python objects move
         # it by about 0.1 kB from call to call); the bound, the peak with
         # per-chunk arrays (5.33 MB) plus 0.25 MB, fails one more array
@@ -513,7 +486,7 @@ class TestSpectroscopyMemory:
         assert peak < 5.58
         assert self.traced_peak_mb(lambda: nm.averaged_periodogram(
             models[0], p["duration_s"], p["dt_s"],
-            range(cfg["seed"], cfg["seed"] + p["n_avg"]))) < 9.5
+            range(seed, seed + p["n_avg"]))) < 9.5
 
 
 class TestFitDecay:
@@ -564,18 +537,13 @@ class TestSpectroscopyProtocol:
 
     def test_exponent_separation_smoke(self):
         tau = np.geomspace(0.3e-6, 12e-6, 60)
-
-        def fit_window(y):
-            m = (y > 0.25) & (y < 0.85)
-            return nm.fit_decay(tau[m], np.minimum(y[m], 1.0))[1]
-
         m1 = nm.NoiseModel(kind="one-over-f", amplitude=5.4e11,
                            n_components=1024)
         mf = nm.NoiseModel(kind="filtered", amplitude=6e10,
                            filter_center=3e3, filter_depth=30.0,
                            n_components=1024)
         echo_1f, echo_f = nm.dephasing([m1, mf], tau, 250, 42)[1]
-        b1, bf = fit_window(echo_1f), fit_window(echo_f)
+        b1, bf = fit_beta(tau, echo_1f), fit_beta(tau, echo_f)
         assert 2.3 < b1 < 3.9
         assert 1.3 < bf < 2.7
         assert b1 > bf
@@ -585,8 +553,11 @@ def packaged_dephasing():
     """The spectroscopy scenario's two noise models on its packaged
     config, its tau grid, and its ensemble size."""
     cfg = cli.resolve_config("spectroscopy", None, [])
-    models = [cli._noise_model("one-over-f", "one_over_f", cfg["one_over_f"]),
-              cli._noise_model("filtered", "filtered", cfg["filtered"])]
+    models = [cli._build(functools.partial(nm.NoiseModel, kind=kind), table,
+                         cfg, section)[0]
+              for kind, table, section in (
+                  ("one-over-f", cli._NOISE, "one_over_f"),
+                  ("filtered", cli._NOTCH, "filtered"))]
     t = cfg["tau"]
     return (models, np.geomspace(t["start_s"], t["stop_s"], t["n"]),
             cfg["n_realizations"], cfg["seed"])

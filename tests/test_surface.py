@@ -5,18 +5,20 @@ somewhere in the package, and every function parameter with a default
 is passed by some call of that function in the package, or each is kept
 on purpose with its reason. Every key of the CLI's bounds table is a
 config leaf whose every rule holds at its edge, every packaged default
-has its own type and keeps its bound, every scenario takes the config
-alone, and the CLI writes CSVs at one site, in main."""
+has its own type and keeps its bound, every key of the CLI's field tables
+is a config leaf and every field a field of its class, every scenario
+takes the config alone, and the CLI writes CSVs at one site, in main."""
 
 import ast
 import copy
+import dataclasses
 import math
 import re
 from pathlib import Path
 
 import pytest
 
-from fluxcomb import cli
+from fluxcomb import budget, cli, line, nonmarkov
 from fluxcomb.errors import ConfigError
 
 from helpers import config_leaves
@@ -119,7 +121,9 @@ def _unset() -> list:
     parameter by keyword or by position in a call of its function's name
     (a starred argument passes every position). A keyword of
     cli._keys(...) names a field in a key map and sets nothing; one whose
-    value is the default's own literal passes that default."""
+    value is the default's own literal passes that default. A keyword of a
+    cli field table (_GEOMETRY = dict(n_cells="n_cells", ...)) sets its
+    field: cli._build reads it from the config."""
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     calls = []          # (callee, positions passed, {keyword: value})
     for tree in trees.values():
@@ -245,3 +249,65 @@ def test_main_is_the_one_csv_writer():
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and ast.unparse(node.func) == "io.write_csv"]
     assert writers == ["main"]
+
+
+# each field table of the CLI, the class it builds and the config sections
+# it is read from, as (scenario, section)
+TABLES = [
+    (cli._GEOMETRY, line.LineGeometry, [("line-sim", "geometry")]),
+    (cli._DRIVE, line.FluxDrive, [("line-sim", "drive")]),
+    (cli._SOURCE, line.SourceSpec, [("line-sim", "source")]),
+    (cli._ARRAY, budget.QubitArraySpec,
+     [("error-budget", "array"), ("scalability", "array")]),
+    (cli._BUDGET_ARRAY, budget.QubitArraySpec, [("error-budget", "array")]),
+    (cli._NOISE, nonmarkov.NoiseModel,
+     [("spectroscopy", "one_over_f"), ("spectroscopy", "filtered")]),
+    (cli._NOTCH, nonmarkov.NoiseModel, [("spectroscopy", "filtered")]),
+]
+
+
+def test_field_tables_pair_class_fields_with_section_leaves():
+    """Every field of a table is a field of its class, and every key a
+    leaf of its section in each scenario that reads the section; a
+    (key, factor) entry turns a frequency in Hz into rad/s."""
+    defaults = cli._packaged_defaults()
+    for table, cls, sections in TABLES:
+        assert set(table) <= {f.name for f in dataclasses.fields(cls)}, cls
+        for field, key in table.items():
+            if type(key) is tuple:
+                key, factor = key
+                assert key.endswith("_hz") and factor == cli.TWO_PI, field
+            for scenario, section in sections:
+                leaf = defaults[scenario][section].get(key)
+                assert leaf is not None and type(leaf) is not dict, \
+                    (scenario, section, key)
+
+
+def test_built_keys_are_config_leaves(monkeypatch):
+    """Each object a scenario builds on its packaged defaults names every
+    field by a leaf of that scenario's config, derived fields too:
+    scalability's n_qubits is its n_max."""
+    build, built = cli._build, []
+
+    def spy(*args, **derived):
+        obj, keys = build(*args, **derived)
+        built.append((type(obj).__name__, keys))
+        return obj, keys
+
+    monkeypatch.setattr(cli, "_build", spy)
+    names = {}
+    for scenario, defaults in cli._packaged_defaults().items():
+        built.clear()
+        cli.SCENARIOS[scenario](cli.resolve_config(scenario, None, []))
+        leaves = {key for key, _ in config_leaves(defaults)}
+        for name, keys in built:
+            assert set(keys.values()) <= leaves, (scenario, name, keys)
+        names[scenario] = [name for name, _ in built]
+        if scenario == "scalability":
+            assert built[0][1]["n_qubits"] == "n_max"
+    assert {s: n for s, n in names.items() if n} == {
+        "line-sim": ["LineGeometry", "FluxDrive", "SourceSpec"],
+        "error-budget": ["QubitArraySpec"],
+        "scalability": ["QubitArraySpec"],
+        "spectroscopy": ["NoiseModel", "NoiseModel"],
+    }

@@ -15,7 +15,7 @@ from fluxcomb.transmon import (
     flux_curve,
     j0,
 )
-from helpers import ReadoutSpec, chi_dispersive
+from helpers import ReadoutSpec, chi_dispersive, jc_chi
 
 OMEGA_M = 2.0 * math.pi * 3e9
 # the packaged flux-sweep comb's harmonics
@@ -204,27 +204,6 @@ def test_spec_validation():
 
 # ------------------------------------------------------- dispersive shift
 
-def _jc_chi(nu_q, nu_r, g, n_ph=40):
-    """Two-level atom + resonator oracle: full diagonalization, chi from the
-    dressed resonator frequencies in the two qubit states."""
-    dim = 2 * n_ph
-    H = np.zeros((dim, dim))
-    for n in range(n_ph):
-        H[2 * n, 2 * n] = n * nu_r
-        H[2 * n + 1, 2 * n + 1] = n * nu_r + nu_q
-        if n + 1 < n_ph:
-            i, j = 2 * n + 1, 2 * (n + 1)
-            H[i, j] = H[j, i] = g * math.sqrt(n + 1)
-    w, v = np.linalg.eigh(H)
-
-    def dressed(bare_index):
-        return w[np.argmax(np.abs(v[bare_index, :]))]
-
-    e_g0, e_e0 = dressed(0), dressed(1)
-    e_g1, e_e1 = dressed(2), dressed(3)
-    return ((e_e1 - e_e0) - (e_g1 - e_g0)) / 2.0
-
-
 def test_chi_zero_coupling():
     assert chi_dispersive(0.2e9, 10e9,
                           ReadoutSpec(omega_r=12e9, g_r=0.0)) == 0.0
@@ -250,7 +229,7 @@ def test_chi_against_jc_oracle():
     wq = diagonalize(ec, 10e9)[1]
     for g in (0.1e9, 0.3e9, 0.6e9):
         chi_f = chi_dispersive(ec, 10e9, ReadoutSpec(omega_r=12e9, g_r=g))
-        chi_o = _jc_chi(wq, 12e9, g)
+        chi_o = jc_chi(wq, 12e9, g)
         assert g / abs(wq - 12e9) <= 0.1
         assert abs(chi_f - chi_o) / abs(chi_o) < 0.05
 
